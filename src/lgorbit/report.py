@@ -14,6 +14,7 @@ identical JSON, which the determinism suite relies on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -67,17 +68,25 @@ def load_config(path: Optional[str] = None, overrides: Optional[Mapping] = None)
     if unknown:
         raise PreconditionError(f"unknown config keys: {sorted(unknown)}")
     for key, expected in _CONFIG_TYPES.items():
-        if key in data and not isinstance(data[key], expected):
+        # JSON true/false arrive as bool, which Python counts as an int
+        if key in data and (
+            isinstance(data[key], bool) or not isinstance(data[key], expected)
+        ):
             raise PreconditionError(f"config key {key!r} has the wrong type")
     if "thimble_grid" in data:
         grid = tuple(data["thimble_grid"])
-        if len(grid) != 2 or not all(isinstance(g, int) and g > 0 for g in grid):
+        if len(grid) != 2 or not all(
+            isinstance(g, int) and not isinstance(g, bool) and g > 0 for g in grid
+        ):
             raise PreconditionError("thimble_grid must be two positive integers")
         data["thimble_grid"] = grid
     cfg = Config(**data)
+    if not 0 < cfg.float_tolerance < math.inf:
+        raise PreconditionError("float_tolerance must be positive and finite")
     if cfg.sphere_samples < 1 or cfg.k_max < 2:
         raise PreconditionError("sphere_samples needs >= 1 and k_max needs >= 2")
-    if cfg.box_margin < 0 or cfg.t_range < 1 or cfg.shift_range < 0:
+    # shift_range >= 1 leaves room for the planted shift of the category suite
+    if cfg.box_margin < 0 or cfg.t_range < 1 or cfg.shift_range < 1:
         raise PreconditionError("box_margin, t_range, shift_range out of range")
     return cfg
 
@@ -331,7 +340,9 @@ def suite_category(cfg: Config) -> SuiteOutput:
         "claim:shift-matching-control",
         fukaya.tables_equal(table, table)
         and fukaya.tables_equal(
-            fukaya.shift_table(table, (0, 2)), table, cfg.shift_range
+            fukaya.shift_table(table, (0, min(2, cfg.shift_range))),
+            table,
+            cfg.shift_range,
         ),
         "the matcher finds the identity assignment and undoes a planted "
         "object shift, so a mirror would not be missed for shift reasons",

@@ -230,10 +230,9 @@ def test_criterion_7_compactification():
     assert _verdict(7, "quadric, moment map, base locus, critical fibers", ok)
 
 
-def test_criterion_8_deterministic_report():
-    cfg = Config()
-    first = render_json(run("all", cfg))
-    second = render_json(run("all", cfg))
+def test_criterion_8_deterministic_report(full_report):
+    first = render_json(full_report)
+    second = render_json(run("all", Config()))
     ok = first.encode("utf-8") == second.encode("utf-8")
     assert _verdict(8, "byte-identical verification report", ok)
 

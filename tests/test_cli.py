@@ -1,6 +1,7 @@
 """Report assembly, JSON determinism, and the command line contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,8 @@ EXPECTED_ASSUMPTIONS = {
 }
 
 
-def test_full_run_passes():
-    rep = run("all", Config())
+def test_full_run_passes(full_report):
+    rep = full_report
     assert not rep.failed
     counts = rep.counts
     assert counts["fail"] == 0
@@ -24,14 +25,14 @@ def test_full_run_passes():
     assert sum(counts.values()) >= 55
 
 
-def test_assumptions_are_exactly_the_named_three():
-    rep = run("all", Config())
+def test_assumptions_are_exactly_the_named_three(full_report):
+    rep = full_report
     got = {r.id for r in rep.results if r.status == "assumption"}
     assert got == EXPECTED_ASSUMPTIONS
 
 
-def test_every_result_is_well_formed():
-    rep = run("all", Config())
+def test_every_result_is_well_formed(full_report):
+    rep = full_report
     ids = [r.id for r in rep.results]
     assert len(ids) == len(set(ids))
     for r in rep.results:
@@ -40,8 +41,8 @@ def test_every_result_is_well_formed():
         assert r.detail
 
 
-def test_tables_present_on_full_run():
-    rep = run("all", Config())
+def test_tables_present_on_full_run(full_report):
+    rep = full_report
     assert "fukaya_hom" in rep.tables
     assert "f2_ext" in rep.tables
     assert "singular_value_scan" in rep.tables
@@ -51,8 +52,8 @@ def test_tables_present_on_full_run():
     assert all(row["agrees"] for row in scan)
 
 
-def test_json_rendering_deterministic():
-    a = render_json(run("all", Config()))
+def test_json_rendering_deterministic(full_report):
+    a = render_json(full_report)
     b = render_json(run("all", Config()))
     assert a == b
     payload = json.loads(a)
@@ -144,3 +145,61 @@ def test_cli_reports_failures_with_exit_one(monkeypatch, capsys):
     assert cli.main(["lie"]) == 1
     out = capsys.readouterr().out
     assert "1 failed" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["all", "--seed", "0"], "verify_all.json"),
+    (["mirror", "--t-range", "20"], "verify_mirror_t20.json"),
+])
+def test_report_matches_golden_bytes(tmp_path, capsys, argv, golden):
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": True},
+    {"t_range": False},
+    {"float_tolerance": True},
+    {"thimble_grid": [True, 3]},
+])
+def test_cli_rejects_bools_for_numbers(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["lie", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "config error" in captured.err
+
+
+@pytest.mark.parametrize("text", ['{"float_tolerance": -1}', '{"float_tolerance": 0}',
+                                  '{"float_tolerance": NaN}', '{"float_tolerance": Infinity}'])
+def test_cli_rejects_bad_float_tolerance_in_file(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["symplectic", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: config error: float_tolerance must be positive and finite\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_cli_rejects_bad_float_tolerance_flag(capsys, value):
+    assert cli.main(["symplectic", f"--float-tolerance={value}"]) == 2
+    assert "float_tolerance" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_shift_range(capsys):
+    assert cli.main(["category", "--shift-range", "0"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_smallest_shift_range_passes_shift_matching(capsys):
+    assert cli.main(["category", "--shift-range", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS       category.shift-matching-sanity" in out

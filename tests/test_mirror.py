@@ -1,7 +1,12 @@
 """Exhaustive mirror-pair search on the projective line and its controls."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lgorbit import mirror
 from lgorbit.errors import PreconditionError
 from lgorbit.mirror import (
     LineBundle,
@@ -13,6 +18,8 @@ from lgorbit.mirror import (
     search_mirror_pair,
     shifted_pattern,
 )
+
+import mirror_oracle
 
 
 def test_ext_line_bundles_closed_form():
@@ -102,3 +109,68 @@ def test_dimension_bound():
 def test_euler_pairing_identity():
     assert euler_pairing_identity()
     assert euler_pairing_identity(span=100)
+
+
+FLAGS = list(itertools.product((False, True), repeat=3))
+
+
+@pytest.mark.parametrize("backward_zero, end_simple, self_pairs", FLAGS)
+@settings(max_examples=40, deadline=None)
+@given(
+    t_range=st.integers(0, 6),
+    shift_range=st.integers(0, 4),
+    target=st.one_of(
+        st.none(),
+        st.dictionaries(st.integers(-3, 3), st.integers(0, 2), max_size=3),
+    ),
+)
+@example(t_range=6, shift_range=4, target={})
+@example(t_range=6, shift_range=4, target={0: 2})
+@example(t_range=3, shift_range=1, target={0: 1, 1: 1})
+@example(t_range=1, shift_range=0, target={0: 1})
+def test_search_matches_brute_force_oracle(
+    backward_zero, end_simple, self_pairs, t_range, shift_range, target
+):
+    kwargs = dict(
+        target_forward=target,
+        require_backward_zero=backward_zero,
+        require_end_simple=end_simple,
+        allow_self_pairs=self_pairs,
+    )
+    assert search_mirror_pair(t_range, shift_range, **kwargs) == (
+        mirror_oracle.search_mirror_pair(t_range, shift_range, **kwargs)
+    )
+
+
+def test_exclusion_table_matches_brute_force_oracle():
+    for t_range in range(7):
+        for shift_range in range(5):
+            assert exclusion_table(t_range, shift_range) == (
+                mirror_oracle.exclusion_table(t_range, shift_range)
+            )
+
+
+def test_report_calls_at_wide_window():
+    t, s = 1000, 5
+    assert search_mirror_pair(t, s) is None
+    control = search_mirror_pair(t, s, target_forward={0: 2})
+    assert control is not None and control.forward == ((0, 2),)
+    assert search_mirror_pair(
+        t, s, require_backward_zero=False, require_end_simple=False
+    ) is None
+    relaxed_self = search_mirror_pair(
+        t, s, require_backward_zero=False, require_end_simple=False,
+        allow_self_pairs=True,
+    )
+    assert relaxed_self is not None
+    assert search_mirror_pair(2 * t, s + 2) is None
+    assert all(r.verified for r in exclusion_table(t, s))
+
+
+def test_euler_pairing_fails_on_an_off_by_one_ext(monkeypatch):
+    def shifted_ext(x, y):
+        hom, ext1 = ext_p1(x, y)
+        return hom + 1, ext1
+
+    monkeypatch.setattr(mirror, "ext_p1", shifted_ext)
+    assert not mirror.euler_pairing_identity()
