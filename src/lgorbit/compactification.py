@@ -26,7 +26,9 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
+from .lie import random_sl_integer
 from .poly import MultiHomPoly, parse_poly
+from .symplectic import RATIONAL_SPHERE_POINTS, sphere_point
 
 _HALF = Fraction(1, 2)
 
@@ -136,16 +138,8 @@ def identity_element() -> Sl2GroupElement:
     return Sl2GroupElement(1, 0, 0, 1)
 
 
-_ELEMENTARY = (
-    ExactMatrix([[1, 1], [0, 1]]),
-    ExactMatrix([[1, -1], [0, 1]]),
-    ExactMatrix([[1, 0], [1, 1]]),
-    ExactMatrix([[1, 0], [-1, 1]]),
-)
-
-
 def random_group_elements(count: int, seed: int = 0) -> Tuple[Sl2GroupElement, ...]:
-    """Seeded words of length at most 6 in the elementary shear matrices.
+    """Seeded integer elements of SL(2), drawn by ``lie.random_sl_integer``.
 
     Products of integer shears keep entries exact and reach enough of the
     group for identity testing.
@@ -153,9 +147,7 @@ def random_group_elements(count: int, seed: int = 0) -> Tuple[Sl2GroupElement, .
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        m = ExactMatrix.identity(2)
-        for _ in range(rng.randint(1, 6)):
-            m = m * rng.choice(_ELEMENTARY)
+        m = random_sl_integer(2, rng)
         out.append(Sl2GroupElement(m[0, 0], m[1, 0], m[0, 1], m[1, 1]))
     return tuple(out)
 
@@ -667,33 +659,19 @@ def _orbit_ring_equation() -> MultiHomPoly:
 
 # ------------------------------------------------- sphere versus base locus
 
-# Exact solutions of p^2 + q^2 + r^2 = 1 sampling all sign patterns and both
-# poles, where the eigenline formulas need their fallback branch.
-RATIONAL_SPHERE_POINTS: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-    (Fraction(0), Fraction(0), Fraction(-1)),
-    (Fraction(3, 5), Fraction(4, 5), Fraction(0)),
-    (Fraction(3, 5), Fraction(0), Fraction(-4, 5)),
-    (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
-    (Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)),
-)
-
 
 def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjPoint:
     """Eigenline pair of the orbit matrix attached to a unit-sphere point.
 
-    The sphere point maps to the trace-zero matrix with entries
-    X = r, Y = -p + qi, Z = -p - qi, which satisfies X^2 + YZ = 1; its two
-    eigenlines give a point of P1 x P1 off the diagonal.
+    ``symplectic.sphere_point`` maps the sphere point to the trace-zero
+    matrix with entries X = r, Y = -p + qi, Z = -p - qi, which satisfies
+    X^2 + YZ = 1; its two eigenlines give a point of P1 x P1 off the
+    diagonal.
     """
     p, q, r = Fraction(p), Fraction(q), Fraction(r)
     if p * p + q * q + r * r != 1:
         raise PreconditionError("need an exact unit-sphere point")
-    big_x = GaussianRational(r)
-    big_y = GaussianRational(-p, q)
-    big_z = GaussianRational(-p, -q)
+    big_x, big_y, big_z = sphere_point(p, q, r)
     # X^2 + YZ = r^2 + p^2 + q^2 = 1 by construction
     if big_x * big_x + big_y * big_z != ONE:
         raise StructureError("sphere image left the orbit")

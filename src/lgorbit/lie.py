@@ -1,11 +1,10 @@
-"""Adjoint orbits of sl(n, C): trace pairing, height functions, critical points.
+"""Adjoint orbits of sl(n, C): height functions, critical points, Hessians.
 
 The orbit of a diagonal traceless matrix H0 under conjugation is studied
 through the height function A -> tr(H A) attached to a regular diagonal H.
 Critical points are the diagonal matrices with permuted H0 entries; their
-count and Hessian nondegeneracy are checked numerically in explicit charts.
-Exact paths (orbit membership, heights at critical points) run over the
-Gaussian rationals.
+count, their heights and their chart Hessians are exact, as is orbit
+membership, all over the Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -15,15 +14,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Set, Tuple
-
-import numpy as np
-from scipy.linalg import expm
+from typing import List, Sequence, Set, Tuple
 
 from .errors import PreconditionError, StructureError
-from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational
-
-TRACE_TOL = 1e-9
+from .gaussian import ZERO, ExactMatrix, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -48,46 +42,8 @@ class CartanDiagonal:
     def regular(self) -> bool:
         return len(set(self.diag)) == len(self.diag)
 
-    def as_matrix(self) -> np.ndarray:
-        return np.diag([complex(d) for d in self.diag])
-
     def as_exact_matrix(self) -> ExactMatrix:
         return ExactMatrix.diagonal([GaussianRational(d) for d in self.diag])
-
-
-class SlnMatrix:
-    """Square complex matrix with (numerically) vanishing trace."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array) -> None:
-        arr = np.asarray(array, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise StructureError(f"expected a square matrix, got shape {arr.shape}")
-        if abs(np.trace(arr)) > TRACE_TOL:
-            raise StructureError(f"trace {np.trace(arr)} is not zero within {TRACE_TOL}")
-        self.array = arr
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-
-def trace_form(a: np.ndarray, b: np.ndarray) -> complex:
-    """The invariant pairing tr(AB)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2:
-        raise StructureError("trace form needs two square matrices of one size")
-    return complex(np.trace(a @ b))
-
-
-def height(h: CartanDiagonal, a) -> complex:
-    """Height tr(H A) of a matrix on the orbit, float regime."""
-    arr = a.array if isinstance(a, SlnMatrix) else np.asarray(a, dtype=complex)
-    if arr.shape != (h.n, h.n):
-        raise StructureError("size mismatch between H and A")
-    return complex(sum(complex(h.diag[i]) * arr[i, i] for i in range(h.n)))
 
 
 def height_exact(h: CartanDiagonal, a: ExactMatrix) -> GaussianRational:
@@ -107,16 +63,6 @@ def height_of_diagonal(h: CartanDiagonal, diag: Sequence[Fraction]) -> Fraction:
 
 
 # --------------------------------------------------------- orbit membership
-
-
-def orbit_contains(h0: CartanDiagonal, a, tol: float = 1e-9) -> bool:
-    """Float regime: eigenvalue multisets compared after sorting."""
-    arr = a.array if isinstance(a, SlnMatrix) else np.asarray(a, dtype=complex)
-    if arr.shape != (h0.n, h0.n):
-        raise StructureError("size mismatch between H0 and A")
-    eig = sorted(np.linalg.eigvals(arr), key=lambda z: (z.real, z.imag))
-    ref = sorted((complex(d) for d in h0.diag), key=lambda z: (z.real, z.imag))
-    return all(abs(e - r) <= tol for e, r in zip(eig, ref))
 
 
 def orbit_contains_exact(h0: CartanDiagonal, a: ExactMatrix) -> bool:
@@ -194,135 +140,47 @@ def _require_critical(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) ->
     return pt
 
 
-def _sl2_chart_value(h: CartanDiagonal, a: Fraction, y: complex, z: complex) -> complex:
-    # branch of x = sqrt(a^2 - yz) through x(0, 0) = a
-    root = complex(a) * np.sqrt(1 - (y * z) / complex(a) ** 2)
-    k = complex(h.diag[0])
-    return 2 * k * root
+def hessian_matrix(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> ExactMatrix:
+    """Exact Hessian of the height at a critical point P in the exp(ad) chart.
 
-
-def _expm_chart_value(
-    h: CartanDiagonal, point: Sequence[Fraction], directions, u: np.ndarray
-) -> complex:
-    n = h.n
-    z = np.zeros((n, n), dtype=complex)
-    for coord, (i, j) in zip(u, directions):
-        z[i, j] = coord
-    g = expm(z)
-    p = np.diag([complex(c) for c in point])
-    conj = g @ p @ expm(-z)
-    return complex(sum(complex(h.diag[i]) * conj[i, i] for i in range(n)))
-
-
-def hessian_matrix(
-    h0: CartanDiagonal,
-    h: CartanDiagonal,
-    point: Sequence,
-    step: float = 1e-4,
-) -> np.ndarray:
-    """Complex Hessian of the height at a critical point, by central differences.
-
-    For sl(2) the chart solves the orbit equation for x near the critical
-    value; for larger n the chart is exp(ad) along the root directions that
-    move the point.  The finite-difference truncation error is O(step^2).
+    The chart is u -> exp(Z) P exp(-Z) with Z = sum u_ij E_ij over the root
+    directions (i, j) with p_i != p_j, in ``_chart_directions`` order.  The
+    quadratic term of tr(H .) is q(Z) / 2 with q(Z) = tr(H [Z, [Z, P]]); the
+    entries are q(E_a) on the diagonal and the polarization
+    (q(E_a + E_b) - q(E_a) - q(E_b)) / 2 off it, evaluated with exact
+    commutators.  In closed form the Hessian pairs each E_ij with E_ji by
+    (p_j - p_i)(h_j - h_i) and has no other entries (Gasparim, Grama and
+    San Martin, Forum Math. 2016).
     """
     pt = _require_critical(h0, h, point)
-    n = h0.n
-    if n == 2:
-        a = pt[0]
-        if a == 0:
-            raise PreconditionError("sl(2) chart needs a nonzero critical diagonal")
+    directions = _chart_directions(pt)
+    if not directions:
+        raise PreconditionError("critical point admits no moving directions")
+    n = len(pt)
+    p = ExactMatrix.diagonal([GaussianRational(x) for x in pt])
 
-        def f(u: np.ndarray) -> complex:
-            return _sl2_chart_value(h, a, u[0], u[1])
+    def q(*support: Tuple[int, int]) -> Fraction:
+        z = ExactMatrix([[1 if (r, s) in support else 0 for s in range(n)] for r in range(n)])
+        zp = z * p - p * z
+        return height_exact(h, z * zp - zp * z).re
 
-        dim = 2
-    else:
-        directions = _chart_directions(pt)
-        if not directions:
-            raise PreconditionError("critical point admits no moving directions")
-
-        def f(u: np.ndarray) -> complex:
-            return _expm_chart_value(h, pt, directions, u)
-
-        dim = len(directions)
-
-    hess = np.zeros((dim, dim), dtype=complex)
-    base = np.zeros(dim)
-    f0 = f(base)
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        hess[i, i] = (f(ei) - 2 * f0 + f(-ei)) / step**2
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = step
-            value = (
-                f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)
-            ) / (4 * step**2)
-            hess[i, j] = value
-            hess[j, i] = value
-    return hess
+    square = [q(d) for d in directions]
+    entries = [[Fraction(0)] * len(directions) for _ in directions]
+    for a, da in enumerate(directions):
+        entries[a][a] = square[a]
+        for b in range(a + 1, len(directions)):
+            mixed = (q(da, directions[b]) - square[a] - square[b]) / 2
+            entries[a][b] = entries[b][a] = mixed
+    return ExactMatrix(entries)
 
 
-def hessian_determinant(
-    h0: CartanDiagonal, h: CartanDiagonal, point: Sequence, step: float = 1e-4
-) -> complex:
-    return complex(np.linalg.det(hessian_matrix(h0, h, point, step)))
+def hessian_determinant(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Fraction:
+    """Determinant of the exact chart Hessian; its entries are rational, so is it."""
+    return hessian_matrix(h0, h, point).det().re
 
 
-def hessian_nondegenerate(
-    h0: CartanDiagonal,
-    h: CartanDiagonal,
-    point: Sequence,
-    step: float = 1e-4,
-    tol: float = 1e-6,
-) -> bool:
-    """True when the chart Hessian determinant clears the noise floor.
-
-    The cutoff grows with step^2 because that is the truncation order of
-    the central differences feeding the determinant.
-    """
-    threshold = max(tol, 100.0 * step * step)
-    return abs(hessian_determinant(h0, h, point, step)) > threshold
-
-
-def gradient_norm(
-    h0: CartanDiagonal,
-    h: CartanDiagonal,
-    point: Sequence,
-    step: float = 1e-5,
-) -> float:
-    """Max first-difference of the height in the chart directions at ``point``.
-
-    Unlike the Hessian entry points this accepts non-critical diagonals, so
-    tests can watch the gradient fail to vanish away from the critical set.
-    """
-    pt = tuple(Fraction(p) for p in point)
-    if h0.n == 2:
-        a = pt[0]
-        if a == 0:
-            raise PreconditionError("sl(2) chart needs a nonzero first entry")
-
-        def f(u: np.ndarray) -> complex:
-            return _sl2_chart_value(h, a, u[0], u[1])
-
-        dim = 2
-    else:
-        directions = _chart_directions(pt)
-        if not directions:
-            raise PreconditionError("point admits no moving directions")
-
-        def f(u: np.ndarray) -> complex:
-            return _expm_chart_value(h, pt, directions, u)
-
-        dim = len(directions)
-    worst = 0.0
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        worst = max(worst, abs((f(ei) - f(-ei)) / (2 * step)))
-    return worst
+def hessian_nondegenerate(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> bool:
+    return hessian_determinant(h0, h, point) != 0
 
 
 # ------------------------------------------------------------ random inputs
@@ -332,17 +190,17 @@ def random_sl_integer(n: int, rng: random.Random, length: int = 8) -> ExactMatri
     """Random integer matrix of determinant one, a product of shears."""
     if n < 2:
         raise StructureError("need n >= 2")
-    result = ExactMatrix.identity(n)
+    rows = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
     for _ in range(length):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
         c = rng.choice((-2, -1, 1, 2))
-        shear = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-        shear[i][j] = c
-        result = result * ExactMatrix(shear)
-    return result
+        # right multiplication by the shear I + c E_ij adds c * column i to column j
+        for row in rows:
+            row[j] += c * row[i]
+    return ExactMatrix(rows)
 
 
 def conjugate_exact(g: ExactMatrix, a: ExactMatrix) -> ExactMatrix:

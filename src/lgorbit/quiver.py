@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .errors import DiagnosticError, PreconditionError, StructureError
 from .fukaya import GradedModule
 from .gaussian import ExactMatrix, GaussianRational
+from .toric import HirzebruchFan, PicClass, ext_dims
 
 ArrowWord = Tuple[str, ...]
 Combo = Dict["Path", Fraction]
@@ -459,8 +460,6 @@ def end_algebra_dims_tilting(box_margin: int = 1) -> TiltingReport:
     Hom/Ext blocks follow from the line-bundle table by four chases; only
     the chase against O consumes the named injectivity assumption.
     """
-    from .toric import HirzebruchFan, PicClass, ext_dims
-
     fan = HirzebruchFan(2)
     n, o = PicClass(-1, 0), PicClass(0, 0)
     table = {
@@ -499,17 +498,15 @@ def end_algebra_dims_tilting(box_margin: int = 1) -> TiltingReport:
 # --------------------------------------------------------------- K-theory
 
 
-def grothendieck_rank(number_of_exceptional_factors: int) -> int:
-    """Free rank added by a semiorthogonal decomposition into that many
-    exceptional factors, one rank each."""
-    if number_of_exceptional_factors < 0:
-        raise PreconditionError("factor count must be nonnegative")
-    return number_of_exceptional_factors
+def euler_form_matrix(classes: Sequence[PicClass], box_margin: int = 1) -> ExactMatrix:
+    """Euler-form matrix chi(E_i, E_j) = sum_k (-1)^k dim Ext^k(E_i, E_j)
+    of line bundles on the Hirzebruch surface F_2.
 
-def semiorthogonal_rank_sum(parts: Iterable[int]) -> int:
-    total = 0
-    for part in parts:
-        if part < 0:
-            raise PreconditionError("part ranks must be nonnegative")
-        total += part
-    return total
+    An exceptional collection gives a unitriangular matrix, so the rank is
+    the number of free generators its objects contribute to the
+    Grothendieck group.
+    """
+    fan = HirzebruchFan(2)
+    return ExactMatrix([
+        [ext_dims(fan, ci, cj, box_margin).euler for cj in classes] for ci in classes
+    ])

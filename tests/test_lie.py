@@ -4,8 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import lie_oracle
 from lgorbit.errors import PreconditionError, StructureError
 from lgorbit.gaussian import ExactMatrix, GaussianRational
 from lgorbit.lie import (
@@ -13,9 +15,9 @@ from lgorbit.lie import (
     conjugate_exact,
     critical_count,
     critical_points,
-    gradient_norm,
     height_of_diagonal,
     hessian_determinant,
+    hessian_matrix,
     hessian_nondegenerate,
     orbit_contains_exact,
     random_sl_integer,
@@ -83,26 +85,74 @@ def test_count_formula_is_orbit_size():
 
 def test_hessian_nondegenerate_sl2():
     for point in critical_points(H0_SL2, H_SL2):
-        det = hessian_determinant(H0_SL2, H_SL2, point, step=1e-4)
-        assert abs(det) >= 0.5
-        assert hessian_nondegenerate(H0_SL2, H_SL2, point, step=1e-4)
+        # one root pair, entry (p_1 - p_0)(h_1 - h_0) = 4 off the diagonal
+        assert hessian_determinant(H0_SL2, H_SL2, point) == -16
+        assert hessian_nondegenerate(H0_SL2, H_SL2, point)
 
 
 def test_hessian_nondegenerate_sl3():
     h0 = CartanDiagonal((2, 1, -3))
     h = CartanDiagonal((3, -1, -2))
     for point in critical_points(h0, h):
-        assert hessian_nondegenerate(h0, h, point, step=1e-4)
+        assert hessian_nondegenerate(h0, h, point)
+
+
+HESSIAN_CASES = [
+    (H0_SL2, H_SL2),
+    (CartanDiagonal((2, 1, -3)), CartanDiagonal((3, -1, -2))),
+    (CartanDiagonal((1, 1, -2)), CartanDiagonal((3, -1, -2))),
+    (CartanDiagonal((1, 0, -1)), CartanDiagonal((1, 0, -1))),
+    (CartanDiagonal((1, 1, -1, -1)), CartanDiagonal((5, 1, -2, -4))),
+    (CartanDiagonal((1, 1, -1, -1)), CartanDiagonal((3, 1, -1, -3))),
+]
+
+
+@pytest.mark.parametrize("h0, h", HESSIAN_CASES)
+def test_closed_form_hessian_matches_finite_differences(h0, h):
+    for point in critical_points(h0, h):
+        exact = hessian_matrix(h0, h, point)
+        approx = lie_oracle.expm_hessian_matrix(h0, h, point, step=1e-4)
+        closed = np.array(
+            [[complex(exact[i, j]) for j in range(exact.cols)] for i in range(exact.rows)]
+        )
+        assert np.max(np.abs(closed - approx)) < 1e-6
+
+
+@pytest.mark.parametrize("h0, h", HESSIAN_CASES)
+def test_hessian_equals_the_closed_form(h0, h):
+    # (p_j - p_i)(h_j - h_i) pairs E_ij with E_ji; every other entry is zero
+    for point in critical_points(h0, h):
+        directions = [
+            (i, j) for i in range(h0.n) for j in range(h0.n) if i != j and point[i] != point[j]
+        ]
+        closed = [
+            [
+                (point[j] - point[i]) * (h.diag[j] - h.diag[i]) if (k, l) == (j, i) else 0
+                for (k, l) in directions
+            ]
+            for (i, j) in directions
+        ]
+        assert hessian_matrix(h0, h, point) == ExactMatrix(closed)
+
+
+def test_sl2_charts_differ_by_the_linear_change_of_coordinates():
+    # (y, z) = (-2a u, 2a v) to first order at diag(a, -a), so the exp chart's
+    # determinant is (4 a^2)^2 times the orbit-equation chart's
+    for point in critical_points(H0_SL2, H_SL2):
+        a = point[0]
+        chart_det = lie_oracle.hessian_determinant(H0_SL2, H_SL2, point, step=1e-4)
+        expected = float(hessian_determinant(H0_SL2, H_SL2, point) / (16 * a**4))
+        assert abs(chart_det - expected) < 1e-6
 
 
 def test_gradient_vanishes_at_critical_points():
     for point in critical_points(H0_SL2, H_SL2):
-        assert gradient_norm(H0_SL2, H_SL2, point) < 1e-6
+        assert lie_oracle.gradient_norm(H0_SL2, H_SL2, point) < 1e-6
 
 
 def test_gradient_norm_rejects_sl2_chart_gap():
     with pytest.raises(PreconditionError):
-        gradient_norm(H0_SL2, H_SL2, (Fraction(0), Fraction(1), Fraction(0)))
+        lie_oracle.gradient_norm(H0_SL2, H_SL2, (Fraction(0), Fraction(1), Fraction(0)))
 
 
 def test_orbit_membership_exact_positive():

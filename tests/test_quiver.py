@@ -3,6 +3,7 @@
 import pytest
 
 from lgorbit.errors import DiagnosticError, PreconditionError, StructureError
+from lgorbit.gaussian import ExactMatrix
 from lgorbit.quiver import (
     INJECTIVE_CONNECTING_ASSUMPTION,
     Arrow,
@@ -10,13 +11,13 @@ from lgorbit.quiver import (
     composition_pattern_check,
     dg_quiver,
     end_algebra_dims_tilting,
-    grothendieck_rank,
+    euler_form_matrix,
     hom_complex,
     les_chase,
     ordinary_quiver,
     path_basis,
-    semiorthogonal_rank_sum,
 )
+from lgorbit.toric import PicClass
 
 
 def test_quiver_validation():
@@ -156,10 +157,9 @@ def test_tilting_total_matches_quiver_dimension():
     assert end_algebra_dims_tilting().total == path_basis(ordinary_quiver()).dimension
 
 
-def test_k_theory_ranks():
-    assert grothendieck_rank(3) == 3
-    assert semiorthogonal_rank_sum((1, 1, 3)) == 5
-    with pytest.raises(PreconditionError):
-        grothendieck_rank(-1)
-    with pytest.raises(PreconditionError):
-        semiorthogonal_rank_sum((1, -2))
+def test_euler_form_rank_of_the_exceptional_pair():
+    exceptional = euler_form_matrix((PicClass(-1, 0), PicClass(0, 0)))
+    assert exceptional == ExactMatrix.identity(2)
+    assert exceptional.rank() == 2
+    # O twice is not exceptional: its Euler form is all ones, rank one
+    assert euler_form_matrix((PicClass(0, 0), PicClass(0, 0))).rank() == 1

@@ -8,6 +8,7 @@ from lgorbit.errors import PreconditionError
 from lgorbit.symplectic import (
     DEFAULT_LAMBDAS,
     RATIONAL_SPHERE_POINTS,
+    _rank_is_two,
     check_sphere_lagrangian,
     check_thimble_lagrangian,
     cylinder_round_trip_residual,
@@ -30,6 +31,13 @@ def test_sphere_lagrangian_sampled():
     assert report.rank_failures == 0
     assert report.max_taming_violation == 0.0
     assert report.passed
+
+
+def test_rank_two_test_rejects_other_ranks():
+    assert _rank_is_two([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
+    assert not _rank_is_two([(1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (-1.0, -2.0, -3.0)])
+    assert not _rank_is_two([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    assert not _rank_is_two([(0.0, 0.0, 0.0)] * 3)
 
 
 def test_sphere_exact_residuals_vanish():
