@@ -184,6 +184,21 @@ def test_report_needs_no_numpy_or_scipy(tmp_path):
     assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
 
 
+def test_huge_box_margin_finishes_quickly(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    results = []
+    for margin in (1, 1000000):
+        out = tmp_path / f"margin{margin}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lgorbit", "sheaves", "--box-margin", str(margin),
+             "--json", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("config", [
     {"seed": True},
     {"t_range": False},

@@ -1,6 +1,10 @@
 """Hirzebruch surfaces: intersection theory, Cech cohomology, hypersurface."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgorbit.errors import DiagnosticError, PreconditionError, StructureError
 from lgorbit.toric import (
@@ -21,7 +25,10 @@ from lgorbit.toric import (
     verify_divisor_convention,
     verify_f2_hypersurface,
 )
+from lgorbit.toric import _box_sum, _pattern_cohomology
 from lgorbit.poly import parse_poly
+
+import toric_oracle
 
 F0 = HirzebruchFan(0)
 F1 = HirzebruchFan(1)
@@ -132,6 +139,45 @@ def test_serre_duality_sweep():
                 d = cohomology_dims(fan, pic_to_divisor(fan, c))
                 s = cohomology_dims(fan, pic_to_divisor(fan, k - c))
                 assert d.triple == (s.h2, s.h1, s.h0)
+
+
+def test_wide_riemann_roch_and_serre_sweep():
+    for a in range(11):
+        fan = HirzebruchFan(a)
+        k = canonical_class(a)
+        for p in range(-10, 11):
+            for q in range(-10, 11):
+                c = PicClass(p, q)
+                d = cohomology_dims(fan, pic_to_divisor(fan, c))
+                s = cohomology_dims(fan, pic_to_divisor(fan, k - c))
+                assert d.euler == euler_rr(c, a)
+                assert d.triple == (s.h2, s.h1, s.h0)
+
+
+def test_pattern_cohomology_table():
+    # the row skip in _box_sum rests on this: every nonzero pattern has
+    # bits[1] == bits[3]
+    nonzero = {
+        (True, True, True, True): (1, 0, 0),
+        (False, False, False, False): (0, 0, 1),
+        (True, False, True, False): (0, 1, 0),
+        (False, True, False, True): (0, 1, 0),
+    }
+    for bits in itertools.product((False, True), repeat=4):
+        assert _pattern_cohomology(bits) == nonzero.get(bits, (0, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(0, 10),
+    coeffs=st.tuples(*[st.integers(-12, 12)] * 4),
+    half_width=st.integers(0, 60),
+)
+@example(a=2, coeffs=(0, 0, 0, 5), half_width=6)
+@example(a=2, coeffs=(0, 0, 0, 5), half_width=25)
+def test_box_sum_matches_character_oracle(a, coeffs, half_width):
+    fan, d = HirzebruchFan(a), ToricDivisor(coeffs)
+    assert _box_sum(fan, d, half_width) == toric_oracle.box_sum(fan, d, half_width)
 
 
 def test_box_margin_stability():
