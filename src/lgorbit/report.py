@@ -613,8 +613,8 @@ def suite_quiver(cfg: Config) -> SuiteOutput:
         quiver.euler_form_matrix(
             (toric.PicClass(-1, 0), toric.PicClass(0, 0)), cfg.box_margin
         ).rank() == 2,
-        "each exceptional factor contributes one free generator and the "
-        "two-object decomposition sums to rank two",
+        "the Euler-form matrix of (O(-E), O), with entries chi from the "
+        "Ext dimensions on the degree-2 surface, has rank two",
     ))
     return results, {}
 
