@@ -267,13 +267,7 @@ def _pattern_cohomology(bits: Tuple[bool, bool, bool, bool]) -> Tuple[int, int, 
 
 
 def _box_sum(fan: HirzebruchFan, d: ToricDivisor, half_width: int) -> Tuple[int, int, int]:
-    """Per-character Cech cohomology summed over the box [-M, M]^2.
-
-    Every bit is a half-plane condition, so along a row m2 the pattern
-    changes only where m1 crosses -a1 or a3 - a*m2 + 1.  Each row splits
-    into at most three intervals of constant pattern, and each interval adds
-    its length times that pattern's cohomology.
-    """
+    """Per-character Cech cohomology over [-M, M]^2, summed by row intervals."""
     a1, a2, a3, a4 = d.coeffs
     a = fan.a
     lo, hi = -half_width, half_width + 1
@@ -283,8 +277,6 @@ def _box_sum(fan: HirzebruchFan, d: ToricDivisor, half_width: int) -> Tuple[int,
     for m2 in range(max(lo, min(-a2, a4 + 1)), min(hi, max(a4, -a2 - 1) + 1)):
         cuts = sorted(min(max(c, lo), hi) for c in (-a1, a3 - a * m2 + 1))
         for start, end in zip((lo, *cuts), (*cuts, hi)):
-            if start == end:
-                continue
             bits = (
                 start >= -a1,
                 m2 >= -a2,

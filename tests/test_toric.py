@@ -24,8 +24,9 @@ from lgorbit.toric import (
     pic_to_divisor,
     verify_divisor_convention,
     verify_f2_hypersurface,
+    _box_sum,
+    _pattern_cohomology,
 )
-from lgorbit.toric import _box_sum, _pattern_cohomology
 from lgorbit.poly import parse_poly
 
 import toric_oracle
