@@ -161,10 +161,14 @@ def matrix_from_triple(t: Triple):
     return ((x, y), (z, -x))
 
 
+def _complex_matrix(a):
+    return tuple(tuple(complex(e) for e in row) for row in a)
+
+
 def commutator_triple(point: Triple, a) -> Triple:
     """[S, A] as a coordinate triple, where S is the matrix of ``point``."""
-    if not _is_exact(point):
-        a = tuple(tuple(complex(e) for e in row) for row in a)
+    if not _is_exact(point) and _is_exact(a[0] + a[1]):
+        a = _complex_matrix(a)
     s = matrix_from_triple(point)
     rows = []
     for i in range(2):
@@ -219,7 +223,8 @@ def check_sphere_lagrangian(
     float residual, the worst taming defect, and any rank-2 span failure.
     """
     rng = random.Random(seed)
-    basis = su2_basis()
+    # the samples are floats, so convert the exact basis once, not per sample
+    basis = [_complex_matrix(a) for a in su2_basis()]
     max_omega = 0.0
     max_taming = 0.0
     rank_failures = 0

@@ -132,3 +132,63 @@ def test_conj_transpose():
 def test_rank_rectangular():
     m = ExactMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
     assert m.rank() == 2
+
+
+# ----------------------------------------------- the type contract of the kernel
+
+
+def test_public_components_are_fractions():
+    for value in (GaussianRational(3, -2), GaussianRational(Fraction(1, 2), 0), ZERO, I):
+        assert type(value.re) is Fraction
+        assert type(value.im) is Fraction
+        assert type(value.norm_sq()) is Fraction
+    assert GaussianRational(3, -2).norm_sq() == 13
+
+
+def test_integer_division_stays_exact():
+    assert GaussianRational(1) / 3 == GaussianRational(Fraction(1, 3))
+    assert GaussianRational(6, -4) / 2 == GaussianRational(3, -2)
+    assert 1 / GaussianRational(3) == GaussianRational(Fraction(1, 3))
+    assert GaussianRational(1) / GaussianRational(1, 1) == GaussianRational(
+        Fraction(1, 2), Fraction(-1, 2)
+    )
+
+
+def test_inverse_of_an_integer_matrix_is_exact():
+    inverse = ExactMatrix([[2, 1], [1, 2]]).inverse()
+    third = Fraction(1, 3)
+    assert inverse == ExactMatrix([[2 * third, -third], [-third, 2 * third]])
+    for row in inverse.entries:
+        for e in row:
+            assert type(e.re) is Fraction and type(e.im) is Fraction
+
+
+def test_integral_values_compare_and_hash_as_integers():
+    assert GaussianRational(Fraction(4, 2)) == 2
+    assert GaussianRational(Fraction(4, 2)) == GaussianRational(2)
+    assert hash(GaussianRational(2)) == hash(2) == hash(Fraction(2))
+    assert hash(GaussianRational(Fraction(4, 2))) == hash(2)
+    assert hash(GaussianRational(Fraction(1, 2), 3)) == hash((Fraction(1, 2), Fraction(3)))
+
+
+def test_integral_components_are_stored_as_int():
+    # the kernel's speed rests on integral parts staying machine integers
+    for value in (
+        GaussianRational(Fraction(4, 2), Fraction(-3, 1)),
+        GaussianRational(Fraction(1, 2)) * 2,
+        GaussianRational(Fraction(1, 3), Fraction(2, 3)) + GaussianRational(
+            Fraction(2, 3), Fraction(1, 3)
+        ),
+        (ExactMatrix([[Fraction(1, 2)]]) * ExactMatrix([[4]]))[0, 0],
+    ):
+        assert type(value._re) is int and type(value._im) is int
+
+
+def test_non_exact_operands_are_rejected():
+    with pytest.raises(TypeError):
+        GaussianRational(1) + 0.5
+    with pytest.raises(TypeError):
+        GaussianRational(1) * 1j
+    assert GaussianRational(1) != 1.0
+    with pytest.raises(StructureError):
+        ExactMatrix([[0.5]])

@@ -90,6 +90,27 @@ def test_hessian_nondegenerate_sl2():
         assert hessian_nondegenerate(H0_SL2, H_SL2, point)
 
 
+def test_hessian_entries_and_determinant_are_fractions():
+    # the polarization halves q(...) differences; with int components this
+    # must stay a Fraction, never a float
+    h0 = CartanDiagonal((2, 1, -3))
+    h = CartanDiagonal((3, -1, -2))
+    for point in critical_points(h0, h):
+        det = hessian_determinant(h0, h, point)
+        assert type(det) is Fraction and det != 0
+        for row in hessian_matrix(h0, h, point).entries:
+            assert all(type(e.re) is Fraction and e.im == 0 for e in row)
+
+
+def test_conjugate_exact_inverts_integer_matrices_exactly():
+    rng = random.Random(7)
+    a = ExactMatrix([[3, 1, 0], [0, -1, 2], [1, 0, -2]])
+    for _ in range(5):
+        g = random_sl_integer(3, rng)
+        assert g.inverse() * g == ExactMatrix.identity(3)
+        assert conjugate_exact(g, a).trace() == a.trace()
+
+
 def test_hessian_nondegenerate_sl3():
     h0 = CartanDiagonal((2, 1, -3))
     h = CartanDiagonal((3, -1, -2))
