@@ -3,7 +3,6 @@
 import operator
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,10 +157,3 @@ def test_matrix_algebra_matches_the_oracle(factors):
         else:
             assert_same_matrix(new, old)
 
-
-@pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], [[1, 2], [2, 4]], [[0, 3], [5, 7]]])
-def test_integer_matrices_match_the_oracle(rows):
-    a, oa = matrix_pair([[(e, 0) for e in row] for row in rows])
-    assert_same_matrix(a * a, oa * oa)
-    assert_same(a.det(), oa.det())
-    assert a.rank() == oa.rank()
