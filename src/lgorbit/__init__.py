@@ -11,13 +11,12 @@ quiver descriptions.
 __version__ = "0.1.0"
 
 from .gaussian import ExactMatrix, GaussianRational
-from .poly import MultiHomPoly, jacobian, parse_poly
+from .poly import MultiHomPoly, parse_poly
 
 __all__ = [
     "ExactMatrix",
     "GaussianRational",
     "MultiHomPoly",
-    "jacobian",
     "parse_poly",
     "__version__",
 ]

@@ -1,4 +1,7 @@
-"""Command line entry point: `verify <suite> [--config FILE] [--seed N] [--json PATH]`.
+"""Command line entry point: `verify <suite> [--config FILE] [--json PATH] [--KEY V]`.
+
+Each field of ``report.Config`` is a flag too, spelled with hyphens
+(``t_range`` is ``--t-range``), that overrides the config file.
 
 Exit codes: 0 when every check passes (assumptions do not fail a run),
 1 when any check fails, 2 for usage or configuration errors.
@@ -8,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
-from .errors import PreconditionError
-from .report import SUITES, load_config, render_json, render_text, run
+from .report import SUITES, Config, load_config, render_json, render_text, run
 
 
 def _grid(text: str):
@@ -32,32 +35,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("suite", choices=sorted(SUITES) + ["all"],
                         help="suite to run, or 'all'")
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
-    parser.add_argument("--seed", type=int, metavar="N", help="override the seed")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the JSON report to this file")
-    parser.add_argument("--float-tolerance", type=float, metavar="TOL")
-    parser.add_argument("--sphere-samples", type=int, metavar="N")
-    parser.add_argument("--thimble-grid", type=_grid, metavar="RxC")
-    parser.add_argument("--box-margin", type=int, metavar="M")
-    parser.add_argument("--t-range", type=int, metavar="T")
-    parser.add_argument("--shift-range", type=int, metavar="S")
-    parser.add_argument("--k-max", type=int, metavar="K")
+    for key in fields(Config):
+        parser.add_argument(
+            "--" + key.name.replace("_", "-"),
+            type=_grid if isinstance(key.default, tuple) else type(key.default),
+            help=f"override the config key {key.name}",
+        )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "float_tolerance": args.float_tolerance,
-        "sphere_samples": args.sphere_samples,
-        "thimble_grid": args.thimble_grid,
-        "box_margin": args.box_margin,
-        "t_range": args.t_range,
-        "shift_range": args.shift_range,
-        "k_max": args.k_max,
-    }
+    overrides = {key.name: getattr(args, key.name) for key in fields(Config)}
     try:
         cfg = load_config(args.config, overrides)
     except (OSError, ValueError) as exc:

@@ -22,12 +22,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
 from .lie import random_sl_integer
-from .poly import MultiHomPoly, parse_poly
+from .poly import MultiHomPoly, certify_charts, parse_poly
 from .symplectic import RATIONAL_SPHERE_POINTS, sphere_point
 
 _HALF = Fraction(1, 2)
@@ -155,10 +155,6 @@ def random_group_elements(count: int, seed: int = 0) -> Tuple[Sl2GroupElement, .
 # --------------------------------------------------------------- quadric
 
 
-def _ov(name: str) -> MultiHomPoly:
-    return MultiHomPoly.variable(ORBIT_BLOCKS, name)
-
-
 def orbit_affine_equation() -> MultiHomPoly:
     """The affine surface equation x^2 + yz - 1 (in the 4-variable ring)."""
     return parse_poly(ORBIT_BLOCKS, "(1)*x^2 + (1)*y*z + (-1)")
@@ -214,7 +210,7 @@ def quadric_change_check() -> bool:
     h = homogenize_orbit()
     if h != parse_poly(ORBIT_BLOCKS, "(1)*x^2 + (1)*y*z + (-1)*t^2"):
         return False
-    x, z, t = _ov("x"), _ov("z"), _ov("t")
+    x, z, t = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xzt")
     sheared = h.substitute({"x": x - t, "t": x + t})
     if sheared != parse_poly(ORBIT_BLOCKS, "(-4)*x*t + (1)*y*z"):
         return False
@@ -322,22 +318,31 @@ def rational_extension(pt: MultiProjPoint) -> MultiProjPoint:
     return MultiProjPoint(((numerator, denominator),))
 
 
+def _random_pairs(rng: random.Random) -> Iterator[MultiProjPoint]:
+    """Endless seeded points of P1 x P1 with integer coordinates in [-5, 5].
+
+    Each attempt draws four integers and is skipped when a factor is all
+    zero.  Points are drawn lazily, so a caller may draw from ``rng``
+    between two points.
+    """
+    while True:
+        coords = [rng.randint(-5, 5) for _ in range(4)]
+        if any(coords[:2]) and any(coords[2:]):
+            yield MultiProjPoint((coords[:2], coords[2:]))
+
+
 def base_locus_scan(samples: int = 25, seed: int = 0) -> bool:
     """The extension fails exactly on the two base points.
 
     Tries the four torus-fixed points plus seeded random points and checks
     the raised-error set coincides with base-locus membership.
     """
-    rng = random.Random(seed)
     fixed = ((1, 0), (0, 1))
     candidates = [
         MultiProjPoint((f1, f2)) for f1 in fixed for f2 in fixed
     ]
-    while len(candidates) < samples + 4:
-        coords = [rng.randint(-5, 5) for _ in range(4)]
-        if (coords[0] == 0 and coords[1] == 0) or (coords[2] == 0 and coords[3] == 0):
-            continue
-        candidates.append(MultiProjPoint((coords[:2], coords[2:])))
+    points = _random_pairs(random.Random(seed))
+    candidates += [next(points) for _ in range(samples)]
     locus = base_locus()
     for pt in candidates:
         try:
@@ -353,13 +358,13 @@ def base_locus_scan(samples: int = 25, seed: int = 0) -> bool:
 def scaling_invariance_check(count: int = 25, seed: int = 1) -> bool:
     """Rescaling either factor's representative never moves the value."""
     rng = random.Random(seed)
+    points = _random_pairs(rng)
     done = 0
     while done < count:
-        coords = [rng.randint(-5, 5) for _ in range(4)]
+        pt = next(points)
         try:
-            pt = MultiProjPoint((coords[:2], coords[2:]))
             value = rational_extension(pt)
-        except (StructureError, IndeterminatePointError):
+        except IndeterminatePointError:
             continue
         scalars = []
         while len(scalars) < 2:
@@ -395,10 +400,6 @@ def orbit_value_identity(count: int = 100, seed: int = 2) -> bool:
 # ------------------------------------------------------------ graph closure
 
 
-def _gv(name: str) -> MultiHomPoly:
-    return MultiHomPoly.variable(GRAPH_BLOCKS, name)
-
-
 def graph_surface() -> MultiHomPoly:
     """Closure of the graph of the extension: s(xw + yz) - r(xw - yz)."""
     return parse_poly(
@@ -407,10 +408,10 @@ def graph_surface() -> MultiHomPoly:
     )
 
 
-# One certificate per affine chart expressing the constant 1 inside the
-# ideal generated by the dehomogenized equation g and its partials d[.].
-# Arguments: g and the dict of partials in the three surviving variables.
-_GRAPH_CERTIFICATES: Dict[Tuple[str, str, str], object] = {
+# Chart certificates for certify_charts, one per affine chart, expressing
+# the constant 1 inside the ideal generated by the dehomogenized equation g
+# and its partials d in the three surviving variables.
+_GRAPH_CERTIFICATES: Dict[Tuple[str, str, str], Callable[..., MultiHomPoly]] = {
     ("x", "z", "r"): lambda g, d, v: (d["y"] - d["w"]) * _HALF,
     ("x", "z", "s"): lambda g, d, v: (d["y"] + d["w"]) * _HALF,
     ("y", "w", "r"): lambda g, d, v: (d["z"] - d["x"]) * _HALF,
@@ -445,29 +446,19 @@ def graph_smooth_check() -> bool:
     polynomial combination of the chart equation and its partials, so the
     equation and its differential can have no common zero there.
     """
-    g = graph_surface()
-    one = MultiHomPoly.constant(GRAPH_BLOCKS, 1)
-    all_names = tuple(n for block in GRAPH_BLOCKS for n in block)
-    for chart, certificate in _GRAPH_CERTIFICATES.items():
-        dehomogenized = g.substitute({name: 1 for name in chart})
-        remaining = [n for n in all_names if n not in chart]
-        partials = {n: dehomogenized.partial(n) for n in remaining}
-        if certificate(dehomogenized, partials, _gv) != one:
-            return False
-    return True
+    return certify_charts(graph_surface(), _GRAPH_CERTIFICATES)
 
 
 def graph_vanishing_check(samples: int = 20, seed: int = 3) -> bool:
     """The graph polynomial vanishes on (pt, extension value) pairs."""
     g = graph_surface()
-    rng = random.Random(seed)
+    points = _random_pairs(random.Random(seed))
     done = 0
     while done < samples:
-        coords = [rng.randint(-5, 5) for _ in range(4)]
+        pt = next(points)
         try:
-            pt = MultiProjPoint((coords[:2], coords[2:]))
             value = rational_extension(pt)
-        except (StructureError, IndeterminatePointError):
+        except IndeterminatePointError:
             continue
         (x, y), (z, w) = pt.factors
         (r, s) = value.factors[0]
@@ -494,17 +485,14 @@ def exceptional_fiber_check() -> bool:
 # ------------------------------------------------------------------ fibers
 
 
-def _fv(name: str) -> MultiHomPoly:
-    return MultiHomPoly.variable(FIBER_BLOCKS, name)
-
-
 def compactified_fiber(r0: RatLike, s0: RatLike) -> MultiHomPoly:
     """Fiber of the extended map over [r0 : s0] inside P1 x P1."""
     r0 = GaussianRational.coerce(r0)
     s0 = GaussianRational.coerce(s0)
     if r0.is_zero() and s0.is_zero():
         raise PreconditionError("fiber needs a nonzero value pair")
-    return _fv("x") * _fv("w") * (s0 - r0) + _fv("y") * _fv("z") * (s0 + r0)
+    x, y, z, w = (MultiHomPoly.variable(FIBER_BLOCKS, name) for name in "xyzw")
+    return x * w * (s0 - r0) + y * z * (s0 + r0)
 
 
 def _bilinear_coefficient(poly: MultiHomPoly, first: str, second: str) -> GaussianRational:
@@ -633,24 +621,20 @@ def deformed_ring_iso_check() -> bool:
     nonzero scalar multiple of x^2 + yz - 1, so the two coordinate rings
     agree.
     """
-    x = MultiHomPoly.variable(RING_BLOCKS, "x")
-    y = MultiHomPoly.variable(RING_BLOCKS, "y")
-    one = MultiHomPoly.constant(RING_BLOCKS, 1)
-    deformed = (x + one) * (x + one) - _rv("y") * _rv("z") - one
-    moved = deformed.substitute({"x": x - one, "y": -y})
+    x, y = (MultiHomPoly.variable(RING_BLOCKS, name) for name in "xy")
+    moved = _deformed_ring_equation().substitute({"x": x - 1, "y": -y})
     return moved.scalar_multiple_of(_orbit_ring_equation()) is not None
 
 
 def deformed_ring_control() -> bool:
     """Without the change of coordinates the two equations differ."""
-    x = MultiHomPoly.variable(RING_BLOCKS, "x")
-    one = MultiHomPoly.constant(RING_BLOCKS, 1)
-    deformed = (x + one) * (x + one) - _rv("y") * _rv("z") - one
-    return deformed.scalar_multiple_of(_orbit_ring_equation()) is not None
+    return _deformed_ring_equation().scalar_multiple_of(_orbit_ring_equation()) is not None
 
 
-def _rv(name: str) -> MultiHomPoly:
-    return MultiHomPoly.variable(RING_BLOCKS, name)
+def _deformed_ring_equation() -> MultiHomPoly:
+    """The time-2 member (x + 1)^2 - yz - 1 of the deformation."""
+    x, y, z = (MultiHomPoly.variable(RING_BLOCKS, name) for name in "xyz")
+    return (x + 1) * (x + 1) - y * z - 1
 
 
 def _orbit_ring_equation() -> MultiHomPoly:

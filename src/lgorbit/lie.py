@@ -179,10 +179,6 @@ def hessian_determinant(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) 
     return hessian_matrix(h0, h, point).det().re
 
 
-def hessian_nondegenerate(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> bool:
-    return hessian_determinant(h0, h, point) != 0
-
-
 # ------------------------------------------------------------ random inputs
 
 

@@ -27,7 +27,7 @@ hom(X, Y) in degree d + sy - sx.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import PreconditionError
 

@@ -11,7 +11,7 @@ degrees disagree is marked inhomogeneous (``None``).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import StructureError
 from .gaussian import ONE, ZERO, GaussianRational, RatLike
@@ -114,14 +114,6 @@ class MultiHomPoly:
     def multidegree(self) -> Tuple[Optional[int], ...]:
         """Per-block degree, with None marking an inhomogeneous block."""
         return self._multidegree
-
-    def is_multihomogeneous(self) -> bool:
-        return bool(self.terms) and all(d is not None for d in self._multidegree)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(key) for key in self.terms)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -378,14 +370,30 @@ def parse_poly(blocks: Iterable[Iterable[str]], text: str) -> MultiHomPoly:
     return MultiHomPoly(blocks, terms)
 
 
-def jacobian(
-    polys: Sequence[MultiHomPoly], variables: Sequence[str]
-) -> Tuple[Tuple[MultiHomPoly, ...], ...]:
-    """Matrix of partial derivatives, one row per polynomial."""
-    if not polys:
-        raise StructureError("jacobian of an empty system")
-    blocks = polys[0].blocks
-    for p in polys:
-        if p.blocks != blocks:
-            raise StructureError("jacobian polynomials must share blocks")
-    return tuple(tuple(p.partial(v) for v in variables) for p in polys)
+def certify_charts(
+    f: MultiHomPoly, certificates: Mapping[Tuple[str, ...], Callable[..., MultiHomPoly]]
+) -> bool:
+    """Smoothness of the hypersurface f = 0, one exact certificate per chart.
+
+    Each key names the variables set to 1 on an affine chart.  Its
+    certificate gets the dehomogenized equation g, the dict d of its
+    partials in the other variables, and v, which builds a variable on the
+    blocks of f; it must return the constant 1 as a combination of g and d,
+    so they have no common zero there (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 1-2).  A certificate that does not fit
+    the input, such as one reading a partial the chart lacks, fails.
+    """
+    one = MultiHomPoly.constant(f.blocks, 1)
+
+    def v(name: str) -> MultiHomPoly:
+        return MultiHomPoly.variable(f.blocks, name)
+
+    for chart, certificate in certificates.items():
+        g = f.substitute({name: 1 for name in chart})
+        d = {name: g.partial(name) for name in f.variables if name not in chart}
+        try:
+            if certificate(g, d, v) != one:
+                return False
+        except (KeyError, StructureError):
+            return False
+    return True

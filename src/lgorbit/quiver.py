@@ -13,13 +13,13 @@ bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
 from .fukaya import GradedModule
-from .gaussian import ExactMatrix, GaussianRational
+from .gaussian import ExactMatrix
 from .toric import HirzebruchFan, PicClass, ext_dims
 
 ArrowWord = Tuple[str, ...]
@@ -63,10 +63,9 @@ class PathBasis:
 class QuiverPresentation:
     """Vertices, graded arrows, relations, and an optional differential.
 
-    relations: each an integer combination of equal-endpoint nonempty
-    paths, given as ((coeff, arrow_word), ...).  Only monomial and binomial
-    combinations are supported; the lexicographically-largest longest word
-    becomes the leading term of a rewrite rule.
+    relations: each a monomial, given as ((coeff, arrow_word),) with a
+    nonzero coefficient; a path containing a relation word is zero.  A
+    relation with more than one nonzero term is rejected.
 
     differential: arrow name -> combination of equal-endpoint paths of
     degree one higher; arrows not listed have differential zero.  The
@@ -90,9 +89,12 @@ class QuiverPresentation:
         for a in self.arrows:
             if a.source not in self.vertices or a.target not in self.vertices:
                 raise StructureError(f"arrow {a.name} has unknown endpoints")
-        self._rules: List[Tuple[ArrowWord, Combo]] = []
+        self._zero_words: List[ArrowWord] = []
         for combo in relations:
-            self._install_relation(tuple(combo))
+            words = [self._path_of_word(w).arrows for c, w in combo if c != 0]
+            if len(words) > 1:
+                raise StructureError("only monomial relations are supported")
+            self._zero_words += words
         self.differential: Dict[str, Combo] = {}
         for name, combo in (differential or {}).items():
             arrow = self._arrow_by_name.get(name)
@@ -140,70 +142,21 @@ class QuiverPresentation:
     def path_degree(self, p: Path) -> int:
         return sum(self.arrow(name).degree for name in p.arrows)
 
-    def _install_relation(self, combo: Tuple[Tuple[int, ArrowWord], ...]) -> None:
-        terms = [(Fraction(c), self._path_of_word(w)) for c, w in combo if c != 0]
-        if not terms:
-            return
-        endpoints = {(p.source, p.target) for _, p in terms}
-        if len(endpoints) != 1:
-            raise StructureError("relation mixes endpoint pairs")
-        if len(terms) > 2:
-            raise StructureError("only monomial and binomial relations are supported")
-        terms.sort(key=lambda t: (len(t[1].arrows), t[1].arrows), reverse=True)
-        lead_coeff, lead = terms[0]
-        rest: Combo = {}
-        for c, p in terms[1:]:
-            if p.arrows == lead.arrows:
-                raise StructureError("relation repeats one path")
-            rest[p] = -c / lead_coeff
-        self._rules.append((lead.arrows, rest))
-
     # -------------------------------------------------------- normal forms
 
-    def _reduce_once(self, p: Path) -> Optional[Combo]:
-        """One rewrite at the leftmost reducible position, or None."""
-        word = p.arrows
-        for lead, rest in self._rules:
-            span = len(lead)
-            for at in range(len(word) - span + 1):
-                if word[at : at + span] == lead:
-                    out: Combo = {}
-                    for sub, coeff in rest.items():
-                        spliced = word[:at] + sub.arrows + word[at + span :]
-                        q = (
-                            self._path_of_word(spliced)
-                            if spliced
-                            else Path(p.source, p.target, ())
-                        )
-                        out[q] = out.get(q, Fraction(0)) + coeff
-                    return out
-        return None
-
-    def normal_form(self, combo: Mapping[Path, Fraction], max_steps: int = 10000) -> Combo:
-        work = {p: Fraction(c) for p, c in combo.items() if c}
-        for _ in range(max_steps):
-            reducible = next(
-                ((p, r) for p in work if (r := self._reduce_once(p)) is not None),
-                None,
-            )
-            if reducible is None:
-                return {p: c for p, c in work.items() if c}
-            target, replacement = reducible
-            coeff = work.pop(target)
-            for q, c in replacement.items():
-                work[q] = work.get(q, Fraction(0)) + coeff * c
-            work = {p: c for p, c in work.items() if c}
-        raise DiagnosticError("rewriting did not terminate")
-
-    def _has_lead(self, word: ArrowWord) -> bool:
-        for lead, _ in self._rules:
-            span = len(lead)
-            if any(word[at : at + span] == lead for at in range(len(word) - span + 1)):
-                return True
-        return False
+    def normal_form(self, combo: Mapping[Path, Fraction]) -> Combo:
+        """Drop the paths that contain a relation word, and zero coefficients."""
+        return {
+            p: Fraction(c) for p, c in combo.items() if c and self.is_basis_word(p.arrows)
+        }
 
     def is_basis_word(self, word: ArrowWord) -> bool:
-        return not self._has_lead(word)
+        """Whether the word contains no relation word as a consecutive run."""
+        for zero in self._zero_words:
+            span = len(zero)
+            if any(word[at : at + span] == zero for at in range(len(word) - span + 1)):
+                return False
+        return True
 
     # ------------------------------------------------------------- algebra
 
@@ -315,10 +268,7 @@ def hom_complex(q: QuiverPresentation, source: str, target: str) -> HomComplex:
                         raise DiagnosticError("differential is not degree one")
         if rows:
             differentials[d] = tuple(tuple(row) for row in matrix)
-            exact = ExactMatrix(
-                [[GaussianRational(x) for x in row] for row in matrix]
-            )
-            ranks[d] = exact.rank()
+            ranks[d] = ExactMatrix(matrix).rank()
         else:
             ranks[d] = 0
     cohomology: Dict[int, int] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -39,16 +39,9 @@ class Config:
     k_max: int = 6
 
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "float_tolerance": (int, float),
-    "sphere_samples": int,
-    "thimble_grid": (list, tuple),
-    "box_margin": int,
-    "t_range": int,
-    "shift_range": int,
-    "k_max": int,
-}
+# JSON writes a tuple as a list, and a whole-number float may arrive as an int
+_JSON_TYPES = {int: int, float: (int, float), tuple: (list, tuple)}
+_CONFIG_TYPES = {f.name: _JSON_TYPES[type(f.default)] for f in fields(Config)}
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[Mapping] = None) -> Config:
@@ -390,15 +383,17 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         "canonical class all match the section-and-fiber basis for a in 0..2",
     ))
 
-    def coh(c: toric.PicClass) -> Tuple[int, int, int]:
-        return toric.cohomology_dims(fan2, toric.pic_to_divisor(fan2, c), cfg.box_margin).triple
+    def coh(
+        c: toric.PicClass, fan: toric.HirzebruchFan = fan2, margin: int = cfg.box_margin
+    ) -> toric.CohDims:
+        return toric.cohomology_dims(fan, toric.pic_to_divisor(fan, c), margin)
 
     section_classes = {
         "O": (toric.PicClass(0, 0), (1, 0, 0)),
         "O(E)": (toric.PicClass(1, 0), (1, 1, 0)),
         "O(-E)": (toric.PicClass(-1, 0), (0, 0, 0)),
     }
-    coh_ok = all(coh(c) == want for c, want in section_classes.values())
+    coh_ok = all(coh(c).triple == want for c, want in section_classes.values())
     results.append(_row(
         "sheaves.section-class-cohomology",
         "claim:negative-section-cohomology-table",
@@ -434,8 +429,7 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         for p in range(-5, 6):
             for q in range(-5, 6):
                 c = toric.PicClass(p, q)
-                dims = toric.cohomology_dims(fan, toric.pic_to_divisor(fan, c), cfg.box_margin)
-                if dims.euler != toric.euler_rr(c, a):
+                if coh(c, fan).euler != toric.euler_rr(c, a):
                     sweep_ok = False
     results.append(_row(
         "sheaves.riemann-roch-sweep",
@@ -451,9 +445,7 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         for p in range(-3, 4):
             for q in range(-3, 4):
                 c = toric.PicClass(p, q)
-                forward = toric.cohomology_dims(fan, toric.pic_to_divisor(fan, c), cfg.box_margin).triple
-                dual = toric.cohomology_dims(fan, toric.pic_to_divisor(fan, k - c), cfg.box_margin).triple
-                if forward != tuple(reversed(dual)):
+                if coh(c, fan).triple != tuple(reversed(coh(k - c, fan).triple)):
                     serre_ok = False
     results.append(_row(
         "sheaves.serre-duality",
@@ -464,8 +456,7 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
     ))
 
     nef_ok = all(
-        toric.cohomology_dims(fan, toric.pic_to_divisor(fan, toric.PicClass(0, q)), cfg.box_margin).triple
-        == (q + 1, 0, 0)
+        coh(toric.PicClass(0, q), fan).triple == (q + 1, 0, 0)
         for fan in fans.values()
         for q in range(0, 6)
     )
@@ -478,8 +469,7 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
     ))
 
     stability_ok = all(
-        toric.cohomology_dims(fan2, toric.pic_to_divisor(fan2, c), cfg.box_margin).triple
-        == toric.cohomology_dims(fan2, toric.pic_to_divisor(fan2, c), cfg.box_margin + 2).triple
+        coh(c).triple == coh(c, margin=cfg.box_margin + 2).triple
         for c, _want in section_classes.values()
     )
     results.append(_row(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .errors import DiagnosticError, PreconditionError, StructureError
+from .errors import PreconditionError
 from .gaussian import GaussianRational
 
 Scalar = Union[complex, GaussianRational]
@@ -49,36 +49,11 @@ def orbit_residual(point: Triple):
     return x * x + y * z - 1
 
 
-def on_orbit(point: Triple, tol: float = ORBIT_TOL) -> bool:
-    r = orbit_residual(point)
-    if isinstance(r, GaussianRational):
-        return r.is_zero()
-    return abs(r) <= tol
-
-
 def tangency_residual(point: Triple, vec: Triple):
     """Differential of the orbit equation applied to vec: 2x u1 + z u2 + y u3."""
     x, y, z = point
     u1, u2, u3 = vec
     return 2 * x * u1 + z * u2 + y * u3
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector attached to an orbit point, checked to be tangent on creation."""
-
-    base: Triple
-    vec: Triple
-
-    def __post_init__(self):
-        if not on_orbit(self.base):
-            raise PreconditionError(f"base point {self.base} is not on the orbit")
-        r = tangency_residual(self.base, self.vec)
-        if isinstance(r, GaussianRational):
-            if not r.is_zero():
-                raise StructureError(f"vector is not tangent, residual {r}")
-        elif abs(r) > 1e-8:
-            raise StructureError(f"vector is not tangent, residual {abs(r)}")
 
 
 def hermitian_pairing(u: Triple, v: Triple) -> Scalar:
@@ -89,36 +64,6 @@ def hermitian_pairing(u: Triple, v: Triple) -> Scalar:
 def omega_value(u: Triple, v: Triple):
     """The two-form on raw coordinate triples; exact when both are exact."""
     return -_imag(hermitian_pairing(u, v))
-
-
-def omega(u: TangentVector, v: TangentVector):
-    if u.base != v.base:
-        raise StructureError("omega needs two vectors at one base point")
-    return omega_value(u.vec, v.vec)
-
-
-def tangent_basis(point: Triple) -> List[TangentVector]:
-    """Four real basis vectors (b1, i b1, b2, i b2) of the tangent plane."""
-    x, y, z = point
-    if abs(complex(y)) < 1e-12 and abs(complex(z)) < 1e-12:
-        if abs(complex(x)) < 1e-12:
-            raise DiagnosticError("degenerate point, no chart direction found")
-        b1: Triple = (0j, 1 + 0j, 0j)
-        b2: Triple = (0j, 0j, 1 + 0j)
-    elif abs(complex(y)) >= abs(complex(z)):
-        # 2x*1 + z*0 + y*(-2x/y) = 0
-        b1 = (1 + 0j, 0j, complex(-2 * x / y))
-        b2 = (0j, complex(y), complex(-z))
-    else:
-        # 2x*1 + z*(-2x/z) + y*0 = 0
-        b1 = (1 + 0j, complex(-2 * x / z), 0j)
-        b2 = (0j, complex(y), complex(-z))
-    out = []
-    for b in (b1, b2):
-        ib = tuple(1j * c for c in b)
-        out.append(TangentVector(point, b))
-        out.append(TangentVector(point, ib))
-    return [out[0], out[1], out[2], out[3]]
 
 
 # ------------------------------------------------------------------- sphere
@@ -241,9 +186,8 @@ def check_sphere_lagrangian(
             for j in range(i + 1, 3):
                 max_omega = max(max_omega, abs(omega_value(tangents[i], tangents[j])))
         for t in tangents:
-            if sum(abs(complex(c)) for c in t) > 1e-9:
-                iu = tuple(1j * complex(c) for c in t)
-                taming = omega_value(tuple(complex(c) for c in t), iu)
+            if sum(abs(c) for c in t) > 1e-9:
+                taming = omega_value(t, tuple(1j * c for c in t))
                 max_taming = max(max_taming, -min(0.0, taming))
         if not _rank_is_two([_hermitian_coords(t) for t in tangents]):
             rank_failures += 1

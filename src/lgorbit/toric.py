@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
 from .gaussian import ExactMatrix, GaussianRational
-from .poly import MultiHomPoly, parse_poly
+from .poly import MultiHomPoly, certify_charts, parse_poly
 
 Vec = Tuple[int, int]
 
@@ -230,8 +229,7 @@ def _simplex_rays(vertices: Tuple[int, ...]) -> frozenset:
 def _rank(rows: List[List[int]], width: int) -> int:
     if not rows or width == 0:
         return 0
-    entries = [[GaussianRational(Fraction(x)) for x in row] for row in rows]
-    return ExactMatrix(entries).rank()
+    return ExactMatrix(rows).rank()
 
 
 @lru_cache(maxsize=None)
@@ -419,28 +417,23 @@ def is_irreducible_bilinear(f: MultiHomPoly) -> bool:
     return _univariate_gcd_is_constant(at_y1) and _univariate_gcd_is_constant(at_y0)
 
 
-def _v(name: str) -> MultiHomPoly:
-    return MultiHomPoly.variable(F2_BLOCKS, name)
-
-
-# Chart certificates: on each affine chart (x_i = 1, y_j = 1) a combination
-# of the dehomogenized equation g and its partials that collapses to 1,
-# proving the singular system has no solutions there.  Each lambda receives
-# (g, d) with d[v] the partial of g by v.
-_F2_CERTIFICATES: Tuple[Tuple[str, str, Callable], ...] = (
+# Chart certificates for certify_charts: on each affine chart (x_i = 1,
+# y_j = 1) a combination of the dehomogenized equation g and its partials
+# d that collapses to 1, proving the singular system has no solutions there.
+_F2_CERTIFICATES: Dict[Tuple[str, str], Callable[..., MultiHomPoly]] = {
     # g = 1 - x1*y1^2; g - x1*d[x1] = 1 - x1 y1^2 + x1 y1^2
-    ("x0", "y0", lambda g, d: g - _v("x1") * d["x1"]),
+    ("x0", "y0"): lambda g, d, v: g - v("x1") * d["x1"],
     # g = y0^2 - x1; partial in x1 is the constant -1
-    ("x0", "y1", lambda g, d: -d["x1"]),
+    ("x0", "y1"): lambda g, d, v: -d["x1"],
     # g = x0 - y1^2
-    ("x1", "y0", lambda g, d: d["x0"]),
+    ("x1", "y0"): lambda g, d, v: d["x0"],
     # g = x0*y0^2 - 1; x0*d[x0] - g = x0 y0^2 - x0 y0^2 + 1
-    ("x1", "y1", lambda g, d: _v("x0") * d["x0"] - g),
+    ("x1", "y1"): lambda g, d, v: v("x0") * d["x0"] - g,
     # g = x0 - x1*y1^2
-    ("x2", "y0", lambda g, d: d["x0"]),
+    ("x2", "y0"): lambda g, d, v: d["x0"],
     # g = x0*y0^2 - x1
-    ("x2", "y1", lambda g, d: -d["x1"]),
-)
+    ("x2", "y1"): lambda g, d, v: -d["x1"],
+}
 
 
 def f2_chart_count() -> int:
@@ -464,16 +457,4 @@ def verify_f2_hypersurface(f: Optional[MultiHomPoly] = None) -> bool:
         return False
     if not is_irreducible_bilinear(f):
         return False
-    one = MultiHomPoly.constant(F2_BLOCKS, 1)
-    all_vars = [v for block in F2_BLOCKS for v in block]
-    for x_chart, y_chart, combine in _F2_CERTIFICATES:
-        g = f.substitute({x_chart: 1, y_chart: 1})
-        partials = {
-            v: g.partial(v) for v in all_vars if v not in (x_chart, y_chart)
-        }
-        try:
-            if combine(g, partials) != one:
-                return False
-        except (KeyError, StructureError):
-            return False
-    return True
+    return certify_charts(f, _F2_CERTIFICATES)

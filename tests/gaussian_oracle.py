@@ -275,19 +275,6 @@ class ExactMatrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def conj_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [self.entries[i][j].conjugate() for i in range(self.rows)]
-                for j in range(self.cols)
-            ]
-        )
-
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise StructureError("trace of a non-square matrix")

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,37 @@ def test_cli_flag_overrides_reach_report(tmp_path, capsys):
     payload = json.loads(f.read_text())
     assert payload["config"]["seed"] == 3
     assert payload["config"]["t_range"] == 4
+
+
+# one non-default command-line value per config key, and its JSON form
+FLAG_VALUES = {
+    "seed": ("3", 3),
+    "float_tolerance": ("1e-6", 1e-6),
+    "sphere_samples": ("10", 10),
+    "thimble_grid": ("3x8", [3, 8]),
+    "box_margin": ("2", 2),
+    "t_range": ("4", 4),
+    "shift_range": ("2", 2),
+    "k_max": ("4", 4),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(Config)])
+def test_every_config_flag_reaches_report(key, tmp_path, capsys):
+    text, expected = FLAG_VALUES[key]
+    f = tmp_path / "r.json"
+    flag = "--" + key.replace("_", "-")
+    assert cli.main(["quiver", flag, text, "--json", str(f)]) == 0
+    capsys.readouterr()
+    config = json.loads(f.read_text())["config"]
+    assert config[key] == expected
+    assert config[key] != json.loads(json.dumps(getattr(Config(), key)))
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = re.findall(r"^\| `(\w+)` ", readme, re.MULTILINE)
+    assert keys == [f.name for f in fields(Config)]
 
 
 def test_cli_rejects_unknown_suite():

@@ -12,6 +12,7 @@ from lgorbit.errors import (
     StructureError,
 )
 from lgorbit.gaussian import ExactMatrix, GaussianRational, I
+from lgorbit.poly import certify_charts, parse_poly
 from lgorbit.symplectic import sphere_point
 
 
@@ -108,6 +109,15 @@ def test_graph_surface_tridegree():
 def test_graph_smoothness_certificates():
     assert cg.graph_chart_count() == 8
     assert cg.graph_smooth_check()
+
+
+def test_graph_smoothness_controls():
+    surface = cg.graph_surface()
+    perturbed = surface + parse_poly(cg.GRAPH_BLOCKS, "(1)*x*w*r")
+    assert not certify_charts(perturbed, cg._GRAPH_CERTIFICATES)
+    # the chart x = z = r = 1 has no partial in x, and q is no variable
+    assert not certify_charts(surface, {("x", "z", "r"): lambda g, d, v: d["x"]})
+    assert not certify_charts(surface, {("x", "z", "r"): lambda g, d, v: v("q")})
 
 
 def test_graph_contains_extension_graph():

@@ -124,11 +124,6 @@ def test_singular_matrix():
         s.inverse()
 
 
-def test_conj_transpose():
-    m = ExactMatrix([[I, 1], [0, -I]])
-    assert m.conj_transpose() == ExactMatrix([[-I, 0], [1, I]])
-
-
 def test_rank_rectangular():
     m = ExactMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
     assert m.rank() == 2

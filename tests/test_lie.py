@@ -18,7 +18,6 @@ from lgorbit.lie import (
     height_of_diagonal,
     hessian_determinant,
     hessian_matrix,
-    hessian_nondegenerate,
     orbit_contains_exact,
     random_sl_integer,
     sl2_orbit_coordinates,
@@ -87,7 +86,6 @@ def test_hessian_nondegenerate_sl2():
     for point in critical_points(H0_SL2, H_SL2):
         # one root pair, entry (p_1 - p_0)(h_1 - h_0) = 4 off the diagonal
         assert hessian_determinant(H0_SL2, H_SL2, point) == -16
-        assert hessian_nondegenerate(H0_SL2, H_SL2, point)
 
 
 def test_hessian_entries_and_determinant_are_fractions():
@@ -115,7 +113,7 @@ def test_hessian_nondegenerate_sl3():
     h0 = CartanDiagonal((2, 1, -3))
     h = CartanDiagonal((3, -1, -2))
     for point in critical_points(h0, h):
-        assert hessian_nondegenerate(h0, h, point)
+        assert hessian_determinant(h0, h, point) != 0
 
 
 HESSIAN_CASES = [

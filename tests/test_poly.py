@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lgorbit.errors import StructureError
 from lgorbit.gaussian import GaussianRational
-from lgorbit.poly import MultiHomPoly, jacobian, parse_poly
+from lgorbit.poly import MultiHomPoly, parse_poly
 
 BLOCKS = (("x", "y"), ("z", "w"))
 
@@ -164,10 +164,3 @@ def test_parse_rejects_unknown_variable():
         parse_poly(BLOCKS, "(1)*q^2")
 
 
-def test_jacobian():
-    p = v("x") * v("z")
-    q = v("y") * v("w")
-    rows = jacobian([p, q], ["x", "y"])
-    assert rows[0][0] == v("z")
-    assert rows[0][1] == const(0)
-    assert rows[1][1] == v("w")

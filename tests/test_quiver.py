@@ -163,3 +163,9 @@ def test_euler_form_rank_of_the_exceptional_pair():
     assert exceptional.rank() == 2
     # O twice is not exceptional: its Euler form is all ones, rank one
     assert euler_form_matrix((PicClass(0, 0), PicClass(0, 0))).rank() == 1
+
+
+def test_binomial_relation_rejected():
+    arrows = (Arrow("a", "v", "v"), Arrow("b", "v", "v"))
+    with pytest.raises(StructureError, match="monomial"):
+        QuiverPresentation(("v",), arrows, relations=(((1, ("a", "b")), (-1, ("b", "a"))),))

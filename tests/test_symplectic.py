@@ -11,6 +11,7 @@ from lgorbit.symplectic import (
     _rank_is_two,
     check_sphere_lagrangian,
     check_thimble_lagrangian,
+    commutator_triple,
     cylinder_round_trip_residual,
     cylinder_to_fiber,
     exact_sphere_omega_residuals,
@@ -19,7 +20,7 @@ from lgorbit.symplectic import (
     omega_value,
     orbit_residual,
     sphere_point,
-    tangent_basis,
+    su2_basis,
     thimble,
 )
 
@@ -69,8 +70,8 @@ def test_rational_sphere_points_are_unit():
 def test_taming_positive_on_sphere_tangents():
     # omega(u, iu) > 0 certifies the compatible pairing along the sample
     point = sphere_point(0.6, 0.0, 0.8)
-    for vec in tangent_basis(point):
-        u = vec.vec
+    for a in su2_basis():
+        u = commutator_triple(point, a)
         iu = tuple(1j * c for c in u)
         val = omega_value(u, iu)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
