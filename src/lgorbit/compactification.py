@@ -19,15 +19,15 @@ polynomials, and certificate identities instead of floating point.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
-from .lie import random_sl_integer
-from .poly import MultiHomPoly, certify_charts, parse_poly
+from .poly import Blocks, MultiHomPoly, certify_charts, parse_poly
 from .symplectic import RATIONAL_SPHERE_POINTS, sphere_point
 
 _HALF = Fraction(1, 2)
@@ -38,8 +38,6 @@ ORBIT_BLOCKS = (("x", "y", "z", "t"),)
 GRAPH_BLOCKS = (("x", "y"), ("z", "w"), ("r", "s"))
 # Two factors for individual fibers.
 FIBER_BLOCKS = (("x", "y"), ("z", "w"))
-# Affine coordinate ring of the deformed family member at time 2.
-RING_BLOCKS = (("x", "y", "z"),)
 
 
 def _parallel(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> bool:
@@ -98,6 +96,39 @@ class MultiProjPoint:
     __repr__ = __str__
 
 
+# -------------------------------------------------- ring-generic 2x2 algebra
+# Each construction on a = [[x, z], [y, w]] is written once, over any ring, on
+# the four entries; the exact API wraps its nested tuples in ExactMatrix or
+# MultiProjPoint, and the certificates call it on polynomial symbols.
+
+
+def product(a, b):
+    """Product of 2x2 nested-tuple matrices; b may be a column."""
+    return tuple(tuple(r[0] * b[0][j] + r[1] * b[1][j] for j in range(len(b[0]))) for r in a)
+
+
+def trace(m):
+    return m[0][0] + m[1][1]
+
+
+def determinant(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def group_matrix(x, y, z, w):
+    return ((x, z), (y, w))
+
+
+def adjugate(x, y, z, w):
+    """Adjugate of [[x, z], [y, w]], its inverse when the determinant is 1."""
+    return ((w, -z), (-y, x))
+
+
+def height_forms(x, y, z, w):
+    """The two bilinear forms (xw + yz, xw - yz) of the extended height map."""
+    return (x * w + y * z, x * w - y * z)
+
+
 class Sl2GroupElement:
     """A determinant-1 matrix [[x, z], [y, w]] with exact entries."""
 
@@ -108,27 +139,16 @@ class Sl2GroupElement:
         self.y = GaussianRational.coerce(y)
         self.z = GaussianRational.coerce(z)
         self.w = GaussianRational.coerce(w)
-        if self.x * self.w - self.y * self.z != ONE:
+        if determinant(group_matrix(*self.entries)) != ONE:
             raise StructureError("group element needs determinant exactly 1")
 
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix([[self.x, self.z], [self.y, self.w]])
-
-    def inverse_matrix(self) -> ExactMatrix:
-        # adjugate formula, valid because the determinant is 1
-        return ExactMatrix([[self.w, -self.z], [-self.y, self.x]])
+    @property
+    def entries(self) -> Tuple[GaussianRational, ...]:
+        return (self.x, self.y, self.z, self.w)
 
     def point_pair(self) -> MultiProjPoint:
         """The ordered pair of column lines, a point of P1 x P1."""
         return MultiProjPoint(((self.x, self.y), (self.z, self.w)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sl2GroupElement):
-            return NotImplemented
-        return (self.x, self.y, self.z, self.w) == (other.x, other.y, other.z, other.w)
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z, self.w))
 
     def __repr__(self) -> str:
         return f"Sl2GroupElement({self.x}, {self.y}, {self.z}, {self.w})"
@@ -136,20 +156,6 @@ class Sl2GroupElement:
 
 def identity_element() -> Sl2GroupElement:
     return Sl2GroupElement(1, 0, 0, 1)
-
-
-def random_group_elements(count: int, seed: int = 0) -> Tuple[Sl2GroupElement, ...]:
-    """Seeded integer elements of SL(2), drawn by ``lie.random_sl_integer``.
-
-    Products of integer shears keep entries exact and reach enough of the
-    group for identity testing.
-    """
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        m = random_sl_integer(2, rng)
-        out.append(Sl2GroupElement(m[0, 0], m[1, 0], m[0, 1], m[1, 1]))
-    return tuple(out)
 
 
 # --------------------------------------------------------------- quadric
@@ -231,63 +237,33 @@ def quadric_change_check() -> bool:
 # ------------------------------------------------------- matrix incarnations
 
 
-def tensor_orbit_matrix(a: Sl2GroupElement) -> ExactMatrix:
+def tensor_entries(x, y, z, w):
     """Rank-1 projector image of the base point under conjugation dynamics.
 
     The matrix [[xw, -xz], [yw, -yz]]: trace 1, kills the second column of
     the group element and fixes the first.
     """
-    return ExactMatrix(
-        [[a.x * a.w, -a.x * a.z], [a.y * a.w, -a.y * a.z]]
-    )
+    return ((x * w, -(x * z)), (y * w, -(y * z)))
 
 
-def tensor_fixed_vectors_check(a: Sl2GroupElement) -> bool:
-    """The projector fixes column one and annihilates column two exactly."""
-    m = tensor_orbit_matrix(a)
-    if m.trace() != ONE:
-        return False
-    first = ExactMatrix([[a.x], [a.y]])
-    second = ExactMatrix([[a.z], [a.w]])
-    return m * first == first and m * second == ExactMatrix.zeros(2, 1)
+def tensor_orbit_matrix(a: Sl2GroupElement) -> ExactMatrix:
+    return ExactMatrix(tensor_entries(*a.entries))
 
 
-_HALF_DIAG = ExactMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
-_HEIGHT_DIAG = ExactMatrix.diagonal([1, -1])
+def moment_map(x, y, z, w):
+    """Trace-zero matrix pairing the first column with its dual covector.
 
-
-def moment_map(v: Sequence[RatLike], eps: Sequence[RatLike]) -> ExactMatrix:
-    """Trace-zero matrix pairing a vector with a covector.
-
-    For v = (v1, v2) and eps = (e1, e2) this is the unique trace-zero
-    matrix whose pairing against Z equals eps(Z v) shifted to mean zero:
-    [[ (e1 v1 - e2 v2)/2, v1 e2 ], [ v2 e1, -(e1 v1 - e2 v2)/2 ]].
+    For v = (x, y) and eps = (e1, e2) = (w, -z), row one of adj(a), this is
+    the unique trace-zero matrix whose pairing against Z equals eps(Z v)
+    shifted to mean zero: [[ (e1 x - e2 y)/2, x e2 ], [ y e1, -(e1 x - e2 y)/2 ]].
     """
-    v1, v2 = (GaussianRational.coerce(c) for c in v)
-    e1, e2 = (GaussianRational.coerce(c) for c in eps)
-    half_diag = (e1 * v1 - e2 * v2) * GaussianRational(_HALF)
-    return ExactMatrix([[half_diag, v1 * e2], [v2 * e1, -half_diag]])
+    e1, e2 = adjugate(x, y, z, w)[0]
+    half_diag = (e1 * x - e2 * y) * _HALF
+    return ((half_diag, x * e2), (y * e1, -half_diag))
 
 
 def moment_map_of(a: Sl2GroupElement) -> ExactMatrix:
-    """Moment matrix of the group element's first column and dual covector."""
-    return moment_map((a.x, a.y), (a.w, -a.z))
-
-
-def moment_orbit_check(a: Sl2GroupElement) -> bool:
-    """Moment matrix equals conjugation of diag(1/2, -1/2), exactly.
-
-    Also confirms the first column is an eigenvector with eigenvalue 1/2.
-    """
-    m = moment_map_of(a)
-    if m != a.matrix() * _HALF_DIAG * a.inverse_matrix():
-        return False
-    col = ExactMatrix([[a.x], [a.y]])
-    return m * col == col.scale(Fraction(1, 2))
-
-
-def moment_orbit_scan(count: int = 100, seed: int = 0) -> bool:
-    return all(moment_orbit_check(a) for a in random_group_elements(count, seed))
+    return ExactMatrix(moment_map(*a.entries))
 
 
 # ----------------------------------------------------- rational extension
@@ -311,90 +287,10 @@ def rational_extension(pt: MultiProjPoint) -> MultiProjPoint:
     if len(pt.factors) != 2 or any(len(f) != 2 for f in pt.factors):
         raise PreconditionError("rational_extension expects a point of P1 x P1")
     (x, y), (z, w) = pt.factors
-    numerator = x * w + y * z
-    denominator = x * w - y * z
+    numerator, denominator = height_forms(x, y, z, w)
     if numerator.is_zero() and denominator.is_zero():
         raise IndeterminatePointError("indeterminate point")
     return MultiProjPoint(((numerator, denominator),))
-
-
-def _random_pairs(rng: random.Random) -> Iterator[MultiProjPoint]:
-    """Endless seeded points of P1 x P1 with integer coordinates in [-5, 5].
-
-    Each attempt draws four integers and is skipped when a factor is all
-    zero.  Points are drawn lazily, so a caller may draw from ``rng``
-    between two points.
-    """
-    while True:
-        coords = [rng.randint(-5, 5) for _ in range(4)]
-        if any(coords[:2]) and any(coords[2:]):
-            yield MultiProjPoint((coords[:2], coords[2:]))
-
-
-def base_locus_scan(samples: int = 25, seed: int = 0) -> bool:
-    """The extension fails exactly on the two base points.
-
-    Tries the four torus-fixed points plus seeded random points and checks
-    the raised-error set coincides with base-locus membership.
-    """
-    fixed = ((1, 0), (0, 1))
-    candidates = [
-        MultiProjPoint((f1, f2)) for f1 in fixed for f2 in fixed
-    ]
-    points = _random_pairs(random.Random(seed))
-    candidates += [next(points) for _ in range(samples)]
-    locus = base_locus()
-    for pt in candidates:
-        try:
-            rational_extension(pt)
-            failed = False
-        except IndeterminatePointError:
-            failed = True
-        if failed != (pt == locus[0] or pt == locus[1]):
-            return False
-    return True
-
-
-def scaling_invariance_check(count: int = 25, seed: int = 1) -> bool:
-    """Rescaling either factor's representative never moves the value."""
-    rng = random.Random(seed)
-    points = _random_pairs(rng)
-    done = 0
-    while done < count:
-        pt = next(points)
-        try:
-            value = rational_extension(pt)
-        except IndeterminatePointError:
-            continue
-        scalars = []
-        while len(scalars) < 2:
-            candidate = GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
-            if not candidate.is_zero():
-                scalars.append(candidate)
-        scaled = MultiProjPoint(
-            (
-                tuple(c * scalars[0] for c in pt.factors[0]),
-                tuple(c * scalars[1] for c in pt.factors[1]),
-            )
-        )
-        if rational_extension(scaled) != value:
-            return False
-        done += 1
-    return True
-
-
-def orbit_value_identity(count: int = 100, seed: int = 2) -> bool:
-    """On eigenline pairs of orbit matrices the extension is [height : 1].
-
-    The height of the moment matrix M is the trace pairing against
-    diag(1, -1); determinant 1 makes the second form equal exactly 1.
-    """
-    for a in random_group_elements(count, seed):
-        m = moment_map_of(a)
-        height = (_HEIGHT_DIAG * m).trace()
-        if rational_extension(a.point_pair()) != MultiProjPoint(((height, 1),)):
-            return False
-    return True
 
 
 # ------------------------------------------------------------ graph closure
@@ -449,26 +345,6 @@ def graph_smooth_check() -> bool:
     return certify_charts(graph_surface(), _GRAPH_CERTIFICATES)
 
 
-def graph_vanishing_check(samples: int = 20, seed: int = 3) -> bool:
-    """The graph polynomial vanishes on (pt, extension value) pairs."""
-    g = graph_surface()
-    points = _random_pairs(random.Random(seed))
-    done = 0
-    while done < samples:
-        pt = next(points)
-        try:
-            value = rational_extension(pt)
-        except IndeterminatePointError:
-            continue
-        (x, y), (z, w) = pt.factors
-        (r, s) = value.factors[0]
-        total = g.evaluate({"x": x, "y": y, "z": z, "w": w, "r": r, "s": s})
-        if not total.is_zero():
-            return False
-        done += 1
-    return True
-
-
 def exceptional_fiber_check() -> bool:
     """Above each base point the whole line of values lies on the graph.
 
@@ -480,6 +356,105 @@ def exceptional_fiber_check() -> bool:
     first = g.substitute({"x": 1, "y": 0, "z": 1, "w": 0})
     second = g.substitute({"x": 0, "y": 1, "z": 0, "w": 1})
     return first.is_zero() and second.is_zero()
+
+
+# ------------------------------------------------------- orbit certificates
+# A claim about the orbit is an identity in the generic entries modulo
+# R = xw - yz - 1.  A certificate lists pairs (difference, cofactor) with
+# difference = cofactor * R, putting each difference in the ideal (R) (Cox,
+# Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 1-2).
+
+
+def generic_element(blocks: Blocks = FIBER_BLOCKS) -> Tuple[MultiHomPoly, ...]:
+    return tuple(MultiHomPoly.variable(blocks, name) for name in "xyzw")
+
+
+def certify_cofactors(certificate: Callable, blocks: Blocks = FIBER_BLOCKS) -> bool:
+    """Whether each (difference, q) the certificate gives has difference = q * R."""
+    x, y, z, w = generic_element(blocks)
+    relation = determinant(group_matrix(x, y, z, w)) - 1
+    return all(diff == relation * q for diff, q in certificate(x, y, z, w))
+
+
+def tensor_projector_certificate(x, y, z, w):
+    """trace(M) - 1 = R, M col1 - col1 = R col1 and M col2 = 0."""
+    m = tensor_entries(x, y, z, w)
+    (f1,), (f2,) = product(m, ((x,), (y,)))
+    (k1,), (k2,) = product(m, ((z,), (w,)))
+    return [(trace(m) - 1, 1), (f1 - x, x), (f2 - y, y), (k1, 0), (k2, 0)]
+
+
+def moment_conjugation_certificate(x, y, z, w):
+    """M = a diag(1/2, -1/2) adj(a) exactly, and M col1 - col1/2 = (R/2) col1."""
+    m = moment_map(x, y, z, w)
+    half_weights = ((_HALF, 0), (0, -_HALF))
+    conjugate = product(product(group_matrix(x, y, z, w), half_weights), adjugate(x, y, z, w))
+    (e1,), (e2,) = product(m, ((x,), (y,)))
+    pairs = [(m[i][j] - conjugate[i][j], 0) for i in range(2) for j in range(2)]
+    return pairs + [(e1 - x * _HALF, x * _HALF), (e2 - y * _HALF, y * _HALF)]
+
+
+def extension_on_orbit_certificate(x, y, z, w):
+    """num - den * height = -(xw + yz) R, the height being tr(diag(1, -1) M)."""
+    numerator, denominator = height_forms(x, y, z, w)
+    height = trace(product(((1, 0), (0, -1)), moment_map(x, y, z, w)))
+    return [(numerator - denominator * height, -numerator)]
+
+
+def graph_extension_certificate(x, y, z, w):
+    """The graph equation with r, s replaced by the two forms is zero."""
+    numerator, denominator = height_forms(x, y, z, w)
+    return [(graph_surface().substitute({"r": numerator, "s": denominator}), 0)]
+
+
+def extension_scaling_certificate() -> bool:
+    """Both forms have bidegree (1, 1): scaling the factors scales both alike."""
+    return all(f.multidegree == (1, 1) for f in height_forms(*generic_element()))
+
+
+def base_locus_certificate() -> bool:
+    """The extension is undefined exactly on ``base_locus()``.
+
+    An invertible coefficient matrix on their support makes the forms
+    generate its monomials, (xw, yz) as 1/2 is a unit.  Each choice of one
+    variable per monomial to vanish gives a point, nothing when it zeroes a
+    factor, or a curve when it leaves one free.  The points must be the
+    claimed ones, and at the torus-fixed points the extension raises exactly
+    there.
+    """
+    forms = height_forms(*generic_element())
+    support = sorted({key for f in forms for key in f.terms})
+    matrix = [[f.terms.get(key, ZERO) for key in support] for f in forms]
+    if len(support) != len(forms) or ExactMatrix(matrix).det().is_zero():
+        return False
+    found = []
+    for choice in itertools.product(*([i for i, e in enumerate(k) if e] for k in support)):
+        zeroed = [(i in choice, i + 1 in choice) for i in (0, 2)]  # per factor
+        if (True, True) in zeroed:
+            continue
+        if (False, False) in zeroed:
+            return False
+        found.append(MultiProjPoint([(int(not u), int(not v)) for u, v in zeroed]))
+    locus = base_locus()
+    if not all(any(p == q for q in b) for a, b in ((found, locus), (locus, found)) for p in a):
+        return False
+    fixed = ((1, 0), (0, 1))
+    for pt in (MultiProjPoint((f1, f2)) for f1 in fixed for f2 in fixed):
+        try:
+            rational_extension(pt)
+            raised = False
+        except IndeterminatePointError:
+            raised = True
+        if raised != any(pt == q for q in locus):
+            return False
+    return True
+
+
+# Names of the sample scans these certificates replaced; perfbench/tracer.py
+# still times them, so they stay bound to their successors.
+random_group_elements = generic_element
+moment_orbit_scan = moment_conjugation_certificate
+orbit_value_identity = extension_on_orbit_certificate
 
 
 # ------------------------------------------------------------------ fibers
@@ -621,24 +596,20 @@ def deformed_ring_iso_check() -> bool:
     nonzero scalar multiple of x^2 + yz - 1, so the two coordinate rings
     agree.
     """
-    x, y = (MultiHomPoly.variable(RING_BLOCKS, name) for name in "xy")
+    x, y = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xy")
     moved = _deformed_ring_equation().substitute({"x": x - 1, "y": -y})
-    return moved.scalar_multiple_of(_orbit_ring_equation()) is not None
+    return moved.scalar_multiple_of(orbit_affine_equation()) is not None
 
 
 def deformed_ring_control() -> bool:
     """Without the change of coordinates the two equations differ."""
-    return _deformed_ring_equation().scalar_multiple_of(_orbit_ring_equation()) is not None
+    return _deformed_ring_equation().scalar_multiple_of(orbit_affine_equation()) is not None
 
 
 def _deformed_ring_equation() -> MultiHomPoly:
     """The time-2 member (x + 1)^2 - yz - 1 of the deformation."""
-    x, y, z = (MultiHomPoly.variable(RING_BLOCKS, name) for name in "xyz")
+    x, y, z = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz")
     return (x + 1) * (x + 1) - y * z - 1
-
-
-def _orbit_ring_equation() -> MultiHomPoly:
-    return parse_poly(RING_BLOCKS, "(1)*x^2 + (1)*y*z + (-1)")
 
 
 # ------------------------------------------------- sphere versus base locus

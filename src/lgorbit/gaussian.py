@@ -5,7 +5,7 @@ Everything in this module is exact.  A component is stored as a plain
 when it is not, so the integer shears and samples that most checks build
 run on machine integers.  Every constructor and operation normalises its
 result this way, so structural equality is mathematical equality.  The
-public ``re``, ``im`` and ``norm_sq()`` always return ``Fraction``.
+public ``re`` and ``im`` always return ``Fraction``.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return _gauss(self._re, -self._im)
-
-    def norm_sq(self) -> Fraction:
-        return Fraction(self._re * self._re + self._im * self._im)
 
     # Each binary operator takes a GaussianRational operand directly and lifts
     # an int or Fraction one; anything else is NotImplemented.
@@ -220,7 +217,6 @@ def _lift(value):
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 class ExactMatrix:
@@ -246,10 +242,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, values: Sequence[RatLike]) -> "ExactMatrix":

@@ -277,6 +277,16 @@ def sphere_membership_residual(point: Triple) -> float:
 DEFAULT_LAMBDAS = (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 0.99)
 
 
+def lambda_grid(n: int) -> Tuple[float, ...]:
+    """The thimble grid's n lambdas: DEFAULT_LAMBDAS when n is their count,
+    0 alone when n is 1, and otherwise n evenly spaced values in [-0.99, 0.99]."""
+    if n == len(DEFAULT_LAMBDAS):
+        return DEFAULT_LAMBDAS
+    if n == 1:
+        return (0.0,)
+    return tuple(-0.99 + 1.98 * k / (n - 1) for k in range(n))
+
+
 @dataclass
 class ThimbleReport:
     grid: Tuple[int, int]

@@ -274,3 +274,58 @@ def test_smallest_shift_range_passes_shift_matching(capsys):
     assert cli.main(["category", "--shift-range", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS       category.shift-matching-sanity" in out
+
+
+def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
+    monkeypatch.setattr(report.geo, "sphere_avoids_base_locus", lambda: False)
+    result = run("compactification", Config())
+    row = {r.id: r for r in result.results}["compactification.symplectic-patching"]
+    assert row.status == "fail"
+    assert "supporting exact check FAILED" in row.detail
+    assert result.failed
+    assert cli.main(["compactification"]) == 1
+    assert "FAIL       compactification.symplectic-patching" in capsys.readouterr().out
+
+
+# each size bound, spelled as a flag, with its largest admitted value; quiver
+# reads none of these sizes, so a run at the bound stays quick
+SIZE_BOUNDS = [
+    ("--sphere-samples", report.MAX_SPHERE_SAMPLES, "sphere_samples"),
+    ("--t-range", report.MAX_T_RANGE, "t_range"),
+    ("--shift-range", report.MAX_SHIFT_RANGE, "shift_range"),
+    ("--k-max", report.MAX_K_MAX, "k_max"),
+]
+
+
+@pytest.mark.parametrize("flag, bound, key", SIZE_BOUNDS)
+def test_size_bound_admits_the_bound_and_rejects_one_more(flag, bound, key, capsys):
+    assert cli.main(["quiver", flag, str(bound)]) == 0
+    capsys.readouterr()
+    assert cli.main(["quiver", flag, str(bound + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verify: config error: {key} must be at most {bound}\n"
+    assert getattr(load_config(None, {key: bound}), key) == bound
+    with pytest.raises(PreconditionError):
+        load_config(None, {key: bound + 1})
+
+
+def test_thimble_cell_bound(tmp_path, capsys):
+    cells = report.MAX_THIMBLE_CELLS
+    assert load_config(None, {"thimble_grid": [cells, 1]}).thimble_grid == (cells, 1)
+    assert cli.main(["quiver", "--thimble-grid", f"1x{cells}"]) == 0
+    capsys.readouterr()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"thimble_grid": [cells + 1, 1]}))
+    assert cli.main(["quiver", "--config", str(path)]) == 2
+    assert cli.main(["quiver", "--thimble-grid", f"1x{cells + 1}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"verify: config error: thimble_grid must have at most {cells} cells\n"
+    assert captured.err == message * 2
+
+
+def test_size_bounds_admit_the_benchmark_workloads():
+    cfg = load_config(None, {"sphere_samples": 20000, "thimble_grid": [33, 256],
+                             "t_range": 1000})
+    assert cfg.sphere_samples == 20000 and cfg.t_range == 1000

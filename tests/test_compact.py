@@ -1,19 +1,22 @@
 """Compactified geometry: quadric, graph surface, fibration, extension map."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
+import compact_oracle
 from lgorbit import compactification as cg
 from lgorbit.errors import (
     IndeterminatePointError,
     PreconditionError,
     StructureError,
 )
-from lgorbit.gaussian import ExactMatrix, GaussianRational, I
+from lgorbit.gaussian import ExactMatrix, GaussianRational
 from lgorbit.poly import certify_charts, parse_poly
+from lgorbit.report import Config, run
 from lgorbit.symplectic import sphere_point
+
+I = GaussianRational(0, 1)
 
 
 def test_point_validation():
@@ -39,13 +42,14 @@ def test_group_element_needs_unit_determinant():
     with pytest.raises(StructureError):
         cg.Sl2GroupElement(1, 0, 0, 2)
     g = cg.Sl2GroupElement(1, 0, 1, 1)
-    assert g.matrix().det() == GaussianRational(1)
-    assert g.inverse_matrix() * g.matrix() == ExactMatrix.identity(2)
+    a = compact_oracle.exact_matrix(g)
+    assert a.det() == GaussianRational(1)
+    assert ExactMatrix(cg.adjugate(*g.entries)) * a == ExactMatrix.identity(2)
 
 
 def test_random_group_elements_determinant_one():
-    for g in cg.random_group_elements(25, seed=11):
-        assert g.matrix().det() == GaussianRational(1)
+    for g in compact_oracle.random_group_elements(25, seed=11):
+        assert compact_oracle.exact_matrix(g).det() == GaussianRational(1)
 
 
 def test_quadric_presentations():
@@ -56,21 +60,26 @@ def test_quadric_presentations():
 
 
 def test_tensor_and_moment_on_identity():
-    assert cg.tensor_fixed_vectors_check(cg.identity_element())
-    assert cg.moment_orbit_check(cg.identity_element())
+    assert compact_oracle.tensor_fixed_vectors_check(cg.identity_element())
+    assert compact_oracle.moment_orbit_check(cg.identity_element())
 
 
 def test_moment_map_matches_conjugation():
     shear = cg.Sl2GroupElement(1, 0, 1, 1)
     m = cg.moment_map_of(shear)
-    a = shear.matrix()
+    a = compact_oracle.exact_matrix(shear)
     half = Fraction(1, 2)
     expected = a * ExactMatrix.diagonal([half, -half]) * a.inverse()
     assert m == expected
 
 
 def test_moment_scan():
-    assert cg.moment_orbit_scan(50, seed=2)
+    assert compact_oracle.moment_orbit_scan(50, seed=2)
+
+
+def test_tensor_scan():
+    for a in compact_oracle.random_group_elements(20, seed=0):
+        assert compact_oracle.tensor_fixed_vectors_check(a)
 
 
 def test_extension_values():
@@ -86,7 +95,7 @@ def test_extension_base_locus():
     for pt in base:
         with pytest.raises(IndeterminatePointError, match="indeterminate point"):
             cg.rational_extension(pt)
-    assert cg.base_locus_scan(25, seed=5)
+    assert compact_oracle.base_locus_scan(25, seed=5)
 
 
 def test_extension_rejects_wrong_shape():
@@ -95,11 +104,11 @@ def test_extension_rejects_wrong_shape():
 
 
 def test_extension_scaling_invariance():
-    assert cg.scaling_invariance_check(25, seed=6)
+    assert compact_oracle.scaling_invariance_check(25, seed=6)
 
 
 def test_extension_is_height_trace():
-    assert cg.orbit_value_identity(100, seed=3)
+    assert compact_oracle.orbit_value_identity(100, seed=3)
 
 
 def test_graph_surface_tridegree():
@@ -121,7 +130,7 @@ def test_graph_smoothness_controls():
 
 
 def test_graph_contains_extension_graph():
-    assert cg.graph_vanishing_check(20, seed=7)
+    assert compact_oracle.graph_vanishing_check(20, seed=7)
     assert cg.exceptional_fiber_check()
 
 
@@ -191,3 +200,111 @@ def test_sphere_point_orbit_pair_rejects_off_sphere():
 
 def test_sphere_avoids_base_locus():
     assert cg.sphere_avoids_base_locus()
+
+
+# ------------------------------------------------ certificates of the orbit
+
+
+def _wrong_cofactor(certificate):
+    return lambda *entries: [(d, c + 1) for d, c in certificate(*entries)]
+
+
+# the replacements keep the original they perturb, since the test patches it away
+def _perturbed_tensor(x, y, z, w, original=cg.tensor_entries):
+    (a, b), (c, d) = original(x, y, z, w)
+    return ((a, -b), (c, d))
+
+
+def _perturbed_moment(x, y, z, w, original=cg.moment_map):
+    (a, b), (c, d) = original(x, y, z, w)
+    return ((a, b + x), (c, d))
+
+
+def _unbalanced_forms(x, y, z, w, original=cg.height_forms):
+    numerator, denominator = original(x, y, z, w)
+    return (numerator * x, denominator)
+
+
+def _graph_plus_term(original=cg.graph_surface):
+    return original() + parse_poly(cg.GRAPH_BLOCKS, "(1)*x*w*r")
+
+
+def _three_base_points(original=cg.base_locus):
+    return original() + (cg.MultiProjPoint(((1, 1), (1, 1))),)
+
+
+# Each control breaks one construction or claim the way a faulty edit could;
+# the row's certificate must then fail, and with it the report row.
+NEGATIVE_CONTROLS = [
+    ("tensor-projector", "tensor_entries", _perturbed_tensor),
+    ("moment-conjugation", "moment_map", _perturbed_moment),
+    ("extension-on-orbit", "extension_on_orbit_certificate",
+     _wrong_cofactor(cg.extension_on_orbit_certificate)),
+    ("extension-scaling", "height_forms", _unbalanced_forms),
+    ("graph-contains-extension", "graph_surface", _graph_plus_term),
+    ("base-locus", "base_locus", _three_base_points),
+]
+
+
+ROW_CERTIFICATES = {
+    "tensor-projector": lambda: cg.certify_cofactors(cg.tensor_projector_certificate),
+    "moment-conjugation": lambda: cg.certify_cofactors(cg.moment_conjugation_certificate),
+    "extension-on-orbit": lambda: cg.certify_cofactors(cg.extension_on_orbit_certificate),
+    "extension-scaling": cg.extension_scaling_certificate,
+    "graph-contains-extension": lambda: cg.certify_cofactors(
+        cg.graph_extension_certificate, cg.GRAPH_BLOCKS
+    ),
+    "base-locus": cg.base_locus_certificate,
+}
+
+
+@pytest.mark.parametrize("row, target, replacement", NEGATIVE_CONTROLS)
+def test_orbit_certificate_negative_controls(monkeypatch, row, target, replacement):
+    assert ROW_CERTIFICATES[row]()
+    monkeypatch.setattr(cg, target, replacement)
+    assert not ROW_CERTIFICATES[row]()
+    status = {r.id: r.status for r in run("compactification", Config()).results}
+    assert status[f"compactification.{row}"] == "fail"
+
+
+def test_wrong_cofactors_fail():
+    for certificate in (
+        cg.tensor_projector_certificate,
+        cg.moment_conjugation_certificate,
+        cg.extension_on_orbit_certificate,
+    ):
+        assert not cg.certify_cofactors(_wrong_cofactor(certificate))
+    assert not cg.certify_cofactors(
+        _wrong_cofactor(cg.graph_extension_certificate), cg.GRAPH_BLOCKS
+    )
+
+
+def test_base_locus_certificate_rejects_forms_with_other_zeros(monkeypatch):
+    # (xw, xw + yz) generates (xw, yz) as well; (xw, 2xw) generates only (xw),
+    # which vanishes on two lines, and (xw, yw) vanishes on the line w = 0
+    monkeypatch.setattr(cg, "height_forms", lambda x, y, z, w: (x * w, x * w + y * z))
+    assert cg.base_locus_certificate()
+    monkeypatch.setattr(cg, "height_forms", lambda x, y, z, w: (x * w, x * w * 2))
+    assert not cg.base_locus_certificate()
+    monkeypatch.setattr(cg, "height_forms", lambda x, y, z, w: (x * w, y * w))
+    assert not cg.base_locus_certificate()
+
+
+def test_generic_constructions_match_the_exact_path():
+    symbols = cg.generic_element()
+    tensor = cg.tensor_entries(*symbols)
+    moment = cg.moment_map(*symbols)
+    adjugate = cg.adjugate(*symbols)
+    forms = cg.height_forms(*symbols)
+    for a in compact_oracle.random_group_elements(20, seed=13):
+        at = dict(zip("xyzw", a.entries))
+
+        def value(m):
+            return ExactMatrix([[entry.evaluate(at) for entry in row] for row in m])
+
+        assert value(tensor) == cg.tensor_orbit_matrix(a)
+        assert value(moment) == cg.moment_map_of(a)
+        assert value(adjugate) == compact_oracle.exact_matrix(a).inverse()
+        assert cg.MultiProjPoint(((forms[0].evaluate(at), forms[1].evaluate(at)),)) == (
+            cg.rational_extension(a.point_pair())
+        )

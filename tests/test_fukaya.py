@@ -124,6 +124,13 @@ def test_morse_circle_model():
     assert model.cohomology == {0: 1, 1: 1}
 
 
+def test_morse_circle_rank_one_differential_kills_cohomology():
+    # equal signs give the differential 2, of rank one over the rationals
+    model = morse_circle_floer(signs=(1, 1))
+    assert model.differential == ((2,),)
+    assert model.cohomology == {}
+
+
 def test_tables_equal_shift_window():
     table = lg2_category().hom_table()
     assert tables_equal(table, table)

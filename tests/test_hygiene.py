@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lgorbit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lgorbit"
 
 
 def unused_imports(source: str):
@@ -44,3 +45,101 @@ def test_library_has_no_unused_imports():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _reads(nodes):
+    """Names read by a Name or Attribute node under ``nodes``; __all__ entries count."""
+    used = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def _assigned(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def unreferenced(sources, looked_up=()):
+    """Definitions in ``sources`` (file name -> text) that nothing else reads.
+
+    Checked are top-level functions, classes and constants, and public
+    methods, listed as Class.method.  A definition's own body does not
+    count as a reference: a class's whole body for the class, the method's
+    body for a method.  Names in ``looked_up``, spelled module.name, count
+    as read, as names in __all__ do.
+    """
+    units = []  # the names each statement reads; a class body gives one per statement
+    defined = []  # (file, name, indices of the units that make up its definition)
+    for file, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef):
+                start = len(units)
+                units.append(_reads(node.bases + node.keywords + node.decorator_list))
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        defined.append((file, f"{node.name}.{sub.name}", {len(units)}))
+                    units.append(_reads([sub]))
+                defined.append((file, node.name, set(range(start, len(units)))))
+                continue
+            if isinstance(node, ast.FunctionDef):
+                defined.append((file, node.name, {len(units)}))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined.extend((file, name, {len(units)}) for name in _assigned(node))
+            units.append(_reads([node]))
+    missing = {}
+    for file, name, own in defined:
+        short = name.split(".")[-1]
+        if f"{file[:-3]}.{name}" in looked_up:
+            continue
+        if not any(short in used for i, used in enumerate(units) if i not in own):
+            missing.setdefault(file, []).append(name)
+    return missing
+
+
+def test_unreferenced_definition_detector():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "SPARE = 4\n"
+            "__all__ = ['Exported']\n"
+            "class Exported:\n"
+            "    def used(self): return LIMIT\n"
+            "    def spare(self): return Exported()\n"
+            "    def _private(self): pass\n"
+            "class Lonely:\n"
+            "    def again(self): return Lonely().again()\n"
+            "def helper(): return Exported().used()\n"
+            "def orphan(): orphan()\n"
+        ),
+        "b.py": "from a import helper\nhelper()\n",
+    }
+    assert unreferenced(sources) == {
+        "a.py": ["SPARE", "Exported.spare", "Lonely.again", "Lonely", "orphan"]
+    }
+    assert unreferenced(sources, {"a.SPARE", "a.Lonely", "a.Lonely.again"}) == {
+        "a.py": ["Exported.spare", "orphan"]
+    }
+
+
+def tracer_hot_functions():
+    """The names perfbench/tracer.py looks up by string, as module.name."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "HOT_FUNCTIONS" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_library_defines_nothing_only_tests_use():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced(sources, tracer_hot_functions()) == {}
