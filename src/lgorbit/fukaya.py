@@ -331,21 +331,25 @@ class MorseCircleModel:
     cohomology: Dict[int, int] = field(hash=False, default_factory=dict)
 
 
-def morse_circle_floer(signs: Tuple[int, int] = (1, -1)) -> MorseCircleModel:
+def morse_circle_floer() -> MorseCircleModel:
     """Build the circle's Morse complex and read off the Floer grading.
 
     The minimum generates in degree 0 and the maximum in degree 1.  The two
-    gradient flow lines from the maximum to the minimum carry the
-    orientation signs ``signs``, opposite for the circle, so the
-    differential is their sum.  Each degree's cohomology is its rank minus
-    the rank of the differential, which leaves both generators of H^*(S^1)
-    for opposite signs and nothing for equal ones.
+    gradient flow lines from the maximum to the minimum carry opposite
+    orientation signs, so the differential is the zero map and both ranks
+    survive to cohomology, matching H^*(S^1).
     """
     module = GradedModule([("x0", 0), ("x1", 1)])
+    signs = (1, -1)
     differential = ((signs[0] + signs[1],),)  # deg 0 -> deg 1, a 1x1 matrix
-    rank = ExactMatrix(differential).rank()
-    cohomology = {d: r - rank for d, r in module.ranks.items() if r > rank}
+    cohomology = _two_term_cohomology(module.ranks, differential)
     return MorseCircleModel(module, signs, differential, cohomology)
+
+
+def _two_term_cohomology(ranks: Dict[int, int], differential) -> Dict[int, int]:
+    """Cohomology of a complex in degrees 0 and 1: each rank minus rank(d)."""
+    rank = ExactMatrix(differential).rank()
+    return {d: r - rank for d, r in ranks.items() if r > rank}
 
 
 # ------------------------------------------------------------ table algebra

@@ -175,7 +175,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 class ExactMatrix:
@@ -197,10 +196,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, values: Sequence[RatLike]) -> "ExactMatrix":

@@ -49,7 +49,9 @@ def test_group_element_needs_unit_determinant():
 
 def test_random_group_elements_determinant_one():
     for g in compact_oracle.random_group_elements(25, seed=11):
-        assert compact_oracle.exact_matrix(g).det() == GaussianRational(1)
+        a = compact_oracle.exact_matrix(g)
+        assert a.det() == GaussianRational(1)
+        assert ExactMatrix(cg.adjugate(*g.entries)) == a.inverse()
 
 
 def test_quadric_presentations():
@@ -243,6 +245,7 @@ NEGATIVE_CONTROLS = [
     ("extension-scaling", "height_forms", _unbalanced_forms),
     ("graph-contains-extension", "graph_surface", _graph_plus_term),
     ("base-locus", "base_locus", _three_base_points),
+    ("graph-contains-extension", "base_locus", _three_base_points),
 ]
 
 
@@ -253,7 +256,7 @@ ROW_CERTIFICATES = {
     "extension-scaling": cg.extension_scaling_certificate,
     "graph-contains-extension": lambda: cg.certify_cofactors(
         cg.graph_extension_certificate, cg.GRAPH_BLOCKS
-    ),
+    ) and cg.exceptional_fiber_check(),
     "base-locus": cg.base_locus_certificate,
 }
 
@@ -290,21 +293,12 @@ def test_base_locus_certificate_rejects_forms_with_other_zeros(monkeypatch):
     assert not cg.base_locus_certificate()
 
 
-def test_generic_constructions_match_the_exact_path():
-    symbols = cg.generic_element()
-    tensor = cg.tensor_entries(*symbols)
-    moment = cg.moment_map(*symbols)
-    adjugate = cg.adjugate(*symbols)
-    forms = cg.height_forms(*symbols)
-    for a in compact_oracle.random_group_elements(20, seed=13):
-        at = dict(zip("xyzw", a.entries))
-
-        def value(m):
-            return ExactMatrix([[entry.evaluate(at) for entry in row] for row in m])
-
-        assert value(tensor) == cg.tensor_orbit_matrix(a)
-        assert value(moment) == cg.moment_map_of(a)
-        assert value(adjugate) == compact_oracle.exact_matrix(a).inverse()
-        assert cg.MultiProjPoint(((forms[0].evaluate(at), forms[1].evaluate(at)),)) == (
-            cg.rational_extension(a.point_pair())
-        )
+def test_replaced_scan_names_share_no_object_with_the_library():
+    # a tracer names a wrapped object after one of its bindings, so a name kept
+    # for it must not alias a function the suites call
+    names = ("random_group_elements", "moment_orbit_scan", "orbit_value_identity")
+    stand_in = getattr(cg, names[0])
+    assert all(getattr(cg, name) is stand_in for name in names)
+    assert [k for k, v in vars(cg).items() if v is stand_in] == ["_replaced_scan", *names]
+    with pytest.raises(NotImplementedError):
+        stand_in()
