@@ -10,13 +10,4 @@ quiver descriptions.
 
 __version__ = "0.1.0"
 
-from .gaussian import ExactMatrix, GaussianRational
-from .poly import MultiHomPoly, parse_poly
-
-__all__ = [
-    "ExactMatrix",
-    "GaussianRational",
-    "MultiHomPoly",
-    "parse_poly",
-    "__version__",
-]
+__all__ = ["__version__"]

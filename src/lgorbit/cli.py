@@ -4,7 +4,7 @@ Each field of ``report.Config`` is a flag too, spelled with hyphens
 (``t_range`` is ``--t-range``), that overrides the config file.
 
 Exit codes: 0 when every check passes (assumptions do not fail a run),
-1 when any check fails, 2 for usage or configuration errors.
+1 when any check fails, 2 for usage or configuration errors (one stderr line).
 """
 
 from __future__ import annotations
@@ -27,8 +27,13 @@ def _grid(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one stderr line, without the usage dump
+        self.exit(2, f"{self.prog}: usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="verify",
         description="Run the verification suites and emit a JSON report.",
     )
@@ -47,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     overrides = {key.name: getattr(args, key.name) for key in fields(Config)}
     try:
         cfg = load_config(args.config, overrides)

@@ -1,11 +1,12 @@
 """Suite driver: runs every verification family and assembles one report.
 
-Each suite function turns library checks into CheckResult rows.  A row is
-"pass" or "fail" except for the enumerated statements that cannot be checked
-computationally (the symplectic patching step, the cited classification and
-K-theory propositions, and the injectivity of the connecting map against the
-nontrivial extension class); those are reported with status "assumption" so
-a clean run never silently upgrades them.
+Each suite function turns library checks into CheckResult rows; it imports
+the layers it calls in its own body, so running one suite loads only those
+modules.  A row is "pass" or "fail" except for the enumerated statements that
+cannot be checked computationally (the symplectic patching step, the cited
+classification and K-theory propositions, and the injectivity of the
+connecting map against the nontrivial extension class); those are reported
+with status "assumption" so a clean run never silently upgrades them.
 
 Reports are deterministic: the same configuration and seed produce byte
 identical JSON, which the determinism suite relies on.
@@ -20,10 +21,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from . import compactification as geo
-from . import fukaya, lie, mirror, quiver, symplectic, toric
 from .errors import PreconditionError
-from .gaussian import ExactMatrix, GaussianRational
 
 SCHEMA_VERSION = 1
 
@@ -121,6 +119,8 @@ SuiteOutput = Tuple[List[CheckResult], Dict[str, object]]
 
 
 def suite_lie(cfg: Config) -> SuiteOutput:
+    from . import lie
+    from .gaussian import GaussianRational
     results: List[CheckResult] = []
     h = lie.CartanDiagonal((1, -1))
 
@@ -197,6 +197,7 @@ def suite_lie(cfg: Config) -> SuiteOutput:
 
 
 def suite_symplectic(cfg: Config) -> SuiteOutput:
+    from . import symplectic
     results: List[CheckResult] = []
 
     sphere = symplectic.check_sphere_lagrangian(
@@ -275,6 +276,7 @@ def suite_symplectic(cfg: Config) -> SuiteOutput:
 
 
 def suite_category(cfg: Config) -> SuiteOutput:
+    from . import fukaya
     results: List[CheckResult] = []
     cat = fukaya.lg2_category()
 
@@ -372,6 +374,7 @@ def suite_category(cfg: Config) -> SuiteOutput:
 
 
 def suite_sheaves(cfg: Config) -> SuiteOutput:
+    from . import toric
     results: List[CheckResult] = []
     fans = {a: toric.HirzebruchFan(a) for a in (0, 1, 2)}
     fan2 = fans[2]
@@ -403,19 +406,16 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         "the degree-2 surface is (1,0,0), (1,1,0), (0,0,0)",
     ))
 
-    o = toric.PicClass(0, 0)
-    n = toric.PicClass(-1, 0)
-    ext_table = {
-        ("O", "O"): toric.ext_dims(fan2, o, o, cfg.box_margin).triple,
-        ("O(-E)", "O(-E)"): toric.ext_dims(fan2, n, n, cfg.box_margin).triple,
-        ("O(-E)", "O"): toric.ext_dims(fan2, n, o, cfg.box_margin).triple,
-        ("O", "O(-E)"): toric.ext_dims(fan2, o, n, cfg.box_margin).triple,
-    }
     frozen = {
         ("O", "O"): (1, 0, 0),
         ("O(-E)", "O(-E)"): (1, 0, 0),
         ("O(-E)", "O"): (1, 1, 0),
         ("O", "O(-E)"): (0, 0, 0),
+    }
+    bundle = {"O": toric.PicClass(0, 0), "O(-E)": toric.PicClass(-1, 0)}
+    ext_table = {
+        (x, y): toric.ext_dims(fan2, bundle[x], bundle[y], cfg.box_margin).triple
+        for x, y in frozen
     }
     results.append(_row(
         "sheaves.ext-table",
@@ -524,6 +524,7 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
 
 
 def suite_quiver(cfg: Config) -> SuiteOutput:
+    from . import fukaya, quiver, toric
     results: List[CheckResult] = []
 
     ordinary = quiver.ordinary_quiver()
@@ -614,6 +615,7 @@ def suite_quiver(cfg: Config) -> SuiteOutput:
 
 
 def suite_mirror(cfg: Config) -> SuiteOutput:
+    from . import mirror
     results: List[CheckResult] = []
 
     main = mirror.search_mirror_pair(cfg.t_range, cfg.shift_range)
@@ -720,6 +722,8 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
 
 
 def suite_compactification(cfg: Config) -> SuiteOutput:
+    from . import compactification as geo
+    from .gaussian import ExactMatrix
     results: List[CheckResult] = []
 
     results.append(_row(

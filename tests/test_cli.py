@@ -217,6 +217,39 @@ def test_report_needs_no_numpy_or_scipy(tmp_path):
     assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
 
 
+LOADED_MODULES = """\
+import io, json, sys
+from contextlib import redirect_stdout
+if sys.argv[1] == "import":
+    __import__(sys.argv[2])
+else:
+    from lgorbit.cli import main
+    with redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "lgorbit")))
+"""
+
+CLI_MODULES = {"lgorbit", "lgorbit.cli", "lgorbit.report", "lgorbit.errors"}
+LIBRARY = {f"lgorbit.{p.stem}" for p in Path(cli.__file__).parent.glob("*.py")} - {
+    "lgorbit.__init__", "lgorbit.__main__"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["import", "lgorbit"], {"lgorbit"}),
+    (["import", "lgorbit.cli"], CLI_MODULES),
+    (["mirror"], CLI_MODULES | {"lgorbit.mirror"}),
+    (["sheaves"], CLI_MODULES | {"lgorbit.toric", "lgorbit.poly", "lgorbit.gaussian"}),
+    (["all"], {"lgorbit"} | LIBRARY),
+], ids=["import-lgorbit", "import-cli", "mirror", "sheaves", "all"])
+def test_a_run_loads_only_the_modules_its_suite_calls(argv, expected):
+    # a fresh interpreter, so no module is loaded by another test first
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == expected
+
+
 def test_huge_box_margin_finishes_quickly(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     results = []
@@ -277,7 +310,7 @@ def test_smallest_shift_range_passes_shift_matching(capsys):
 
 
 def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
-    monkeypatch.setattr(report.geo, "sphere_avoids_base_locus", lambda: False)
+    monkeypatch.setattr("lgorbit.compactification.sphere_avoids_base_locus", lambda: False)
     result = run("compactification", Config())
     row = {r.id: r for r in result.results}["compactification.symplectic-patching"]
     assert row.status == "fail"

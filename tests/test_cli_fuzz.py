@@ -1,0 +1,162 @@
+"""Property tests over the configuration space of `verify`, run in-process.
+
+Only the cheap suites are drawn: lie, quiver, sheaves, category (k_max <= 8)
+and mirror (t_range <= 20).  No drawn value comes near a ``report.MAX_*``
+bound, so every example takes milliseconds; the bounds themselves are tested
+in ``test_cli.py``.
+"""
+
+import io
+import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict, fields
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lgorbit import cli
+from lgorbit.report import Config
+
+SUITES = ["category", "lie", "mirror", "quiver", "sheaves"]
+
+VALID = {
+    "seed": st.integers(-10**6, 10**9),
+    "float_tolerance": st.floats(1e-12, 1e3) | st.integers(1, 100),
+    "sphere_samples": st.integers(1, 2000),
+    "thimble_grid": st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    "box_margin": st.integers(0, 30),
+    "t_range": st.integers(1, 20),
+    "shift_range": st.integers(1, 4),
+    "k_max": st.integers(2, 8),
+}
+
+# values of the right type outside each key's domain (seed has no such value)
+OUT_OF_DOMAIN = {
+    "float_tolerance": st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.floats(max_value=-1e-300, allow_infinity=False),
+    "sphere_samples": st.integers(-10**6, 0),
+    "thimble_grid": st.tuples(st.integers(-5, 0), st.integers(1, 5))
+    | st.tuples(st.integers(1, 5), st.integers(-5, 0)),
+    "box_margin": st.integers(-10**6, -1),
+    "t_range": st.integers(-10**6, 0),
+    "shift_range": st.integers(-10**6, 0),
+    "k_max": st.integers(-10**6, 1),
+}
+
+# JSON values of the wrong type for each key, as they may appear in --config
+WRONG_JSON = {
+    key: st.sampled_from([True, False, None, "7", [], {}] + extra)
+    for key, extra in (
+        ("seed", [1.5]), ("float_tolerance", [[1.0]]), ("sphere_samples", [2.5]),
+        ("thimble_grid", [9, "9x64", [9], [9, 64, 1], [9.5, 64], [True, 3], ["9", 64]]),
+        ("box_margin", [0.5]), ("t_range", [3.0]), ("shift_range", [[2]]), ("k_max", [4.5]),
+    )
+}
+
+# flag text that the flag's type cannot parse
+WRONG_FLAG = {
+    key: st.sampled_from(["abc", "", "true", "[1]"] + extra)
+    for key, extra in (
+        ("seed", ["1.5", "0x10"]), ("float_tolerance", ["1,5", "1e"]),
+        ("sphere_samples", ["2.5"]), ("thimble_grid", ["9", "9x", "x64", "9x64x1", "9.5x64"]),
+        ("box_margin", ["0.5"]), ("t_range", ["3.0"]), ("shift_range", ["1e1"]),
+        ("k_max", ["4.5"]),
+    )
+}
+
+
+def test_strategies_cover_every_config_key():
+    keys = {f.name for f in fields(Config)}
+    assert set(VALID) == set(WRONG_JSON) == set(WRONG_FLAG) == keys
+    assert set(OUT_OF_DOMAIN) == keys - {"seed"}
+
+
+def _flag(key, value):
+    text = f"{value[0]}x{value[1]}" if key == "thimble_grid" else repr(value)
+    return f"--{key.replace('_', '-')}={text}"
+
+
+def _invoke(suite, flags, file_data, work):
+    """Run `verify` in-process: (exit code, stdout, stderr, report path)."""
+    argv = [suite, *flags, "--json", str(work / "report.json")]
+    if file_data is not None:
+        (work / "cfg.json").write_text(json.dumps(file_data), encoding="utf-8")
+        argv += ["--config", str(work / "cfg.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse leaves through SystemExit
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), work / "report.json"
+
+
+@st.composite
+def placed_config(draw, skip=()):
+    """Valid values for some keys, each given as a flag or in the config file."""
+    flags, file_data, values = [], {}, {}
+    for key, strategy in VALID.items():
+        where = draw(st.sampled_from(["absent", "flag", "file"]))
+        if key in skip or where == "absent":
+            continue
+        values[key] = draw(strategy)
+        if where == "flag":
+            flags.append(_flag(key, values[key]))
+        else:
+            file_data[key] = values[key]
+    use_file = bool(file_data) or draw(st.booleans())
+    return flags, file_data if use_file else None, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(suite=st.sampled_from(SUITES), config=placed_config())
+def test_valid_config_runs_and_writes_a_report(suite, config):
+    flags, file_data, values = config
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, path = _invoke(suite, flags, file_data, Path(tmp))
+        report = json.loads(path.read_text(encoding="utf-8"))
+    assert code in (0, 1) and err == ""
+    statuses = [row["status"] for row in report["results"]]
+    assert report["suite"] == suite and statuses
+    assert set(statuses) <= {"pass", "fail", "assumption"}
+    assert code == (1 if "fail" in statuses else 0)
+    expected = asdict(Config(**values))
+    expected["thimble_grid"] = list(expected["thimble_grid"])
+    assert report["config"] == expected
+    assert out.endswith(" recorded assumptions\n")
+
+
+@st.composite
+def invalid_value(draw):
+    """One bad (key, value): out of domain or wrongly typed, by flag or file."""
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(OUT_OF_DOMAIN)))
+        value = draw(OUT_OF_DOMAIN[key])
+        by_flag = draw(st.booleans())
+        return key, (_flag(key, value) if by_flag else value), by_flag
+    key = draw(st.sampled_from(sorted(VALID)))
+    by_flag = draw(st.booleans())
+    if by_flag:
+        return key, f"--{key.replace('_', '-')}={draw(WRONG_FLAG[key])}", True
+    return key, draw(WRONG_JSON[key]), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(suite=st.sampled_from(SUITES), bad=invalid_value(), data=st.data())
+def test_invalid_value_exits_two_with_one_line(suite, bad, data):
+    key, value, by_flag = bad
+    flags, file_data, _ = data.draw(placed_config(skip={key}))
+    if by_flag:
+        flags.append(value)
+    else:
+        file_data = dict(file_data or {}, **{key: value})
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, path = _invoke(suite, flags, file_data, Path(tmp))
+        assert not path.exists()
+    assert code == 2 and out == ""
+    assert err.startswith("verify: ") and err.endswith("\n") and err.count("\n") == 1
+    # the line names the key, in its flag spelling when argparse rejects it
+    assert key in err or f"--{key.replace('_', '-')}" in err
