@@ -5,6 +5,7 @@ Each field of ``report.Config`` is a flag too, spelled with hyphens
 
 Exit codes: 0 when every check passes (assumptions do not fail a run),
 1 when any check fails, 2 for usage or configuration errors (one stderr line).
+``main`` returns the code; only ``--help`` leaves through ``SystemExit`` (0).
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ def _grid(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _UsageError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # one stderr line, without the usage dump
-        self.exit(2, f"{self.prog}: usage error: {message}\n")
+    def error(self, message: str):  # main prints one stderr line, without the usage dump
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"verify: usage error: {exc}", file=sys.stderr)
+        return 2
     overrides = {key.name: getattr(args, key.name) for key in fields(Config)}
     try:
         cfg = load_config(args.config, overrides)

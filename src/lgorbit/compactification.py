@@ -19,6 +19,7 @@ polynomials, and certificate identities instead of floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -366,7 +367,9 @@ def exceptional_fiber_check() -> bool:
 # Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 1-2).
 
 
+@functools.cache
 def generic_element(blocks: Blocks = FIBER_BLOCKS) -> Tuple[MultiHomPoly, ...]:
+    """The entries x, y, z, w as variables on ``blocks``, built once per blocks."""
     return tuple(MultiHomPoly.variable(blocks, name) for name in "xyzw")
 
 
@@ -465,20 +468,20 @@ random_group_elements = moment_orbit_scan = orbit_value_identity = _replaced_sca
 
 
 def compactified_fiber(r0: RatLike, s0: RatLike) -> MultiHomPoly:
-    """Fiber of the extended map over [r0 : s0] inside P1 x P1."""
+    """Fiber of the extended map over [r0 : s0] inside P1 x P1.
+
+    It is s0 (xw + yz) - r0 (xw - yz), read off the two height forms.
+    """
     r0 = GaussianRational.coerce(r0)
     s0 = GaussianRational.coerce(s0)
     if r0.is_zero() and s0.is_zero():
         raise PreconditionError("fiber needs a nonzero value pair")
-    x, y, z, w = generic_element()
-    return x * w * (s0 - r0) + y * z * (s0 + r0)
+    plus, minus = height_forms(*generic_element())
+    return plus * s0 - minus * r0
 
 
 def _bilinear_coefficient(poly: MultiHomPoly, first: str, second: str) -> GaussianRational:
-    i = poly.var_index(first)
-    j = poly.var_index(second)
-    width = len(poly.variables)
-    key = tuple(1 if k in (i, j) else 0 for k in range(width))
+    key = tuple(int(name in (first, second)) for name in poly.variables)
     return poly.terms.get(key, ZERO)
 
 
@@ -489,19 +492,10 @@ def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
     matrix of its coefficients is singular.
     """
     fiber = compactified_fiber(r0, s0)
-    matrix = ExactMatrix(
-        [
-            [
-                _bilinear_coefficient(fiber, "x", "z"),
-                _bilinear_coefficient(fiber, "x", "w"),
-            ],
-            [
-                _bilinear_coefficient(fiber, "y", "z"),
-                _bilinear_coefficient(fiber, "y", "w"),
-            ],
-        ]
+    coefficients = tuple(
+        tuple(_bilinear_coefficient(fiber, row, col) for col in "zw") for row in "xy"
     )
-    return matrix.det().is_zero()
+    return determinant(coefficients).is_zero()
 
 
 @dataclass(frozen=True)

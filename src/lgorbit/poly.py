@@ -4,12 +4,15 @@ A polynomial lives on a fixed tuple of variable blocks, for example
 ``(("x", "y"), ("z", "w"))`` for a bihomogeneous form on a product of two
 projective lines.  Terms are stored densely: each key is one exponent per
 declared variable, in declaration order across all blocks.  Per-block degrees
-are recomputed from the terms after every operation; a block whose term
-degrees disagree is marked inhomogeneous (``None``).
+are recomputed from the terms on first read; a block whose term degrees
+disagree is marked inhomogeneous (``None``).  The public constructor
+validates what it is given; arithmetic builds its results from operands
+already checked, with zero coefficients popped, and skips that work.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -59,7 +62,14 @@ class MultiHomPoly:
             else:
                 clean[key] = value
         self.terms = clean
-        self._multidegree = self._compute_multidegree()
+
+    def _like(self, terms: Dict[Exponents, GaussianRational]) -> "MultiHomPoly":
+        """A polynomial on this one's blocks; ``terms`` must be clean already."""
+        out = MultiHomPoly.__new__(MultiHomPoly)
+        out.blocks = self.blocks
+        out._vars = self._vars
+        out.terms = terms
+        return out
 
     # ---------------------------------------------------------------- basics
 
@@ -113,7 +123,11 @@ class MultiHomPoly:
     @property
     def multidegree(self) -> Tuple[Optional[int], ...]:
         """Per-block degree, with None marking an inhomogeneous block."""
-        return self._multidegree
+        try:
+            return self._multidegree
+        except AttributeError:
+            self._multidegree = self._compute_multidegree()
+            return self._multidegree
 
     # ------------------------------------------------------------ arithmetic
 
@@ -123,7 +137,8 @@ class MultiHomPoly:
                 f"block mismatch: {self.blocks} vs {other.blocks}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """The termwise sum (op add) or difference (op sub) with other."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = MultiHomPoly.constant(self.blocks, other)
         if not isinstance(other, MultiHomPoly):
@@ -131,22 +146,23 @@ class MultiHomPoly:
         self._check_blocks(other)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, ZERO) + coeff
-        return MultiHomPoly(self.blocks, merged)
+            value = op(merged.get(key, ZERO), coeff)
+            if value.is_zero():
+                merged.pop(key, None)
+            else:
+                merged[key] = value
+        return self._like(merged)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiHomPoly(
-            self.blocks, {key: -coeff for key, coeff in self.terms.items()}
-        )
+        return self._like({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiHomPoly.constant(self.blocks, other)
-        if not isinstance(other, MultiHomPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -154,30 +170,30 @@ class MultiHomPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             scalar = GaussianRational.coerce(other)
-            return MultiHomPoly(
-                self.blocks,
-                {key: scalar * coeff for key, coeff in self.terms.items()},
-            )
+            if scalar.is_zero():
+                return self._like({})
+            # a product of nonzero Gaussian rationals is nonzero
+            return self._like({key: scalar * coeff for key, coeff in self.terms.items()})
         if not isinstance(other, MultiHomPoly):
             return NotImplemented
         self._check_blocks(other)
         product: Dict[Exponents, GaussianRational] = {}
         for key_a, coeff_a in self.terms.items():
             for key_b, coeff_b in other.terms.items():
-                key = tuple(a + b for a, b in zip(key_a, key_b))
+                key = tuple(map(operator.add, key_a, key_b))
                 value = product.get(key, ZERO) + coeff_a * coeff_b
                 if value.is_zero():
                     product.pop(key, None)
                 else:
                     product[key] = value
-        return MultiHomPoly(self.blocks, product)
+        return self._like(product)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise StructureError("exponent must be a nonnegative integer")
-        result = MultiHomPoly.constant(self.blocks, 1)
+        result = self._like({(0,) * len(self._vars): ONE})
         for _ in range(exponent):
             result = result * self
         return result
@@ -205,7 +221,7 @@ class MultiHomPoly:
                 out.pop(new_key, None)
             else:
                 out[new_key] = value
-        return MultiHomPoly(self.blocks, out)
+        return self._like(out)
 
     def substitute(
         self, images: Mapping[str, Union["MultiHomPoly", RatLike]]
@@ -223,22 +239,14 @@ class MultiHomPoly:
             else:
                 self._check_blocks(image)
             table[idx] = image
-        result = MultiHomPoly.zero(self.blocks)
+        result = self._like({})
         for key, coeff in self.terms.items():
-            term = MultiHomPoly.constant(self.blocks, coeff)
-            for idx, e in enumerate(key):
-                if e == 0:
-                    continue
-                if idx in table:
-                    term = term * table[idx] ** e
-                else:
-                    mono = MultiHomPoly(
-                        self.blocks,
-                        {
-                            tuple(e if k == idx else 0 for k in range(len(key))): 1,
-                        },
-                    )
-                    term = term * mono
+            # unmapped variables keep their exponents; mapped ones multiply in
+            kept = tuple(0 if idx in table else e for idx, e in enumerate(key))
+            term = self._like({kept: coeff})
+            for idx, image in table.items():
+                if key[idx]:
+                    term = term * image ** key[idx]
             result = result + term
         return result
 

@@ -15,6 +15,7 @@ Gaussian-rational data; the formulas are shared.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,18 +31,10 @@ Triple = Tuple[Scalar, Scalar, Scalar]
 ORBIT_TOL = 1e-9
 
 
-def _conj(value: Scalar) -> Scalar:
-    return value.conjugate()
-
-
 def _imag(value: Scalar):
     if isinstance(value, GaussianRational):
         return value.im
     return complex(value).imag
-
-
-def _is_exact(values: Sequence[Scalar]) -> bool:
-    return all(isinstance(v, GaussianRational) for v in values)
 
 
 def orbit_residual(point: Triple):
@@ -57,8 +50,8 @@ def tangency_residual(point: Triple, vec: Triple):
 
 
 def hermitian_pairing(u: Triple, v: Triple) -> Scalar:
-    """tr(M_u . M_v^dagger) written out on triples."""
-    return 2 * (u[0] * _conj(v[0])) + u[1] * _conj(v[1]) + u[2] * _conj(v[2])
+    """tr(M_u . M_v^dagger) written out on triples of one scalar type."""
+    return 2 * (u[0] * v[0].conjugate()) + u[1] * v[1].conjugate() + u[2] * v[2].conjugate()
 
 
 def omega_value(u: Triple, v: Triple):
@@ -101,35 +94,18 @@ def su2_basis() -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
     )
 
 
-def matrix_from_triple(t: Triple):
-    x, y, z = t
-    return ((x, y), (z, -x))
+def commutator_triple(point: Triple, matrix) -> Triple:
+    """[S, A] as a coordinate triple, where S is the matrix of ``point``.
 
-
-def _complex_matrix(a):
-    return tuple(tuple(complex(e) for e in row) for row in a)
-
-
-def commutator_triple(point: Triple, a) -> Triple:
-    """[S, A] as a coordinate triple, where S is the matrix of ``point``."""
-    if not _is_exact(point) and _is_exact(a[0] + a[1]):
-        a = _complex_matrix(a)
-    s = matrix_from_triple(point)
-    rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            sa = s[i][0] * a[0][j] + s[i][1] * a[1][j]
-            as_ = a[i][0] * s[0][j] + a[i][1] * s[1][j]
-            row.append(sa - as_)
-        rows.append(row)
-    return (rows[0][0], rows[0][1], rows[1][0])
-
-
-def _hermitian_coords(t: Triple) -> Tuple[float, float, float]:
-    # a Hermitian traceless matrix [[r, -p+iq], [-p-iq, -r]] -> (p, q, r)
-    u1, u2, _ = (complex(c) for c in t)
-    return (-u2.real, u2.imag, u1.real)
+    For S = [[x, y], [z, -x]] and a traceless A = [[a, b], [c, -a]] the
+    commutator is [[yc - bz, 2(xb - ay)], [2(az - cx), bz - yc]].  A float
+    point reads an exact A in floats.
+    """
+    x, y, z = point
+    (a, b), (c, _) = matrix
+    if not isinstance(x, GaussianRational):
+        a, b, c = complex(a), complex(b), complex(c)
+    return (y * c - b * z, 2 * (x * b - a * y), 2 * (a * z - c * x))
 
 
 def _cross(u: Sequence[float], v: Sequence[float]) -> Tuple[float, float, float]:
@@ -169,7 +145,7 @@ def check_sphere_lagrangian(
     """
     rng = random.Random(seed)
     # the samples are floats, so convert the exact basis once, not per sample
-    basis = [_complex_matrix(a) for a in su2_basis()]
+    basis = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis()]
     max_omega = 0.0
     max_taming = 0.0
     rank_failures = 0
@@ -182,14 +158,14 @@ def check_sphere_lagrangian(
         p, q, r = (c / norm for c in raw)
         point = sphere_point(p, q, r)
         tangents = [commutator_triple(point, a) for a in basis]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                max_omega = max(max_omega, abs(omega_value(tangents[i], tangents[j])))
-        for t in tangents:
-            if sum(abs(c) for c in t) > 1e-9:
-                taming = omega_value(t, tuple(1j * c for c in t))
+        for u, v in itertools.combinations(tangents, 2):
+            max_omega = max(max_omega, abs(hermitian_pairing(u, v).imag))
+        for u0, u1, u2 in tangents:
+            if abs(u0) + abs(u1) + abs(u2) > 1e-9:
+                taming = -hermitian_pairing((u0, u1, u2), (1j * u0, 1j * u1, 1j * u2)).imag
                 max_taming = max(max_taming, -min(0.0, taming))
-        if not _rank_is_two([_hermitian_coords(t) for t in tangents]):
+        # a Hermitian traceless [[r, -p+iq], [-p-iq, -r]] has coordinates (p, q, r)
+        if not _rank_is_two([(-u1.real, u1.imag, u0.real) for u0, u1, _ in tangents]):
             rank_failures += 1
     passed = max_omega < tol and rank_failures == 0 and max_taming == 0.0
     return SphereReport(n_samples, max_omega, max_taming, rank_failures, passed)
@@ -321,9 +297,9 @@ def check_thimble_lagrangian(
             d_lam, d_t = thimble_tangents(lam, t)
             for vec in (d_lam, d_t):
                 max_tangent = max(max_tangent, abs(tangency_residual(point, vec)))
-                iu = tuple(1j * c for c in vec)
-                min_taming = min(min_taming, omega_value(vec, iu))
-            max_omega = max(max_omega, abs(omega_value(d_lam, d_t)))
+                iu = (1j * vec[0], 1j * vec[1], 1j * vec[2])
+                min_taming = min(min_taming, -hermitian_pairing(vec, iu).imag)
+            max_omega = max(max_omega, abs(hermitian_pairing(d_lam, d_t).imag))
     passed = (
         max_fiber < fiber_tol
         and max_omega < tol

@@ -156,10 +156,17 @@ def test_readme_config_table_lists_every_key():
     assert keys == [f.name for f in fields(Config)]
 
 
-def test_cli_rejects_unknown_suite():
+def test_cli_rejects_unknown_suite(capsys):
+    assert cli.main(["algebra"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verify: usage error: ") and err.count("\n") == 1
+
+
+def test_cli_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["algebra"])
-    assert exc.value.code == 2
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: verify" in capsys.readouterr().out
 
 
 def test_cli_config_errors_exit_two(tmp_path, capsys):
@@ -189,6 +196,7 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv, golden", [
     (["all", "--seed", "0"], "verify_all.json"),
     (["mirror", "--t-range", "20"], "verify_mirror_t20.json"),
+    (["all", "--seed", "7919"], "verify_all_s7919.json"),
 ])
 def test_report_matches_golden_bytes(tmp_path, capsys, argv, golden):
     out = tmp_path / "report.json"

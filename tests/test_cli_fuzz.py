@@ -1,14 +1,20 @@
-"""Property tests over the configuration space of `verify`, run in-process.
+"""Property tests over the configuration space of `verify`.
 
-Only the cheap suites are drawn: lie, quiver, sheaves, category (k_max <= 8)
-and mirror (t_range <= 20).  No drawn value comes near a ``report.MAX_*``
-bound, so every example takes milliseconds; the bounds themselves are tested
-in ``test_cli.py``.
+The cheap suites run in-process: lie, quiver, sheaves, category (k_max <= 8)
+and mirror (t_range <= 20).  The sampling suites, symplectic and
+compactification, run in a child process that the test kills after
+``RUN_CAP_S`` seconds; their draws stay small (sphere_samples <= 2000, a
+thimble grid of at most 40 x 40), so a run takes well under a second.  No
+drawn value comes near a ``report.MAX_*`` bound; the bounds themselves are
+tested in ``test_cli.py``.
 """
 
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields
@@ -21,6 +27,8 @@ from lgorbit import cli
 from lgorbit.report import Config
 
 SUITES = ["category", "lie", "mirror", "quiver", "sheaves"]
+SAMPLING_SUITES = ["compactification", "symplectic"]
+RUN_CAP_S = 30.0
 
 VALID = {
     "seed": st.integers(-10**6, 10**9),
@@ -79,19 +87,35 @@ def _flag(key, value):
     return f"--{key.replace('_', '-')}={text}"
 
 
-def _invoke(suite, flags, file_data, work):
-    """Run `verify` in-process: (exit code, stdout, stderr, report path)."""
+def _argv(suite, flags, file_data, work):
+    """The `verify` arguments; a config file, if any, is written to ``work``."""
     argv = [suite, *flags, "--json", str(work / "report.json")]
     if file_data is not None:
         (work / "cfg.json").write_text(json.dumps(file_data), encoding="utf-8")
         argv += ["--config", str(work / "cfg.json")]
+    return argv
+
+
+def _invoke(suite, flags, file_data, work):
+    """Run `verify` in-process: (exit code, stdout, stderr, report path)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse leaves through SystemExit
-            code = exc.code
+        code = cli.main(_argv(suite, flags, file_data, work))
     return code, out.getvalue(), err.getvalue(), work / "report.json"
+
+
+def _assert_valid_run(suite, values, code, out, err, path):
+    """Exit 0 or 1 as the rows say, no stderr, and a report of this config."""
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert code in (0, 1) and err == ""
+    statuses = [row["status"] for row in report["results"]]
+    assert report["suite"] == suite and statuses
+    assert set(statuses) <= {"pass", "fail", "assumption"}
+    assert code == (1 if "fail" in statuses else 0)
+    expected = asdict(Config(**values))
+    expected["thimble_grid"] = list(expected["thimble_grid"])
+    assert report["config"] == expected
+    assert out.endswith(" recorded assumptions\n")
 
 
 @st.composite
@@ -116,17 +140,22 @@ def placed_config(draw, skip=()):
 def test_valid_config_runs_and_writes_a_report(suite, config):
     flags, file_data, values = config
     with tempfile.TemporaryDirectory() as tmp:
-        code, out, err, path = _invoke(suite, flags, file_data, Path(tmp))
-        report = json.loads(path.read_text(encoding="utf-8"))
-    assert code in (0, 1) and err == ""
-    statuses = [row["status"] for row in report["results"]]
-    assert report["suite"] == suite and statuses
-    assert set(statuses) <= {"pass", "fail", "assumption"}
-    assert code == (1 if "fail" in statuses else 0)
-    expected = asdict(Config(**values))
-    expected["thimble_grid"] = list(expected["thimble_grid"])
-    assert report["config"] == expected
-    assert out.endswith(" recorded assumptions\n")
+        _assert_valid_run(suite, values, *_invoke(suite, flags, file_data, Path(tmp)))
+
+
+@settings(max_examples=6, deadline=None)
+@given(suite=st.sampled_from(SAMPLING_SUITES), config=placed_config())
+def test_sampling_suite_runs_in_a_child_under_a_time_cap(suite, config):
+    flags, file_data, values = config
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argv = [sys.executable, "-m", "lgorbit", *_argv(suite, flags, file_data, work)]
+        # subprocess.run kills the child and raises TimeoutExpired past the cap
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=RUN_CAP_S)
+        _assert_valid_run(
+            suite, values, proc.returncode, proc.stdout, proc.stderr, work / "report.json"
+        )
 
 
 @st.composite
@@ -145,7 +174,8 @@ def invalid_value(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(suite=st.sampled_from(SUITES), bad=invalid_value(), data=st.data())
+# an invalid config exits before any suite runs, so the sampling suites are cheap here
+@given(suite=st.sampled_from(SUITES + SAMPLING_SUITES), bad=invalid_value(), data=st.data())
 def test_invalid_value_exits_two_with_one_line(suite, bad, data):
     key, value, by_flag = bad
     flags, file_data, _ = data.draw(placed_config(skip={key}))

@@ -95,6 +95,29 @@ def test_partial_matches_sympy(p):
     assert _to_sympy(p.partial("y")) == sympy.diff(_to_sympy(p), sympy.Symbol("y"))
 
 
+def _block_degrees(p):
+    """Per-block degrees read off the terms, independently of the library."""
+    degrees = []
+    for lo, hi in ((0, 2), (2, 4)):
+        sums = {sum(key[lo:hi]) for key in p.terms}
+        degrees.append(sums.pop() if len(sums) == 1 else None)
+    return tuple(degrees)
+
+
+@given(polys(), polys(), small_coeff, st.sampled_from(["x", "y", "z", "w"]))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_results_pass_the_public_constructor(p, q, c, name):
+    results = [
+        p + q, p - q, p * q, -p, p * c, c * p, p + c, p - c, c - p, p ** 2,
+        p.partial(name), p.substitute({name: q}),
+    ]
+    for r in results:
+        fresh = MultiHomPoly(r.blocks, r.terms)
+        assert r == fresh
+        assert not any(coeff.is_zero() for coeff in r.terms.values())
+        assert r.multidegree == fresh.multidegree == _block_degrees(r)
+
+
 def test_multidegree_homogeneous():
     p = v("x") * v("z") + v("y") * v("w")
     assert p.multidegree == (1, 1)

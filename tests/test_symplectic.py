@@ -2,9 +2,15 @@
 
 from fractions import Fraction
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import symplectic_oracle
 from lgorbit.errors import PreconditionError
+from lgorbit.gaussian import GaussianRational
 from lgorbit.symplectic import (
     DEFAULT_LAMBDAS,
     RATIONAL_SPHERE_POINTS,
@@ -107,3 +113,32 @@ def test_cylinder_chart_pointwise():
     y = 0.7 + 0.2j
     u, s = fiber_to_cylinder(y)
     assert cylinder_to_fiber(u, s) == pytest.approx(y)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+exact_points = st.tuples(gaussians, gaussians, gaussians) | st.sampled_from(
+    [sphere_point(*p) for p in RATIONAL_SPHERE_POINTS]
+)
+traceless = st.builds(lambda a, b, c: ((a, b), (c, -a)), gaussians, gaussians, gaussians)
+
+
+@given(point=exact_points, a=traceless | st.sampled_from(su2_basis()))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_commutator_matches_the_matrix_product_exactly(point, a):
+    assert commutator_triple(point, a) == symplectic_oracle.commutator_triple(point, a)
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@given(raw=st.tuples(unit, unit, unit).filter(lambda v: math.hypot(*v) > 1e-3),
+       a=st.sampled_from(su2_basis()))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_commutator_matches_the_matrix_product_on_float_sphere(raw, a):
+    norm = math.hypot(*raw)
+    point = sphere_point(*(c / norm for c in raw))
+    closed = commutator_triple(point, a)
+    oracle = symplectic_oracle.commutator_triple(point, a)
+    assert all(isinstance(c, complex) for c in closed)
+    assert max(abs(u - v) for u, v in zip(closed, oracle)) <= 1e-12
