@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import StructureError
-from .gaussian import ExactMatrix
+from .gaussian import cohomology
 
 Chain = Tuple[str, ...]
 
@@ -342,14 +342,8 @@ def morse_circle_floer() -> MorseCircleModel:
     module = GradedModule([("x0", 0), ("x1", 1)])
     signs = (1, -1)
     differential = ((signs[0] + signs[1],),)  # deg 0 -> deg 1, a 1x1 matrix
-    cohomology = _two_term_cohomology(module.ranks, differential)
-    return MorseCircleModel(module, signs, differential, cohomology)
-
-
-def _two_term_cohomology(ranks: Dict[int, int], differential) -> Dict[int, int]:
-    """Cohomology of a complex in degrees 0 and 1: each rank minus rank(d)."""
-    rank = ExactMatrix(differential).rank()
-    return {d: r - rank for d, r in ranks.items() if r > rank}
+    h = cohomology(module.ranks, {0: differential})
+    return MorseCircleModel(module, signs, differential, h)
 
 
 # ------------------------------------------------------------ table algebra

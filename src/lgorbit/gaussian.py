@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Dict, Iterable, Mapping, Sequence, Union
 
 from .errors import StructureError
 
@@ -389,3 +389,16 @@ class ExactMatrix:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
 
     __repr__ = __str__
+
+
+def cohomology(
+    dims: Mapping[int, int], differentials: Mapping[int, Sequence[Sequence[RatLike]]]
+) -> Dict[int, int]:
+    """Nonzero dim H^d = dim C^d - rank d^d - rank d^(d-1) of a cochain complex.
+
+    differentials[d] is the matrix of C^d -> C^(d+1), one row per basis
+    vector of C^(d+1); a missing or empty matrix counts as zero.
+    """
+    ranks = {d: ExactMatrix(m).rank() for d, m in differentials.items() if m and m[0]}
+    h = {d: n - ranks.get(d, 0) - ranks.get(d - 1, 0) for d, n in sorted(dims.items())}
+    return {d: v for d, v in h.items() if v}

@@ -10,14 +10,14 @@ guards against a vacuous search.
 
 Difference classes: the pattern of hom(x[sx], y[sy]) depends only on the
 kinds of x and y, on the twist difference y.t - x.t of two line bundles (or
-on whether two points agree), and on the shift difference sy - sx.  With
-twists in [-t, t] and shifts in [-s, s] those differences lie in [-2t, 2t]
-and [-2s, 2s], and each one comes from some pair in the window.  So the
-search tests one representative per class, O(t*s) patterns, and returns None
-at once when no class matches.  Otherwise it walks the sources in order and
-reads each source's first target off the matching classes, O(t*s*matches)
-at worst; the witness is the one a pair-by-pair scan finds.  The exclusion
-table checks each row once per class in the same way.
+on whether two points agree), and on the shift difference sy - sx
+(Hartshorne, Algebraic Geometry, III.5.1).  With twists in [-t, t] and
+shifts in [-s, s] those differences lie in [-2t, 2t] and [-2s, 2s], and each
+one comes from some pair in the window.  So the search tests one in-window
+pair per class, O(t*s) patterns, and returns the first class that matches,
+in ``_classes`` order: every pair of a matching class is as good a witness
+as any other, so no pair-by-pair scan order is kept.  The exclusion table
+checks each row once per class in the same way.
 
 Shift convention: the object X[s] contributes in degree d what X
 contributes in degree d + s, so hom(X[sx], Y[sy]) in degree d equals
@@ -81,34 +81,7 @@ class MirrorWitness:
     backward: Tuple[Tuple[int, int], ...]
 
 
-def _outward(limit: int) -> List[int]:
-    out = [0]
-    for k in range(1, limit + 1):
-        out.extend((k, -k))
-    return out
-
-
-def _position(k: int) -> int:
-    """Index of k in the order _outward produces: 0, 1, -1, 2, -2, ..."""
-    return 2 * k - 1 if k > 0 else -2 * k
-
-
 _POINTS = (Skyscraper("p"), Skyscraper("q"))
-
-
-def _candidates(t_range: int) -> List[SimpleP1Object]:
-    objects: List[SimpleP1Object] = [LineBundle(t) for t in _outward(t_range)]
-    objects.extend(_POINTS)
-    return objects
-
-
-def _rank(y: SimpleP1Object, sy: int, t_range: int) -> Tuple[int, int]:
-    """Position of the target (y, sy) in the search order."""
-    if isinstance(y, LineBundle):
-        index = _position(y.t)
-    else:
-        index = 2 * t_range + 1 + _POINTS.index(y)
-    return (index, _position(sy))
 
 
 def _differences(limit: int) -> range:
@@ -118,34 +91,19 @@ def _differences(limit: int) -> range:
 
 def _classes(
     t_range: int, shift_range: int
-) -> Iterable[Tuple[SimpleP1Object, SimpleP1Object, int]]:
-    """One representative (x0, y0, delta) per difference class of the window.
+) -> Iterable[Tuple[SimpleP1Object, int, SimpleP1Object, int]]:
+    """One in-window pair (x, sx, y, sy) per difference class.
 
-    The source is O(0) or the point p.  Line bundle targets run over every
-    twist difference, point targets over the same and the other point.
+    A twist or shift difference d splits as -(d // 2) -> d - d // 2, so both
+    ends stay within [-limit, limit].  The point classes pair O(0) with p,
+    p with O(0), p with itself and p with q.
     """
     origin, p, q = LineBundle(0), _POINTS[0], _POINTS[1]
-    pairs = [(origin, LineBundle(d)) for d in _differences(t_range)]
+    pairs = [(LineBundle(-(d // 2)), LineBundle(d - d // 2)) for d in _differences(t_range)]
     pairs += [(origin, p), (p, origin), (p, p), (p, q)]
-    for x0, y0 in pairs:
+    for x, y in pairs:
         for delta in _differences(shift_range):
-            yield x0, y0, delta
-
-
-def _earliest_target(
-    x: SimpleP1Object, x0: SimpleP1Object, y0: SimpleP1Object, t_range: int
-) -> Optional[SimpleP1Object]:
-    """First object y in candidate order with (x, y) in the class of (x0, y0).
-
-    x has the kind of x0.  None when the class leaves the twist window.
-    """
-    if isinstance(y0, Skyscraper):
-        if isinstance(x, LineBundle):
-            return _POINTS[0]  # both points give one pattern, and p comes first
-        return next(y for y in _POINTS if (y == x) == (y0 == x0))
-    # from a point every twist gives one pattern, and O(0) comes first
-    t = x.t + y0.t - x0.t if isinstance(x, LineBundle) else 0
-    return LineBundle(t) if abs(t) <= t_range else None
+            yield x, -(delta // 2), y, delta - delta // 2
 
 
 DEFAULT_TARGET: ExtPattern = {0: 1, 1: 1}
@@ -159,7 +117,7 @@ def search_mirror_pair(
     require_end_simple: bool = True,
     allow_self_pairs: bool = False,
 ) -> Optional[MirrorWitness]:
-    """First ordered pair matching the target, or None when none exists.
+    """An ordered pair matching the target, or None when none exists.
 
     A candidate is an object together with a shift; a self pair reuses the
     identical (object, shift) candidate on both sides.  The default flags
@@ -167,9 +125,8 @@ def search_mirror_pair(
     degrees 0 and 1, backward morphisms all zero, both endomorphism
     algebras one-dimensional.  The controls relax individual flags.
 
-    Candidates are ordered by object (twists outward from 0, then the points
-    p and q) and then by shift (outward from 0); the witness is the first
-    source in that order, paired with its first matching target.
+    The witness is the in-window pair of the first matching class in
+    ``_classes`` order; no scan order over the window is promised.
     """
     if t_range < 0 or shift_range < 0:
         raise PreconditionError("ranges must be nonnegative")
@@ -181,36 +138,22 @@ def search_mirror_pair(
         type(obj): shifted_pattern(obj, obj) == {0: 1}
         for obj in (LineBundle(0), _POINTS[0])
     }
-    matches: Dict[type, List] = {LineBundle: [], Skyscraper: []}
-    for x0, y0, delta in _classes(t_range, shift_range):
-        if require_end_simple and not (simple[type(x0)] and simple[type(y0)]):
+    for x, sx, y, sy in _classes(t_range, shift_range):
+        if require_end_simple and not (simple[type(x)] and simple[type(y)]):
             continue
-        if x0 == y0 and delta == 0 and not allow_self_pairs:
-            continue  # this class holds only self pairs
-        forward = shifted_pattern(x0, y0, 0, delta)
+        if (x, sx) == (y, sy) and not allow_self_pairs:
+            continue
+        forward = shifted_pattern(x, y, sx, sy)
         if forward != target:
             continue
-        backward = shifted_pattern(y0, x0, delta, 0)
+        backward = shifted_pattern(y, x, sy, sx)
         if require_backward_zero and backward:
             continue
-        matches[type(x0)].append((
-            x0, y0, delta,
+        return MirrorWitness(
+            x, sx, y, sy,
             tuple(sorted(forward.items())),
             tuple(sorted(backward.items())),
-        ))
-    if not any(matches.values()):
-        return None
-
-    for x in _candidates(t_range):
-        for sx in _outward(shift_range):
-            targets = []
-            for x0, y0, delta, forward, backward in matches[type(x)]:
-                y, sy = _earliest_target(x, x0, y0, t_range), sx + delta
-                if y is not None and abs(sy) <= shift_range:
-                    targets.append((_rank(y, sy, t_range), y, sy, forward, backward))
-            if targets:
-                _, y, sy, forward, backward = min(targets, key=lambda c: c[0])
-                return MirrorWitness(x, sx, y, sy, forward, backward)
+        )
     return None
 
 

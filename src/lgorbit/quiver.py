@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
-from .fukaya import GradedModule
-from .gaussian import ExactMatrix
+from .gaussian import ExactMatrix, cohomology
 from .toric import HirzebruchFan, PicClass, ext_dims
 
 ArrowWord = Tuple[str, ...]
@@ -228,35 +227,14 @@ def path_basis(q: QuiverPresentation, length_bound: int = 8) -> PathBasis:
 # ------------------------------------------------------------ Hom complexes
 
 
-@dataclass(frozen=True, eq=False)
-class HomComplex:
-    module: GradedModule
-    differentials: Dict[int, Tuple[Tuple[Fraction, ...], ...]]
-    cohomology: Dict[int, int]
-
-    @property
-    def ranks(self) -> Dict[int, int]:
-        return self.module.ranks
-
-
-def hom_complex(q: QuiverPresentation, source: str, target: str) -> HomComplex:
-    """Graded span of basis paths between two vertices with the induced d."""
-    basis = path_basis(q)
+def hom_cohomology(q: QuiverPresentation, source: str, target: str) -> Dict[int, int]:
+    """Cohomology of the graded span of basis paths between two vertices under d."""
     graded: Dict[int, List[Path]] = {}
-    for p, d in basis.by_endpoints(source, target):
+    for p, d in path_basis(q).by_endpoints(source, target):
         graded.setdefault(d, []).append(p)
-    module = GradedModule(
-        [
-            ("|".join(p.arrows) or f"id_{source}", d)
-            for d in sorted(graded)
-            for p in graded[d]
-        ]
-    )
-    differentials: Dict[int, Tuple[Tuple[Fraction, ...], ...]] = {}
-    ranks: Dict[int, int] = {}
-    for d in sorted(graded):
+    differentials: Dict[int, List[List[Fraction]]] = {}
+    for d, cols in graded.items():
         rows = graded.get(d + 1, [])
-        cols = graded[d]
         index = {p: k for k, p in enumerate(rows)}
         matrix = [[Fraction(0)] * len(cols) for _ in rows]
         for col, p in enumerate(cols):
@@ -266,17 +244,8 @@ def hom_complex(q: QuiverPresentation, source: str, target: str) -> HomComplex:
                 elif image.arrows or coeff:
                     if q.path_degree(image) != d + 1:
                         raise DiagnosticError("differential is not degree one")
-        if rows:
-            differentials[d] = tuple(tuple(row) for row in matrix)
-            ranks[d] = ExactMatrix(matrix).rank()
-        else:
-            ranks[d] = 0
-    cohomology: Dict[int, int] = {}
-    for d in sorted(graded):
-        h = len(graded[d]) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-        if h:
-            cohomology[d] = h
-    return HomComplex(module, differentials, cohomology)
+        differentials[d] = matrix
+    return cohomology({d: len(ps) for d, ps in graded.items()}, differentials)
 
 
 # ------------------------------------------------------- the two fixtures

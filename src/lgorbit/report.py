@@ -570,31 +570,31 @@ def suite_quiver(cfg: Config) -> SuiteOutput:
     ))
 
     dg_zero = quiver.dg_quiver("zero")
-    complex_zero = quiver.hom_complex(dg_zero, "v0", "v1")
+    cohomology_zero = quiver.hom_cohomology(dg_zero, "v0", "v1")
     floer_table = fukaya.lg2_category().hom_table()[(0, 1)]
     results.append(_row(
         "quiver.dg-zero-cohomology",
         "claim:dg-quiver-reproduces-floer-table",
-        complex_zero.cohomology == floer_table,
+        cohomology_zero == floer_table,
         "with the zero differential the degreewise Hom cohomology equals "
         "the directed category's forward table",
     ))
 
     dg_literal = quiver.dg_quiver("literal")
-    complex_literal = quiver.hom_complex(dg_literal, "v0", "v1")
+    cohomology_literal = quiver.hom_cohomology(dg_literal, "v0", "v1")
     results.append(_row(
         "quiver.dg-literal-acyclic",
         "claim:literal-differential-is-acyclic",
-        complex_literal.cohomology == {},
+        cohomology_literal == {},
         "reading the differential literally kills all cohomology, so that "
         "variant is flagged as acyclic rather than matching the table",
     ))
 
-    ordinary_backward = quiver.hom_complex(ordinary, "v1", "v0")
+    ordinary_backward = quiver.hom_cohomology(ordinary, "v1", "v0")
     results.append(_row(
         "quiver.undirected-backward-hom",
         "claim:backward-hom-survives-only-undirected",
-        ordinary_backward.cohomology == {0: 1},
+        ordinary_backward == {0: 1},
         "the ordinary algebra keeps a backward morphism, the directed "
         "category does not, and only the DG table matches the fibration",
     ))

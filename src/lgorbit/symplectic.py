@@ -29,6 +29,7 @@ Scalar = Union[complex, GaussianRational]
 Triple = Tuple[Scalar, Scalar, Scalar]
 
 ORBIT_TOL = 1e-9
+FIBER_TOL = 1e-12  # thimble fiber and sphere membership, closed forms in floats
 
 
 def _imag(value: Scalar):
@@ -130,6 +131,7 @@ class SphereReport:
     samples: int
     max_omega: float
     max_taming_violation: float
+    max_tangency_residual: float
     rank_failures: int
     passed: bool
 
@@ -139,15 +141,17 @@ def check_sphere_lagrangian(
 ) -> SphereReport:
     """Sample the sphere; the su(2) commutators must span an Omega-null plane.
 
-    At each sample S the three tangent vectors [S, A_k] stay Hermitian, so
-    the pairing is real and Omega vanishes; the report records the worst
-    float residual, the worst taming defect, and any rank-2 span failure.
+    At each sample S the three tangent vectors [S, A_k] must be tangent and
+    Hermitian, so the pairing is real and Omega vanishes; the report records
+    the worst float residual, taming defect and tangency or Hermitian
+    defect, and any rank-2 span failure.
     """
     rng = random.Random(seed)
     # the samples are floats, so convert the exact basis once, not per sample
     basis = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis()]
     max_omega = 0.0
     max_taming = 0.0
+    max_tangent = 0.0
     rank_failures = 0
     for _ in range(n_samples):
         while True:
@@ -160,15 +164,18 @@ def check_sphere_lagrangian(
         tangents = [commutator_triple(point, a) for a in basis]
         for u, v in itertools.combinations(tangents, 2):
             max_omega = max(max_omega, abs(hermitian_pairing(u, v).imag))
-        for u0, u1, u2 in tangents:
+        for u in tangents:
+            u0, u1, u2 = u
+            hermitian = max(abs(u0.imag), abs(u2 - u1.conjugate()))  # x real, z = conj(y)
+            max_tangent = max(max_tangent, abs(tangency_residual(point, u)), hermitian)
             if abs(u0) + abs(u1) + abs(u2) > 1e-9:
-                taming = -hermitian_pairing((u0, u1, u2), (1j * u0, 1j * u1, 1j * u2)).imag
+                taming = -hermitian_pairing(u, (1j * u0, 1j * u1, 1j * u2)).imag
                 max_taming = max(max_taming, -min(0.0, taming))
         # a Hermitian traceless [[r, -p+iq], [-p-iq, -r]] has coordinates (p, q, r)
         if not _rank_is_two([(-u1.real, u1.imag, u0.real) for u0, u1, _ in tangents]):
             rank_failures += 1
-    passed = max_omega < tol and rank_failures == 0 and max_taming == 0.0
-    return SphereReport(n_samples, max_omega, max_taming, rank_failures, passed)
+    passed = max(max_omega, max_tangent) < tol and rank_failures == 0 and max_taming == 0.0
+    return SphereReport(n_samples, max_omega, max_taming, max_tangent, rank_failures, passed)
 
 
 # Exact solutions of p^2 + q^2 + r^2 = 1 sampling all sign patterns and both
@@ -278,7 +285,6 @@ def check_thimble_lagrangian(
     lambdas: Sequence[float] = DEFAULT_LAMBDAS,
     n_t: int = 64,
     tol: float = 1e-9,
-    fiber_tol: float = 1e-12,
 ) -> ThimbleReport:
     """Grid check: thimble points sit in the right fiber, inside the sphere
     union, and the two chart derivatives are Omega-orthogonal."""
@@ -301,9 +307,9 @@ def check_thimble_lagrangian(
                 min_taming = min(min_taming, -hermitian_pairing(vec, iu).imag)
             max_omega = max(max_omega, abs(hermitian_pairing(d_lam, d_t).imag))
     passed = (
-        max_fiber < fiber_tol
+        max_fiber < FIBER_TOL
         and max_omega < tol
-        and max_sphere < fiber_tol
+        and max_sphere < FIBER_TOL
         and max_tangent < tol
         and min_taming > 0
     )

@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
-from .gaussian import ExactMatrix, GaussianRational
+from .gaussian import GaussianRational, cohomology
 from .poly import MultiHomPoly, certify_charts, parse_poly
 
 Vec = Tuple[int, int]
@@ -226,12 +226,6 @@ def _simplex_rays(vertices: Tuple[int, ...]) -> frozenset:
     return rays
 
 
-def _rank(rows: List[List[int]], width: int) -> int:
-    if not rows or width == 0:
-        return 0
-    return ExactMatrix(rows).rank()
-
-
 @lru_cache(maxsize=None)
 def _pattern_cohomology(bits: Tuple[bool, bool, bool, bool]) -> Tuple[int, int, int]:
     """(h0, h1, h2) of the Cech complex for one ray-admissibility pattern."""
@@ -243,7 +237,7 @@ def _pattern_cohomology(bits: Tuple[bool, bool, bool, bool]) -> Tuple[int, int, 
             if all(bits[r] for r in _simplex_rays(s))
         ]
         by_dim.append(simplices)
-    ranks: List[int] = []
+    differentials: Dict[int, List[List[int]]] = {}
     for p in range(3):
         cols = {s: k for k, s in enumerate(by_dim[p])}
         rows: List[List[int]] = []
@@ -254,14 +248,11 @@ def _pattern_cohomology(bits: Tuple[bool, bool, bool, bool]) -> Tuple[int, int, 
                 if face in cols:
                     row[cols[face]] = (-1) ** drop
             rows.append(row)
-        ranks.append(_rank(rows, len(cols)))
-    h0 = len(by_dim[0]) - ranks[0]
-    h1 = (len(by_dim[1]) - ranks[1]) - ranks[0]
-    h2 = (len(by_dim[2]) - ranks[2]) - ranks[1]
-    h3 = len(by_dim[3]) - ranks[2]
-    if h3 != 0:
+        differentials[p] = rows
+    h = cohomology({p: len(s) for p, s in enumerate(by_dim)}, differentials)
+    if h.get(3):
         raise DiagnosticError("top Cech cohomology of a surface cover must vanish")
-    return (h0, h1, h2)
+    return (h.get(0, 0), h.get(1, 0), h.get(2, 0))
 
 
 def _box_sum(fan: HirzebruchFan, d: ToricDivisor, half_width: int) -> Tuple[int, int, int]:

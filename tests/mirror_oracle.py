@@ -2,8 +2,11 @@
 
 These are the pair-by-pair versions that ``lgorbit.mirror`` replaced with a
 search over difference classes.  They visit every ordered pair of shifted
-candidates, O(t^2 s^2) of them, and share only ``shifted_pattern`` and the
-candidate order with the library; the tests require both to agree.
+candidates, O(t^2 s^2) of them, and share only ``shifted_pattern`` with the
+library.  The candidate order (twists outward from 0, then the points p and
+q; shifts outward from 0) lives here alone: the library returns a witness
+from its first matching class, so the tests require both to agree on
+whether a witness exists and check the library's witness on its own.
 """
 
 from typing import List, Optional
@@ -15,11 +18,24 @@ from lgorbit.mirror import (
     ExtPattern,
     LineBundle,
     MirrorWitness,
+    SimpleP1Object,
     Skyscraper,
-    _candidates,
-    _outward,
     shifted_pattern,
 )
+
+
+def _outward(limit: int) -> List[int]:
+    out = [0]
+    for k in range(1, limit + 1):
+        out.extend((k, -k))
+    return out
+
+
+def candidates(t_range: int) -> List[SimpleP1Object]:
+    """Every object of the twist window, in search order."""
+    objects: List[SimpleP1Object] = [LineBundle(t) for t in _outward(t_range)]
+    objects.extend((Skyscraper("p"), Skyscraper("q")))
+    return objects
 
 
 def search_mirror_pair(
@@ -43,7 +59,7 @@ def search_mirror_pair(
     target = DEFAULT_TARGET if target_forward is None else {
         d: v for d, v in target_forward.items() if v
     }
-    objects = _candidates(t_range)
+    objects = candidates(t_range)
     shifts = _outward(shift_range)
     for x in objects:
         for sx in shifts:

@@ -37,7 +37,7 @@ from lgorbit.mirror import (
 from lgorbit.quiver import (
     dg_quiver,
     end_algebra_dims_tilting,
-    hom_complex,
+    hom_cohomology,
     ordinary_quiver,
     path_basis,
 )
@@ -176,8 +176,8 @@ def test_criterion_5_quiver_presentation():
     )
     tilt = end_algebra_dims_tilting()
     fukaya_ranks = lg2_category().hom_table()[(0, 1)]
-    dg_zero = hom_complex(dg_quiver("zero"), "v0", "v1").cohomology
-    dg_literal = hom_complex(dg_quiver("literal"), "v0", "v1").cohomology
+    dg_zero = hom_cohomology(dg_quiver("zero"), "v0", "v1")
+    dg_literal = hom_cohomology(dg_quiver("literal"), "v0", "v1")
     ok = (
         basis.dimension == 5
         and relations_ok

@@ -328,6 +328,28 @@ def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
     assert "FAIL       compactification.symplectic-patching" in capsys.readouterr().out
 
 
+def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
+    # 2(cx - az) for 2(az - cx) keeps every pairing real and the rank rows
+    # unchanged; only the tangency and Hermitian conditions see it
+    from lgorbit import symplectic
+
+    exact = symplectic.commutator_triple
+
+    def flipped(point, matrix):
+        u0, u1, u2 = exact(point, matrix)
+        return u0, u1, -u2
+
+    monkeypatch.setattr(symplectic, "commutator_triple", flipped)
+    sphere = symplectic.check_sphere_lagrangian(100)
+    assert sphere.max_omega < 1e-9 and sphere.rank_failures == 0
+    assert sphere.max_tangency_residual > 1e-9 and not sphere.passed
+    result = run("symplectic", Config())
+    row = {r.id: r for r in result.results}["symplectic.sphere-lagrangian-sampled"]
+    assert row.status == "fail"
+    assert cli.main(["symplectic"]) == 1
+    assert "FAIL       symplectic.sphere-lagrangian-sampled" in capsys.readouterr().out
+
+
 # each size bound, spelled as a flag, with its largest admitted value; quiver
 # reads none of these sizes, so a run at the bound stays quick
 SIZE_BOUNDS = [

@@ -2,7 +2,6 @@
 
 import pytest
 
-from lgorbit import fukaya
 from lgorbit.errors import StructureError
 from lgorbit.fukaya import (
     DirectedAInfCategory,
@@ -19,6 +18,7 @@ from lgorbit.fukaya import (
     shift_table,
     tables_equal,
 )
+from lgorbit.gaussian import cohomology
 
 
 def test_graded_module_ranks():
@@ -127,7 +127,7 @@ def test_morse_circle_model():
 
 def test_morse_circle_rank_one_differential_kills_cohomology():
     # equal signs would give the differential 2, of rank one over the rationals
-    assert fukaya._two_term_cohomology({0: 1, 1: 1}, ((2,),)) == {}
+    assert cohomology({0: 1, 1: 1}, {0: ((2,),)}) == {}
 
 
 def test_tables_equal_shift_window():

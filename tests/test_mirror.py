@@ -1,6 +1,7 @@
 """Exhaustive mirror-pair search on the projective line and its controls."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from lgorbit import mirror
 from lgorbit.errors import PreconditionError
 from lgorbit.mirror import (
+    DEFAULT_TARGET,
     LineBundle,
     Skyscraper,
     dimension_bound_verdict,
@@ -137,9 +139,51 @@ def test_search_matches_brute_force_oracle(
         require_end_simple=end_simple,
         allow_self_pairs=self_pairs,
     )
-    assert search_mirror_pair(t_range, shift_range, **kwargs) == (
-        mirror_oracle.search_mirror_pair(t_range, shift_range, **kwargs)
-    )
+    w = search_mirror_pair(t_range, shift_range, **kwargs)
+    brute = mirror_oracle.search_mirror_pair(t_range, shift_range, **kwargs)
+    assert (w is None) == (brute is None)
+    if w is None:
+        return
+    objects = mirror_oracle.candidates(t_range)
+    assert w.source in objects and w.target in objects
+    assert abs(w.source_shift) <= shift_range and abs(w.target_shift) <= shift_range
+    assert self_pairs or (w.source, w.source_shift) != (w.target, w.target_shift)
+    forward = shifted_pattern(w.source, w.target, w.source_shift, w.target_shift)
+    backward = shifted_pattern(w.target, w.source, w.target_shift, w.source_shift)
+    wanted = DEFAULT_TARGET if target is None else {d: v for d, v in target.items() if v}
+    assert forward == wanted == dict(w.forward)
+    assert backward == dict(w.backward)
+    assert not (backward_zero and backward)
+    if end_simple:
+        for obj in (w.source, w.target):
+            assert shifted_pattern(obj, obj) == {0: 1}
+
+
+def _class_key(x, sx, y, sy):
+    """Kinds, twist difference or same/other point, and shift difference."""
+    if isinstance(x, LineBundle) and isinstance(y, LineBundle):
+        relation = y.t - x.t
+    elif isinstance(x, Skyscraper) and isinstance(y, Skyscraper):
+        relation = x == y
+    else:
+        relation = None
+    return type(x), type(y), relation, sy - sx
+
+
+def test_classes_give_one_window_pair_per_class():
+    for t_range in range(7):
+        for shift_range in range(5):
+            objects = mirror_oracle.candidates(t_range)
+            shifts = range(-shift_range, shift_range + 1)
+            pairs = list(mirror._classes(t_range, shift_range))
+            for x, sx, y, sy in pairs:
+                assert x in objects and y in objects
+                assert sx in shifts and sy in shifts
+            window = {
+                _class_key(x, sx, y, sy)
+                for x in objects for y in objects for sx in shifts for sy in shifts
+            }
+            assert Counter(_class_key(*pair) for pair in pairs) == Counter(window)
 
 
 def test_exclusion_table_matches_brute_force_oracle():

@@ -12,7 +12,7 @@ from lgorbit.quiver import (
     dg_quiver,
     end_algebra_dims_tilting,
     euler_form_matrix,
-    hom_complex,
+    hom_cohomology,
     les_chase,
     ordinary_quiver,
     path_basis,
@@ -89,18 +89,18 @@ def test_unbounded_basis_raises():
 
 def test_hom_complex_ordinary():
     q = ordinary_quiver()
-    assert hom_complex(q, "v1", "v0").cohomology == {0: 1}
-    assert hom_complex(q, "v1", "v1").cohomology == {0: 2}
+    assert hom_cohomology(q, "v1", "v0") == {0: 1}
+    assert hom_cohomology(q, "v1", "v1") == {0: 2}
 
 
 def test_hom_complex_dg_zero():
     q = dg_quiver("zero")
-    assert hom_complex(q, "v0", "v1").cohomology == {0: 1, 1: 1}
+    assert hom_cohomology(q, "v0", "v1") == {0: 1, 1: 1}
 
 
 def test_hom_complex_dg_literal():
     q = dg_quiver("literal")
-    assert hom_complex(q, "v0", "v1").cohomology == {}
+    assert hom_cohomology(q, "v0", "v1") == {}
 
 
 def test_dg_quiver_variant_names():

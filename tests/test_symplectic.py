@@ -37,6 +37,7 @@ def test_sphere_lagrangian_sampled():
     assert report.max_omega < 1e-9
     assert report.rank_failures == 0
     assert report.max_taming_violation == 0.0
+    assert report.max_tangency_residual < 1e-9
     assert report.passed
 
 
