@@ -1,23 +1,25 @@
-"""Exhaustive obstruction search over the simple objects of the projective line.
+"""Decided obstruction search over the simple objects of the projective line.
 
 The simple coherent sheaves on the line are the twists O(t) and the point
 sheaves; their Hom and first Ext dimensions follow closed forms, and every
-shift just translates the degree pattern.  The searches below cover every
-ordered pair with bounded twist and shift and test it against a target
+shift just translates the degree pattern.  The searches below decide, for
+every ordered pair with bounded twist and shift, whether it matches a target
 pattern together with directedness and simplicity of endomorphisms; the
 main run must come back empty, and the relaxed controls must not, which
 guards against a vacuous search.
 
 Difference classes: the pattern of hom(x[sx], y[sy]) depends only on the
-kinds of x and y, on the twist difference y.t - x.t of two line bundles (or
-on whether two points agree), and on the shift difference sy - sx
-(Hartshorne, Algebraic Geometry, III.5.1).  With twists in [-t, t] and
-shifts in [-s, s] those differences lie in [-2t, 2t] and [-2s, 2s], and each
-one comes from some pair in the window.  So the search tests one in-window
-pair per class, O(t*s) patterns, and returns the first class that matches,
-in ``_classes`` order: every pair of a matching class is as good a witness
-as any other, so no pair-by-pair scan order is kept.  The exclusion table
-checks each row once per class in the same way.
+kinds of x and y, on the twist difference d = y.t - x.t of two line bundles
+(or on whether two points agree), and on the shift difference
+delta = sy - sx (Hartshorne, Algebraic Geometry, III.5.1); the window's
+differences fill [-2t, 2t] and [-2s, 2s].  Two line bundles give
+{-delta: d + 1} for d >= 0, nothing for d = -1 and {1 - delta: -d - 1} for
+d <= -2; the point classes give unit entries at -delta and 1 - delta, or
+nothing.  So a target value v can only come from d in {v - 1, -v - 1}, a
+target key k only from delta in {-k, 1 - k}, and the empty target from
+d = -1 or two distinct points at any delta.  The search solves for those
+O(|target|) classes and tests one in-window pair of each, so its cost does
+not depend on the window.
 
 Shift convention: the object X[s] contributes in degree d what X
 contributes in degree d + s, so hom(X[sx], Y[sy]) in degree d equals
@@ -84,25 +86,26 @@ class MirrorWitness:
 _POINTS = (Skyscraper("p"), Skyscraper("q"))
 
 
-def _differences(limit: int) -> range:
-    """Every difference of two values in [-limit, limit]."""
-    return range(-2 * limit, 2 * limit + 1)
-
-
-def _classes(
-    t_range: int, shift_range: int
+def _solved_classes(
+    t_range: int, shift_range: int, target: ExtPattern
 ) -> Iterable[Tuple[SimpleP1Object, int, SimpleP1Object, int]]:
-    """One in-window pair (x, sx, y, sy) per difference class.
+    """One in-window pair (x, sx, y, sy) per class that can match the target.
 
-    A twist or shift difference d splits as -(d // 2) -> d - d // 2, so both
-    ends stay within [-limit, limit].  The point classes pair O(0) with p,
-    p with O(0), p with itself and p with q.
+    The classes come in order: twist differences ascending, then O(0) -> p,
+    p -> O(0), p -> p and p -> q, each with shift differences ascending; the
+    empty target takes the smallest one, as no shift fills it.  A difference
+    d splits as -(d // 2) -> d - d // 2, so both ends stay in the window.
     """
+    values = set(target.values())
+    twists = {v - 1 for v in values} | {-v - 1 for v in values} if target else {-1}
+    shifts = {-k for k in target} | {1 - k for k in target} if target else {-2 * shift_range}
     origin, p, q = LineBundle(0), _POINTS[0], _POINTS[1]
-    pairs = [(LineBundle(-(d // 2)), LineBundle(d - d // 2)) for d in _differences(t_range)]
+    pairs = [(LineBundle(-(d // 2)), LineBundle(d - d // 2))
+             for d in sorted(twists) if abs(d) <= 2 * t_range]
     pairs += [(origin, p), (p, origin), (p, p), (p, q)]
+    deltas = [delta for delta in sorted(shifts) if abs(delta) <= 2 * shift_range]
     for x, y in pairs:
-        for delta in _differences(shift_range):
+        for delta in deltas:
             yield x, -(delta // 2), y, delta - delta // 2
 
 
@@ -125,8 +128,8 @@ def search_mirror_pair(
     degrees 0 and 1, backward morphisms all zero, both endomorphism
     algebras one-dimensional.  The controls relax individual flags.
 
-    The witness is the in-window pair of the first matching class in
-    ``_classes`` order; no scan order over the window is promised.
+    Only the classes solved from the target are tested, as many for any
+    window; the witness is the in-window pair of the first that matches.
     """
     if t_range < 0 or shift_range < 0:
         raise PreconditionError("ranges must be nonnegative")
@@ -138,7 +141,7 @@ def search_mirror_pair(
         type(obj): shifted_pattern(obj, obj) == {0: 1}
         for obj in (LineBundle(0), _POINTS[0])
     }
-    for x, sx, y, sy in _classes(t_range, shift_range):
+    for x, sx, y, sy in _solved_classes(t_range, shift_range, target):
         if require_end_simple and not (simple[type(x)] and simple[type(y)]):
             continue
         if (x, sx) == (y, sy) and not allow_self_pairs:
@@ -167,17 +170,20 @@ class ExclusionRow:
 def exclusion_table(t_range: int = 10, shift_range: int = 3) -> List[ExclusionRow]:
     """Casewise reasons the target pattern never appears, each re-verified.
 
-    Each row is checked once per difference class of the doubled window.
-    Every pair in the window has its differences there, and every such
-    difference comes from some pair, so this is the statement for all pairs.
+    Each row is checked at every twist difference in [-2t, 2t], which are
+    those of the window's pairs, and at shift difference 0 only: a shift
+    just re-keys the degrees, and each row's predicate (at most one degree,
+    total dimension one, non-empty, empty) reads only their count and
+    values, so it holds at every shift once it holds at 0.
     """
-    deltas = _differences(shift_range)
+    if t_range < 0 or shift_range < 0:
+        raise PreconditionError("ranges must be nonnegative")
     origin, p, q = LineBundle(0), _POINTS[0], _POINTS[1]
     rows: List[ExclusionRow] = []
 
     lb_single = all(
-        len(shifted_pattern(origin, LineBundle(d), 0, delta)) <= 1
-        for d in _differences(t_range) for delta in deltas
+        len(shifted_pattern(origin, LineBundle(d))) <= 1
+        for d in range(-2 * t_range, 2 * t_range + 1)
     )
     rows.append(ExclusionRow(
         "line bundle to line bundle",
@@ -185,10 +191,9 @@ def exclusion_table(t_range: int = 10, shift_range: int = 3) -> List[ExclusionRo
         lb_single,
     ))
 
-    mixed_one = all(
-        sum(shifted_pattern(origin, p, 0, delta).values()) == 1
-        and sum(shifted_pattern(p, origin, 0, delta).values()) == 1
-        for delta in deltas
+    mixed_one = (
+        sum(shifted_pattern(origin, p).values()) == 1
+        and sum(shifted_pattern(p, origin).values()) == 1
     )
     rows.append(ExclusionRow(
         "line bundle and point sheaf, either order",
@@ -196,22 +201,17 @@ def exclusion_table(t_range: int = 10, shift_range: int = 3) -> List[ExclusionRo
         mixed_one,
     ))
 
-    same_point_bad = all(
-        bool(shifted_pattern(p, p, 0, delta))
-        and shifted_pattern(p, p) != {0: 1}
-        for delta in deltas
-    )
+    same_point = shifted_pattern(p, p)
     rows.append(ExclusionRow(
         "one point sheaf against itself",
         "backward morphisms never vanish and the endomorphisms are not simple",
-        same_point_bad,
+        bool(same_point) and same_point != {0: 1},
     ))
 
-    distinct_zero = all(not shifted_pattern(p, q, 0, delta) for delta in deltas)
     rows.append(ExclusionRow(
         "two distinct point sheaves",
         "all morphisms vanish",
-        distinct_zero,
+        not shifted_pattern(p, q),
     ))
     return rows
 
@@ -234,10 +234,10 @@ def euler_pairing_identity(span: int = 30) -> bool:
 
     Checked from ext_p1 for every pair of twists a, b in [-span, span].
     """
-    window = range(-span, span + 1)
-    for a in window:
-        for b in window:
-            hom, ext1 = ext_p1(LineBundle(a), LineBundle(b))
-            if hom - ext1 != b - a + 1:
+    bundles = [LineBundle(a) for a in range(-span, span + 1)]
+    for x in bundles:
+        for y in bundles:
+            hom, ext1 = ext_p1(x, y)
+            if hom - ext1 != y.t - x.t + 1:
                 return False
     return True

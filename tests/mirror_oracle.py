@@ -1,15 +1,19 @@
-"""Brute-force mirror search and exclusion table, kept as the test oracle.
+"""Two mirror-search oracles and the brute-force exclusion table.
 
-These are the pair-by-pair versions that ``lgorbit.mirror`` replaced with a
-search over difference classes.  They visit every ordered pair of shifted
-candidates, O(t^2 s^2) of them, and share only ``shifted_pattern`` with the
-library.  The candidate order (twists outward from 0, then the points p and
-q; shifts outward from 0) lives here alone: the library returns a witness
-from its first matching class, so the tests require both to agree on
-whether a witness exists and check the library's witness on its own.
+``lgorbit.mirror`` solves for the few difference classes that can match a
+target.  The oracles walk instead, and share only ``shifted_pattern`` with
+the library:
+
+- ``search_mirror_pair`` visits every ordered pair of shifted candidates,
+  O(t^2 s^2) of them, in candidate order (twists outward from 0, then the
+  points p and q; shifts outward from 0).  Its first pair can differ from
+  the library's witness, so the tests compare only whether one exists.
+- ``search_by_class`` walks every difference class, O(t s) of them, with
+  one in-window pair each.  The library tests a subset of these classes in
+  the same order, so the two must return the same witness.
 """
 
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from lgorbit.errors import PreconditionError
 from lgorbit.mirror import (
@@ -22,6 +26,8 @@ from lgorbit.mirror import (
     Skyscraper,
     shifted_pattern,
 )
+
+Pair = Tuple[SimpleP1Object, int, SimpleP1Object, int]
 
 
 def _outward(limit: int) -> List[int]:
@@ -38,51 +44,74 @@ def candidates(t_range: int) -> List[SimpleP1Object]:
     return objects
 
 
-def search_mirror_pair(
-    t_range: int = 10,
-    shift_range: int = 3,
+def classes(t_range: int, shift_range: int) -> Iterator[Pair]:
+    """One in-window pair (x, sx, y, sy) per difference class.
+
+    Twist differences in [-2t, 2t] ascending, then the point classes O(0)
+    with p, p with O(0), p with itself and p with q; shift differences in
+    [-2s, 2s] ascending within each.  A difference d splits as
+    -(d // 2) -> d - d // 2, so both ends stay within [-limit, limit].
+    """
+    origin, p, q = LineBundle(0), Skyscraper("p"), Skyscraper("q")
+    pairs = [(LineBundle(-(d // 2)), LineBundle(d - d // 2))
+             for d in range(-2 * t_range, 2 * t_range + 1)]
+    pairs += [(origin, p), (p, origin), (p, p), (p, q)]
+    for x, y in pairs:
+        for delta in range(-2 * shift_range, 2 * shift_range + 1):
+            yield x, -(delta // 2), y, delta - delta // 2
+
+
+def _first_witness(
+    pairs: Iterable[Pair],
     target_forward: Optional[ExtPattern] = None,
     require_backward_zero: bool = True,
     require_end_simple: bool = True,
     allow_self_pairs: bool = False,
 ) -> Optional[MirrorWitness]:
-    """First ordered pair matching the target, or None when none exists.
+    """The first pair that meets the criterion, or None.
 
-    A candidate is an object together with a shift; a self pair reuses the
-    identical (object, shift) candidate on both sides.  The default flags
-    encode the full criterion: forward pattern one dimension in each of
-    degrees 0 and 1, backward morphisms all zero, both endomorphism
-    algebras one-dimensional.  The controls relax individual flags.
+    A self pair reuses the identical (object, shift) on both sides.  The
+    default flags encode the full criterion: forward pattern one dimension
+    in each of degrees 0 and 1, backward morphisms all zero, both
+    endomorphism algebras one-dimensional.  The controls relax single flags.
     """
-    if t_range < 0 or shift_range < 0:
-        raise PreconditionError("ranges must be nonnegative")
     target = DEFAULT_TARGET if target_forward is None else {
         d: v for d, v in target_forward.items() if v
     }
+    for x, sx, y, sy in pairs:
+        if require_end_simple and not all(shifted_pattern(o, o) == {0: 1} for o in (x, y)):
+            continue
+        if (x, sx) == (y, sy) and not allow_self_pairs:
+            continue
+        forward = shifted_pattern(x, y, sx, sy)
+        if forward != target:
+            continue
+        backward = shifted_pattern(y, x, sy, sx)
+        if require_backward_zero and backward:
+            continue
+        return MirrorWitness(
+            x, sx, y, sy,
+            tuple(sorted(forward.items())),
+            tuple(sorted(backward.items())),
+        )
+    return None
+
+
+def search_mirror_pair(t_range: int = 10, shift_range: int = 3, **flags) -> Optional[MirrorWitness]:
+    """First pair-by-pair match in candidate order, O(t^2 s^2) pairs."""
+    if t_range < 0 or shift_range < 0:
+        raise PreconditionError("ranges must be nonnegative")
     objects = candidates(t_range)
     shifts = _outward(shift_range)
-    for x in objects:
-        for sx in shifts:
-            if require_end_simple and shifted_pattern(x, x) != {0: 1}:
-                continue
-            for y in objects:
-                for sy in shifts:
-                    if (x, sx) == (y, sy) and not allow_self_pairs:
-                        continue
-                    if require_end_simple and shifted_pattern(y, y) != {0: 1}:
-                        continue
-                    forward = shifted_pattern(x, y, sx, sy)
-                    if forward != target:
-                        continue
-                    backward = shifted_pattern(y, x, sy, sx)
-                    if require_backward_zero and backward:
-                        continue
-                    return MirrorWitness(
-                        x, sx, y, sy,
-                        tuple(sorted(forward.items())),
-                        tuple(sorted(backward.items())),
-                    )
-    return None
+    pairs = ((x, sx, y, sy) for x in objects for sx in shifts for y in objects for sy in shifts)
+    return _first_witness(pairs, **flags)
+
+
+def search_by_class(t_range: int = 10, shift_range: int = 3, **flags) -> Optional[MirrorWitness]:
+    """The difference-class walk: the first matching class in ``classes`` order."""
+    if t_range < 0 or shift_range < 0:
+        raise PreconditionError("ranges must be nonnegative")
+    return _first_witness(classes(t_range, shift_range), **flags)
 
 
 def exclusion_table(t_range: int = 10, shift_range: int = 3) -> List[ExclusionRow]:

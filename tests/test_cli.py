@@ -273,6 +273,19 @@ def test_huge_box_margin_finishes_quickly(tmp_path):
     assert results[0] == results[1]
 
 
+def test_mirror_runs_at_the_largest_window(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = tmp_path / "mirror.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgorbit", "mirror",
+         "--t-range", str(report.MAX_T_RANGE), "--shift-range", str(report.MAX_SHIFT_RANGE),
+         "--json", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_text())["results"]) == 9
+
+
 @pytest.mark.parametrize("config", [
     {"seed": True},
     {"t_range": False},

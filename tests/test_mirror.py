@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgorbit import mirror
+from lgorbit import mirror, report
 from lgorbit.errors import PreconditionError
 from lgorbit.mirror import (
     DEFAULT_TARGET,
@@ -86,6 +86,8 @@ def test_control_self_pair_realizes_pattern():
 def test_search_rejects_negative_ranges():
     with pytest.raises(PreconditionError):
         search_mirror_pair(t_range=-1)
+    with pytest.raises(PreconditionError):
+        exclusion_table(t_range=1, shift_range=-1)
 
 
 def test_exclusion_table_rows_all_verified():
@@ -123,9 +125,14 @@ FLAGS = list(itertools.product((False, True), repeat=3))
     shift_range=st.integers(0, 4),
     target=st.one_of(
         st.none(),
-        st.dictionaries(st.integers(-3, 3), st.integers(0, 2), max_size=3),
+        st.dictionaries(st.integers(-3, 3), st.integers(0, 3), max_size=3),
     ),
 )
+# at t = 0 the solved twist differences v - 1 and -v - 1 leave the window
+@example(t_range=0, shift_range=0, target={})
+@example(t_range=0, shift_range=2, target={0: 2})
+@example(t_range=0, shift_range=1, target={1: 3})
+@example(t_range=2, shift_range=1, target={-1: 3})
 @example(t_range=6, shift_range=4, target={})
 @example(t_range=6, shift_range=4, target={0: 2})
 @example(t_range=3, shift_range=1, target={0: 1, 1: 1})
@@ -141,6 +148,8 @@ def test_search_matches_brute_force_oracle(
     )
     w = search_mirror_pair(t_range, shift_range, **kwargs)
     brute = mirror_oracle.search_mirror_pair(t_range, shift_range, **kwargs)
+    # the solved classes are a subset of the class walk's, visited in its order
+    assert w == mirror_oracle.search_by_class(t_range, shift_range, **kwargs)
     assert (w is None) == (brute is None)
     if w is None:
         return
@@ -175,7 +184,7 @@ def test_classes_give_one_window_pair_per_class():
         for shift_range in range(5):
             objects = mirror_oracle.candidates(t_range)
             shifts = range(-shift_range, shift_range + 1)
-            pairs = list(mirror._classes(t_range, shift_range))
+            pairs = list(mirror_oracle.classes(t_range, shift_range))
             for x, sx, y, sy in pairs:
                 assert x in objects and y in objects
                 assert sx in shifts and sy in shifts
@@ -195,7 +204,7 @@ def test_exclusion_table_matches_brute_force_oracle():
 
 
 def test_report_calls_at_wide_window():
-    t, s = 1000, 5
+    t, s = report.MAX_T_RANGE, report.MAX_SHIFT_RANGE
     assert search_mirror_pair(t, s) is None
     control = search_mirror_pair(t, s, target_forward={0: 2})
     assert control is not None and control.forward == ((0, 2),)
@@ -218,3 +227,54 @@ def test_euler_pairing_fails_on_an_off_by_one_ext(monkeypatch):
 
     monkeypatch.setattr(mirror, "ext_p1", shifted_ext)
     assert not mirror.euler_pairing_identity()
+
+
+def test_euler_pairing_reaches_the_corner_pair(monkeypatch):
+    span = 30
+
+    def corner_off_by_one(x, y):
+        hom, ext1 = ext_p1(x, y)
+        return (hom + 1, ext1) if (x.t, y.t) == (-span, span) else (hom, ext1)
+
+    monkeypatch.setattr(mirror, "ext_p1", corner_off_by_one)
+    assert not mirror.euler_pairing_identity(span)
+    assert mirror.euler_pairing_identity(span - 1)
+
+
+@pytest.mark.parametrize("t_range", [0, 3, 10])
+def test_exclusion_sweep_reaches_the_window_edges(monkeypatch, t_range):
+    def two_degrees_at(planted):
+        def ext(x, y):
+            if isinstance(x, LineBundle) and isinstance(y, LineBundle) and y.t - x.t == planted:
+                return 1, 1
+            return ext_p1(x, y)
+        return ext
+
+    for edge, outside in ((-2 * t_range, -2 * t_range - 1), (2 * t_range, 2 * t_range + 1)):
+        monkeypatch.setattr(mirror, "ext_p1", two_degrees_at(edge))
+        assert not exclusion_table(t_range)[0].verified
+        monkeypatch.setattr(mirror, "ext_p1", two_degrees_at(outside))
+        assert exclusion_table(t_range)[0].verified
+
+
+def test_work_does_not_grow_with_the_window(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return shifted_pattern(*args)
+
+    monkeypatch.setattr(mirror, "shifted_pattern", counting)
+
+    def work(fn, *window):
+        calls.clear()
+        fn(*window)
+        return len(calls)
+
+    small = work(search_mirror_pair, 10, 3)
+    assert 0 < small == work(search_mirror_pair, report.MAX_T_RANGE, report.MAX_SHIFT_RANGE)
+    for t_range in (0, 10, report.MAX_T_RANGE):
+        per_shift = {
+            work(exclusion_table, t_range, s) for s in range(report.MAX_SHIFT_RANGE + 1)
+        }
+        assert len(per_shift) == 1
