@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
-from .poly import Blocks, MultiHomPoly, certify_charts, parse_poly
+from .poly import Blocks, MultiHomPoly, certify_charts
 from .symplectic import RATIONAL_SPHERE_POINTS, sphere_point
 
 _HALF = Fraction(1, 2)
@@ -164,7 +164,8 @@ def identity_element() -> Sl2GroupElement:
 
 def orbit_affine_equation() -> MultiHomPoly:
     """The affine surface equation x^2 + yz - 1 (in the 4-variable ring)."""
-    return parse_poly(ORBIT_BLOCKS, "(1)*x^2 + (1)*y*z + (-1)")
+    x, y, z = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz")
+    return x * x + y * z - 1
 
 
 def homogenize_orbit() -> MultiHomPoly:
@@ -174,7 +175,8 @@ def homogenize_orbit() -> MultiHomPoly:
 
 def segre_quadric() -> MultiHomPoly:
     """Determinant relation xt - yz cutting out the product of two lines."""
-    return parse_poly(ORBIT_BLOCKS, "(1)*x*t + (-1)*y*z")
+    x, y, z, t = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyzt")
+    return x * t - y * z
 
 
 def gram_rank(q: MultiHomPoly) -> int:
@@ -215,11 +217,11 @@ def quadric_change_check() -> bool:
     x^2 - yz after reflecting z.
     """
     h = homogenize_orbit()
-    if h != parse_poly(ORBIT_BLOCKS, "(1)*x^2 + (1)*y*z + (-1)*t^2"):
+    x, y, z, t = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyzt")
+    if h != x * x + y * z - t * t:
         return False
-    x, z, t = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xzt")
     sheared = h.substitute({"x": x - t, "t": x + t})
-    if sheared != parse_poly(ORBIT_BLOCKS, "(-4)*x*t + (1)*y*z"):
+    if sheared != y * z - x * t * 4:
         return False
     if gram_rank(sheared) != 4:
         return False
@@ -227,10 +229,10 @@ def quadric_change_check() -> bool:
     if rescaled.scalar_multiple_of(segre_quadric()) != GaussianRational(-1):
         return False
     infinity = h.substitute({"t": 0})
-    if infinity != parse_poly(ORBIT_BLOCKS, "(1)*x^2 + (1)*y*z"):
+    if infinity != x * x + y * z:
         return False
     reflected = infinity.substitute({"z": -z})
-    if reflected != parse_poly(ORBIT_BLOCKS, "(1)*x^2 + (-1)*y*z"):
+    if reflected != x * x - y * z:
         return False
     return gram_rank(infinity) == 3
 
@@ -299,10 +301,9 @@ def rational_extension(pt: MultiProjPoint) -> MultiProjPoint:
 
 def graph_surface() -> MultiHomPoly:
     """Closure of the graph of the extension: s(xw + yz) - r(xw - yz)."""
-    return parse_poly(
-        GRAPH_BLOCKS,
-        "(1)*x*w*s + (1)*y*z*s + (-1)*x*w*r + (1)*y*z*r",
-    )
+    plus, minus = height_forms(*generic_element(GRAPH_BLOCKS))
+    r, s = (MultiHomPoly.variable(GRAPH_BLOCKS, name) for name in "rs")
+    return s * plus - r * minus
 
 
 # Chart certificates for certify_charts, one per affine chart, expressing
@@ -429,7 +430,7 @@ def base_locus_certificate() -> bool:
     forms = height_forms(*generic_element())
     support = sorted({key for f in forms for key in f.terms})
     matrix = [[f.terms.get(key, ZERO) for key in support] for f in forms]
-    if len(support) != len(forms) or ExactMatrix(matrix).det().is_zero():
+    if len(support) != len(forms) or determinant(matrix).is_zero():
         return False
     found = []
     for choice in itertools.product(*([i for i, e in enumerate(k) if e] for k in support)):
@@ -637,11 +638,10 @@ def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjP
     else:
         minus = (big_y, -(big_x + ONE))
     pair = MultiProjPoint((plus, minus))
-    matrix = ExactMatrix([[big_x, big_y], [big_z, -big_x]])
-    plus_col = ExactMatrix([[plus[0]], [plus[1]]])
-    minus_col = ExactMatrix([[minus[0]], [minus[1]]])
-    if matrix * plus_col != plus_col or matrix * minus_col != minus_col.scale(-1):
-        raise StructureError("eigenline certificates failed")
+    matrix = ((big_x, big_y), (big_z, -big_x))
+    for line, eigenvalue in ((plus, ONE), (minus, -ONE)):
+        if product(matrix, tuple((e,) for e in line)) != tuple((eigenvalue * e,) for e in line):
+            raise StructureError("eigenline certificates failed")
     return pair
 
 

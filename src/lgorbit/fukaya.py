@@ -80,13 +80,11 @@ class DirectedAInfCategory:
         objects: Sequence[str],
         homs: Mapping[Tuple[int, int], GradedModule],
         products: Iterable[ProductEntry],
-        ring: str = "Z",
     ):
         self.objects = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
             raise StructureError("object names must be distinct")
         self.homs: Dict[Tuple[int, int], GradedModule] = {}
-        self.ring = ring
         n = len(self.objects)
         self._info: Dict[str, Tuple[int, int, int]] = {}
         self._identities: Dict[int, str] = {}
@@ -390,60 +388,3 @@ def tables_equal(
         if _normalized(shift_table(table_a, assignment)) == target:
             return True
     return False
-
-
-# ------------------------------------------------------------ serialization
-
-
-def category_to_text(cat: DirectedAInfCategory) -> str:
-    """Canonical line-based rendering used by fixtures and reports."""
-    lines = ["objects: " + " ".join(cat.objects)]
-    for (i, j) in sorted(cat.homs):
-        module = cat.homs[(i, j)]
-        gens = " ".join(f"{name}:{degree}" for name, degree in module.basis)
-        lines.append(f"hom {cat.objects[i]} {cat.objects[j]}: {gens}")
-    for entry in cat.products:
-        chain = " ".join(entry.inputs)
-        lines.append(
-            f"product m{entry.arity} [{chain}] -> {entry.output} : {entry.coeff}"
-        )
-    lines.append(f"ring: {cat.ring}")
-    return "\n".join(lines) + "\n"
-
-
-def category_from_text(text: str) -> DirectedAInfCategory:
-    objects: Tuple[str, ...] = ()
-    homs: Dict[Tuple[int, int], GradedModule] = {}
-    products: List[ProductEntry] = []
-    ring = "Z"
-    for raw in text.strip().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("objects:"):
-            objects = tuple(line.split(":", 1)[1].split())
-        elif line.startswith("hom "):
-            head, gens = line.split(":", 1)
-            _, src, dst = head.split()
-            index = {name: k for k, name in enumerate(objects)}
-            basis = []
-            for item in gens.split():
-                name, degree = item.rsplit(":", 1)
-                basis.append((name, int(degree)))
-            homs[(index[src], index[dst])] = GradedModule(basis)
-        elif line.startswith("product "):
-            body = line[len("product ") :]
-            arity_text, rest = body.split(" [", 1)
-            chain_text, rest = rest.split("] -> ", 1)
-            output, coeff_text = rest.split(" : ", 1)
-            entry = ProductEntry(
-                tuple(chain_text.split()), output.strip(), int(coeff_text)
-            )
-            if int(arity_text[1:]) != entry.arity:
-                raise StructureError(f"arity mismatch in line {line!r}")
-            products.append(entry)
-        elif line.startswith("ring:"):
-            ring = line.split(":", 1)[1].strip()
-        else:
-            raise StructureError(f"unrecognized line {line!r}")
-    return DirectedAInfCategory(objects, homs, products, ring)

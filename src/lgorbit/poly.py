@@ -318,64 +318,8 @@ class MultiHomPoly:
                 return None
         return ratio
 
-    # ----------------------------------------------------------------- text
-
-    def to_text(self) -> str:
-        """Deterministic rendering: terms in descending exponent order."""
-        if not self.terms:
-            return "(0)"
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
-            factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self._vars, key)
-                if e > 0
-            ]
-            if factors:
-                parts.append(f"({coeff})*" + "*".join(factors))
-            else:
-                parts.append(f"({coeff})")
-        return " + ".join(parts)
-
-    __str__ = to_text
-
     def __repr__(self) -> str:
-        return f"MultiHomPoly({self.to_text()})"
-
-
-def parse_poly(blocks: Iterable[Iterable[str]], text: str) -> MultiHomPoly:
-    """Parse the rendering produced by ``to_text``."""
-    blocks = _normalize_blocks(blocks)
-    flat = [v for block in blocks for v in block]
-    index = {v: i for i, v in enumerate(flat)}
-    text = text.strip()
-    if text == "(0)":
-        return MultiHomPoly.zero(blocks)
-    terms: Dict[Exponents, GaussianRational] = {}
-    for raw_term in text.split(" + "):
-        raw_term = raw_term.strip()
-        if not raw_term.startswith("("):
-            raise StructureError(f"malformed term {raw_term!r}")
-        close = raw_term.index(")")
-        coeff = GaussianRational.parse(raw_term[1:close])
-        rest = raw_term[close + 1 :]
-        exponents = [0] * len(flat)
-        if rest:
-            if not rest.startswith("*"):
-                raise StructureError(f"malformed term {raw_term!r}")
-            for factor in rest[1:].split("*"):
-                if "^" in factor:
-                    name, power_text = factor.split("^", 1)
-                    power = int(power_text)
-                else:
-                    name, power = factor, 1
-                if name not in index:
-                    raise StructureError(f"unknown variable {name!r}")
-                exponents[index[name]] += power
-        key = tuple(exponents)
-        terms[key] = terms.get(key, ZERO) + coeff
-    return MultiHomPoly(blocks, terms)
+        return f"MultiHomPoly({self.blocks!r}, {self.terms!r})"
 
 
 def certify_charts(

@@ -38,11 +38,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
 from .gaussian import GaussianRational, cohomology
-from .poly import MultiHomPoly, certify_charts, parse_poly
+from .poly import MultiHomPoly, certify_charts
 
 Vec = Tuple[int, int]
 
@@ -321,15 +321,40 @@ def ext_dims(
     return cohomology_dims(fan, pic_to_divisor(fan, c2 - c1), box_margin)
 
 
+def ext_hom_table(
+    fan: HirzebruchFan, bundles: Sequence[PicClass], box_margin: int = 1
+) -> Dict[Tuple[int, int], Dict[int, int]]:
+    """Nonzero Ext dimensions by degree between every ordered pair of bundles.
+
+    The shape of ``fukaya.DirectedAInfCategory.hom_table`` with object i
+    sent to the line bundle of ``bundles[i]``.
+    """
+    return {
+        (i, j): {
+            k: dim
+            for k, dim in enumerate(ext_dims(fan, source, target, box_margin).triple)
+            if dim
+        }
+        for i, source in enumerate(bundles)
+        for j, target in enumerate(bundles)
+    }
+
+
 # --------------------------------------------- the (1,2) hypersurface check
 
 
 F2_BLOCKS = (("x0", "x1", "x2"), ("y0", "y1"))
 
 
+def f2_variables() -> Tuple[MultiHomPoly, ...]:
+    """x0, x1, y0 and y1 as polynomials on the plane-times-line blocks."""
+    return tuple(MultiHomPoly.variable(F2_BLOCKS, name) for name in ("x0", "x1", "y0", "y1"))
+
+
 def f2_equation() -> MultiHomPoly:
     """x0*y0^2 - x1*y1^2, bidegree (1,2) on the product of a plane and a line."""
-    return parse_poly(F2_BLOCKS, "(1)*x0*y0^2 + (-1)*x1*y1^2")
+    x0, x1, y0, y1 = f2_variables()
+    return x0 * y0 * y0 - x1 * y1 * y1
 
 
 def _linear_block_coefficients(f: MultiHomPoly) -> Optional[Dict[str, MultiHomPoly]]:

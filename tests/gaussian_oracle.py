@@ -8,7 +8,6 @@ require both kernels to agree value for value.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -144,33 +143,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    # the real part must stop at the end or at the imaginary part's sign,
-    # otherwise "-2/9i" would split as re="-2/9", im="i"
-    _PATTERN = _re.compile(
-        r"^(?P<re>[+-]?\d+(?:/\d+)?(?=$|[+-]))?"
-        r"(?P<im>[+-]?(?:\d+(?:/\d+)?)?i)?$"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussianRational":
-        """Parse the rendering produced by ``str``: ``3``, ``-1/2``, ``i``, ``2-3/4i``."""
-        text = text.strip().replace(" ", "")
-        m = cls._PATTERN.match(text)
-        if not m or (m.group("re") is None and m.group("im") is None):
-            raise StructureError(f"cannot parse GaussianRational from {text!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        im_text = m.group("im")
-        if im_text is None:
-            return cls(re_part)
-        im_text = im_text[:-1]
-        if im_text in ("", "+"):
-            im_part = Fraction(1)
-        elif im_text == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(im_text)
-        return cls(re_part, im_part)
 
 
 ZERO = GaussianRational(0)

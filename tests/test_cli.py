@@ -247,8 +247,10 @@ LIBRARY = {f"lgorbit.{p.stem}" for p in Path(cli.__file__).parent.glob("*.py")} 
     (["import", "lgorbit.cli"], CLI_MODULES),
     (["mirror"], CLI_MODULES | {"lgorbit.mirror"}),
     (["sheaves"], CLI_MODULES | {"lgorbit.toric", "lgorbit.poly", "lgorbit.gaussian"}),
+    (["category"], CLI_MODULES | {"lgorbit.fukaya", "lgorbit.toric", "lgorbit.poly",
+                                  "lgorbit.gaussian"}),
     (["all"], {"lgorbit"} | LIBRARY),
-], ids=["import-lgorbit", "import-cli", "mirror", "sheaves", "all"])
+], ids=["import-lgorbit", "import-cli", "mirror", "sheaves", "category", "all"])
 def test_a_run_loads_only_the_modules_its_suite_calls(argv, expected):
     # a fresh interpreter, so no module is loaded by another test first
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -359,8 +361,41 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
     result = run("symplectic", Config())
     row = {r.id: r for r in result.results}["symplectic.sphere-lagrangian-sampled"]
     assert row.status == "fail"
+    assert row.residual > 0
     assert cli.main(["symplectic"]) == 1
     assert "FAIL       symplectic.sphere-lagrangian-sampled" in capsys.readouterr().out
+
+
+def _f2_row(monkeypatch, ext_dims):
+    from lgorbit import toric
+
+    monkeypatch.setattr(toric, "ext_dims", ext_dims)
+    row = {r.id: r for r in run("category", Config()).results}["category.f2-ext-equivalence"]
+    return row.status
+
+
+def test_wrong_ext_triple_fails_the_f2_row(monkeypatch, capsys):
+    from lgorbit import toric
+
+    exact = toric.ext_dims
+
+    def degree_one_lost(fan, c1, c2, box_margin=1):
+        dims = exact(fan, c1, c2, box_margin)
+        return toric.CohDims(dims.h0, 0, dims.h2) if fan.a == 2 else dims
+
+    assert _f2_row(monkeypatch, degree_one_lost) == "fail"
+    assert cli.main(["category"]) == 1
+    assert "FAIL       category.f2-ext-equivalence" in capsys.readouterr().out
+
+
+def test_f2_row_fails_when_a_control_matches(monkeypatch):
+    # reading every surface as the degree-2 one makes the F0 and F1 controls
+    # match as well, so the row must not pass
+    from lgorbit import toric
+
+    exact = toric.ext_dims
+    f2 = toric.HirzebruchFan(2)
+    assert _f2_row(monkeypatch, lambda fan, c1, c2, m=1: exact(f2, c1, c2, m)) == "fail"
 
 
 # each size bound, spelled as a flag, with its largest admitted value; quiver

@@ -12,9 +12,15 @@ from lgorbit.errors import (
     StructureError,
 )
 from lgorbit.gaussian import ExactMatrix, GaussianRational
-from lgorbit.poly import certify_charts, parse_poly
+from lgorbit.poly import MultiHomPoly, certify_charts
 from lgorbit.report import Config, run
 from lgorbit.symplectic import sphere_point
+
+
+def _xwr():
+    x, w, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xwr")
+    return x * w * r
+
 
 I = GaussianRational(0, 1)
 
@@ -124,7 +130,7 @@ def test_graph_smoothness_certificates():
 
 def test_graph_smoothness_controls():
     surface = cg.graph_surface()
-    perturbed = surface + parse_poly(cg.GRAPH_BLOCKS, "(1)*x*w*r")
+    perturbed = surface + _xwr()
     assert not certify_charts(perturbed, cg._GRAPH_CERTIFICATES)
     # the chart x = z = r = 1 has no partial in x, and q is no variable
     assert not certify_charts(surface, {("x", "z", "r"): lambda g, d, v: d["x"]})
@@ -228,7 +234,7 @@ def _unbalanced_forms(x, y, z, w, original=cg.height_forms):
 
 
 def _graph_plus_term(original=cg.graph_surface):
-    return original() + parse_poly(cg.GRAPH_BLOCKS, "(1)*x*w*r")
+    return original() + _xwr()
 
 
 def _three_base_points(original=cg.base_locus):

@@ -7,8 +7,6 @@ from lgorbit.fukaya import (
     DirectedAInfCategory,
     GradedModule,
     ProductEntry,
-    category_from_text,
-    category_to_text,
     check_a_infinity,
     check_strict_unitality,
     degree_forced_vanishing,
@@ -19,6 +17,7 @@ from lgorbit.fukaya import (
     tables_equal,
 )
 from lgorbit.gaussian import cohomology
+from lgorbit.toric import HirzebruchFan, PicClass, ext_dims, ext_hom_table
 
 
 def test_graded_module_ranks():
@@ -150,10 +149,27 @@ def test_p1_table_matches_itself_trivially():
     assert tables_equal(p1, p1, shift_window=3)
 
 
-def test_serialization_roundtrip():
-    cat = lg2_category()
-    text = category_to_text(cat)
-    back = category_from_text(text)
-    assert category_to_text(back) == text
-    assert back.hom_table() == cat.hom_table()
-    assert check_a_infinity(back)
+O_MINUS_E, O = PicClass(-1, 0), PicClass(0, 0)
+
+
+@pytest.mark.parametrize("a, source, target, forward", [
+    (2, O_MINUS_E, O, (1, 1, 0)),
+    (0, O_MINUS_E, O, (2, 0, 0)),
+    (1, O_MINUS_E, O, (1, 0, 0)),
+    (2, O, O_MINUS_E, (0, 0, 0)),
+], ids=["F2", "F0", "F1", "F2-swapped"])
+def test_thimble_category_matches_the_f2_ext_table_only(a, source, target, forward):
+    # L0 -> O(-E), L1 -> O on the degree-2 surface is the equivalence; the
+    # same pair on F0 and F1, and the swapped pair on F2, are the controls
+    fan = HirzebruchFan(a)
+    assert ext_dims(fan, source, target).triple == forward
+    table = ext_hom_table(fan, (source, target))
+    assert table[(0, 1)] == {k: d for k, d in enumerate(forward) if d}
+    assert (lg2_category().hom_table() == table) == (a == 2 and source == O_MINUS_E)
+
+
+def test_ext_hom_table_reads_degrees_and_drops_zeros():
+    # H^*(O(-2E)) = (0, 3, 0) and H^*(O(2E)) = (1, 4, 0) on the degree-2 surface
+    assert ext_hom_table(HirzebruchFan(2), (O, PicClass(-2, 0)), box_margin=5) == {
+        (0, 0): {0: 1}, (0, 1): {1: 3}, (1, 0): {0: 1, 1: 4}, (1, 1): {0: 1},
+    }

@@ -52,24 +52,6 @@ def test_pow_requires_nonnegative_integer_exponent():
         I ** -1
 
 
-def test_parse_str_roundtrip():
-    values = [
-        GaussianRational(0),
-        GaussianRational(5),
-        GaussianRational(-3, 2),
-        GaussianRational(Fraction(1, 2), Fraction(-7, 3)),
-        GaussianRational(0, 1),
-        GaussianRational(0, Fraction(-2, 9)),
-    ]
-    for v in values:
-        assert GaussianRational.parse(str(v)) == v
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        GaussianRational.parse("one plus i")
-
-
 def test_complex_conversion():
     assert complex(GaussianRational(Fraction(1, 2), 3)) == 0.5 + 3j
 

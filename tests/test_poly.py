@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lgorbit.errors import StructureError
 from lgorbit.gaussian import GaussianRational
-from lgorbit.poly import MultiHomPoly, parse_poly
+from lgorbit.poly import MultiHomPoly
 
 BLOCKS = (("x", "y"), ("z", "w"))
 
@@ -175,15 +175,5 @@ def test_scalar_ops_accept_fraction():
     p = v("x") + v("y")
     assert p * Fraction(1, 2) + p * Fraction(1, 2) == p
     assert p + Fraction(0) == p
-
-
-def test_parse_roundtrip():
-    p = v("x") * v("x") * 2 - v("y") * v("w") + const(Fraction(1, 3))
-    assert parse_poly(BLOCKS, str(p)) == p
-
-
-def test_parse_rejects_unknown_variable():
-    with pytest.raises(StructureError):
-        parse_poly(BLOCKS, "(1)*q^2")
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lgorbit.errors import DiagnosticError, PreconditionError, StructureError
 from lgorbit.toric import (
-    F2_BLOCKS,
     HirzebruchFan,
     PicClass,
     ToricDivisor,
@@ -19,6 +18,7 @@ from lgorbit.toric import (
     euler_rr,
     f2_chart_count,
     f2_equation,
+    f2_variables,
     intersection,
     is_irreducible_bilinear,
     pic_to_divisor,
@@ -27,7 +27,6 @@ from lgorbit.toric import (
     _box_sum,
     _pattern_cohomology,
 )
-from lgorbit.poly import parse_poly
 
 import toric_oracle
 
@@ -208,15 +207,17 @@ def test_hypersurface_certificates():
 
 
 def test_hypersurface_controls():
-    monomial = parse_poly(F2_BLOCKS, "(1)*x0*y0^2")
+    x0, x1, y0, y1 = f2_variables()
+    monomial = x0 * y0 * y0
     assert not verify_f2_hypersurface(monomial)
-    wrong_bidegree = parse_poly(F2_BLOCKS, "(1)*x0*y0 + (-1)*x1*y1")
+    wrong_bidegree = x0 * y0 - x1 * y1
     assert not verify_f2_hypersurface(wrong_bidegree)
-    shared_root = parse_poly(F2_BLOCKS, "(1)*x0*y0^2 + (1)*x1*y0*y1")
+    shared_root = x0 * y0 * y0 + x1 * y0 * y1
     assert not verify_f2_hypersurface(shared_root)
 
 
 def test_irreducibility_needs_linear_first_block():
-    quadratic = parse_poly(F2_BLOCKS, "(1)*x0^2*y0^2")
+    x0, _, y0, _ = f2_variables()
+    quadratic = x0 * x0 * y0 * y0
     with pytest.raises(PreconditionError):
         is_irreducible_bilinear(quadratic)
