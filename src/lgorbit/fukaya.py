@@ -49,9 +49,6 @@ class GradedModule:
             out[degree] = out.get(degree, 0) + 1
         return out
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(n for n, _ in self.basis)
-
 
 @dataclass(frozen=True)
 class ProductEntry:

@@ -167,17 +167,18 @@ class ExclusionRow:
     verified: bool
 
 
-def exclusion_table(t_range: int = 10, shift_range: int = 3) -> List[ExclusionRow]:
+def exclusion_table(t_range: int = 10) -> List[ExclusionRow]:
     """Casewise reasons the target pattern never appears, each re-verified.
 
     Each row is checked at every twist difference in [-2t, 2t], which are
-    those of the window's pairs, and at shift difference 0 only: a shift
-    just re-keys the degrees, and each row's predicate (at most one degree,
-    total dimension one, non-empty, empty) reads only their count and
-    values, so it holds at every shift once it holds at 0.
+    those of the window's pairs, and at shift difference 0 only, so the
+    table takes no shift range: a shift just re-keys the degrees, and each
+    row's predicate (at most one degree, total dimension one, non-empty,
+    empty) reads only their count and values, so it holds at every shift
+    once it holds at 0.
     """
-    if t_range < 0 or shift_range < 0:
-        raise PreconditionError("ranges must be nonnegative")
+    if t_range < 0:
+        raise PreconditionError("t_range must be nonnegative")
     origin, p, q = LineBundle(0), _POINTS[0], _POINTS[1]
     rows: List[ExclusionRow] = []
 

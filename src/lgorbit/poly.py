@@ -74,10 +74,6 @@ class MultiHomPoly:
     # ---------------------------------------------------------------- basics
 
     @classmethod
-    def zero(cls, blocks: Iterable[Iterable[str]]) -> "MultiHomPoly":
-        return cls(blocks)
-
-    @classmethod
     def constant(cls, blocks: Iterable[Iterable[str]], value: RatLike) -> "MultiHomPoly":
         blocks = _normalize_blocks(blocks)
         nvars = sum(len(b) for b in blocks)

@@ -15,7 +15,6 @@ identical JSON, which the determinism suite relies on.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -29,7 +28,6 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class Config:
     seed: int = 0
-    float_tolerance: float = 1e-9
     sphere_samples: int = 1000
     thimble_grid: Tuple[int, int] = (9, 64)
     box_margin: int = 1
@@ -42,8 +40,8 @@ class Config:
 MAX_SPHERE_SAMPLES, MAX_THIMBLE_CELLS = 100_000, 250_000
 MAX_T_RANGE, MAX_SHIFT_RANGE, MAX_K_MAX = 1000, 10, 40
 
-# JSON writes a tuple as a list, and a whole-number float may arrive as an int
-_JSON_TYPES = {int: int, float: (int, float), tuple: (list, tuple)}
+# JSON writes a tuple as a list
+_JSON_TYPES = {int: int, tuple: (list, tuple)}
 _CONFIG_TYPES = {f.name: _JSON_TYPES[type(f.default)] for f in fields(Config)}
 
 
@@ -77,8 +75,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[Mapping] = None)
             raise PreconditionError("thimble_grid must be two positive integers")
         data["thimble_grid"] = grid
     cfg = Config(**data)
-    if not 0 < cfg.float_tolerance < math.inf:
-        raise PreconditionError("float_tolerance must be positive and finite")
     if cfg.sphere_samples < 1 or cfg.k_max < 2:
         raise PreconditionError("sphere_samples needs >= 1 and k_max needs >= 2")
     # shift_range >= 1 leaves room for the planted shift of the category suite
@@ -200,9 +196,7 @@ def suite_symplectic(cfg: Config) -> SuiteOutput:
     from . import symplectic
     results: List[CheckResult] = []
 
-    sphere = symplectic.check_sphere_lagrangian(
-        cfg.sphere_samples, cfg.seed, cfg.float_tolerance
-    )
+    sphere = symplectic.check_sphere_lagrangian(cfg.sphere_samples, cfg.seed)
     results.append(_row(
         "symplectic.sphere-lagrangian-sampled",
         "claim:sphere-is-lagrangian",
@@ -231,9 +225,7 @@ def suite_symplectic(cfg: Config) -> SuiteOutput:
     ))
 
     n_lam, n_t = cfg.thimble_grid
-    thimble = symplectic.check_thimble_lagrangian(
-        symplectic.lambda_grid(n_lam), n_t, cfg.float_tolerance
-    )
+    thimble = symplectic.check_thimble_lagrangian(symplectic.lambda_grid(n_lam), n_t)
     results.append(_row(
         "symplectic.thimble-grid",
         "claim:thimble-is-lagrangian-disk",
@@ -256,7 +248,7 @@ def suite_symplectic(cfg: Config) -> SuiteOutput:
     results.append(_row(
         "symplectic.matching-circle-gluing",
         "claim:two-thimbles-glue-to-sphere",
-        gluing < cfg.float_tolerance,
+        gluing < symplectic.FLOAT_TOL,
         f"the two thimble halves agree on the equator circle to {gluing:.3e}",
         residual=gluing,
     ))
@@ -265,7 +257,7 @@ def suite_symplectic(cfg: Config) -> SuiteOutput:
     results.append(_row(
         "symplectic.cylinder-chart",
         "claim:fiber-is-a-cylinder",
-        cylinder < cfg.float_tolerance,
+        cylinder < symplectic.FLOAT_TOL,
         f"fiber-to-cylinder chart round trip residual {cylinder:.3e}",
         residual=cylinder,
     ))
@@ -688,7 +680,7 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
         "still no witness appears",
     ))
 
-    rows = mirror.exclusion_table(cfg.t_range, cfg.shift_range)
+    rows = mirror.exclusion_table(cfg.t_range)
     results.append(_row(
         "mirror.exclusion-table",
         "claim:casewise-exclusion-reasons",

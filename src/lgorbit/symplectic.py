@@ -9,7 +9,11 @@ Points are triples (x, y, z), identified with traceless matrices
 the imaginary part of the Hermitian extension of the trace pairing.  The
 sign makes Omega(u, iu) = tr(M_u M_u^dagger) > 0, so the complex structure
 is tamed.  All checks run in floats on sampled data and exactly on
-Gaussian-rational data; the formulas are shared.
+Gaussian-rational data; the formulas are shared.  Every float bound is a
+pinned constant, not an option: FLOAT_TOL = 1e-9 bounds the residuals of
+sampled geometry (the pairing, tangency, gluing and cylinder-chart rows of
+the report) and the unit-norm, rank and nonzero tests, and FIBER_TOL =
+1e-12 bounds the closed-form thimble fiber and sphere-membership residuals.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .gaussian import GaussianRational
 Scalar = Union[complex, GaussianRational]
 Triple = Tuple[Scalar, Scalar, Scalar]
 
-ORBIT_TOL = 1e-9
+FLOAT_TOL = 1e-9
 FIBER_TOL = 1e-12  # thimble fiber and sphere membership, closed forms in floats
 
 
@@ -78,7 +82,7 @@ def sphere_point(p, q, r) -> Triple:
             GaussianRational(-p, q),
             GaussianRational(-p, -q),
         )
-    if abs(p * p + q * q + r * r - 1) > ORBIT_TOL:
+    if abs(p * p + q * q + r * r - 1) > FLOAT_TOL:
         raise PreconditionError("point is not on the unit sphere")
     return (complex(r), complex(-p, q), complex(-p, -q))
 
@@ -116,13 +120,13 @@ def _cross(u: Sequence[float], v: Sequence[float]) -> Tuple[float, float, float]
 def _rank_is_two(rows: Sequence[Sequence[float]]) -> bool:
     """Whether three real 3-vectors span exactly a plane.
 
-    Rank at most two is a determinant within 1e-9 of zero; rank at least
-    two is a pair of rows whose cross product is longer than 1e-9.
+    Rank at most two is a determinant within FLOAT_TOL of zero; rank at
+    least two is a pair of rows whose cross product is longer than FLOAT_TOL.
     """
     a, b, c = rows
     det = sum(x * y for x, y in zip(a, _cross(b, c)))
-    return abs(det) <= 1e-9 and any(
-        math.hypot(*_cross(u, v)) > 1e-9 for u, v in ((a, b), (a, c), (b, c))
+    return abs(det) <= FLOAT_TOL and any(
+        math.hypot(*_cross(u, v)) > FLOAT_TOL for u, v in ((a, b), (a, c), (b, c))
     )
 
 
@@ -136,9 +140,7 @@ class SphereReport:
     passed: bool
 
 
-def check_sphere_lagrangian(
-    n_samples: int = 1000, seed: int = 0, tol: float = 1e-9
-) -> SphereReport:
+def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereReport:
     """Sample the sphere; the su(2) commutators must span an Omega-null plane.
 
     At each sample S the three tangent vectors [S, A_k] must be tangent and
@@ -168,13 +170,15 @@ def check_sphere_lagrangian(
             u0, u1, u2 = u
             hermitian = max(abs(u0.imag), abs(u2 - u1.conjugate()))  # x real, z = conj(y)
             max_tangent = max(max_tangent, abs(tangency_residual(point, u)), hermitian)
-            if abs(u0) + abs(u1) + abs(u2) > 1e-9:
+            if abs(u0) + abs(u1) + abs(u2) > FLOAT_TOL:
                 taming = -hermitian_pairing(u, (1j * u0, 1j * u1, 1j * u2)).imag
                 max_taming = max(max_taming, -min(0.0, taming))
         # a Hermitian traceless [[r, -p+iq], [-p-iq, -r]] has coordinates (p, q, r)
         if not _rank_is_two([(-u1.real, u1.imag, u0.real) for u0, u1, _ in tangents]):
             rank_failures += 1
-    passed = max(max_omega, max_tangent) < tol and rank_failures == 0 and max_taming == 0.0
+    passed = (
+        max(max_omega, max_tangent) < FLOAT_TOL and rank_failures == 0 and max_taming == 0.0
+    )
     return SphereReport(n_samples, max_omega, max_taming, max_tangent, rank_failures, passed)
 
 
@@ -257,17 +261,13 @@ def sphere_membership_residual(point: Triple) -> float:
     )
 
 
-DEFAULT_LAMBDAS = (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 0.99)
-
-
 def lambda_grid(n: int) -> Tuple[float, ...]:
-    """The thimble grid's n lambdas: DEFAULT_LAMBDAS when n is their count,
-    0 alone when n is 1, and otherwise n evenly spaced values in [-0.99, 0.99]."""
-    if n == len(DEFAULT_LAMBDAS):
-        return DEFAULT_LAMBDAS
+    """The thimble grid's n lambdas: 0 alone when n is 1, and otherwise n
+    evenly spaced values in [-1, 1] with the two ends pulled in to -0.99 and
+    0.99, where the chart derivatives still exist."""
     if n == 1:
         return (0.0,)
-    return tuple(-0.99 + 1.98 * k / (n - 1) for k in range(n))
+    return tuple(max(-0.99, min(0.99, -1 + 2 * k / (n - 1))) for k in range(n))
 
 
 @dataclass
@@ -282,9 +282,7 @@ class ThimbleReport:
 
 
 def check_thimble_lagrangian(
-    lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-    n_t: int = 64,
-    tol: float = 1e-9,
+    lambdas: Sequence[float] = lambda_grid(9), n_t: int = 64
 ) -> ThimbleReport:
     """Grid check: thimble points sit in the right fiber, inside the sphere
     union, and the two chart derivatives are Omega-orthogonal."""
@@ -308,9 +306,9 @@ def check_thimble_lagrangian(
             max_omega = max(max_omega, abs(hermitian_pairing(d_lam, d_t).imag))
     passed = (
         max_fiber < FIBER_TOL
-        and max_omega < tol
+        and max_omega < FLOAT_TOL
         and max_sphere < FIBER_TOL
-        and max_tangent < tol
+        and max_tangent < FLOAT_TOL
         and min_taming > 0
     )
     return ThimbleReport(
@@ -349,7 +347,7 @@ def fiber_to_cylinder(y: complex) -> Tuple[complex, float]:
 
 def cylinder_to_fiber(u: complex, s: float) -> complex:
     u = complex(u)
-    if abs(abs(u) - 1) > 1e-9:
+    if abs(abs(u) - 1) > FLOAT_TOL:
         raise PreconditionError("first cylinder coordinate must be unimodular")
     return u * math.exp(s)
 

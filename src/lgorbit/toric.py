@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
-from .gaussian import GaussianRational, cohomology
+from .gaussian import cohomology
 from .poly import MultiHomPoly, certify_charts
 
 Vec = Tuple[int, int]
@@ -357,82 +357,6 @@ def f2_equation() -> MultiHomPoly:
     return x0 * y0 * y0 - x1 * y1 * y1
 
 
-def _linear_block_coefficients(f: MultiHomPoly) -> Optional[Dict[str, MultiHomPoly]]:
-    """Write f = sum_i x_i * c_i(y) when f is linear in the first block."""
-    x_vars = f.blocks[0]
-    n_x = len(x_vars)
-    out: Dict[str, MultiHomPoly] = {}
-    for exps, coeff in f.terms.items():
-        head = exps[:n_x]
-        if sum(head) != 1:
-            return None
-        i = head.index(1)
-        tail = (0,) * n_x + exps[n_x:]
-        prev = out.get(x_vars[i], MultiHomPoly.zero(f.blocks))
-        out[x_vars[i]] = prev + MultiHomPoly(f.blocks, {tail: coeff})
-    return out
-
-
-def _univariate(form: MultiHomPoly, keep: str) -> List[GaussianRational]:
-    """Coefficient list of the binary form after the other variable is set to 1."""
-    k = form.blocks[1].index(keep)
-    n_x = len(form.blocks[0])
-    degree = max((exps[n_x + k] for exps in form.terms), default=0)
-    coeffs = [GaussianRational(0)] * (degree + 1)
-    for exps, c in form.terms.items():
-        coeffs[exps[n_x + k]] = coeffs[exps[n_x + k]] + c
-    return coeffs
-
-
-def _poly_mod(num: List[GaussianRational], den: List[GaussianRational]):
-    while num and num[-1] == GaussianRational(0):
-        num.pop()
-    while len(num) >= len(den):
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        for i, d in enumerate(den):
-            num[shift + i] = num[shift + i] - factor * d
-        while num and num[-1] == GaussianRational(0):
-            num.pop()
-    return num
-
-
-def _univariate_gcd_is_constant(polys: List[List[GaussianRational]]) -> bool:
-    zero = GaussianRational(0)
-    current: List[GaussianRational] = []
-    for p in polys:
-        p = [c for c in p]
-        while p and p[-1] == zero:
-            p.pop()
-        if not p:
-            continue
-        a, b = current, p
-        while b:
-            a, b = b, _poly_mod(a, b)
-        current = a
-        if len(current) == 1:
-            return True
-    return len(current) == 1
-
-
-def is_irreducible_bilinear(f: MultiHomPoly) -> bool:
-    """Irreducibility for polynomials linear in the first variable block.
-
-    f = sum x_i c_i(y) is irreducible exactly when the binary forms c_i
-    share no projective root, detected by two dehomogenized gcd runs.
-    """
-    coeffs = _linear_block_coefficients(f)
-    if coeffs is None:
-        raise PreconditionError("irreducibility test needs a first-block-linear poly")
-    if not coeffs:
-        return False
-    y0, y1 = f.blocks[1]
-    forms = list(coeffs.values())
-    at_y1 = [_univariate(c, y0) for c in forms]
-    at_y0 = [_univariate(c, y1) for c in forms]
-    return _univariate_gcd_is_constant(at_y1) and _univariate_gcd_is_constant(at_y0)
-
-
 # Chart certificates for certify_charts: on each affine chart (x_i = 1,
 # y_j = 1) a combination of the dehomogenized equation g and its partials
 # d that collapses to 1, proving the singular system has no solutions there.
@@ -457,20 +381,22 @@ def f2_chart_count() -> int:
 
 
 def verify_f2_hypersurface(f: Optional[MultiHomPoly] = None) -> bool:
-    """Certify the (1,2) hypersurface: bidegree, irreducibility, smoothness.
+    """Certify the (1,2) hypersurface: bidegree and smoothness, hence irreducible.
 
     Smoothness is chartwise: the Euler relations reduce singularity on the
     chart (x_i = 1, y_j = 1) to the vanishing of g and its three affine
     partials, and the stored certificate exhibits 1 in that ideal.  The
     certificates are tailored to the default equation; a perturbed input
-    fails the earlier exact stages or the certificate identity itself.
+    fails the bidegree stage or the certificate identity itself.
+
+    Irreducibility follows.  Any factorisation of a bidegree-(1,2) form is
+    l*h with h a form in y0, y1 alone of positive degree.  At a root c of h
+    the linear form l(., c) vanishes somewhere on the plane, and there f and
+    all its partials vanish.  So an f that the certificates prove smooth is
+    irreducible.
     """
     if f is None:
         f = f2_equation()
     if f.blocks != F2_BLOCKS:
         raise PreconditionError("expected the plane-times-line variable blocks")
-    if f.multidegree != (1, 2):
-        return False
-    if not is_irreducible_bilinear(f):
-        return False
-    return certify_charts(f, _F2_CERTIFICATES)
+    return f.multidegree == (1, 2) and certify_charts(f, _F2_CERTIFICATES)

@@ -103,18 +103,20 @@ def test_criterion_1_critical_structure():
 
 
 def test_criterion_2_lagrangian_bounds():
-    sphere = check_sphere_lagrangian(n_samples=SPHERE_SAMPLES, seed=0, tol=SPHERE_TOL)
+    sphere = check_sphere_lagrangian(n_samples=SPHERE_SAMPLES, seed=0)
     exact = exact_sphere_omega_residuals()
     thimble = check_thimble_lagrangian(n_t=THIMBLE_GRID[1])
     ok = (
         sphere.samples >= SPHERE_SAMPLES
         and sphere.max_omega < SPHERE_TOL
+        and sphere.max_tangency_residual < SPHERE_TOL
         and sphere.max_taming_violation == 0.0
         and sphere.rank_failures == 0
         and all(r == 0 for r in exact)
         and thimble.grid == THIMBLE_GRID
         and thimble.max_fiber_residual < FIBER_TOL
         and thimble.max_omega < OMEGA_TOL
+        and thimble.max_tangency_residual < OMEGA_TOL
         and thimble.min_taming > 0
     )
     assert _verdict(2, "sphere and thimbles are taming-compatible Lagrangians", ok)

@@ -9,6 +9,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgorbit import cli, report
 from lgorbit.errors import PreconditionError
@@ -128,7 +130,6 @@ def test_cli_flag_overrides_reach_report(tmp_path, capsys):
 # one non-default command-line value per config key, and its JSON form
 FLAG_VALUES = {
     "seed": ("3", 3),
-    "float_tolerance": ("1e-6", 1e-6),
     "sphere_samples": ("10", 10),
     "thimble_grid": ("3x8", [3, 8]),
     "box_margin": ("2", 2),
@@ -154,6 +155,10 @@ def test_readme_config_table_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     keys = re.findall(r"^\| `(\w+)` ", readme, re.MULTILINE)
     assert keys == [f.name for f in fields(Config)]
+    # the CLI section's sentence that spells out the flags lists exactly these
+    sentence = re.search(r"spelled with\s+hyphens: (.*?)\. ", readme, re.DOTALL).group(1)
+    flags = re.findall(r"`(--[\w-]+)`", sentence)
+    assert flags == ["--" + f.name.replace("_", "-") for f in fields(Config)]
 
 
 def test_cli_rejects_unknown_suite(capsys):
@@ -291,7 +296,7 @@ def test_mirror_runs_at_the_largest_window(tmp_path):
 @pytest.mark.parametrize("config", [
     {"seed": True},
     {"t_range": False},
-    {"float_tolerance": True},
+    {"sphere_samples": True},
     {"thimble_grid": [True, 3]},
 ])
 def test_cli_rejects_bools_for_numbers(tmp_path, capsys, config):
@@ -304,21 +309,28 @@ def test_cli_rejects_bools_for_numbers(tmp_path, capsys, config):
     assert "config error" in captured.err
 
 
+# The float bound is pinned in the code (symplectic.FLOAT_TOL); an old config
+# or command line that still sets float_tolerance is rejected, whatever the value.
 @pytest.mark.parametrize("text", ['{"float_tolerance": -1}', '{"float_tolerance": 0}',
-                                  '{"float_tolerance": NaN}', '{"float_tolerance": Infinity}'])
+                                  '{"float_tolerance": NaN}', '{"float_tolerance": Infinity}',
+                                  '{"float_tolerance": 1e-09}'])
 def test_cli_rejects_bad_float_tolerance_in_file(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert cli.main(["symplectic", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "verify: config error: float_tolerance must be positive and finite\n"
+    assert captured.err == "verify: config error: unknown config keys: ['float_tolerance']\n"
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e3"])
 def test_cli_rejects_bad_float_tolerance_flag(capsys, value):
     assert cli.main(["symplectic", f"--float-tolerance={value}"]) == 2
-    assert "float_tolerance" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"verify: usage error: unrecognized arguments: --float-tolerance={value}\n"
+    )
 
 
 def test_cli_rejects_zero_shift_range(capsys):
@@ -343,7 +355,7 @@ def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
     assert "FAIL       compactification.symplectic-patching" in capsys.readouterr().out
 
 
-def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
+def _flip_commutator(monkeypatch):
     # 2(cx - az) for 2(az - cx) keeps every pairing real and the rank rows
     # unchanged; only the tangency and Hermitian conditions see it
     from lgorbit import symplectic
@@ -355,6 +367,12 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
         return u0, u1, -u2
 
     monkeypatch.setattr(symplectic, "commutator_triple", flipped)
+
+
+def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
+    from lgorbit import symplectic
+
+    _flip_commutator(monkeypatch)
     sphere = symplectic.check_sphere_lagrangian(100)
     assert sphere.max_omega < 1e-9 and sphere.rank_failures == 0
     assert sphere.max_tangency_residual > 1e-9 and not sphere.passed
@@ -364,6 +382,24 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
     assert row.residual > 0
     assert cli.main(["symplectic"]) == 1
     assert "FAIL       symplectic.sphere-lagrangian-sampled" in capsys.readouterr().out
+
+
+@given(
+    seed=st.integers(-10**6, 10**9),
+    samples=st.integers(1, 300),
+    grid=st.tuples(st.integers(1, 12), st.integers(1, 16)),
+)
+@settings(max_examples=25, deadline=None)
+def test_flipped_commutator_fails_the_sampled_sphere_row_at_every_config(seed, samples, grid):
+    # no config key loosens the pinned float bound
+    from lgorbit import symplectic
+
+    cfg = load_config(overrides={"seed": seed, "sphere_samples": samples, "thimble_grid": grid})
+    with pytest.MonkeyPatch.context() as mp:
+        _flip_commutator(mp)
+        rows = {r.id: r for r in run("symplectic", cfg).results}
+    row = rows["symplectic.sphere-lagrangian-sampled"]
+    assert row.status == "fail" and row.residual >= symplectic.FLOAT_TOL
 
 
 def _f2_row(monkeypatch, ext_dims):

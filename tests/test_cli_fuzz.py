@@ -11,7 +11,6 @@ tested in ``test_cli.py``.
 
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -32,7 +31,6 @@ RUN_CAP_S = 30.0
 
 VALID = {
     "seed": st.integers(-10**6, 10**9),
-    "float_tolerance": st.floats(1e-12, 1e3) | st.integers(1, 100),
     "sphere_samples": st.integers(1, 2000),
     "thimble_grid": st.tuples(st.integers(1, 40), st.integers(1, 40)),
     "box_margin": st.integers(0, 30),
@@ -43,8 +41,6 @@ VALID = {
 
 # values of the right type outside each key's domain (seed has no such value)
 OUT_OF_DOMAIN = {
-    "float_tolerance": st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
-    | st.floats(max_value=-1e-300, allow_infinity=False),
     "sphere_samples": st.integers(-10**6, 0),
     "thimble_grid": st.tuples(st.integers(-5, 0), st.integers(1, 5))
     | st.tuples(st.integers(1, 5), st.integers(-5, 0)),
@@ -58,7 +54,7 @@ OUT_OF_DOMAIN = {
 WRONG_JSON = {
     key: st.sampled_from([True, False, None, "7", [], {}] + extra)
     for key, extra in (
-        ("seed", [1.5]), ("float_tolerance", [[1.0]]), ("sphere_samples", [2.5]),
+        ("seed", [1.5]), ("sphere_samples", [2.5]),
         ("thimble_grid", [9, "9x64", [9], [9, 64, 1], [9.5, 64], [True, 3], ["9", 64]]),
         ("box_margin", [0.5]), ("t_range", [3.0]), ("shift_range", [[2]]), ("k_max", [4.5]),
     )
@@ -68,7 +64,7 @@ WRONG_JSON = {
 WRONG_FLAG = {
     key: st.sampled_from(["abc", "", "true", "[1]"] + extra)
     for key, extra in (
-        ("seed", ["1.5", "0x10"]), ("float_tolerance", ["1,5", "1e"]),
+        ("seed", ["1.5", "0x10"]),
         ("sphere_samples", ["2.5"]), ("thimble_grid", ["9", "9x", "x64", "9x64x1", "9.5x64"]),
         ("box_margin", ["0.5"]), ("t_range", ["3.0"]), ("shift_range", ["1e1"]),
         ("k_max", ["4.5"]),

@@ -23,7 +23,6 @@ from lgorbit.toric import HirzebruchFan, PicClass, ext_dims, ext_hom_table
 def test_graded_module_ranks():
     m = GradedModule([("a", 0), ("b", 1), ("c", 1)])
     assert m.ranks == {0: 1, 1: 2}
-    assert m.names() == ("a", "b", "c")
 
 
 def test_graded_module_rejects_duplicate_names():

@@ -48,13 +48,14 @@ def test_library_has_no_unused_imports():
 
 
 def _reads(nodes):
-    """Names read by a Name or Attribute node under ``nodes``; __all__ entries count."""
+    """Names read under ``nodes``: ``name`` for a Name, ``.name`` for an
+    Attribute; __all__ entries count as Names."""
     used = set()
     for node in (sub for top in nodes for sub in ast.walk(top)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            used.add("." + node.attr)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
@@ -71,10 +72,12 @@ def unreferenced(sources, looked_up=()):
     """Definitions in ``sources`` (file name -> text) that nothing else reads.
 
     Checked are top-level functions, classes and constants, and public
-    methods, listed as Class.method.  A definition's own body does not
-    count as a reference: a class's whole body for the class, the method's
-    body for a method.  Names in ``looked_up``, spelled module.name, count
-    as read, as names in __all__ do.
+    methods, listed as Class.method.  A top-level name is read by a bare
+    name or an attribute access, a method only by an attribute access
+    (``x.method``): a local variable of the same name does not read it.  A
+    definition's own body does not count as a reference: a class's whole
+    body for the class, the method's body for a method.  Names in
+    ``looked_up``, spelled module.name, count as read, as names in __all__ do.
     """
     units = []  # the names each statement reads; a class body gives one per statement
     defined = []  # (file, name, indices of the units that make up its definition)
@@ -97,9 +100,10 @@ def unreferenced(sources, looked_up=()):
     missing = {}
     for file, name, own in defined:
         short = name.split(".")[-1]
+        reads = {"." + short} if "." in name else {short, "." + short}
         if f"{file[:-3]}.{name}" in looked_up:
             continue
-        if not any(short in used for i, used in enumerate(units) if i not in own):
+        if not any(reads & used for i, used in enumerate(units) if i not in own):
             missing.setdefault(file, []).append(name)
     return missing
 
@@ -113,7 +117,8 @@ def test_unreferenced_definition_detector():
             "class Exported:\n"
             "    def used(self): return LIMIT\n"
             "    def spare(self): return Exported()\n"
-            "    def _private(self): pass\n"
+            "    def shadowed(self): pass\n"
+            "    def _private(self): shadowed = 1; return shadowed\n"
             "class Lonely:\n"
             "    def again(self): return Lonely().again()\n"
             "def helper(): return Exported().used()\n"
@@ -122,10 +127,11 @@ def test_unreferenced_definition_detector():
         "b.py": "from a import helper\nhelper()\n",
     }
     assert unreferenced(sources) == {
-        "a.py": ["SPARE", "Exported.spare", "Lonely.again", "Lonely", "orphan"]
+        "a.py": ["SPARE", "Exported.spare", "Exported.shadowed", "Lonely.again", "Lonely",
+                 "orphan"]
     }
     assert unreferenced(sources, {"a.SPARE", "a.Lonely", "a.Lonely.again"}) == {
-        "a.py": ["Exported.spare", "orphan"]
+        "a.py": ["Exported.spare", "Exported.shadowed", "orphan"]
     }
 
 

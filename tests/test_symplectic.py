@@ -12,7 +12,6 @@ import symplectic_oracle
 from lgorbit.errors import PreconditionError
 from lgorbit.gaussian import GaussianRational
 from lgorbit.symplectic import (
-    DEFAULT_LAMBDAS,
     RATIONAL_SPHERE_POINTS,
     _rank_is_two,
     check_sphere_lagrangian,
@@ -22,6 +21,7 @@ from lgorbit.symplectic import (
     cylinder_to_fiber,
     exact_sphere_omega_residuals,
     fiber_to_cylinder,
+    lambda_grid,
     matching_circles_distance,
     omega_value,
     orbit_residual,
@@ -32,7 +32,7 @@ from lgorbit.symplectic import (
 
 
 def test_sphere_lagrangian_sampled():
-    report = check_sphere_lagrangian(n_samples=1000, seed=0, tol=1e-9)
+    report = check_sphere_lagrangian(n_samples=1000, seed=0)
     assert report.samples >= 1000
     assert report.max_omega < 1e-9
     assert report.rank_failures == 0
@@ -87,12 +87,20 @@ def test_taming_positive_on_sphere_tangents():
 
 def test_thimble_lagrangian_grid():
     report = check_thimble_lagrangian(n_t=64)
-    assert report.grid == (len(DEFAULT_LAMBDAS), 64)
-    assert report.grid[0] == 9
+    assert report.grid == (9, 64)
     assert report.max_fiber_residual < 1e-12
     assert report.max_omega < 1e-9
     assert report.min_taming > 0
     assert report.passed
+
+
+def test_lambda_grid_pulls_the_ends_in_from_the_critical_values():
+    assert lambda_grid(9) == (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 0.99)
+    assert lambda_grid(1) == (0.0,)
+    assert lambda_grid(2) == (-0.99, 0.99)
+    grid = lambda_grid(33)
+    assert grid[0] == -0.99 and grid[-1] == 0.99 and grid[16] == 0.0
+    assert grid[1:-1] == tuple(-1 + k / 16 for k in range(1, 32))
 
 
 def test_thimble_points_land_in_claimed_fiber():

@@ -3,11 +3,15 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lgorbit.errors import DiagnosticError, PreconditionError, StructureError
+from lgorbit.gaussian import GaussianRational
+from lgorbit.poly import MultiHomPoly
 from lgorbit.toric import (
+    F2_BLOCKS,
     HirzebruchFan,
     PicClass,
     ToricDivisor,
@@ -20,7 +24,6 @@ from lgorbit.toric import (
     f2_equation,
     f2_variables,
     intersection,
-    is_irreducible_bilinear,
     pic_to_divisor,
     verify_divisor_convention,
     verify_f2_hypersurface,
@@ -216,8 +219,57 @@ def test_hypersurface_controls():
     assert not verify_f2_hypersurface(shared_root)
 
 
-def test_irreducibility_needs_linear_first_block():
-    x0, _, y0, _ = f2_variables()
-    quadratic = x0 * x0 * y0 * y0
-    with pytest.raises(PreconditionError):
-        is_irreducible_bilinear(quadratic)
+
+def _sympy_factor_multiplicities(f):
+    names = [n for block in f.blocks for n in block]
+    symbols = sympy.symbols(names)
+    expr = sympy.Integer(0)
+    for exps, c in f.terms.items():
+        term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+        for symbol, e in zip(symbols, exps):
+            term *= symbol**e
+        expr += term
+    _, factors = sympy.factor_list(expr, *symbols, gaussian=True)
+    return [multiplicity for _, multiplicity in factors]
+
+
+def test_f2_equation_is_irreducible_by_the_sympy_oracle():
+    assert _sympy_factor_multiplicities(f2_equation()) == [1]
+    x0, x1, y0, y1 = f2_variables()
+    # the oracle does see the controls' factors
+    assert len(_sympy_factor_multiplicities(x0 * y0 * y0 + x1 * y0 * y1)) == 2
+    assert sorted(_sympy_factor_multiplicities(x0 * y0 * y0)) == [1, 2]
+
+
+small_gaussian = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _binary_forms(degree):
+    """Monomials of the given degree in y0, y1."""
+    _, _, y0, y1 = f2_variables()
+    return [y0**k * y1**(degree - k) for k in range(degree + 1)]
+
+
+@st.composite
+def reducible_products(draw):
+    """g*h with g of bidegree (1, b) and h of bidegree (0, 2 - b), b in {0, 1}."""
+
+    def combination(monomials):
+        n = len(monomials)
+        coeffs = draw(st.lists(small_gaussian, min_size=n, max_size=n))
+        return sum((c * m for c, m in zip(coeffs, monomials)), MultiHomPoly(F2_BLOCKS))
+
+    b = draw(st.sampled_from([0, 1]))
+    xs = [MultiHomPoly.variable(F2_BLOCKS, name) for name in F2_BLOCKS[0]]
+    g = combination([x * m for x in xs for m in _binary_forms(b)])
+    h = combination(_binary_forms(2 - b))
+    return g * h
+
+
+@given(reducible_products())
+@settings(max_examples=150, deadline=None)
+def test_every_reducible_product_fails_the_smoothness_certificates(f):
+    # a factor in y alone has a root, where f and all its partials vanish
+    assume(f != MultiHomPoly(F2_BLOCKS))
+    assert f.multidegree == (1, 2)
+    assert not verify_f2_hypersurface(f)
