@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from typing import Optional, Sequence
 
 from .report import SUITES, Config, load_config, render_json, render_text, run
@@ -47,11 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the JSON report to this file")
-    for key in fields(Config):
+    for key, default in Config._field_defaults.items():
         parser.add_argument(
-            "--" + key.name.replace("_", "-"),
-            type=_grid if isinstance(key.default, tuple) else type(key.default),
-            help=f"override the config key {key.name}",
+            "--" + key.replace("_", "-"),
+            type=_grid if isinstance(default, tuple) else type(default),
+            help=f"override the config key {key}",
         )
     return parser
 
@@ -62,7 +61,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"verify: usage error: {exc}", file=sys.stderr)
         return 2
-    overrides = {key.name: getattr(args, key.name) for key in fields(Config)}
+    overrides = {key: getattr(args, key) for key in Config._fields}
     try:
         cfg = load_config(args.config, overrides)
     except (OSError, ValueError) as exc:

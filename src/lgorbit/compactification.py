@@ -22,9 +22,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
@@ -499,8 +498,7 @@ def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
     return determinant(coefficients).is_zero()
 
 
-@dataclass(frozen=True)
-class CriticalData:
+class CriticalData(NamedTuple):
     values: Tuple[MultiProjPoint, ...]
     points: Tuple[MultiProjPoint, ...]
     verified: bool
@@ -538,8 +536,7 @@ def critical_data() -> CriticalData:
     return CriticalData(values, points, verified)
 
 
-@dataclass(frozen=True)
-class SingularSample:
+class SingularSample(NamedTuple):
     r: GaussianRational
     s: GaussianRational
     singular: bool

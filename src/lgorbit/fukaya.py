@@ -19,9 +19,8 @@ against an identity, so the checks hold exactly over Z.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from collections import defaultdict, namedtuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import StructureError
 from .gaussian import cohomology
@@ -29,18 +28,17 @@ from .gaussian import cohomology
 Chain = Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(namedtuple("GradedModule", "basis")):
     """Free graded module listed by (generator name, degree)."""
 
-    basis: Tuple[Tuple[str, int], ...]
+    __slots__ = ()
 
-    def __init__(self, basis: Iterable[Tuple[str, int]]):
+    def __new__(cls, basis: Iterable[Tuple[str, int]]):
         entries = tuple((str(n), int(d)) for n, d in basis)
         names = [n for n, _ in entries]
         if len(set(names)) != len(names):
             raise StructureError("generator names must be distinct")
-        object.__setattr__(self, "basis", entries)
+        return super().__new__(cls, entries)
 
     @property
     def ranks(self) -> Dict[int, int]:
@@ -50,8 +48,7 @@ class GradedModule:
         return out
 
 
-@dataclass(frozen=True)
-class ProductEntry:
+class ProductEntry(NamedTuple):
     """One structure constant: m_k(inputs) contains coeff * output."""
 
     inputs: Chain
@@ -316,14 +313,13 @@ def p1_mirror_table() -> Dict[Tuple[int, int], Dict[int, int]]:
 # ------------------------------------------------------------- Morse model
 
 
-@dataclass(frozen=True)
-class MorseCircleModel:
+class MorseCircleModel(NamedTuple):
     """Morse complex of a two-critical-point height function on the circle."""
 
     module: GradedModule
     flow_line_signs: Tuple[int, int]
     differential: Tuple[Tuple[int, ...], ...]
-    cohomology: Dict[int, int] = field(hash=False, default_factory=dict)
+    cohomology: Dict[int, int]
 
 
 def morse_circle_floer() -> MorseCircleModel:

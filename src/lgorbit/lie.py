@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Sequence, Set, Tuple
 
@@ -20,19 +20,18 @@ from .errors import PreconditionError, StructureError
 from .gaussian import ZERO, ExactMatrix, GaussianRational
 
 
-@dataclass(frozen=True)
-class CartanDiagonal:
+class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
     """Diagonal traceless data, kept exact as Fractions."""
 
-    diag: Tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __init__(self, diag: Sequence) -> None:
+    def __new__(cls, diag: Sequence):
         entries = tuple(Fraction(d) for d in diag)
         if len(entries) < 2:
             raise StructureError("need at least a 2x2 diagonal")
         if sum(entries) != 0:
             raise StructureError(f"diagonal {entries} does not sum to zero")
-        object.__setattr__(self, "diag", entries)
+        return super().__new__(cls, entries)
 
     @property
     def n(self) -> int:

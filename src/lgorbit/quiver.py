@@ -13,9 +13,8 @@ bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
 from .gaussian import ExactMatrix, cohomology
@@ -25,16 +24,14 @@ ArrowWord = Tuple[str, ...]
 Combo = Dict["Path", Fraction]
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
     degree: int = 0
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A path monomial: arrow names in traversal order; () is an identity."""
 
     source: str
@@ -42,8 +39,7 @@ class Path:
     arrows: ArrowWord = ()
 
 
-@dataclass(frozen=True)
-class PathBasis:
+class PathBasis(NamedTuple):
     paths: Tuple[Path, ...]
     degrees: Tuple[int, ...]
 
@@ -299,8 +295,7 @@ def composition_pattern_check() -> bool:
 # ------------------------------------------------- exact-sequence chasing
 
 
-@dataclass(frozen=True)
-class ChaseResult:
+class ChaseResult(NamedTuple):
     middle: Tuple[int, int, int]
     ranks: Tuple[int, ...]
     used_injective_connecting: bool
@@ -349,8 +344,7 @@ def les_chase(
     return ChaseResult(middle, ranks, used)
 
 
-@dataclass(frozen=True)
-class TiltingReport:
+class TiltingReport(NamedTuple):
     hom_dims: Tuple[int, int, int, int]
     ext1: Tuple[int, int, int, int]
     ext2: Tuple[int, int, int, int]

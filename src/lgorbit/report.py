@@ -15,18 +15,14 @@ identical JSON, which the determinism suite relies on.
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import PreconditionError
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     seed: int = 0
     sphere_samples: int = 1000
     thimble_grid: Tuple[int, int] = (9, 64)
@@ -42,7 +38,7 @@ MAX_T_RANGE, MAX_SHIFT_RANGE, MAX_K_MAX = 1000, 10, 40
 
 # JSON writes a tuple as a list
 _JSON_TYPES = {int: int, tuple: (list, tuple)}
-_CONFIG_TYPES = {f.name: _JSON_TYPES[type(f.default)] for f in fields(Config)}
+_CONFIG_TYPES = {k: _JSON_TYPES[type(v)] for k, v in Config._field_defaults.items()}
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[Mapping] = None) -> Config:
@@ -89,8 +85,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[Mapping] = None)
     return cfg
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     anchor: str
     status: str
@@ -115,6 +110,7 @@ SuiteOutput = Tuple[List[CheckResult], Dict[str, object]]
 
 
 def suite_lie(cfg: Config) -> SuiteOutput:
+    import random
     from . import lie
     from .gaussian import GaussianRational
     results: List[CheckResult] = []
@@ -231,9 +227,10 @@ def suite_symplectic(cfg: Config) -> SuiteOutput:
         "claim:thimble-is-lagrangian-disk",
         thimble.passed,
         f"grid {thimble.grid}: fiber residual {thimble.max_fiber_residual:.3e}, "
-        f"pairing residual {thimble.max_omega:.3e}, sphere membership "
+        f"pairing residual {thimble.max_omega:.3e}, tangency residual "
+        f"{thimble.max_tangency_residual:.3e}, sphere membership "
         f"{thimble.max_sphere_residual:.3e}",
-        residual=thimble.max_omega,
+        residual=max(thimble.max_omega, thimble.max_tangency_residual),
     ))
 
     results.append(_row(
@@ -374,6 +371,7 @@ def suite_category(cfg: Config) -> SuiteOutput:
 
 
 def suite_sheaves(cfg: Config) -> SuiteOutput:
+    import functools
     from . import toric
     results: List[CheckResult] = []
     fans = {a: toric.HirzebruchFan(a) for a in (0, 1, 2)}
@@ -387,6 +385,8 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         "canonical class all match the section-and-fiber basis for a in 0..2",
     ))
 
+    # the sweeps below repeat classes; the cache lives for this call only
+    @functools.cache
     def coh(
         c: toric.PicClass, fan: toric.HirzebruchFan = fan2, margin: int = cfg.box_margin
     ) -> toric.CohDims:
@@ -723,6 +723,7 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
 
 
 def suite_compactification(cfg: Config) -> SuiteOutput:
+    from fractions import Fraction
     from . import compactification as geo
     from .gaussian import ExactMatrix
     results: List[CheckResult] = []
@@ -891,8 +892,7 @@ SUITES = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     schema: int
     suite: str
     config: Dict
@@ -925,7 +925,7 @@ def run(suite: str, cfg: Config) -> Report:
         suite_results, suite_tables = SUITES[name](cfg)
         results.extend(suite_results)
         tables.update(suite_tables)
-    config_dict = asdict(cfg)
+    config_dict = cfg._asdict()
     config_dict["thimble_grid"] = list(cfg.thimble_grid)
     return Report(
         SCHEMA_VERSION,
@@ -942,7 +942,7 @@ def render_json(report: Report) -> str:
         "suite": report.suite,
         "config": report.config,
         "summary": report.counts,
-        "results": [asdict(r) for r in report.results],
+        "results": [r._asdict() for r in report.results],
         "tables": report.tables,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

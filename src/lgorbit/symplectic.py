@@ -22,9 +22,8 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import PreconditionError
 from .gaussian import GaussianRational
@@ -130,8 +129,7 @@ def _rank_is_two(rows: Sequence[Sequence[float]]) -> bool:
     )
 
 
-@dataclass
-class SphereReport:
+class SphereReport(NamedTuple):
     samples: int
     max_omega: float
     max_taming_violation: float
@@ -270,8 +268,7 @@ def lambda_grid(n: int) -> Tuple[float, ...]:
     return tuple(max(-0.99, min(0.99, -1 + 2 * k / (n - 1))) for k in range(n))
 
 
-@dataclass
-class ThimbleReport:
+class ThimbleReport(NamedTuple):
     grid: Tuple[int, int]
     max_fiber_residual: float
     max_omega: float

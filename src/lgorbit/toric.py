@@ -36,9 +36,9 @@ annulus and trips the guard.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
 from .gaussian import cohomology
@@ -50,19 +50,20 @@ Vec = Tuple[int, int]
 # ----------------------------------------------------------------- the fan
 
 
-@dataclass(frozen=True)
-class HirzebruchFan:
+class HirzebruchFan(namedtuple("HirzebruchFan", "a")):
     """Complete smooth fan with four rays; a is the negative-section weight."""
 
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: int):
+        self = super().__new__(cls, a)
         if not isinstance(self.a, int) or self.a < 0:
             raise StructureError("the Hirzebruch parameter must be a nonnegative integer")
         for (i, j) in self.cones:
             u, v = self.rays[i], self.rays[j]
             if u[0] * v[1] - u[1] * v[0] != 1:
                 raise StructureError("adjacent rays must span the lattice positively")
+        return self
 
     @property
     def rays(self) -> Tuple[Vec, Vec, Vec, Vec]:
@@ -100,8 +101,7 @@ class HirzebruchFan:
 # -------------------------------------------------------------- class types
 
 
-@dataclass(frozen=True)
-class PicClass:
+class PicClass(NamedTuple):
     """Class p*E + q*F in the rank-two Picard group."""
 
     p: int
@@ -117,26 +117,24 @@ class PicClass:
         return PicClass(-self.p, -self.q)
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(namedtuple("ToricDivisor", "coeffs")):
     """Integer coefficient per ray, in fan ray order."""
 
-    coeffs: Tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != 4 or not all(isinstance(c, int) for c in self.coeffs):
+    def __new__(cls, coeffs: Tuple[int, int, int, int]):
+        if len(coeffs) != 4 or not all(isinstance(c, int) for c in coeffs):
             raise StructureError("a divisor needs four integer ray coefficients")
+        return super().__new__(cls, coeffs)
 
 
-@dataclass(frozen=True)
-class CohDims:
-    h0: int
-    h1: int
-    h2: int
+class CohDims(namedtuple("CohDims", "h0 h1 h2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.h0, self.h1, self.h2) < 0:
+    def __new__(cls, h0: int, h1: int, h2: int):
+        if min(h0, h1, h2) < 0:
             raise StructureError("cohomology dimensions must be nonnegative")
+        return super().__new__(cls, h0, h1, h2)
 
     @property
     def euler(self) -> int:

@@ -1,8 +1,8 @@
-"""Two mirror-search oracles and the brute-force exclusion table.
+"""Two mirror-search oracles, the brute-force exclusion table and Euler sweep.
 
 ``lgorbit.mirror`` solves for the few difference classes that can match a
-target.  The oracles walk instead, and share only ``shifted_pattern`` with
-the library:
+target.  The oracles walk instead, and share only ``shifted_pattern`` and
+``ext_p1`` with the library:
 
 - ``search_mirror_pair`` visits every ordered pair of shifted candidates,
   O(t^2 s^2) of them, in candidate order (twists outward from 0, then the
@@ -11,6 +11,8 @@ the library:
 - ``search_by_class`` walks every difference class, O(t s) of them, with
   one in-window pair each.  The library tests a subset of these classes in
   the same order, so the two must return the same witness.
+- ``euler_pairing_identity`` checks every pair of twists in the window,
+  where the library checks one pair per twist difference.
 """
 
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -24,6 +26,7 @@ from lgorbit.mirror import (
     MirrorWitness,
     SimpleP1Object,
     Skyscraper,
+    ext_p1,
     shifted_pattern,
 )
 
@@ -162,3 +165,14 @@ def exclusion_table(t_range: int = 10, shift_range: int = 3) -> List[ExclusionRo
         distinct_zero,
     ))
     return rows
+
+
+def euler_pairing_identity(span: int = 30, ext=ext_p1) -> bool:
+    """hom - ext1 of O(a) -> O(b) is b - a + 1 for every a, b in [-span, span]."""
+    bundles = [LineBundle(a) for a in range(-span, span + 1)]
+    for x in bundles:
+        for y in bundles:
+            hom, ext1 = ext(x, y)
+            if hom - ext1 != y.t - x.t + 1:
+                return False
+    return True

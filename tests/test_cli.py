@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -139,7 +138,7 @@ FLAG_VALUES = {
 }
 
 
-@pytest.mark.parametrize("key", [f.name for f in fields(Config)])
+@pytest.mark.parametrize("key", Config._fields)
 def test_every_config_flag_reaches_report(key, tmp_path, capsys):
     text, expected = FLAG_VALUES[key]
     f = tmp_path / "r.json"
@@ -154,11 +153,11 @@ def test_every_config_flag_reaches_report(key, tmp_path, capsys):
 def test_readme_config_table_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     keys = re.findall(r"^\| `(\w+)` ", readme, re.MULTILINE)
-    assert keys == [f.name for f in fields(Config)]
+    assert keys == list(Config._fields)
     # the CLI section's sentence that spells out the flags lists exactly these
     sentence = re.search(r"spelled with\s+hyphens: (.*?)\. ", readme, re.DOTALL).group(1)
     flags = re.findall(r"`(--[\w-]+)`", sentence)
-    assert flags == ["--" + f.name.replace("_", "-") for f in fields(Config)]
+    assert flags == ["--" + key.replace("_", "-") for key in Config._fields]
 
 
 def test_cli_rejects_unknown_suite(capsys):
@@ -230,21 +229,40 @@ def test_report_needs_no_numpy_or_scipy(tmp_path):
     assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
 
 
+# the lgorbit modules a run loads, and the standard modules it must not add:
+# dataclasses and inspect cost a start-up that records built as NamedTuples
+# do not need
 LOADED_MODULES = """\
 import io, json, sys
 from contextlib import redirect_stdout
 if sys.argv[1] == "import":
     __import__(sys.argv[2])
-else:
+elif sys.argv[1] != "bare":
     from lgorbit.cli import main
     with redirect_stdout(io.StringIO()):
         main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "lgorbit")))
+watched = {"dataclasses", "inspect"}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "lgorbit" or m in watched)))
 """
 
 CLI_MODULES = {"lgorbit", "lgorbit.cli", "lgorbit.report", "lgorbit.errors"}
 LIBRARY = {f"lgorbit.{p.stem}" for p in Path(cli.__file__).parent.glob("*.py")} - {
     "lgorbit.__init__", "lgorbit.__main__"}
+
+
+def _loaded_modules(*argv):
+    # a fresh interpreter, so no module is loaded by another test first
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The watched modules a bare interpreter already holds (site may load some)."""
+    return _loaded_modules("bare")
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -255,14 +273,16 @@ LIBRARY = {f"lgorbit.{p.stem}" for p in Path(cli.__file__).parent.glob("*.py")} 
     (["category"], CLI_MODULES | {"lgorbit.fukaya", "lgorbit.toric", "lgorbit.poly",
                                   "lgorbit.gaussian"}),
     (["all"], {"lgorbit"} | LIBRARY),
-], ids=["import-lgorbit", "import-cli", "mirror", "sheaves", "category", "all"])
-def test_a_run_loads_only_the_modules_its_suite_calls(argv, expected):
-    # a fresh interpreter, so no module is loaded by another test first
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout.splitlines()[-1])) == expected
+    (["lie"], CLI_MODULES | {"lgorbit.lie", "lgorbit.gaussian"}),
+    (["symplectic"], CLI_MODULES | {"lgorbit.symplectic", "lgorbit.gaussian"}),
+    (["quiver"], CLI_MODULES | {"lgorbit.quiver", "lgorbit.fukaya", "lgorbit.toric",
+                                "lgorbit.poly", "lgorbit.gaussian"}),
+    (["compactification"], CLI_MODULES | {"lgorbit.compactification", "lgorbit.symplectic",
+                                          "lgorbit.poly", "lgorbit.gaussian"}),
+], ids=["import-lgorbit", "import-cli", "mirror", "sheaves", "category", "all", "lie",
+        "symplectic", "quiver", "compactification"])
+def test_a_run_loads_only_the_modules_its_suite_calls(argv, expected, bare_modules):
+    assert _loaded_modules(*argv) == expected | bare_modules
 
 
 def test_huge_box_margin_finishes_quickly(tmp_path):
@@ -382,6 +402,26 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
     assert row.residual > 0
     assert cli.main(["symplectic"]) == 1
     assert "FAIL       symplectic.sphere-lagrangian-sampled" in capsys.readouterr().out
+
+
+def test_tilted_tangent_fails_the_thimble_row_with_its_residual(monkeypatch, capsys):
+    # 1e-3 on the first coordinate of d_t leaves every thimble point and the
+    # pairing alone; only the tangency residual sees it
+    from lgorbit import symplectic
+
+    exact = symplectic.thimble_tangents
+
+    def tilted(lam, t):
+        d_lam, d_t = exact(lam, t)
+        return d_lam, (d_t[0] + 1e-3, d_t[1], d_t[2])
+
+    monkeypatch.setattr(symplectic, "thimble_tangents", tilted)
+    row = {r.id: r for r in run("symplectic", Config()).results}["symplectic.thimble-grid"]
+    assert row.status == "fail"
+    assert row.residual > symplectic.FLOAT_TOL
+    assert "tangency residual" in row.detail
+    assert cli.main(["symplectic"]) == 1
+    assert "FAIL       symplectic.thimble-grid  residual=" in capsys.readouterr().out
 
 
 @given(

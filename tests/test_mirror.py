@@ -115,6 +115,33 @@ def test_euler_pairing_identity():
     assert euler_pairing_identity(span=100)
 
 
+@pytest.mark.parametrize("span", [0, 1, 7, 30])
+def test_ext_p1_reads_only_the_twist_difference(span):
+    # the library's Euler sweep tests one pair per difference on this ground
+    for a in range(-span, span + 1):
+        for b in range(-span, span + 1):
+            d = b - a
+            representative = (LineBundle(-(d // 2)), LineBundle(d - d // 2))
+            assert ext_p1(LineBundle(a), LineBundle(b)) == ext_p1(*representative)
+
+
+@pytest.mark.parametrize("span", [0, 1, 7, 30])
+def test_euler_pairing_agrees_with_the_all_pairs_sweep(span):
+    assert euler_pairing_identity(span) is mirror_oracle.euler_pairing_identity(span) is True
+
+
+def test_all_pairs_sweep_catches_an_ext_that_reads_the_twists(monkeypatch):
+    def twist_dependent(x, y):
+        hom, ext1 = ext_p1(x, y)
+        return (hom + 1, ext1) if (x.t, y.t) == (5, 5) else (hom, ext1)
+
+    assert not mirror_oracle.euler_pairing_identity(30, twist_dependent)
+    # (5, 5) represents no difference, so the library's sweep cannot see it;
+    # test_ext_p1_reads_only_the_twist_difference covers that ground
+    monkeypatch.setattr(mirror, "ext_p1", twist_dependent)
+    assert mirror.euler_pairing_identity(30)
+
+
 FLAGS = list(itertools.product((False, True), repeat=3))
 
 
