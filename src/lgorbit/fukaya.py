@@ -11,21 +11,35 @@ The A-infinity relations are checked with the operadic sign convention
     (-1)^(r + s*t + s*(|a_1|+...+|a_r|)) m_{r+1+t}(a_1..a_r, m_s(...), ..) = 0,
 
 under which m_2 has degree zero and strict unitality reads without signs,
-matching the way the unit acts in an ordinary graded algebra.  For the
-two-thimble category every nonvanishing instance reduces to associativity
-against an identity, so the checks hold exactly over Z.
+matching the way the unit acts in an ordinary graded algebra.
+
+Every arity is certified by a finite check.  A term of the arity-N
+relation nests an m_s inside an m_{N-s+1}, so only N = s + s' - 1, with s
+and s' arities of the product table, can have a nonzero term.  Directedness
+lemma: a non-identity generator raises the object index, so a chain of them
+has at most n - 1 members on n objects, and strict unitality removes the
+identities from the inputs of every m_k, k >= 3.  On the two thimbles such
+chains have length one, so a minimal, strictly unital A-infinity structure
+on this graded quiver is formal: m_k = 0 for k >= 3 and m_2 is the unit
+action, so the graded hom table determines it up to isomorphism.
+Exceptional collections with isomorphic directed A-infinity endomorphism
+algebras generate equivalent triangulated categories (Seidel, Fukaya
+Categories and Picard-Lefschetz Theory, Part I; Bondal-Kapranov, Enhanced
+triangulated categories, 1990).  A nonempty hom(i, j) fixes the relative
+shift s_j - s_i of its objects, so hom tables are compared up to every
+object shift by solving the shifts and comparing once.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict, namedtuple
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from collections import Counter, defaultdict, namedtuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import StructureError
 from .gaussian import cohomology
 
 Chain = Tuple[str, ...]
+Table = Mapping[Tuple[int, int], Mapping[int, int]]
 
 
 class GradedModule(namedtuple("GradedModule", "basis")):
@@ -42,10 +56,7 @@ class GradedModule(namedtuple("GradedModule", "basis")):
 
     @property
     def ranks(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for _, degree in self.basis:
-            out[degree] = out.get(degree, 0) + 1
-        return out
+        return dict(Counter(degree for _, degree in self.basis))
 
 
 class ProductEntry(NamedTuple):
@@ -99,12 +110,11 @@ class DirectedAInfCategory:
                     f"diagonal hom of object {i} must be one generator in degree 0"
                 )
             self._identities[i] = module.basis[0][0]
-        table: Dict[Chain, Dict[str, int]] = defaultdict(dict)
+        table: Dict[Chain, Counter] = defaultdict(Counter)
         entries = tuple(products)
         for entry in entries:
             self._validate_entry(entry)
-            bucket = table[entry.inputs]
-            bucket[entry.output] = bucket.get(entry.output, 0) + entry.coeff
+            table[entry.inputs][entry.output] += entry.coeff
         self.products = entries
         self._table = {k: {o: c for o, c in v.items() if c} for k, v in table.items()}
 
@@ -156,62 +166,55 @@ class DirectedAInfCategory:
                 f"{entry.output} needs degree {want}, found {out_deg}"
             )
 
-    def apply(self, arity: int, chain: Chain) -> Dict[str, int]:
-        """m_arity evaluated on a chain of generators (empty dict when zero)."""
-        if len(chain) != arity:
-            raise StructureError("arity does not match chain length")
+    def apply(self, chain: Chain) -> Dict[str, int]:
+        """m_k evaluated on a chain of k generators (empty dict when zero)."""
         return dict(self._table.get(chain, {}))
 
     # ----------------------------------------------------------- enumeration
 
     def composable_chains(self, length: int) -> List[Chain]:
-        chains: List[Chain] = []
-
-        def extend(prefix: Chain, end: int) -> None:
-            if len(prefix) == length:
-                chains.append(prefix)
-                return
-            for name, (i, _j, _d) in self._info.items():
-                if i == end:
-                    extend(prefix + (name,), _j)
-
-        for name, (_i, j, _d) in self._info.items():
-            extend((name,), j)
-        return [c for c in chains if len(c) == length]
+        chains = [((name,), j) for name, (_i, j, _d) in self._info.items()]
+        for _ in range(length - 1):
+            chains = [(chain + (name,), j) for chain, end in chains
+                      for name, (i, j, _d) in self._info.items() if i == end]
+        return [chain for chain, _end in chains]
 
     def hom_table(self) -> Dict[Tuple[int, int], Dict[int, int]]:
         """Ranks by degree for every ordered object pair, zero above diagonal."""
         n = len(self.objects)
-        table: Dict[Tuple[int, int], Dict[int, int]] = {}
-        for i in range(n):
-            for j in range(n):
-                module = self.homs.get((i, j))
-                table[(i, j)] = dict(module.ranks) if module else {}
-        return table
+        return {(i, j): dict(self.homs[(i, j)].ranks) if (i, j) in self.homs else {}
+                for i in range(n) for j in range(n)}
 
 
 # ------------------------------------------------------------------- checks
 
 
-def check_a_infinity(cat: DirectedAInfCategory, k_max: int = 6) -> bool:
-    """Verify the A-infinity relations on all chains of length <= k_max.
+def relation_arities(cat: DirectedAInfCategory) -> List[int]:
+    """The arities whose A-infinity relation can have a nonzero term.
 
-    Exact integer arithmetic; any nonzero total is a failure.
+    Every term of the arity-N relation is m_{N-s+1} applied to an m_s, so
+    it vanishes unless both are arities of the product table.
     """
-    for n in range(1, k_max + 1):
+    present = {entry.arity for entry in cat.products}
+    return sorted({s + t - 1 for s in present for t in present})
+
+
+def check_a_infinity(cat: DirectedAInfCategory) -> bool:
+    """Verify the A-infinity relations in every arity, exactly over Z.
+
+    Only the arities of ``relation_arities`` are walked, on every composable
+    chain; every other relation reads 0 = 0.
+    """
+    for n in relation_arities(cat):
         for chain in cat.composable_chains(n):
             total: Dict[str, int] = defaultdict(int)
             degrees = [cat.gen_info(a)[2] for a in chain]
             for s in range(1, n + 1):
                 for r in range(0, n - s + 1):
                     t = n - s - r
-                    inner = cat.apply(s, chain[r : r + s])
-                    if not inner:
-                        continue
                     sign = (-1) ** (r + s * t + (s % 2) * sum(degrees[:r]))
-                    for name, coeff in inner.items():
-                        outer_chain = chain[:r] + (name,) + chain[r + s :]
-                        outer = cat.apply(r + 1 + t, outer_chain)
+                    for name, coeff in cat.apply(chain[r : r + s]).items():
+                        outer = cat.apply(chain[:r] + (name,) + chain[r + s :])
                         for out_name, out_coeff in outer.items():
                             total[out_name] += sign * coeff * out_coeff
             if any(v != 0 for v in total.values()):
@@ -223,8 +226,8 @@ def check_strict_unitality(cat: DirectedAInfCategory) -> bool:
     """Identities are strict units for m_2 and absent from every other m_k."""
     for name in cat.generators():
         i, j, _ = cat.gen_info(name)
-        left = cat.apply(2, (cat.identity_of(i), name))
-        right = cat.apply(2, (name, cat.identity_of(j)))
+        left = cat.apply((cat.identity_of(i), name))
+        right = cat.apply((name, cat.identity_of(j)))
         if left != {name: 1} or right != {name: 1}:
             return False
     for entry in cat.products:
@@ -234,9 +237,7 @@ def check_strict_unitality(cat: DirectedAInfCategory) -> bool:
 
 
 def degree_forced_vanishing(
-    cat: DirectedAInfCategory,
-    max_arity: int = 6,
-    min_arity: int = 2,
+    cat: DirectedAInfCategory, min_arity: int = 2
 ) -> List[Tuple[int, Chain, int]]:
     """Chains of non-identity generators whose product degree admits a target.
 
@@ -244,30 +245,23 @@ def degree_forced_vanishing(
     m_k to vanish.  Products (min_arity defaults to 2) are the claim "all
     higher compositions vanish for degree reasons"; passing min_arity=1
     also surveys the differential slot, which is closed separately by the
-    Morse model on the circle.
+    Morse model on the circle.  Each generator raises the object index, so
+    the walk ends by itself after at most n - 1 of them and covers every
+    arity; chains through an identity are left to strict unitality.
     """
     out: List[Tuple[int, Chain, int]] = []
-    non_identity = [g for g in cat.generators() if not cat.is_identity(g)]
-    by_source: Dict[int, List[str]] = defaultdict(list)
-    for g in non_identity:
-        by_source[cat.gen_info(g)[0]].append(g)
+    non_identity = [cat.gen_info(g) + (g,) for g in cat.generators() if not cat.is_identity(g)]
 
-    def walk(prefix: Chain, end: int) -> None:
-        k = len(prefix)
-        if k >= min_arity:
-            start = cat.gen_info(prefix[0])[0]
-            degree = sum(cat.gen_info(a)[2] for a in prefix) + 2 - k
-            module = cat.homs.get((start, end))
-            if module is not None:
-                if any(d == degree for _n, d in module.basis):
-                    out.append((k, prefix, degree))
-        if k == max_arity:
-            return
-        for g in by_source.get(end, []):
-            walk(prefix + (g,), cat.gen_info(g)[1])
+    def walk(prefix: Chain, start: int, end: int, degree: int) -> None:
+        module = cat.homs.get((start, end))
+        if len(prefix) >= min_arity and module and any(d == degree for _n, d in module.basis):
+            out.append((len(prefix), prefix, degree))
+        for i, j, d, g in non_identity:
+            if i == end:
+                walk(prefix + (g,), start, j, degree + d - 1)
 
-    for g in non_identity:
-        walk((g,), cat.gen_info(g)[1])
+    for i, j, d, g in non_identity:
+        walk((g,), i, j, d + 1)
     return out
 
 
@@ -302,12 +296,7 @@ def p1_mirror_table() -> Dict[Tuple[int, int], Dict[int, int]]:
     hom(L0, L1) is two-dimensional in degree zero; this is the table a
     projective-line mirror would have to reproduce.
     """
-    return {
-        (0, 0): {0: 1},
-        (0, 1): {0: 2},
-        (1, 0): {},
-        (1, 1): {0: 1},
-    }
+    return {(0, 0): {0: 1}, (0, 1): {0: 2}, (1, 0): {}, (1, 1): {0: 1}}
 
 
 # ------------------------------------------------------------- Morse model
@@ -340,10 +329,7 @@ def morse_circle_floer() -> MorseCircleModel:
 # ------------------------------------------------------------ table algebra
 
 
-def shift_table(
-    table: Mapping[Tuple[int, int], Mapping[int, int]],
-    shifts: Sequence[int],
-) -> Dict[Tuple[int, int], Dict[int, int]]:
+def shift_table(table: Table, shifts: Sequence[int]) -> Dict[Tuple[int, int], Dict[int, int]]:
     """Apply object shifts: hom(i, j) degrees translate by shifts[j] - shifts[i]."""
     out: Dict[Tuple[int, int], Dict[int, int]] = {}
     for (i, j), ranks in table.items():
@@ -352,32 +338,44 @@ def shift_table(
     return out
 
 
-def _normalized(table: Mapping[Tuple[int, int], Mapping[int, int]]):
+def _normalized(table: Table):
     return {
         pair: tuple(sorted((d, r) for d, r in ranks.items() if r))
         for pair, ranks in table.items()
     }
 
 
-def tables_equal(
-    table_a: Mapping[Tuple[int, int], Mapping[int, int]],
-    table_b: Mapping[Tuple[int, int], Mapping[int, int]],
-    shift_window: int = 0,
-) -> bool:
-    """Equality of hom-rank tables, optionally up to per-object shifts.
+def _solve_shifts(a: Mapping, b: Mapping, n_objects: int) -> Tuple[int, ...]:
+    """Object shifts forced by the homs nonempty in both normalized tables.
 
-    With a window w every assignment of integer shifts in [-w, w] to the
-    objects of table_a is tried; True when some assignment matches.
+    Matching hom(i, j) fixes s_j - s_i as the difference of the lowest
+    degrees; the shifts spread along those homs from 0 at the first object
+    of each connected set.
+    """
+    forced = [(i, j, ranks[0][0] - b[(i, j)][0][0])
+              for (i, j), ranks in a.items() if i != j and ranks and b[(i, j)]]
+    shifts: Dict[int, int] = {}
+    for root in range(n_objects):
+        shifts.setdefault(root, 0)
+        for _ in range(n_objects):  # a path between two objects has < n steps
+            for i, j, delta in forced:
+                if i in shifts:
+                    shifts.setdefault(j, shifts[i] + delta)
+                elif j in shifts:
+                    shifts[i] = shifts[j] - delta
+    return tuple(shifts[i] for i in range(n_objects))
+
+
+def tables_equal(table_a: Table, table_b: Table) -> Optional[Tuple[int, ...]]:
+    """Object shifts that turn table_a into table_b, or None when none do.
+
+    No window bounds the shifts: the forced ones are solved and the shifted
+    table is compared once.  Any other matching assignment differs from this
+    witness by a constant on each connected set of objects.
     """
     if set(table_a) != set(table_b):
-        return False
-    target = _normalized(table_b)
+        return None
+    a, b = _normalized(table_a), _normalized(table_b)
     n_objects = max(max(pair) for pair in table_a) + 1 if table_a else 0
-    if shift_window == 0:
-        return _normalized(table_a) == target
-    for assignment in itertools.product(
-        range(-shift_window, shift_window + 1), repeat=n_objects
-    ):
-        if _normalized(shift_table(table_a, assignment)) == target:
-            return True
-    return False
+    shifts = _solve_shifts(a, b, n_objects)
+    return shifts if _normalized(shift_table(table_a, shifts)) == b else None

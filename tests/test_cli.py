@@ -134,7 +134,6 @@ FLAG_VALUES = {
     "box_margin": ("2", 2),
     "t_range": ("4", 4),
     "shift_range": ("2", 2),
-    "k_max": ("4", 4),
 }
 
 
@@ -353,6 +352,35 @@ def test_cli_rejects_bad_float_tolerance_flag(capsys, value):
     )
 
 
+def test_k_max_is_gone(tmp_path, capsys):
+    # every arity is certified, so no key or flag bounds the arity any more
+    assert cli.main(["category", "--k-max", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "verify: usage error: unrecognized arguments: --k-max 6\n"
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text('{"k_max": 6}')
+    assert cli.main(["category", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: config error: unknown config keys: ['k_max']\n"
+
+
+def test_sheaves_suite_computes_each_cohomology_once(monkeypatch):
+    from lgorbit import toric
+
+    exact = toric.cohomology_dims
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, tuple(sorted(kwargs.items()))))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "cohomology_dims", counted)
+    assert not run("sheaves", Config()).failed
+    assert len(calls) == len(set(calls))
+
+
 def test_cli_rejects_zero_shift_range(capsys):
     assert cli.main(["category", "--shift-range", "0"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -400,6 +428,9 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
     row = {r.id: r for r in result.results}["symplectic.sphere-lagrangian-sampled"]
     assert row.status == "fail"
     assert row.residual > 0
+    # the detail names the failing number, not only the pairing and the ranks
+    tangency = float(re.search(r"tangency residual (\S+),", row.detail).group(1))
+    assert tangency == float(f"{row.residual:.3e}") > 0
     assert cli.main(["symplectic"]) == 1
     assert "FAIL       symplectic.sphere-lagrangian-sampled" in capsys.readouterr().out
 
@@ -480,7 +511,6 @@ SIZE_BOUNDS = [
     ("--sphere-samples", report.MAX_SPHERE_SAMPLES, "sphere_samples"),
     ("--t-range", report.MAX_T_RANGE, "t_range"),
     ("--shift-range", report.MAX_SHIFT_RANGE, "shift_range"),
-    ("--k-max", report.MAX_K_MAX, "k_max"),
 ]
 
 

@@ -1,7 +1,7 @@
 """Property tests over the configuration space of `verify`.
 
-The cheap suites run in-process: lie, quiver, sheaves, category (k_max <= 8)
-and mirror (t_range <= 20).  The sampling suites, symplectic and
+The cheap suites run in-process: lie, quiver, sheaves, category and mirror
+(t_range <= 20).  The sampling suites, symplectic and
 compactification, run in a child process that the test kills after
 ``RUN_CAP_S`` seconds; their draws stay small (sphere_samples <= 2000, a
 thimble grid of at most 40 x 40), so a run takes well under a second.  No
@@ -35,7 +35,6 @@ VALID = {
     "box_margin": st.integers(0, 30),
     "t_range": st.integers(1, 20),
     "shift_range": st.integers(1, 4),
-    "k_max": st.integers(2, 8),
 }
 
 # values of the right type outside each key's domain (seed has no such value)
@@ -46,7 +45,6 @@ OUT_OF_DOMAIN = {
     "box_margin": st.integers(-10**6, -1),
     "t_range": st.integers(-10**6, 0),
     "shift_range": st.integers(-10**6, 0),
-    "k_max": st.integers(-10**6, 1),
 }
 
 # JSON values of the wrong type for each key, as they may appear in --config
@@ -55,7 +53,7 @@ WRONG_JSON = {
     for key, extra in (
         ("seed", [1.5]), ("sphere_samples", [2.5]),
         ("thimble_grid", [9, "9x64", [9], [9, 64, 1], [9.5, 64], [True, 3], ["9", 64]]),
-        ("box_margin", [0.5]), ("t_range", [3.0]), ("shift_range", [[2]]), ("k_max", [4.5]),
+        ("box_margin", [0.5]), ("t_range", [3.0]), ("shift_range", [[2]]),
     )
 }
 
@@ -66,7 +64,6 @@ WRONG_FLAG = {
         ("seed", ["1.5", "0x10"]),
         ("sphere_samples", ["2.5"]), ("thimble_grid", ["9", "9x", "x64", "9x64x1", "9.5x64"]),
         ("box_margin", ["0.5"]), ("t_range", ["3.0"]), ("shift_range", ["1e1"]),
-        ("k_max", ["4.5"]),
     )
 }
 

@@ -1,7 +1,11 @@
 """Directed A-infinity model of the two thimbles and comparison tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fukaya_oracle
+from lgorbit import fukaya
 from lgorbit.errors import StructureError
 from lgorbit.fukaya import (
     DirectedAInfCategory,
@@ -13,10 +17,12 @@ from lgorbit.fukaya import (
     lg2_category,
     morse_circle_floer,
     p1_mirror_table,
+    relation_arities,
     shift_table,
     tables_equal,
 )
 from lgorbit.gaussian import cohomology
+from lgorbit.report import Config, run
 from lgorbit.toric import HirzebruchFan, PicClass, ext_dims, ext_hom_table
 
 
@@ -79,7 +85,7 @@ def test_degree_rule_enforced_per_entry():
             unital_products() + [ProductEntry(("e0", "x0"), "x1")],
         )
     cat = DirectedAInfCategory(("L0", "L1"), two_object_homs(), products)
-    assert cat.apply(1, ("x0",)) == {"x1": 1}
+    assert cat.apply(("x0",)) == {"x1": 1}
 
 
 def test_non_composable_chain_rejected():
@@ -93,7 +99,93 @@ def test_non_composable_chain_rejected():
 
 def test_lg2_satisfies_a_infinity():
     cat = lg2_category()
-    assert check_a_infinity(cat, k_max=6)
+    assert relation_arities(cat) == [3]
+    assert check_a_infinity(cat)
+    assert fukaya_oracle.check_a_infinity(cat, k_max=8)
+
+
+@pytest.mark.parametrize("coeff", [1, 2])
+def test_differential_control_checks_arities_up_to_three(coeff):
+    # m_1(x0) = coeff * x1 commutes with the unit action, so every relation holds
+    cat = DirectedAInfCategory(
+        ("L0", "L1"), two_object_homs(), unital_products() + [ProductEntry(("x0",), "x1", coeff)]
+    )
+    assert relation_arities(cat) == [1, 2, 3]
+    assert check_a_infinity(cat)
+    assert fukaya_oracle.check_a_infinity(cat, k_max=6)
+
+
+def chain_with_m3():
+    """f: 0 -> 1 and g: 1 -> 2 in degree 0, k: 0 -> 2 in degree -1, unital
+    m_2 entries for all three, no f.g, and m_3(id_0, f, g) = k."""
+    homs = {
+        (0, 0): GradedModule([("i0", 0)]),
+        (1, 1): GradedModule([("i1", 0)]),
+        (2, 2): GradedModule([("i2", 0)]),
+        (0, 1): GradedModule([("f", 0)]),
+        (1, 2): GradedModule([("g", 0)]),
+        (0, 2): GradedModule([("k", -1)]),
+    }
+    units = [(("i0", "i0"), "i0"), (("i1", "i1"), "i1"), (("i2", "i2"), "i2"),
+             (("i0", "f"), "f"), (("f", "i1"), "f"), (("i1", "g"), "g"),
+             (("g", "i2"), "g"), (("i0", "k"), "k"), (("k", "i2"), "k")]
+    products = [ProductEntry(chain, out) for chain, out in units]
+    return DirectedAInfCategory(
+        ("A", "B", "C"), homs, products + [ProductEntry(("i0", "f", "g"), "k")]
+    )
+
+
+def test_m3_control_fails_past_arity_three():
+    # the arity-3 relations hold, so a check fixed at arity 3 would pass it
+    cat = chain_with_m3()
+    assert relation_arities(cat) == [3, 4, 5]
+    assert not check_a_infinity(cat)
+    assert fukaya_oracle.check_a_infinity(cat, k_max=3)
+    assert [fukaya_oracle.check_a_infinity(cat, k) for k in (4, 5, 6)] == [False] * 3
+
+
+# three objects with generators in several degrees, and every product entry
+# of arity at most 3 that the degree rule admits
+THREE_OBJECT_HOMS = {
+    (0, 0): GradedModule([("i0", 0)]),
+    (1, 1): GradedModule([("i1", 0)]),
+    (2, 2): GradedModule([("i2", 0)]),
+    (0, 1): GradedModule([("a", 0), ("b", 1)]),
+    (1, 2): GradedModule([("c", 0), ("d", 1)]),
+    (0, 2): GradedModule([("e", -1), ("f", 0), ("g", 1), ("h", 2)]),
+}
+
+
+def _admissible_entries():
+    bare = DirectedAInfCategory(("A", "B", "C"), THREE_OBJECT_HOMS, [])
+    entries = []
+    for k in (1, 2, 3):
+        for chain in bare.composable_chains(k):
+            degree = sum(bare.gen_info(g)[2] for g in chain) + 2 - k
+            module = THREE_OBJECT_HOMS.get(bare.chain_endpoints(chain))
+            entries += [(chain, name) for name, d in (module.basis if module else ()) if d == degree]
+    return entries
+
+
+@given(picks=st.lists(
+    st.tuples(st.sampled_from(_admissible_entries()), st.sampled_from([-1, 1, 2])),
+    min_size=1, max_size=8,
+))
+@settings(max_examples=150, deadline=None)
+def test_relation_arities_agree_with_the_arity_walk(picks):
+    # walking every arity up to one past the highest computed one changes nothing
+    products = [ProductEntry(chain, output, coeff) for (chain, output), coeff in picks]
+    cat = DirectedAInfCategory(("A", "B", "C"), THREE_OBJECT_HOMS, products)
+    top = max(relation_arities(cat))
+    assert check_a_infinity(cat) == fukaya_oracle.check_a_infinity(cat, k_max=top + 1)
+
+
+def test_m3_control_fails_the_a_infinity_row(monkeypatch):
+    monkeypatch.setattr(fukaya, "lg2_category", chain_with_m3)
+    rows = {r.id: r for r in run("category", Config()).results}
+    row = rows["category.a-infinity-relations"]
+    assert row.status == "fail"
+    assert "arity 3, 4, 5 " in row.detail
 
 
 def test_lg2_strictly_unital():
@@ -102,8 +194,21 @@ def test_lg2_strictly_unital():
 
 def test_lg2_differential_only_forced_slot():
     cat = lg2_category()
-    assert degree_forced_vanishing(cat, max_arity=6) == []
-    assert degree_forced_vanishing(cat, max_arity=6, min_arity=1) == [(1, ("x0",), 1)]
+    assert degree_forced_vanishing(cat) == []
+    assert degree_forced_vanishing(cat, min_arity=1) == [(1, ("x0",), 1)]
+
+
+def test_forced_vanishing_walks_the_longest_chain():
+    # on four objects the only admissible slot is the arity-3 chain a, b, c
+    homs = {(i, i): GradedModule([(f"e{i}", 0)]) for i in range(4)}
+    homs.update({
+        (0, 1): GradedModule([("a", 0)]),
+        (1, 2): GradedModule([("b", 0)]),
+        (2, 3): GradedModule([("c", 0)]),
+        (0, 3): GradedModule([("h", -1)]),
+    })
+    cat = DirectedAInfCategory(("A", "B", "C", "D"), homs, [])
+    assert degree_forced_vanishing(cat) == [(3, ("a", "b", "c"), -1)]
 
 
 def test_lg2_hom_table():
@@ -129,23 +234,76 @@ def test_morse_circle_rank_one_differential_kills_cohomology():
 
 
 def test_tables_equal_shift_window():
+    # the matcher returns the solved shifts, with no window to bound them
     table = lg2_category().hom_table()
-    assert tables_equal(table, table)
-    shifted = shift_table(table, (0, 2))
-    assert not tables_equal(shifted, table)
-    assert tables_equal(shifted, table, shift_window=2)
+    assert tables_equal(table, table) == (0, 0)
+    for planted in ((0, 2), (5, -40), (0, 1000)):
+        shifted = shift_table(table, planted)
+        assert tables_equal(shifted, table) == (0, planted[0] - planted[1])
+        assert not fukaya_oracle.tables_equal(shifted, table, shift_window=0)
 
 
 def test_lg2_never_matches_projective_line():
     table = lg2_category().hom_table()
     p1 = p1_mirror_table()
+    assert tables_equal(table, p1) is None
     for window in (0, 1, 2, 3):
-        assert not tables_equal(table, p1, shift_window=window)
+        assert not fukaya_oracle.tables_equal(table, p1, shift_window=window)
 
 
 def test_p1_table_matches_itself_trivially():
     p1 = p1_mirror_table()
-    assert tables_equal(p1, p1, shift_window=3)
+    assert tables_equal(p1, p1) == (0, 0)
+
+
+def test_tables_with_other_pairs_do_not_match():
+    table = lg2_category().hom_table()
+    assert tables_equal(table, {(0, 0): {0: 1}}) is None
+    assert tables_equal({}, {}) == ()
+
+
+@st.composite
+def directed_tables(draw):
+    """Two directed tables on up to three objects, degrees in [-2, 2]: a
+    random pair, or a table and a shift of it with one hom possibly redrawn.
+    Either way every match needs shifts spread over at most 8, which a
+    window of 4 reaches."""
+    n = draw(st.integers(1, 3))
+    ranks = st.dictionaries(st.integers(-2, 2), st.integers(0, 2), max_size=3)
+
+    def table():
+        return {(i, j): draw(ranks) if i <= j else {} for i in range(n) for j in range(n)}
+
+    table_a = table()
+    if draw(st.booleans()):
+        return table_a, table()
+    planted = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    table_b = shift_table(table_a, planted)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        table_b[(i, draw(st.integers(i, n - 1)))] = draw(ranks)
+    return table_a, table_b
+
+
+@given(tables=directed_tables())
+@settings(max_examples=300, deadline=None)
+def test_solved_matcher_agrees_with_the_window_brute_force(tables):
+    table_a, table_b = tables
+    solved = tables_equal(table_a, table_b)
+    assert (solved is not None) == fukaya_oracle.tables_equal(table_a, table_b, shift_window=4)
+    if solved is not None:
+        assert tables_equal(shift_table(table_a, solved), table_b) == (0,) * len(solved)
+
+
+def test_off_by_one_matcher_fails_the_shift_sanity_row(monkeypatch):
+    exact = fukaya._solve_shifts
+
+    def off_by_one(a, b, n_objects):
+        return tuple(s + (i > 0) for i, s in enumerate(exact(a, b, n_objects)))
+
+    monkeypatch.setattr(fukaya, "_solve_shifts", off_by_one)
+    rows = {r.id: r for r in run("category", Config()).results}
+    assert rows["category.shift-matching-sanity"].status == "fail"
 
 
 O_MINUS_E, O = PicClass(-1, 0), PicClass(0, 0)

@@ -151,3 +151,43 @@ STDLIB_HOOKS = {"cli._Parser.error"}
 def test_library_defines_nothing_only_tests_use():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unreferenced(sources, BENCHMARK_ONLY | STDLIB_HOOKS) == {}
+
+
+def unread_config_keys(source: str):
+    """Fields of the ``Config`` class in ``source`` that no ``suite_*``
+    function reads as ``cfg.<field>``."""
+    tree = ast.parse(source)
+    fields = [
+        stmt.target.id
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Config"
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+    ]
+    read = {
+        node.attr
+        for suite in tree.body
+        if isinstance(suite, ast.FunctionDef) and suite.name.startswith("suite_")
+        for node in ast.walk(suite)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg"
+    }
+    return [field for field in fields if field not in read]
+
+
+def test_unread_config_key_detector():
+    source = (
+        "class Config:\n"
+        "    seed: int = 0\n"
+        "    k_max: int = 6\n"
+        "    spare: int = 1\n"
+        "def load_config(cfg): return cfg.spare\n"
+        "def suite_a(cfg): return cfg.seed\n"
+    )
+    assert unread_config_keys(source) == ["k_max", "spare"]
+
+
+def test_every_config_key_is_read_by_a_suite():
+    # a key that no check reads is a knob that changes nothing in the report
+    assert unread_config_keys((SRC / "report.py").read_text(encoding="utf-8")) == []
