@@ -107,10 +107,15 @@ def _solved_classes(
 
 DEFAULT_TARGET: ExtPattern = {0: 1, 1: 1}
 
+# The report's shift window.  No verdict depends on it: the search solves
+# each shift difference from its target, and every window from 1 holds the
+# differences of the report's targets.
+SHIFT_WINDOW = 3
+
 
 def search_mirror_pair(
     t_range: int = 10,
-    shift_range: int = 3,
+    shift_range: int = SHIFT_WINDOW,
     target_forward: Optional[ExtPattern] = None,
     require_backward_zero: bool = True,
     require_end_simple: bool = True,

@@ -365,7 +365,7 @@ INJECTIVE_CONNECTING_ASSUMPTION = (
 )
 
 
-def end_algebra_dims_tilting(box_margin: int = 1) -> TiltingReport:
+def end_algebra_dims_tilting() -> TiltingReport:
     """Hom and Ext dimensions of the rank-three bundle pair by rank chases.
 
     The bundle sits in 0 -> O -> X -> N -> 0 where N is the negative-section
@@ -376,7 +376,7 @@ def end_algebra_dims_tilting(box_margin: int = 1) -> TiltingReport:
     fan = HirzebruchFan(2)
     n, o = PicClass(-1, 0), PicClass(0, 0)
     table = {
-        (x, y): ext_dims(fan, cx, cy, box_margin).triple
+        (x, y): ext_dims(fan, cx, cy).triple
         for x, cx in (("n", n), ("o", o))
         for y, cy in (("n", n), ("o", o))
     }
@@ -411,7 +411,7 @@ def end_algebra_dims_tilting(box_margin: int = 1) -> TiltingReport:
 # --------------------------------------------------------------- K-theory
 
 
-def euler_form_matrix(classes: Sequence[PicClass], box_margin: int = 1) -> ExactMatrix:
+def euler_form_matrix(classes: Sequence[PicClass]) -> ExactMatrix:
     """Euler-form matrix chi(E_i, E_j) = sum_k (-1)^k dim Ext^k(E_i, E_j)
     of line bundles on the Hirzebruch surface F_2.
 
@@ -420,6 +420,4 @@ def euler_form_matrix(classes: Sequence[PicClass], box_margin: int = 1) -> Exact
     Grothendieck group.
     """
     fan = HirzebruchFan(2)
-    return ExactMatrix([
-        [ext_dims(fan, ci, cj, box_margin).euler for cj in classes] for ci in classes
-    ])
+    return ExactMatrix([[ext_dims(fan, ci, cj).euler for cj in classes] for ci in classes])

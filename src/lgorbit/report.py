@@ -28,12 +28,11 @@ class Config(NamedTuple):
     thimble_grid: Tuple[int, int] = (9, 64)
     box_margin: int = 1
     t_range: int = 10
-    shift_range: int = 3
 
 
 # Size bounds, so the largest allowed run of each suite takes seconds (README)
 MAX_SPHERE_SAMPLES, MAX_THIMBLE_CELLS = 100_000, 250_000
-MAX_T_RANGE, MAX_SHIFT_RANGE = 1000, 10
+MAX_T_RANGE = 1000
 
 # JSON writes a tuple as a list
 _JSON_TYPES = {int: int, tuple: (list, tuple)}
@@ -70,13 +69,10 @@ def load_config(path: Optional[str] = None, overrides: Optional[Mapping] = None)
             raise PreconditionError("thimble_grid must be two positive integers")
         data["thimble_grid"] = grid
     cfg = Config(**data)
-    if cfg.sphere_samples < 1:
-        raise PreconditionError("sphere_samples needs >= 1")
-    # shift_range >= 1 lets the mirror search shift its two objects apart
-    if cfg.box_margin < 0 or cfg.t_range < 1 or cfg.shift_range < 1:
-        raise PreconditionError("box_margin, t_range, shift_range out of range")
-    for key, bound in (("sphere_samples", MAX_SPHERE_SAMPLES), ("t_range", MAX_T_RANGE),
-                       ("shift_range", MAX_SHIFT_RANGE)):
+    for key, least in (("sphere_samples", 1), ("box_margin", 0), ("t_range", 1)):
+        if getattr(cfg, key) < least:
+            raise PreconditionError(f"{key} must be at least {least}")
+    for key, bound in (("sphere_samples", MAX_SPHERE_SAMPLES), ("t_range", MAX_T_RANGE)):
         if getattr(cfg, key) > bound:
             raise PreconditionError(f"{key} must be at most {bound}")
     if cfg.thimble_grid[0] * cfg.thimble_grid[1] > MAX_THIMBLE_CELLS:
@@ -346,7 +342,7 @@ def suite_category(cfg: Config) -> SuiteOutput:
     # pair to the degree 0 and 1 surfaces, or swap it on the degree-2 one
     pair = (toric.PicClass(-1, 0), toric.PicClass(0, 0))
     f2_table, *controls = (
-        toric.ext_hom_table(toric.HirzebruchFan(a), bundles, cfg.box_margin)
+        toric.ext_hom_table(toric.HirzebruchFan(a), bundles)
         for a, bundles in ((2, pair), (0, pair), (1, pair), (2, pair[::-1]))
     )
     results.append(_row(
@@ -371,7 +367,6 @@ def suite_category(cfg: Config) -> SuiteOutput:
 
 
 def suite_sheaves(cfg: Config) -> SuiteOutput:
-    import functools
     from . import toric
     results: List[CheckResult] = []
     fans = {a: toric.HirzebruchFan(a) for a in (0, 1, 2)}
@@ -385,10 +380,11 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         "canonical class all match the section-and-fiber basis for a in 0..2",
     ))
 
-    # one entry per (class, fan), for this call only: the rows below repeat classes
-    @functools.cache
-    def coh(c: toric.PicClass, fan: toric.HirzebruchFan) -> toric.CohDims:
-        return toric.cohomology_dims(fan, toric.pic_to_divisor(fan, c), cfg.box_margin)
+    # toric caches each class, and the rows below repeat classes
+    def coh(
+        c: toric.PicClass, fan: toric.HirzebruchFan, margin: int = cfg.box_margin
+    ) -> toric.CohDims:
+        return toric.cohomology_dims(fan, toric.pic_to_divisor(fan, c), margin)
 
     section_classes = {
         "O": (toric.PicClass(0, 0), (1, 0, 0)),
@@ -466,8 +462,7 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
     ))
 
     stability_ok = all(
-        coh(c, fan2)
-        == toric.cohomology_dims(fan2, toric.pic_to_divisor(fan2, c), cfg.box_margin + 2)
+        coh(c, fan2) == coh(c, fan2, cfg.box_margin + 2)
         for c, _want in section_classes.values()
     )
     results.append(_row(
@@ -549,7 +544,7 @@ def suite_quiver(cfg: Config) -> SuiteOutput:
         "composite is a nonzero loop, and that loop squares to zero",
     ))
 
-    tilting = quiver.end_algebra_dims_tilting(cfg.box_margin)
+    tilting = quiver.end_algebra_dims_tilting()
     results.append(_row(
         "quiver.tilting-rank-chase",
         "claim:endomorphism-dimensions-one-one-one-two",
@@ -600,9 +595,7 @@ def suite_quiver(cfg: Config) -> SuiteOutput:
     results.append(_row(
         "quiver.k-group-rank",
         "claim:k-group-is-free-of-rank-two",
-        quiver.euler_form_matrix(
-            (toric.PicClass(-1, 0), toric.PicClass(0, 0)), cfg.box_margin
-        ).rank() == 2,
+        quiver.euler_form_matrix((toric.PicClass(-1, 0), toric.PicClass(0, 0))).rank() == 2,
         "the Euler-form matrix of (O(-E), O), with entries chi from the "
         "Ext dimensions on the degree-2 surface, has rank two",
     ))
@@ -616,7 +609,7 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
     from . import mirror
     results: List[CheckResult] = []
 
-    main = mirror.search_mirror_pair(cfg.t_range, cfg.shift_range)
+    main = mirror.search_mirror_pair(cfg.t_range)
     results.append(_row(
         "mirror.main-search",
         "claim:no-projective-line-object-pair",
@@ -626,9 +619,7 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
         "vanishing backward morphisms and simple endomorphisms",
     ))
 
-    control_target = mirror.search_mirror_pair(
-        cfg.t_range, cfg.shift_range, target_forward={0: 2}
-    )
+    control_target = mirror.search_mirror_pair(cfg.t_range, target_forward={0: 2})
     results.append(_row(
         "mirror.control-witness",
         "claim:search-control-finds-known-pair",
@@ -640,7 +631,6 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
 
     relaxed_distinct = mirror.search_mirror_pair(
         cfg.t_range,
-        cfg.shift_range,
         require_backward_zero=False,
         require_end_simple=False,
     )
@@ -654,7 +644,6 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
 
     relaxed_self = mirror.search_mirror_pair(
         cfg.t_range,
-        cfg.shift_range,
         require_backward_zero=False,
         require_end_simple=False,
         allow_self_pairs=True,
@@ -667,13 +656,13 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
         "but only after dropping the constraints the target imposes",
     ))
 
-    stable = mirror.search_mirror_pair(2 * cfg.t_range, cfg.shift_range + 2)
+    stable = mirror.search_mirror_pair(2 * cfg.t_range, mirror.SHIFT_WINDOW + 2)
     results.append(_row(
         "mirror.stability",
         "claim:search-stable-under-enlargement",
         stable is None,
         f"stability note: the window doubled to twists within "
-        f"{2 * cfg.t_range} and shifts within {cfg.shift_range + 2} and "
+        f"{2 * cfg.t_range} and shifts within {mirror.SHIFT_WINDOW + 2} and "
         "still no witness appears",
     ))
 

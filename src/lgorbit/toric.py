@@ -18,8 +18,8 @@ Cohomology of a torus-invariant divisor splits by character.  Each lattice
 point m contributes to the chart of a cone exactly when <m, u> >= -a_u for
 every ray u of the cone, intersections of charts follow the face rule, and
 the resulting four-chart Cech complex is assembled and ranked exactly over
-the rationals.  Only sixteen admissibility patterns exist, so the per
--pattern cohomology is cached.  The sum over a bounded character box goes
+the rationals.  Only sixteen admissibility patterns exist, so each
+pattern's cohomology is cached.  The sum over a bounded character box goes
 by rows (Cox-Little-Schenck, Toric Varieties, 9.1): every bit is a
 half-plane condition, so along the row m2 the pattern is constant between
 the cuts m1 = -a1 and m1 = a3 - a*m2 + 1, and each of the at most three
@@ -253,10 +253,9 @@ def _pattern_cohomology(bits: Tuple[bool, bool, bool, bool]) -> Tuple[int, int, 
     return (h.get(0, 0), h.get(1, 0), h.get(2, 0))
 
 
-def _box_sum(fan: HirzebruchFan, d: ToricDivisor, half_width: int) -> Tuple[int, int, int]:
+def _box_sum(a: int, coeffs: Sequence[int], half_width: int) -> Tuple[int, int, int]:
     """Per-character Cech cohomology over [-M, M]^2, summed by row intervals."""
-    a1, a2, a3, a4 = d.coeffs
-    a = fan.a
+    a1, a2, a3, a4 = coeffs
     lo, hi = -half_width, half_width + 1
     t0 = t1 = t2 = 0
     # Only patterns with bits[1] == bits[3] have nonzero cohomology, so rows
@@ -296,31 +295,39 @@ def cohomology_dims(
     |a_rho| + 1 genuinely undercounts (already for a = 2 and the divisor
     5*D4).  base_half_width overrides the computed base, which lets tests
     drive the instability guard.  Both sums go over row intervals, so the
-    cost depends on the coefficients only, not on M or box_margin.
+    cost depends on the coefficients only, not on M or box_margin, and each
+    set of arguments is summed once per process.
     """
     if box_margin < 0:
         raise PreconditionError("box_margin must be nonnegative")
+    return _cohomology(fan.a, tuple(d.coeffs), box_margin, base_half_width)
+
+
+# Keyed on plain integers: a record compares equal to the tuple of its fields,
+# so records of different kinds could share a key.
+@lru_cache(maxsize=None)
+def _cohomology(
+    a: int, coeffs: Tuple[int, ...], margin: int, base_half_width: Optional[int]
+) -> CohDims:
     if base_half_width is None:
-        base_half_width = (1 + fan.a) * (sum(abs(c) for c in d.coeffs) + 1)
-    small = _box_sum(fan, d, base_half_width + box_margin)
-    large = _box_sum(fan, d, base_half_width + box_margin + 2)
+        base_half_width = (1 + a) * (sum(abs(c) for c in coeffs) + 1)
+    small = _box_sum(a, coeffs, base_half_width + margin)
+    large = _box_sum(a, coeffs, base_half_width + margin + 2)
     if small != large:
         raise DiagnosticError(
-            f"character box too small: {small} at margin {box_margin}, "
-            f"{large} at margin {box_margin + 2}"
+            f"character box too small: {small} at margin {margin}, "
+            f"{large} at margin {margin + 2}"
         )
     return CohDims(*small)
 
 
-def ext_dims(
-    fan: HirzebruchFan, c1: PicClass, c2: PicClass, box_margin: int = 1
-) -> CohDims:
+def ext_dims(fan: HirzebruchFan, c1: PicClass, c2: PicClass) -> CohDims:
     """Ext^k between line bundles: cohomology of the difference class."""
-    return cohomology_dims(fan, pic_to_divisor(fan, c2 - c1), box_margin)
+    return cohomology_dims(fan, pic_to_divisor(fan, c2 - c1))
 
 
 def ext_hom_table(
-    fan: HirzebruchFan, bundles: Sequence[PicClass], box_margin: int = 1
+    fan: HirzebruchFan, bundles: Sequence[PicClass]
 ) -> Dict[Tuple[int, int], Dict[int, int]]:
     """Nonzero Ext dimensions by degree between every ordered pair of bundles.
 
@@ -330,7 +337,7 @@ def ext_hom_table(
     return {
         (i, j): {
             k: dim
-            for k, dim in enumerate(ext_dims(fan, source, target, box_margin).triple)
+            for k, dim in enumerate(ext_dims(fan, source, target).triple)
             if dim
         }
         for i, source in enumerate(bundles)

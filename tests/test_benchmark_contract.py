@@ -2,7 +2,8 @@
 
 The gate in ``perfbench/gate.py`` fixes each workload's arguments and row
 count; a renamed flag or a changed number of checks fails here, not only
-when the benchmark runs.
+when the benchmark runs.  Every workload's arguments, the unbenchmarked ones
+too, must also still parse and load as a config.
 """
 
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from lgorbit import cli
+from lgorbit.report import Config, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -31,3 +33,9 @@ def test_benchmarked_workload_passes_the_gate(name, tmp_path, capsys):
     assert code == 0
     assert len(json.loads(text)["results"]) == workload.checks
     assert report_problems(workload, 0, code, text) == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_parses_and_loads(name):
+    args = cli.build_parser().parse_args([*WORKLOADS[name].argv, "--seed", "0"])
+    load_config(None, {key: getattr(args, key) for key in Config._fields})

@@ -133,7 +133,6 @@ FLAG_VALUES = {
     "thimble_grid": ("3x8", [3, 8]),
     "box_margin": ("2", 2),
     "t_range": ("4", 4),
-    "shift_range": ("2", 2),
 }
 
 
@@ -304,8 +303,7 @@ def test_mirror_runs_at_the_largest_window(tmp_path):
     out = tmp_path / "mirror.json"
     proc = subprocess.run(
         [sys.executable, "-m", "lgorbit", "mirror",
-         "--t-range", str(report.MAX_T_RANGE), "--shift-range", str(report.MAX_SHIFT_RANGE),
-         "--json", str(out)],
+         "--t-range", str(report.MAX_T_RANGE), "--json", str(out)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -367,29 +365,50 @@ def test_k_max_is_gone(tmp_path, capsys):
 
 
 def test_sheaves_suite_computes_each_cohomology_once(monkeypatch):
+    # computations are misses of toric's cache; arguments are those passed in
     from lgorbit import toric
 
     exact = toric.cohomology_dims
-    calls = []
+    arguments = set()
 
-    def counted(*args, **kwargs):
-        calls.append((args, tuple(sorted(kwargs.items()))))
-        return exact(*args, **kwargs)
+    def recorded(fan, d, box_margin=1):
+        arguments.add((fan.a, d.coeffs, box_margin))
+        return exact(fan, d, box_margin)
 
-    monkeypatch.setattr(toric, "cohomology_dims", counted)
-    assert not run("sheaves", Config()).failed
-    assert len(calls) == len(set(calls))
-
-
-def test_cli_rejects_zero_shift_range(capsys):
-    assert cli.main(["category", "--shift-range", "0"]) == 2
-    assert "config error" in capsys.readouterr().err
+    monkeypatch.setattr(toric, "cohomology_dims", recorded)
+    for suite in ("sheaves", "all"):
+        arguments.clear()
+        toric._cohomology.cache_clear()
+        assert not run(suite, Config()).failed
+        assert toric._cohomology.cache_info().misses == len(arguments) == 387
 
 
-def test_smallest_shift_range_passes_shift_matching(capsys):
-    assert cli.main(["category", "--shift-range", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS       category.shift-matching-sanity" in out
+def test_shift_range_is_gone(tmp_path, capsys):
+    # the mirror search's shift window is the constant mirror.SHIFT_WINDOW
+    assert cli.main(["mirror", "--shift-range", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "verify: usage error: unrecognized arguments: --shift-range 3\n"
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text('{"shift_range": 3}')
+    assert cli.main(["mirror", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: config error: unknown config keys: ['shift_range']\n"
+
+
+# each key's first value below its domain, and the one line that rejects it
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sphere-samples", "0", "sphere_samples must be at least 1"),
+    ("--box-margin", "-1", "box_margin must be at least 0"),
+    ("--t-range", "0", "t_range must be at least 1"),
+    ("--thimble-grid", "0x64", "thimble_grid must be two positive integers"),
+])
+def test_range_error_names_the_key(flag, value, message, capsys):
+    assert cli.main(["quiver", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verify: config error: {message}\n"
 
 
 def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
@@ -486,8 +505,8 @@ def test_wrong_ext_triple_fails_the_f2_row(monkeypatch, capsys):
 
     exact = toric.ext_dims
 
-    def degree_one_lost(fan, c1, c2, box_margin=1):
-        dims = exact(fan, c1, c2, box_margin)
+    def degree_one_lost(fan, c1, c2):
+        dims = exact(fan, c1, c2)
         return toric.CohDims(dims.h0, 0, dims.h2) if fan.a == 2 else dims
 
     assert _f2_row(monkeypatch, degree_one_lost) == "fail"
@@ -502,7 +521,7 @@ def test_f2_row_fails_when_a_control_matches(monkeypatch):
 
     exact = toric.ext_dims
     f2 = toric.HirzebruchFan(2)
-    assert _f2_row(monkeypatch, lambda fan, c1, c2, m=1: exact(f2, c1, c2, m)) == "fail"
+    assert _f2_row(monkeypatch, lambda fan, c1, c2: exact(f2, c1, c2)) == "fail"
 
 
 # each size bound, spelled as a flag, with its largest admitted value; quiver
@@ -510,7 +529,6 @@ def test_f2_row_fails_when_a_control_matches(monkeypatch):
 SIZE_BOUNDS = [
     ("--sphere-samples", report.MAX_SPHERE_SAMPLES, "sphere_samples"),
     ("--t-range", report.MAX_T_RANGE, "t_range"),
-    ("--shift-range", report.MAX_SHIFT_RANGE, "shift_range"),
 ]
 
 

@@ -34,7 +34,6 @@ VALID = {
     "thimble_grid": st.tuples(st.integers(1, 40), st.integers(1, 40)),
     "box_margin": st.integers(0, 30),
     "t_range": st.integers(1, 20),
-    "shift_range": st.integers(1, 4),
 }
 
 # values of the right type outside each key's domain (seed has no such value)
@@ -44,7 +43,6 @@ OUT_OF_DOMAIN = {
     | st.tuples(st.integers(1, 5), st.integers(-5, 0)),
     "box_margin": st.integers(-10**6, -1),
     "t_range": st.integers(-10**6, 0),
-    "shift_range": st.integers(-10**6, 0),
 }
 
 # JSON values of the wrong type for each key, as they may appear in --config
@@ -53,7 +51,7 @@ WRONG_JSON = {
     for key, extra in (
         ("seed", [1.5]), ("sphere_samples", [2.5]),
         ("thimble_grid", [9, "9x64", [9], [9, 64, 1], [9.5, 64], [True, 3], ["9", 64]]),
-        ("box_margin", [0.5]), ("t_range", [3.0]), ("shift_range", [[2]]),
+        ("box_margin", [0.5]), ("t_range", [3.0, [2]]),
     )
 }
 
@@ -63,7 +61,7 @@ WRONG_FLAG = {
     for key, extra in (
         ("seed", ["1.5", "0x10"]),
         ("sphere_samples", ["2.5"]), ("thimble_grid", ["9", "9x", "x64", "9x64x1", "9.5x64"]),
-        ("box_margin", ["0.5"]), ("t_range", ["3.0"]), ("shift_range", ["1e1"]),
+        ("box_margin", ["0.5"]), ("t_range", ["3.0", "1e1"]),
     )
 }
 

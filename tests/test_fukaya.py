@@ -327,6 +327,6 @@ def test_thimble_category_matches_the_f2_ext_table_only(a, source, target, forwa
 
 def test_ext_hom_table_reads_degrees_and_drops_zeros():
     # H^*(O(-2E)) = (0, 3, 0) and H^*(O(2E)) = (1, 4, 0) on the degree-2 surface
-    assert ext_hom_table(HirzebruchFan(2), (O, PicClass(-2, 0)), box_margin=5) == {
+    assert ext_hom_table(HirzebruchFan(2), (O, PicClass(-2, 0))) == {
         (0, 0): {0: 1}, (0, 1): {1: 3}, (1, 0): {0: 1, 1: 4}, (1, 1): {0: 1},
     }

@@ -232,7 +232,7 @@ def test_exclusion_table_matches_brute_force_oracle():
 
 
 def test_report_calls_at_wide_window():
-    t, s = report.MAX_T_RANGE, report.MAX_SHIFT_RANGE
+    t, s = report.MAX_T_RANGE, mirror.SHIFT_WINDOW
     assert search_mirror_pair(t, s) is None
     control = search_mirror_pair(t, s, target_forward={0: 2})
     assert control is not None and control.forward == ((0, 2),)
@@ -300,7 +300,7 @@ def test_work_does_not_grow_with_the_window(monkeypatch):
         return len(calls)
 
     small = work(search_mirror_pair, 10, 3)
-    assert 0 < small == work(search_mirror_pair, report.MAX_T_RANGE, report.MAX_SHIFT_RANGE)
+    assert 0 < small == work(search_mirror_pair, report.MAX_T_RANGE, 10)
     for t_range in (0, 10, report.MAX_T_RANGE):
         # the 4t + 1 twist differences, two mixed pairs and two point-sheaf pairs
         assert work(exclusion_table, t_range) == 4 * t_range + 5

@@ -85,7 +85,7 @@ def test_record_hash_is_the_hash_of_its_fields(record):
     (quiver.Path("v0", "v1", ("a",)), "Path(source='v0', target='v1', arrows=('a',))"),
     (quiver.Arrow("a", "v0", "v1"), "Arrow(name='a', source='v0', target='v1', degree=0)"),
     (report.Config(), "Config(seed=0, sphere_samples=1000, thimble_grid=(9, 64), "
-                      "box_margin=1, t_range=10, shift_range=3)"),
+                      "box_margin=1, t_range=10)"),
     (report.CheckResult("i", "a", "pass", "d"),
      "CheckResult(id='i', anchor='a', status='pass', detail='d', residual=None)"),
 ])

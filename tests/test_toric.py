@@ -180,7 +180,7 @@ def test_pattern_cohomology_table():
 @example(a=2, coeffs=(0, 0, 0, 5), half_width=25)
 def test_box_sum_matches_character_oracle(a, coeffs, half_width):
     fan, d = HirzebruchFan(a), ToricDivisor(coeffs)
-    assert _box_sum(fan, d, half_width) == toric_oracle.box_sum(fan, d, half_width)
+    assert _box_sum(a, coeffs, half_width) == toric_oracle.box_sum(fan, d, half_width)
 
 
 def test_box_margin_stability():
