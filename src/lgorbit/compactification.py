@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
 from .poly import Blocks, MultiHomPoly, certify_charts
-from .symplectic import RATIONAL_SPHERE_POINTS, sphere_point
+from .symplectic import RATIONAL_SPHERE_POINTS, orbit_residual, sphere_point
 
 _HALF = Fraction(1, 2)
 
@@ -98,8 +98,8 @@ class MultiProjPoint:
 
 # -------------------------------------------------- ring-generic 2x2 algebra
 # Each construction on a = [[x, z], [y, w]] is written once, over any ring, on
-# the four entries; the exact API wraps its nested tuples in ExactMatrix or
-# MultiProjPoint, and the certificates call it on polynomial symbols.
+# the four entries and returns nested tuples; callers evaluate it on exact
+# entries, and the certificates call it on polynomial symbols.
 
 
 def product(a, b):
@@ -129,42 +129,12 @@ def height_forms(x, y, z, w):
     return (x * w + y * z, x * w - y * z)
 
 
-class Sl2GroupElement:
-    """A determinant-1 matrix [[x, z], [y, w]] with exact entries."""
-
-    __slots__ = ("x", "y", "z", "w")
-
-    def __init__(self, x: RatLike, y: RatLike, z: RatLike, w: RatLike):
-        self.x = GaussianRational.coerce(x)
-        self.y = GaussianRational.coerce(y)
-        self.z = GaussianRational.coerce(z)
-        self.w = GaussianRational.coerce(w)
-        if determinant(group_matrix(*self.entries)) != ONE:
-            raise StructureError("group element needs determinant exactly 1")
-
-    @property
-    def entries(self) -> Tuple[GaussianRational, ...]:
-        return (self.x, self.y, self.z, self.w)
-
-    def point_pair(self) -> MultiProjPoint:
-        """The ordered pair of column lines, a point of P1 x P1."""
-        return MultiProjPoint(((self.x, self.y), (self.z, self.w)))
-
-    def __repr__(self) -> str:
-        return f"Sl2GroupElement({self.x}, {self.y}, {self.z}, {self.w})"
-
-
-def identity_element() -> Sl2GroupElement:
-    return Sl2GroupElement(1, 0, 0, 1)
-
-
 # --------------------------------------------------------------- quadric
 
 
 def orbit_affine_equation() -> MultiHomPoly:
     """The affine surface equation x^2 + yz - 1 (in the 4-variable ring)."""
-    x, y, z = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz")
-    return x * x + y * z - 1
+    return orbit_residual(tuple(MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz"))
 
 
 def homogenize_orbit() -> MultiHomPoly:
@@ -248,10 +218,6 @@ def tensor_entries(x, y, z, w):
     return ((x * w, -(x * z)), (y * w, -(y * z)))
 
 
-def tensor_orbit_matrix(a: Sl2GroupElement) -> ExactMatrix:
-    return ExactMatrix(tensor_entries(*a.entries))
-
-
 def moment_map(x, y, z, w):
     """Trace-zero matrix pairing the first column with its dual covector.
 
@@ -262,10 +228,6 @@ def moment_map(x, y, z, w):
     e1, e2 = adjugate(x, y, z, w)[0]
     half_diag = (e1 * x - e2 * y) * _HALF
     return ((half_diag, x * e2), (y * e1, -half_diag))
-
-
-def moment_map_of(a: Sl2GroupElement) -> ExactMatrix:
-    return ExactMatrix(moment_map(*a.entries))
 
 
 # ----------------------------------------------------- rational extension
@@ -498,6 +460,10 @@ def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
     return determinant(coefficients).is_zero()
 
 
+# The values [r : s] over which the extended map has a singular fiber.
+DEGENERATE_VALUES = ((ONE, ONE), (ONE, -ONE))
+
+
 class CriticalData(NamedTuple):
     values: Tuple[MultiProjPoint, ...]
     points: Tuple[MultiProjPoint, ...]
@@ -510,7 +476,7 @@ def critical_data() -> CriticalData:
     Each claimed point is certified directly: it satisfies its fiber
     equation and annihilates all four bihomogeneous partials.
     """
-    values = (MultiProjPoint(((1, 1),)), MultiProjPoint(((1, -1),)))
+    values = tuple(MultiProjPoint((value,)) for value in DEGENERATE_VALUES)
     points = (
         MultiProjPoint(((1, 0), (0, 1))),
         MultiProjPoint(((0, 1), (1, 0))),
@@ -550,7 +516,7 @@ def singular_scan(samples: int = 50, seed: int = 4) -> Tuple[SingularSample, ...
     closed form r^2 = s^2 and is unchanged by a random rescaling.
     """
     rng = random.Random(seed)
-    values = [(ONE, ONE), (ONE, -ONE)]
+    values = list(DEGENERATE_VALUES)
     while len(values) < samples + 2:
         r, s = rng.randint(-9, 9), rng.randint(-9, 9)
         if r == 0 and s == 0:
@@ -570,16 +536,10 @@ def singular_scan_consistent(rows: Sequence[SingularSample]) -> bool:
     """All rows agree and every singular value is one of the two classes."""
     if not all(row.agrees for row in rows):
         return False
-    for row in rows:
-        if row.singular and not (
-            _parallel((row.r, row.s), (ONE, ONE))
-            or _parallel((row.r, row.s), (ONE, -ONE))
-        ):
-            return False
+    singular = [(row.r, row.s) for row in rows if row.singular]
+    in_a_class = all(any(_parallel(v, d) for d in DEGENERATE_VALUES) for v in singular)
     # the two degenerate classes must actually occur in the scan
-    seen_plus = any(row.singular and _parallel((row.r, row.s), (ONE, ONE)) for row in rows)
-    seen_minus = any(row.singular and _parallel((row.r, row.s), (ONE, -ONE)) for row in rows)
-    return seen_plus and seen_minus
+    return in_a_class and all(any(_parallel(v, d) for v in singular) for d in DEGENERATE_VALUES)
 
 
 # -------------------------------------------------------------- deformation
@@ -616,16 +576,10 @@ def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjP
 
     ``symplectic.sphere_point`` maps the sphere point to the trace-zero
     matrix with entries X = r, Y = -p + qi, Z = -p - qi, which satisfies
-    X^2 + YZ = 1; its two eigenlines give a point of P1 x P1 off the
-    diagonal.
+    X^2 + YZ = 1, and rejects a point off the sphere; its two eigenlines
+    give a point of P1 x P1 off the diagonal.
     """
-    p, q, r = Fraction(p), Fraction(q), Fraction(r)
-    if p * p + q * q + r * r != 1:
-        raise PreconditionError("need an exact unit-sphere point")
-    big_x, big_y, big_z = sphere_point(p, q, r)
-    # X^2 + YZ = r^2 + p^2 + q^2 = 1 by construction
-    if big_x * big_x + big_y * big_z != ONE:
-        raise StructureError("sphere image left the orbit")
+    big_x, big_y, big_z = sphere_point(Fraction(p), Fraction(q), Fraction(r))
     if big_y.is_zero() and big_x == ONE:
         plus = (big_x + ONE, big_z)
     else:

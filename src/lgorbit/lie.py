@@ -54,13 +54,6 @@ def height_exact(h: CartanDiagonal, a: ExactMatrix) -> GaussianRational:
     return total
 
 
-def height_of_diagonal(h: CartanDiagonal, diag: Sequence[Fraction]) -> Fraction:
-    """Exact height of a diagonal orbit point: the dot product of diagonals."""
-    if len(diag) != h.n:
-        raise StructureError("size mismatch")
-    return sum((hi * Fraction(di) for hi, di in zip(h.diag, diag)), Fraction(0))
-
-
 # --------------------------------------------------------- orbit membership
 
 

@@ -128,7 +128,7 @@ def suite_lie(cfg: Config) -> SuiteOutput:
         "(1,0,0) and (-1,0,0), exactly",
     ))
 
-    heights = {lie.height_of_diagonal(h, d) for d in points}
+    heights = {lie.height_exact(h, lie.CartanDiagonal(d).as_exact_matrix()) for d in points}
     results.append(_row(
         "lie.critical-heights",
         "claim:critical-values-plus-minus-two",
@@ -340,7 +340,7 @@ def suite_category(cfg: Config) -> SuiteOutput:
 
     # L0 -> O(-E), L1 -> O on the degree-2 surface; the controls move the
     # pair to the degree 0 and 1 surfaces, or swap it on the degree-2 one
-    pair = (toric.PicClass(-1, 0), toric.PicClass(0, 0))
+    pair = toric.EXCEPTIONAL_PAIR
     f2_table, *controls = (
         toric.ext_hom_table(toric.HirzebruchFan(a), bundles)
         for a, bundles in ((2, pair), (0, pair), (1, pair), (2, pair[::-1]))
@@ -386,10 +386,11 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
     ) -> toric.CohDims:
         return toric.cohomology_dims(fan, toric.pic_to_divisor(fan, c), margin)
 
+    bundle = dict(zip(("O(-E)", "O"), toric.EXCEPTIONAL_PAIR))
     section_classes = {
-        "O": (toric.PicClass(0, 0), (1, 0, 0)),
+        "O": (bundle["O"], (1, 0, 0)),
         "O(E)": (toric.PicClass(1, 0), (1, 1, 0)),
-        "O(-E)": (toric.PicClass(-1, 0), (0, 0, 0)),
+        "O(-E)": (bundle["O(-E)"], (0, 0, 0)),
     }
     coh_ok = all(coh(c, fan2).triple == want for c, want in section_classes.values())
     results.append(_row(
@@ -406,7 +407,6 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         ("O(-E)", "O"): (1, 1, 0),
         ("O", "O(-E)"): (0, 0, 0),
     }
-    bundle = {"O": toric.PicClass(0, 0), "O(-E)": toric.PicClass(-1, 0)}
     # Ext^k(O(x), O(y)) is the cohomology of y - x, as in toric.ext_dims
     ext_table = {(x, y): coh(bundle[y] - bundle[x], fan2).triple for x, y in frozen}
     results.append(_row(
@@ -595,7 +595,7 @@ def suite_quiver(cfg: Config) -> SuiteOutput:
     results.append(_row(
         "quiver.k-group-rank",
         "claim:k-group-is-free-of-rank-two",
-        quiver.euler_form_matrix((toric.PicClass(-1, 0), toric.PicClass(0, 0))).rank() == 2,
+        quiver.euler_form_matrix(toric.EXCEPTIONAL_PAIR).rank() == 2,
         "the Euler-form matrix of (O(-E), O), with entries chi from the "
         "Ext dimensions on the degree-2 surface, has rank two",
     ))
@@ -711,7 +711,6 @@ def suite_mirror(cfg: Config) -> SuiteOutput:
 def suite_compactification(cfg: Config) -> SuiteOutput:
     from fractions import Fraction
     from . import compactification as geo
-    from .gaussian import ExactMatrix
     results: List[CheckResult] = []
 
     results.append(_row(
@@ -724,11 +723,11 @@ def suite_compactification(cfg: Config) -> SuiteOutput:
         + "; ".join(sorted(geo.SIGN_CONVENTIONS)),
     ))
 
-    ident = geo.identity_element()
-    shear = geo.Sl2GroupElement(1, 0, 1, 1)
+    # entries (x, y, z, w) of the identity and of the shear [[1, 1], [0, 1]]
+    ident, shear = (1, 0, 0, 1), (1, 0, 1, 1)
     tensor_ok = (
-        geo.tensor_orbit_matrix(ident) == ExactMatrix([[1, 0], [0, 0]])
-        and geo.tensor_orbit_matrix(shear) == ExactMatrix([[1, -1], [0, 0]])
+        geo.tensor_entries(*ident) == ((1, 0), (0, 0))
+        and geo.tensor_entries(*shear) == ((1, -1), (0, 0))
         and geo.certify_cofactors(geo.tensor_projector_certificate)
     )
     results.append(_row(
@@ -742,8 +741,8 @@ def suite_compactification(cfg: Config) -> SuiteOutput:
 
     half = Fraction(1, 2)
     moment_ok = (
-        geo.moment_map_of(ident) == ExactMatrix.diagonal([half, -half])
-        and geo.moment_map_of(shear) == ExactMatrix([[half, -1], [0, -half]])
+        geo.moment_map(*ident) == ((half, 0), (0, -half))
+        and geo.moment_map(*shear) == ((half, -1), (0, -half))
         and geo.certify_cofactors(geo.moment_conjugation_certificate)
     )
     results.append(_row(
@@ -768,7 +767,8 @@ def suite_compactification(cfg: Config) -> SuiteOutput:
         "compactification.extension-off-orbit",
         "claim:extension-sends-infinity-to-one-zero",
         off_orbit == geo.MultiProjPoint(((1, 0),))
-        and geo.rational_extension(ident.point_pair()) == geo.MultiProjPoint(((1, 1),)),
+        and geo.rational_extension(geo.MultiProjPoint(((1, 0), (0, 1))))
+        == geo.MultiProjPoint(((1, 1),)),
         "the identity eigenline pair maps to [1:1] and a non-orbit point "
         "maps to [1:0], both exactly",
     ))

@@ -117,6 +117,11 @@ class PicClass(NamedTuple):
         return PicClass(-self.p, -self.q)
 
 
+# The exceptional pair (O(-E), O) on the degree-2 surface, which the two
+# thimbles (L0, L1) match.
+EXCEPTIONAL_PAIR = (PicClass(-1, 0), PicClass(0, 0))
+
+
 class ToricDivisor(namedtuple("ToricDivisor", "coeffs")):
     """Integer coefficient per ray, in fan ray order."""
 

@@ -2,10 +2,11 @@
 
 These are the loops that ``lgorbit.compactification`` replaced with
 symbolic certificates modulo xw - yz - 1.  They draw integer elements of
-SL(2) and integer points of P1 x P1 and test each identity at those points
-with ``ExactMatrix`` products and ``ExactMatrix.inverse``, so they share
-only the exact API (``tensor_orbit_matrix``, ``moment_map_of``,
-``rational_extension``, ``graph_surface``) with the certificates.
+SL(2), as entry tuples (x, y, z, w) of [[x, z], [y, w]], and integer points
+of P1 x P1, and test each identity at those points with ``ExactMatrix``
+products and ``ExactMatrix.inverse``.  They share with the certificates only
+the formulas under test (``tensor_entries``, ``moment_map``,
+``rational_extension``, ``graph_surface``), evaluated at exact entries.
 """
 
 import random
@@ -14,12 +15,11 @@ from typing import Iterator, Tuple
 
 from lgorbit.compactification import (
     MultiProjPoint,
-    Sl2GroupElement,
     base_locus,
     graph_surface,
-    moment_map_of,
+    moment_map,
     rational_extension,
-    tensor_orbit_matrix,
+    tensor_entries,
 )
 from lgorbit.errors import IndeterminatePointError
 from lgorbit.gaussian import ExactMatrix, GaussianRational
@@ -28,18 +28,22 @@ from lgorbit.lie import random_sl_integer
 _HALF_DIAG = ExactMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
 _HEIGHT_DIAG = ExactMatrix.diagonal([1, -1])
 
+# The entries (x, y, z, w) of a group element [[x, z], [y, w]]
+Entries = Tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]
 
-def exact_matrix(a: Sl2GroupElement) -> ExactMatrix:
-    return ExactMatrix([[a.x, a.z], [a.y, a.w]])
+
+def exact_matrix(a: Entries) -> ExactMatrix:
+    x, y, z, w = a
+    return ExactMatrix([[x, z], [y, w]])
 
 
-def random_group_elements(count: int, seed: int = 0) -> Tuple[Sl2GroupElement, ...]:
+def random_group_elements(count: int, seed: int = 0) -> Tuple[Entries, ...]:
     """Seeded integer elements of SL(2), products of integer shears."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         m = random_sl_integer(2, rng)
-        out.append(Sl2GroupElement(m[0, 0], m[1, 0], m[0, 1], m[1, 1]))
+        out.append((m[0, 0], m[1, 0], m[0, 1], m[1, 1]))
     return tuple(out)
 
 
@@ -51,23 +55,25 @@ def random_pairs(rng: random.Random) -> Iterator[MultiProjPoint]:
             yield MultiProjPoint((coords[:2], coords[2:]))
 
 
-def tensor_fixed_vectors_check(a: Sl2GroupElement) -> bool:
+def tensor_fixed_vectors_check(a: Entries) -> bool:
     """The projector has trace 1, fixes column one and annihilates column two."""
-    m = tensor_orbit_matrix(a)
+    x, y, z, w = a
+    m = ExactMatrix(tensor_entries(*a))
     if m.trace() != GaussianRational(1):
         return False
-    first = ExactMatrix([[a.x], [a.y]])
-    second = ExactMatrix([[a.z], [a.w]])
+    first = ExactMatrix([[x], [y]])
+    second = ExactMatrix([[z], [w]])
     return m * first == first and m * second == ExactMatrix([[0], [0]])
 
 
-def moment_orbit_check(a: Sl2GroupElement) -> bool:
+def moment_orbit_check(a: Entries) -> bool:
     """Moment matrix equals conjugation of diag(1/2, -1/2), column one an eigenvector."""
-    m = moment_map_of(a)
+    x, y, _, _ = a
+    m = ExactMatrix(moment_map(*a))
     g = exact_matrix(a)
     if m != g * _HALF_DIAG * g.inverse():
         return False
-    col = ExactMatrix([[a.x], [a.y]])
+    col = ExactMatrix([[x], [y]])
     return m * col == col.scale(Fraction(1, 2))
 
 
@@ -123,9 +129,9 @@ def scaling_invariance_check(count: int = 25, seed: int = 1) -> bool:
 
 def orbit_value_identity(count: int = 100, seed: int = 2) -> bool:
     """On eigenline pairs of orbit matrices the extension is [height : 1]."""
-    for a in random_group_elements(count, seed):
-        height = (_HEIGHT_DIAG * moment_map_of(a)).trace()
-        if rational_extension(a.point_pair()) != MultiProjPoint(((height, 1),)):
+    for x, y, z, w in random_group_elements(count, seed):
+        height = (_HEIGHT_DIAG * ExactMatrix(moment_map(x, y, z, w))).trace()
+        if rational_extension(MultiProjPoint(((x, y), (z, w)))) != MultiProjPoint(((height, 1),)):
             return False
     return True
 

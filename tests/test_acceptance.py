@@ -24,7 +24,7 @@ from lgorbit.lie import (
     conjugate_exact,
     critical_count,
     critical_points,
-    height_of_diagonal,
+    height_exact,
     hessian_determinant,
     orbit_contains_exact,
     random_sl_integer,
@@ -80,7 +80,7 @@ def test_criterion_1_critical_structure():
     }
     one, zero = GaussianRational(1), GaussianRational(0)
     set_ok = coords == {(one, zero, zero), (-one, zero, zero)}
-    heights_ok = {height_of_diagonal(h2, d) for d in pts} == {
+    heights_ok = {height_exact(h2, CartanDiagonal(d).as_exact_matrix()) for d in pts} == {
         Fraction(2),
         Fraction(-2),
     }

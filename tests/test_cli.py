@@ -199,6 +199,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (["all", "--seed", "0"], "verify_all.json"),
     (["mirror", "--t-range", "20"], "verify_mirror_t20.json"),
     (["all", "--seed", "7919"], "verify_all_s7919.json"),
+    (["sheaves", "--box-margin", "8"], "verify_sheaves_m8.json"),
 ])
 def test_report_matches_golden_bytes(tmp_path, capsys, argv, golden):
     out = tmp_path / "report.json"
@@ -512,6 +513,27 @@ def test_wrong_ext_triple_fails_the_f2_row(monkeypatch, capsys):
     assert _f2_row(monkeypatch, degree_one_lost) == "fail"
     assert cli.main(["category"]) == 1
     assert "FAIL       category.f2-ext-equivalence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("wrong", ["degree-one-lost", "backward-hom"])
+def test_wrong_ext_table_fails_the_rank_chase(monkeypatch, capsys, wrong):
+    # a wrong table reaches the row as wrong dimensions, not as an exception
+    from lgorbit import quiver, toric
+
+    exact = quiver.ext_dims
+    minus_e, trivial = toric.EXCEPTIONAL_PAIR
+
+    def patched(fan, c1, c2):
+        dims = exact(fan, c1, c2)
+        if wrong == "degree-one-lost":
+            return toric.CohDims(dims.h0, 0, dims.h2) if fan.a == 2 else dims
+        return toric.CohDims(1, dims.h1, dims.h2) if (c1, c2) == (trivial, minus_e) else dims
+
+    monkeypatch.setattr(quiver, "ext_dims", patched)
+    rows = {r.id: r for r in run("quiver", Config()).results}
+    assert rows["quiver.tilting-rank-chase"].status == "fail"
+    assert cli.main(["quiver"]) == 1
+    assert "FAIL       quiver.tilting-rank-chase" in capsys.readouterr().out
 
 
 def test_f2_row_fails_when_a_control_matches(monkeypatch):

@@ -44,20 +44,20 @@ def test_projective_equality_factorwise():
     assert p == r
 
 
-def test_group_element_needs_unit_determinant():
-    with pytest.raises(StructureError):
-        cg.Sl2GroupElement(1, 0, 0, 2)
-    g = cg.Sl2GroupElement(1, 0, 1, 1)
-    a = compact_oracle.exact_matrix(g)
+IDENTITY, SHEAR = (1, 0, 0, 1), (1, 0, 1, 1)  # entries (x, y, z, w) of [[x, z], [y, w]]
+
+
+def test_adjugate_inverts_the_shear():
+    a = compact_oracle.exact_matrix(SHEAR)
     assert a.det() == GaussianRational(1)
-    assert ExactMatrix(cg.adjugate(*g.entries)) * a == ExactMatrix.identity(2)
+    assert ExactMatrix(cg.adjugate(*SHEAR)) * a == ExactMatrix.identity(2)
 
 
 def test_random_group_elements_determinant_one():
     for g in compact_oracle.random_group_elements(25, seed=11):
         a = compact_oracle.exact_matrix(g)
         assert a.det() == GaussianRational(1)
-        assert ExactMatrix(cg.adjugate(*g.entries)) == a.inverse()
+        assert ExactMatrix(cg.adjugate(*g)) == a.inverse()
 
 
 def test_quadric_presentations():
@@ -68,14 +68,13 @@ def test_quadric_presentations():
 
 
 def test_tensor_and_moment_on_identity():
-    assert compact_oracle.tensor_fixed_vectors_check(cg.identity_element())
-    assert compact_oracle.moment_orbit_check(cg.identity_element())
+    assert compact_oracle.tensor_fixed_vectors_check(IDENTITY)
+    assert compact_oracle.moment_orbit_check(IDENTITY)
 
 
 def test_moment_map_matches_conjugation():
-    shear = cg.Sl2GroupElement(1, 0, 1, 1)
-    m = cg.moment_map_of(shear)
-    a = compact_oracle.exact_matrix(shear)
+    m = ExactMatrix(cg.moment_map(*SHEAR))
+    a = compact_oracle.exact_matrix(SHEAR)
     half = Fraction(1, 2)
     expected = a * ExactMatrix.diagonal([half, -half]) * a.inverse()
     assert m == expected
@@ -91,7 +90,7 @@ def test_tensor_scan():
 
 
 def test_extension_values():
-    ident = cg.rational_extension(cg.identity_element().point_pair())
+    ident = cg.rational_extension(cg.MultiProjPoint((IDENTITY[:2], IDENTITY[2:])))
     assert ident == cg.MultiProjPoint(((1, 1),))
     diag = cg.MultiProjPoint(((1, 1), (1, 1)))
     assert cg.rational_extension(diag) == cg.MultiProjPoint(((1, 0),))
@@ -202,7 +201,7 @@ def test_sphere_point_orbit_pair_generic():
 
 
 def test_sphere_point_orbit_pair_rejects_off_sphere():
-    with pytest.raises(PreconditionError, match="unit-sphere"):
+    with pytest.raises(PreconditionError, match="not on the unit sphere"):
         cg.sphere_point_orbit_pair(Fraction(1), Fraction(1), Fraction(1))
 
 

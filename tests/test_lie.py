@@ -15,7 +15,7 @@ from lgorbit.lie import (
     conjugate_exact,
     critical_count,
     critical_points,
-    height_of_diagonal,
+    height_exact,
     hessian_determinant,
     hessian_matrix,
     orbit_contains_exact,
@@ -50,7 +50,10 @@ def test_sl2_critical_set():
 
 
 def test_sl2_critical_heights():
-    heights = {height_of_diagonal(H_SL2, d) for d in critical_points(H0_SL2, H_SL2)}
+    heights = {
+        height_exact(H_SL2, CartanDiagonal(d).as_exact_matrix())
+        for d in critical_points(H0_SL2, H_SL2)
+    }
     assert heights == {Fraction(2), Fraction(-2)}
 
 
