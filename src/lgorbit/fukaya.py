@@ -290,15 +290,6 @@ def lg2_category() -> DirectedAInfCategory:
     return DirectedAInfCategory(("L0", "L1"), homs, products)
 
 
-def p1_mirror_table() -> Dict[Tuple[int, int], Dict[int, int]]:
-    """Hom ranks of the standard exceptional pair on the projective line.
-
-    hom(L0, L1) is two-dimensional in degree zero; this is the table a
-    projective-line mirror would have to reproduce.
-    """
-    return {(0, 0): {0: 1}, (0, 1): {0: 2}, (1, 0): {}, (1, 1): {0: 1}}
-
-
 # ------------------------------------------------------------- Morse model
 
 

@@ -28,7 +28,7 @@ hom(X, Y) in degree d + sy - sx.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError
 
@@ -68,6 +68,25 @@ def shifted_pattern(
     base = {0: hom, 1: ext1}
     delta = shift_y - shift_x
     return {d - delta: v for d, v in base.items() if v}
+
+
+# The standard exceptional pair (O, O(1)) on the line.
+EXCEPTIONAL_PAIR = (LineBundle(0), LineBundle(1))
+
+
+def ext_hom_table(
+    objects: Sequence[SimpleP1Object],
+) -> Dict[Tuple[int, int], ExtPattern]:
+    """Nonzero Ext dimensions by degree between every ordered pair of objects.
+
+    The shape of ``toric.ext_hom_table``; on ``EXCEPTIONAL_PAIR`` it is the
+    table a projective-line mirror of the thimble category would reproduce.
+    """
+    return {
+        (i, j): shifted_pattern(x, y)
+        for i, x in enumerate(objects)
+        for j, y in enumerate(objects)
+    }
 
 
 class MirrorWitness(NamedTuple):

@@ -1,4 +1,4 @@
-"""Line-bundle cohomology on Hirzebruch surfaces by character-wise Cech sums.
+"""Line-bundle cohomology on Hirzebruch surfaces in closed form.
 
 The fan of the a-th Hirzebruch surface is taken with rays
 
@@ -14,34 +14,30 @@ the divisor class conventions hold simultaneously:
 (The reflection m2 -> -m2 identifies this with the fan whose third ray is
 (-1, a); there the roles of D2 and D4 trade places.)
 
-Cohomology of a torus-invariant divisor splits by character.  Each lattice
-point m contributes to the chart of a cone exactly when <m, u> >= -a_u for
-every ray u of the cone, intersections of charts follow the face rule, and
-the resulting four-chart Cech complex is assembled and ranked exactly over
-the rationals.  Only sixteen admissibility patterns exist, so each
-pattern's cohomology is cached.  The sum over a bounded character box goes
-by rows (Cox-Little-Schenck, Toric Varieties, 9.1): every bit is a
-half-plane condition, so along the row m2 the pattern is constant between
-the cuts m1 = -a1 and m1 = a3 - a*m2 + 1, and each of the at most three
-intervals adds its length times its pattern's cohomology.  Only four
-patterns have nonzero cohomology and all of them have bits 2 and 4 equal,
-so only the rows with -a2 <= m2 <= a4 or a4 < m2 < -a2 are visited: a sum
-costs O(|a2| + |a4| + 1) rows, whatever the box size.  The box is enlarged
-and the sum recomputed as a stability guard: every contributing region is
-a convex lattice polygon whose rows are contiguous integer intervals, so a
-region leaking past the smaller box always populates the enlargement
-annulus and trips the guard.
+Cohomology of the torus-invariant divisor sum a_rho D_rho splits by
+character (Cox-Little-Schenck, Toric Varieties, Thm 9.1.3): H^p at the
+character m is the reduced H^(p-1) of the complex that the rays with
+<m, u_rho> < -a_rho span inside the cones of the fan.  Four rays in a cycle
+give only four such complexes with cohomology: no ray (the empty complex,
+h0), all four (a circle, h2), and either pair of opposite rays, {u1, u3} or
+{u2, u4} (two points, h1).  Along the row m2 the membership of u2 and u4
+is fixed: neither belongs on the rows -a2 <= m2 <= a4 (a "section row"),
+both belong on the rows a4 < m2 < -a2, and on every other row exactly one
+does, so the row carries nothing.  With right = a3 - a*m2, the row's one
+nonzero interval is [-a1, right], of width right + a1 + 1, when
+right >= -a1 (neither u1 nor u3: h0 on a section row, h1 otherwise), and
+(right, -a1), of width -a1 - right - 1, when not (both: h1 on a section
+row, h2 otherwise).  Clipped to the character box, a sum costs
+O(|a2| + |a4| + 1) rows, whatever the box size.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
-from .gaussian import cohomology
 from .poly import MultiHomPoly, certify_charts
 
 Vec = Tuple[int, int]
@@ -214,116 +210,51 @@ def verify_divisor_convention(fan: HirzebruchFan) -> bool:
     return divisor_to_pic(fan, anti) == canonical_class(a)
 
 
-# ----------------------------------------------------- character-wise Cech
-
-# Rays carried by each simplex of the nerve of the four-chart cover.  A
-# chart needs both of its cone's rays; an intersection of charts needs the
-# rays of the common face.  Opposite charts meet along the torus (no rays).
-_CONE_RAYS = (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 0}))
-
-
-def _simplex_rays(vertices: Tuple[int, ...]) -> frozenset:
-    rays = _CONE_RAYS[vertices[0]]
-    for v in vertices[1:]:
-        rays = rays & _CONE_RAYS[v]
-    return rays
-
-
-@lru_cache(maxsize=None)
-def _pattern_cohomology(bits: Tuple[bool, bool, bool, bool]) -> Tuple[int, int, int]:
-    """(h0, h1, h2) of the Cech complex for one ray-admissibility pattern."""
-    by_dim: List[List[Tuple[int, ...]]] = []
-    for p in range(4):
-        simplices = [
-            s
-            for s in itertools.combinations(range(4), p + 1)
-            if all(bits[r] for r in _simplex_rays(s))
-        ]
-        by_dim.append(simplices)
-    differentials: Dict[int, List[List[int]]] = {}
-    for p in range(3):
-        cols = {s: k for k, s in enumerate(by_dim[p])}
-        rows: List[List[int]] = []
-        for target in by_dim[p + 1]:
-            row = [0] * len(cols)
-            for drop in range(len(target)):
-                face = target[:drop] + target[drop + 1 :]
-                if face in cols:
-                    row[cols[face]] = (-1) ** drop
-            rows.append(row)
-        differentials[p] = rows
-    h = cohomology({p: len(s) for p, s in enumerate(by_dim)}, differentials)
-    if h.get(3):
-        raise DiagnosticError("top Cech cohomology of a surface cover must vanish")
-    return (h.get(0, 0), h.get(1, 0), h.get(2, 0))
+# --------------------------------------------------------- row intervals
 
 
 def _box_sum(a: int, coeffs: Sequence[int], half_width: int) -> Tuple[int, int, int]:
-    """Per-character Cech cohomology over [-M, M]^2, summed by row intervals."""
+    """(h0, h1, h2) summed over the characters of [-M, M]^2, one interval a row."""
     a1, a2, a3, a4 = coeffs
-    lo, hi = -half_width, half_width + 1
-    t0 = t1 = t2 = 0
-    # Only patterns with bits[1] == bits[3] have nonzero cohomology, so rows
-    # outside [min(-a2, a4 + 1), max(a4, -a2 - 1)] contribute nothing.
-    for m2 in range(max(lo, min(-a2, a4 + 1)), min(hi, max(a4, -a2 - 1) + 1)):
-        cuts = sorted(min(max(c, lo), hi) for c in (-a1, a3 - a * m2 + 1))
-        for start, end in zip((lo, *cuts), (*cuts, hi)):
-            bits = (
-                start >= -a1,
-                m2 >= -a2,
-                -start - a * m2 >= -a3,
-                -m2 >= -a4,
-            )
-            h0, h1, h2 = _pattern_cohomology(bits)
-            n = end - start
-            t0 += n * h0
-            t1 += n * h1
-            t2 += n * h2
-    return (t0, t1, t2)
+    h = [0, 0, 0]
+    for m2 in range(
+        max(-half_width, min(-a2, a4 + 1)), min(half_width, max(a4, -a2 - 1)) + 1
+    ):
+        right = a3 - a * m2
+        degree = 0 if -a2 <= m2 <= a4 else 1
+        if right >= -a1:
+            first, last = -a1, right
+        else:
+            first, last = right + 1, -a1 - 1
+            degree += 1
+        h[degree] += max(0, min(last, half_width) - max(first, -half_width) + 1)
+    return (h[0], h[1], h[2])
 
 
-def cohomology_dims(
-    fan: HirzebruchFan,
-    d: ToricDivisor,
-    box_margin: int = 1,
-    base_half_width: Optional[int] = None,
-) -> CohDims:
+def cohomology_dims(fan: HirzebruchFan, d: ToricDivisor, box_margin: int = 1) -> CohDims:
     """Sheaf cohomology dimensions of the line bundle of a toric divisor.
 
-    Sums the per-character Cech cohomology over the box [-M, M]^2 with
-    M = (1 + a) * (sum |a_rho| + 1) + box_margin, then re-sums with the
-    margin enlarged by two; disagreement raises (a contributing region
-    escaped the box).  Every contributing character satisfies
-    |m2| <= max(|a2|, |a4|) and |m1| <= max(|a1|, |a3| + a*|m2|), so the
-    (1 + a) factor makes the default box provably sufficient; the slanted
-    third ray stretches regions horizontally, and the unscaled sum
-    |a_rho| + 1 genuinely undercounts (already for a = 2 and the divisor
-    5*D4).  base_half_width overrides the computed base, which lets tests
-    drive the instability guard.  Both sums go over row intervals, so the
-    cost depends on the coefficients only, not on M or box_margin, and each
-    set of arguments is summed once per process.
+    Sums the characters of the box [-M, M]^2 with
+    M = (1 + a) * (sum |a_rho| + 1) + box_margin, once.  Every contributing
+    character satisfies |m2| <= max(|a2|, |a4|) and
+    |m1| <= max(|a1|, |a3| + a*|m2|), so the (1 + a) factor makes the box
+    provably sufficient at every margin; the slanted third ray stretches
+    regions horizontally, and the unscaled sum |a_rho| + 1 genuinely
+    undercounts (already for a = 2 and the divisor 5*D4).  The sum goes over
+    row intervals, so the cost depends on the coefficients only, not on M or
+    box_margin, and each set of arguments is summed once per process.
     """
     if box_margin < 0:
         raise PreconditionError("box_margin must be nonnegative")
-    return _cohomology(fan.a, tuple(d.coeffs), box_margin, base_half_width)
+    return _cohomology(fan.a, tuple(d.coeffs), box_margin)
 
 
 # Keyed on plain integers: a record compares equal to the tuple of its fields,
 # so records of different kinds could share a key.
 @lru_cache(maxsize=None)
-def _cohomology(
-    a: int, coeffs: Tuple[int, ...], margin: int, base_half_width: Optional[int]
-) -> CohDims:
-    if base_half_width is None:
-        base_half_width = (1 + a) * (sum(abs(c) for c in coeffs) + 1)
-    small = _box_sum(a, coeffs, base_half_width + margin)
-    large = _box_sum(a, coeffs, base_half_width + margin + 2)
-    if small != large:
-        raise DiagnosticError(
-            f"character box too small: {small} at margin {margin}, "
-            f"{large} at margin {margin + 2}"
-        )
-    return CohDims(*small)
+def _cohomology(a: int, coeffs: Tuple[int, ...], margin: int) -> CohDims:
+    half_width = (1 + a) * (sum(abs(c) for c in coeffs) + 1) + margin
+    return CohDims(*_box_sum(a, coeffs, half_width))
 
 
 def ext_dims(fan: HirzebruchFan, c1: PicClass, c2: PicClass) -> CohDims:

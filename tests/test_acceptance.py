@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import lie_oracle
 from lgorbit import compactification as cg
+from lgorbit import mirror
 from lgorbit.fukaya import (
     check_a_infinity,
     check_strict_unitality,
     degree_forced_vanishing,
     lg2_category,
     morse_circle_floer,
-    p1_mirror_table,
     tables_equal,
 )
 from lgorbit.gaussian import ExactMatrix, GaussianRational
@@ -125,7 +125,8 @@ def test_criterion_2_lagrangian_bounds():
 def test_criterion_3_directed_category():
     cat = lg2_category()
     morse = morse_circle_floer()
-    mismatch_ok = tables_equal(cat.hom_table(), p1_mirror_table()) is None
+    p1_table = mirror.ext_hom_table(mirror.EXCEPTIONAL_PAIR)
+    mismatch_ok = tables_equal(cat.hom_table(), p1_table) is None
     # L0 -> O(-E), L1 -> O on the degree-2 Hirzebruch surface
     f2_ok = cat.hom_table() == ext_hom_table(HirzebruchFan(2), (PicClass(-1, 0), PicClass(0, 0)))
     ok = (

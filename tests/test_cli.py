@@ -269,8 +269,8 @@ def bare_modules():
     (["import", "lgorbit.cli"], CLI_MODULES),
     (["mirror"], CLI_MODULES | {"lgorbit.mirror"}),
     (["sheaves"], CLI_MODULES | {"lgorbit.toric", "lgorbit.poly", "lgorbit.gaussian"}),
-    (["category"], CLI_MODULES | {"lgorbit.fukaya", "lgorbit.toric", "lgorbit.poly",
-                                  "lgorbit.gaussian"}),
+    (["category"], CLI_MODULES | {"lgorbit.fukaya", "lgorbit.mirror", "lgorbit.toric",
+                                  "lgorbit.poly", "lgorbit.gaussian"}),
     (["all"], {"lgorbit"} | LIBRARY),
     (["lie"], CLI_MODULES | {"lgorbit.lie", "lgorbit.gaussian"}),
     (["symplectic"], CLI_MODULES | {"lgorbit.symplectic", "lgorbit.gaussian"}),
@@ -515,9 +515,10 @@ def test_wrong_ext_triple_fails_the_f2_row(monkeypatch, capsys):
     assert "FAIL       category.f2-ext-equivalence" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("wrong", ["degree-one-lost", "backward-hom"])
+@pytest.mark.parametrize("wrong", ["degree-one-lost", "backward-hom", "undetermined-rank"])
 def test_wrong_ext_table_fails_the_rank_chase(monkeypatch, capsys, wrong):
-    # a wrong table reaches the row as wrong dimensions, not as an exception
+    # a wrong table reaches the row as wrong dimensions or as an undetermined
+    # connecting rank, never as an exception
     from lgorbit import quiver, toric
 
     exact = quiver.ext_dims
@@ -527,13 +528,42 @@ def test_wrong_ext_table_fails_the_rank_chase(monkeypatch, capsys, wrong):
         dims = exact(fan, c1, c2)
         if wrong == "degree-one-lost":
             return toric.CohDims(dims.h0, 0, dims.h2) if fan.a == 2 else dims
-        return toric.CohDims(1, dims.h1, dims.h2) if (c1, c2) == (trivial, minus_e) else dims
+        if (c1, c2) == (trivial, minus_e):
+            return toric.CohDims(1, dims.h1, dims.h2)
+        # with the backward Hom, a self-Ext^1 on O(-E) leaves the chase
+        # Hom(-, O(-E)) with two nonzero ends and no pinned rank
+        if wrong == "undetermined-rank" and (c1, c2) == (minus_e, minus_e):
+            return toric.CohDims(dims.h0, 1, dims.h2)
+        return dims
 
     monkeypatch.setattr(quiver, "ext_dims", patched)
-    rows = {r.id: r for r in run("quiver", Config()).results}
-    assert rows["quiver.tilting-rank-chase"].status == "fail"
+    row = {r.id: r for r in run("quiver", Config()).results}["quiver.tilting-rank-chase"]
+    assert row.status == "fail"
+    undetermined = "connecting rank A2 -> A3 is undetermined" in row.detail
+    assert undetermined == (wrong == "undetermined-rank")
     assert cli.main(["quiver"]) == 1
     assert "FAIL       quiver.tilting-rank-chase" in capsys.readouterr().out
+
+
+def test_box_one_character_short_fails_box_stability(monkeypatch):
+    # the patched sum uses the margin alone, less one: at the default margin
+    # the box stops one character short of O(E)'s class (-1, 1), at margin
+    # three it holds it, so the two sums differ
+    from lgorbit import toric
+
+    exact = toric._box_sum
+
+    def short(a, coeffs, half_width):
+        base = (1 + a) * (sum(abs(c) for c in coeffs) + 1)
+        return exact(a, coeffs, half_width - base - 1)
+
+    monkeypatch.setattr(toric, "_box_sum", short)
+    toric._cohomology.cache_clear()
+    try:
+        rows = {r.id: r for r in run("sheaves", Config()).results}
+    finally:
+        toric._cohomology.cache_clear()
+    assert rows["sheaves.box-stability"].status == "fail"
 
 
 def test_f2_row_fails_when_a_control_matches(monkeypatch):

@@ -16,11 +16,11 @@ from lgorbit.fukaya import (
     degree_forced_vanishing,
     lg2_category,
     morse_circle_floer,
-    p1_mirror_table,
     relation_arities,
     shift_table,
     tables_equal,
 )
+from lgorbit import mirror
 from lgorbit.gaussian import cohomology
 from lgorbit.report import Config, run
 from lgorbit.toric import HirzebruchFan, PicClass, ext_dims, ext_hom_table
@@ -245,14 +245,14 @@ def test_tables_equal_shift_window():
 
 def test_lg2_never_matches_projective_line():
     table = lg2_category().hom_table()
-    p1 = p1_mirror_table()
+    p1 = mirror.ext_hom_table(mirror.EXCEPTIONAL_PAIR)
     assert tables_equal(table, p1) is None
     for window in (0, 1, 2, 3):
         assert not fukaya_oracle.tables_equal(table, p1, shift_window=window)
 
 
 def test_p1_table_matches_itself_trivially():
-    p1 = p1_mirror_table()
+    p1 = mirror.ext_hom_table(mirror.EXCEPTIONAL_PAIR)
     assert tables_equal(p1, p1) == (0, 0)
 
 

@@ -49,6 +49,13 @@ def test_shifted_pattern_moves_degrees():
     assert shifted_pattern(Skyscraper("p"), Skyscraper("q")) == {}
 
 
+def test_exceptional_pair_table():
+    # (O, O(1)): one endomorphism each, two forward sections, nothing back
+    assert mirror.ext_hom_table(mirror.EXCEPTIONAL_PAIR) == {
+        (0, 0): {0: 1}, (0, 1): {0: 2}, (1, 0): {}, (1, 1): {0: 1},
+    }
+
+
 def test_main_search_finds_nothing():
     assert search_mirror_pair(t_range=10, shift_range=3) is None
 
