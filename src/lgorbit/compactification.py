@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 
@@ -417,13 +417,13 @@ def base_locus_certificate() -> bool:
 
 
 def _replaced_scan(*args, **kwargs):
-    raise NotImplementedError("this sample scan was replaced by an orbit certificate")
+    raise NotImplementedError("this sample scan was replaced by an exact certificate")
 
 
-# perfbench/tracer.py still looks up the three sample scans the certificates
+# perfbench/tracer.py still looks up the four sample scans the certificates
 # replaced.  Their names stay bound to a stand-in that nothing calls, so the
 # tracer finds them and times no other code under them.
-random_group_elements = moment_orbit_scan = orbit_value_identity = _replaced_scan
+random_group_elements = moment_orbit_scan = orbit_value_identity = singular_scan = _replaced_scan
 
 
 # ------------------------------------------------------------------ fibers
@@ -442,9 +442,13 @@ def compactified_fiber(r0: RatLike, s0: RatLike) -> MultiHomPoly:
     return plus * s0 - minus * r0
 
 
-def _bilinear_coefficient(poly: MultiHomPoly, first: str, second: str) -> GaussianRational:
-    key = tuple(int(name in (first, second)) for name in poly.variables)
-    return poly.terms.get(key, ZERO)
+def coefficient_matrix(form: MultiHomPoly) -> Tuple[Tuple[MultiHomPoly, ...], ...]:
+    """The (x, y) x (z, w) coefficient matrix of a form bilinear in the points.
+
+    Entry (u, v) is the second partial in u and v, a polynomial in whatever
+    variables the form has besides x, y, z, w.
+    """
+    return tuple(tuple(form.partial(row).partial(col) for col in "zw") for row in "xy")
 
 
 def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
@@ -453,11 +457,7 @@ def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
     A bidegree-(1, 1) curve in P1 x P1 is singular exactly when the 2x2
     matrix of its coefficients is singular.
     """
-    fiber = compactified_fiber(r0, s0)
-    coefficients = tuple(
-        tuple(_bilinear_coefficient(fiber, row, col) for col in "zw") for row in "xy"
-    )
-    return determinant(coefficients).is_zero()
+    return determinant(coefficient_matrix(compactified_fiber(r0, s0))).is_zero()
 
 
 # The values [r : s] over which the extended map has a singular fiber.
@@ -502,44 +502,26 @@ def critical_data() -> CriticalData:
     return CriticalData(values, points, verified)
 
 
-class SingularSample(NamedTuple):
-    r: GaussianRational
-    s: GaussianRational
-    singular: bool
-    agrees: bool
+def degenerate_values_certificate() -> bool:
+    """The fibers degenerate over ``DEGENERATE_VALUES`` and nowhere else.
 
-
-def singular_scan(samples: int = 50, seed: int = 4) -> Tuple[SingularSample, ...]:
-    """Scan seeded random values plus the two degenerate ones.
-
-    Per sample, `agrees` records that the determinant test matches the
-    closed form r^2 = s^2 and is unchanged by a random rescaling.
+    The graph equation is the whole family of fibers with symbolic r, s, so
+    the determinant of its coefficient matrix is the degeneracy test over
+    every value at once, a binary form in r, s.  It must be a nonzero
+    constant times the product of the forms b r - a s over the values
+    [a : b], which are pairwise not proportional; then its zeros are exactly
+    those values, each a simple root.
     """
-    rng = random.Random(seed)
-    values = list(DEGENERATE_VALUES)
-    while len(values) < samples + 2:
-        r, s = rng.randint(-9, 9), rng.randint(-9, 9)
-        if r == 0 and s == 0:
-            continue
-        values.append((GaussianRational(r), GaussianRational(s)))
-    rows = []
-    for r, s in values:
-        singular = is_singular_value(r, s)
-        scalar = GaussianRational(rng.choice((2, 3, 5, -2, -3)))
-        stable = is_singular_value(r * scalar, s * scalar) == singular
-        agrees = stable and singular == (r * r == s * s)
-        rows.append(SingularSample(r, s, singular, agrees))
-    return tuple(rows)
-
-
-def singular_scan_consistent(rows: Sequence[SingularSample]) -> bool:
-    """All rows agree and every singular value is one of the two classes."""
-    if not all(row.agrees for row in rows):
-        return False
-    singular = [(row.r, row.s) for row in rows if row.singular]
-    in_a_class = all(any(_parallel(v, d) for d in DEGENERATE_VALUES) for v in singular)
-    # the two degenerate classes must actually occur in the scan
-    return in_a_class and all(any(_parallel(v, d) for v in singular) for d in DEGENERATE_VALUES)
+    graph = graph_surface()
+    r, s = (MultiHomPoly.variable(GRAPH_BLOCKS, name) for name in "rs")
+    roots = math.prod(r * b - s * a for a, b in DEGENERATE_VALUES)
+    pairs = itertools.combinations(DEGENERATE_VALUES, 2)
+    distinct = not any(_parallel(u, v) for u, v in pairs)
+    return (
+        graph.multidegree[:2] == (1, 1)
+        and distinct
+        and determinant(coefficient_matrix(graph)).scalar_multiple_of(roots) is not None
+    )
 
 
 # -------------------------------------------------------------- deformation

@@ -1,12 +1,14 @@
 """Seeded sample scans of the orbit identities, kept as the test oracle.
 
 These are the loops that ``lgorbit.compactification`` replaced with
-symbolic certificates modulo xw - yz - 1.  They draw integer elements of
-SL(2), as entry tuples (x, y, z, w) of [[x, z], [y, w]], and integer points
-of P1 x P1, and test each identity at those points with ``ExactMatrix``
-products and ``ExactMatrix.inverse``.  They share with the certificates only
-the formulas under test (``tensor_entries``, ``moment_map``,
-``rational_extension``, ``graph_surface``), evaluated at exact entries.
+symbolic certificates modulo xw - yz - 1, and the value-by-value test of
+degenerate fibers that its determinant certificate replaced.  They draw
+integer elements of SL(2), as entry tuples (x, y, z, w) of [[x, z], [y, w]],
+and integer points of P1 x P1 or of the value line, and test each identity
+at those points with ``ExactMatrix`` products and ``ExactMatrix.inverse``.
+They share with the certificates only the formulas under test
+(``tensor_entries``, ``moment_map``, ``rational_extension``,
+``graph_surface``, ``is_singular_value``), evaluated at exact entries.
 """
 
 import random
@@ -17,6 +19,7 @@ from lgorbit.compactification import (
     MultiProjPoint,
     base_locus,
     graph_surface,
+    is_singular_value,
     moment_map,
     rational_extension,
     tensor_entries,
@@ -153,3 +156,13 @@ def graph_vanishing_check(samples: int = 20, seed: int = 3) -> bool:
             return False
         done += 1
     return True
+
+
+def singular_value_agrees(r: int, s: int, scalar: GaussianRational) -> bool:
+    """The determinant test over [r : s] matches the closed form r^2 = s^2.
+
+    Rescaling the value pair by ``scalar`` must leave the answer unchanged,
+    since the test is of a point of P1.
+    """
+    singular = is_singular_value(r, s)
+    return singular == (r * r == s * s) and is_singular_value(r * scalar, s * scalar) == singular

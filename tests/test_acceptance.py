@@ -231,7 +231,7 @@ def test_criterion_7_compactification():
         and len(base) == 2
         and cg.base_locus_certificate()
         and values_ok
-        and cg.singular_scan_consistent(cg.singular_scan(50, seed=4))
+        and cg.degenerate_values_certificate()
         and cg.graph_smooth_check()
         and cg.deformed_ring_iso_check()
     )

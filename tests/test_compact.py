@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compact_oracle
+from lgorbit import cli
 from lgorbit import compactification as cg
 from lgorbit.errors import (
     IndeterminatePointError,
@@ -165,14 +168,18 @@ def test_critical_data():
     )
 
 
-def test_singular_scan():
-    samples = cg.singular_scan(50, seed=4)
-    assert len(samples) >= 50
-    assert cg.singular_scan_consistent(samples)
-    hits = [s for s in samples if s.singular]
-    assert hits
-    assert all(s.agrees for s in samples)
-    assert all(not (s.r.is_zero() and s.s.is_zero()) for s in samples)
+VALUE_PAIRS = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any)
+# most drawn pairs are not degenerate, so draw r = +-s on purpose as well
+DEGENERATE_PAIRS = st.tuples(st.integers(-50, 50).filter(bool), st.sampled_from((1, -1))).map(
+    lambda pair: (pair[0], pair[0] * pair[1])
+)
+SCALARS = st.sampled_from([GaussianRational(c) for c in (2, 3, 5, -2, -3)] + [I, 1 + I])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(VALUE_PAIRS, DEGENERATE_PAIRS), SCALARS)
+def test_singular_values_match_the_closed_form(pair, scalar):
+    assert compact_oracle.singular_value_agrees(*pair, scalar)
 
 
 def test_deformed_ring_isomorphism():
@@ -240,6 +247,26 @@ def _three_base_points(original=cg.base_locus):
     return original() + (cg.MultiProjPoint(((1, 1), (1, 1))),)
 
 
+def _graph_values_one_two():
+    # degenerate over [1:2] and [1:-2]: determinant 4r^2 - s^2
+    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
+    plus, minus = cg.height_forms(*cg.generic_element(cg.GRAPH_BLOCKS))
+    return s * plus - r * minus * 2
+
+
+def _graph_off_bidegree(original=cg.graph_surface):
+    # x*y*r has no second partial in (x, y) x (z, w), so only the degree test sees it
+    x, y, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xyr")
+    return original() + x * y * r
+
+
+def _graph_double_root():
+    # determinant -(s - r)^2: [1:1] twice and [1:-1] never
+    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
+    plus, _ = cg.height_forms(*cg.generic_element(cg.GRAPH_BLOCKS))
+    return (s - r) * plus
+
+
 # Each control breaks one construction or claim the way a faulty edit could;
 # the row's certificate must then fail, and with it the report row.
 NEGATIVE_CONTROLS = [
@@ -251,6 +278,9 @@ NEGATIVE_CONTROLS = [
     ("graph-contains-extension", "graph_surface", _graph_plus_term),
     ("base-locus", "base_locus", _three_base_points),
     ("graph-contains-extension", "base_locus", _three_base_points),
+    ("singular-scan", "graph_surface", _graph_values_one_two),
+    ("singular-scan", "graph_surface", _graph_double_root),
+    ("singular-scan", "graph_surface", _graph_off_bidegree),
 ]
 
 
@@ -263,6 +293,7 @@ ROW_CERTIFICATES = {
         cg.graph_extension_certificate, cg.GRAPH_BLOCKS
     ) and cg.exceptional_fiber_check(),
     "base-locus": cg.base_locus_certificate,
+    "singular-scan": cg.degenerate_values_certificate,
 }
 
 
@@ -273,6 +304,20 @@ def test_orbit_certificate_negative_controls(monkeypatch, row, target, replaceme
     assert not ROW_CERTIFICATES[row]()
     status = {r.id: r.status for r in run("compactification", Config()).results}
     assert status[f"compactification.{row}"] == "fail"
+
+
+def test_degenerate_values_certificate_reads_the_family_and_the_values(monkeypatch, capsys):
+    monkeypatch.setattr(cg, "graph_surface", _graph_values_one_two)
+    assert cli.main(["compactification"]) == 1
+    assert "FAIL       compactification.singular-scan" in capsys.readouterr().out
+    # claiming the family's own values makes the certificate hold again
+    two = GaussianRational(2)
+    monkeypatch.setattr(cg, "DEGENERATE_VALUES", ((1, two), (1, -two)))
+    assert cg.degenerate_values_certificate()
+    # two proportional values are one value, however the form factors
+    monkeypatch.setattr(cg, "graph_surface", _graph_double_root)
+    monkeypatch.setattr(cg, "DEGENERATE_VALUES", ((1, 1), (2, 2)))
+    assert not cg.degenerate_values_certificate()
 
 
 def test_wrong_cofactors_fail():
@@ -301,7 +346,8 @@ def test_base_locus_certificate_rejects_forms_with_other_zeros(monkeypatch):
 def test_replaced_scan_names_share_no_object_with_the_library():
     # a tracer names a wrapped object after one of its bindings, so a name kept
     # for it must not alias a function the suites call
-    names = ("random_group_elements", "moment_orbit_scan", "orbit_value_identity")
+    names = ("random_group_elements", "moment_orbit_scan", "orbit_value_identity",
+             "singular_scan")
     stand_in = getattr(cg, names[0])
     assert all(getattr(cg, name) is stand_in for name in names)
     assert [k for k, v in vars(cg).items() if v is stand_in] == ["_replaced_scan", *names]

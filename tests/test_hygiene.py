@@ -141,6 +141,7 @@ BENCHMARK_ONLY = {
     "compactification.random_group_elements",
     "compactification.moment_orbit_scan",
     "compactification.orbit_value_identity",
+    "compactification.singular_scan",
 }
 
 
