@@ -367,6 +367,13 @@ def extension_on_orbit_certificate(x, y, z, w):
     return [(numerator - denominator * height, -numerator)]
 
 
+def orbit_membership_certificate(x, y, z, w):
+    """M = a diag(1, -1) adj(a), a conjugate on SL(2), has trace 0 and
+    x^2 + yz - 1 = R (R + 2) on its coordinates: every one is on the orbit."""
+    m = product(product(group_matrix(x, y, z, w), ((1, 0), (0, -1))), adjugate(x, y, z, w))
+    return [(trace(m), 0), (orbit_residual((m[0][0], m[0][1], m[1][0])), x * w - y * z + 1)]
+
+
 def graph_extension_certificate(x, y, z, w):
     """The graph equation with r, s replaced by the two forms is zero."""
     numerator, denominator = height_forms(x, y, z, w)

@@ -7,7 +7,8 @@ Three failure vocabularies are used across the library:
 * ``PreconditionError`` -- a documented operation precondition was violated
   (off-sphere input, non-critical point, out-of-range parameter).
 * ``DiagnosticError``  -- a computation could not certify its own consistency
-  (unstable summation box, path basis still growing at the length bound).
+  (a quiver chase or path basis that does not close, a non-integral
+  Riemann-Roch value in toric).
 
 ``IndeterminatePointError`` narrows ``PreconditionError`` for evaluating a
 rational map at a point of its base locus.

@@ -291,11 +291,6 @@ class ExactMatrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise StructureError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
-
     def _eliminated(self):
         # returns (row echelon entries, pivot count, determinant factor collected so far)
         work = [list(row) for row in self.entries]

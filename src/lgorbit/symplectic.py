@@ -11,9 +11,9 @@ sign makes Omega(u, iu) = tr(M_u M_u^dagger) > 0, so the complex structure
 is tamed.  All checks run in floats on sampled data and exactly on
 Gaussian-rational data; the formulas are shared.  Every float bound is a
 pinned constant, not an option: FLOAT_TOL = 1e-9 bounds the residuals of
-sampled geometry (the pairing, tangency, gluing and cylinder-chart rows of
-the report) and the unit-norm, rank and nonzero tests, and FIBER_TOL =
-1e-12 bounds the closed-form thimble fiber and sphere-membership residuals.
+sampled geometry (the pairing, tangency and gluing rows of the report) and
+the unit-norm, rank and nonzero tests, and FIBER_TOL = 1e-12 bounds the
+closed-form thimble fiber and sphere-membership residuals.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import random
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
@@ -146,6 +145,8 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
     the worst float residual, taming defect and tangency or Hermitian
     defect, and any rank-2 span failure.
     """
+    import random
+
     rng = random.Random(seed)
     # the samples are floats, so convert the exact basis once, not per sample
     basis = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis()]
@@ -333,29 +334,24 @@ def matching_circles_distance(n_t: int = 64) -> float:
 # ----------------------------------------------------------------- cylinder
 
 
-def fiber_to_cylinder(y: complex) -> Tuple[complex, float]:
-    """Chart (y/|y|, ln|y|) identifying the punctured fiber line with a cylinder."""
-    y = complex(y)
-    if y == 0:
-        raise PreconditionError("cylinder chart is undefined at y = 0")
-    r = abs(y)
-    return (y / r, math.log(r))
+def cylinder_chart(lam, y, u):
+    """The point (lam, y, (1 - lam^2) u) of the fiber x = lam; u stands for 1/y."""
+    return (lam, y, (1 - lam * lam) * u)
 
 
-def cylinder_to_fiber(u: complex, s: float) -> complex:
-    u = complex(u)
-    if abs(abs(u) - 1) > FLOAT_TOL:
-        raise PreconditionError("first cylinder coordinate must be unimodular")
-    return u * math.exp(s)
+def cylinder_chart_certificate() -> bool:
+    """The chart and (x, y, z) -> y are inverse maps between C* and the fiber x = lam.
 
+    Over (lam, x, y, z, u), modulo yu - 1: the chart's orbit residual is
+    (1 - lam^2)(yu - 1), and z minus the chart's z is -z(yu - 1)
+    + u orbit_residual((x, y, z)) - u(x + lam)(x - lam).  For lam^2 != 1 the
+    fiber has no point with y = 0, since yz = 1 - lam^2 there.
+    """
+    from .poly import MultiHomPoly
 
-def cylinder_round_trip_residual(n_samples: int = 1000, seed: int = 0) -> float:
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        y = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(y) < 1e-6:
-            continue
-        u, s = fiber_to_cylinder(y)
-        worst = max(worst, abs(cylinder_to_fiber(u, s) - y))
-    return worst
+    lam, x, y, z, u = (MultiHomPoly.variable((tuple("lxyzu"),), v) for v in "lxyzu")
+    unit = y * u - 1
+    chart = cylinder_chart(lam, y, u)
+    return orbit_residual(chart) == (1 - lam * lam) * unit and (
+        z - chart[2] == -z * unit + u * orbit_residual((x, y, z)) - u * (x + lam) * (x - lam)
+    )

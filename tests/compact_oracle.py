@@ -26,7 +26,7 @@ from lgorbit.compactification import (
 )
 from lgorbit.errors import IndeterminatePointError
 from lgorbit.gaussian import ExactMatrix, GaussianRational
-from lgorbit.lie import random_sl_integer
+from lie_oracle import random_sl_integer, trace
 
 _HALF_DIAG = ExactMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
 _HEIGHT_DIAG = ExactMatrix.diagonal([1, -1])
@@ -62,7 +62,7 @@ def tensor_fixed_vectors_check(a: Entries) -> bool:
     """The projector has trace 1, fixes column one and annihilates column two."""
     x, y, z, w = a
     m = ExactMatrix(tensor_entries(*a))
-    if m.trace() != GaussianRational(1):
+    if trace(m) != GaussianRational(1):
         return False
     first = ExactMatrix([[x], [y]])
     second = ExactMatrix([[z], [w]])
@@ -133,7 +133,7 @@ def scaling_invariance_check(count: int = 25, seed: int = 1) -> bool:
 def orbit_value_identity(count: int = 100, seed: int = 2) -> bool:
     """On eigenline pairs of orbit matrices the extension is [height : 1]."""
     for x, y, z, w in random_group_elements(count, seed):
-        height = (_HEIGHT_DIAG * ExactMatrix(moment_map(x, y, z, w))).trace()
+        height = trace(_HEIGHT_DIAG * ExactMatrix(moment_map(x, y, z, w)))
         if rational_extension(MultiProjPoint(((x, y), (z, w)))) != MultiProjPoint(((height, 1),)):
             return False
     return True

@@ -1,19 +1,26 @@
-"""Finite-difference Hessians and gradients of the height, kept as the test oracle.
+"""Finite-difference Hessians and seeded conjugates, kept as the test oracle.
 
-These are the float chart computations that ``lgorbit.lie`` replaced with
+The float chart computations are those that ``lgorbit.lie`` replaced with
 the exact closed-form Hessian.  They share only the chart directions and
 the critical-point test with the library, and need numpy and scipy, which
 only the tests depend on.  The central-difference truncation error is
 O(step^2).
+
+The seeded integer conjugates and the power-sum membership test are the
+sample loop that ``compactification.orbit_membership_certificate``
+replaced; they use ``ExactMatrix`` products and ``ExactMatrix.inverse``
+and share nothing with the certificate.
 """
 
+import random
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from lgorbit.errors import PreconditionError
+from lgorbit.errors import PreconditionError, StructureError
+from lgorbit.gaussian import ZERO, ExactMatrix, GaussianRational
 from lgorbit.lie import CartanDiagonal, _chart_directions, _require_critical
 
 Chart = Tuple[Callable[[np.ndarray], complex], int]
@@ -117,3 +124,52 @@ def gradient_norm(
         ei[i] = step
         worst = max(worst, abs((f(ei) - f(-ei)) / (2 * step)))
     return worst
+
+
+# ------------------------------------------------------ seeded conjugates
+
+
+def trace(a: ExactMatrix) -> GaussianRational:
+    return sum((a[i, i] for i in range(a.rows)), ZERO)
+
+
+def random_sl_integer(n: int, rng: random.Random, length: int = 8) -> ExactMatrix:
+    """Random integer matrix of determinant one, a product of shears."""
+    if n < 2:
+        raise StructureError("need n >= 2")
+    rows = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
+    for _ in range(length):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        c = rng.choice((-2, -1, 1, 2))
+        # right multiplication by the shear I + c E_ij adds c * column i to column j
+        for row in rows:
+            row[j] += c * row[i]
+    return ExactMatrix(rows)
+
+
+def conjugate_exact(g: ExactMatrix, a: ExactMatrix) -> ExactMatrix:
+    return g * a * g.inverse()
+
+
+def orbit_contains_exact(h0: CartanDiagonal, a: ExactMatrix) -> bool:
+    """Compare power sums tr(A^k), k = 1..n (Newton identities).
+
+    Over a field of characteristic zero equal power sums up to n are
+    equivalent to an equal characteristic polynomial, hence to an equal
+    eigenvalue multiset.  For n = 2 this is the x^2 + yz = const test
+    written invariantly.
+    """
+    n = h0.n
+    if a.rows != n or a.cols != n:
+        raise StructureError("size mismatch between H0 and A")
+    power = a
+    for k in range(1, n + 1):
+        target = sum((GaussianRational(d) ** k for d in h0.diag), ZERO)
+        if trace(power) != target:
+            return False
+        if k < n:
+            power = power * a
+    return True

@@ -21,13 +21,10 @@ from lgorbit.fukaya import (
 from lgorbit.gaussian import ExactMatrix, GaussianRational
 from lgorbit.lie import (
     CartanDiagonal,
-    conjugate_exact,
     critical_count,
     critical_points,
     height_exact,
     hessian_determinant,
-    orbit_contains_exact,
-    random_sl_integer,
     sl2_orbit_coordinates,
 )
 from lgorbit.mirror import (
@@ -251,7 +248,9 @@ def test_exact_orbit_membership_support():
     h0 = ExactMatrix.diagonal([1, -1])
     h = CartanDiagonal((1, -1))
     ok = all(
-        orbit_contains_exact(h, conjugate_exact(random_sl_integer(2, rng), h0))
+        lie_oracle.orbit_contains_exact(
+            h, lie_oracle.conjugate_exact(lie_oracle.random_sl_integer(2, rng), h0)
+        )
         for _ in range(10)
     )
-    assert ok
+    assert ok and cg.certify_cofactors(cg.orbit_membership_certificate)

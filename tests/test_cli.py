@@ -214,10 +214,8 @@ def test_report_matches_golden_bytes(tmp_path, capsys, argv, golden):
 
 # the rows whose checks still draw samples from the seed
 SEEDED_ROWS = {
-    "lie.orbit-membership-exact",
     "symplectic.sphere-lagrangian-sampled",
     "symplectic.taming",
-    "symplectic.cylinder-chart",
 }
 
 
@@ -295,8 +293,9 @@ def bare_modules():
     (["category"], CLI_MODULES | {"lgorbit.fukaya", "lgorbit.mirror", "lgorbit.toric",
                                   "lgorbit.poly", "lgorbit.gaussian"}),
     (["all"], {"lgorbit"} | LIBRARY),
-    (["lie"], CLI_MODULES | {"lgorbit.lie", "lgorbit.gaussian"}),
-    (["symplectic"], CLI_MODULES | {"lgorbit.symplectic", "lgorbit.gaussian"}),
+    (["lie"], CLI_MODULES | {"lgorbit.lie", "lgorbit.compactification", "lgorbit.symplectic",
+                             "lgorbit.poly", "lgorbit.gaussian"}),
+    (["symplectic"], CLI_MODULES | {"lgorbit.symplectic", "lgorbit.poly", "lgorbit.gaussian"}),
     (["quiver"], CLI_MODULES | {"lgorbit.quiver", "lgorbit.fukaya", "lgorbit.toric",
                                 "lgorbit.poly", "lgorbit.gaussian"}),
     (["compactification"], CLI_MODULES | {"lgorbit.compactification", "lgorbit.symplectic",

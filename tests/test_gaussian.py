@@ -72,7 +72,8 @@ def test_matrix_product_and_trace():
     b = ExactMatrix([[1, 0], [1, 1]])
     assert (a * b) == ExactMatrix([[2, 1], [1, 1]])
     assert (b * a) == ExactMatrix([[1, 1], [1, 2]])
-    assert (a * b).trace() == GaussianRational(3)
+    product = a * b
+    assert product[0, 0] + product[1, 1] == GaussianRational(3)
 
 
 def test_matrix_shape_mismatch():

@@ -6,22 +6,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lie_oracle
+from lgorbit import cli, lie
+from lgorbit import compactification as cg
 from lgorbit.errors import PreconditionError, StructureError
 from lgorbit.gaussian import ExactMatrix, GaussianRational
 from lgorbit.lie import (
     CartanDiagonal,
-    conjugate_exact,
     critical_count,
     critical_points,
     height_exact,
     hessian_determinant,
     hessian_matrix,
-    orbit_contains_exact,
-    random_sl_integer,
     sl2_orbit_coordinates,
 )
+from lgorbit.report import Config, run
+from lie_oracle import conjugate_exact, orbit_contains_exact, random_sl_integer
 
 H0_SL2 = CartanDiagonal((1, -1))
 H_SL2 = CartanDiagonal((1, -1))
@@ -109,7 +112,7 @@ def test_conjugate_exact_inverts_integer_matrices_exactly():
     for _ in range(5):
         g = random_sl_integer(3, rng)
         assert g.inverse() * g == ExactMatrix.identity(3)
-        assert conjugate_exact(g, a).trace() == a.trace()
+        assert lie_oracle.trace(conjugate_exact(g, a)) == lie_oracle.trace(a)
 
 
 def test_hessian_nondegenerate_sl3():
@@ -206,3 +209,43 @@ def test_random_sl_integer_has_det_one():
     for n in (2, 3, 4):
         g = random_sl_integer(n, rng)
         assert g.det() == GaussianRational(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_seeded_conjugates_agree_with_the_membership_certificate(seed):
+    g = random_sl_integer(2, random.Random(seed))
+    x, y, z, w = g[0, 0], g[1, 0], g[0, 1], g[1, 1]
+    conjugate = conjugate_exact(g, ExactMatrix.diagonal([1, -1]))
+    assert orbit_contains_exact(H0_SL2, conjugate)
+    # the certificate's matrix is this conjugate, and on det = 1 (R = 0) each
+    # of its differences vanishes with its cofactor times R
+    m = cg.product(cg.product(cg.group_matrix(x, y, z, w), ((1, 0), (0, -1))),
+                   cg.adjugate(x, y, z, w))
+    assert ExactMatrix(m) == conjugate
+    relation = x * w - y * z - 1
+    assert relation == 0
+    for difference, cofactor in cg.orbit_membership_certificate(x, y, z, w):
+        assert difference == cofactor * relation == 0
+
+
+def _swapped_adjugate(x, y, z, w):
+    # off-diagonal entries exchanged: a diag(1, -1) adj(a) leaves the orbit
+    return ((w, -y), (-z, x))
+
+
+def test_orbit_membership_certificate_fails_for_a_wrong_adjugate(monkeypatch, capsys):
+    assert cg.certify_cofactors(cg.orbit_membership_certificate)
+    monkeypatch.setattr(cg, "adjugate", _swapped_adjugate)
+    assert not cg.certify_cofactors(cg.orbit_membership_certificate)
+    status = {r.id: r.status for r in run("lie", Config()).results}
+    assert status["lie.orbit-membership-exact"] == "fail"
+    assert cli.main(["lie"]) == 1
+    assert "FAIL       lie.orbit-membership-exact" in capsys.readouterr().out
+
+
+def test_replaced_sampler_name_is_a_stand_in():
+    # perfbench/tracer.py looks the name up; the sampler lives in lie_oracle
+    assert lie.random_sl_integer is not random_sl_integer
+    with pytest.raises(NotImplementedError):
+        lie.random_sl_integer(2, random.Random(0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgorbit import mirror, report
+from lgorbit import cli, mirror, report
 from lgorbit.errors import PreconditionError
 from lgorbit.mirror import (
     DEFAULT_TARGET,
@@ -311,3 +311,39 @@ def test_work_does_not_grow_with_the_window(monkeypatch):
     for t_range in (0, 10, report.MAX_T_RANGE):
         # the 4t + 1 twist differences, two mixed pairs and two point-sheaf pairs
         assert work(exclusion_table, t_range) == 4 * t_range + 5
+
+
+def _ext1_off_by_one(x, y):
+    # ext1 of two line bundles read as max(0, -d) instead of max(0, -d - 1)
+    hom, ext1 = ext_p1(x, y)
+    if isinstance(x, LineBundle) and isinstance(y, LineBundle):
+        return hom, max(0, x.t - y.t)
+    return hom, ext1
+
+
+def _line_bundle_to_point_in_two_degrees(x, y):
+    if isinstance(x, LineBundle) and isinstance(y, Skyscraper):
+        return 1, 1
+    return ext_p1(x, y)
+
+
+# Each control breaks ext_p1 the way a faulty edit could; every named row
+# must then fail, and with it the command.
+MIRROR_NEGATIVE_CONTROLS = [
+    (_ext1_off_by_one, ("mirror.euler-pairing", "mirror.control-witness")),
+    (_line_bundle_to_point_in_two_degrees,
+     ("mirror.exclusion-table", "mirror.control-relaxed-distinct")),
+]
+
+
+@pytest.mark.parametrize("replacement, rows", MIRROR_NEGATIVE_CONTROLS,
+                         ids=["ext1-off-by-one", "line-bundle-to-point-two-degrees"])
+def test_mirror_negative_controls(monkeypatch, capsys, replacement, rows):
+    status = {r.id: r.status for r in report.run("mirror", report.Config()).results}
+    assert all(status[row] == "pass" for row in rows)
+    monkeypatch.setattr(mirror, "ext_p1", replacement)
+    status = {r.id: r.status for r in report.run("mirror", report.Config()).results}
+    assert all(status[row] == "fail" for row in rows)
+    assert cli.main(["mirror"]) == 1
+    out = capsys.readouterr().out
+    assert all(f"FAIL       {row}\n" in out for row in rows)

@@ -9,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplectic_oracle
+from lgorbit import cli, symplectic
 from lgorbit.errors import PreconditionError
 from lgorbit.gaussian import GaussianRational
+from lgorbit.report import Config, run
 from lgorbit.symplectic import (
     RATIONAL_SPHERE_POINTS,
     _rank_is_two,
     check_sphere_lagrangian,
     check_thimble_lagrangian,
     commutator_triple,
-    cylinder_round_trip_residual,
-    cylinder_to_fiber,
+    cylinder_chart,
     exact_sphere_omega_residuals,
-    fiber_to_cylinder,
     lambda_grid,
     matching_circles_distance,
     omega_value,
@@ -114,18 +114,32 @@ def test_matching_circles_glue():
     assert matching_circles_distance(n_t=64) < 1e-9
 
 
-def test_cylinder_chart_roundtrip():
-    assert cylinder_round_trip_residual(n_samples=500, seed=1) < 1e-9
-
-
-def test_cylinder_chart_pointwise():
-    y = 0.7 + 0.2j
-    u, s = fiber_to_cylinder(y)
-    assert cylinder_to_fiber(u, s) == pytest.approx(y)
-
-
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@given(lam=gaussians, y=gaussians.filter(lambda g: not g.is_zero()))
+@settings(max_examples=80, deadline=None)
+def test_cylinder_chart_pointwise(lam, y):
+    # at exact points the chart lands on the orbit, in the fiber x = lam,
+    # and reading off y inverts it
+    point = cylinder_chart(lam, y, 1 / y)
+    assert orbit_residual(point) == 0
+    assert point[:2] == (lam, y)
+
+
+def _wrong_sign_chart(lam, y, u):
+    return (lam, y, (1 + lam * lam) * u)
+
+
+def test_cylinder_chart_certificate_fails_for_a_wrong_chart(monkeypatch, capsys):
+    assert symplectic.cylinder_chart_certificate()
+    monkeypatch.setattr(symplectic, "cylinder_chart", _wrong_sign_chart)
+    assert not symplectic.cylinder_chart_certificate()
+    status = {r.id: r.status for r in run("symplectic", Config()).results}
+    assert status["symplectic.cylinder-chart"] == "fail"
+    assert cli.main(["symplectic"]) == 1
+    assert "FAIL       symplectic.cylinder-chart\n" in capsys.readouterr().out
 exact_points = st.tuples(gaussians, gaussians, gaussians) | st.sampled_from(
     [sphere_point(*p) for p in RATIONAL_SPHERE_POINTS]
 )
