@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
 from .poly import Blocks, MultiHomPoly, certify_charts
-from .symplectic import RATIONAL_SPHERE_POINTS, orbit_residual, sphere_point
+from .symplectic import SPHERE_BLOCKS, orbit_residual, sphere_embedding
 
 _HALF = Fraction(1, 2)
 
@@ -560,46 +560,26 @@ def _deformed_ring_equation() -> MultiHomPoly:
 # ------------------------------------------------- sphere versus base locus
 
 
-def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjPoint:
-    """Eigenline pair of the orbit matrix attached to a unit-sphere point.
+def sphere_off_infinity_certificate() -> bool:
+    """The embedded sphere stays in the affine orbit, off both base points.
 
-    ``symplectic.sphere_point`` maps the sphere point to the trace-zero
-    matrix with entries X = r, Y = -p + qi, Z = -p - qi, which satisfies
-    X^2 + YZ = 1, and rejects a point off the sphere; its two eigenlines
-    give a point of P1 x P1 off the diagonal.
+    Three exact facts.  The orbit residual of ``sphere_embedding`` is
+    p^2 + q^2 + r^2 - 1 times the cofactor 1, so the unit sphere lands on the
+    orbit.  For M = [[X, Y], [Z, -X]], M M - I = R I with R = X^2 + YZ - 1, so
+    every orbit matrix is a trace-zero involution with eigenvalues 1 and -1;
+    its two eigenlines differ, so its pair of them misses the diagonal.  And
+    both points of ``base_locus()`` lie on the diagonal.
     """
-    big_x, big_y, big_z = sphere_point(Fraction(p), Fraction(q), Fraction(r))
-    if big_y.is_zero() and big_x == ONE:
-        plus = (big_x + ONE, big_z)
-    else:
-        plus = (big_y, ONE - big_x)
-    if big_y.is_zero() and big_x == -ONE:
-        minus = (big_x - ONE, big_z)
-    else:
-        minus = (big_y, -(big_x + ONE))
-    pair = MultiProjPoint((plus, minus))
+    p, q, r = (MultiHomPoly.variable(SPHERE_BLOCKS, name) for name in "pqr")
+    on_orbit = orbit_residual(sphere_embedding(p, q, r, GaussianRational(0, 1))) == (
+        p * p + q * q + r * r - 1
+    )
+    big_x, big_y, big_z = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz")
+    relation = orbit_residual((big_x, big_y, big_z))
     matrix = ((big_x, big_y), (big_z, -big_x))
-    for line, eigenvalue in ((plus, ONE), (minus, -ONE)):
-        if product(matrix, tuple((e,) for e in line)) != tuple((eigenvalue * e,) for e in line):
-            raise StructureError("eigenline certificates failed")
-    return pair
-
-
-def sphere_avoids_base_locus(
-    points: Sequence[Tuple[Fraction, Fraction, Fraction]] = RATIONAL_SPHERE_POINTS,
-) -> bool:
-    """Sphere sample points land in the affine orbit, away from both base points.
-
-    Distinct eigenlines mean the pair avoids the diagonal, which contains
-    the entire divisor at infinity and in particular both base points; the
-    base-point comparisons are still made explicitly.
-    """
-    locus = base_locus()
-    for p, q, r in points:
-        pair = sphere_point_orbit_pair(p, q, r)
-        (u1, u2), (v1, v2) = pair.factors
-        if (u1 * v2 - u2 * v1).is_zero():
-            return False
-        if pair == locus[0] or pair == locus[1]:
-            return False
-    return True
+    square = product(matrix, matrix)
+    involution = all(
+        square[i][j] - int(i == j) == relation * int(i == j) for i in range(2) for j in range(2)
+    )
+    diagonal = all(determinant(pt.factors).is_zero() for pt in base_locus())
+    return on_orbit and involution and diagonal

@@ -250,46 +250,34 @@ class ExactMatrix:
             ]
         )
 
-    def __neg__(self) -> "ExactMatrix":
-        return self.scale(GaussianRational(-1))
-
     def _same_shape(self, other: "ExactMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise StructureError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def scale(self, scalar: RatLike) -> "ExactMatrix":
-        scalar = GaussianRational.coerce(scalar)
-        return ExactMatrix(
-            [[scalar * e for e in row] for row in self.entries]
-        )
-
     def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise StructureError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            # accumulate the int or Fraction components of each dot product
-            # and normalise once per entry
-            columns = [[(e._re, e._im) for e in col] for col in zip(*other.entries)]
-            product = []
-            for row in self.entries:
-                left = [(e._re, e._im) for e in row]
-                out = []
-                for col in columns:
-                    re = im = 0
-                    for (a, b), (c, d) in zip(left, col):
-                        re += a * c - b * d
-                        im += a * d + b * c
-                    out.append(_gauss(re, im))
-                product.append(out)
-            return ExactMatrix(product)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise StructureError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        # accumulate the int or Fraction components of each dot product and
+        # normalise once per entry
+        columns = [[(e._re, e._im) for e in col] for col in zip(*other.entries)]
+        product = []
+        for row in self.entries:
+            left = [(e._re, e._im) for e in row]
+            out = []
+            for col in columns:
+                re = im = 0
+                for (a, b), (c, d) in zip(left, col):
+                    re += a * c - b * d
+                    im += a * d + b * c
+                out.append(_gauss(re, im))
+            product.append(out)
+        return ExactMatrix(product)
 
     def _eliminated(self):
         # returns (row echelon entries, pivot count, determinant factor collected so far)

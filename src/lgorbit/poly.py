@@ -163,6 +163,10 @@ class MultiHomPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def conjugate(self) -> "MultiHomPoly":
+        """Conjugate the coefficients, reading every variable as real."""
+        return self._like({key: coeff.conjugate() for key, coeff in self.terms.items()})
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             scalar = GaussianRational.coerce(other)

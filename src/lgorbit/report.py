@@ -196,13 +196,13 @@ def suite_symplectic(cfg: Config) -> SuiteOutput:
         residual=max(sphere.max_omega, sphere.max_tangency_residual),
     ))
 
-    exact = symplectic.exact_sphere_omega_residuals()
     results.append(_row(
         "symplectic.sphere-lagrangian-exact",
         "claim:sphere-is-lagrangian",
-        all(r == 0 for r in exact),
-        f"{len(exact)} pairings at rational sphere points are exactly zero",
-        residual=0.0 if all(r == 0 for r in exact) else float(max(abs(r) for r in exact)),
+        symplectic.sphere_lagrangian_certificate(),
+        "over real symbols p, q, r, the pairing of each two su(2) tangents at "
+        "(r, -p + iq, -p - iq) equals its own conjugate, so Omega is the zero "
+        "polynomial on all of R^3",
     ))
 
     results.append(_row(
@@ -406,8 +406,7 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         ("O(-E)", "O"): (1, 1, 0),
         ("O", "O(-E)"): (0, 0, 0),
     }
-    # Ext^k(O(x), O(y)) is the cohomology of y - x, as in toric.ext_dims
-    ext_table = {(x, y): coh(bundle[y] - bundle[x], fan2).triple for x, y in frozen}
+    ext_table = {(x, y): toric.ext_dims(fan2, bundle[x], bundle[y]).triple for x, y in frozen}
     results.append(_row(
         "sheaves.ext-table",
         "claim:line-bundle-ext-table",
@@ -847,7 +846,7 @@ def suite_compactification(cfg: Config) -> SuiteOutput:
     ))
 
     # the assumption stands on its supporting check; a failed one fails the row
-    supported = geo.sphere_avoids_base_locus()
+    supported = geo.sphere_off_infinity_certificate()
     results.append(CheckResult(
         "compactification.symplectic-patching",
         "claim:compactified-category-unchanged",
@@ -855,8 +854,10 @@ def suite_compactification(cfg: Config) -> SuiteOutput:
         "the patching construction of a symplectic structure near infinity "
         "is not machine checked; supporting exact check "
         + ("passed" if supported else "FAILED")
-        + f": the {len(geo.RATIONAL_SPHERE_POINTS)} fixed rational sphere points "
-        "stay in the affine orbit with distinct eigenlines, away from both base points",
+        + ": the sphere's orbit residual is (p^2 + q^2 + r^2 - 1) times 1; each orbit "
+        "matrix M = [[x, y], [z, -x]] has M M - I = (x^2 + yz - 1) I, so it is a trace-0 "
+        "involution with distinct eigenlines, whose pair is off the diagonal; and both "
+        "base points lie on the diagonal",
     ))
 
     return results, {}

@@ -8,8 +8,9 @@ Points are triples (x, y, z), identified with traceless matrices
 
 the imaginary part of the Hermitian extension of the trace pairing.  The
 sign makes Omega(u, iu) = tr(M_u M_u^dagger) > 0, so the complex structure
-is tamed.  All checks run in floats on sampled data and exactly on
-Gaussian-rational data; the formulas are shared.  Every float bound is a
+is tamed.  The sampled checks run the formulas in floats; the exact claims
+are polynomial identities, the same formulas run on real symbols with
+conjugation acting on coefficients only.  Every float bound is a
 pinned constant, not an option: FLOAT_TOL = 1e-9 bounds the residuals of
 sampled geometry (the pairing, tangency and gluing rows of the report) and
 the unit-norm, rank and nonzero tests, and FIBER_TOL = 1e-12 bounds the
@@ -21,8 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import PreconditionError
 from .gaussian import GaussianRational
@@ -33,11 +33,8 @@ Triple = Tuple[Scalar, Scalar, Scalar]
 FLOAT_TOL = 1e-9
 FIBER_TOL = 1e-12  # thimble fiber and sphere membership, closed forms in floats
 
-
-def _imag(value: Scalar):
-    if isinstance(value, GaussianRational):
-        return value.im
-    return complex(value).imag
+# The sphere's coordinates p, q, r as polynomial variables, read as real.
+SPHERE_BLOCKS = (("p", "q", "r"),)
 
 
 def orbit_residual(point: Triple):
@@ -53,36 +50,31 @@ def tangency_residual(point: Triple, vec: Triple):
 
 
 def hermitian_pairing(u: Triple, v: Triple) -> Scalar:
-    """tr(M_u . M_v^dagger) written out on triples of one scalar type."""
+    """tr(M_u . M_v^dagger) written out on triples of one scalar type.
+
+    On polynomial triples ``conjugate`` reads the variables as real.
+    """
     return 2 * (u[0] * v[0].conjugate()) + u[1] * v[1].conjugate() + u[2] * v[2].conjugate()
-
-
-def omega_value(u: Triple, v: Triple):
-    """The two-form on raw coordinate triples; exact when both are exact."""
-    return -_imag(hermitian_pairing(u, v))
 
 
 # ------------------------------------------------------------------- sphere
 
 
-def sphere_point(p, q, r) -> Triple:
-    """Embed a point of the unit two-sphere as (x, y, z) = (r, -p+iq, -p-iq).
+def sphere_embedding(p, q, r, i) -> Triple:
+    """The point (x, y, z) = (r, -p + iq, -p - iq), over any ring with unit ``i``.
 
-    Exact inputs (ints or Fractions) give an exact Gaussian-rational triple,
-    floats give a complex triple.  Off-sphere input is rejected.
+    For real p, q, r it is the Hermitian matrix [[r, -p + iq], [-p - iq, -r]];
+    its orbit residual is p^2 + q^2 + r^2 - 1, so the unit sphere lands on the
+    orbit.
     """
-    if all(isinstance(c, (int, Fraction)) for c in (p, q, r)):
-        p, q, r = Fraction(p), Fraction(q), Fraction(r)
-        if p * p + q * q + r * r != 1:
-            raise PreconditionError("point is not on the unit sphere")
-        return (
-            GaussianRational(r),
-            GaussianRational(-p, q),
-            GaussianRational(-p, -q),
-        )
+    return (r, -p + i * q, -p - i * q)
+
+
+def sphere_point(p: float, q: float, r: float) -> Triple:
+    """Embed a float point of the unit two-sphere; off-sphere input is rejected."""
     if abs(p * p + q * q + r * r - 1) > FLOAT_TOL:
         raise PreconditionError("point is not on the unit sphere")
-    return (complex(r), complex(-p, q), complex(-p, -q))
+    return sphere_embedding(p, q, r, 1j)
 
 
 def su2_basis() -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
@@ -101,13 +93,10 @@ def commutator_triple(point: Triple, matrix) -> Triple:
     """[S, A] as a coordinate triple, where S is the matrix of ``point``.
 
     For S = [[x, y], [z, -x]] and a traceless A = [[a, b], [c, -a]] the
-    commutator is [[yc - bz, 2(xb - ay)], [2(az - cx), bz - yc]].  A float
-    point reads an exact A in floats.
+    commutator is [[yc - bz, 2(xb - ay)], [2(az - cx), bz - yc]].
     """
     x, y, z = point
     (a, b), (c, _) = matrix
-    if not isinstance(x, GaussianRational):
-        a, b, c = complex(a), complex(b), complex(c)
     return (y * c - b * z, 2 * (x * b - a * y), 2 * (a * z - c * x))
 
 
@@ -181,42 +170,20 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
     return SphereReport(n_samples, max_omega, max_taming, max_tangent, rank_failures, passed)
 
 
-# Exact solutions of p^2 + q^2 + r^2 = 1 sampling all sign patterns and both
-# poles, where the eigenline formulas of the compactification need their
-# fallback branch.
-RATIONAL_SPHERE_POINTS: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = tuple(
-    (Fraction(a), Fraction(b), Fraction(c))
-    for a, b, c in (
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (0, 0, -1),
-        (Fraction(3, 5), Fraction(4, 5), 0),
-        (0, Fraction(3, 5), Fraction(4, 5)),
-        (Fraction(4, 5), 0, Fraction(-3, 5)),
-        (Fraction(3, 5), 0, Fraction(-4, 5)),
-        (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)),
-        (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
-        (Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)),
-        (Fraction(2, 7), Fraction(3, 7), Fraction(-6, 7)),
-    )
-)
+def sphere_lagrangian_certificate() -> bool:
+    """Omega vanishes on the su(2) tangents of the sphere, as an identity.
 
-
-def exact_sphere_omega_residuals(points=RATIONAL_SPHERE_POINTS) -> List[Fraction]:
-    """All pairwise Omega values of the su(2) tangents at rational points.
-
-    Every returned Fraction is exactly zero when the sphere is Lagrangian.
+    Over real symbols p, q, r, each pairing of two tangents [S, A_k] at
+    S = sphere_embedding(p, q, r, i) must equal its own conjugate.  Then its
+    imaginary part, minus Omega, is the zero polynomial on all of R^3.
     """
-    basis = su2_basis()
-    residuals: List[Fraction] = []
-    for p, q, r in points:
-        point = sphere_point(p, q, r)
-        tangents = [commutator_triple(point, a) for a in basis]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                residuals.append(omega_value(tangents[i], tangents[j]))
-    return residuals
+    from .poly import MultiHomPoly
+
+    p, q, r = (MultiHomPoly.variable(SPHERE_BLOCKS, v) for v in "pqr")
+    point = sphere_embedding(p, q, r, GaussianRational(0, 1))
+    tangents = [commutator_triple(point, a) for a in su2_basis()]
+    pairings = (hermitian_pairing(u, v) for u, v in itertools.combinations(tangents, 2))
+    return all(h == h.conjugate() for h in pairings)
 
 
 # ------------------------------------------------------------------ thimble

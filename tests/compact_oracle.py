@@ -2,7 +2,9 @@
 
 These are the loops that ``lgorbit.compactification`` replaced with
 symbolic certificates modulo xw - yz - 1, and the value-by-value test of
-degenerate fibers that its determinant certificate replaced.  They draw
+degenerate fibers that its determinant certificate replaced, and the
+eigenline pairs of twelve rational sphere points that its sphere certificate
+replaced.  The scans draw
 integer elements of SL(2), as entry tuples (x, y, z, w) of [[x, z], [y, w]],
 and integer points of P1 x P1 or of the value line, and test each identity
 at those points with ``ExactMatrix`` products and ``ExactMatrix.inverse``.
@@ -21,12 +23,14 @@ from lgorbit.compactification import (
     graph_surface,
     is_singular_value,
     moment_map,
+    product,
     rational_extension,
     tensor_entries,
 )
-from lgorbit.errors import IndeterminatePointError
-from lgorbit.gaussian import ExactMatrix, GaussianRational
+from lgorbit.errors import IndeterminatePointError, StructureError
+from lgorbit.gaussian import ONE, ExactMatrix, GaussianRational
 from lie_oracle import random_sl_integer, trace
+from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 
 _HALF_DIAG = ExactMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
 _HEIGHT_DIAG = ExactMatrix.diagonal([1, -1])
@@ -77,7 +81,7 @@ def moment_orbit_check(a: Entries) -> bool:
     if m != g * _HALF_DIAG * g.inverse():
         return False
     col = ExactMatrix([[x], [y]])
-    return m * col == col.scale(Fraction(1, 2))
+    return m * col == ExactMatrix.diagonal([Fraction(1, 2)] * 2) * col
 
 
 def moment_orbit_scan(count: int = 100, seed: int = 0) -> bool:
@@ -166,3 +170,41 @@ def singular_value_agrees(r: int, s: int, scalar: GaussianRational) -> bool:
     """
     singular = is_singular_value(r, s)
     return singular == (r * r == s * s) and is_singular_value(r * scalar, s * scalar) == singular
+
+
+def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjPoint:
+    """Eigenline pair of the orbit matrix attached to a rational sphere point.
+
+    The point maps to X = r, Y = -p + qi, Z = -p - qi, which satisfies
+    X^2 + YZ = 1; a point off the sphere is rejected.  The eigenlines for 1
+    and -1 are (Y, 1 - X) and (Y, -(X + 1)), and at the poles, where Y = 0
+    makes one of them zero, (X + 1, Z) and (X - 1, Z).
+    """
+    big_x, big_y, big_z = exact_sphere_point(p, q, r)
+    if big_y.is_zero() and big_x == ONE:
+        plus = (big_x + ONE, big_z)
+    else:
+        plus = (big_y, ONE - big_x)
+    if big_y.is_zero() and big_x == -ONE:
+        minus = (big_x - ONE, big_z)
+    else:
+        minus = (big_y, -(big_x + ONE))
+    pair = MultiProjPoint((plus, minus))
+    matrix = ((big_x, big_y), (big_z, -big_x))
+    for line, eigenvalue in ((plus, ONE), (minus, -ONE)):
+        if product(matrix, tuple((e,) for e in line)) != tuple((eigenvalue * e,) for e in line):
+            raise StructureError("eigenline certificates failed")
+    return pair
+
+
+def sphere_avoids_base_locus(points=RATIONAL_SPHERE_POINTS) -> bool:
+    """Each point's eigenline pair is off the diagonal and is neither base point."""
+    locus = base_locus()
+    for p, q, r in points:
+        pair = sphere_point_orbit_pair(p, q, r)
+        (u1, u2), (v1, v2) = pair.factors
+        if (u1 * v2 - u2 * v1).is_zero():
+            return False
+        if pair == locus[0] or pair == locus[1]:
+            return False
+    return True

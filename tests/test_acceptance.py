@@ -42,7 +42,7 @@ from lgorbit.report import Config, render_json, run
 from lgorbit.symplectic import (
     check_sphere_lagrangian,
     check_thimble_lagrangian,
-    exact_sphere_omega_residuals,
+    sphere_lagrangian_certificate,
 )
 from lgorbit.toric import (
     HirzebruchFan,
@@ -101,7 +101,6 @@ def test_criterion_1_critical_structure():
 
 def test_criterion_2_lagrangian_bounds():
     sphere = check_sphere_lagrangian(n_samples=SPHERE_SAMPLES, seed=0)
-    exact = exact_sphere_omega_residuals()
     thimble = check_thimble_lagrangian(n_t=THIMBLE_GRID[1])
     ok = (
         sphere.samples >= SPHERE_SAMPLES
@@ -109,7 +108,7 @@ def test_criterion_2_lagrangian_bounds():
         and sphere.max_tangency_residual < SPHERE_TOL
         and sphere.max_taming_violation == 0.0
         and sphere.rank_failures == 0
-        and all(r == 0 for r in exact)
+        and sphere_lagrangian_certificate()
         and thimble.grid == THIMBLE_GRID
         and thimble.max_fiber_residual < FIBER_TOL
         and thimble.max_omega < OMEGA_TOL

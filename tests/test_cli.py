@@ -435,7 +435,10 @@ def test_range_error_names_the_key(flag, value, message, capsys):
 
 
 def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
-    monkeypatch.setattr("lgorbit.compactification.sphere_avoids_base_locus", lambda: False)
+    # z = p - iq in the sphere embedding takes the sphere off the orbit
+    monkeypatch.setattr(
+        "lgorbit.compactification.sphere_embedding", lambda p, q, r, i: (r, -p + i * q, p - i * q)
+    )
     result = run("compactification", Config())
     row = {r.id: r for r in result.results}["compactification.symplectic-patching"]
     assert row.status == "fail"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compact_oracle
+import symplectic_oracle
 from lgorbit import cli
 from lgorbit import compactification as cg
 from lgorbit.errors import (
@@ -17,7 +18,6 @@ from lgorbit.errors import (
 from lgorbit.gaussian import ExactMatrix, GaussianRational
 from lgorbit.poly import MultiHomPoly, certify_charts
 from lgorbit.report import Config, run
-from lgorbit.symplectic import sphere_point
 
 
 def _xwr():
@@ -188,32 +188,67 @@ def test_deformed_ring_isomorphism():
 
 
 def test_sphere_embedding_agrees_with_fiber_chart():
-    for p, q, r in cg.RATIONAL_SPHERE_POINTS:
-        x, y, z = sphere_point(Fraction(p), Fraction(q), Fraction(r))
+    for p, q, r in symplectic_oracle.RATIONAL_SPHERE_POINTS:
+        x, y, z = symplectic_oracle.exact_sphere_point(p, q, r)
         assert x * x + y * z == 1
 
 
 def test_sphere_point_orbit_pair_poles():
     # the poles land exactly on the two critical points of the fibration
-    north = cg.sphere_point_orbit_pair(Fraction(0), Fraction(0), Fraction(1))
-    assert north == cg.MultiProjPoint(((1, 0), (0, 1)))
-    south = cg.sphere_point_orbit_pair(Fraction(0), Fraction(0), Fraction(-1))
-    assert south == cg.MultiProjPoint(((0, 1), (1, 0)))
+    north = compact_oracle.sphere_point_orbit_pair(Fraction(0), Fraction(0), Fraction(1))
+    south = compact_oracle.sphere_point_orbit_pair(Fraction(0), Fraction(0), Fraction(-1))
+    critical = cg.critical_data()
+    assert critical.verified
+    assert north == critical.points[0] == cg.MultiProjPoint(((1, 0), (0, 1)))
+    assert south == critical.points[1] == cg.MultiProjPoint(((0, 1), (1, 0)))
 
 
 def test_sphere_point_orbit_pair_generic():
-    pt = cg.sphere_point_orbit_pair(Fraction(3, 5), Fraction(4, 5), Fraction(0))
+    pt = compact_oracle.sphere_point_orbit_pair(Fraction(3, 5), Fraction(4, 5), Fraction(0))
     plus, minus = pt.factors
     assert cg.MultiProjPoint((plus,)) != cg.MultiProjPoint((minus,))
 
 
 def test_sphere_point_orbit_pair_rejects_off_sphere():
     with pytest.raises(PreconditionError, match="not on the unit sphere"):
-        cg.sphere_point_orbit_pair(Fraction(1), Fraction(1), Fraction(1))
+        compact_oracle.sphere_point_orbit_pair(Fraction(1), Fraction(1), Fraction(1))
 
 
 def test_sphere_avoids_base_locus():
-    assert cg.sphere_avoids_base_locus()
+    # the certificate's three facts, read at the oracle's rational points: the
+    # point is on the orbit, its matrix squares to I, and its eigenline pair
+    # is off the diagonal that holds both base points
+    assert cg.sphere_off_infinity_certificate()
+    assert compact_oracle.sphere_avoids_base_locus()
+    for p, q, r in symplectic_oracle.RATIONAL_SPHERE_POINTS:
+        x, y, z = symplectic_oracle.exact_sphere_point(p, q, r)
+        m = ((x, y), (z, -x))
+        assert cg.product(m, m) == ((1, 0), (0, 1))
+    assert all(cg.determinant(pt.factors).is_zero() for pt in cg.base_locus())
+
+
+def _conjugated_embedding(p, q, r, i):
+    # z = p - iq for -p - iq: the matrix is no longer on the orbit
+    return (r, -p + i * q, p - i * q)
+
+
+def _off_diagonal_base_locus():
+    return (cg.MultiProjPoint(((1, 0), (0, 1))), cg.MultiProjPoint(((0, 1), (0, 1))))
+
+
+@pytest.mark.parametrize("target, replacement", [
+    ("sphere_embedding", _conjugated_embedding),
+    ("base_locus", _off_diagonal_base_locus),
+])
+def test_patching_support_negative_controls(monkeypatch, capsys, target, replacement):
+    assert cg.sphere_off_infinity_certificate()
+    monkeypatch.setattr(cg, target, replacement)
+    assert not cg.sphere_off_infinity_certificate()
+    rows = {r.id: r for r in run("compactification", Config()).results}
+    row = rows["compactification.symplectic-patching"]
+    assert row.status == "fail" and "supporting exact check FAILED" in row.detail
+    assert cli.main(["compactification"]) == 1
+    assert "FAIL       compactification.symplectic-patching" in capsys.readouterr().out
 
 
 # ------------------------------------------------ certificates of the orbit

@@ -96,7 +96,7 @@ def test_det_with_gaussian_entries():
     m = ExactMatrix([[I, 1], [1, I]])
     # det = i*i - 1 = -2
     assert m.det() == GaussianRational(-2)
-    assert m.inverse().scale(-2) == ExactMatrix([[I, -ONE], [-ONE, I]])
+    assert ExactMatrix.diagonal([-2, -2]) * m.inverse() == ExactMatrix([[I, -ONE], [-ONE, I]])
 
 
 def test_singular_matrix():

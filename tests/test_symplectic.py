@@ -1,8 +1,8 @@
 """Lagrangian checks for the sphere and the thimbles, plus chart gluing."""
 
-from fractions import Fraction
-
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,23 +12,29 @@ import symplectic_oracle
 from lgorbit import cli, symplectic
 from lgorbit.errors import PreconditionError
 from lgorbit.gaussian import GaussianRational
+from lgorbit.poly import MultiHomPoly
 from lgorbit.report import Config, run
 from lgorbit.symplectic import (
-    RATIONAL_SPHERE_POINTS,
     _rank_is_two,
     check_sphere_lagrangian,
     check_thimble_lagrangian,
     commutator_triple,
     cylinder_chart,
-    exact_sphere_omega_residuals,
+    hermitian_pairing,
     lambda_grid,
     matching_circles_distance,
-    omega_value,
     orbit_residual,
+    sphere_embedding,
+    sphere_lagrangian_certificate,
     sphere_point,
     su2_basis,
     thimble,
 )
+from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
+
+I = GaussianRational(0, 1)
+# the samples are floats, so they read the exact basis in floats
+COMPLEX_BASIS = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis()]
 
 
 def test_sphere_lagrangian_sampled():
@@ -49,14 +55,51 @@ def test_rank_two_test_rejects_other_ranks():
 
 
 def test_sphere_exact_residuals_vanish():
-    residuals = exact_sphere_omega_residuals()
-    assert residuals
+    assert sphere_lagrangian_certificate()
+    residuals = symplectic_oracle.exact_sphere_omega_residuals()
+    assert len(residuals) == 3 * len(RATIONAL_SPHERE_POINTS)
     assert all(r == Fraction(0) for r in residuals)
 
 
+def _symbolic_sphere_pairings():
+    # the certificate's pairings, as polynomials in the real symbols p, q, r
+    p, q, r = (MultiHomPoly.variable(symplectic.SPHERE_BLOCKS, v) for v in "pqr")
+    point = sphere_embedding(p, q, r, I)
+    tangents = [commutator_triple(point, a) for a in su2_basis()]
+    return [hermitian_pairing(u, v) for u, v in itertools.combinations(tangents, 2)]
+
+
+def test_pointwise_pairings_agree_with_the_identity():
+    # the identity's polynomials, evaluated at each rational point, are the
+    # oracle's entry-by-entry pairings there, and each is real
+    symbolic = _symbolic_sphere_pairings()
+    assert all(h == h.conjugate() and not h.is_zero() for h in symbolic)
+    for p, q, r in RATIONAL_SPHERE_POINTS:
+        pointwise = symplectic_oracle.sphere_pairings(exact_sphere_point(p, q, r))
+        assert [h.evaluate({"p": p, "q": q, "r": r}) for h in symbolic] == pointwise
+        assert all(h.im == 0 for h in pointwise)
+
+
+def _hermitian_first_generator(original=su2_basis):
+    one, zero = GaussianRational(1), GaussianRational(0)
+    return (((one, zero), (zero, -one)),) + original()[1:]
+
+
+def test_hermitian_generator_fails_the_exact_sphere_row(monkeypatch, capsys):
+    # diag(1, -1) for diag(i, -i): the mixed pairings turn imaginary
+    monkeypatch.setattr(symplectic, "su2_basis", _hermitian_first_generator)
+    assert not sphere_lagrangian_certificate()
+    rows = {r.id: r for r in run("symplectic", Config()).results}
+    assert rows["symplectic.sphere-lagrangian-exact"].status == "fail"
+    assert cli.main(["symplectic"]) == 1
+    assert "FAIL       symplectic.sphere-lagrangian-exact\n" in capsys.readouterr().out
+
+
 def test_sphere_point_exact():
-    x, y, z = sphere_point(Fraction(3, 5), Fraction(4, 5), Fraction(0))
+    # the embedding over the Gaussian rationals lands on the orbit
+    x, y, z = sphere_embedding(Fraction(3, 5), Fraction(4, 5), Fraction(0), I)
     assert orbit_residual((x, y, z)) == 0
+    assert (x, y, z) == exact_sphere_point(Fraction(3, 5), Fraction(4, 5), Fraction(0))
 
 
 def test_sphere_point_float():
@@ -70,19 +113,22 @@ def test_sphere_point_rejects_off_sphere():
 
 
 def test_rational_sphere_points_are_unit():
+    assert len(RATIONAL_SPHERE_POINTS) == 12
     for p, q, r in RATIONAL_SPHERE_POINTS:
         assert p * p + q * q + r * r == 1
 
 
 def test_taming_positive_on_sphere_tangents():
-    # omega(u, iu) > 0 certifies the compatible pairing along the sample
+    # omega(u, iu) = -Im h(u, iu) = h(u, u) > 0, in floats and exactly
     point = sphere_point(0.6, 0.0, 0.8)
+    for a in COMPLEX_BASIS:
+        u = commutator_triple(point, a)
+        assert -hermitian_pairing(u, tuple(1j * c for c in u)).imag > 0
+    point = exact_sphere_point(Fraction(3, 5), 0, Fraction(4, 5))
     for a in su2_basis():
         u = commutator_triple(point, a)
-        iu = tuple(1j * c for c in u)
-        val = omega_value(u, iu)
-        assert val.imag == pytest.approx(0.0, abs=1e-12)
-        assert val.real > 0
+        taming = -hermitian_pairing(u, tuple(I * c for c in u)).im
+        assert taming == hermitian_pairing(u, u).re > 0
 
 
 def test_thimble_lagrangian_grid():
@@ -141,7 +187,7 @@ def test_cylinder_chart_certificate_fails_for_a_wrong_chart(monkeypatch, capsys)
     assert cli.main(["symplectic"]) == 1
     assert "FAIL       symplectic.cylinder-chart\n" in capsys.readouterr().out
 exact_points = st.tuples(gaussians, gaussians, gaussians) | st.sampled_from(
-    [sphere_point(*p) for p in RATIONAL_SPHERE_POINTS]
+    [exact_sphere_point(*p) for p in RATIONAL_SPHERE_POINTS]
 )
 traceless = st.builds(lambda a, b, c: ((a, b), (c, -a)), gaussians, gaussians, gaussians)
 
@@ -156,7 +202,7 @@ unit = st.floats(-1.0, 1.0)
 
 
 @given(raw=st.tuples(unit, unit, unit).filter(lambda v: math.hypot(*v) > 1e-3),
-       a=st.sampled_from(su2_basis()))
+       a=st.sampled_from(COMPLEX_BASIS))
 @settings(max_examples=80, deadline=None)
 def test_closed_form_commutator_matches_the_matrix_product_on_float_sphere(raw, a):
     norm = math.hypot(*raw)
