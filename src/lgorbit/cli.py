@@ -17,16 +17,6 @@ from typing import Optional, Sequence
 from .report import SUITES, Config, load_config, render_json, render_text, run
 
 
-def _grid(text: str):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected ROWSxCOLS, for example 9x64")
-    try:
-        return [int(parts[0]), int(parts[1])]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 class _UsageError(Exception):
     pass
 
@@ -46,11 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the JSON report to this file")
-    for key, default in Config._field_defaults.items():
+    for key in Config._fields:
         parser.add_argument(
-            "--" + key.replace("_", "-"),
-            type=_grid if isinstance(default, tuple) else type(default),
-            help=f"override the config key {key}",
+            "--" + key.replace("_", "-"), type=int, help=f"override the config key {key}"
         )
     return parser
 

@@ -10,11 +10,13 @@ the imaginary part of the Hermitian extension of the trace pairing.  The
 sign makes Omega(u, iu) = tr(M_u M_u^dagger) > 0, so the complex structure
 is tamed.  The sampled checks run the formulas in floats; the exact claims
 are polynomial identities, the same formulas run on real symbols with
-conjugation acting on coefficients only.  Every float bound is a
-pinned constant, not an option: FLOAT_TOL = 1e-9 bounds the residuals of
-sampled geometry (the pairing, tangency and gluing rows of the report) and
-the unit-norm, rank and nonzero tests, and FIBER_TOL = 1e-12 bounds the
-closed-form thimble fiber and sphere-membership residuals.
+conjugation acting on coefficients only: Omega vanishes on the sphere's
+su(2) tangents, the thimble chart lies in the sphere with Omega-null
+tangents of positive norm, and omega(v, iv) = h(v, v) is a positive-weight
+sum of squares on C^3.  The one float bound is a pinned constant, not an
+option: FLOAT_TOL = 1e-9 bounds the residuals of sampled geometry (the
+pairing, tangency and gluing rows of the report) and the unit-norm, rank
+and nonzero tests.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ Scalar = Union[complex, GaussianRational]
 Triple = Tuple[Scalar, Scalar, Scalar]
 
 FLOAT_TOL = 1e-9
-FIBER_TOL = 1e-12  # thimble fiber and sphere membership, closed forms in floats
 
 # The sphere's coordinates p, q, r as polynomial variables, read as real.
 SPHERE_BLOCKS = (("p", "q", "r"),)
@@ -120,7 +121,7 @@ def _rank_is_two(rows: Sequence[Sequence[float]]) -> bool:
 class SphereReport(NamedTuple):
     samples: int
     max_omega: float
-    max_taming_violation: float
+    min_taming: float
     max_tangency_residual: float
     rank_failures: int
     passed: bool
@@ -131,8 +132,9 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
 
     At each sample S the three tangent vectors [S, A_k] must be tangent and
     Hermitian, so the pairing is real and Omega vanishes; the report records
-    the worst float residual, taming defect and tangency or Hermitian
-    defect, and any rank-2 span failure.
+    the worst float residual and tangency or Hermitian defect, the smallest
+    pairing of a nonzero tangent against its complex rotation, which must be
+    positive, and any rank-2 span failure.
     """
     import random
 
@@ -140,7 +142,7 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
     # the samples are floats, so convert the exact basis once, not per sample
     basis = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis()]
     max_omega = 0.0
-    max_taming = 0.0
+    min_taming = math.inf
     max_tangent = 0.0
     rank_failures = 0
     for _ in range(n_samples):
@@ -160,14 +162,14 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
             max_tangent = max(max_tangent, abs(tangency_residual(point, u)), hermitian)
             if abs(u0) + abs(u1) + abs(u2) > FLOAT_TOL:
                 taming = -hermitian_pairing(u, (1j * u0, 1j * u1, 1j * u2)).imag
-                max_taming = max(max_taming, -min(0.0, taming))
+                min_taming = min(min_taming, taming)
         # a Hermitian traceless [[r, -p+iq], [-p-iq, -r]] has coordinates (p, q, r)
         if not _rank_is_two([(-u1.real, u1.imag, u0.real) for u0, u1, _ in tangents]):
             rank_failures += 1
     passed = (
-        max(max_omega, max_tangent) < FLOAT_TOL and rank_failures == 0 and max_taming == 0.0
+        max(max_omega, max_tangent) < FLOAT_TOL and rank_failures == 0 and min_taming > 0
     )
-    return SphereReport(n_samples, max_omega, max_taming, max_tangent, rank_failures, passed)
+    return SphereReport(n_samples, max_omega, min_taming, max_tangent, rank_failures, passed)
 
 
 def sphere_lagrangian_certificate() -> bool:
@@ -189,6 +191,18 @@ def sphere_lagrangian_certificate() -> bool:
 # ------------------------------------------------------------------ thimble
 
 
+def thimble_chart(lam, c, u, ubar, i):
+    """The thimble point (lam, c u, c ubar) and its tangents (c d/dlam, d/dt).
+
+    Written over any ring with unit ``i``: with c = sqrt(1 - lam^2) and
+    u = e^{it}, ubar = e^{-it} it is the circle over height 2*lam.  The
+    lam-tangent is scaled by c, which c dc/dlam = -lam keeps polynomial:
+    (c, -lam u, -lam ubar); the t-tangent is (0, i c u, -i c ubar).
+    """
+    point = (lam, c * u, c * ubar)
+    return point, (c, -lam * u, -lam * ubar), (0, i * c * u, -i * c * ubar)
+
+
 def thimble(lam: float, t: float) -> Triple:
     """Point of the matching-path thimble over height 2*lam.
 
@@ -199,92 +213,68 @@ def thimble(lam: float, t: float) -> Triple:
     if isinstance(lam, complex) or not -1.0 <= lam <= 1.0:
         raise PreconditionError("lam must be real in [-1, 1]")
     c = math.sqrt(max(0.0, 1.0 - lam * lam))
-    return (complex(lam), cmath.exp(1j * t) * c, cmath.exp(-1j * t) * c)
+    return thimble_chart(complex(lam), c, cmath.exp(1j * t), cmath.exp(-1j * t), 1j)[0]
 
 
-def thimble_tangents(lam: float, t: float) -> Tuple[Triple, Triple]:
-    """Analytic derivative vectors (d/dlam, d/dt) of the thimble chart."""
-    if isinstance(lam, complex) or not -1.0 < lam < 1.0:
-        raise PreconditionError("derivatives need lam strictly inside (-1, 1)")
-    c = math.sqrt(1.0 - lam * lam)
-    e_plus = cmath.exp(1j * t)
-    e_minus = cmath.exp(-1j * t)
-    d_lam = (1 + 0j, -lam / c * e_plus, -lam / c * e_minus)
-    d_t = (0j, 1j * c * e_plus, -1j * c * e_minus)
-    return d_lam, d_t
+def thimble_certificate() -> bool:
+    """The thimbles are Lagrangian disks in the sphere, as identities.
 
-
-def sphere_membership_residual(point: Triple) -> float:
-    """Distance of an orbit point from the embedded sphere's defining relations.
-
-    The sphere is cut out by: x real, z = conj(y), x^2 + |y|^2 = 1.
+    Over real symbols lam, c, a, b with u = a + ib, modulo D = c^2 + lam^2 - 1
+    and C = a^2 + b^2 - 1 (so c = sqrt(1 - lam^2) and u is on the unit
+    circle), each identity lhs - rhs = q_D D + q_C C holds with the explicit
+    cofactors below: the chart's orbit residual is D + c^2 C; x = lam and z
+    is the conjugate of y, so the circle over 2 lam lies in the sphere; the
+    tangencies of c d/dlam and d/dt are -2 lam c C and 0; their pairing is 0,
+    so Omega vanishes; and their own pairings are 2 + 2D + 2 lam^2 C and
+    2c^2 + 2c^2 C, that is 2 and 2(1 - lam^2), positive for |lam| < 1.
     """
-    x, y, z = (complex(c) for c in point)
-    return max(
-        abs(x.imag),
-        abs(z - y.conjugate()),
-        abs(x.real**2 + abs(y) ** 2 - 1),
+    from .poly import MultiHomPoly
+
+    lam, c, a, b = (MultiHomPoly.variable((tuple("lcab"),), v) for v in "lcab")
+    i = GaussianRational(0, 1)
+    u = a + i * b
+    disk, circle = c * c + lam * lam - 1, a * a + b * b - 1
+    point, d_lam, d_t = thimble_chart(lam, c, u, u.conjugate(), i)
+    identities = (  # (lhs - rhs, q_D, q_C)
+        (orbit_residual(point), 1, c * c),
+        (point[0] - lam, 0, 0),
+        (point[2] - point[1].conjugate(), 0, 0),
+        (tangency_residual(point, d_lam), 0, -2 * lam * c),
+        (tangency_residual(point, d_t), 0, 0),
+        (hermitian_pairing(d_lam, d_t), 0, 0),
+        (hermitian_pairing(d_lam, d_lam) - 2, 2, 2 * lam * lam),
+        (hermitian_pairing(d_t, d_t) - 2 * c * c, 0, 2 * c * c),
+    )
+    return all(diff == disk * q_d + circle * q_c for diff, q_d, q_c in identities)
+
+
+def taming_certificate() -> bool:
+    """omega(v, Jv) = h(v, v), a positive-weight sum of squares on all of C^3.
+
+    For v = (p0 + i q0, p1 + i q1, p2 + i q2) over real symbols,
+    h(v, iv) = -i h(v, v), so omega(v, iv) = -Im h(v, iv) = h(v, v), and
+    h(v, v) = 2(p0^2 + q0^2) + (p1^2 + q1^2) + (p2^2 + q2^2).
+    """
+    from .poly import MultiHomPoly
+
+    names = ("p0", "q0", "p1", "q1", "p2", "q2")
+    p0, q0, p1, q1, p2, q2 = (MultiHomPoly.variable((names,), v) for v in names)
+    i = GaussianRational(0, 1)
+    v = (p0 + i * q0, p1 + i * q1, p2 + i * q2)
+    norm = hermitian_pairing(v, v)
+    return hermitian_pairing(v, tuple(i * e for e in v)) == -i * norm and norm == (
+        2 * (p0 * p0 + q0 * q0) + (p1 * p1 + q1 * q1) + (p2 * p2 + q2 * q2)
     )
 
 
-def lambda_grid(n: int) -> Tuple[float, ...]:
-    """The thimble grid's n lambdas: 0 alone when n is 1, and otherwise n
-    evenly spaced values in [-1, 1] with the two ends pulled in to -0.99 and
-    0.99, where the chart derivatives still exist."""
-    if n == 1:
-        return (0.0,)
-    return tuple(max(-0.99, min(0.99, -1 + 2 * k / (n - 1))) for k in range(n))
+def _replaced_grid(*args, **kwargs):
+    raise NotImplementedError("the thimble grid was replaced by exact certificates")
 
 
-class ThimbleReport(NamedTuple):
-    grid: Tuple[int, int]
-    max_fiber_residual: float
-    max_omega: float
-    max_sphere_residual: float
-    max_tangency_residual: float
-    min_taming: float
-    passed: bool
-
-
-def check_thimble_lagrangian(
-    lambdas: Sequence[float] = lambda_grid(9), n_t: int = 64
-) -> ThimbleReport:
-    """Grid check: thimble points sit in the right fiber, inside the sphere
-    union, and the two chart derivatives are Omega-orthogonal."""
-    max_fiber = 0.0
-    max_omega = 0.0
-    max_sphere = 0.0
-    max_tangent = 0.0
-    min_taming = float("inf")
-    for lam in lambdas:
-        for k in range(n_t):
-            t = 2 * math.pi * k / n_t
-            point = thimble(lam, t)
-            max_fiber = max(max_fiber, abs(orbit_residual(point)))
-            max_fiber = max(max_fiber, abs(2 * point[0] - 2 * lam))
-            max_sphere = max(max_sphere, sphere_membership_residual(point))
-            d_lam, d_t = thimble_tangents(lam, t)
-            for vec in (d_lam, d_t):
-                max_tangent = max(max_tangent, abs(tangency_residual(point, vec)))
-                iu = (1j * vec[0], 1j * vec[1], 1j * vec[2])
-                min_taming = min(min_taming, -hermitian_pairing(vec, iu).imag)
-            max_omega = max(max_omega, abs(hermitian_pairing(d_lam, d_t).imag))
-    passed = (
-        max_fiber < FIBER_TOL
-        and max_omega < FLOAT_TOL
-        and max_sphere < FIBER_TOL
-        and max_tangent < FLOAT_TOL
-        and min_taming > 0
-    )
-    return ThimbleReport(
-        (len(lambdas), n_t),
-        max_fiber,
-        max_omega,
-        max_sphere,
-        max_tangent,
-        min_taming,
-        passed,
-    )
+# perfbench/tracer.py still looks up the grid check the certificates replaced.
+# The name stays bound to a stand-in that nothing calls, so the tracer finds it
+# and times no other code under it.
+check_thimble_lagrangian = _replaced_grid
 
 
 def matching_circles_distance(n_t: int = 64) -> float:

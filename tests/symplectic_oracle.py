@@ -10,14 +10,32 @@ sphere as an identity over real symbols.  Before it, the report evaluated the
 pairings at the twelve rational sphere points below; those points and that
 pointwise evaluation live here, with the pairing written as a sum over the
 matrix entries rather than the library's closed form.
+
+``thimble_certificate`` and ``taming_certificate`` prove the thimble and
+taming claims as identities.  Before them, the report ran the float grid at
+the end of this file: the thimble's points and analytic tangents at
+``lambda_grid(9)`` x 64 parameters, checked against ``FIBER_TOL`` and
+``FLOAT_TOL``.
 """
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
+from typing import NamedTuple, Sequence, Tuple
 
 from lgorbit.errors import PreconditionError
 from lgorbit.gaussian import GaussianRational
-from lgorbit.symplectic import sphere_embedding, su2_basis
+from lgorbit.symplectic import (
+    FLOAT_TOL,
+    Triple,
+    hermitian_pairing,
+    orbit_residual,
+    sphere_embedding,
+    su2_basis,
+    tangency_residual,
+    thimble,
+)
 
 I = GaussianRational(0, 1)
 
@@ -94,3 +112,93 @@ def sphere_pairings(point):
 def exact_sphere_omega_residuals(points=RATIONAL_SPHERE_POINTS):
     """Omega = -Im of each pairing, at each point; all zero on a Lagrangian sphere."""
     return [-h.im for pt in points for h in sphere_pairings(exact_sphere_point(*pt))]
+
+
+# ------------------------------------------------------------ thimble grid
+
+FIBER_TOL = 1e-12  # thimble fiber and sphere membership, closed forms in floats
+
+
+def thimble_tangents(lam: float, t: float) -> Tuple[Triple, Triple]:
+    """Analytic derivative vectors (d/dlam, d/dt) of the thimble chart."""
+    if isinstance(lam, complex) or not -1.0 < lam < 1.0:
+        raise PreconditionError("derivatives need lam strictly inside (-1, 1)")
+    c = math.sqrt(1.0 - lam * lam)
+    e_plus = cmath.exp(1j * t)
+    e_minus = cmath.exp(-1j * t)
+    d_lam = (1 + 0j, -lam / c * e_plus, -lam / c * e_minus)
+    d_t = (0j, 1j * c * e_plus, -1j * c * e_minus)
+    return d_lam, d_t
+
+
+def sphere_membership_residual(point: Triple) -> float:
+    """Distance of an orbit point from the embedded sphere's defining relations.
+
+    The sphere is cut out by: x real, z = conj(y), x^2 + |y|^2 = 1.
+    """
+    x, y, z = (complex(c) for c in point)
+    return max(
+        abs(x.imag),
+        abs(z - y.conjugate()),
+        abs(x.real**2 + abs(y) ** 2 - 1),
+    )
+
+
+def lambda_grid(n: int) -> Tuple[float, ...]:
+    """The thimble grid's n lambdas: 0 alone when n is 1, and otherwise n
+    evenly spaced values in [-1, 1] with the two ends pulled in to -0.99 and
+    0.99, where the chart derivatives still exist."""
+    if n == 1:
+        return (0.0,)
+    return tuple(max(-0.99, min(0.99, -1 + 2 * k / (n - 1))) for k in range(n))
+
+
+class ThimbleReport(NamedTuple):
+    grid: Tuple[int, int]
+    max_fiber_residual: float
+    max_omega: float
+    max_sphere_residual: float
+    max_tangency_residual: float
+    min_taming: float
+    passed: bool
+
+
+def check_thimble_lagrangian(
+    lambdas: Sequence[float] = lambda_grid(9), n_t: int = 64
+) -> ThimbleReport:
+    """Grid check: thimble points sit in the right fiber, inside the sphere
+    union, and the two chart derivatives are Omega-orthogonal."""
+    max_fiber = 0.0
+    max_omega = 0.0
+    max_sphere = 0.0
+    max_tangent = 0.0
+    min_taming = float("inf")
+    for lam in lambdas:
+        for k in range(n_t):
+            t = 2 * math.pi * k / n_t
+            point = thimble(lam, t)
+            max_fiber = max(max_fiber, abs(orbit_residual(point)))
+            max_fiber = max(max_fiber, abs(2 * point[0] - 2 * lam))
+            max_sphere = max(max_sphere, sphere_membership_residual(point))
+            d_lam, d_t = thimble_tangents(lam, t)
+            for vec in (d_lam, d_t):
+                max_tangent = max(max_tangent, abs(tangency_residual(point, vec)))
+                iu = (1j * vec[0], 1j * vec[1], 1j * vec[2])
+                min_taming = min(min_taming, -hermitian_pairing(vec, iu).imag)
+            max_omega = max(max_omega, abs(hermitian_pairing(d_lam, d_t).imag))
+    passed = (
+        max_fiber < FIBER_TOL
+        and max_omega < FLOAT_TOL
+        and max_sphere < FIBER_TOL
+        and max_tangent < FLOAT_TOL
+        and min_taming > 0
+    )
+    return ThimbleReport(
+        (len(lambdas), n_t),
+        max_fiber,
+        max_omega,
+        max_sphere,
+        max_tangent,
+        min_taming,
+        passed,
+    )

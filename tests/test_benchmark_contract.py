@@ -35,7 +35,25 @@ def test_benchmarked_workload_passes_the_gate(name, tmp_path, capsys):
     assert report_problems(workload, 0, code, text) == []
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+# Unbenchmarked workloads whose arguments still name a deleted flag.  The
+# workloads live under perfbench/, which changes only in a benchmark change,
+# so each waits for one.  This list may only shrink: the second test fails
+# once a listed workload parses again.
+STALE_WORKLOADS = {
+    # --thimble-grid went with the float thimble grid; ROADMAP item 1 re-bases
+    # the workload on --sphere-samples
+    "sampling-dense",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(WORKLOADS) - STALE_WORKLOADS))
 def test_every_workload_parses_and_loads(name):
     args = cli.build_parser().parse_args([*WORKLOADS[name].argv, "--seed", "0"])
     load_config(None, {key: getattr(args, key) for key in Config._fields})
+
+
+@pytest.mark.parametrize("name", sorted(STALE_WORKLOADS))
+def test_stale_workload_still_names_a_deleted_flag(name, capsys):
+    assert name in WORKLOADS and name not in BENCHMARKED
+    assert cli.main([*WORKLOADS[name].argv, "--seed", "0"]) == 2
+    assert capsys.readouterr().err.startswith("verify: usage error: unrecognized arguments: ")

@@ -127,7 +127,6 @@ def test_cli_flag_overrides_reach_report(tmp_path, capsys):
 FLAG_VALUES = {
     "seed": ("3", 3),
     "sphere_samples": ("10", 10),
-    "thimble_grid": ("3x8", [3, 8]),
     "box_margin": ("2", 2),
     "t_range": ("4", 4),
 }
@@ -337,7 +336,7 @@ def test_mirror_runs_at_the_largest_window(tmp_path):
     {"seed": True},
     {"t_range": False},
     {"sphere_samples": True},
-    {"thimble_grid": [True, 3]},
+    {"box_margin": True},
 ])
 def test_cli_rejects_bools_for_numbers(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
@@ -425,7 +424,6 @@ def test_shift_range_is_gone(tmp_path, capsys):
     ("--sphere-samples", "0", "sphere_samples must be at least 1"),
     ("--box-margin", "-1", "box_margin must be at least 0"),
     ("--t-range", "0", "t_range must be at least 1"),
-    ("--thimble-grid", "0x64", "thimble_grid must be two positive integers"),
 ])
 def test_range_error_names_the_key(flag, value, message, capsys):
     assert cli.main(["quiver", flag, value]) == 2
@@ -480,37 +478,13 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
     assert "FAIL       symplectic.sphere-lagrangian-sampled" in capsys.readouterr().out
 
 
-def test_tilted_tangent_fails_the_thimble_row_with_its_residual(monkeypatch, capsys):
-    # 1e-3 on the first coordinate of d_t leaves every thimble point and the
-    # pairing alone; only the tangency residual sees it
-    from lgorbit import symplectic
-
-    exact = symplectic.thimble_tangents
-
-    def tilted(lam, t):
-        d_lam, d_t = exact(lam, t)
-        return d_lam, (d_t[0] + 1e-3, d_t[1], d_t[2])
-
-    monkeypatch.setattr(symplectic, "thimble_tangents", tilted)
-    row = {r.id: r for r in run("symplectic", Config()).results}["symplectic.thimble-grid"]
-    assert row.status == "fail"
-    assert row.residual > symplectic.FLOAT_TOL
-    assert "tangency residual" in row.detail
-    assert cli.main(["symplectic"]) == 1
-    assert "FAIL       symplectic.thimble-grid  residual=" in capsys.readouterr().out
-
-
-@given(
-    seed=st.integers(-10**6, 10**9),
-    samples=st.integers(1, 300),
-    grid=st.tuples(st.integers(1, 12), st.integers(1, 16)),
-)
+@given(seed=st.integers(-10**6, 10**9), samples=st.integers(1, 300))
 @settings(max_examples=25, deadline=None)
-def test_flipped_commutator_fails_the_sampled_sphere_row_at_every_config(seed, samples, grid):
+def test_flipped_commutator_fails_the_sampled_sphere_row_at_every_config(seed, samples):
     # no config key loosens the pinned float bound
     from lgorbit import symplectic
 
-    cfg = load_config(overrides={"seed": seed, "sphere_samples": samples, "thimble_grid": grid})
+    cfg = load_config(overrides={"seed": seed, "sphere_samples": samples})
     with pytest.MonkeyPatch.context() as mp:
         _flip_commutator(mp)
         rows = {r.id: r for r in run("symplectic", cfg).results}
@@ -622,22 +596,20 @@ def test_size_bound_admits_the_bound_and_rejects_one_more(flag, bound, key, caps
         load_config(None, {key: bound + 1})
 
 
-def test_thimble_cell_bound(tmp_path, capsys):
-    cells = report.MAX_THIMBLE_CELLS
-    assert load_config(None, {"thimble_grid": [cells, 1]}).thimble_grid == (cells, 1)
-    assert cli.main(["quiver", "--thimble-grid", f"1x{cells}"]) == 0
-    capsys.readouterr()
+def test_thimble_grid_is_no_longer_a_key(tmp_path, capsys):
+    # the thimble rows are identities, so no grid size selects anything
+    assert cli.main(["symplectic", "--thimble-grid", "9x64"]) == 2
+    assert capsys.readouterr().err == (
+        "verify: usage error: unrecognized arguments: --thimble-grid 9x64\n"
+    )
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"thimble_grid": [cells + 1, 1]}))
-    assert cli.main(["quiver", "--config", str(path)]) == 2
-    assert cli.main(["quiver", "--thimble-grid", f"1x{cells + 1}"]) == 2
+    path.write_text('{"thimble_grid": [9, 64]}')
+    assert cli.main(["symplectic", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    message = f"verify: config error: thimble_grid must have at most {cells} cells\n"
-    assert captured.err == message * 2
+    assert captured.err == "verify: config error: unknown config keys: ['thimble_grid']\n"
 
 
 def test_size_bounds_admit_the_benchmark_workloads():
-    cfg = load_config(None, {"sphere_samples": 20000, "thimble_grid": [33, 256],
-                             "t_range": 1000})
+    cfg = load_config(None, {"sphere_samples": 20000, "t_range": 1000})
     assert cfg.sphere_samples == 20000 and cfg.t_range == 1000

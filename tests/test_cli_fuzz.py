@@ -3,10 +3,9 @@
 The cheap suites run in-process: lie, quiver, sheaves, category and mirror
 (t_range <= 20).  The sampling suites, symplectic and
 compactification, run in a child process that the test kills after
-``RUN_CAP_S`` seconds; their draws stay small (sphere_samples <= 2000, a
-thimble grid of at most 40 x 40), so a run takes well under a second.  No
-drawn value comes near a ``report.MAX_*`` bound; the bounds themselves are
-tested in ``test_cli.py``.
+``RUN_CAP_S`` seconds; their draws stay small (sphere_samples <= 2000), so a
+run takes well under a second.  No drawn value comes near a ``report.MAX_*``
+bound; the bounds themselves are tested in ``test_cli.py``.
 """
 
 import io
@@ -31,7 +30,6 @@ RUN_CAP_S = 30.0
 VALID = {
     "seed": st.integers(-10**6, 10**9),
     "sphere_samples": st.integers(1, 2000),
-    "thimble_grid": st.tuples(st.integers(1, 40), st.integers(1, 40)),
     "box_margin": st.integers(0, 30),
     "t_range": st.integers(1, 20),
 }
@@ -39,8 +37,6 @@ VALID = {
 # values of the right type outside each key's domain (seed has no such value)
 OUT_OF_DOMAIN = {
     "sphere_samples": st.integers(-10**6, 0),
-    "thimble_grid": st.tuples(st.integers(-5, 0), st.integers(1, 5))
-    | st.tuples(st.integers(1, 5), st.integers(-5, 0)),
     "box_margin": st.integers(-10**6, -1),
     "t_range": st.integers(-10**6, 0),
 }
@@ -50,7 +46,6 @@ WRONG_JSON = {
     key: st.sampled_from([True, False, None, "7", [], {}] + extra)
     for key, extra in (
         ("seed", [1.5]), ("sphere_samples", [2.5]),
-        ("thimble_grid", [9, "9x64", [9], [9, 64, 1], [9.5, 64], [True, 3], ["9", 64]]),
         ("box_margin", [0.5]), ("t_range", [3.0, [2]]),
     )
 }
@@ -60,7 +55,7 @@ WRONG_FLAG = {
     key: st.sampled_from(["abc", "", "true", "[1]"] + extra)
     for key, extra in (
         ("seed", ["1.5", "0x10"]),
-        ("sphere_samples", ["2.5"]), ("thimble_grid", ["9", "9x", "x64", "9x64x1", "9.5x64"]),
+        ("sphere_samples", ["2.5"]),
         ("box_margin", ["0.5"]), ("t_range", ["3.0", "1e1"]),
     )
 }
@@ -73,8 +68,7 @@ def test_strategies_cover_every_config_key():
 
 
 def _flag(key, value):
-    text = f"{value[0]}x{value[1]}" if key == "thimble_grid" else repr(value)
-    return f"--{key.replace('_', '-')}={text}"
+    return f"--{key.replace('_', '-')}={value!r}"
 
 
 def _argv(suite, flags, file_data, work):
@@ -102,9 +96,7 @@ def _assert_valid_run(suite, values, code, out, err, path):
     assert report["suite"] == suite and statuses
     assert set(statuses) <= {"pass", "fail", "assumption"}
     assert code == (1 if "fail" in statuses else 0)
-    expected = Config(**values)._asdict()
-    expected["thimble_grid"] = list(expected["thimble_grid"])
-    assert report["config"] == expected
+    assert report["config"] == Config(**values)._asdict()
     assert out.endswith(" recorded assumptions\n")
 
 

@@ -1,6 +1,7 @@
 """Source hygiene that a linter would check, written with the stdlib ast module."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -145,6 +146,7 @@ BENCHMARK_ONLY = {
     "compactification.singular_scan",
     "lie.random_sl_integer",
     "gaussian.ExactMatrix.inverse",
+    "symplectic.check_thimble_lagrangian",
 }
 
 
@@ -206,3 +208,20 @@ def test_unread_config_key_detector():
 def test_every_config_key_is_read_by_a_suite():
     # a key that no check reads is a knob that changes nothing in the report
     assert unread_config_keys((SRC / "report.py").read_text(encoding="utf-8")) == []
+
+
+def test_readme_names_only_the_size_bounds_report_defines():
+    # a deleted key's bound must leave the README's bounds paragraph with it
+    # (tests/test_cli.py checks the key table and the flag sentence)
+    tree = ast.parse((SRC / "report.py").read_text(encoding="utf-8"))
+    bounds = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in ast.walk(node)
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"`(MAX_\w+)`", readme)) == bounds == {
+        "MAX_SPHERE_SAMPLES", "MAX_T_RANGE"
+    }

@@ -21,7 +21,6 @@ def _records():
         check,
         report.Report(1, "mirror", {}, (check,), {}),
         symplectic.check_sphere_lagrangian(5),
-        symplectic.check_thimble_lagrangian(symplectic.lambda_grid(2), 2),
         mirror.search_mirror_pair(2, 1, target_forward={0: 2}),
         mirror.exclusion_table(1)[0],
         mirror.LineBundle(3),
@@ -47,7 +46,7 @@ RECORDS = _records()
 
 
 def test_every_record_type_is_listed():
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 23
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 22
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -83,8 +82,7 @@ def test_record_hash_is_the_hash_of_its_fields(record):
     (fukaya.ProductEntry(("x0",), "x1"), "ProductEntry(inputs=('x0',), output='x1', coeff=1)"),
     (quiver.Path("v0", "v1", ("a",)), "Path(source='v0', target='v1', arrows=('a',))"),
     (quiver.Arrow("a", "v0", "v1"), "Arrow(name='a', source='v0', target='v1', degree=0)"),
-    (report.Config(), "Config(seed=0, sphere_samples=1000, thimble_grid=(9, 64), "
-                      "box_margin=1, t_range=10)"),
+    (report.Config(), "Config(seed=0, sphere_samples=1000, box_margin=1, t_range=10)"),
     (report.CheckResult("i", "a", "pass", "d"),
      "CheckResult(id='i', anchor='a', status='pass', detail='d', residual=None)"),
 ])
@@ -126,5 +124,5 @@ def test_records_of_different_kinds_differ():
 
 
 def test_every_config_key_has_a_default():
-    # the CLI builds one flag per default and reads one override per field
+    # load_config builds Config from only the keys a run sets, so every field needs a default
     assert tuple(report.Config._field_defaults) == report.Config._fields

@@ -89,3 +89,40 @@ def test_sphere_off_infinity_identities_over_sympy():
     square = cg.product(m, m)
     for i, j in itertools.product(range(2), repeat=2):
         assert sympy.expand(square[i][j] - int(i == j) - relation * int(i == j)) == 0
+
+
+def _vanishes(expr):
+    return sympy.expand(expr) == 0
+
+
+def test_thimble_identities_over_sympy():
+    lam, c, a, b = sympy.symbols("lam c a b", real=True)
+    u = a + sympy.I * b
+    disk, circle = c**2 + lam**2 - 1, a**2 + b**2 - 1
+    point, d_lam, d_t = symplectic.thimble_chart(lam, c, u, sympy.conjugate(u), sympy.I)
+    assert _vanishes(symplectic.orbit_residual(point) - disk - c**2 * circle)
+    assert point[0] == lam and _vanishes(point[2] - sympy.conjugate(point[1]))
+    assert _vanishes(symplectic.tangency_residual(point, d_lam) + 2 * lam * c * circle)
+    assert _vanishes(symplectic.tangency_residual(point, d_t))
+    assert _vanishes(symplectic.hermitian_pairing(d_lam, d_t))
+    norm_lam = symplectic.hermitian_pairing(d_lam, d_lam)
+    assert _vanishes(norm_lam - 2 - 2 * disk - 2 * lam**2 * circle)
+    assert _vanishes(symplectic.hermitian_pairing(d_t, d_t) - 2 * c**2 - 2 * c**2 * circle)
+
+
+def test_taming_identity_over_sympy():
+    p0, q0, p1, q1, p2, q2 = sympy.symbols("p0 q0 p1 q1 p2 q2", real=True)
+    v = (p0 + sympy.I * q0, p1 + sympy.I * q1, p2 + sympy.I * q2)
+    norm = symplectic.hermitian_pairing(v, v)
+    rotated = symplectic.hermitian_pairing(v, tuple(sympy.I * e for e in v))
+    assert _vanishes(rotated + sympy.I * norm)
+    assert _vanishes(norm - 2 * (p0**2 + q0**2) - (p1**2 + q1**2) - (p2**2 + q2**2))
+
+
+def test_cylinder_chart_identities_over_sympy():
+    lam, x, y, z, u = sympy.symbols("lam x y z u")
+    unit = y * u - 1
+    chart = symplectic.cylinder_chart(lam, y, u)
+    assert _vanishes(symplectic.orbit_residual(chart) - (1 - lam**2) * unit)
+    ideal = -z * unit + u * symplectic.orbit_residual((x, y, z)) - u * (x + lam) * (x - lam)
+    assert _vanishes(z - chart[2] - ideal)

@@ -17,11 +17,9 @@ from lgorbit.report import Config, run
 from lgorbit.symplectic import (
     _rank_is_two,
     check_sphere_lagrangian,
-    check_thimble_lagrangian,
     commutator_triple,
     cylinder_chart,
     hermitian_pairing,
-    lambda_grid,
     matching_circles_distance,
     orbit_residual,
     sphere_embedding,
@@ -29,6 +27,7 @@ from lgorbit.symplectic import (
     sphere_point,
     su2_basis,
     thimble,
+    thimble_chart,
 )
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 
@@ -42,7 +41,7 @@ def test_sphere_lagrangian_sampled():
     assert report.samples >= 1000
     assert report.max_omega < 1e-9
     assert report.rank_failures == 0
-    assert report.max_taming_violation == 0.0
+    assert report.min_taming > 0
     assert report.max_tangency_residual < 1e-9
     assert report.passed
 
@@ -131,8 +130,21 @@ def test_taming_positive_on_sphere_tangents():
         assert taming == hermitian_pairing(u, u).re > 0
 
 
+def _indefinite_pairing(u, v):
+    return u[1] * v[1].conjugate() - u[2] * v[2].conjugate()
+
+
+def test_sampled_taming_fails_for_a_pairing_that_is_zero_on_the_sphere(monkeypatch):
+    # u1 conj(v1) - u2 conj(v2) vanishes on every Hermitian tangent (z = conj(y)),
+    # so every sampled pairing is 0, which tames nothing
+    monkeypatch.setattr(symplectic, "hermitian_pairing", _indefinite_pairing)
+    report = check_sphere_lagrangian(100)
+    assert report.min_taming == 0.0
+    assert not report.passed
+
+
 def test_thimble_lagrangian_grid():
-    report = check_thimble_lagrangian(n_t=64)
+    report = symplectic_oracle.check_thimble_lagrangian(n_t=64)
     assert report.grid == (9, 64)
     assert report.max_fiber_residual < 1e-12
     assert report.max_omega < 1e-9
@@ -140,7 +152,26 @@ def test_thimble_lagrangian_grid():
     assert report.passed
 
 
+def test_oracle_grid_agrees_with_the_certificate():
+    # at every grid point the float chart's tangents are c d_lam and d_t of the
+    # oracle's analytic derivatives, and their norms are the certificate's
+    # values on the relations: h(c d_lam) = 2 and h(d_t) = 2c^2
+    for lam in symplectic_oracle.lambda_grid(9):
+        c = math.sqrt(1 - lam * lam)
+        for k in range(64):
+            t = 2 * math.pi * k / 64
+            u = complex(math.cos(t), math.sin(t))
+            point, c_d_lam, d_t = thimble_chart(lam, c, u, u.conjugate(), 1j)
+            oracle_lam, oracle_t = symplectic_oracle.thimble_tangents(lam, t)
+            assert max(abs(a - b) for a, b in zip(point, thimble(lam, t))) < 1e-12
+            assert max(abs(a - c * b) for a, b in zip(c_d_lam, oracle_lam)) < 1e-12
+            assert max(abs(a - b) for a, b in zip(d_t, oracle_t)) < 1e-12
+            assert abs(c * c * hermitian_pairing(oracle_lam, oracle_lam) - 2) < 1e-9
+            assert abs(hermitian_pairing(oracle_t, oracle_t) - 2 * c * c) < 1e-12
+
+
 def test_lambda_grid_pulls_the_ends_in_from_the_critical_values():
+    lambda_grid = symplectic_oracle.lambda_grid
     assert lambda_grid(9) == (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 0.99)
     assert lambda_grid(1) == (0.0,)
     assert lambda_grid(2) == (-0.99, 0.99)
@@ -176,6 +207,44 @@ def test_cylinder_chart_pointwise(lam, y):
 
 def _wrong_sign_chart(lam, y, u):
     return (lam, y, (1 + lam * lam) * u)
+
+
+def _rotated_third_slot(lam, c, u, ubar, i):
+    # +i c ubar for -i c ubar in d/dt: the pairing with c d/dlam turns imaginary
+    point, d_lam, (t0, t1, t2) = thimble_chart(lam, c, u, ubar, i)
+    return point, d_lam, (t0, t1, -t2)
+
+
+def _unconjugated_chart(lam, c, u, ubar, i):
+    # c u in both y and z: the circle leaves the sphere, where z = conj(y)
+    return thimble_chart(lam, c, u, u, i)
+
+
+def _last_term_negative(u, v):
+    return 2 * (u[0] * v[0].conjugate()) + u[1] * v[1].conjugate() - u[2] * v[2].conjugate()
+
+
+# each control patches one library function as a faulty edit could
+NEGATIVE_CONTROLS = [
+    ("thimble-grid", "thimble_chart", _rotated_third_slot),
+    ("thimble-grid", "thimble_chart", _unconjugated_chart),
+    ("taming", "hermitian_pairing", _last_term_negative),
+    ("thimble-taming", "hermitian_pairing", _last_term_negative),
+]
+
+
+@pytest.mark.parametrize(
+    "row, target, replacement", NEGATIVE_CONTROLS,
+    ids=[f"{row}-{fn.__name__.strip('_')}" for row, _, fn in NEGATIVE_CONTROLS],
+)
+def test_symplectic_negative_controls(monkeypatch, capsys, row, target, replacement):
+    status = {r.id: r.status for r in run("symplectic", Config()).results}
+    assert status[f"symplectic.{row}"] == "pass"
+    monkeypatch.setattr(symplectic, target, replacement)
+    status = {r.id: r.status for r in run("symplectic", Config()).results}
+    assert status[f"symplectic.{row}"] == "fail"
+    assert cli.main(["symplectic"]) == 1
+    assert f"FAIL       symplectic.{row}" in capsys.readouterr().out
 
 
 def test_cylinder_chart_certificate_fails_for_a_wrong_chart(monkeypatch, capsys):
