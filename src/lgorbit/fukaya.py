@@ -116,7 +116,10 @@ class DirectedAInfCategory:
             self._validate_entry(entry)
             table[entry.inputs][entry.output] += entry.coeff
         self.products = entries
-        self._table = {k: {o: c for o, c in v.items() if c} for k, v in table.items()}
+        # entries whose coefficients cancel leave no product behind
+        self._table = {
+            k: out for k, v in table.items() if (out := {o: c for o, c in v.items() if c})
+        }
 
     # ------------------------------------------------------------- structure
 
@@ -203,9 +206,19 @@ def check_a_infinity(cat: DirectedAInfCategory) -> bool:
     """Verify the A-infinity relations in every arity, exactly over Z.
 
     Only the arities of ``relation_arities`` are walked, on every composable
-    chain; every other relation reads 0 = 0.
+    chain; every other relation reads 0 = 0.  Where an output of one nonzero
+    product is an input of another, putting the first product's inputs in
+    its place gives a chain whose relation has a nonzero term; an arity with
+    such a chain must sum at least one term, or the walk certified nothing.
     """
+    composite = {
+        len(inner) + len(outer) - 1
+        for inner, outputs in cat._table.items()
+        for outer in cat._table
+        if not outputs.keys().isdisjoint(outer)
+    }
     for n in relation_arities(cat):
+        terms = 0
         for chain in cat.composable_chains(n):
             total: Dict[str, int] = defaultdict(int)
             degrees = [cat.gen_info(a)[2] for a in chain]
@@ -217,8 +230,11 @@ def check_a_infinity(cat: DirectedAInfCategory) -> bool:
                         outer = cat.apply(chain[:r] + (name,) + chain[r + s :])
                         for out_name, out_coeff in outer.items():
                             total[out_name] += sign * coeff * out_coeff
+                            terms += 1
             if any(v != 0 for v in total.values()):
                 return False
+        if n in composite and not terms:
+            return False
     return True
 
 

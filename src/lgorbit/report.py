@@ -1,12 +1,19 @@
-"""Suite driver: runs every verification family and assembles one report.
+"""The verification suites: each check is declared once; one runner evaluates them.
 
-Each suite function turns library checks into CheckResult rows; it imports
-the layers it calls in its own body, so running one suite loads only those
-modules.  A row is "pass" or "fail" except for the enumerated statements that
-cannot be checked computationally (the symplectic patching step, the cited
-classification and K-theory propositions, and the injectivity of the
-connecting map against the nontrivial extension class); those are reported
-with status "assumption" so a clean run never silently upgrades them.
+A suite is an inputs function and its checks, declared in row order.  The
+inputs function imports the layers the suite calls, so running one suite
+loads only those modules, and computes what several checks share; its local
+names are the shared inputs.  A check is an id, an anchor and a verdict
+whose parameters name the shared inputs it reads; the verdict returns
+(ok, detail) or (ok, detail, residual).  ok is "assumption" for the
+enumerated statements that cannot be checked computationally (the
+symplectic patching step, the cited classification and K-theory
+propositions, and the injectivity of the connecting map against the
+nontrivial extension class), so a clean run never silently upgrades them.
+
+A check that raises becomes a failing row whose detail is "raised <Type>:
+<message>", and the next check still runs; when the shared inputs raise,
+every row of that suite fails that way.
 
 Reports are deterministic: the same configuration and seed produce byte
 identical JSON, which the determinism suite relies on.
@@ -15,9 +22,9 @@ identical JSON, which the determinism suite relies on.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import DiagnosticError, PreconditionError
+from .errors import PreconditionError
 
 SCHEMA_VERSION = 1
 
@@ -75,296 +82,293 @@ class CheckResult(NamedTuple):
     residual: Optional[float] = None
 
 
-def _row(
-    check_id: str, anchor: str, ok: bool, detail: str, residual: Optional[float] = None
-) -> CheckResult:
-    return CheckResult(check_id, anchor, "pass" if ok else "fail", detail, residual)
+class Check(NamedTuple):
+    """One declared row; ``verdict`` reads the shared inputs its parameters name."""
+
+    id: str
+    anchor: str
+    verdict: Callable[..., tuple]
 
 
-def _assumption(check_id: str, anchor: str, detail: str) -> CheckResult:
-    return CheckResult(check_id, anchor, "assumption", detail, None)
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
 
 
-SuiteOutput = Tuple[List[CheckResult], Dict[str, object]]
+def _evaluate(
+    inputs: Callable, checks: Tuple[Check, ...], cfg: Config
+) -> Tuple[List[CheckResult], Dict[str, object]]:
+    """One suite's rows, in declared order, and its tables."""
+    try:
+        shared, tables = inputs(cfg)
+    except Exception as exc:  # no check runs without what it shares
+        return [CheckResult(c.id, c.anchor, "fail", _raised(exc)) for c in checks], {}
+    rows = []
+    for check in checks:
+        code = check.verdict.__code__
+        try:
+            ok, detail, *residual = check.verdict(
+                *(shared[name] for name in code.co_varnames[: code.co_argcount])
+            )
+        except Exception as exc:
+            rows.append(CheckResult(check.id, check.anchor, "fail", _raised(exc)))
+            continue
+        status = ok if ok == "assumption" else "pass" if ok else "fail"
+        rows.append(CheckResult(check.id, check.anchor, status, detail, *residual))
+    return rows, tables
+
+
+# every suite's declared checks, in row order, keyed by suite name
+CHECKS: Dict[str, Tuple[Check, ...]] = {}
+
+
+def _suite(inputs: Callable, *checks: Check) -> Callable:
+    """Declare a suite; the returned plain function, bound to suite_<name>,
+    runs it on one config (perfbench's tracer times suites by that name)."""
+    CHECKS[checks[0].id.split(".")[0]] = checks
+
+    def suite(cfg: Config) -> Tuple[List[CheckResult], Dict[str, object]]:
+        return _evaluate(inputs, checks, cfg)
+
+    return suite
 
 
 # -------------------------------------------------------------------- lie
 
 
-def suite_lie(cfg: Config) -> SuiteOutput:
+def _lie(cfg: Config):
     from . import compactification as geo
     from . import lie
     from .gaussian import GaussianRational
-    results: List[CheckResult] = []
     h = lie.CartanDiagonal((1, -1))
-
     points = lie.critical_points(h, h)
-    coords = {
-        lie.sl2_orbit_coordinates(lie.CartanDiagonal(d).as_exact_matrix())
-        for d in points
-    }
-    expected = {
-        (GaussianRational(1), GaussianRational(0), GaussianRational(0)),
-        (GaussianRational(-1), GaussianRational(0), GaussianRational(0)),
-    }
-    results.append(_row(
-        "lie.critical-set",
-        "claim:height-critical-set-two-points",
-        points == {(1, -1), (-1, 1)} and coords == expected,
-        f"critical diagonals {sorted(points)} give orbit coordinates "
-        "(1,0,0) and (-1,0,0), exactly",
-    ))
+    return locals(), {}
 
-    heights = {lie.height_exact(h, lie.CartanDiagonal(d).as_exact_matrix()) for d in points}
-    results.append(_row(
-        "lie.critical-heights",
-        "claim:critical-values-plus-minus-two",
-        heights == {2, -2},
-        "the two critical heights are 2 and -2 and are distinct",
-    ))
 
-    dets = [abs(lie.hessian_determinant(h, h, d)) for d in points]
-    results.append(_row(
-        "lie.hessian-nondegenerate",
-        "claim:morse-nondegeneracy",
-        min(dets) != 0,
-        "exact chart Hessian determinant magnitude at both critical points, "
-        "polarizing tr(H [Z, [Z, P]]) / 2 over the root directions; in closed "
-        "form (p_j - p_i)(h_j - h_i) pairs each E_ij with E_ji",
-        residual=float(min(dets)),
-    ))
+def _critical_count(diag, regular_h, expected):
+    """The verdict that the orbit of diag(diag) has ``expected`` critical points."""
 
-    for check_id, diag, regular_h, expected_count in (
-        ("lie.count-sl3-regular", (1, 0, -1), (1, 0, -1), 6),
-        ("lie.count-sl3-degenerate", (1, 1, -2), (1, 0, -1), 3),
-        ("lie.count-sl4-paired", (1, 1, -1, -1), (3, 1, -1, -3), 6),
-    ):
-        h0 = lie.CartanDiagonal(diag)
-        hh = lie.CartanDiagonal(regular_h)
-        count = lie.critical_count(h0, hh)
-        enumerated = len(lie.critical_points(h0, hh))
-        results.append(_row(
-            check_id,
-            "claim:critical-point-count-formula",
-            count == expected_count and enumerated == expected_count,
+    def verdict(lie):
+        h0, hh = lie.CartanDiagonal(diag), lie.CartanDiagonal(regular_h)
+        count, enumerated = lie.critical_count(h0, hh), len(lie.critical_points(h0, hh))
+        return (
+            count == expected == enumerated,
             f"orbit of diag{diag}: formula gives {count}, enumeration gives "
-            f"{enumerated}, expected {expected_count}",
-        ))
+            f"{enumerated}, expected {expected}",
+        )
 
-    results.append(_row(
-        "lie.orbit-membership-exact",
-        "claim:orbit-is-conjugation-invariant",
-        geo.certify_cofactors(geo.orbit_membership_certificate),
-        "at a = [[x, z], [y, w]], with R = xw - yz - 1, M = a diag(1, -1) adj(a) "
-        "has trace 0*R and x^2 + yz - 1 = (R + 2)*R on M's coordinates "
-        "(cofactors 0, R + 2): every conjugate of the base diagonal is on the orbit",
-    ))
-    return results, {}
+    return verdict
+
+
+suite_lie = _suite(
+    _lie,
+    Check("lie.critical-set", "claim:height-critical-set-two-points",
+          lambda lie, points, GaussianRational: (
+              points == {(1, -1), (-1, 1)}
+              and {lie.sl2_orbit_coordinates(lie.CartanDiagonal(d).as_exact_matrix())
+                   for d in points} == {
+                  (GaussianRational(1), GaussianRational(0), GaussianRational(0)),
+                  (GaussianRational(-1), GaussianRational(0), GaussianRational(0)),
+              },
+              f"critical diagonals {sorted(points)} give orbit coordinates "
+              "(1,0,0) and (-1,0,0), exactly",
+          )),
+    Check("lie.critical-heights", "claim:critical-values-plus-minus-two",
+          lambda lie, h, points: (
+              {lie.height_exact(h, lie.CartanDiagonal(d).as_exact_matrix())
+               for d in points} == {2, -2},
+              "the two critical heights are 2 and -2 and are distinct",
+          )),
+    Check("lie.hessian-nondegenerate", "claim:morse-nondegeneracy",
+          lambda lie, h, points: (
+              min(dets := [abs(lie.hessian_determinant(h, h, d)) for d in points]) != 0,
+              "exact chart Hessian determinant magnitude at both critical points, "
+              "polarizing tr(H [Z, [Z, P]]) / 2 over the root directions; in closed "
+              "form (p_j - p_i)(h_j - h_i) pairs each E_ij with E_ji",
+              float(min(dets)),
+          )),
+    *(
+        Check(check_id, "claim:critical-point-count-formula", _critical_count(*orbit))
+        for check_id, *orbit in (
+            ("lie.count-sl3-regular", (1, 0, -1), (1, 0, -1), 6),
+            ("lie.count-sl3-degenerate", (1, 1, -2), (1, 0, -1), 3),
+            ("lie.count-sl4-paired", (1, 1, -1, -1), (3, 1, -1, -3), 6),
+        )
+    ),
+    Check("lie.orbit-membership-exact", "claim:orbit-is-conjugation-invariant",
+          lambda geo: (
+              geo.certify_cofactors(geo.orbit_membership_certificate),
+              "at a = [[x, z], [y, w]], with R = xw - yz - 1, M = a diag(1, -1) adj(a) "
+              "has trace 0*R and x^2 + yz - 1 = (R + 2)*R on M's coordinates "
+              "(cofactors 0, R + 2): every conjugate of the base diagonal is on the orbit",
+          )),
+)
 
 
 # ------------------------------------------------------------- symplectic
 
 
-def suite_symplectic(cfg: Config) -> SuiteOutput:
+def _symplectic(cfg: Config):
     from . import symplectic
-    results: List[CheckResult] = []
-
     sphere = symplectic.check_sphere_lagrangian(cfg.sphere_samples, cfg.seed)
-    results.append(_row(
-        "symplectic.sphere-lagrangian-sampled",
-        "claim:sphere-is-lagrangian",
-        sphere.passed,
-        f"{sphere.samples} seeded samples, worst pairing residual "
-        f"{sphere.max_omega:.3e}, tangency residual {sphere.max_tangency_residual:.3e}, "
-        f"rank failures {sphere.rank_failures}",
-        residual=max(sphere.max_omega, sphere.max_tangency_residual),
-    ))
-
-    results.append(_row(
-        "symplectic.sphere-lagrangian-exact",
-        "claim:sphere-is-lagrangian",
-        symplectic.sphere_lagrangian_certificate(),
-        "over real symbols p, q, r, the pairing of each two su(2) tangents at "
-        "(r, -p + iq, -p - iq) equals its own conjugate, so Omega is the zero "
-        "polynomial on all of R^3",
-    ))
-
     tamed = symplectic.taming_certificate()
-    results.append(_row(
-        "symplectic.taming",
-        "claim:form-tames-complex-structure",
-        tamed and sphere.min_taming > 0,
-        "over real symbols, h(v, iv) = -i h(v, v) for every v in C^3, so "
-        "omega(v, Jv) = h(v, v) = 2(p0^2 + q0^2) + (p1^2 + q1^2) + (p2^2 + q2^2), "
-        "a positive-weight sum of squares; float cross-check: the smallest "
-        "pairing of a sampled nonzero sphere tangent against its complex rotation",
-        residual=sphere.min_taming,
-    ))
-
     thimble = symplectic.thimble_certificate()
-    results.append(_row(
-        "symplectic.thimble-grid",
-        "claim:thimble-is-lagrangian-disk",
-        thimble,
-        "over real symbols lambda, c, a, b with u = a + ib, modulo D = c^2 + lambda^2 - 1 "
-        "and C = a^2 + b^2 - 1, the chart (lambda, cu, c conj(u)) has orbit residual "
-        "D + c^2 C, x = lambda and z = conj(y), so each circle lies in its fiber and "
-        "in the sphere; the tangents c d/dlambda and d/dt have tangency -2 lambda c C "
-        "and 0 and pairing 0, so Omega vanishes identically",
-    ))
+    return locals(), {}
 
-    results.append(_row(
-        "symplectic.thimble-taming",
-        "claim:form-tames-complex-structure",
-        tamed and thimble,
-        "omega(v, Jv) = h(v, v) on C^3, and the thimble tangents c d/dlambda and "
-        "d/dt have h = 2 + 2D + 2 lambda^2 C and 2c^2 + 2c^2 C, that is 2 and "
-        "2(1 - lambda^2) on the thimble, positive for |lambda| < 1",
-    ))
 
-    gluing = symplectic.matching_circles_distance()
-    results.append(_row(
-        "symplectic.matching-circle-gluing",
-        "claim:two-thimbles-glue-to-sphere",
-        gluing < symplectic.FLOAT_TOL,
-        f"the two thimble halves agree on the equator circle to {gluing:.3e}",
-        residual=gluing,
-    ))
-
-    results.append(_row(
-        "symplectic.cylinder-chart",
-        "claim:fiber-is-a-cylinder",
-        symplectic.cylinder_chart_certificate(),
-        "for lambda^2 != 1, y -> (lambda, y, (1 - lambda^2)/y) and (x, y, z) -> y "
-        "are inverse maps between C* and the fiber x = lambda: with u = 1/y, the "
-        "chart's orbit residual is (1 - lambda^2)(yu - 1), and z minus the chart's "
-        "z lies in the ideal of yu - 1, the orbit equation and x - lambda",
-    ))
-    return results, {}
+suite_symplectic = _suite(
+    _symplectic,
+    Check("symplectic.sphere-lagrangian-sampled", "claim:sphere-is-lagrangian",
+          lambda sphere: (
+              sphere.passed,
+              f"{sphere.samples} seeded samples, worst pairing residual "
+              f"{sphere.max_omega:.3e}, tangency residual "
+              f"{sphere.max_tangency_residual:.3e}, rank failures {sphere.rank_failures}",
+              max(sphere.max_omega, sphere.max_tangency_residual),
+          )),
+    Check("symplectic.sphere-lagrangian-exact", "claim:sphere-is-lagrangian",
+          lambda symplectic: (
+              symplectic.sphere_lagrangian_certificate(),
+              "over real symbols p, q, r, the pairing of each two su(2) tangents at "
+              "(r, -p + iq, -p - iq) equals its own conjugate, so Omega is the zero "
+              "polynomial on all of R^3",
+          )),
+    Check("symplectic.taming", "claim:form-tames-complex-structure",
+          lambda tamed, sphere: (
+              tamed and sphere.min_taming > 0,
+              "over real symbols, h(v, iv) = -i h(v, v) for every v in C^3, so "
+              "omega(v, Jv) = h(v, v) = 2(p0^2 + q0^2) + (p1^2 + q1^2) + (p2^2 + q2^2), "
+              "a positive-weight sum of squares; float cross-check: the smallest "
+              "pairing of a sampled nonzero sphere tangent against its complex rotation",
+              sphere.min_taming,
+          )),
+    Check("symplectic.thimble-grid", "claim:thimble-is-lagrangian-disk",
+          lambda thimble: (
+              thimble,
+              "over real symbols lambda, c, a, b with u = a + ib, modulo D = c^2 + "
+              "lambda^2 - 1 and C = a^2 + b^2 - 1, the chart (lambda, cu, c conj(u)) has "
+              "orbit residual D + c^2 C, x = lambda and z = conj(y), so each circle lies "
+              "in its fiber and in the sphere; the tangents c d/dlambda and d/dt have "
+              "tangency -2 lambda c C and 0 and pairing 0, so Omega vanishes identically",
+          )),
+    Check("symplectic.thimble-taming", "claim:form-tames-complex-structure",
+          lambda tamed, thimble: (
+              tamed and thimble,
+              "omega(v, Jv) = h(v, v) on C^3, and the thimble tangents c d/dlambda and "
+              "d/dt have h = 2 + 2D + 2 lambda^2 C and 2c^2 + 2c^2 C, that is 2 and "
+              "2(1 - lambda^2) on the thimble, positive for |lambda| < 1",
+          )),
+    Check("symplectic.matching-circle-gluing", "claim:two-thimbles-glue-to-sphere",
+          lambda symplectic: (
+              (gluing := symplectic.matching_circles_distance()) < symplectic.FLOAT_TOL,
+              f"the two thimble halves agree on the equator circle to {gluing:.3e}",
+              gluing,
+          )),
+    Check("symplectic.cylinder-chart", "claim:fiber-is-a-cylinder",
+          lambda symplectic: (
+              symplectic.cylinder_chart_certificate(),
+              "for lambda^2 != 1, y -> (lambda, y, (1 - lambda^2)/y) and (x, y, z) -> y "
+              "are inverse maps between C* and the fiber x = lambda: with u = 1/y, the "
+              "chart's orbit residual is (1 - lambda^2)(yu - 1), and z minus the chart's "
+              "z lies in the ideal of yu - 1, the orbit equation and x - lambda",
+          )),
+)
 
 
 # --------------------------------------------------------------- category
 
 
-def suite_category(cfg: Config) -> SuiteOutput:
+def _category(cfg: Config):
     from . import fukaya, mirror, toric
-    results: List[CheckResult] = []
     cat = fukaya.lg2_category()
-
-    results.append(_row(
-        "category.a-infinity-relations",
-        "claim:directed-category-satisfies-a-infinity",
-        fukaya.check_a_infinity(cat),
-        f"every composable chain of arity {', '.join(map(str, fukaya.relation_arities(cat)))} "
-        "satisfies the signed associativity relations over the integers; "
-        "no relation of another arity has a nonzero term",
-    ))
-
-    results.append(_row(
-        "category.strict-unitality",
-        "claim:identities-are-strict-units",
-        fukaya.check_strict_unitality(cat),
-        "binary products against identities reproduce each generator with "
-        "coefficient one and identities never feed other arities",
-    ))
-
-    open_slots = fukaya.degree_forced_vanishing(cat)
-    results.append(_row(
-        "category.degree-forced-vanishing",
-        "claim:higher-products-vanish-by-degree",
-        open_slots == [],
-        "no chain of two or more non-identity generators admits a target "
-        "of the right degree, so all higher products vanish by grading",
-    ))
-
-    survey = fukaya.degree_forced_vanishing(cat, min_arity=1)
-    results.append(_row(
-        "category.differential-slot",
-        "claim:only-the-differential-slot-is-open",
-        survey == [(1, ("x0",), 1)],
-        "surveying arity one as well leaves exactly one degree-admissible "
-        "slot, the differential on the degree-zero generator",
-    ))
-
-    morse = fukaya.morse_circle_floer()
-    results.append(_row(
-        "category.morse-circle-differential",
-        "claim:circle-differential-cancels",
-        morse.differential == ((0,),) and morse.cohomology == {0: 1, 1: 1},
-        "the two flow lines carry opposite signs, the differential is zero "
-        "and both generators survive, closing the open slot",
-    ))
-
     table = cat.hom_table()
-    results.append(_row(
-        "category.hom-table",
-        "claim:hom-table-matches-circle-cohomology",
-        table == {(0, 0): {0: 1}, (0, 1): {0: 1, 1: 1}, (1, 0): {}, (1, 1): {0: 1}},
-        "one identity per object, nothing backward, and the forward space "
-        "equals the circle cohomology with one class in each degree",
-    ))
-
     # object i shifted by 2i; the matcher must solve the inverse shifts
     planted = tuple(range(0, 2 * len(cat.objects), 2))
-    results.append(_row(
-        "category.shift-matching-sanity",
-        "claim:shift-matching-control",
-        fukaya.tables_equal(table, table) == (0,) * len(planted)
-        and fukaya.tables_equal(fukaya.shift_table(table, planted), table)
-        == tuple(-s for s in planted),
-        "the matcher finds the identity assignment and undoes a planted "
-        "object shift, so a mirror would not be missed for shift reasons",
-    ))
-
-    results.append(_row(
-        "category.projective-line-mismatch",
-        "claim:no-projective-line-mirror-table",
-        fukaya.tables_equal(table, mirror.ext_hom_table(mirror.EXCEPTIONAL_PAIR)) is None,
-        "no object shifts make the table match the projective-line exceptional-pair "
-        "table: the forward hom forces the only candidate shift, and it differs",
-    ))
-
-    # L0 -> O(-E), L1 -> O on the degree-2 surface; the controls move the
-    # pair to the degree 0 and 1 surfaces, or swap it on the degree-2 one
+    # L0 -> O(-E), L1 -> O on the degree-2 surface
     pair = toric.EXCEPTIONAL_PAIR
-    f2_table, *controls = (
-        toric.ext_hom_table(toric.HirzebruchFan(a), bundles)
-        for a, bundles in ((2, pair), (0, pair), (1, pair), (2, pair[::-1]))
-    )
-    results.append(_row(
-        "category.f2-ext-equivalence",
-        "claim:category-matches-f2-line-bundles",
-        table == f2_table and table not in controls,
-        "sending L0 to O(-E) and L1 to O matches every hom space with the Ext "
-        "groups on the degree-2 surface, degree by degree; the degree 0 and 1 "
-        "surfaces and the swapped assignment do not match",
-    ))
-
-    tables = {
+    return locals(), {
         "fukaya_hom": {
             f"hom(L{i},L{j})": {str(d): r for d, r in sorted(ranks.items())}
             for (i, j), ranks in sorted(table.items())
         }
     }
-    return results, tables
+
+
+suite_category = _suite(
+    _category,
+    Check("category.a-infinity-relations", "claim:directed-category-satisfies-a-infinity",
+          lambda fukaya, cat: (
+              fukaya.check_a_infinity(cat),
+              "every composable chain of arity "
+              f"{', '.join(map(str, fukaya.relation_arities(cat)))} satisfies the signed "
+              "associativity relations over the integers; no relation of another arity "
+              "has a nonzero term",
+          )),
+    Check("category.strict-unitality", "claim:identities-are-strict-units",
+          lambda fukaya, cat: (
+              fukaya.check_strict_unitality(cat),
+              "binary products against identities reproduce each generator with "
+              "coefficient one and identities never feed other arities",
+          )),
+    Check("category.degree-forced-vanishing", "claim:higher-products-vanish-by-degree",
+          lambda fukaya, cat: (
+              fukaya.degree_forced_vanishing(cat) == [],
+              "no chain of two or more non-identity generators admits a target "
+              "of the right degree, so all higher products vanish by grading",
+          )),
+    Check("category.differential-slot", "claim:only-the-differential-slot-is-open",
+          lambda fukaya, cat: (
+              fukaya.degree_forced_vanishing(cat, min_arity=1) == [(1, ("x0",), 1)],
+              "surveying arity one as well leaves exactly one degree-admissible "
+              "slot, the differential on the degree-zero generator",
+          )),
+    Check("category.morse-circle-differential", "claim:circle-differential-cancels",
+          lambda fukaya: (
+              (morse := fukaya.morse_circle_floer()).differential == ((0,),)
+              and morse.cohomology == {0: 1, 1: 1},
+              "the two flow lines carry opposite signs, the differential is zero "
+              "and both generators survive, closing the open slot",
+          )),
+    Check("category.hom-table", "claim:hom-table-matches-circle-cohomology",
+          lambda table: (
+              table == {(0, 0): {0: 1}, (0, 1): {0: 1, 1: 1}, (1, 0): {}, (1, 1): {0: 1}},
+              "one identity per object, nothing backward, and the forward space "
+              "equals the circle cohomology with one class in each degree",
+          )),
+    Check("category.shift-matching-sanity", "claim:shift-matching-control",
+          lambda fukaya, table, planted: (
+              fukaya.tables_equal(table, table) == (0,) * len(planted)
+              and fukaya.tables_equal(fukaya.shift_table(table, planted), table)
+              == tuple(-s for s in planted),
+              "the matcher finds the identity assignment and undoes a planted "
+              "object shift, so a mirror would not be missed for shift reasons",
+          )),
+    Check("category.projective-line-mismatch", "claim:no-projective-line-mirror-table",
+          lambda fukaya, mirror, table: (
+              fukaya.tables_equal(table, mirror.ext_hom_table(mirror.EXCEPTIONAL_PAIR)) is None,
+              "no object shifts make the table match the projective-line exceptional-pair "
+              "table: the forward hom forces the only candidate shift, and it differs",
+          )),
+    # the controls move the pair to the degree 0 and 1 surfaces, or swap it
+    # on the degree-2 one
+    Check("category.f2-ext-equivalence", "claim:category-matches-f2-line-bundles",
+          lambda toric, table, pair: (
+              table == toric.ext_hom_table(toric.HirzebruchFan(2), pair)
+              and table not in [toric.ext_hom_table(toric.HirzebruchFan(a), bundles)
+                                for a, bundles in ((0, pair), (1, pair), (2, pair[::-1]))],
+              "sending L0 to O(-E) and L1 to O matches every hom space with the Ext "
+              "groups on the degree-2 surface, degree by degree; the degree 0 and 1 "
+              "surfaces and the swapped assignment do not match",
+          )),
+)
 
 
 # ---------------------------------------------------------------- sheaves
 
 
-def suite_sheaves(cfg: Config) -> SuiteOutput:
+def _sheaves(cfg: Config):
     from . import toric
-    results: List[CheckResult] = []
     fans = {a: toric.HirzebruchFan(a) for a in (0, 1, 2)}
     fan2 = fans[2]
-
-    results.append(_row(
-        "sheaves.divisor-conventions",
-        "claim:picard-basis-and-fan-agree",
-        all(toric.verify_divisor_convention(f) for f in fans.values()),
-        "ray self-intersections, pairings, principal relations and the "
-        "canonical class all match the section-and-fiber basis for a in 0..2",
-    ))
 
     # toric caches each class, and the rows below repeat classes
     def coh(
@@ -378,476 +382,374 @@ def suite_sheaves(cfg: Config) -> SuiteOutput:
         "O(E)": (toric.PicClass(1, 0), (1, 1, 0)),
         "O(-E)": (bundle["O(-E)"], (0, 0, 0)),
     }
-    coh_ok = all(coh(c, fan2).triple == want for c, want in section_classes.values())
-    results.append(_row(
-        "sheaves.section-class-cohomology",
-        "claim:negative-section-cohomology-table",
-        coh_ok,
-        "cohomology of the trivial, section, and minus-section classes on "
-        "the degree-2 surface is (1,0,0), (1,1,0), (0,0,0)",
-    ))
-
-    frozen = {
-        ("O", "O"): (1, 0, 0),
-        ("O(-E)", "O(-E)"): (1, 0, 0),
-        ("O(-E)", "O"): (1, 1, 0),
-        ("O", "O(-E)"): (0, 0, 0),
+    ext_table = {
+        (x, y): toric.ext_dims(fan2, bundle[x], bundle[y]).triple for x in bundle for y in bundle
     }
-    ext_table = {(x, y): toric.ext_dims(fan2, bundle[x], bundle[y]).triple for x, y in frozen}
-    results.append(_row(
-        "sheaves.ext-table",
-        "claim:line-bundle-ext-table",
-        ext_table == frozen,
-        "the four Ext triples between the trivial and minus-section line "
-        "bundles match the frozen table exactly",
-    ))
-
-    sweep_ok = True
-    for a, fan in fans.items():
-        for p in range(-5, 6):
-            for q in range(-5, 6):
-                c = toric.PicClass(p, q)
-                if coh(c, fan).euler != toric.euler_rr(c, a):
-                    sweep_ok = False
-    results.append(_row(
-        "sheaves.riemann-roch-sweep",
-        "claim:euler-characteristic-formula",
-        sweep_ok,
-        "alternating sums match the intersection-number formula for all "
-        "classes with |p|, |q| <= 5 on the degree 0, 1, 2 surfaces",
-    ))
-
-    serre_ok = True
-    for a, fan in fans.items():
-        k = toric.canonical_class(a)
-        for p in range(-3, 4):
-            for q in range(-3, 4):
-                c = toric.PicClass(p, q)
-                if coh(c, fan).triple != tuple(reversed(coh(k - c, fan).triple)):
-                    serre_ok = False
-    results.append(_row(
-        "sheaves.serre-duality",
-        "claim:serre-duality-spot-checks",
-        serre_ok,
-        "cohomology of each class with |p|, |q| <= 3 mirrors the "
-        "cohomology of the canonical twist in reverse order",
-    ))
-
-    nef_ok = all(
-        coh(toric.PicClass(0, q), fan).triple == (q + 1, 0, 0)
-        for fan in fans.values()
-        for q in range(0, 6)
-    )
-    results.append(_row(
-        "sheaves.fiber-class-sections",
-        "claim:fiber-multiples-have-q-plus-1-sections",
-        nef_ok,
-        "multiples of the fiber class have q + 1 sections and no higher "
-        "cohomology on every surface checked",
-    ))
-
-    stability_ok = all(
-        coh(c, fan2) == coh(c, fan2, cfg.box_margin + 2)
-        for c, _want in section_classes.values()
-    )
-    results.append(_row(
-        "sheaves.box-stability",
-        "claim:character-box-is-stable",
-        stability_ok,
-        "enlarging the summation margin by two changes no dimension",
-    ))
-
-    results.append(_row(
-        "sheaves.surface-invariants",
-        "claim:rational-surface-invariants",
-        all(
-            toric.intersection(toric.canonical_class(a), toric.canonical_class(a), a) == 8
-            and toric.euler_rr(toric.PicClass(0, 0), a) == 1
-            for a in fans
-        ),
-        "canonical self-intersection 8 and structure-sheaf Euler "
-        "characteristic 1 on every surface checked",
-    ))
-
-    results.append(_row(
-        "sheaves.hypersurface-model",
-        "claim:surface-embeds-as-(1,2)-hypersurface",
-        toric.verify_f2_hypersurface() and toric.f2_chart_count() == 6,
-        "the bidegree (1,2) equation is irreducible and six affine chart "
-        "certificates write 1 in the Jacobian ideal, so it is smooth",
-    ))
-
-    x0, x1, y0, y1 = toric.f2_variables()
-    bad_reducible = x0 * y0 * y0
-    bad_degree = x0 * y0 - x1 * y1
-    results.append(_row(
-        "sheaves.hypersurface-controls",
-        "claim:hypersurface-check-rejects-controls",
-        not toric.verify_f2_hypersurface(bad_reducible)
-        and not toric.verify_f2_hypersurface(bad_degree),
-        "a monomial equation and a wrong-bidegree equation are both "
-        "rejected by the same entry point",
-    ))
-
-    tables = {
+    return locals(), {
         "f2_ext": {
             f"ext({x},{y})": list(triple) for (x, y), triple in sorted(ext_table.items())
         }
     }
-    return results, tables
+
+
+def _hypersurface_controls(toric):
+    x0, x1, y0, y1 = toric.f2_variables()
+    return (
+        not toric.verify_f2_hypersurface(x0 * y0 * y0)
+        and not toric.verify_f2_hypersurface(x0 * y0 - x1 * y1),
+        "a monomial equation and a wrong-bidegree equation are both "
+        "rejected by the same entry point",
+    )
+
+
+suite_sheaves = _suite(
+    _sheaves,
+    Check("sheaves.divisor-conventions", "claim:picard-basis-and-fan-agree",
+          lambda toric, fans: (
+              all(toric.verify_divisor_convention(f) for f in fans.values()),
+              "ray self-intersections, pairings, principal relations and the "
+              "canonical class all match the section-and-fiber basis for a in 0..2",
+          )),
+    Check("sheaves.section-class-cohomology", "claim:negative-section-cohomology-table",
+          lambda coh, fan2, section_classes: (
+              all(coh(c, fan2).triple == want for c, want in section_classes.values()),
+              "cohomology of the trivial, section, and minus-section classes on "
+              "the degree-2 surface is (1,0,0), (1,1,0), (0,0,0)",
+          )),
+    Check("sheaves.ext-table", "claim:line-bundle-ext-table",
+          lambda ext_table: (
+              ext_table == {
+                  ("O", "O"): (1, 0, 0),
+                  ("O(-E)", "O(-E)"): (1, 0, 0),
+                  ("O(-E)", "O"): (1, 1, 0),
+                  ("O", "O(-E)"): (0, 0, 0),
+              },
+              "the four Ext triples between the trivial and minus-section line "
+              "bundles match the frozen table exactly",
+          )),
+    Check("sheaves.riemann-roch-sweep", "claim:euler-characteristic-formula",
+          lambda toric, fans, coh: (
+              all(
+                  coh(c, fan).euler == toric.euler_rr(c, a)
+                  for a, fan in fans.items() for p in range(-5, 6) for q in range(-5, 6)
+                  for c in [toric.PicClass(p, q)]
+              ),
+              "alternating sums match the intersection-number formula for all "
+              "classes with |p|, |q| <= 5 on the degree 0, 1, 2 surfaces",
+          )),
+    Check("sheaves.serre-duality", "claim:serre-duality-spot-checks",
+          lambda toric, fans, coh: (
+              all(
+                  coh(c, fan).triple == tuple(reversed(coh(k - c, fan).triple))
+                  for a, fan in fans.items() for k in [toric.canonical_class(a)]
+                  for p in range(-3, 4) for q in range(-3, 4) for c in [toric.PicClass(p, q)]
+              ),
+              "cohomology of each class with |p|, |q| <= 3 mirrors the "
+              "cohomology of the canonical twist in reverse order",
+          )),
+    Check("sheaves.fiber-class-sections", "claim:fiber-multiples-have-q-plus-1-sections",
+          lambda toric, fans, coh: (
+              all(coh(toric.PicClass(0, q), fan).triple == (q + 1, 0, 0)
+                  for fan in fans.values() for q in range(0, 6)),
+              "multiples of the fiber class have q + 1 sections and no higher "
+              "cohomology on every surface checked",
+          )),
+    Check("sheaves.box-stability", "claim:character-box-is-stable",
+          lambda coh, fan2, section_classes, cfg: (
+              all(coh(c, fan2) == coh(c, fan2, cfg.box_margin + 2)
+                  for c, _want in section_classes.values()),
+              "enlarging the summation margin by two changes no dimension",
+          )),
+    Check("sheaves.surface-invariants", "claim:rational-surface-invariants",
+          lambda toric, fans: (
+              all(
+                  toric.intersection(toric.canonical_class(a), toric.canonical_class(a), a) == 8
+                  and toric.euler_rr(toric.PicClass(0, 0), a) == 1
+                  for a in fans
+              ),
+              "canonical self-intersection 8 and structure-sheaf Euler "
+              "characteristic 1 on every surface checked",
+          )),
+    Check("sheaves.hypersurface-model", "claim:surface-embeds-as-(1,2)-hypersurface",
+          lambda toric: (
+              toric.verify_f2_hypersurface() and toric.f2_chart_count() == 6,
+              "the bidegree (1,2) equation is irreducible and six affine chart "
+              "certificates write 1 in the Jacobian ideal, so it is smooth",
+          )),
+    Check("sheaves.hypersurface-controls", "claim:hypersurface-check-rejects-controls",
+          _hypersurface_controls),
+)
 
 
 # ----------------------------------------------------------------- quiver
 
 
-def suite_quiver(cfg: Config) -> SuiteOutput:
+def _quiver(cfg: Config):
     from . import fukaya, quiver, toric
-    results: List[CheckResult] = []
-
     ordinary = quiver.ordinary_quiver()
     basis = quiver.path_basis(ordinary)
-    by_pair = {
-        (source, target): len(basis.by_endpoints(source, target))
-        for source in ("v0", "v1")
-        for target in ("v0", "v1")
-    }
-    results.append(_row(
-        "quiver.path-basis",
-        "claim:path-algebra-has-dimension-five",
-        basis.dimension == 5
-        and by_pair == {("v0", "v0"): 1, ("v0", "v1"): 1, ("v1", "v0"): 1, ("v1", "v1"): 2},
-        "two idempotents, one arrow each way, and one length-two loop "
-        "survive the single relation",
-    ))
+    return locals(), {}
 
-    results.append(_row(
-        "quiver.composition-pattern",
-        "claim:one-composite-vanishes-the-other-does-not",
-        quiver.composition_pattern_check(),
-        "the forward-then-back composite is zero, the back-then-forward "
-        "composite is a nonzero loop, and that loop squares to zero",
-    ))
 
-    detail = (
-        "six-term chases give Hom dimensions (1, 1, 1, 2) with all higher "
-        "Ext zero, total five, matching the path algebra"
-    )
-    try:
-        tilting = quiver.end_algebra_dims_tilting()
-    except DiagnosticError as exc:
-        # a wrong Ext table can leave a connecting rank free
-        chase_ok, detail = False, f"the rank chase stopped: {exc}"
-    else:
-        chase_ok = (
-            tilting.hom_dims == (1, 1, 1, 2)
-            and tilting.higher_ext_vanish
-            and tilting.total == basis.dimension
-        )
-    results.append(_row(
-        "quiver.tilting-rank-chase",
-        "claim:endomorphism-dimensions-one-one-one-two",
-        chase_ok,
-        detail,
-    ))
-
-    results.append(_assumption(
-        "quiver.connecting-map-injectivity",
-        "claim:connecting-map-is-injective",
-        "one chase consumes the named assumption: "
-        + quiver.INJECTIVE_CONNECTING_ASSUMPTION,
-    ))
-
-    dg_zero = quiver.dg_quiver("zero")
-    cohomology_zero = quiver.hom_cohomology(dg_zero, "v0", "v1")
-    floer_table = fukaya.lg2_category().hom_table()[(0, 1)]
-    results.append(_row(
-        "quiver.dg-zero-cohomology",
-        "claim:dg-quiver-reproduces-floer-table",
-        cohomology_zero == floer_table,
-        "with the zero differential the degreewise Hom cohomology equals "
-        "the directed category's forward table",
-    ))
-
-    dg_literal = quiver.dg_quiver("literal")
-    cohomology_literal = quiver.hom_cohomology(dg_literal, "v0", "v1")
-    results.append(_row(
-        "quiver.dg-literal-acyclic",
-        "claim:literal-differential-is-acyclic",
-        cohomology_literal == {},
-        "reading the differential literally kills all cohomology, so that "
-        "variant is flagged as acyclic rather than matching the table",
-    ))
-
-    ordinary_backward = quiver.hom_cohomology(ordinary, "v1", "v0")
-    results.append(_row(
-        "quiver.undirected-backward-hom",
-        "claim:backward-hom-survives-only-undirected",
-        ordinary_backward == {0: 1},
-        "the ordinary algebra keeps a backward morphism, the directed "
-        "category does not, and only the DG table matches the fibration",
-    ))
-
-    results.append(_row(
-        "quiver.k-group-rank",
-        "claim:k-group-is-free-of-rank-two",
-        quiver.euler_form_matrix(toric.EXCEPTIONAL_PAIR).rank() == 2,
-        "the Euler-form matrix of (O(-E), O), with entries chi from the "
-        "Ext dimensions on the degree-2 surface, has rank two",
-    ))
-    return results, {}
+suite_quiver = _suite(
+    _quiver,
+    Check("quiver.path-basis", "claim:path-algebra-has-dimension-five",
+          lambda basis: (
+              basis.dimension == 5
+              and {(s, t): len(basis.by_endpoints(s, t))
+                   for s in ("v0", "v1") for t in ("v0", "v1")}
+              == {("v0", "v0"): 1, ("v0", "v1"): 1, ("v1", "v0"): 1, ("v1", "v1"): 2},
+              "two idempotents, one arrow each way, and one length-two loop "
+              "survive the single relation",
+          )),
+    Check("quiver.composition-pattern", "claim:one-composite-vanishes-the-other-does-not",
+          lambda quiver: (
+              quiver.composition_pattern_check(),
+              "the forward-then-back composite is zero, the back-then-forward "
+              "composite is a nonzero loop, and that loop squares to zero",
+          )),
+    Check("quiver.tilting-rank-chase", "claim:endomorphism-dimensions-one-one-one-two",
+          lambda quiver, basis: (
+              (tilting := quiver.end_algebra_dims_tilting()).hom_dims == (1, 1, 1, 2)
+              and tilting.higher_ext_vanish
+              and tilting.total == basis.dimension,
+              "six-term chases give Hom dimensions (1, 1, 1, 2) with all higher "
+              "Ext zero, total five, matching the path algebra",
+          )),
+    Check("quiver.connecting-map-injectivity", "claim:connecting-map-is-injective",
+          lambda quiver: (
+              "assumption",
+              "one chase consumes the named assumption: "
+              + quiver.INJECTIVE_CONNECTING_ASSUMPTION,
+          )),
+    Check("quiver.dg-zero-cohomology", "claim:dg-quiver-reproduces-floer-table",
+          lambda fukaya, quiver: (
+              quiver.hom_cohomology(quiver.dg_quiver("zero"), "v0", "v1")
+              == fukaya.lg2_category().hom_table()[(0, 1)],
+              "with the zero differential the degreewise Hom cohomology equals "
+              "the directed category's forward table",
+          )),
+    Check("quiver.dg-literal-acyclic", "claim:literal-differential-is-acyclic",
+          lambda quiver: (
+              quiver.hom_cohomology(quiver.dg_quiver("literal"), "v0", "v1") == {},
+              "reading the differential literally kills all cohomology, so that "
+              "variant is flagged as acyclic rather than matching the table",
+          )),
+    Check("quiver.undirected-backward-hom", "claim:backward-hom-survives-only-undirected",
+          lambda quiver, ordinary: (
+              quiver.hom_cohomology(ordinary, "v1", "v0") == {0: 1},
+              "the ordinary algebra keeps a backward morphism, the directed "
+              "category does not, and only the DG table matches the fibration",
+          )),
+    Check("quiver.k-group-rank", "claim:k-group-is-free-of-rank-two",
+          lambda quiver, toric: (
+              quiver.euler_form_matrix(toric.EXCEPTIONAL_PAIR).rank() == 2,
+              "the Euler-form matrix of (O(-E), O), with entries chi from the "
+              "Ext dimensions on the degree-2 surface, has rank two",
+          )),
+)
 
 
 # ----------------------------------------------------------------- mirror
 
 
-def suite_mirror(cfg: Config) -> SuiteOutput:
+def _mirror(cfg: Config):
     from . import mirror
-    results: List[CheckResult] = []
+    return locals(), {}
 
-    main = mirror.search_mirror_pair(cfg.t_range)
-    results.append(_row(
-        "mirror.main-search",
-        "claim:no-projective-line-object-pair",
-        main is None,
-        f"no ordered pair of shifted line bundles or point sheaves with "
-        f"twists within {cfg.t_range} reproduces the forward table with "
-        "vanishing backward morphisms and simple endomorphisms",
-    ))
 
-    control_target = mirror.search_mirror_pair(cfg.t_range, target_forward={0: 2})
-    results.append(_row(
-        "mirror.control-witness",
-        "claim:search-control-finds-known-pair",
-        control_target is not None
-        and control_target.forward == ((0, 2),),
-        "relaxing only the target to two degree-zero morphisms finds the "
-        "standard exceptional pair, so the search is not vacuous",
-    ))
-
-    relaxed_distinct = mirror.search_mirror_pair(
-        cfg.t_range,
-        require_backward_zero=False,
-        require_end_simple=False,
-    )
-    results.append(_row(
-        "mirror.control-relaxed-distinct",
-        "claim:distinct-pairs-fail-even-relaxed",
-        relaxed_distinct is None,
-        "even with the backward and endomorphism constraints dropped no "
-        "pair of distinct objects realizes the forward table",
-    ))
-
-    relaxed_self = mirror.search_mirror_pair(
-        cfg.t_range,
-        require_backward_zero=False,
-        require_end_simple=False,
-        allow_self_pairs=True,
-    )
-    results.append(_row(
-        "mirror.control-self-pair",
-        "claim:self-pair-needs-dropped-constraints",
-        relaxed_self is not None,
-        "a point sheaf against itself does realize the forward pattern, "
-        "but only after dropping the constraints the target imposes",
-    ))
-
-    stable = mirror.search_mirror_pair(2 * cfg.t_range, mirror.SHIFT_WINDOW + 2)
-    results.append(_row(
-        "mirror.stability",
-        "claim:search-stable-under-enlargement",
-        stable is None,
-        f"stability note: the window doubled to twists within "
-        f"{2 * cfg.t_range} and shifts within {mirror.SHIFT_WINDOW + 2} and "
-        "still no witness appears",
-    ))
-
+def _exclusion_table(mirror, cfg):
     rows = mirror.exclusion_table(cfg.t_range)
-    results.append(_row(
-        "mirror.exclusion-table",
-        "claim:casewise-exclusion-reasons",
-        all(r.verified for r in rows),
-        "; ".join(f"{r.case}: {r.reason}" for r in rows),
-    ))
+    return all(r.verified for r in rows), "; ".join(f"{r.case}: {r.reason}" for r in rows)
 
-    verdicts_ok = all(
-        mirror.dimension_bound_verdict(n, 2) == "excluded" for n in range(2, 7)
-    ) and mirror.dimension_bound_verdict(1, 2) == "admissible"
-    results.append(_row(
-        "mirror.dimension-bound",
-        "claim:rank-bounds-dimension",
-        verdicts_ok,
-        "a variety of dimension two or more needs at least three free "
-        "generators, so rank two excludes it; dimension one survives "
-        "to the casewise argument",
-    ))
 
-    results.append(_row(
-        "mirror.euler-pairing",
-        "claim:euler-pairing-matches-twist-difference",
-        mirror.euler_pairing_identity(span=30),
-        "the alternating sum of the closed-form dimensions equals the "
-        "twist difference plus one across the swept window",
-    ))
-
-    results.append(_assumption(
-        "mirror.cited-classification-inputs",
-        "claim:cited-classification-inputs",
-        "three literature inputs are consumed unverified: the "
-        "classification of smooth projective curves with rank-two K-group, "
-        "the K-group computations for the singular and affine cases, and "
-        "the general bound used for higher-dimensional targets",
-    ))
-    return results, {}
+suite_mirror = _suite(
+    _mirror,
+    Check("mirror.main-search", "claim:no-projective-line-object-pair",
+          lambda mirror, cfg: (
+              mirror.search_mirror_pair(cfg.t_range) is None,
+              f"no ordered pair of shifted line bundles or point sheaves with "
+              f"twists within {cfg.t_range} reproduces the forward table with "
+              "vanishing backward morphisms and simple endomorphisms",
+          )),
+    Check("mirror.control-witness", "claim:search-control-finds-known-pair",
+          lambda mirror, cfg: (
+              (found := mirror.search_mirror_pair(cfg.t_range, target_forward={0: 2}))
+              is not None and found.forward == ((0, 2),),
+              "relaxing only the target to two degree-zero morphisms finds the "
+              "standard exceptional pair, so the search is not vacuous",
+          )),
+    Check("mirror.control-relaxed-distinct", "claim:distinct-pairs-fail-even-relaxed",
+          lambda mirror, cfg: (
+              mirror.search_mirror_pair(
+                  cfg.t_range, require_backward_zero=False, require_end_simple=False
+              ) is None,
+              "even with the backward and endomorphism constraints dropped no "
+              "pair of distinct objects realizes the forward table",
+          )),
+    Check("mirror.control-self-pair", "claim:self-pair-needs-dropped-constraints",
+          lambda mirror, cfg: (
+              mirror.search_mirror_pair(
+                  cfg.t_range,
+                  require_backward_zero=False,
+                  require_end_simple=False,
+                  allow_self_pairs=True,
+              ) is not None,
+              "a point sheaf against itself does realize the forward pattern, "
+              "but only after dropping the constraints the target imposes",
+          )),
+    Check("mirror.stability", "claim:search-stable-under-enlargement",
+          lambda mirror, cfg: (
+              mirror.search_mirror_pair(2 * cfg.t_range, mirror.SHIFT_WINDOW + 2) is None,
+              f"stability note: the window doubled to twists within "
+              f"{2 * cfg.t_range} and shifts within {mirror.SHIFT_WINDOW + 2} and "
+              "still no witness appears",
+          )),
+    Check("mirror.exclusion-table", "claim:casewise-exclusion-reasons", _exclusion_table),
+    Check("mirror.dimension-bound", "claim:rank-bounds-dimension",
+          lambda mirror: (
+              all(mirror.dimension_bound_verdict(n, 2) == "excluded" for n in range(2, 7))
+              and mirror.dimension_bound_verdict(1, 2) == "admissible",
+              "a variety of dimension two or more needs at least three free "
+              "generators, so rank two excludes it; dimension one survives "
+              "to the casewise argument",
+          )),
+    Check("mirror.euler-pairing", "claim:euler-pairing-matches-twist-difference",
+          lambda mirror: (
+              mirror.euler_pairing_identity(span=30),
+              "the alternating sum of the closed-form dimensions equals the "
+              "twist difference plus one across the swept window",
+          )),
+    Check("mirror.cited-classification-inputs", "claim:cited-classification-inputs",
+          lambda: (
+              "assumption",
+              "three literature inputs are consumed unverified: the "
+              "classification of smooth projective curves with rank-two K-group, "
+              "the K-group computations for the singular and affine cases, and "
+              "the general bound used for higher-dimensional targets",
+          )),
+)
 
 
 # -------------------------------------------------------- compactification
 
 
-def suite_compactification(cfg: Config) -> SuiteOutput:
+def _compactification(cfg: Config):
     from fractions import Fraction
     from . import compactification as geo
-    results: List[CheckResult] = []
-
-    results.append(_row(
-        "compactification.quadric-presentations",
-        "claim:closure-is-the-product-quadric",
-        geo.quadric_change_check(),
-        "homogenization, the shear to a rank-4 quadric, the rescaling onto "
-        "the determinant relation, and the rank-3 conic at infinity are "
-        "all exact identities; "
-        + "; ".join(sorted(geo.SIGN_CONVENTIONS)),
-    ))
-
     # entries (x, y, z, w) of the identity and of the shear [[1, 1], [0, 1]]
     ident, shear = (1, 0, 0, 1), (1, 0, 1, 1)
-    tensor_ok = (
-        geo.tensor_entries(*ident) == ((1, 0), (0, 0))
-        and geo.tensor_entries(*shear) == ((1, -1), (0, 0))
-        and geo.certify_cofactors(geo.tensor_projector_certificate)
-    )
-    results.append(_row(
-        "compactification.tensor-projector",
-        "claim:tensor-matrix-is-a-trace-one-projector",
-        tensor_ok,
-        "identity and shear examples match; at a = [[x, z], [y, w]], with "
-        "R = xw - yz - 1, trace - 1 = 1*R, M col1 - col1 = R*col1, M col2 = 0*R "
-        "(cofactors 1, col1, 0): a trace-one projector on all of SL(2)",
-    ))
-
     half = Fraction(1, 2)
-    moment_ok = (
-        geo.moment_map(*ident) == ((half, 0), (0, -half))
-        and geo.moment_map(*shear) == ((half, -1), (0, -half))
-        and geo.certify_cofactors(geo.moment_conjugation_certificate)
-    )
-    results.append(_row(
-        "compactification.moment-conjugation",
-        "claim:moment-matrix-is-a-conjugate",
-        moment_ok,
-        "identity and shear examples match; the generic moment matrix is "
-        "a diag(1/2, -1/2) adj(a) (cofactor 0) and M col1 - col1/2 = "
-        "(R/2)*col1 (cofactor col1/2): column one is an eigenvector",
-    ))
+    return locals(), {}
 
-    results.append(_row(
-        "compactification.extension-on-orbit",
-        "claim:extension-restricts-to-the-height",
-        geo.certify_cofactors(geo.extension_on_orbit_certificate),
-        "num*1 - den*height = -(xw + yz)*R at the generic eigenline pair "
-        "(cofactor -(xw + yz)): the value is [height : 1] on all of SL(2)",
-    ))
 
-    off_orbit = geo.rational_extension(geo.MultiProjPoint(((1, 1), (1, 1))))
-    results.append(_row(
-        "compactification.extension-off-orbit",
-        "claim:extension-sends-infinity-to-one-zero",
-        off_orbit == geo.MultiProjPoint(((1, 0),))
-        and geo.rational_extension(geo.MultiProjPoint(((1, 0), (0, 1))))
-        == geo.MultiProjPoint(((1, 1),)),
-        "the identity eigenline pair maps to [1:1] and a non-orbit point "
-        "maps to [1:0], both exactly",
-    ))
-
-    results.append(_row(
-        "compactification.extension-scaling",
-        "claim:extension-is-projectively-defined",
-        geo.extension_scaling_certificate(),
-        "both forms xw + yz and xw - yz have bidegree (1, 1), so rescaling "
-        "the factors by l and m multiplies both by l*m",
-    ))
-
-    results.append(_row(
-        "compactification.base-locus",
-        "claim:two-indeterminate-points",
-        geo.base_locus_certificate(),
-        "the forms generate (xw, yz) (coefficient determinant -2), whose zeros "
-        "are exactly the two base points; of the torus-fixed points the map "
-        "fails there only, with the defined error",
-    ))
-
-    results.append(_row(
-        "compactification.graph-smooth",
-        "claim:graph-closure-is-smooth",
-        geo.graph_smooth_check() and geo.graph_chart_count() == 8,
-        "in each of the eight affine charts a certificate writes 1 as a "
-        "combination of the equation and its partials",
-    ))
-
-    results.append(_row(
-        "compactification.graph-contains-extension",
-        "claim:closure-extends-the-graph",
-        geo.certify_cofactors(geo.graph_extension_certificate, geo.GRAPH_BLOCKS)
-        and geo.exceptional_fiber_check(),
-        "with r, s replaced by xw + yz, xw - yz the trilinear equation is the "
-        "zero polynomial (cofactor 0); over both base points it vanishes too",
-    ))
-
-    crit = geo.critical_data()
-    results.append(_row(
-        "compactification.critical-classification",
-        "claim:two-degenerate-values",
-        crit.verified
-        and geo.is_singular_value(1, 1)
-        and not geo.is_singular_value(1, 0),
-        "values " + " and ".join(str(v) for v in crit.values)
-        + " are degenerate with unique singular points "
-        + " and ".join(str(p) for p in crit.points)
-        + ", certified by fiber and Jacobian vanishing",
-    ))
-
-    results.append(_row(
-        "compactification.singular-scan",
-        "claim:no-other-degenerate-values",
-        geo.degenerate_values_certificate(),
-        "the graph equation's coefficient matrix, read off its second partials "
-        "in (x, y) x (z, w), has determinant r^2 - s^2, a nonzero multiple of "
-        "(r - s)(r + s), so [1:1] and [1:-1] are the only degenerate values",
-    ))
-
-    results.append(_row(
-        "compactification.deformed-ring",
-        "claim:deformation-at-time-two-is-the-orbit",
-        geo.deformed_ring_iso_check() and not geo.deformed_ring_control(),
-        "the affine change of coordinates carries one equation to a scalar "
-        "multiple of the other, and the identity substitution does not",
-    ))
-
+suite_compactification = _suite(
+    _compactification,
+    Check("compactification.quadric-presentations", "claim:closure-is-the-product-quadric",
+          lambda geo: (
+              geo.quadric_change_check(),
+              "homogenization, the shear to a rank-4 quadric, the rescaling onto "
+              "the determinant relation, and the rank-3 conic at infinity are "
+              "all exact identities; "
+              + "; ".join(sorted(geo.SIGN_CONVENTIONS)),
+          )),
+    Check("compactification.tensor-projector",
+          "claim:tensor-matrix-is-a-trace-one-projector",
+          lambda geo, ident, shear: (
+              geo.tensor_entries(*ident) == ((1, 0), (0, 0))
+              and geo.tensor_entries(*shear) == ((1, -1), (0, 0))
+              and geo.certify_cofactors(geo.tensor_projector_certificate),
+              "identity and shear examples match; at a = [[x, z], [y, w]], with "
+              "R = xw - yz - 1, trace - 1 = 1*R, M col1 - col1 = R*col1, M col2 = 0*R "
+              "(cofactors 1, col1, 0): a trace-one projector on all of SL(2)",
+          )),
+    Check("compactification.moment-conjugation", "claim:moment-matrix-is-a-conjugate",
+          lambda geo, ident, shear, half: (
+              geo.moment_map(*ident) == ((half, 0), (0, -half))
+              and geo.moment_map(*shear) == ((half, -1), (0, -half))
+              and geo.certify_cofactors(geo.moment_conjugation_certificate),
+              "identity and shear examples match; the generic moment matrix is "
+              "a diag(1/2, -1/2) adj(a) (cofactor 0) and M col1 - col1/2 = "
+              "(R/2)*col1 (cofactor col1/2): column one is an eigenvector",
+          )),
+    Check("compactification.extension-on-orbit", "claim:extension-restricts-to-the-height",
+          lambda geo: (
+              geo.certify_cofactors(geo.extension_on_orbit_certificate),
+              "num*1 - den*height = -(xw + yz)*R at the generic eigenline pair "
+              "(cofactor -(xw + yz)): the value is [height : 1] on all of SL(2)",
+          )),
+    Check("compactification.extension-off-orbit",
+          "claim:extension-sends-infinity-to-one-zero",
+          lambda geo: (
+              geo.rational_extension(geo.MultiProjPoint(((1, 1), (1, 1))))
+              == geo.MultiProjPoint(((1, 0),))
+              and geo.rational_extension(geo.MultiProjPoint(((1, 0), (0, 1))))
+              == geo.MultiProjPoint(((1, 1),)),
+              "the identity eigenline pair maps to [1:1] and a non-orbit point "
+              "maps to [1:0], both exactly",
+          )),
+    Check("compactification.extension-scaling", "claim:extension-is-projectively-defined",
+          lambda geo: (
+              geo.extension_scaling_certificate(),
+              "both forms xw + yz and xw - yz have bidegree (1, 1), so rescaling "
+              "the factors by l and m multiplies both by l*m",
+          )),
+    Check("compactification.base-locus", "claim:two-indeterminate-points",
+          lambda geo: (
+              geo.base_locus_certificate(),
+              "the forms generate (xw, yz) (coefficient determinant -2), whose zeros "
+              "are exactly the two base points; of the torus-fixed points the map "
+              "fails there only, with the defined error",
+          )),
+    Check("compactification.graph-smooth", "claim:graph-closure-is-smooth",
+          lambda geo: (
+              geo.graph_smooth_check() and geo.graph_chart_count() == 8,
+              "in each of the eight affine charts a certificate writes 1 as a "
+              "combination of the equation and its partials",
+          )),
+    Check("compactification.graph-contains-extension", "claim:closure-extends-the-graph",
+          lambda geo: (
+              geo.certify_cofactors(geo.graph_extension_certificate, geo.GRAPH_BLOCKS)
+              and geo.exceptional_fiber_check(),
+              "with r, s replaced by xw + yz, xw - yz the trilinear equation is the "
+              "zero polynomial (cofactor 0); over both base points it vanishes too",
+          )),
+    Check("compactification.critical-classification", "claim:two-degenerate-values",
+          lambda geo: (
+              (crit := geo.critical_data()).verified
+              and geo.is_singular_value(1, 1)
+              and not geo.is_singular_value(1, 0),
+              "values " + " and ".join(str(v) for v in crit.values)
+              + " are degenerate with unique singular points "
+              + " and ".join(str(p) for p in crit.points)
+              + ", certified by fiber and Jacobian vanishing",
+          )),
+    Check("compactification.singular-scan", "claim:no-other-degenerate-values",
+          lambda geo: (
+              geo.degenerate_values_certificate(),
+              "the graph equation's coefficient matrix, read off its second partials "
+              "in (x, y) x (z, w), has determinant r^2 - s^2, a nonzero multiple of "
+              "(r - s)(r + s), so [1:1] and [1:-1] are the only degenerate values",
+          )),
+    Check("compactification.deformed-ring", "claim:deformation-at-time-two-is-the-orbit",
+          lambda geo: (
+              geo.deformed_ring_iso_check() and not geo.deformed_ring_control(),
+              "the affine change of coordinates carries one equation to a scalar "
+              "multiple of the other, and the identity substitution does not",
+          )),
     # the assumption stands on its supporting check; a failed one fails the row
-    supported = geo.sphere_off_infinity_certificate()
-    results.append(CheckResult(
-        "compactification.symplectic-patching",
-        "claim:compactified-category-unchanged",
-        "assumption" if supported else "fail",
-        "the patching construction of a symplectic structure near infinity "
-        "is not machine checked; supporting exact check "
-        + ("passed" if supported else "FAILED")
-        + ": the sphere's orbit residual is (p^2 + q^2 + r^2 - 1) times 1; each orbit "
-        "matrix M = [[x, y], [z, -x]] has M M - I = (x^2 + yz - 1) I, so it is a trace-0 "
-        "involution with distinct eigenlines, whose pair is off the diagonal; and both "
-        "base points lie on the diagonal",
-    ))
-
-    return results, {}
+    Check("compactification.symplectic-patching", "claim:compactified-category-unchanged",
+          lambda geo: (
+              "assumption" if (supported := geo.sphere_off_infinity_certificate()) else False,
+              "the patching construction of a symplectic structure near infinity "
+              "is not machine checked; supporting exact check "
+              + ("passed" if supported else "FAILED")
+              + ": the sphere's orbit residual is (p^2 + q^2 + r^2 - 1) times 1; each "
+              "orbit matrix M = [[x, y], [z, -x]] has M M - I = (x^2 + yz - 1) I, so it "
+              "is a trace-0 involution with distinct eigenlines, whose pair is off the "
+              "diagonal; and both base points lie on the diagonal",
+          )),
+)
 
 
 # ------------------------------------------------------------ report shell

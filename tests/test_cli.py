@@ -14,6 +14,14 @@ from hypothesis import strategies as st
 from lgorbit import cli, report
 from lgorbit.errors import PreconditionError
 from lgorbit.report import CheckResult, Config, load_config, render_json, run
+from negative_controls import (
+    _backward_hom,
+    _box_one_character_short,
+    _degree_one_lost,
+    _every_surface_degree_two,
+    _flipped_commutator,
+    _undetermined_rank,
+)
 
 EXPECTED_ASSUMPTIONS = {
     "compactification.symplectic-patching",
@@ -446,24 +454,10 @@ def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
     assert "FAIL       compactification.symplectic-patching" in capsys.readouterr().out
 
 
-def _flip_commutator(monkeypatch):
-    # 2(cx - az) for 2(az - cx) keeps every pairing real and the rank rows
-    # unchanged; only the tangency and Hermitian conditions see it
+def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch):
     from lgorbit import symplectic
 
-    exact = symplectic.commutator_triple
-
-    def flipped(point, matrix):
-        u0, u1, u2 = exact(point, matrix)
-        return u0, u1, -u2
-
-    monkeypatch.setattr(symplectic, "commutator_triple", flipped)
-
-
-def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
-    from lgorbit import symplectic
-
-    _flip_commutator(monkeypatch)
+    monkeypatch.setattr(symplectic, "commutator_triple", _flipped_commutator)
     sphere = symplectic.check_sphere_lagrangian(100)
     assert sphere.max_omega < 1e-9 and sphere.rank_failures == 0
     assert sphere.max_tangency_residual > 1e-9 and not sphere.passed
@@ -474,8 +468,6 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch, capsys):
     # the detail names the failing number, not only the pairing and the ranks
     tangency = float(re.search(r"tangency residual (\S+),", row.detail).group(1))
     assert tangency == float(f"{row.residual:.3e}") > 0
-    assert cli.main(["symplectic"]) == 1
-    assert "FAIL       symplectic.sphere-lagrangian-sampled" in capsys.readouterr().out
 
 
 @given(seed=st.integers(-10**6, 10**9), samples=st.integers(1, 300))
@@ -486,7 +478,7 @@ def test_flipped_commutator_fails_the_sampled_sphere_row_at_every_config(seed, s
 
     cfg = load_config(overrides={"seed": seed, "sphere_samples": samples})
     with pytest.MonkeyPatch.context() as mp:
-        _flip_commutator(mp)
+        mp.setattr(symplectic, "commutator_triple", _flipped_commutator)
         rows = {r.id: r for r in run("symplectic", cfg).results}
     row = rows["symplectic.sphere-lagrangian-sampled"]
     assert row.status == "fail" and row.residual >= symplectic.FLOAT_TOL
@@ -500,63 +492,29 @@ def _f2_row(monkeypatch, ext_dims):
     return row.status
 
 
-def test_wrong_ext_triple_fails_the_f2_row(monkeypatch, capsys):
-    from lgorbit import toric
-
-    exact = toric.ext_dims
-
-    def degree_one_lost(fan, c1, c2):
-        dims = exact(fan, c1, c2)
-        return toric.CohDims(dims.h0, 0, dims.h2) if fan.a == 2 else dims
-
-    assert _f2_row(monkeypatch, degree_one_lost) == "fail"
-    assert cli.main(["category"]) == 1
-    assert "FAIL       category.f2-ext-equivalence" in capsys.readouterr().out
+def test_wrong_ext_triple_fails_the_f2_row(monkeypatch):
+    assert _f2_row(monkeypatch, _degree_one_lost) == "fail"
 
 
 @pytest.mark.parametrize("wrong", ["degree-one-lost", "backward-hom", "undetermined-rank"])
-def test_wrong_ext_table_fails_the_rank_chase(monkeypatch, capsys, wrong):
-    # a wrong table reaches the row as wrong dimensions or as an undetermined
-    # connecting rank, never as an exception
-    from lgorbit import quiver, toric
+def test_wrong_ext_table_fails_the_rank_chase(monkeypatch, wrong):
+    # a wrong table reaches the row as wrong dimensions, or as an undetermined
+    # connecting rank that the chase raises and the row reports
+    from lgorbit import quiver
 
-    exact = quiver.ext_dims
-    minus_e, trivial = toric.EXCEPTIONAL_PAIR
-
-    def patched(fan, c1, c2):
-        dims = exact(fan, c1, c2)
-        if wrong == "degree-one-lost":
-            return toric.CohDims(dims.h0, 0, dims.h2) if fan.a == 2 else dims
-        if (c1, c2) == (trivial, minus_e):
-            return toric.CohDims(1, dims.h1, dims.h2)
-        # with the backward Hom, a self-Ext^1 on O(-E) leaves the chase
-        # Hom(-, O(-E)) with two nonzero ends and no pinned rank
-        if wrong == "undetermined-rank" and (c1, c2) == (minus_e, minus_e):
-            return toric.CohDims(dims.h0, 1, dims.h2)
-        return dims
-
+    patched = {"degree-one-lost": _degree_one_lost, "backward-hom": _backward_hom,
+               "undetermined-rank": _undetermined_rank}[wrong]
     monkeypatch.setattr(quiver, "ext_dims", patched)
     row = {r.id: r for r in run("quiver", Config()).results}["quiver.tilting-rank-chase"]
     assert row.status == "fail"
     undetermined = "connecting rank A2 -> A3 is undetermined" in row.detail
     assert undetermined == (wrong == "undetermined-rank")
-    assert cli.main(["quiver"]) == 1
-    assert "FAIL       quiver.tilting-rank-chase" in capsys.readouterr().out
 
 
 def test_box_one_character_short_fails_box_stability(monkeypatch):
-    # the patched sum uses the margin alone, less one: at the default margin
-    # the box stops one character short of O(E)'s class (-1, 1), at margin
-    # three it holds it, so the two sums differ
     from lgorbit import toric
 
-    exact = toric._box_sum
-
-    def short(a, coeffs, half_width):
-        base = (1 + a) * (sum(abs(c) for c in coeffs) + 1)
-        return exact(a, coeffs, half_width - base - 1)
-
-    monkeypatch.setattr(toric, "_box_sum", short)
+    monkeypatch.setattr(toric, "_box_sum", _box_one_character_short)
     toric._cohomology.cache_clear()
     try:
         rows = {r.id: r for r in run("sheaves", Config()).results}
@@ -566,13 +524,7 @@ def test_box_one_character_short_fails_box_stability(monkeypatch):
 
 
 def test_f2_row_fails_when_a_control_matches(monkeypatch):
-    # reading every surface as the degree-2 one makes the F0 and F1 controls
-    # match as well, so the row must not pass
-    from lgorbit import toric
-
-    exact = toric.ext_dims
-    f2 = toric.HirzebruchFan(2)
-    assert _f2_row(monkeypatch, lambda fan, c1, c2: exact(f2, c1, c2)) == "fail"
+    assert _f2_row(monkeypatch, _every_surface_degree_two) == "fail"
 
 
 # each size bound, spelled as a flag, with its largest admitted value; quiver

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import compact_oracle
 import symplectic_oracle
-from lgorbit import cli
 from lgorbit import compactification as cg
 from lgorbit.errors import (
     IndeterminatePointError,
@@ -16,13 +15,17 @@ from lgorbit.errors import (
     StructureError,
 )
 from lgorbit.gaussian import ExactMatrix, GaussianRational
-from lgorbit.poly import MultiHomPoly, certify_charts
+from lgorbit.poly import certify_charts
 from lgorbit.report import Config, run
-
-
-def _xwr():
-    x, w, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xwr")
-    return x * w * r
+from negative_controls import (
+    CONTROLS,
+    _conjugated_embedding,
+    _graph_double_root,
+    _graph_values_one_two,
+    _off_diagonal_base_locus,
+    _wrong_cofactor,
+    _xwr,
+)
 
 
 I = GaussianRational(0, 1)
@@ -227,96 +230,21 @@ def test_sphere_avoids_base_locus():
     assert all(cg.determinant(pt.factors).is_zero() for pt in cg.base_locus())
 
 
-def _conjugated_embedding(p, q, r, i):
-    # z = p - iq for -p - iq: the matrix is no longer on the orbit
-    return (r, -p + i * q, p - i * q)
-
-
-def _off_diagonal_base_locus():
-    return (cg.MultiProjPoint(((1, 0), (0, 1))), cg.MultiProjPoint(((0, 1), (0, 1))))
-
-
 @pytest.mark.parametrize("target, replacement", [
     ("sphere_embedding", _conjugated_embedding),
     ("base_locus", _off_diagonal_base_locus),
 ])
-def test_patching_support_negative_controls(monkeypatch, capsys, target, replacement):
+def test_patching_support_negative_controls(monkeypatch, target, replacement):
+    # tests/test_negative_controls.py fails the command with each of them
     assert cg.sphere_off_infinity_certificate()
     monkeypatch.setattr(cg, target, replacement)
     assert not cg.sphere_off_infinity_certificate()
     rows = {r.id: r for r in run("compactification", Config()).results}
     row = rows["compactification.symplectic-patching"]
     assert row.status == "fail" and "supporting exact check FAILED" in row.detail
-    assert cli.main(["compactification"]) == 1
-    assert "FAIL       compactification.symplectic-patching" in capsys.readouterr().out
 
 
 # ------------------------------------------------ certificates of the orbit
-
-
-def _wrong_cofactor(certificate):
-    return lambda *entries: [(d, c + 1) for d, c in certificate(*entries)]
-
-
-# the replacements keep the original they perturb, since the test patches it away
-def _perturbed_tensor(x, y, z, w, original=cg.tensor_entries):
-    (a, b), (c, d) = original(x, y, z, w)
-    return ((a, -b), (c, d))
-
-
-def _perturbed_moment(x, y, z, w, original=cg.moment_map):
-    (a, b), (c, d) = original(x, y, z, w)
-    return ((a, b + x), (c, d))
-
-
-def _unbalanced_forms(x, y, z, w, original=cg.height_forms):
-    numerator, denominator = original(x, y, z, w)
-    return (numerator * x, denominator)
-
-
-def _graph_plus_term(original=cg.graph_surface):
-    return original() + _xwr()
-
-
-def _three_base_points(original=cg.base_locus):
-    return original() + (cg.MultiProjPoint(((1, 1), (1, 1))),)
-
-
-def _graph_values_one_two():
-    # degenerate over [1:2] and [1:-2]: determinant 4r^2 - s^2
-    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
-    plus, minus = cg.height_forms(*cg.generic_element(cg.GRAPH_BLOCKS))
-    return s * plus - r * minus * 2
-
-
-def _graph_off_bidegree(original=cg.graph_surface):
-    # x*y*r has no second partial in (x, y) x (z, w), so only the degree test sees it
-    x, y, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xyr")
-    return original() + x * y * r
-
-
-def _graph_double_root():
-    # determinant -(s - r)^2: [1:1] twice and [1:-1] never
-    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
-    plus, _ = cg.height_forms(*cg.generic_element(cg.GRAPH_BLOCKS))
-    return (s - r) * plus
-
-
-# Each control breaks one construction or claim the way a faulty edit could;
-# the row's certificate must then fail, and with it the report row.
-NEGATIVE_CONTROLS = [
-    ("tensor-projector", "tensor_entries", _perturbed_tensor),
-    ("moment-conjugation", "moment_map", _perturbed_moment),
-    ("extension-on-orbit", "extension_on_orbit_certificate",
-     _wrong_cofactor(cg.extension_on_orbit_certificate)),
-    ("extension-scaling", "height_forms", _unbalanced_forms),
-    ("graph-contains-extension", "graph_surface", _graph_plus_term),
-    ("base-locus", "base_locus", _three_base_points),
-    ("graph-contains-extension", "base_locus", _three_base_points),
-    ("singular-scan", "graph_surface", _graph_values_one_two),
-    ("singular-scan", "graph_surface", _graph_double_root),
-    ("singular-scan", "graph_surface", _graph_off_bidegree),
-]
 
 
 ROW_CERTIFICATES = {
@@ -332,19 +260,23 @@ ROW_CERTIFICATES = {
 }
 
 
-@pytest.mark.parametrize("row, target, replacement", NEGATIVE_CONTROLS)
+@pytest.mark.parametrize("row, target, replacement", [
+    (row.split(".", 1)[1], target, replacement)
+    for row, controls in CONTROLS.items()
+    if row.split(".", 1)[1] in ROW_CERTIFICATES
+    for owner, target, replacement in controls
+])
 def test_orbit_certificate_negative_controls(monkeypatch, row, target, replacement):
+    # the certificate behind the row fails; tests/test_negative_controls.py
+    # fails the row and the command
     assert ROW_CERTIFICATES[row]()
     monkeypatch.setattr(cg, target, replacement)
     assert not ROW_CERTIFICATES[row]()
-    status = {r.id: r.status for r in run("compactification", Config()).results}
-    assert status[f"compactification.{row}"] == "fail"
 
 
-def test_degenerate_values_certificate_reads_the_family_and_the_values(monkeypatch, capsys):
+def test_degenerate_values_certificate_reads_the_family_and_the_values(monkeypatch):
     monkeypatch.setattr(cg, "graph_surface", _graph_values_one_two)
-    assert cli.main(["compactification"]) == 1
-    assert "FAIL       compactification.singular-scan" in capsys.readouterr().out
+    assert not cg.degenerate_values_certificate()
     # claiming the family's own values makes the certificate hold again
     two = GaussianRational(2)
     monkeypatch.setattr(cg, "DEGENERATE_VALUES", ((1, two), (1, -two)))

@@ -24,6 +24,7 @@ from lgorbit import mirror
 from lgorbit.gaussian import cohomology
 from lgorbit.report import Config, run
 from lgorbit.toric import HirzebruchFan, PicClass, ext_dims, ext_hom_table
+from negative_controls import _no_products, _shifts_off_by_one, chain_with_m3
 
 
 def test_graded_module_ranks():
@@ -115,24 +116,41 @@ def test_differential_control_checks_arities_up_to_three(coeff):
     assert fukaya_oracle.check_a_infinity(cat, k_max=6)
 
 
-def chain_with_m3():
-    """f: 0 -> 1 and g: 1 -> 2 in degree 0, k: 0 -> 2 in degree -1, unital
-    m_2 entries for all three, no f.g, and m_3(id_0, f, g) = k."""
+def one_composite(dropped=()):
+    """f: 0 -> 1, g: 1 -> 2 and h = m_2(f, g): 0 -> 2, all in degree 0, with
+    every unital m_2 entry except those whose inputs are in ``dropped``."""
     homs = {
         (0, 0): GradedModule([("i0", 0)]),
         (1, 1): GradedModule([("i1", 0)]),
         (2, 2): GradedModule([("i2", 0)]),
         (0, 1): GradedModule([("f", 0)]),
         (1, 2): GradedModule([("g", 0)]),
-        (0, 2): GradedModule([("k", -1)]),
+        (0, 2): GradedModule([("h", 0)]),
     }
     units = [(("i0", "i0"), "i0"), (("i1", "i1"), "i1"), (("i2", "i2"), "i2"),
              (("i0", "f"), "f"), (("f", "i1"), "f"), (("i1", "g"), "g"),
-             (("g", "i2"), "g"), (("i0", "k"), "k"), (("k", "i2"), "k")]
-    products = [ProductEntry(chain, out) for chain, out in units]
+             (("g", "i2"), "g"), (("i0", "h"), "h"), (("h", "i2"), "h")]
+    products = [ProductEntry(chain, out) for chain, out in units if chain not in dropped]
     return DirectedAInfCategory(
-        ("A", "B", "C"), homs, products + [ProductEntry(("i0", "f", "g"), "k")]
+        ("A", "B", "C"), homs, products + [ProductEntry(("f", "g"), "h")]
     )
+
+
+def test_two_terms_that_cancel_pass_and_one_alone_fails():
+    # on (i0, f, g) the arity-3 relation is m2(m2(i0, f), g) - m2(i0, m2(f, g)) = h - h
+    assert check_a_infinity(one_composite())
+    # without m2(i0, h) = h the second term is gone and h is left over
+    broken = one_composite(dropped={("i0", "h")})
+    assert not check_a_infinity(broken)
+    assert not fukaya_oracle.check_a_infinity(broken, k_max=3)
+
+
+def test_a_walk_that_sums_no_term_fails(monkeypatch):
+    # with every product reading zero each relation holds as 0 = 0, but the
+    # arity-3 relation of lg2 has 16 terms, so the walk must not certify it
+    assert check_a_infinity(lg2_category())
+    monkeypatch.setattr(DirectedAInfCategory, "apply", _no_products)
+    assert not check_a_infinity(lg2_category())
 
 
 def test_m3_control_fails_past_arity_three():
@@ -296,12 +314,7 @@ def test_solved_matcher_agrees_with_the_window_brute_force(tables):
 
 
 def test_off_by_one_matcher_fails_the_shift_sanity_row(monkeypatch):
-    exact = fukaya._solve_shifts
-
-    def off_by_one(a, b, n_objects):
-        return tuple(s + (i > 0) for i, s in enumerate(exact(a, b, n_objects)))
-
-    monkeypatch.setattr(fukaya, "_solve_shifts", off_by_one)
+    monkeypatch.setattr(fukaya, "_solve_shifts", _shifts_off_by_one)
     rows = {r.id: r for r in run("category", Config()).results}
     assert rows["category.shift-matching-sanity"].status == "fail"
 

@@ -171,8 +171,10 @@ def test_library_defines_nothing_only_tests_use():
 
 
 def unread_config_keys(source: str):
-    """Fields of the ``Config`` class in ``source`` that no ``suite_*``
-    function reads as ``cfg.<field>``."""
+    """Fields of the ``Config`` class in ``source`` that no declared check
+    reads as ``cfg.<field>``: neither a ``_suite(...)`` declaration nor a
+    top-level function that one names (its inputs, or a verdict written as a
+    function)."""
     tree = ast.parse(source)
     fields = [
         stmt.target.id
@@ -181,11 +183,25 @@ def unread_config_keys(source: str):
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign)
     ]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    declarations = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "_suite"
+    ]
+    named = [
+        functions[node.id]
+        for declaration in declarations
+        for node in ast.walk(declaration)
+        if isinstance(node, ast.Name) and node.id in functions
+    ]
     read = {
         node.attr
-        for suite in tree.body
-        if isinstance(suite, ast.FunctionDef) and suite.name.startswith("suite_")
-        for node in ast.walk(suite)
+        for top in declarations + named
+        for node in ast.walk(top)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "cfg"
@@ -198,9 +214,16 @@ def test_unread_config_key_detector():
         "class Config:\n"
         "    seed: int = 0\n"
         "    k_max: int = 6\n"
+        "    t_range: int = 10\n"
         "    spare: int = 1\n"
         "def load_config(cfg): return cfg.spare\n"
-        "def suite_a(cfg): return cfg.seed\n"
+        "def _inputs(cfg): return locals(), {}\n"
+        "def _sampled(cfg): return cfg.seed > 0, 'seeded'\n"
+        "suite_a = _suite(\n"
+        "    _inputs,\n"
+        "    Check('a.x', 'claim:x', _sampled),\n"
+        "    Check('a.y', 'claim:y', lambda cfg: (cfg.t_range > 0, 'window')),\n"
+        ")\n"
     )
     assert unread_config_keys(source) == ["k_max", "spare"]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgorbit import cli, mirror, report
+from lgorbit import mirror, report
 from lgorbit.errors import PreconditionError
 from lgorbit.mirror import (
     DEFAULT_TARGET,
@@ -22,6 +22,11 @@ from lgorbit.mirror import (
 )
 
 import mirror_oracle
+from negative_controls import (
+    CONTROLS,
+    _ext1_off_by_one,
+    _line_bundle_to_point_in_two_degrees,
+)
 
 
 def test_ext_line_bundles_closed_form():
@@ -313,37 +318,24 @@ def test_work_does_not_grow_with_the_window(monkeypatch):
         assert work(exclusion_table, t_range) == 4 * t_range + 5
 
 
-def _ext1_off_by_one(x, y):
-    # ext1 of two line bundles read as max(0, -d) instead of max(0, -d - 1)
-    hom, ext1 = ext_p1(x, y)
-    if isinstance(x, LineBundle) and isinstance(y, LineBundle):
-        return hom, max(0, x.t - y.t)
-    return hom, ext1
+# the library predicate behind each row the registry's ext_p1 controls fail
+ROW_PREDICATES = {
+    "mirror.euler-pairing": lambda: euler_pairing_identity(span=30),
+    "mirror.control-witness": lambda: getattr(
+        search_mirror_pair(10, target_forward={0: 2}), "forward", None) == ((0, 2),),
+    "mirror.exclusion-table": lambda: all(r.verified for r in exclusion_table(10)),
+    "mirror.control-relaxed-distinct": lambda: search_mirror_pair(
+        10, require_backward_zero=False, require_end_simple=False) is None,
+}
 
 
-def _line_bundle_to_point_in_two_degrees(x, y):
-    if isinstance(x, LineBundle) and isinstance(y, Skyscraper):
-        return 1, 1
-    return ext_p1(x, y)
-
-
-# Each control breaks ext_p1 the way a faulty edit could; every named row
-# must then fail, and with it the command.
-MIRROR_NEGATIVE_CONTROLS = [
-    (_ext1_off_by_one, ("mirror.euler-pairing", "mirror.control-witness")),
-    (_line_bundle_to_point_in_two_degrees,
-     ("mirror.exclusion-table", "mirror.control-relaxed-distinct")),
-]
-
-
-@pytest.mark.parametrize("replacement, rows", MIRROR_NEGATIVE_CONTROLS,
+@pytest.mark.parametrize("replacement", [_ext1_off_by_one, _line_bundle_to_point_in_two_degrees],
                          ids=["ext1-off-by-one", "line-bundle-to-point-two-degrees"])
-def test_mirror_negative_controls(monkeypatch, capsys, replacement, rows):
-    status = {r.id: r.status for r in report.run("mirror", report.Config()).results}
-    assert all(status[row] == "pass" for row in rows)
+def test_mirror_negative_controls(monkeypatch, replacement):
+    # tests/test_negative_controls.py fails each row and the command
+    rows = [row for row, controls in CONTROLS.items()
+            if (mirror, "ext_p1", replacement) in controls]
+    assert len(rows) == 2
+    assert all(ROW_PREDICATES[row]() for row in rows)
     monkeypatch.setattr(mirror, "ext_p1", replacement)
-    status = {r.id: r.status for r in report.run("mirror", report.Config()).results}
-    assert all(status[row] == "fail" for row in rows)
-    assert cli.main(["mirror"]) == 1
-    out = capsys.readouterr().out
-    assert all(f"FAIL       {row}\n" in out for row in rows)
+    assert not any(ROW_PREDICATES[row]() for row in rows)

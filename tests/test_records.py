@@ -19,6 +19,7 @@ def _records():
     return [
         report.Config(),
         check,
+        report.Check("i", "a", len),
         report.Report(1, "mirror", {}, (check,), {}),
         symplectic.check_sphere_lagrangian(5),
         mirror.search_mirror_pair(2, 1, target_forward={0: 2}),
@@ -46,7 +47,7 @@ RECORDS = _records()
 
 
 def test_every_record_type_is_listed():
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 22
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplectic_oracle
-from lgorbit import cli, symplectic
+from lgorbit import symplectic
 from lgorbit.errors import PreconditionError
 from lgorbit.gaussian import GaussianRational
 from lgorbit.poly import MultiHomPoly
@@ -28,6 +28,11 @@ from lgorbit.symplectic import (
     su2_basis,
     thimble,
     thimble_chart,
+)
+from negative_controls import (
+    CONTROLS,
+    _hermitian_first_generator,
+    _wrong_sign_chart,
 )
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 
@@ -79,19 +84,11 @@ def test_pointwise_pairings_agree_with_the_identity():
         assert all(h.im == 0 for h in pointwise)
 
 
-def _hermitian_first_generator(original=su2_basis):
-    one, zero = GaussianRational(1), GaussianRational(0)
-    return (((one, zero), (zero, -one)),) + original()[1:]
-
-
-def test_hermitian_generator_fails_the_exact_sphere_row(monkeypatch, capsys):
-    # diag(1, -1) for diag(i, -i): the mixed pairings turn imaginary
+def test_hermitian_generator_fails_the_exact_sphere_row(monkeypatch):
     monkeypatch.setattr(symplectic, "su2_basis", _hermitian_first_generator)
     assert not sphere_lagrangian_certificate()
     rows = {r.id: r for r in run("symplectic", Config()).results}
     assert rows["symplectic.sphere-lagrangian-exact"].status == "fail"
-    assert cli.main(["symplectic"]) == 1
-    assert "FAIL       symplectic.sphere-lagrangian-exact\n" in capsys.readouterr().out
 
 
 def test_sphere_point_exact():
@@ -205,31 +202,17 @@ def test_cylinder_chart_pointwise(lam, y):
     assert point[:2] == (lam, y)
 
 
-def _wrong_sign_chart(lam, y, u):
-    return (lam, y, (1 + lam * lam) * u)
-
-
-def _rotated_third_slot(lam, c, u, ubar, i):
-    # +i c ubar for -i c ubar in d/dt: the pairing with c d/dlam turns imaginary
-    point, d_lam, (t0, t1, t2) = thimble_chart(lam, c, u, ubar, i)
-    return point, d_lam, (t0, t1, -t2)
-
-
-def _unconjugated_chart(lam, c, u, ubar, i):
-    # c u in both y and z: the circle leaves the sphere, where z = conj(y)
-    return thimble_chart(lam, c, u, u, i)
-
-
-def _last_term_negative(u, v):
-    return 2 * (u[0] * v[0].conjugate()) + u[1] * v[1].conjugate() - u[2] * v[2].conjugate()
-
-
-# each control patches one library function as a faulty edit could
+# the certificate behind each row the registry's controls fail
+ROW_CERTIFICATES = {
+    "thimble-grid": symplectic.thimble_certificate,
+    "taming": symplectic.taming_certificate,
+    "thimble-taming": lambda: symplectic.taming_certificate() and symplectic.thimble_certificate(),
+}
 NEGATIVE_CONTROLS = [
-    ("thimble-grid", "thimble_chart", _rotated_third_slot),
-    ("thimble-grid", "thimble_chart", _unconjugated_chart),
-    ("taming", "hermitian_pairing", _last_term_negative),
-    ("thimble-taming", "hermitian_pairing", _last_term_negative),
+    (row.split(".", 1)[1], target, replacement)
+    for row, controls in CONTROLS.items()
+    if row.split(".", 1)[1] in ROW_CERTIFICATES
+    for owner, target, replacement in controls
 ]
 
 
@@ -237,24 +220,19 @@ NEGATIVE_CONTROLS = [
     "row, target, replacement", NEGATIVE_CONTROLS,
     ids=[f"{row}-{fn.__name__.strip('_')}" for row, _, fn in NEGATIVE_CONTROLS],
 )
-def test_symplectic_negative_controls(monkeypatch, capsys, row, target, replacement):
-    status = {r.id: r.status for r in run("symplectic", Config()).results}
-    assert status[f"symplectic.{row}"] == "pass"
+def test_symplectic_negative_controls(monkeypatch, row, target, replacement):
+    # tests/test_negative_controls.py fails the row and the command
+    assert ROW_CERTIFICATES[row]()
     monkeypatch.setattr(symplectic, target, replacement)
-    status = {r.id: r.status for r in run("symplectic", Config()).results}
-    assert status[f"symplectic.{row}"] == "fail"
-    assert cli.main(["symplectic"]) == 1
-    assert f"FAIL       symplectic.{row}" in capsys.readouterr().out
+    assert not ROW_CERTIFICATES[row]()
 
 
-def test_cylinder_chart_certificate_fails_for_a_wrong_chart(monkeypatch, capsys):
+def test_cylinder_chart_certificate_fails_for_a_wrong_chart(monkeypatch):
     assert symplectic.cylinder_chart_certificate()
     monkeypatch.setattr(symplectic, "cylinder_chart", _wrong_sign_chart)
     assert not symplectic.cylinder_chart_certificate()
-    status = {r.id: r.status for r in run("symplectic", Config()).results}
-    assert status["symplectic.cylinder-chart"] == "fail"
-    assert cli.main(["symplectic"]) == 1
-    assert "FAIL       symplectic.cylinder-chart\n" in capsys.readouterr().out
+
+
 exact_points = st.tuples(gaussians, gaussians, gaussians) | st.sampled_from(
     [exact_sphere_point(*p) for p in RATIONAL_SPHERE_POINTS]
 )
