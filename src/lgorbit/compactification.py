@@ -14,7 +14,8 @@ a rational map on P1 x P1 with exactly two indeterminate points, closes its
 graph inside a triple product of lines, checks the closure is smooth chart
 by chart, and classifies which fibers of the extended map degenerate.
 Everything is exact: Gaussian rational scalars, dense multihomogeneous
-polynomials, and certificate identities instead of floating point.
+polynomials, and certificate identities instead of floating point: the
+identity functions below are written over any ring, for ``poly.certify``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
-from .poly import Blocks, MultiHomPoly, certify_charts
-from .symplectic import SPHERE_BLOCKS, orbit_residual, sphere_embedding
+from .poly import Blocks, MultiHomPoly, certify, certify_charts, variables
+from .symplectic import orbit_residual, sphere_embedding
 
 _HALF = Fraction(1, 2)
 
@@ -260,17 +261,22 @@ def rational_extension(pt: MultiProjPoint) -> MultiProjPoint:
 # ------------------------------------------------------------ graph closure
 
 
-def graph_surface() -> MultiHomPoly:
-    """Closure of the graph of the extension: s(xw + yz) - r(xw - yz)."""
-    plus, minus = height_forms(*generic_element(GRAPH_BLOCKS))
-    r, s = (MultiHomPoly.variable(GRAPH_BLOCKS, name) for name in "rs")
+def graph_equation(x, y, z, w, r, s):
+    """s(xw + yz) - r(xw - yz), over any ring."""
+    plus, minus = height_forms(x, y, z, w)
     return s * plus - r * minus
+
+
+def graph_surface() -> MultiHomPoly:
+    """Closure of the graph of the extension on the triple product of lines."""
+    r, s = (MultiHomPoly.variable(GRAPH_BLOCKS, name) for name in "rs")
+    return graph_equation(*generic_element(GRAPH_BLOCKS), r, s)
 
 
 # Chart certificates for certify_charts, one per affine chart, expressing
 # the constant 1 inside the ideal generated by the dehomogenized equation g
 # and its partials d in the three surviving variables.
-_GRAPH_CERTIFICATES: Dict[Tuple[str, str, str], Callable[..., MultiHomPoly]] = {
+GRAPH_CHARTS: Dict[Tuple[str, str, str], Callable[..., MultiHomPoly]] = {
     ("x", "z", "r"): lambda g, d, v: (d["y"] - d["w"]) * _HALF,
     ("x", "z", "s"): lambda g, d, v: (d["y"] + d["w"]) * _HALF,
     ("y", "w", "r"): lambda g, d, v: (d["z"] - d["x"]) * _HALF,
@@ -294,10 +300,6 @@ _GRAPH_CERTIFICATES: Dict[Tuple[str, str, str], Callable[..., MultiHomPoly]] = {
 }
 
 
-def graph_chart_count() -> int:
-    return len(_GRAPH_CERTIFICATES)
-
-
 def graph_smooth_check() -> bool:
     """Smoothness of the graph closure, one exact certificate per chart.
 
@@ -305,7 +307,7 @@ def graph_smooth_check() -> bool:
     polynomial combination of the chart equation and its partials, so the
     equation and its differential can have no common zero there.
     """
-    return certify_charts(graph_surface(), _GRAPH_CERTIFICATES)
+    return certify_charts(graph_surface(), GRAPH_CHARTS) is None
 
 
 def exceptional_fiber_check() -> bool:
@@ -323,10 +325,9 @@ def exceptional_fiber_check() -> bool:
 
 
 # ------------------------------------------------------- orbit certificates
-# A claim about the orbit is an identity in the generic entries modulo
-# R = xw - yz - 1.  A certificate lists pairs (difference, cofactor) with
-# difference = cofactor * R, putting each difference in the ideal (R) (Cox,
-# Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 1-2).
+# A claim about the orbit is an identity in the generic entries x, y, z, w
+# modulo R = xw - yz - 1: each identity function pairs every difference with
+# its cofactor q against R, for poly.certify to check difference = q R.
 
 
 @functools.cache
@@ -335,49 +336,48 @@ def generic_element(blocks: Blocks = FIBER_BLOCKS) -> Tuple[MultiHomPoly, ...]:
     return tuple(MultiHomPoly.variable(blocks, name) for name in "xyzw")
 
 
-def certify_cofactors(certificate: Callable, blocks: Blocks = FIBER_BLOCKS) -> bool:
-    """Whether each (difference, q) the certificate gives has difference = q * R."""
-    x, y, z, w = generic_element(blocks)
+def _modulo_r(x, y, z, w, *pairs):
+    """Each (difference, q) as the identity difference = q R."""
     relation = determinant(group_matrix(x, y, z, w)) - 1
-    return all(diff == relation * q for diff, q in certificate(x, y, z, w))
+    return [(difference, ((relation, q),)) for difference, q in pairs]
 
 
-def tensor_projector_certificate(x, y, z, w):
+def tensor_projector_identities(x, y, z, w):
     """trace(M) - 1 = R, M col1 - col1 = R col1 and M col2 = 0."""
     m = tensor_entries(x, y, z, w)
     (f1,), (f2,) = product(m, ((x,), (y,)))
     (k1,), (k2,) = product(m, ((z,), (w,)))
-    return [(trace(m) - 1, 1), (f1 - x, x), (f2 - y, y), (k1, 0), (k2, 0)]
+    return _modulo_r(x, y, z, w, (trace(m) - 1, 1), (f1 - x, x), (f2 - y, y), (k1, 0), (k2, 0))
 
 
-def moment_conjugation_certificate(x, y, z, w):
+def moment_conjugation_identities(x, y, z, w):
     """M = a diag(1/2, -1/2) adj(a) exactly, and M col1 - col1/2 = (R/2) col1."""
     m = moment_map(x, y, z, w)
     half_weights = ((_HALF, 0), (0, -_HALF))
     conjugate = product(product(group_matrix(x, y, z, w), half_weights), adjugate(x, y, z, w))
     (e1,), (e2,) = product(m, ((x,), (y,)))
     pairs = [(m[i][j] - conjugate[i][j], 0) for i in range(2) for j in range(2)]
-    return pairs + [(e1 - x * _HALF, x * _HALF), (e2 - y * _HALF, y * _HALF)]
+    return _modulo_r(x, y, z, w, *pairs, (e1 - x * _HALF, x * _HALF), (e2 - y * _HALF, y * _HALF))
 
 
-def extension_on_orbit_certificate(x, y, z, w):
+def extension_on_orbit_identities(x, y, z, w):
     """num - den * height = -(xw + yz) R, the height being tr(diag(1, -1) M)."""
     numerator, denominator = height_forms(x, y, z, w)
     height = trace(product(((1, 0), (0, -1)), moment_map(x, y, z, w)))
-    return [(numerator - denominator * height, -numerator)]
+    return _modulo_r(x, y, z, w, (numerator - denominator * height, -numerator))
 
 
-def orbit_membership_certificate(x, y, z, w):
+def orbit_membership_identities(x, y, z, w):
     """M = a diag(1, -1) adj(a), a conjugate on SL(2), has trace 0 and
     x^2 + yz - 1 = R (R + 2) on its coordinates: every one is on the orbit."""
     m = product(product(group_matrix(x, y, z, w), ((1, 0), (0, -1))), adjugate(x, y, z, w))
-    return [(trace(m), 0), (orbit_residual((m[0][0], m[0][1], m[1][0])), x * w - y * z + 1)]
+    residual = orbit_residual((m[0][0], m[0][1], m[1][0]))
+    return _modulo_r(x, y, z, w, (trace(m), 0), (residual, x * w - y * z + 1))
 
 
-def graph_extension_certificate(x, y, z, w):
-    """The graph equation with r, s replaced by the two forms is zero."""
-    numerator, denominator = height_forms(x, y, z, w)
-    return [(graph_surface().substitute({"r": numerator, "s": denominator}), 0)]
+def graph_extension_identities(x, y, z, w):
+    """The graph equation with r, s replaced by the two forms is 0 R."""
+    return _modulo_r(x, y, z, w, (graph_equation(x, y, z, w, *height_forms(x, y, z, w)), 0))
 
 
 def extension_scaling_certificate() -> bool:
@@ -484,28 +484,16 @@ def critical_data() -> CriticalData:
     equation and annihilates all four bihomogeneous partials.
     """
     values = tuple(MultiProjPoint((value,)) for value in DEGENERATE_VALUES)
-    points = (
-        MultiProjPoint(((1, 0), (0, 1))),
-        MultiProjPoint(((0, 1), (1, 0))),
-    )
-    verified = True
-    for value, point in zip(values, points):
-        r0, s0 = value.factors[0]
-        if not is_singular_value(r0, s0):
-            verified = False
-            break
-        fiber = compactified_fiber(r0, s0)
-        (x, y), (z, w) = point.factors
-        assignment = {"x": x, "y": y, "z": z, "w": w}
-        if not fiber.evaluate(assignment).is_zero():
-            verified = False
-            break
-        if any(
-            not fiber.partial(name).evaluate(assignment).is_zero()
-            for name in ("x", "y", "z", "w")
-        ):
-            verified = False
-            break
+    points = (MultiProjPoint(((1, 0), (0, 1))), MultiProjPoint(((0, 1), (1, 0))))
+
+    def singular_at(value, point):
+        fiber = compactified_fiber(*value)
+        assignment = dict(zip("xyzw", point.factors[0] + point.factors[1]))
+        return is_singular_value(*value) and all(
+            f.evaluate(assignment).is_zero() for f in (fiber, *map(fiber.partial, "xyzw"))
+        )
+
+    verified = all(singular_at(v.factors[0], p) for v, p in zip(values, points))
     return CriticalData(values, points, verified)
 
 
@@ -560,26 +548,24 @@ def _deformed_ring_equation() -> MultiHomPoly:
 # ------------------------------------------------- sphere versus base locus
 
 
+def sphere_off_infinity_identities(p, q, r, x, y, z, i):
+    """The orbit residual of ``sphere_embedding`` is (p^2 + q^2 + r^2 - 1) 1, and
+    M = [[x, y], [z, -x]] has M M - I = R I with R = x^2 + yz - 1."""
+    sphere = orbit_residual(sphere_embedding(p, q, r, i))
+    matrix = ((x, y), (z, -x))
+    square, relation = product(matrix, matrix), orbit_residual((x, y, z))
+    return [(sphere, ((p * p + q * q + r * r - 1, 1),))] + [
+        (square[a][b] - int(a == b), ((relation, int(a == b)),)) for a in range(2) for b in range(2)
+    ]
+
+
 def sphere_off_infinity_certificate() -> bool:
     """The embedded sphere stays in the affine orbit, off both base points.
 
-    Three exact facts.  The orbit residual of ``sphere_embedding`` is
-    p^2 + q^2 + r^2 - 1 times the cofactor 1, so the unit sphere lands on the
-    orbit.  For M = [[X, Y], [Z, -X]], M M - I = R I with R = X^2 + YZ - 1, so
-    every orbit matrix is a trace-zero involution with eigenvalues 1 and -1;
-    its two eigenlines differ, so its pair of them misses the diagonal.  And
-    both points of ``base_locus()`` lie on the diagonal.
+    By ``sphere_off_infinity_identities`` the unit sphere lands on the orbit,
+    and every orbit matrix is a trace-zero involution with two eigenlines,
+    whose pair misses the diagonal; both points of ``base_locus()`` lie on it.
     """
-    p, q, r = (MultiHomPoly.variable(SPHERE_BLOCKS, name) for name in "pqr")
-    on_orbit = orbit_residual(sphere_embedding(p, q, r, GaussianRational(0, 1))) == (
-        p * p + q * q + r * r - 1
-    )
-    big_x, big_y, big_z = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz")
-    relation = orbit_residual((big_x, big_y, big_z))
-    matrix = ((big_x, big_y), (big_z, -big_x))
-    square = product(matrix, matrix)
-    involution = all(
-        square[i][j] - int(i == j) == relation * int(i == j) for i in range(2) for j in range(2)
-    )
+    identities = sphere_off_infinity_identities(*variables("p q r x y z"), GaussianRational(0, 1))
     diagonal = all(determinant(pt.factors).is_zero() for pt in base_locus())
-    return on_orbit and involution and diagonal
+    return certify(identities) is None and diagonal

@@ -196,9 +196,10 @@ def relation_arities(cat: DirectedAInfCategory) -> List[int]:
     """The arities whose A-infinity relation can have a nonzero term.
 
     Every term of the arity-N relation is m_{N-s+1} applied to an m_s, so
-    it vanishes unless both are arities of the product table.
+    it vanishes unless both are arities of nonzero products; entries whose
+    coefficients cancel leave none.
     """
-    present = {entry.arity for entry in cat.products}
+    present = {len(chain) for chain in cat._table}
     return sorted({s + t - 1 for s in present for t in present})
 
 

@@ -8,15 +8,19 @@ are recomputed from the terms on first read; a block whose term degrees
 disagree is marked inhomogeneous (``None``).  The public constructor
 validates what it is given; arithmetic builds its results from operands
 already checked, with zero coefficients popped, and skips that work.
+
+``certify`` is the one checker of the library's exact identities, which
+other modules write as data over any ring and evaluate on ``variables``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import StructureError
+from .errors import DiagnosticError, StructureError
 from .gaussian import ONE, ZERO, GaussianRational, RatLike
 
 Blocks = Tuple[Tuple[str, ...], ...]
@@ -273,16 +277,12 @@ class MultiHomPoly:
         the power of ``name`` bringing its block degree up to the maximum.
         """
         idx = self.var_index(name)
-        offset = 0
-        block_range = None
+        lo = 0
         for block in self.blocks:
-            width = len(block)
-            if offset <= idx < offset + width:
-                block_range = (offset, offset + width)
+            if idx < lo + len(block):
                 break
-            offset += width
-        assert block_range is not None
-        lo, hi = block_range
+            lo += len(block)
+        hi = lo + len(block)
         if any(key[idx] != 0 for key in self.terms):
             raise StructureError(f"homogenization variable {name!r} already occurs")
         if not self.terms:
@@ -322,30 +322,55 @@ class MultiHomPoly:
         return f"MultiHomPoly({self.blocks!r}, {self.terms!r})"
 
 
+def variables(names: str) -> Tuple[MultiHomPoly, ...]:
+    """One variable per space-separated name, all on a single block."""
+    block = tuple(names.split())
+    return tuple(MultiHomPoly.variable((block,), name) for name in block)
+
+
+def certify(identities: Iterable) -> Optional[int]:
+    """The position of the first identity that fails, or None when all hold.
+
+    An identity (difference, ((relation, cofactor), ...)) holds when the
+    difference minus each cofactor times its relation is zero, putting the
+    difference in the ideal of the relations (Cox, Little and O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 1-2).  An empty sequence
+    certifies nothing and raises DiagnosticError.
+    """
+    position = -1
+    for position, (difference, terms) in enumerate(identities):
+        for relation, cofactor in terms:
+            difference = difference - relation * cofactor
+        if difference:
+            return position
+    if position < 0:
+        raise DiagnosticError("the certificate lists no identity")
+    return None
+
+
 def certify_charts(
     f: MultiHomPoly, certificates: Mapping[Tuple[str, ...], Callable[..., MultiHomPoly]]
-) -> bool:
-    """Smoothness of the hypersurface f = 0, one exact certificate per chart.
+) -> Optional[int]:
+    """Smoothness of the hypersurface f = 0: the position of the first chart
+    whose certificate fails, or None.
 
     Each key names the variables set to 1 on an affine chart.  Its
     certificate gets the dehomogenized equation g, the dict d of its
     partials in the other variables, and v, which builds a variable on the
     blocks of f; it must return the constant 1 as a combination of g and d,
-    so they have no common zero there (Cox, Little and O'Shea, Ideals,
-    Varieties, and Algorithms, ch. 1-2).  A certificate that does not fit
-    the input, such as one reading a partial the chart lacks, fails.
+    so they have no common zero there.  A certificate that does not fit the
+    input, such as one reading a partial the chart lacks, fails its chart.
     """
-    one = MultiHomPoly.constant(f.blocks, 1)
+    v = functools.partial(MultiHomPoly.variable, f.blocks)
 
-    def v(name: str) -> MultiHomPoly:
-        return MultiHomPoly.variable(f.blocks, name)
+    def identities():
+        for chart, certificate in certificates.items():
+            g = f.substitute({name: 1 for name in chart})
+            d = {name: g.partial(name) for name in f.variables if name not in chart}
+            try:
+                one = certificate(g, d, v)
+            except (KeyError, StructureError):
+                one = 0
+            yield one - 1, ()
 
-    for chart, certificate in certificates.items():
-        g = f.substitute({name: 1 for name in chart})
-        d = {name: g.partial(name) for name in f.variables if name not in chart}
-        try:
-            if certificate(g, d, v) != one:
-                return False
-        except (KeyError, StructureError):
-            return False
-    return True
+    return certify(identities())

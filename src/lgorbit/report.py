@@ -117,6 +117,12 @@ def _evaluate(
     return rows, tables
 
 
+def _certified(identities: Callable, names: str, *i) -> bool:
+    """Whether poly.certify passes identities(*symbols, *i), one symbol per name."""
+    from . import poly
+    return poly.certify(identities(*poly.variables(names), *i)) is None
+
+
 # every suite's declared checks, in row order, keyed by suite name
 CHECKS: Dict[str, Tuple[Check, ...]] = {}
 
@@ -196,7 +202,7 @@ suite_lie = _suite(
     ),
     Check("lie.orbit-membership-exact", "claim:orbit-is-conjugation-invariant",
           lambda geo: (
-              geo.certify_cofactors(geo.orbit_membership_certificate),
+              _certified(geo.orbit_membership_identities, "x y z w"),
               "at a = [[x, z], [y, w]], with R = xw - yz - 1, M = a diag(1, -1) adj(a) "
               "has trace 0*R and x^2 + yz - 1 = (R + 2)*R on M's coordinates "
               "(cofactors 0, R + 2): every conjugate of the base diagonal is on the orbit",
@@ -209,9 +215,11 @@ suite_lie = _suite(
 
 def _symplectic(cfg: Config):
     from . import symplectic
+    from .gaussian import GaussianRational
+    i = GaussianRational(0, 1)
     sphere = symplectic.check_sphere_lagrangian(cfg.sphere_samples, cfg.seed)
-    tamed = symplectic.taming_certificate()
-    thimble = symplectic.thimble_certificate()
+    tamed = _certified(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2", i)
+    thimble = _certified(symplectic.thimble_identities, "lam c a b", i)
     return locals(), {}
 
 
@@ -226,8 +234,8 @@ suite_symplectic = _suite(
               max(sphere.max_omega, sphere.max_tangency_residual),
           )),
     Check("symplectic.sphere-lagrangian-exact", "claim:sphere-is-lagrangian",
-          lambda symplectic: (
-              symplectic.sphere_lagrangian_certificate(),
+          lambda symplectic, i: (
+              _certified(symplectic.sphere_lagrangian_identities, "p q r", i),
               "over real symbols p, q, r, the pairing of each two su(2) tangents at "
               "(r, -p + iq, -p - iq) equals its own conjugate, so Omega is the zero "
               "polynomial on all of R^3",
@@ -265,7 +273,7 @@ suite_symplectic = _suite(
           )),
     Check("symplectic.cylinder-chart", "claim:fiber-is-a-cylinder",
           lambda symplectic: (
-              symplectic.cylinder_chart_certificate(),
+              _certified(symplectic.cylinder_chart_identities, "lam x y z u"),
               "for lambda^2 != 1, y -> (lambda, y, (1 - lambda^2)/y) and (x, y, z) -> y "
               "are inverse maps between C* and the fiber x = lambda: with u = 1/y, the "
               "chart's orbit residual is (1 - lambda^2)(yu - 1), and z minus the chart's "
@@ -472,7 +480,7 @@ suite_sheaves = _suite(
           )),
     Check("sheaves.hypersurface-model", "claim:surface-embeds-as-(1,2)-hypersurface",
           lambda toric: (
-              toric.verify_f2_hypersurface() and toric.f2_chart_count() == 6,
+              toric.verify_f2_hypersurface() and len(toric.F2_CHARTS) == 6,
               "the bidegree (1,2) equation is irreducible and six affine chart "
               "certificates write 1 in the Jacobian ideal, so it is smooth",
           )),
@@ -658,7 +666,7 @@ suite_compactification = _suite(
           lambda geo, ident, shear: (
               geo.tensor_entries(*ident) == ((1, 0), (0, 0))
               and geo.tensor_entries(*shear) == ((1, -1), (0, 0))
-              and geo.certify_cofactors(geo.tensor_projector_certificate),
+              and _certified(geo.tensor_projector_identities, "x y z w"),
               "identity and shear examples match; at a = [[x, z], [y, w]], with "
               "R = xw - yz - 1, trace - 1 = 1*R, M col1 - col1 = R*col1, M col2 = 0*R "
               "(cofactors 1, col1, 0): a trace-one projector on all of SL(2)",
@@ -667,14 +675,14 @@ suite_compactification = _suite(
           lambda geo, ident, shear, half: (
               geo.moment_map(*ident) == ((half, 0), (0, -half))
               and geo.moment_map(*shear) == ((half, -1), (0, -half))
-              and geo.certify_cofactors(geo.moment_conjugation_certificate),
+              and _certified(geo.moment_conjugation_identities, "x y z w"),
               "identity and shear examples match; the generic moment matrix is "
               "a diag(1/2, -1/2) adj(a) (cofactor 0) and M col1 - col1/2 = "
               "(R/2)*col1 (cofactor col1/2): column one is an eigenvector",
           )),
     Check("compactification.extension-on-orbit", "claim:extension-restricts-to-the-height",
           lambda geo: (
-              geo.certify_cofactors(geo.extension_on_orbit_certificate),
+              _certified(geo.extension_on_orbit_identities, "x y z w"),
               "num*1 - den*height = -(xw + yz)*R at the generic eigenline pair "
               "(cofactor -(xw + yz)): the value is [height : 1] on all of SL(2)",
           )),
@@ -703,13 +711,13 @@ suite_compactification = _suite(
           )),
     Check("compactification.graph-smooth", "claim:graph-closure-is-smooth",
           lambda geo: (
-              geo.graph_smooth_check() and geo.graph_chart_count() == 8,
+              geo.graph_smooth_check() and len(geo.GRAPH_CHARTS) == 8,
               "in each of the eight affine charts a certificate writes 1 as a "
               "combination of the equation and its partials",
           )),
     Check("compactification.graph-contains-extension", "claim:closure-extends-the-graph",
           lambda geo: (
-              geo.certify_cofactors(geo.graph_extension_certificate, geo.GRAPH_BLOCKS)
+              _certified(geo.graph_extension_identities, "x y z w")
               and geo.exceptional_fiber_check(),
               "with r, s replaced by xw + yz, xw - yz the trilinear equation is the "
               "zero polynomial (cofactor 0); over both base points it vanishes too",

@@ -8,12 +8,14 @@ Points are triples (x, y, z), identified with traceless matrices
 
 the imaginary part of the Hermitian extension of the trace pairing.  The
 sign makes Omega(u, iu) = tr(M_u M_u^dagger) > 0, so the complex structure
-is tamed.  The sampled checks run the formulas in floats; the exact claims
-are polynomial identities, the same formulas run on real symbols with
-conjugation acting on coefficients only: Omega vanishes on the sphere's
-su(2) tangents, the thimble chart lies in the sphere with Omega-null
-tangents of positive norm, and omega(v, iv) = h(v, v) is a positive-weight
-sum of squares on C^3.  The one float bound is a pinned constant, not an
+is tamed.  The sampled checks run the formulas in floats.  The exact claims
+are identity functions: the same formulas, over any ring with unit i, give
+(difference, ((relation, cofactor), ...)) pairs that ``poly.certify`` checks
+on real symbols, with conjugation acting on coefficients only.  Omega
+vanishes on the sphere's su(2) tangents, the thimble chart lies in the
+sphere with Omega-null tangents of positive norm, omega(v, iv) = h(v, v) is
+a positive-weight sum of squares on C^3, and the cylinder chart inverts
+(x, y, z) -> y on a fiber.  The one float bound is a pinned constant, not an
 option: FLOAT_TOL = 1e-9 bounds the residuals of sampled geometry (the
 pairing, tangency and gluing rows of the report) and the unit-norm, rank
 and nonzero tests.
@@ -33,9 +35,6 @@ Scalar = Union[complex, GaussianRational]
 Triple = Tuple[Scalar, Scalar, Scalar]
 
 FLOAT_TOL = 1e-9
-
-# The sphere's coordinates p, q, r as polynomial variables, read as real.
-SPHERE_BLOCKS = (("p", "q", "r"),)
 
 
 def orbit_residual(point: Triple):
@@ -78,16 +77,9 @@ def sphere_point(p: float, q: float, r: float) -> Triple:
     return sphere_embedding(p, q, r, 1j)
 
 
-def su2_basis() -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
-    """Three anti-Hermitian traceless 2x2 matrices spanning su(2), exact."""
-    i = GaussianRational(0, 1)
-    one = GaussianRational(1)
-    zero = GaussianRational(0)
-    return (
-        ((i, zero), (zero, -i)),
-        ((zero, one), (-one, zero)),
-        ((zero, i), (i, zero)),
-    )
+def su2_basis(i) -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
+    """Three anti-Hermitian traceless 2x2 matrices spanning su(2), over any ring with unit ``i``."""
+    return (((i, 0), (0, -i)), ((0, 1), (-1, 0)), ((0, i), (i, 0)))
 
 
 def commutator_triple(point: Triple, matrix) -> Triple:
@@ -140,7 +132,7 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
 
     rng = random.Random(seed)
     # the samples are floats, so convert the exact basis once, not per sample
-    basis = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis()]
+    basis = [tuple(tuple(map(complex, r)) for r in a) for a in su2_basis(GaussianRational(0, 1))]
     max_omega = 0.0
     min_taming = math.inf
     max_tangent = 0.0
@@ -172,20 +164,17 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
     return SphereReport(n_samples, max_omega, min_taming, max_tangent, rank_failures, passed)
 
 
-def sphere_lagrangian_certificate() -> bool:
-    """Omega vanishes on the su(2) tangents of the sphere, as an identity.
+def sphere_lagrangian_identities(p, q, r, i):
+    """Omega vanishes on the su(2) tangents of the sphere, as identities.
 
     Over real symbols p, q, r, each pairing of two tangents [S, A_k] at
-    S = sphere_embedding(p, q, r, i) must equal its own conjugate.  Then its
+    S = sphere_embedding(p, q, r, i) minus its own conjugate is 0.  Then its
     imaginary part, minus Omega, is the zero polynomial on all of R^3.
     """
-    from .poly import MultiHomPoly
-
-    p, q, r = (MultiHomPoly.variable(SPHERE_BLOCKS, v) for v in "pqr")
-    point = sphere_embedding(p, q, r, GaussianRational(0, 1))
-    tangents = [commutator_triple(point, a) for a in su2_basis()]
+    point = sphere_embedding(p, q, r, i)
+    tangents = [commutator_triple(point, a) for a in su2_basis(i)]
     pairings = (hermitian_pairing(u, v) for u, v in itertools.combinations(tangents, 2))
-    return all(h == h.conjugate() for h in pairings)
+    return [(h - h.conjugate(), ()) for h in pairings]
 
 
 # ------------------------------------------------------------------ thimble
@@ -216,22 +205,18 @@ def thimble(lam: float, t: float) -> Triple:
     return thimble_chart(complex(lam), c, cmath.exp(1j * t), cmath.exp(-1j * t), 1j)[0]
 
 
-def thimble_certificate() -> bool:
+def thimble_identities(lam, c, a, b, i):
     """The thimbles are Lagrangian disks in the sphere, as identities.
 
     Over real symbols lam, c, a, b with u = a + ib, modulo D = c^2 + lam^2 - 1
     and C = a^2 + b^2 - 1 (so c = sqrt(1 - lam^2) and u is on the unit
-    circle), each identity lhs - rhs = q_D D + q_C C holds with the explicit
+    circle), each identity lhs - rhs = q_D D + q_C C has the explicit
     cofactors below: the chart's orbit residual is D + c^2 C; x = lam and z
     is the conjugate of y, so the circle over 2 lam lies in the sphere; the
     tangencies of c d/dlam and d/dt are -2 lam c C and 0; their pairing is 0,
     so Omega vanishes; and their own pairings are 2 + 2D + 2 lam^2 C and
     2c^2 + 2c^2 C, that is 2 and 2(1 - lam^2), positive for |lam| < 1.
     """
-    from .poly import MultiHomPoly
-
-    lam, c, a, b = (MultiHomPoly.variable((tuple("lcab"),), v) for v in "lcab")
-    i = GaussianRational(0, 1)
     u = a + i * b
     disk, circle = c * c + lam * lam - 1, a * a + b * b - 1
     point, d_lam, d_t = thimble_chart(lam, c, u, u.conjugate(), i)
@@ -245,26 +230,22 @@ def thimble_certificate() -> bool:
         (hermitian_pairing(d_lam, d_lam) - 2, 2, 2 * lam * lam),
         (hermitian_pairing(d_t, d_t) - 2 * c * c, 0, 2 * c * c),
     )
-    return all(diff == disk * q_d + circle * q_c for diff, q_d, q_c in identities)
+    return [(diff, ((disk, q_d), (circle, q_c))) for diff, q_d, q_c in identities]
 
 
-def taming_certificate() -> bool:
+def taming_identities(p0, q0, p1, q1, p2, q2, i):
     """omega(v, Jv) = h(v, v), a positive-weight sum of squares on all of C^3.
 
     For v = (p0 + i q0, p1 + i q1, p2 + i q2) over real symbols,
     h(v, iv) = -i h(v, v), so omega(v, iv) = -Im h(v, iv) = h(v, v), and
     h(v, v) = 2(p0^2 + q0^2) + (p1^2 + q1^2) + (p2^2 + q2^2).
     """
-    from .poly import MultiHomPoly
-
-    names = ("p0", "q0", "p1", "q1", "p2", "q2")
-    p0, q0, p1, q1, p2, q2 = (MultiHomPoly.variable((names,), v) for v in names)
-    i = GaussianRational(0, 1)
     v = (p0 + i * q0, p1 + i * q1, p2 + i * q2)
     norm = hermitian_pairing(v, v)
-    return hermitian_pairing(v, tuple(i * e for e in v)) == -i * norm and norm == (
-        2 * (p0 * p0 + q0 * q0) + (p1 * p1 + q1 * q1) + (p2 * p2 + q2 * q2)
-    )
+    return [
+        (hermitian_pairing(v, tuple(i * e for e in v)) + i * norm, ()),
+        (norm - (2 * (p0 * p0 + q0 * q0) + (p1 * p1 + q1 * q1) + (p2 * p2 + q2 * q2)), ()),
+    ]
 
 
 def _replaced_grid(*args, **kwargs):
@@ -296,7 +277,7 @@ def cylinder_chart(lam, y, u):
     return (lam, y, (1 - lam * lam) * u)
 
 
-def cylinder_chart_certificate() -> bool:
+def cylinder_chart_identities(lam, x, y, z, u):
     """The chart and (x, y, z) -> y are inverse maps between C* and the fiber x = lam.
 
     Over (lam, x, y, z, u), modulo yu - 1: the chart's orbit residual is
@@ -304,11 +285,9 @@ def cylinder_chart_certificate() -> bool:
     + u orbit_residual((x, y, z)) - u(x + lam)(x - lam).  For lam^2 != 1 the
     fiber has no point with y = 0, since yz = 1 - lam^2 there.
     """
-    from .poly import MultiHomPoly
-
-    lam, x, y, z, u = (MultiHomPoly.variable((tuple("lxyzu"),), v) for v in "lxyzu")
     unit = y * u - 1
     chart = cylinder_chart(lam, y, u)
-    return orbit_residual(chart) == (1 - lam * lam) * unit and (
-        z - chart[2] == -z * unit + u * orbit_residual((x, y, z)) - u * (x + lam) * (x - lam)
-    )
+    return [
+        (orbit_residual(chart), ((unit, 1 - lam * lam),)),
+        (z - chart[2], ((unit, -z), (orbit_residual((x, y, z)), u), (x - lam, -u * (x + lam)))),
+    ]

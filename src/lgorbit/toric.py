@@ -292,16 +292,20 @@ def f2_variables() -> Tuple[MultiHomPoly, ...]:
     return tuple(MultiHomPoly.variable(F2_BLOCKS, name) for name in ("x0", "x1", "y0", "y1"))
 
 
-def f2_equation() -> MultiHomPoly:
-    """x0*y0^2 - x1*y1^2, bidegree (1,2) on the product of a plane and a line."""
-    x0, x1, y0, y1 = f2_variables()
+def f2_form(x0, x1, y0, y1):
+    """x0*y0^2 - x1*y1^2, over any ring."""
     return x0 * y0 * y0 - x1 * y1 * y1
+
+
+def f2_equation() -> MultiHomPoly:
+    """The form of bidegree (1,2) on the product of a plane and a line."""
+    return f2_form(*f2_variables())
 
 
 # Chart certificates for certify_charts: on each affine chart (x_i = 1,
 # y_j = 1) a combination of the dehomogenized equation g and its partials
 # d that collapses to 1, proving the singular system has no solutions there.
-_F2_CERTIFICATES: Dict[Tuple[str, str], Callable[..., MultiHomPoly]] = {
+F2_CHARTS: Dict[Tuple[str, str], Callable[..., MultiHomPoly]] = {
     # g = 1 - x1*y1^2; g - x1*d[x1] = 1 - x1 y1^2 + x1 y1^2
     ("x0", "y0"): lambda g, d, v: g - v("x1") * d["x1"],
     # g = y0^2 - x1; partial in x1 is the constant -1
@@ -315,10 +319,6 @@ _F2_CERTIFICATES: Dict[Tuple[str, str], Callable[..., MultiHomPoly]] = {
     # g = x0*y0^2 - x1
     ("x2", "y1"): lambda g, d, v: -d["x1"],
 }
-
-
-def f2_chart_count() -> int:
-    return len(_F2_CERTIFICATES)
 
 
 def verify_f2_hypersurface(f: Optional[MultiHomPoly] = None) -> bool:
@@ -340,4 +340,4 @@ def verify_f2_hypersurface(f: Optional[MultiHomPoly] = None) -> bool:
         f = f2_equation()
     if f.blocks != F2_BLOCKS:
         raise PreconditionError("expected the plane-times-line variable blocks")
-    return f.multidegree == (1, 2) and certify_charts(f, _F2_CERTIFICATES)
+    return f.multidegree == (1, 2) and certify_charts(f, F2_CHARTS) is None

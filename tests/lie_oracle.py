@@ -7,7 +7,7 @@ only the tests depend on.  The central-difference truncation error is
 O(step^2).
 
 The seeded integer conjugates and the power-sum membership test are the
-sample loop that ``compactification.orbit_membership_certificate``
+sample loop that ``compactification.orbit_membership_identities``
 replaced; they use ``ExactMatrix`` products and ``ExactMatrix.inverse``
 and share nothing with the certificate.
 """

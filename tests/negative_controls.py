@@ -12,7 +12,6 @@ from lgorbit import compactification as cg
 from lgorbit import fukaya, lie, mirror, quiver, symplectic, toric
 from lgorbit.errors import DiagnosticError
 from lgorbit.fukaya import DirectedAInfCategory, GradedModule, ProductEntry
-from lgorbit.gaussian import GaussianRational
 from lgorbit.mirror import LineBundle, Skyscraper
 from lgorbit.poly import MultiHomPoly
 
@@ -70,8 +69,21 @@ def _off_diagonal_base_locus():
     return (cg.MultiProjPoint(((1, 0), (0, 1))), cg.MultiProjPoint(((0, 1), (0, 1))))
 
 
-def _wrong_cofactor(certificate):
-    return lambda *entries: [(d, c + 1) for d, c in certificate(*entries)]
+def _wrong_cofactor(identities):
+    # every cofactor one more, so each identity with a relation fails
+    return lambda *symbols: [
+        (d, tuple((r, q + 1) for r, q in terms)) for d, terms in identities(*symbols)
+    ]
+
+
+# the chart whose certificate the two chart controls corrupt
+WRONG_CHART = 5
+
+
+def _wrong_chart_cofactor(charts):
+    # g's cofactor 1 more in one chart: its certificate no longer reads 1
+    chart = list(charts)[WRONG_CHART]
+    return {**charts, chart: lambda g, d, v, original=charts[chart]: original(g, d, v) + g}
 
 
 # the replacements keep the original they perturb, since the test patches it away
@@ -90,13 +102,8 @@ def _unbalanced_forms(x, y, z, w, original=cg.height_forms):
     return (numerator * x, denominator)
 
 
-def _xwr():
-    x, w, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xwr")
-    return x * w * r
-
-
-def _graph_plus_term(original=cg.graph_surface):
-    return original() + _xwr()
+def _graph_plus_term(x, y, z, w, r, s, original=cg.graph_equation):
+    return original(x, y, z, w, r, s) + x * w * r
 
 
 def _three_base_points(original=cg.base_locus):
@@ -193,10 +200,9 @@ def _flipped_commutator(point, matrix, original=symplectic.commutator_triple):
     return u0, u1, -u2
 
 
-def _hermitian_first_generator(original=symplectic.su2_basis):
+def _hermitian_first_generator(i, original=symplectic.su2_basis):
     # diag(1, -1) for diag(i, -i): the mixed pairings turn imaginary
-    one, zero = GaussianRational(1), GaussianRational(0)
-    return (((one, zero), (zero, -one)),) + original()[1:]
+    return (((1, 0), (0, -1)),) + original(i)[1:]
 
 
 def _wrong_sign_chart(lam, y, u):
@@ -232,13 +238,15 @@ CONTROLS = {
     "compactification.tensor-projector": [(cg, "tensor_entries", _perturbed_tensor)],
     "compactification.moment-conjugation": [(cg, "moment_map", _perturbed_moment)],
     "compactification.extension-on-orbit": [
-        (cg, "extension_on_orbit_certificate",
-         _wrong_cofactor(cg.extension_on_orbit_certificate)),
+        (cg, "extension_on_orbit_identities", _wrong_cofactor(cg.extension_on_orbit_identities)),
     ],
     "compactification.extension-scaling": [(cg, "height_forms", _unbalanced_forms)],
     "compactification.base-locus": [(cg, "base_locus", _three_base_points)],
+    "compactification.graph-smooth": [
+        (cg, "GRAPH_CHARTS", _wrong_chart_cofactor(cg.GRAPH_CHARTS)),
+    ],
     "compactification.graph-contains-extension": [
-        (cg, "graph_surface", _graph_plus_term),
+        (cg, "graph_equation", _graph_plus_term),
         (cg, "base_locus", _three_base_points),
     ],
     "compactification.singular-scan": [
@@ -265,6 +273,7 @@ CONTROLS = {
         (quiver, "end_algebra_dims_tilting", _chase_stops),
     ],
     "sheaves.box-stability": [(toric, "_box_sum", _box_one_character_short)],
+    "sheaves.hypersurface-model": [(toric, "F2_CHARTS", _wrong_chart_cofactor(toric.F2_CHARTS))],
     "symplectic.sphere-lagrangian-sampled": [
         (symplectic, "commutator_triple", _flipped_commutator),
     ],
@@ -290,7 +299,6 @@ PENDING = (
     "category.projective-line-mismatch",
     "compactification.quadric-presentations",
     "compactification.extension-off-orbit",
-    "compactification.graph-smooth",
     "compactification.critical-classification",
     "compactification.deformed-ring",
     "lie.critical-set",
@@ -315,7 +323,6 @@ PENDING = (
     "sheaves.serre-duality",
     "sheaves.fiber-class-sections",
     "sheaves.surface-invariants",
-    "sheaves.hypersurface-model",
     "sheaves.hypersurface-controls",
     # the 64-point float distance reads 0 on every correct thimble pair
     "symplectic.matching-circle-gluing",

@@ -5,13 +5,13 @@ the test oracle.
 traceless A.  This is the product it replaced: S A - A S entry by entry,
 which holds for any A and checks each operand for exact or float entries.
 
-``lgorbit.symplectic.sphere_lagrangian_certificate`` proves Omega = 0 on the
+``lgorbit.symplectic.sphere_lagrangian_identities`` proves Omega = 0 on the
 sphere as an identity over real symbols.  Before it, the report evaluated the
 pairings at the twelve rational sphere points below; those points and that
 pointwise evaluation live here, with the pairing written as a sum over the
 matrix entries rather than the library's closed form.
 
-``thimble_certificate`` and ``taming_certificate`` prove the thimble and
+``thimble_identities`` and ``taming_identities`` prove the thimble and
 taming claims as identities.  Before them, the report ran the float grid at
 the end of this file: the thimble's points and analytic tangents at
 ``lambda_grid(9)`` x 64 parameters, checked against ``FIBER_TOL`` and
@@ -105,7 +105,7 @@ def trace_pairing(u, v):
 
 def sphere_pairings(point):
     """The pairing of each two su(2) tangents [S, A_k] at an exact point."""
-    tangents = [commutator_triple(point, a) for a in su2_basis()]
+    tangents = [commutator_triple(point, a) for a in su2_basis(I)]
     return [trace_pairing(u, v) for u, v in itertools.combinations(tangents, 2)]
 
 

@@ -38,12 +38,13 @@ from lgorbit.quiver import (
     ordinary_quiver,
     path_basis,
 )
+from lgorbit.poly import certify, variables
 from lgorbit.report import Config, render_json, run
 from lgorbit.symplectic import (
     check_sphere_lagrangian,
-    sphere_lagrangian_certificate,
-    taming_certificate,
-    thimble_certificate,
+    sphere_lagrangian_identities,
+    taming_identities,
+    thimble_identities,
 )
 from lgorbit.toric import (
     HirzebruchFan,
@@ -64,6 +65,10 @@ SPHERE_SAMPLES = 1000
 def _verdict(number: int, label: str, ok: bool) -> bool:
     print(f"acceptance {number} ({label}): {'PASS' if ok else 'FAIL'}")
     return ok
+
+
+def _holds(identities, names: str, *i) -> bool:
+    return certify(identities(*variables(names), *i)) is None
 
 
 def test_criterion_1_critical_structure():
@@ -105,9 +110,9 @@ def test_criterion_2_lagrangian_bounds():
         and sphere.max_tangency_residual < SPHERE_TOL
         and sphere.min_taming > 0
         and sphere.rank_failures == 0
-        and sphere_lagrangian_certificate()
-        and thimble_certificate()
-        and taming_certificate()
+        and _holds(sphere_lagrangian_identities, "p q r", GaussianRational(0, 1))
+        and _holds(thimble_identities, "lam c a b", GaussianRational(0, 1))
+        and _holds(taming_identities, "p0 q0 p1 q1 p2 q2", GaussianRational(0, 1))
     )
     assert _verdict(2, "sphere and thimbles are taming-compatible Lagrangians", ok)
 
@@ -216,8 +221,8 @@ def test_criterion_7_compactification():
     ok = (
         cg.quadric_change_check()
         and cg.gram_rank(cg.homogenize_orbit()) == 4
-        and cg.certify_cofactors(cg.moment_conjugation_certificate)
-        and cg.certify_cofactors(cg.extension_on_orbit_certificate)
+        and _holds(cg.moment_conjugation_identities, "x y z w")
+        and _holds(cg.extension_on_orbit_identities, "x y z w")
         and len(base) == 2
         and cg.base_locus_certificate()
         and values_ok
@@ -246,4 +251,4 @@ def test_exact_orbit_membership_support():
         )
         for _ in range(10)
     )
-    assert ok and cg.certify_cofactors(cg.orbit_membership_certificate)
+    assert ok and _holds(cg.orbit_membership_identities, "x y z w")

@@ -3,9 +3,13 @@
 The gate in ``perfbench/gate.py`` fixes each workload's arguments and row
 count; a renamed flag or a changed number of checks fails here, not only
 when the benchmark runs.  Every workload's arguments, the unbenchmarked ones
-too, must also still parse and load as a config.
+too, must also still parse and load as a config.  ``verify all`` must also
+run in-process under ``perfbench/tracer.py``, which swaps every public
+callable for a wrapper, as the traced benchmark runs it.
 """
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from gate import WORKLOADS, report_problems  # noqa: E402
+from tracer import Tracer  # noqa: E402
 
 BENCHMARKED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
@@ -57,3 +62,15 @@ def test_stale_workload_still_names_a_deleted_flag(name, capsys):
     assert name in WORKLOADS and name not in BENCHMARKED
     assert cli.main([*WORKLOADS[name].argv, "--seed", "0"]) == 2
     assert capsys.readouterr().err.startswith("verify: usage error: unrecognized arguments: ")
+
+
+def test_verify_all_runs_alike_plain_and_traced(tmp_path):
+    # as perfbench/inprocess.py runs it: cli.main in this interpreter, its
+    # text output sent to a buffer, once untraced and once under the tracer
+    golden = (ROOT / "tests" / "golden" / "verify_all.json").read_bytes()
+    for name, tracing in (("plain", contextlib.nullcontext()), ("traced", Tracer())):
+        out = tmp_path / f"{name}.json"
+        with tracing, contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["all", "--json", str(out)])
+        assert code == 0, name
+        assert out.read_bytes() == golden, name

@@ -15,7 +15,7 @@ from lgorbit.errors import (
     StructureError,
 )
 from lgorbit.gaussian import ExactMatrix, GaussianRational
-from lgorbit.poly import certify_charts
+from lgorbit.poly import MultiHomPoly, certify, certify_charts, variables
 from lgorbit.report import Config, run
 from negative_controls import (
     CONTROLS,
@@ -24,7 +24,6 @@ from negative_controls import (
     _graph_values_one_two,
     _off_diagonal_base_locus,
     _wrong_cofactor,
-    _xwr,
 )
 
 
@@ -129,17 +128,19 @@ def test_graph_surface_tridegree():
 
 
 def test_graph_smoothness_certificates():
-    assert cg.graph_chart_count() == 8
+    assert len(cg.GRAPH_CHARTS) == 8
     assert cg.graph_smooth_check()
 
 
 def test_graph_smoothness_controls():
     surface = cg.graph_surface()
-    perturbed = surface + _xwr()
-    assert not certify_charts(perturbed, cg._GRAPH_CERTIFICATES)
+    x, w, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xwr")
+    # on the first chart, x = z = r = 1, the term adds w, so (d_y - d_w)/2 reads 1/2
+    assert certify_charts(surface + x * w * r, cg.GRAPH_CHARTS) == 0
     # the chart x = z = r = 1 has no partial in x, and q is no variable
-    assert not certify_charts(surface, {("x", "z", "r"): lambda g, d, v: d["x"]})
-    assert not certify_charts(surface, {("x", "z", "r"): lambda g, d, v: v("q")})
+    charts = cg.GRAPH_CHARTS
+    assert certify_charts(surface, {**charts, ("x", "z", "r"): lambda g, d, v: d["x"]}) == 0
+    assert certify_charts(surface, {**charts, ("x", "w", "r"): lambda g, d, v: v("q")}) == 4
 
 
 def test_graph_contains_extension_graph():
@@ -247,14 +248,17 @@ def test_patching_support_negative_controls(monkeypatch, target, replacement):
 # ------------------------------------------------ certificates of the orbit
 
 
+def _holds(identities):
+    return certify(identities(*variables("x y z w"))) is None
+
+
 ROW_CERTIFICATES = {
-    "tensor-projector": lambda: cg.certify_cofactors(cg.tensor_projector_certificate),
-    "moment-conjugation": lambda: cg.certify_cofactors(cg.moment_conjugation_certificate),
-    "extension-on-orbit": lambda: cg.certify_cofactors(cg.extension_on_orbit_certificate),
+    "tensor-projector": lambda: _holds(cg.tensor_projector_identities),
+    "moment-conjugation": lambda: _holds(cg.moment_conjugation_identities),
+    "extension-on-orbit": lambda: _holds(cg.extension_on_orbit_identities),
     "extension-scaling": cg.extension_scaling_certificate,
-    "graph-contains-extension": lambda: cg.certify_cofactors(
-        cg.graph_extension_certificate, cg.GRAPH_BLOCKS
-    ) and cg.exceptional_fiber_check(),
+    "graph-contains-extension": lambda: _holds(cg.graph_extension_identities)
+    and cg.exceptional_fiber_check(),
     "base-locus": cg.base_locus_certificate,
     "singular-scan": cg.degenerate_values_certificate,
 }
@@ -288,15 +292,14 @@ def test_degenerate_values_certificate_reads_the_family_and_the_values(monkeypat
 
 
 def test_wrong_cofactors_fail():
-    for certificate in (
-        cg.tensor_projector_certificate,
-        cg.moment_conjugation_certificate,
-        cg.extension_on_orbit_certificate,
+    # each identity's cofactor against R is one too many, so the first fails
+    for identities in (
+        cg.tensor_projector_identities,
+        cg.moment_conjugation_identities,
+        cg.extension_on_orbit_identities,
+        cg.graph_extension_identities,
     ):
-        assert not cg.certify_cofactors(_wrong_cofactor(certificate))
-    assert not cg.certify_cofactors(
-        _wrong_cofactor(cg.graph_extension_certificate), cg.GRAPH_BLOCKS
-    )
+        assert certify(_wrong_cofactor(identities)(*variables("x y z w"))) == 0
 
 
 def test_base_locus_certificate_rejects_forms_with_other_zeros(monkeypatch):

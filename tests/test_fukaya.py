@@ -194,8 +194,20 @@ def test_relation_arities_agree_with_the_arity_walk(picks):
     # walking every arity up to one past the highest computed one changes nothing
     products = [ProductEntry(chain, output, coeff) for (chain, output), coeff in picks]
     cat = DirectedAInfCategory(("A", "B", "C"), THREE_OBJECT_HOMS, products)
-    top = max(relation_arities(cat))
+    top = max(relation_arities(cat), default=0)  # every product may cancel
     assert check_a_infinity(cat) == fukaya_oracle.check_a_infinity(cat, k_max=top + 1)
+
+
+def test_relation_arities_skip_products_that_cancel():
+    # m_1(a) = b entered with +1 and -1 is no product, so only the m_3 counts
+    cancelled = [ProductEntry(("a",), "b", 1), ProductEntry(("a",), "b", -1)]
+    cat = DirectedAInfCategory(
+        ("A", "B", "C"), THREE_OBJECT_HOMS, [ProductEntry(("i0", "a", "c"), "e"), *cancelled]
+    )
+    assert relation_arities(cat) == [5]
+    assert check_a_infinity(cat) == fukaya_oracle.check_a_infinity(cat, k_max=6)
+    nothing = DirectedAInfCategory(("A", "B", "C"), THREE_OBJECT_HOMS, cancelled)
+    assert relation_arities(nothing) == []
 
 
 def test_m3_control_fails_the_a_infinity_row(monkeypatch):

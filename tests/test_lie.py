@@ -23,6 +23,7 @@ from lgorbit.lie import (
     hessian_matrix,
     sl2_orbit_coordinates,
 )
+from lgorbit.poly import certify, variables
 from lie_oracle import conjugate_exact, orbit_contains_exact, random_sl_integer
 from negative_controls import _swapped_adjugate
 
@@ -223,16 +224,15 @@ def test_seeded_conjugates_agree_with_the_membership_certificate(seed):
     m = cg.product(cg.product(cg.group_matrix(x, y, z, w), ((1, 0), (0, -1))),
                    cg.adjugate(x, y, z, w))
     assert ExactMatrix(m) == conjugate
-    relation = x * w - y * z - 1
-    assert relation == 0
-    for difference, cofactor in cg.orbit_membership_certificate(x, y, z, w):
+    for difference, ((relation, cofactor),) in cg.orbit_membership_identities(x, y, z, w):
+        assert relation == 0
         assert difference == cofactor * relation == 0
 
 
 def test_orbit_membership_certificate_fails_for_a_wrong_adjugate(monkeypatch):
-    assert cg.certify_cofactors(cg.orbit_membership_certificate)
+    assert certify(cg.orbit_membership_identities(*variables("x y z w"))) is None
     monkeypatch.setattr(cg, "adjugate", _swapped_adjugate)
-    assert not cg.certify_cofactors(cg.orbit_membership_certificate)
+    assert certify(cg.orbit_membership_identities(*variables("x y z w"))) == 0
 
 
 def test_replaced_sampler_name_is_a_stand_in():

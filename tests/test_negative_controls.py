@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from lgorbit import cli, report, toric
+from lgorbit import cli, poly, report, toric
+from lgorbit import compactification as cg
 from lgorbit.report import Config, run
-from negative_controls import CONTROLS, PENDING
+from negative_controls import CONTROLS, PENDING, WRONG_CHART
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
 
 CASES = [
     pytest.param(row, owner, name, replacement,
-                 id=f"{row}:{replacement.__name__.strip('_<>')}")
+                 id=f"{row}:{getattr(replacement, '__name__', name).strip('_<>')}")
     for row, controls in CONTROLS.items()
     for owner, name, replacement in controls
 ]
@@ -43,5 +44,36 @@ def test_every_pass_row_has_a_control_or_is_pending():
     assert set(PENDING) <= set(passing)
     assert set(PENDING).isdisjoint(CONTROLS)  # a row leaves PENDING once it has a control
     assert set(passing) - set(CONTROLS) == set(PENDING)
-    assert len(PENDING) == len(set(PENDING)) <= 35  # the list may only shrink
-    assert (len(passing), len(set(passing) & set(CONTROLS))) == (60, 25)
+    assert len(PENDING) == len(set(PENDING)) <= 33  # the list may only shrink
+    assert (len(passing), len(set(passing) & set(CONTROLS))) == (60, 27)
+
+
+@pytest.mark.parametrize("row", ["compactification.graph-smooth", "sheaves.hypersurface-model"])
+def test_a_wrong_chart_cofactor_is_reported_at_its_chart(monkeypatch, row):
+    (owner, name, charts), = CONTROLS[row]
+    certify = poly.certify
+
+    def reports():
+        # what each poly.certify call of the suite returns, in order
+        seen = []
+        monkeypatch.setattr(poly, "certify", lambda ids: seen.append(certify(ids)) or seen[-1])
+        status = {r.id: r.status for r in run(row.split(".")[0], Config()).results}
+        monkeypatch.setattr(poly, "certify", certify)
+        return status[row], seen
+
+    clean_status, clean = reports()
+    monkeypatch.setattr(owner, name, charts)
+    status, corrupted = reports()
+    assert (clean_status, status) == ("pass", "fail")
+    assert [b for a, b in zip(clean, corrupted) if a != b] == [WRONG_CHART]
+
+
+def test_a_certificate_with_no_identity_fails_its_row(monkeypatch, capsys):
+    # an empty certificate certifies nothing, so poly.certify raises and the row fails
+    monkeypatch.setattr(cg, "extension_on_orbit_identities", lambda x, y, z, w: [])
+    rows = {r.id: r for r in run("compactification", Config()).results}
+    row = rows["compactification.extension-on-orbit"]
+    assert row.status == "fail"
+    assert row.detail == "raised DiagnosticError: the certificate lists no identity"
+    assert cli.main(["compactification"]) == 1
+    capsys.readouterr()

@@ -7,9 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgorbit.errors import StructureError
+from lgorbit.errors import DiagnosticError, StructureError
 from lgorbit.gaussian import GaussianRational
-from lgorbit.poly import MultiHomPoly
+from lgorbit.poly import MultiHomPoly, certify, certify_charts, variables
 
 BLOCKS = (("x", "y"), ("z", "w"))
 
@@ -177,3 +177,26 @@ def test_scalar_ops_accept_fraction():
     assert p + Fraction(0) == p
 
 
+
+
+def test_variables_share_one_block():
+    x, lam = variables("x lam")
+    assert x.blocks == lam.blocks == (("x", "lam"),)
+    assert (x * lam).evaluate({"x": 2, "lam": 3}) == GaussianRational(6)
+
+
+def test_certify_gives_the_position_of_the_first_failing_identity():
+    x, y = variables("x y")
+    cube = (x * x * x - x, ((x * x - 1, x),))  # x^3 - x = x (x^2 - 1)
+    assert certify([cube, (x - x, ())]) is None
+    assert certify([cube, (y, ()), (x, ())]) == 1
+    assert certify([(x * x * x - x, ((x * x - 1, y),))]) == 0
+    # relations and cofactors add up: x y - 1 = 1 (x - 1) y + y - 1
+    assert certify([(x * y - 1, ((x - 1, y), (y - 1, 1)))]) is None
+
+
+def test_certify_rejects_a_certificate_with_no_identity():
+    with pytest.raises(DiagnosticError, match="no identity"):
+        certify([])
+    with pytest.raises(DiagnosticError, match="no identity"):
+        certify_charts(v("x") * v("z"), {})

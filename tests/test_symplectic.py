@@ -12,7 +12,7 @@ import symplectic_oracle
 from lgorbit import symplectic
 from lgorbit.errors import PreconditionError
 from lgorbit.gaussian import GaussianRational
-from lgorbit.poly import MultiHomPoly
+from lgorbit.poly import certify, variables
 from lgorbit.report import Config, run
 from lgorbit.symplectic import (
     _rank_is_two,
@@ -23,7 +23,7 @@ from lgorbit.symplectic import (
     matching_circles_distance,
     orbit_residual,
     sphere_embedding,
-    sphere_lagrangian_certificate,
+    sphere_lagrangian_identities,
     sphere_point,
     su2_basis,
     thimble,
@@ -38,7 +38,13 @@ from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 
 I = GaussianRational(0, 1)
 # the samples are floats, so they read the exact basis in floats
-COMPLEX_BASIS = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis()]
+COMPLEX_BASIS = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis(I)]
+
+
+def _holds(identities, names):
+    # the call shape of the report: the identity function on one symbol per
+    # name, then the unit i
+    return certify(identities(*variables(names), I)) is None
 
 
 def test_sphere_lagrangian_sampled():
@@ -59,7 +65,7 @@ def test_rank_two_test_rejects_other_ranks():
 
 
 def test_sphere_exact_residuals_vanish():
-    assert sphere_lagrangian_certificate()
+    assert _holds(sphere_lagrangian_identities, "p q r")
     residuals = symplectic_oracle.exact_sphere_omega_residuals()
     assert len(residuals) == 3 * len(RATIONAL_SPHERE_POINTS)
     assert all(r == Fraction(0) for r in residuals)
@@ -67,9 +73,9 @@ def test_sphere_exact_residuals_vanish():
 
 def _symbolic_sphere_pairings():
     # the certificate's pairings, as polynomials in the real symbols p, q, r
-    p, q, r = (MultiHomPoly.variable(symplectic.SPHERE_BLOCKS, v) for v in "pqr")
+    p, q, r = variables("p q r")
     point = sphere_embedding(p, q, r, I)
-    tangents = [commutator_triple(point, a) for a in su2_basis()]
+    tangents = [commutator_triple(point, a) for a in su2_basis(I)]
     return [hermitian_pairing(u, v) for u, v in itertools.combinations(tangents, 2)]
 
 
@@ -86,7 +92,7 @@ def test_pointwise_pairings_agree_with_the_identity():
 
 def test_hermitian_generator_fails_the_exact_sphere_row(monkeypatch):
     monkeypatch.setattr(symplectic, "su2_basis", _hermitian_first_generator)
-    assert not sphere_lagrangian_certificate()
+    assert not _holds(sphere_lagrangian_identities, "p q r")
     rows = {r.id: r for r in run("symplectic", Config()).results}
     assert rows["symplectic.sphere-lagrangian-exact"].status == "fail"
 
@@ -121,7 +127,7 @@ def test_taming_positive_on_sphere_tangents():
         u = commutator_triple(point, a)
         assert -hermitian_pairing(u, tuple(1j * c for c in u)).imag > 0
     point = exact_sphere_point(Fraction(3, 5), 0, Fraction(4, 5))
-    for a in su2_basis():
+    for a in su2_basis(I):
         u = commutator_triple(point, a)
         taming = -hermitian_pairing(u, tuple(I * c for c in u)).im
         assert taming == hermitian_pairing(u, u).re > 0
@@ -203,10 +209,18 @@ def test_cylinder_chart_pointwise(lam, y):
 
 
 # the certificate behind each row the registry's controls fail
+def _tamed():
+    return _holds(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2")
+
+
+def _thimble():
+    return _holds(symplectic.thimble_identities, "lam c a b")
+
+
 ROW_CERTIFICATES = {
-    "thimble-grid": symplectic.thimble_certificate,
-    "taming": symplectic.taming_certificate,
-    "thimble-taming": lambda: symplectic.taming_certificate() and symplectic.thimble_certificate(),
+    "thimble-grid": _thimble,
+    "taming": _tamed,
+    "thimble-taming": lambda: _tamed() and _thimble(),
 }
 NEGATIVE_CONTROLS = [
     (row.split(".", 1)[1], target, replacement)
@@ -228,9 +242,10 @@ def test_symplectic_negative_controls(monkeypatch, row, target, replacement):
 
 
 def test_cylinder_chart_certificate_fails_for_a_wrong_chart(monkeypatch):
-    assert symplectic.cylinder_chart_certificate()
+    names = "lam x y z u"
+    assert certify(symplectic.cylinder_chart_identities(*variables(names))) is None
     monkeypatch.setattr(symplectic, "cylinder_chart", _wrong_sign_chart)
-    assert not symplectic.cylinder_chart_certificate()
+    assert certify(symplectic.cylinder_chart_identities(*variables(names))) == 0
 
 
 exact_points = st.tuples(gaussians, gaussians, gaussians) | st.sampled_from(
@@ -239,7 +254,7 @@ exact_points = st.tuples(gaussians, gaussians, gaussians) | st.sampled_from(
 traceless = st.builds(lambda a, b, c: ((a, b), (c, -a)), gaussians, gaussians, gaussians)
 
 
-@given(point=exact_points, a=traceless | st.sampled_from(su2_basis()))
+@given(point=exact_points, a=traceless | st.sampled_from(su2_basis(I)))
 @settings(max_examples=80, deadline=None)
 def test_closed_form_commutator_matches_the_matrix_product_exactly(point, a):
     assert commutator_triple(point, a) == symplectic_oracle.commutator_triple(point, a)
