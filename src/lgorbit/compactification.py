@@ -13,9 +13,10 @@ This module certifies both presentations, extends the height coordinate to
 a rational map on P1 x P1 with exactly two indeterminate points, closes its
 graph inside a triple product of lines, checks the closure is smooth chart
 by chart, and classifies which fibers of the extended map degenerate.
-Everything is exact: Gaussian rational scalars, dense multihomogeneous
-polynomials, and certificate identities instead of floating point: the
-identity functions below are written over any ring, for ``poly.certify``.
+Everything is exact, and every polynomial claim is data: an identity
+function written over any ring, which ``poly.certify`` checks.  Only the
+ranks of two quadrics, the base locus and the distinctness of the
+degenerate values are read off exact scalars instead.
 """
 
 from __future__ import annotations
@@ -27,21 +28,19 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
-from .gaussian import ONE, ZERO, ExactMatrix, GaussianRational, RatLike
+from .gaussian import ZERO, ExactMatrix, GaussianRational, RatLike
 from .poly import Blocks, MultiHomPoly, certify, certify_charts, variables
 from .symplectic import orbit_residual, sphere_embedding
 
 _HALF = Fraction(1, 2)
 
-# Single block: the quadric surface lives in one projective 3-space.
-ORBIT_BLOCKS = (("x", "y", "z", "t"),)
 # Three factors of P1 for the graph closure of the extended height map.
 GRAPH_BLOCKS = (("x", "y"), ("z", "w"), ("r", "s"))
 # Two factors for individual fibers.
 FIBER_BLOCKS = (("x", "y"), ("z", "w"))
 
 
-def _parallel(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> bool:
+def _parallel(u: Sequence[RatLike], v: Sequence[RatLike]) -> bool:
     """Whether two coordinate tuples of equal length are proportional.
 
     Intended for tuples that are not all zero, where vanishing of every
@@ -133,25 +132,30 @@ def height_forms(x, y, z, w):
 # --------------------------------------------------------------- quadric
 
 
-def orbit_affine_equation() -> MultiHomPoly:
-    """The affine surface equation x^2 + yz - 1 (in the 4-variable ring)."""
-    return orbit_residual(tuple(MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz"))
+def projective_closure(x, y, z, t):
+    """The closure x^2 + yz - t^2 of the affine surface, over any ring."""
+    return x * x + y * z - t * t
 
 
-def homogenize_orbit() -> MultiHomPoly:
-    """Projective closure of the affine surface: x^2 + yz - t^2."""
-    return orbit_affine_equation().homogenize("t")
-
-
-def segre_quadric() -> MultiHomPoly:
-    """Determinant relation xt - yz cutting out the product of two lines."""
-    x, y, z, t = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyzt")
-    return x * t - y * z
+def quadric_identities(x, y, z, t, lam):
+    """With h the closure: h(x, y, z, 1) is the orbit residual; h(lam x, ...,
+    lam t) = lam^2 h; the shear h(x - t, y, z, x + t) is yz - 4xt, which at
+    t/4 is -1 times the determinant relation xt - yz cutting out the product
+    of two lines; and h(x, y, -z, 0) = x^2 - yz."""
+    h = projective_closure
+    quarter = t * Fraction(1, 4)
+    return [
+        (h(x, y, z, 1) - orbit_residual((x, y, z)), ()),
+        (h(lam * x, lam * y, lam * z, lam * t) - lam * lam * h(x, y, z, t), ()),
+        (h(x - t, y, z, x + t) - (y * z - 4 * x * t), ()),
+        (h(x - quarter, y, z, x + quarter), ((x * t - y * z, -1),)),
+        (h(x, y, -z, 0) - (x * x - y * z), ()),
+    ]
 
 
 def gram_rank(q: MultiHomPoly) -> int:
     """Rank of the symmetric Gram matrix of a homogeneous quadratic form."""
-    if q.is_zero() or any(sum(key) != 2 for key in q.terms):
+    if not q.terms or any(sum(key) != 2 for key in q.terms):
         raise PreconditionError("gram_rank needs a nonzero quadratic form")
     names = q.variables
     n = len(names)
@@ -168,7 +172,7 @@ def gram_rank(q: MultiHomPoly) -> int:
 
 
 # Fixed coordinate renamings resolving the sign ambiguities left open by
-# "up to scale" statements; each is certified inside quadric_change_check.
+# "up to scale" statements; each is an identity of quadric_identities.
 SIGN_CONVENTIONS = {
     "product_quadric_rescaling": "after the shear x -> x - t, t -> x + t the "
     "closure equals -1 times the determinant relation once t is replaced by t/4",
@@ -180,31 +184,16 @@ SIGN_CONVENTIONS = {
 def quadric_change_check() -> bool:
     """Certify the two coordinate presentations of the projective closure.
 
-    Checks, in order: the homogenization is x^2 + yz - t^2; the shear
-    x -> x - t, t -> x + t turns it into a rank-4 quadric; rescaling t by
-    1/4 lands on a scalar multiple of the determinant relation; and the
-    divisor at infinity is a rank-3 (irreducible conic) quadric matching
-    x^2 - yz after reflecting z.
+    ``quadric_identities`` holds, and the Gram matrices give rank 4 to the
+    sheared closure and rank 3 (an irreducible conic) to the divisor at
+    infinity t = 0.
     """
-    h = homogenize_orbit()
-    x, y, z, t = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyzt")
-    if h != x * x + y * z - t * t:
-        return False
-    sheared = h.substitute({"x": x - t, "t": x + t})
-    if sheared != y * z - x * t * 4:
-        return False
-    if gram_rank(sheared) != 4:
-        return False
-    rescaled = sheared.substitute({"t": t * Fraction(1, 4)})
-    if rescaled.scalar_multiple_of(segre_quadric()) != GaussianRational(-1):
-        return False
-    infinity = h.substitute({"t": 0})
-    if infinity != x * x + y * z:
-        return False
-    reflected = infinity.substitute({"z": -z})
-    if reflected != x * x - y * z:
-        return False
-    return gram_rank(infinity) == 3
+    x, y, z, t, lam = variables("x y z t lam")
+    return (
+        certify(quadric_identities(x, y, z, t, lam)) is None
+        and gram_rank(projective_closure(x - t, y, z, x + t)) == 4
+        and gram_rank(projective_closure(x, y, z, 0)) == 3
+    )
 
 
 # ------------------------------------------------------- matrix incarnations
@@ -234,12 +223,10 @@ def moment_map(x, y, z, w):
 # ----------------------------------------------------- rational extension
 
 
-def base_locus() -> Tuple[MultiProjPoint, MultiProjPoint]:
-    """The two points where the extended height map is undefined."""
-    return (
-        MultiProjPoint(((1, 0), (1, 0))),
-        MultiProjPoint(((0, 1), (0, 1))),
-    )
+def base_locus():
+    """The two points ((x, y), (z, w)) where the extended height map is
+    undefined, in plain ints that any ring reads."""
+    return (((1, 0), (1, 0)), ((0, 1), (0, 1)))
 
 
 def rational_extension(pt: MultiProjPoint) -> MultiProjPoint:
@@ -310,18 +297,11 @@ def graph_smooth_check() -> bool:
     return certify_charts(graph_surface(), GRAPH_CHARTS) is None
 
 
-def exceptional_fiber_check() -> bool:
-    """Above each base point the whole line of values lies on the graph.
-
-    Substituting the coordinates of each point of ``base_locus()`` must
-    leave the zero polynomial in the value variables, the algebraic shadow
-    of the two blown-up points.
-    """
-    g = graph_surface()
-    return all(
-        g.substitute(dict(zip("xyzw", pt.factors[0] + pt.factors[1]))).is_zero()
-        for pt in base_locus()
-    )
+def exceptional_fiber_identities(r, s):
+    """Over each point of ``base_locus()`` the graph equation is 0 for every
+    value [r : s]: the whole line of values lies on the graph, the algebraic
+    shadow of the two blown-up points."""
+    return [(graph_equation(*p, *q, r, s), ()) for p, q in base_locus()]
 
 
 # ------------------------------------------------------- orbit certificates
@@ -380,9 +360,21 @@ def graph_extension_identities(x, y, z, w):
     return _modulo_r(x, y, z, w, (graph_equation(x, y, z, w, *height_forms(x, y, z, w)), 0))
 
 
-def extension_scaling_certificate() -> bool:
-    """Both forms have bidegree (1, 1): scaling the factors scales both alike."""
-    return all(f.multidegree == (1, 1) for f in height_forms(*generic_element()))
+def scaling_identities(x, y, z, w, lam, mu, r, s):
+    """f(lam x, lam y, mu z, mu w) = lam mu f(x, y, z, w) for both height
+    forms and the graph equation: each has bidegree (1, 1) in the points."""
+    scaled = (lam * x, lam * y, mu * z, mu * w)
+    pairs = (
+        *zip(height_forms(*scaled), height_forms(x, y, z, w)),
+        (graph_equation(*scaled, r, s), graph_equation(x, y, z, w, r, s)),
+    )
+    return [(f - lam * mu * g, ()) for f, g in pairs]
+
+
+def _bilinear() -> bool:
+    """Whether ``scaling_identities`` holds, so that the graph equation's
+    coefficients and partials are its values at unit vectors."""
+    return certify(scaling_identities(*variables("x y z w lam mu r s"))) is None
 
 
 def base_locus_certificate() -> bool:
@@ -408,7 +400,7 @@ def base_locus_certificate() -> bool:
         if (False, False) in zeroed:
             return False
         found.append(MultiProjPoint([(int(not u), int(not v)) for u, v in zeroed]))
-    locus = base_locus()
+    locus = [MultiProjPoint(pt) for pt in base_locus()]
     if not all(any(p == q for q in b) for a, b in ((found, locus), (locus, found)) for p in a):
         return False
     fixed = ((1, 0), (0, 1))
@@ -436,26 +428,14 @@ random_group_elements = moment_orbit_scan = orbit_value_identity = singular_scan
 # ------------------------------------------------------------------ fibers
 
 
-def compactified_fiber(r0: RatLike, s0: RatLike) -> MultiHomPoly:
-    """Fiber of the extended map over [r0 : s0] inside P1 x P1.
-
-    It is s0 (xw + yz) - r0 (xw - yz), read off the two height forms.
-    """
-    r0 = GaussianRational.coerce(r0)
-    s0 = GaussianRational.coerce(s0)
-    if r0.is_zero() and s0.is_zero():
-        raise PreconditionError("fiber needs a nonzero value pair")
-    plus, minus = height_forms(*generic_element())
-    return plus * s0 - minus * r0
+_UNITS = ((1, 0), (0, 1))
 
 
-def coefficient_matrix(form: MultiHomPoly) -> Tuple[Tuple[MultiHomPoly, ...], ...]:
-    """The (x, y) x (z, w) coefficient matrix of a form bilinear in the points.
-
-    Entry (u, v) is the second partial in u and v, a polynomial in whatever
-    variables the form has besides x, y, z, w.
-    """
-    return tuple(tuple(form.partial(row).partial(col) for col in "zw") for row in "xy")
+def coefficient_matrix(form):
+    """The (x, y) x (z, w) coefficient matrix of a form bilinear in the two
+    points, given as a function of x, y, z, w: entry (u, v) is its value at
+    the unit vectors e_u and e_v, over any ring."""
+    return tuple(tuple(form(*p, *q) for q in _UNITS) for p in _UNITS)
 
 
 def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
@@ -464,11 +444,28 @@ def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
     A bidegree-(1, 1) curve in P1 x P1 is singular exactly when the 2x2
     matrix of its coefficients is singular.
     """
-    return determinant(coefficient_matrix(compactified_fiber(r0, s0))).is_zero()
+    if not (r0 or s0):
+        raise PreconditionError("fiber needs a nonzero value pair")
+    return not determinant(coefficient_matrix(functools.partial(graph_equation, r=r0, s=s0)))
 
 
-# The values [r : s] over which the extended map has a singular fiber.
-DEGENERATE_VALUES = ((ONE, ONE), (ONE, -ONE))
+# The values [r : s] over which the extended map has a singular fiber, and
+# the singular point ((x, y), (z, w)) of each fiber, in plain ints.
+DEGENERATE_VALUES = ((1, 1), (1, -1))
+SINGULAR_POINTS = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+
+
+def singular_point_identities(lam, mu):
+    """Over each degenerate value the fiber vanishes at (lam p, mu q), for its
+    singular point (p, q), and so do its four partials: the fiber is
+    bilinear, so those in x, y are its values at (e_x, mu q), (e_y, mu q)
+    and those in z, w its values at (lam p, e_z), (lam p, e_w)."""
+    identities = []
+    for (r, s), (p, q) in zip(DEGENERATE_VALUES, SINGULAR_POINTS):
+        p, q = tuple(lam * c for c in p), tuple(mu * c for c in q)
+        points = [p + q, *(e + q for e in _UNITS), *(p + e for e in _UNITS)]
+        identities += [(graph_equation(*point, r, s), ()) for point in points]
+    return identities
 
 
 class CriticalData(NamedTuple):
@@ -480,69 +477,67 @@ class CriticalData(NamedTuple):
 def critical_data() -> CriticalData:
     """The two degenerate values with their unique singular points.
 
-    Each claimed point is certified directly: it satisfies its fiber
-    equation and annihilates all four bihomogeneous partials.
+    Once the graph is certified bilinear, ``singular_point_identities``
+    certifies each point: it satisfies its fiber equation and annihilates
+    all four bihomogeneous partials.
     """
     values = tuple(MultiProjPoint((value,)) for value in DEGENERATE_VALUES)
-    points = (MultiProjPoint(((1, 0), (0, 1))), MultiProjPoint(((0, 1), (1, 0))))
-
-    def singular_at(value, point):
-        fiber = compactified_fiber(*value)
-        assignment = dict(zip("xyzw", point.factors[0] + point.factors[1]))
-        return is_singular_value(*value) and all(
-            f.evaluate(assignment).is_zero() for f in (fiber, *map(fiber.partial, "xyzw"))
-        )
-
-    verified = all(singular_at(v.factors[0], p) for v, p in zip(values, points))
+    points = tuple(MultiProjPoint(point) for point in SINGULAR_POINTS)
+    verified = _bilinear() and certify(singular_point_identities(*variables("lam mu"))) is None
     return CriticalData(values, points, verified)
+
+
+def degenerate_value_identities(r, s):
+    """The determinant of the graph's coefficient matrix, a binary form in
+    r, s, is -1 times the product of b r - a s over the values [a : b] of
+    ``DEGENERATE_VALUES``: r^2 - s^2 = -(r - s)(-r - s)."""
+    matrix = coefficient_matrix(functools.partial(graph_equation, r=r, s=s))
+    roots = math.prod(b * r - a * s for a, b in DEGENERATE_VALUES)
+    return [(determinant(matrix), ((roots, -1),))]
 
 
 def degenerate_values_certificate() -> bool:
     """The fibers degenerate over ``DEGENERATE_VALUES`` and nowhere else.
 
     The graph equation is the whole family of fibers with symbolic r, s, so
-    the determinant of its coefficient matrix is the degeneracy test over
-    every value at once, a binary form in r, s.  It must be a nonzero
-    constant times the product of the forms b r - a s over the values
-    [a : b], which are pairwise not proportional; then its zeros are exactly
-    those values, each a simple root.
+    once it is certified bilinear, the determinant of its coefficient
+    matrix is the degeneracy test over every value at once.  By
+    ``degenerate_value_identities`` it is a nonzero constant times the
+    product of the forms b r - a s over the values [a : b], which are
+    pairwise not proportional; so its zeros are exactly those values, each
+    a simple root.
     """
-    graph = graph_surface()
-    r, s = (MultiHomPoly.variable(GRAPH_BLOCKS, name) for name in "rs")
-    roots = math.prod(r * b - s * a for a, b in DEGENERATE_VALUES)
     pairs = itertools.combinations(DEGENERATE_VALUES, 2)
-    distinct = not any(_parallel(u, v) for u, v in pairs)
     return (
-        graph.multidegree[:2] == (1, 1)
-        and distinct
-        and determinant(coefficient_matrix(graph)).scalar_multiple_of(roots) is not None
+        not any(_parallel(u, v) for u, v in pairs)
+        and _bilinear()
+        and certify(degenerate_value_identities(*variables("r s"))) is None
     )
 
 
 # -------------------------------------------------------------- deformation
 
 
-def deformed_ring_iso_check() -> bool:
-    """The time-2 member of the deformation is the original surface.
-
-    The affine change x -> x - 1, y -> -y carries (x+1)^2 - yz - 1 to a
-    nonzero scalar multiple of x^2 + yz - 1, so the two coordinate rings
-    agree.
-    """
-    x, y = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xy")
-    moved = _deformed_ring_equation().substitute({"x": x - 1, "y": -y})
-    return moved.scalar_multiple_of(orbit_affine_equation()) is not None
-
-
-def deformed_ring_control() -> bool:
-    """Without the change of coordinates the two equations differ."""
-    return _deformed_ring_equation().scalar_multiple_of(orbit_affine_equation()) is not None
-
-
-def _deformed_ring_equation() -> MultiHomPoly:
-    """The time-2 member (x + 1)^2 - yz - 1 of the deformation."""
-    x, y, z = (MultiHomPoly.variable(ORBIT_BLOCKS, name) for name in "xyz")
+def deformed_ring(x, y, z):
+    """The time-2 member (x + 1)^2 - yz - 1 of the deformation, over any ring."""
     return (x + 1) * (x + 1) - y * z - 1
+
+
+def deformed_ring_identities(x, y, z):
+    """The affine change x -> x - 1, y -> -y carries the time-2 member to
+    the orbit residual exactly, so the two coordinate rings agree."""
+    return [(deformed_ring(x - 1, -y, z) - orbit_residual((x, y, z)), ())]
+
+
+def unchanged_ring_certificate(x, y, z):
+    """The time-2 member as c times the orbit residual g, unchanged.
+
+    g has a nonzero constant term, so the only c that could work is the
+    ratio of the two constant terms, 0 / -1; this certificate must fail, as
+    the time-2 member is then no scalar multiple of g.
+    """
+    c = Fraction(deformed_ring(0, 0, 0), orbit_residual((0, 0, 0)))
+    return [(deformed_ring(x, y, z), ((orbit_residual((x, y, z)), c),))]
 
 
 # ------------------------------------------------- sphere versus base locus
@@ -567,5 +562,5 @@ def sphere_off_infinity_certificate() -> bool:
     whose pair misses the diagonal; both points of ``base_locus()`` lie on it.
     """
     identities = sphere_off_infinity_identities(*variables("p q r x y z"), GaussianRational(0, 1))
-    diagonal = all(determinant(pt.factors).is_zero() for pt in base_locus())
+    diagonal = not any(determinant(pt) for pt in base_locus())
     return certify(identities) is None and diagonal

@@ -111,11 +111,9 @@ class DirectedAInfCategory:
                 )
             self._identities[i] = module.basis[0][0]
         table: Dict[Chain, Counter] = defaultdict(Counter)
-        entries = tuple(products)
-        for entry in entries:
+        for entry in products:
             self._validate_entry(entry)
             table[entry.inputs][entry.output] += entry.coeff
-        self.products = entries
         # entries whose coefficients cancel leave no product behind
         self._table = {
             k: out for k, v in table.items() if (out := {o: c for o, c in v.items() if c})
@@ -247,8 +245,8 @@ def check_strict_unitality(cat: DirectedAInfCategory) -> bool:
         right = cat.apply((name, cat.identity_of(j)))
         if left != {name: 1} or right != {name: 1}:
             return False
-    for entry in cat.products:
-        if entry.arity != 2 and any(cat.is_identity(a) for a in entry.inputs):
+    for chain in cat._table:
+        if len(chain) != 2 and any(cat.is_identity(a) for a in chain):
             return False
     return True
 

@@ -9,8 +9,9 @@ disagree is marked inhomogeneous (``None``).  The public constructor
 validates what it is given; arithmetic builds its results from operands
 already checked, with zero coefficients popped, and skips that work.
 
-``certify`` is the one checker of the library's exact identities, which
-other modules write as data over any ring and evaluate on ``variables``.
+``certify`` is the one checker of the library's polynomial claims: other
+modules write each claim as identity data over any ring and evaluate it on
+``variables``, and none compares two polynomials itself.
 """
 
 from __future__ import annotations
@@ -253,70 +254,6 @@ class MultiHomPoly:
                     term = term * image ** key[idx]
             result = result + term
         return result
-
-    def evaluate(self, assignment: Mapping[str, RatLike]) -> GaussianRational:
-        """Evaluate at a full assignment of exact values; partial ones error."""
-        values = []
-        for v in self._vars:
-            if v not in assignment:
-                raise StructureError(f"missing assignment for variable {v!r}")
-            values.append(GaussianRational.coerce(assignment[v]))
-        total = ZERO
-        for key, coeff in self.terms.items():
-            term = coeff
-            for idx, e in enumerate(key):
-                if e:
-                    term = term * values[idx] ** e
-            total = total + term
-        return total
-
-    def homogenize(self, name: str) -> "MultiHomPoly":
-        """Homogenize within the block containing ``name``.
-
-        The variable must not occur in any term yet; each term is padded with
-        the power of ``name`` bringing its block degree up to the maximum.
-        """
-        idx = self.var_index(name)
-        lo = 0
-        for block in self.blocks:
-            if idx < lo + len(block):
-                break
-            lo += len(block)
-        hi = lo + len(block)
-        if any(key[idx] != 0 for key in self.terms):
-            raise StructureError(f"homogenization variable {name!r} already occurs")
-        if not self.terms:
-            return self
-        target = max(sum(key[lo:hi]) for key in self.terms)
-        out: Dict[Exponents, GaussianRational] = {}
-        for key, coeff in self.terms.items():
-            pad = target - sum(key[lo:hi])
-            new_key = key[:idx] + (key[idx] + pad,) + key[idx + 1 :]
-            out[new_key] = coeff
-        return MultiHomPoly(self.blocks, out)
-
-    def scalar_multiple_of(self, other: "MultiHomPoly") -> Optional[GaussianRational]:
-        """Return the nonzero scalar c with self == c * other, or None.
-
-        The zero polynomial is a scalar multiple of nothing (and nothing of
-        it) except itself, for which 1 is returned; this keeps the projective
-        reading of "the same equation up to scale" strict.
-        """
-        self._check_blocks(other)
-        if self.is_zero() and other.is_zero():
-            return ONE
-        if self.is_zero() or other.is_zero():
-            return None
-        if set(self.terms) != set(other.terms):
-            return None
-        ratio = None
-        for key, coeff in self.terms.items():
-            current = coeff / other.terms[key]
-            if ratio is None:
-                ratio = current
-            elif ratio != current:
-                return None
-        return ratio
 
     def __repr__(self) -> str:
         return f"MultiHomPoly({self.blocks!r}, {self.terms!r})"

@@ -698,7 +698,7 @@ suite_compactification = _suite(
           )),
     Check("compactification.extension-scaling", "claim:extension-is-projectively-defined",
           lambda geo: (
-              geo.extension_scaling_certificate(),
+              _certified(geo.scaling_identities, "x y z w lam mu r s"),
               "both forms xw + yz and xw - yz have bidegree (1, 1), so rescaling "
               "the factors by l and m multiplies both by l*m",
           )),
@@ -718,7 +718,7 @@ suite_compactification = _suite(
     Check("compactification.graph-contains-extension", "claim:closure-extends-the-graph",
           lambda geo: (
               _certified(geo.graph_extension_identities, "x y z w")
-              and geo.exceptional_fiber_check(),
+              and _certified(geo.exceptional_fiber_identities, "r s"),
               "with r, s replaced by xw + yz, xw - yz the trilinear equation is the "
               "zero polynomial (cofactor 0); over both base points it vanishes too",
           )),
@@ -741,7 +741,8 @@ suite_compactification = _suite(
           )),
     Check("compactification.deformed-ring", "claim:deformation-at-time-two-is-the-orbit",
           lambda geo: (
-              geo.deformed_ring_iso_check() and not geo.deformed_ring_control(),
+              _certified(geo.deformed_ring_identities, "x y z")
+              and not _certified(geo.unchanged_ring_certificate, "x y z"),
               "the affine change of coordinates carries one equation to a scalar "
               "multiple of the other, and the identity substitution does not",
           )),

@@ -10,7 +10,7 @@ and integer points of P1 x P1 or of the value line, and test each identity
 at those points with ``ExactMatrix`` products and ``ExactMatrix.inverse``.
 They share with the certificates only the formulas under test
 (``tensor_entries``, ``moment_map``, ``rational_extension``,
-``graph_surface``, ``is_singular_value``), evaluated at exact entries.
+``graph_equation``, ``is_singular_value``), evaluated at exact entries.
 """
 
 import random
@@ -20,7 +20,7 @@ from typing import Iterator, Tuple
 from lgorbit.compactification import (
     MultiProjPoint,
     base_locus,
-    graph_surface,
+    graph_equation,
     is_singular_value,
     moment_map,
     product,
@@ -94,7 +94,7 @@ def base_locus_scan(samples: int = 25, seed: int = 0) -> bool:
     candidates = [MultiProjPoint((f1, f2)) for f1 in fixed for f2 in fixed]
     points = random_pairs(random.Random(seed))
     candidates += [next(points) for _ in range(samples)]
-    locus = base_locus()
+    locus = [MultiProjPoint(pt) for pt in base_locus()]
     for pt in candidates:
         try:
             rational_extension(pt)
@@ -144,8 +144,7 @@ def orbit_value_identity(count: int = 100, seed: int = 2) -> bool:
 
 
 def graph_vanishing_check(samples: int = 20, seed: int = 3) -> bool:
-    """The graph polynomial vanishes on (point, extension value) pairs."""
-    g = graph_surface()
+    """The graph equation vanishes on (point, extension value) pairs."""
     points = random_pairs(random.Random(seed))
     done = 0
     while done < samples:
@@ -156,7 +155,7 @@ def graph_vanishing_check(samples: int = 20, seed: int = 3) -> bool:
             continue
         (x, y), (z, w) = pt.factors
         (r, s) = value.factors[0]
-        if not g.evaluate({"x": x, "y": y, "z": z, "w": w, "r": r, "s": s}).is_zero():
+        if graph_equation(x, y, z, w, r, s):
             return False
         done += 1
     return True
@@ -199,7 +198,7 @@ def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjP
 
 def sphere_avoids_base_locus(points=RATIONAL_SPHERE_POINTS) -> bool:
     """Each point's eigenline pair is off the diagonal and is neither base point."""
-    locus = base_locus()
+    locus = [MultiProjPoint(pt) for pt in base_locus()]
     for p, q, r in points:
         pair = sphere_point_orbit_pair(p, q, r)
         (u1, u2), (v1, v2) = pair.factors

@@ -13,7 +13,6 @@ from lgorbit import fukaya, lie, mirror, quiver, symplectic, toric
 from lgorbit.errors import DiagnosticError
 from lgorbit.fukaya import DirectedAInfCategory, GradedModule, ProductEntry
 from lgorbit.mirror import LineBundle, Skyscraper
-from lgorbit.poly import MultiHomPoly
 
 # ---------------------------------------------------------------- category
 
@@ -66,7 +65,7 @@ def _conjugated_embedding(p, q, r, i):
 
 
 def _off_diagonal_base_locus():
-    return (cg.MultiProjPoint(((1, 0), (0, 1))), cg.MultiProjPoint(((0, 1), (0, 1))))
+    return (((1, 0), (0, 1)), ((0, 1), (0, 1)))
 
 
 def _wrong_cofactor(identities):
@@ -107,27 +106,36 @@ def _graph_plus_term(x, y, z, w, r, s, original=cg.graph_equation):
 
 
 def _three_base_points(original=cg.base_locus):
-    return original() + (cg.MultiProjPoint(((1, 1), (1, 1))),)
+    return original() + (((1, 1), (1, 1)),)
 
 
-def _graph_values_one_two():
+def _graph_values_one_two(x, y, z, w, r, s, original=cg.graph_equation):
     # degenerate over [1:2] and [1:-2]: determinant 4r^2 - s^2
-    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
-    plus, minus = cg.height_forms(*cg.generic_element(cg.GRAPH_BLOCKS))
-    return s * plus - r * minus * 2
+    return original(x, y, z, w, r * 2, s)
 
 
-def _graph_off_bidegree(original=cg.graph_surface):
-    # x*y*r has no second partial in (x, y) x (z, w), so only the degree test sees it
-    x, y, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xyr")
-    return original() + x * y * r
+def _graph_off_bidegree(x, y, z, w, r, s, original=cg.graph_equation):
+    # x*y*r is 0 at every pair of unit vectors, so only the bilinearity test sees it
+    return original(x, y, z, w, r, s) + x * y * r
 
 
-def _graph_double_root():
+def _graph_double_root(x, y, z, w, r, s):
     # determinant -(s - r)^2: [1:1] twice and [1:-1] never
-    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
-    plus, _ = cg.height_forms(*cg.generic_element(cg.GRAPH_BLOCKS))
+    plus, _ = cg.height_forms(x, y, z, w)
     return (s - r) * plus
+
+
+def _closure_plus_xt(x, y, z, t, original=cg.projective_closure):
+    return original(x, y, z, t) + x * t
+
+
+# [1:2] for [1:-1]: the fiber over it is smooth at the claimed singular point
+_WRONG_DEGENERATE_VALUES = ((1, 1), (1, 2))
+
+
+def _y_not_negated(x, y, z, original=cg.deformed_ring):
+    # the time-2 member read with y for -y, as if the change dropped y -> -y
+    return original(x, -y, z)
 
 
 # --------------------------------------------------------------------- lie
@@ -235,6 +243,7 @@ CONTROLS = {
         (toric, "ext_dims", _degree_one_lost),
         (toric, "ext_dims", _every_surface_degree_two),
     ],
+    "compactification.quadric-presentations": [(cg, "projective_closure", _closure_plus_xt)],
     "compactification.tensor-projector": [(cg, "tensor_entries", _perturbed_tensor)],
     "compactification.moment-conjugation": [(cg, "moment_map", _perturbed_moment)],
     "compactification.extension-on-orbit": [
@@ -249,11 +258,15 @@ CONTROLS = {
         (cg, "graph_equation", _graph_plus_term),
         (cg, "base_locus", _three_base_points),
     ],
-    "compactification.singular-scan": [
-        (cg, "graph_surface", _graph_values_one_two),
-        (cg, "graph_surface", _graph_double_root),
-        (cg, "graph_surface", _graph_off_bidegree),
+    "compactification.critical-classification": [
+        (cg, "DEGENERATE_VALUES", _WRONG_DEGENERATE_VALUES),
     ],
+    "compactification.singular-scan": [
+        (cg, "graph_equation", _graph_values_one_two),
+        (cg, "graph_equation", _graph_double_root),
+        (cg, "graph_equation", _graph_off_bidegree),
+    ],
+    "compactification.deformed-ring": [(cg, "deformed_ring", _y_not_negated)],
     "compactification.symplectic-patching": [
         (cg, "sphere_embedding", _conjugated_embedding),
         (cg, "base_locus", _off_diagonal_base_locus),
@@ -297,10 +310,7 @@ PENDING = (
     "category.morse-circle-differential",
     "category.hom-table",
     "category.projective-line-mismatch",
-    "compactification.quadric-presentations",
     "compactification.extension-off-orbit",
-    "compactification.critical-classification",
-    "compactification.deformed-ring",
     "lie.critical-set",
     "lie.critical-heights",
     "lie.count-sl3-regular",

@@ -1,5 +1,6 @@
 """Compactified geometry: quadric, graph surface, fibration, extension map."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -67,9 +68,10 @@ def test_random_group_elements_determinant_one():
 
 def test_quadric_presentations():
     assert cg.quadric_change_check()
-    assert cg.gram_rank(cg.homogenize_orbit()) == 4
-    with pytest.raises(PreconditionError):
-        cg.gram_rank(cg.orbit_affine_equation())
+    x, y, z, t = variables("x y z t")
+    assert cg.gram_rank(cg.projective_closure(x, y, z, t)) == 4
+    with pytest.raises(PreconditionError):  # the affine equation is no quadratic form
+        cg.gram_rank(cg.projective_closure(x, y, z, 1))
 
 
 def test_tensor_and_moment_on_identity():
@@ -106,7 +108,7 @@ def test_extension_base_locus():
     assert len(base) == 2
     for pt in base:
         with pytest.raises(IndeterminatePointError, match="indeterminate point"):
-            cg.rational_extension(pt)
+            cg.rational_extension(cg.MultiProjPoint(pt))
     assert compact_oracle.base_locus_scan(25, seed=5)
 
 
@@ -145,7 +147,7 @@ def test_graph_smoothness_controls():
 
 def test_graph_contains_extension_graph():
     assert compact_oracle.graph_vanishing_check(20, seed=7)
-    assert cg.exceptional_fiber_check()
+    assert _holds(cg.exceptional_fiber_identities, "r s")
 
 
 def test_fiber_singularity_classification():
@@ -156,7 +158,7 @@ def test_fiber_singularity_classification():
     assert not cg.is_singular_value(0, 1)
     assert not cg.is_singular_value(2, 1)
     with pytest.raises(PreconditionError):
-        cg.compactified_fiber(0, 0)
+        cg.is_singular_value(0, 0)
 
 
 def test_critical_data():
@@ -170,6 +172,20 @@ def test_critical_data():
         cg.MultiProjPoint(((1, 0), (0, 1))),
         cg.MultiProjPoint(((0, 1), (1, 0))),
     )
+    # the identities read partials as values at unit vectors; the formal
+    # partials of each fiber vanish at its point too
+    for (r, s), (p, q) in zip(cg.DEGENERATE_VALUES, cg.SINGULAR_POINTS):
+        fiber = cg.graph_surface().substitute({"r": r, "s": s})
+        point = dict(zip("xyzw", p + q))
+        assert not any(f.substitute(point) for f in (fiber, *map(fiber.partial, "xyzw")))
+
+
+def test_coefficient_matrix_is_the_second_partials():
+    # for a bilinear form the values at pairs of unit vectors are its second partials
+    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
+    g = cg.graph_surface()
+    matrix = cg.coefficient_matrix(functools.partial(cg.graph_equation, r=r, s=s))
+    assert matrix == tuple(tuple(g.partial(u).partial(v) for v in "zw") for u in "xy")
 
 
 VALUE_PAIRS = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any)
@@ -187,8 +203,9 @@ def test_singular_values_match_the_closed_form(pair, scalar):
 
 
 def test_deformed_ring_isomorphism():
-    assert cg.deformed_ring_iso_check()
-    assert not cg.deformed_ring_control()
+    assert _holds(cg.deformed_ring_identities, "x y z")
+    # the one scalar the unchanged equation could take is 0, which fails
+    assert certify(cg.unchanged_ring_certificate(*variables("x y z"))) == 0
 
 
 def test_sphere_embedding_agrees_with_fiber_chart():
@@ -228,7 +245,7 @@ def test_sphere_avoids_base_locus():
         x, y, z = symplectic_oracle.exact_sphere_point(p, q, r)
         m = ((x, y), (z, -x))
         assert cg.product(m, m) == ((1, 0), (0, 1))
-    assert all(cg.determinant(pt.factors).is_zero() for pt in cg.base_locus())
+    assert all(cg.determinant(pt) == 0 for pt in cg.base_locus())
 
 
 @pytest.mark.parametrize("target, replacement", [
@@ -248,20 +265,28 @@ def test_patching_support_negative_controls(monkeypatch, target, replacement):
 # ------------------------------------------------ certificates of the orbit
 
 
-def _holds(identities):
-    return certify(identities(*variables("x y z w"))) is None
+def _holds(identities, names="x y z w"):
+    return certify(identities(*variables(names))) is None
 
 
 ROW_CERTIFICATES = {
+    "quadric-presentations": cg.quadric_change_check,
     "tensor-projector": lambda: _holds(cg.tensor_projector_identities),
     "moment-conjugation": lambda: _holds(cg.moment_conjugation_identities),
     "extension-on-orbit": lambda: _holds(cg.extension_on_orbit_identities),
-    "extension-scaling": cg.extension_scaling_certificate,
+    "extension-scaling": lambda: _holds(cg.scaling_identities, "x y z w lam mu r s"),
     "graph-contains-extension": lambda: _holds(cg.graph_extension_identities)
-    and cg.exceptional_fiber_check(),
+    and _holds(cg.exceptional_fiber_identities, "r s"),
     "base-locus": cg.base_locus_certificate,
+    "critical-classification": lambda: cg.critical_data().verified,
     "singular-scan": cg.degenerate_values_certificate,
+    "deformed-ring": lambda: _holds(cg.deformed_ring_identities, "x y z"),
 }
+
+
+def _control_id(value):
+    # names and functions as pytest spells them, a patched constant by its value
+    return value if isinstance(value, str) else getattr(value, "__name__", repr(value))
 
 
 @pytest.mark.parametrize("row, target, replacement", [
@@ -269,7 +294,7 @@ ROW_CERTIFICATES = {
     for row, controls in CONTROLS.items()
     if row.split(".", 1)[1] in ROW_CERTIFICATES
     for owner, target, replacement in controls
-])
+], ids=_control_id)
 def test_orbit_certificate_negative_controls(monkeypatch, row, target, replacement):
     # the certificate behind the row fails; tests/test_negative_controls.py
     # fails the row and the command
@@ -279,14 +304,13 @@ def test_orbit_certificate_negative_controls(monkeypatch, row, target, replaceme
 
 
 def test_degenerate_values_certificate_reads_the_family_and_the_values(monkeypatch):
-    monkeypatch.setattr(cg, "graph_surface", _graph_values_one_two)
+    monkeypatch.setattr(cg, "graph_equation", _graph_values_one_two)
     assert not cg.degenerate_values_certificate()
     # claiming the family's own values makes the certificate hold again
-    two = GaussianRational(2)
-    monkeypatch.setattr(cg, "DEGENERATE_VALUES", ((1, two), (1, -two)))
+    monkeypatch.setattr(cg, "DEGENERATE_VALUES", ((1, 2), (1, -2)))
     assert cg.degenerate_values_certificate()
     # two proportional values are one value, however the form factors
-    monkeypatch.setattr(cg, "graph_surface", _graph_double_root)
+    monkeypatch.setattr(cg, "graph_equation", _graph_double_root)
     monkeypatch.setattr(cg, "DEGENERATE_VALUES", ((1, 1), (2, 2)))
     assert not cg.degenerate_values_certificate()
 

@@ -222,6 +222,19 @@ def test_lg2_strictly_unital():
     assert check_strict_unitality(lg2_category())
 
 
+def test_strict_unitality_skips_products_that_cancel():
+    # m_3(i0, f, g) = k entered with +1 and -1 is no product, so the
+    # identity i0 stays a strict unit; entered once, it is not
+    m3 = chain_with_m3()
+    assert not check_strict_unitality(m3)
+    binary = [ProductEntry(chain, out, c) for chain, outs in m3._table.items()
+              if len(chain) == 2 for out, c in outs.items()]
+    cancelled = [ProductEntry(("i0", "f", "g"), "k", sign) for sign in (1, -1)]
+    cat = DirectedAInfCategory(m3.objects, m3.homs, binary + cancelled)
+    assert relation_arities(cat) == [3]
+    assert check_a_infinity(cat) and check_strict_unitality(cat)
+
+
 def test_lg2_differential_only_forced_slot():
     cat = lg2_category()
     assert degree_forced_vanishing(cat) == []

@@ -19,11 +19,17 @@ from lgorbit import compactification as cg
 from lgorbit import symplectic, toric
 
 IDENTITIES = (
+    cg.quadric_identities,
     cg.tensor_projector_identities,
     cg.moment_conjugation_identities,
     cg.extension_on_orbit_identities,
     cg.orbit_membership_identities,
     cg.graph_extension_identities,
+    cg.exceptional_fiber_identities,
+    cg.scaling_identities,
+    cg.singular_point_identities,
+    cg.degenerate_value_identities,
+    cg.deformed_ring_identities,
     cg.sphere_off_infinity_identities,
     symplectic.sphere_lagrangian_identities,
     symplectic.thimble_identities,
@@ -52,7 +58,7 @@ def _charts(equation, blocks, charts):
 # each identity function and chart table, with how many identities it holds
 CASES = {
     **{f.__name__: (lambda f=f: f(*_symbols(f)), n)
-       for f, n in zip(IDENTITIES, (5, 6, 1, 2, 1, 5, 3, 8, 2, 2))},
+       for f, n in zip(IDENTITIES, (5, 5, 6, 1, 2, 1, 2, 3, 10, 1, 1, 5, 3, 8, 2, 2))},
     "graph_charts": (lambda: _charts(cg.graph_equation, cg.GRAPH_BLOCKS, cg.GRAPH_CHARTS), 8),
     "f2_charts": (lambda: _charts(toric.f2_form, toric.F2_BLOCKS, toric.F2_CHARTS), 6),
 }
@@ -68,9 +74,15 @@ def test_identities_hold_over_sympy(case):
 
 
 def test_every_identity_function_is_listed():
-    # all 49 identities behind the report: a new identity function joins the list
+    # all 71 identities behind the report: a new identity function joins the list
     src = Path(cg.__file__).parent
     defined = {name for path in src.glob("*.py")
                for name in re.findall(r"^def (\w+_identities)\(", path.read_text(), re.M)}
     assert defined == {f.__name__ for f in IDENTITIES}
-    assert sum(count for _, count in CASES.values()) == 49
+    assert sum(count for _, count in CASES.values()) == 71
+
+
+def test_the_unchanged_ring_certificate_fails_over_sympy():
+    # the time-2 member minus its one possible scalar, 0, times the orbit residual
+    (difference, terms), = cg.unchanged_ring_certificate(*_symbols(cg.unchanged_ring_certificate))
+    assert sympy.expand(difference - sum(q * r for r, q in terms)) != 0

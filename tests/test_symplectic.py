@@ -71,22 +71,21 @@ def test_sphere_exact_residuals_vanish():
     assert all(r == Fraction(0) for r in residuals)
 
 
-def _symbolic_sphere_pairings():
-    # the certificate's pairings, as polynomials in the real symbols p, q, r
-    p, q, r = variables("p q r")
+def _sphere_pairings(p, q, r):
+    # the certificate's pairings, over any ring: real symbols or exact values
     point = sphere_embedding(p, q, r, I)
     tangents = [commutator_triple(point, a) for a in su2_basis(I)]
     return [hermitian_pairing(u, v) for u, v in itertools.combinations(tangents, 2)]
 
 
 def test_pointwise_pairings_agree_with_the_identity():
-    # the identity's polynomials, evaluated at each rational point, are the
-    # oracle's entry-by-entry pairings there, and each is real
-    symbolic = _symbolic_sphere_pairings()
+    # the identity's pairings, at each rational point, are the oracle's
+    # entry-by-entry pairings there, and each is real
+    symbolic = _sphere_pairings(*variables("p q r"))
     assert all(h == h.conjugate() and not h.is_zero() for h in symbolic)
     for p, q, r in RATIONAL_SPHERE_POINTS:
         pointwise = symplectic_oracle.sphere_pairings(exact_sphere_point(p, q, r))
-        assert [h.evaluate({"p": p, "q": q, "r": r}) for h in symbolic] == pointwise
+        assert _sphere_pairings(p, q, r) == pointwise
         assert all(h.im == 0 for h in pointwise)
 
 
