@@ -29,15 +29,10 @@ from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ZERO, ExactMatrix, GaussianRational, RatLike
-from .poly import Blocks, MultiHomPoly, certify, certify_charts, variables
+from .poly import MultiHomPoly, certify, certify_charts, variables
 from .symplectic import orbit_residual, sphere_embedding
 
 _HALF = Fraction(1, 2)
-
-# Three factors of P1 for the graph closure of the extended height map.
-GRAPH_BLOCKS = (("x", "y"), ("z", "w"), ("r", "s"))
-# Two factors for individual fibers.
-FIBER_BLOCKS = (("x", "y"), ("z", "w"))
 
 
 def _parallel(u: Sequence[RatLike], v: Sequence[RatLike]) -> bool:
@@ -255,9 +250,9 @@ def graph_equation(x, y, z, w, r, s):
 
 
 def graph_surface() -> MultiHomPoly:
-    """Closure of the graph of the extension on the triple product of lines."""
-    r, s = (MultiHomPoly.variable(GRAPH_BLOCKS, name) for name in "rs")
-    return graph_equation(*generic_element(GRAPH_BLOCKS), r, s)
+    """Closure of the graph of the extension on the triple product of lines,
+    with (x, y), (z, w) and (r, s) the coordinates of the three factors."""
+    return graph_equation(*variables("x y z w r s"))
 
 
 # Chart certificates for certify_charts, one per affine chart, expressing
@@ -308,12 +303,6 @@ def exceptional_fiber_identities(r, s):
 # A claim about the orbit is an identity in the generic entries x, y, z, w
 # modulo R = xw - yz - 1: each identity function pairs every difference with
 # its cofactor q against R, for poly.certify to check difference = q R.
-
-
-@functools.cache
-def generic_element(blocks: Blocks = FIBER_BLOCKS) -> Tuple[MultiHomPoly, ...]:
-    """The entries x, y, z, w as variables on ``blocks``, built once per blocks."""
-    return tuple(MultiHomPoly.variable(blocks, name) for name in "xyzw")
 
 
 def _modulo_r(x, y, z, w, *pairs):
@@ -387,14 +376,14 @@ def base_locus_certificate() -> bool:
     claimed ones, and at the torus-fixed points the extension raises exactly
     there.
     """
-    forms = height_forms(*generic_element())
+    forms = height_forms(*variables("x y z w"))
     support = sorted({key for f in forms for key in f.terms})
     matrix = [[f.terms.get(key, ZERO) for key in support] for f in forms]
     if len(support) != len(forms) or determinant(matrix).is_zero():
         return False
     found = []
     for choice in itertools.product(*([i for i, e in enumerate(k) if e] for k in support)):
-        zeroed = [(i in choice, i + 1 in choice) for i in (0, 2)]  # per factor
+        zeroed = [(i in choice, i + 1 in choice) for i in (0, 2)]  # (x, y), (z, w)
         if (True, True) in zeroed:
             continue
         if (False, False) in zeroed:

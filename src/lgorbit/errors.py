@@ -3,7 +3,7 @@
 Three failure vocabularies are used across the library:
 
 * ``StructureError``   -- malformed data handed to a constructor or operation
-  (mismatched blocks, unknown variables, non-composable chains).
+  (mismatched variable tuples, unknown variables, non-composable chains).
 * ``PreconditionError`` -- a documented operation precondition was violated
   (off-sphere input, non-critical point, out-of-range parameter).
 * ``DiagnosticError``  -- a computation could not certify its own consistency

@@ -1,13 +1,12 @@
-"""Multihomogeneous polynomials over the Gaussian rationals.
+"""Polynomials over the Gaussian rationals on one tuple of variables.
 
-A polynomial lives on a fixed tuple of variable blocks, for example
-``(("x", "y"), ("z", "w"))`` for a bihomogeneous form on a product of two
-projective lines.  Terms are stored densely: each key is one exponent per
-declared variable, in declaration order across all blocks.  Per-block degrees
-are recomputed from the terms on first read; a block whose term degrees
-disagree is marked inhomogeneous (``None``).  The public constructor
-validates what it is given; arithmetic builds its results from operands
-already checked, with zero coefficients popped, and skips that work.
+A polynomial lives on a fixed tuple of distinct variable names, which
+``variables`` builds, for example ``variables("x y z w")``.  Terms are
+stored densely: each key is one exponent per variable, in declaration
+order.  The public constructor validates what it is given; arithmetic
+builds its results from operands already checked, with zero coefficients
+popped, and skips that work.  No degree is read off the terms: a claim
+such as bihomogeneity is an identity, Euler's relation, like any other.
 
 ``certify`` is the one checker of the library's polynomial claims: other
 modules write each claim as identity data over any ring and evaluate it on
@@ -24,33 +23,25 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple,
 from .errors import DiagnosticError, StructureError
 from .gaussian import ONE, ZERO, GaussianRational, RatLike
 
-Blocks = Tuple[Tuple[str, ...], ...]
 Exponents = Tuple[int, ...]
 
 
-def _normalize_blocks(blocks: Iterable[Iterable[str]]) -> Blocks:
-    normalized = tuple(tuple(block) for block in blocks)
-    flat = [v for block in normalized for v in block]
-    if len(set(flat)) != len(flat):
-        raise StructureError("variable names must be distinct across blocks")
-    if not flat:
-        raise StructureError("at least one variable is required")
-    return normalized
-
-
 class MultiHomPoly:
-    """Polynomial with exact coefficients on declared variable blocks."""
+    """Polynomial with exact coefficients on a tuple of distinct variables."""
 
-    __slots__ = ("blocks", "terms", "_vars", "_multidegree")
+    __slots__ = ("variables", "terms")
 
     def __init__(
         self,
-        blocks: Iterable[Iterable[str]],
+        names: Iterable[str],
         terms: Mapping[Sequence[int], RatLike] = (),
     ):
-        self.blocks = _normalize_blocks(blocks)
-        self._vars = tuple(v for block in self.blocks for v in block)
-        nvars = len(self._vars)
+        self.variables = tuple(names)
+        nvars = len(self.variables)
+        if not nvars:
+            raise StructureError("at least one variable is required")
+        if len(set(self.variables)) != nvars:
+            raise StructureError("variable names must be distinct")
         clean: Dict[Exponents, GaussianRational] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exponents, coeff in items:
@@ -69,82 +60,50 @@ class MultiHomPoly:
         self.terms = clean
 
     def _like(self, terms: Dict[Exponents, GaussianRational]) -> "MultiHomPoly":
-        """A polynomial on this one's blocks; ``terms`` must be clean already."""
+        """A polynomial on this one's variables; ``terms`` must be clean already."""
         out = MultiHomPoly.__new__(MultiHomPoly)
-        out.blocks = self.blocks
-        out._vars = self._vars
+        out.variables = self.variables
         out.terms = terms
         return out
 
     # ---------------------------------------------------------------- basics
 
     @classmethod
-    def constant(cls, blocks: Iterable[Iterable[str]], value: RatLike) -> "MultiHomPoly":
-        blocks = _normalize_blocks(blocks)
-        nvars = sum(len(b) for b in blocks)
-        return cls(blocks, {(0,) * nvars: value})
+    def constant(cls, names: Iterable[str], value: RatLike) -> "MultiHomPoly":
+        names = tuple(names)
+        return cls(names, {(0,) * len(names): value})
 
     @classmethod
-    def variable(cls, blocks: Iterable[Iterable[str]], name: str) -> "MultiHomPoly":
-        blocks = _normalize_blocks(blocks)
-        flat = [v for block in blocks for v in block]
-        if name not in flat:
+    def variable(cls, names: Iterable[str], name: str) -> "MultiHomPoly":
+        names = tuple(names)
+        if name not in names:
             raise StructureError(f"unknown variable {name!r}")
-        expo = tuple(1 if v == name else 0 for v in flat)
-        return cls(blocks, {expo: 1})
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return self._vars
+        return cls(names, {tuple(int(v == name) for v in names): 1})
 
     def var_index(self, name: str) -> int:
         try:
-            return self._vars.index(name)
+            return self.variables.index(name)
         except ValueError:
             raise StructureError(f"unknown variable {name!r}") from None
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _compute_multidegree(self) -> Tuple[Optional[int], ...]:
-        if not self.terms:
-            return (None,) * len(self.blocks)
-        degrees = []
-        offset = 0
-        for block in self.blocks:
-            width = len(block)
-            sums = {sum(key[offset : offset + width]) for key in self.terms}
-            degrees.append(sums.pop() if len(sums) == 1 else None)
-            offset += width
-        return tuple(degrees)
-
-    @property
-    def multidegree(self) -> Tuple[Optional[int], ...]:
-        """Per-block degree, with None marking an inhomogeneous block."""
-        try:
-            return self._multidegree
-        except AttributeError:
-            self._multidegree = self._compute_multidegree()
-            return self._multidegree
-
     # ------------------------------------------------------------ arithmetic
 
-    def _check_blocks(self, other: "MultiHomPoly") -> None:
-        if self.blocks != other.blocks:
+    def _check_variables(self, other: "MultiHomPoly") -> None:
+        if self.variables != other.variables:
             raise StructureError(
-                f"block mismatch: {self.blocks} vs {other.blocks}"
+                f"variable mismatch: {self.variables} vs {other.variables}"
             )
 
     def _combine(self, other, op):
         """The termwise sum (op add) or difference (op sub) with other."""
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiHomPoly.constant(self.blocks, other)
+            other = MultiHomPoly.constant(self.variables, other)
         if not isinstance(other, MultiHomPoly):
             return NotImplemented
-        self._check_blocks(other)
+        self._check_variables(other)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             value = op(merged.get(key, ZERO), coeff)
@@ -181,7 +140,7 @@ class MultiHomPoly:
             return self._like({key: scalar * coeff for key, coeff in self.terms.items()})
         if not isinstance(other, MultiHomPoly):
             return NotImplemented
-        self._check_blocks(other)
+        self._check_variables(other)
         product: Dict[Exponents, GaussianRational] = {}
         for key_a, coeff_a in self.terms.items():
             for key_b, coeff_b in other.terms.items():
@@ -198,7 +157,7 @@ class MultiHomPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise StructureError("exponent must be a nonnegative integer")
-        result = self._like({(0,) * len(self._vars): ONE})
+        result = self._like({(0,) * len(self.variables): ONE})
         for _ in range(exponent):
             result = result * self
         return result
@@ -206,7 +165,7 @@ class MultiHomPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiHomPoly):
             return NotImplemented
-        return self.blocks == other.blocks and self.terms == other.terms
+        return self.variables == other.variables and self.terms == other.terms
 
     __hash__ = None  # mutable-ish container semantics, not for dict keys
 
@@ -231,7 +190,7 @@ class MultiHomPoly:
     def substitute(
         self, images: Mapping[str, Union["MultiHomPoly", RatLike]]
     ) -> "MultiHomPoly":
-        """Simultaneously replace variables by polynomials on the same blocks.
+        """Simultaneously replace variables by polynomials on the same tuple.
 
         Unmapped variables are left alone.  Images given as scalars are read
         as constant polynomials.
@@ -240,9 +199,9 @@ class MultiHomPoly:
         for name, image in images.items():
             idx = self.var_index(name)
             if not isinstance(image, MultiHomPoly):
-                image = MultiHomPoly.constant(self.blocks, image)
+                image = MultiHomPoly.constant(self.variables, image)
             else:
-                self._check_blocks(image)
+                self._check_variables(image)
             table[idx] = image
         result = self._like({})
         for key, coeff in self.terms.items():
@@ -256,13 +215,13 @@ class MultiHomPoly:
         return result
 
     def __repr__(self) -> str:
-        return f"MultiHomPoly({self.blocks!r}, {self.terms!r})"
+        return f"MultiHomPoly({self.variables!r}, {self.terms!r})"
 
 
 def variables(names: str) -> Tuple[MultiHomPoly, ...]:
-    """One variable per space-separated name, all on a single block."""
-    block = tuple(names.split())
-    return tuple(MultiHomPoly.variable((block,), name) for name in block)
+    """One variable per space-separated name, all on the tuple of those names."""
+    names = tuple(names.split())
+    return tuple(MultiHomPoly.variable(names, name) for name in names)
 
 
 def certify(identities: Iterable) -> Optional[int]:
@@ -294,11 +253,11 @@ def certify_charts(
     Each key names the variables set to 1 on an affine chart.  Its
     certificate gets the dehomogenized equation g, the dict d of its
     partials in the other variables, and v, which builds a variable on the
-    blocks of f; it must return the constant 1 as a combination of g and d,
+    tuple of f; it must return the constant 1 as a combination of g and d,
     so they have no common zero there.  A certificate that does not fit the
     input, such as one reading a partial the chart lacks, fails its chart.
     """
-    v = functools.partial(MultiHomPoly.variable, f.blocks)
+    v = functools.partial(MultiHomPoly.variable, f.variables)
 
     def identities():
         for chart, certificate in certificates.items():

@@ -401,7 +401,7 @@ def _sheaves(cfg: Config):
 
 
 def _hypersurface_controls(toric):
-    x0, x1, y0, y1 = toric.f2_variables()
+    x0, x1, _, y0, y1 = toric.f2_variables()
     return (
         not toric.verify_f2_hypersurface(x0 * y0 * y0)
         and not toric.verify_f2_hypersurface(x0 * y0 - x1 * y1),

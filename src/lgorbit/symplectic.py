@@ -140,7 +140,8 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
     for _ in range(n_samples):
         while True:
             raw = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-            norm = math.sqrt(sum(c * c for c in raw))
+            # left to right on every Python: from 3.12 sum() compensates floats
+            norm = math.sqrt(raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2])
             if norm > 1e-6:
                 break
         p, q, r = (c / norm for c in raw)

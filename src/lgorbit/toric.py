@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
-from .poly import MultiHomPoly, certify_charts
+from .poly import MultiHomPoly, certify, certify_charts, variables
 
 Vec = Tuple[int, int]
 
@@ -284,12 +284,9 @@ def ext_hom_table(
 # --------------------------------------------- the (1,2) hypersurface check
 
 
-F2_BLOCKS = (("x0", "x1", "x2"), ("y0", "y1"))
-
-
 def f2_variables() -> Tuple[MultiHomPoly, ...]:
-    """x0, x1, y0 and y1 as polynomials on the plane-times-line blocks."""
-    return tuple(MultiHomPoly.variable(F2_BLOCKS, name) for name in ("x0", "x1", "y0", "y1"))
+    """x0, x1, x2 on the plane, then y0, y1 on the line, as polynomials."""
+    return variables("x0 x1 x2 y0 y1")
 
 
 def f2_form(x0, x1, y0, y1):
@@ -299,7 +296,21 @@ def f2_form(x0, x1, y0, y1):
 
 def f2_equation() -> MultiHomPoly:
     """The form of bidegree (1,2) on the product of a plane and a line."""
-    return f2_form(*f2_variables())
+    x0, x1, _, y0, y1 = f2_variables()
+    return f2_form(x0, x1, y0, y1)
+
+
+def f2_euler_identities(f, partials, x0, x1, x2, y0, y1):
+    """Euler's relation on each factor for f with the given partials, in the
+    order of the variables: x . grad_x f = f and y . grad_y f = 2 f.  Each
+    side scales a term by its degree in that factor, so over Q(i) both hold
+    exactly when f is bihomogeneous of bidegree (1, 2) (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 8)."""
+    f_x0, f_x1, f_x2, f_y0, f_y1 = partials
+    return [
+        (x0 * f_x0 + x1 * f_x1 + x2 * f_x2 - f, ()),
+        (y0 * f_y0 + y1 * f_y1 - 2 * f, ()),
+    ]
 
 
 # Chart certificates for certify_charts: on each affine chart (x_i = 1,
@@ -324,11 +335,13 @@ F2_CHARTS: Dict[Tuple[str, str], Callable[..., MultiHomPoly]] = {
 def verify_f2_hypersurface(f: Optional[MultiHomPoly] = None) -> bool:
     """Certify the (1,2) hypersurface: bidegree and smoothness, hence irreducible.
 
-    Smoothness is chartwise: the Euler relations reduce singularity on the
-    chart (x_i = 1, y_j = 1) to the vanishing of g and its three affine
-    partials, and the stored certificate exhibits 1 in that ideal.  The
-    certificates are tailored to the default equation; a perturbed input
-    fails the bidegree stage or the certificate identity itself.
+    ``f2_euler_identities`` certify the bidegree.  Smoothness is chartwise:
+    the Euler relations reduce singularity on the chart (x_i = 1, y_j = 1)
+    to the vanishing of g and its three affine partials, and the stored
+    certificate exhibits 1 in that ideal.  The certificates are tailored to
+    the default equation; a perturbed input fails the bidegree stage or the
+    certificate identity itself, and so does f = 0, which has every
+    bidegree.
 
     Irreducibility follows.  Any factorisation of a bidegree-(1,2) form is
     l*h with h a form in y0, y1 alone of positive degree.  At a root c of h
@@ -338,6 +351,11 @@ def verify_f2_hypersurface(f: Optional[MultiHomPoly] = None) -> bool:
     """
     if f is None:
         f = f2_equation()
-    if f.blocks != F2_BLOCKS:
-        raise PreconditionError("expected the plane-times-line variable blocks")
-    return f.multidegree == (1, 2) and certify_charts(f, F2_CHARTS) is None
+    xs = f2_variables()
+    if f.variables != xs[0].variables:
+        raise PreconditionError("expected the variables x0, x1, x2, y0, y1")
+    partials = [f.partial(name) for name in f.variables]
+    return (
+        certify(f2_euler_identities(f, partials, *xs)) is None
+        and certify_charts(f, F2_CHARTS) is None
+    )

@@ -125,6 +125,12 @@ def _graph_double_root(x, y, z, w, r, s):
     return (s - r) * plus
 
 
+def _swapped_forms(x, y, z, w, original=cg.height_forms):
+    # [xw - yz : xw + yz]: the identity eigenline pair ((1, 1), (1, 1)) maps to [0:1]
+    numerator, denominator = original(x, y, z, w)
+    return denominator, numerator
+
+
 def _closure_plus_xt(x, y, z, t, original=cg.projective_closure):
     return original(x, y, z, t) + x * t
 
@@ -198,6 +204,11 @@ def _box_one_character_short(a, coeffs, half_width, original=toric._box_sum):
     return original(a, coeffs, half_width - base - 1)
 
 
+def _any_bidegree(f, partials, x0, x1, x2, y0, y1):
+    # the Euler identities hold for every form, so a wrong bidegree passes them
+    return [(f - f, ()), (f - f, ())]
+
+
 # -------------------------------------------------------------- symplectic
 
 
@@ -249,6 +260,7 @@ CONTROLS = {
     "compactification.extension-on-orbit": [
         (cg, "extension_on_orbit_identities", _wrong_cofactor(cg.extension_on_orbit_identities)),
     ],
+    "compactification.extension-off-orbit": [(cg, "height_forms", _swapped_forms)],
     "compactification.extension-scaling": [(cg, "height_forms", _unbalanced_forms)],
     "compactification.base-locus": [(cg, "base_locus", _three_base_points)],
     "compactification.graph-smooth": [
@@ -287,6 +299,7 @@ CONTROLS = {
     ],
     "sheaves.box-stability": [(toric, "_box_sum", _box_one_character_short)],
     "sheaves.hypersurface-model": [(toric, "F2_CHARTS", _wrong_chart_cofactor(toric.F2_CHARTS))],
+    "sheaves.hypersurface-controls": [(toric, "f2_euler_identities", _any_bidegree)],
     "symplectic.sphere-lagrangian-sampled": [
         (symplectic, "commutator_triple", _flipped_commutator),
     ],
@@ -310,7 +323,6 @@ PENDING = (
     "category.morse-circle-differential",
     "category.hom-table",
     "category.projective-line-mismatch",
-    "compactification.extension-off-orbit",
     "lie.critical-set",
     "lie.critical-heights",
     "lie.count-sl3-regular",
@@ -333,7 +345,6 @@ PENDING = (
     "sheaves.serre-duality",
     "sheaves.fiber-class-sections",
     "sheaves.surface-invariants",
-    "sheaves.hypersurface-controls",
     # the 64-point float distance reads 0 on every correct thimble pair
     "symplectic.matching-circle-gluing",
 )

@@ -3,9 +3,10 @@
 The gate in ``perfbench/gate.py`` fixes each workload's arguments and row
 count; a renamed flag or a changed number of checks fails here, not only
 when the benchmark runs.  Every workload's arguments, the unbenchmarked ones
-too, must also still parse and load as a config.  ``verify all`` must also
-run in-process under ``perfbench/tracer.py``, which swaps every public
-callable for a wrapper, as the traced benchmark runs it.
+too, must also still parse and load as a config.  Each workload that runs
+must also write its golden report in-process under ``perfbench/tracer.py``,
+which swaps every public callable for a wrapper, as the traced benchmark
+runs it.
 """
 
 import contextlib
@@ -64,13 +65,22 @@ def test_stale_workload_still_names_a_deleted_flag(name, capsys):
     assert capsys.readouterr().err.startswith("verify: usage error: unrecognized arguments: ")
 
 
-def test_verify_all_runs_alike_plain_and_traced(tmp_path):
+# the golden report of each workload that runs, at the default seed
+GOLDENS = {
+    "certify-default": "verify_all.json",
+    "mirror-wide": "verify_mirror_t20.json",
+    "sheaves-wide": "verify_sheaves_m8.json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(WORKLOADS) - STALE_WORKLOADS))
+def test_verify_all_runs_alike_plain_and_traced(tmp_path, name):
     # as perfbench/inprocess.py runs it: cli.main in this interpreter, its
     # text output sent to a buffer, once untraced and once under the tracer
-    golden = (ROOT / "tests" / "golden" / "verify_all.json").read_bytes()
-    for name, tracing in (("plain", contextlib.nullcontext()), ("traced", Tracer())):
-        out = tmp_path / f"{name}.json"
+    golden = (ROOT / "tests" / "golden" / GOLDENS[name]).read_bytes()
+    for run, tracing in (("plain", contextlib.nullcontext()), ("traced", Tracer())):
+        out = tmp_path / f"{run}.json"
         with tracing, contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["all", "--json", str(out)])
-        assert code == 0, name
-        assert out.read_bytes() == golden, name
+            code = cli.main([*WORKLOADS[name].argv, "--json", str(out)])
+        assert code == 0, run
+        assert out.read_bytes() == golden, run

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +255,27 @@ def test_report_needs_no_numpy_or_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
+
+
+@pytest.mark.parametrize("minor", range(10, 14))
+def test_other_interpreters_write_the_same_goldens(tmp_path, minor):
+    # pyproject.toml allows Python 3.10 and later; float sum() changed in 3.12
+    path = shutil.which(f"python3.{minor}")
+    if minor == sys.version_info.minor or path is None:
+        pytest.skip(f"python3.{minor} is this interpreter or not on PATH")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    if subprocess.run([path, "-c", "pass"], env=env, capture_output=True,
+                      timeout=60).returncode != 0:
+        pytest.skip(f"python3.{minor} does not start")
+    for seed, golden in ((0, "verify_all.json"), (7919, "verify_all_s7919.json")):
+        out = tmp_path / golden
+        proc = subprocess.run(
+            [path, "-m", "lgorbit", "all", "--seed", str(seed), "--json", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
 # the lgorbit modules a run loads, and the standard modules it must not add:

@@ -16,7 +16,7 @@ from lgorbit.errors import (
     StructureError,
 )
 from lgorbit.gaussian import ExactMatrix, GaussianRational
-from lgorbit.poly import MultiHomPoly, certify, certify_charts, variables
+from lgorbit.poly import certify, certify_charts, variables
 from lgorbit.report import Config, run
 from negative_controls import (
     CONTROLS,
@@ -126,7 +126,11 @@ def test_extension_is_height_trace():
 
 
 def test_graph_surface_tridegree():
-    assert cg.graph_surface().multidegree == (1, 1, 1)
+    # Euler's relation on each factor: degree 1 in (x, y), in (z, w) and in (r, s)
+    g = cg.graph_surface()
+    x, y, z, w, r, s = variables("x y z w r s")
+    for (a, b), names in (((x, y), "xy"), ((z, w), "zw"), ((r, s), "rs")):
+        assert a * g.partial(names[0]) + b * g.partial(names[1]) == g
 
 
 def test_graph_smoothness_certificates():
@@ -136,7 +140,7 @@ def test_graph_smoothness_certificates():
 
 def test_graph_smoothness_controls():
     surface = cg.graph_surface()
-    x, w, r = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "xwr")
+    x, _, _, w, r, _ = variables("x y z w r s")
     # on the first chart, x = z = r = 1, the term adds w, so (d_y - d_w)/2 reads 1/2
     assert certify_charts(surface + x * w * r, cg.GRAPH_CHARTS) == 0
     # the chart x = z = r = 1 has no partial in x, and q is no variable
@@ -182,7 +186,7 @@ def test_critical_data():
 
 def test_coefficient_matrix_is_the_second_partials():
     # for a bilinear form the values at pairs of unit vectors are its second partials
-    r, s = (MultiHomPoly.variable(cg.GRAPH_BLOCKS, name) for name in "rs")
+    *_, r, s = variables("x y z w r s")
     g = cg.graph_surface()
     matrix = cg.coefficient_matrix(functools.partial(cg.graph_equation, r=r, s=s))
     assert matrix == tuple(tuple(g.partial(u).partial(v) for v in "zw") for u in "xy")

@@ -1,4 +1,4 @@
-"""Multihomogeneous polynomial layer, with sympy as an independent oracle."""
+"""Polynomial layer, with sympy as an independent oracle."""
 
 from fractions import Fraction
 
@@ -11,15 +11,15 @@ from lgorbit.errors import DiagnosticError, StructureError
 from lgorbit.gaussian import GaussianRational
 from lgorbit.poly import MultiHomPoly, certify, certify_charts, variables
 
-BLOCKS = (("x", "y"), ("z", "w"))
+NAMES = ("x", "y", "z", "w")
 
 
 def v(name):
-    return MultiHomPoly.variable(BLOCKS, name)
+    return MultiHomPoly.variable(NAMES, name)
 
 
 def const(c):
-    return MultiHomPoly.constant(BLOCKS, c)
+    return MultiHomPoly.constant(NAMES, c)
 
 
 small_coeff = st.integers(min_value=-4, max_value=4)
@@ -27,9 +27,8 @@ small_coeff = st.integers(min_value=-4, max_value=4)
 
 @st.composite
 def polys(draw):
-    names = [n for block in BLOCKS for n in block]
     terms = draw(st.lists(
-        st.tuples(st.lists(st.sampled_from(names), max_size=3), small_coeff),
+        st.tuples(st.lists(st.sampled_from(NAMES), max_size=3), small_coeff),
         max_size=4,
     ))
     p = const(0)
@@ -75,11 +74,11 @@ def test_partial_leibniz(p, q):
 
 
 def _to_sympy(p):
-    syms = {n: sympy.Symbol(n) for block in BLOCKS for n in block}
+    syms = {n: sympy.Symbol(n) for n in NAMES}
     total = sympy.Integer(0)
     for exps, c in p.terms.items():
         term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
-        for name, e in zip(("x", "y", "z", "w"), exps):
+        for name, e in zip(NAMES, exps):
             term *= syms[name] ** e
         total += term
     return sympy.expand(total)
@@ -97,15 +96,6 @@ def test_partial_matches_sympy(p):
     assert _to_sympy(p.partial("y")) == sympy.diff(_to_sympy(p), sympy.Symbol("y"))
 
 
-def _block_degrees(p):
-    """Per-block degrees read off the terms, independently of the library."""
-    degrees = []
-    for lo, hi in ((0, 2), (2, 4)):
-        sums = {sum(key[lo:hi]) for key in p.terms}
-        degrees.append(sums.pop() if len(sums) == 1 else None)
-    return tuple(degrees)
-
-
 @given(polys(), polys(), small_coeff, st.sampled_from(["x", "y", "z", "w"]))
 @settings(max_examples=60, deadline=None)
 def test_arithmetic_results_pass_the_public_constructor(p, q, c, name):
@@ -114,21 +104,9 @@ def test_arithmetic_results_pass_the_public_constructor(p, q, c, name):
         p.partial(name), p.substitute({name: q}),
     ]
     for r in results:
-        fresh = MultiHomPoly(r.blocks, r.terms)
+        fresh = MultiHomPoly(r.variables, r.terms)
         assert r == fresh
         assert not any(coeff.is_zero() for coeff in r.terms.values())
-        assert r.multidegree == fresh.multidegree == _block_degrees(r)
-
-
-def test_multidegree_homogeneous():
-    p = v("x") * v("z") + v("y") * v("w")
-    assert p.multidegree == (1, 1)
-
-
-def test_multidegree_inhomogeneous_block_is_none():
-    p = v("x") * v("x") + v("y")
-    # first block mixes degrees 2 and 1
-    assert p.multidegree[0] is None
 
 
 def test_substitute_and_partial_commute_on_disjoint_names():
@@ -155,12 +133,30 @@ def test_scalar_ops_accept_fraction():
     assert p + Fraction(0) == p
 
 
-
-
-def test_variables_share_one_block():
+def test_variables_share_one_tuple():
     x, lam = variables("x lam")
-    assert x.blocks == lam.blocks == (("x", "lam"),)
-    assert (x * lam).substitute({"x": 2, "lam": 3}) == MultiHomPoly.constant(x.blocks, 6)
+    assert x.variables == lam.variables == ("x", "lam")
+    assert (x * lam).substitute({"x": 2, "lam": 3}) == MultiHomPoly.constant(x.variables, 6)
+
+
+@pytest.mark.parametrize("names, message", [
+    ((), "at least one variable"),
+    (("x", "y", "x"), "must be distinct"),
+])
+def test_the_constructor_rejects_an_empty_or_repeated_tuple(names, message):
+    with pytest.raises(StructureError, match=message):
+        MultiHomPoly(names)
+
+
+def test_arithmetic_needs_one_variable_tuple():
+    x, _ = variables("x y")
+    # a shorter tuple, and the same names in another order
+    for other in (variables("x")[0], variables("y x")[1]):
+        assert x != other
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                   lambda a, b: a.substitute({"x": b})):
+            with pytest.raises(StructureError, match="variable mismatch"):
+                op(x, other)
 
 
 def test_certify_gives_the_position_of_the_first_failing_identity():

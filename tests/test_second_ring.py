@@ -3,7 +3,8 @@
 An identity function is ring-generic: on its symbols, and sympy.I for its
 unit ``i``, it returns the (difference, ((relation, cofactor), ...)) pairs
 that ``poly.certify`` checks over ``MultiHomPoly``.  The chart certificates
-run on sympy too, with g and its partials built by ``sympy.diff``.  A fault
+run on sympy too, with g and its partials built by ``sympy.diff``, and so
+do the Euler identities that certify the bidegree of ``toric.f2_form``.  A fault
 in ``MultiHomPoly`` that makes an identity hold vacuously then fails a test
 here, not only a report row.
 """
@@ -45,9 +46,9 @@ def _symbols(function, names=None):
             for name in inspect.signature(function).parameters]
 
 
-def _charts(equation, blocks, charts):
+def _charts(equation, names, charts):
     """One identity per chart: certificate(g, d, v) - 1 with g = equation there."""
-    v = {name: sympy.Symbol(name, real=True) for block in blocks for name in block}
+    v = {name: sympy.Symbol(name, real=True) for name in names.split()}
     f = equation(*_symbols(equation, v))
     for chart, certificate in charts.items():
         g = f.subs({v[name]: 1 for name in chart})
@@ -55,12 +56,20 @@ def _charts(equation, blocks, charts):
         yield certificate(g, d, v.__getitem__) - 1, ()
 
 
+def _f2_euler(form=toric.f2_form):
+    """The Euler identities of the form x0, x1, y0, y1 -> f, partials by sympy.diff."""
+    x0, x1, x2, y0, y1 = xs = sympy.symbols("x0 x1 x2 y0 y1", real=True)
+    f = form(x0, x1, y0, y1)
+    return toric.f2_euler_identities(f, [sympy.diff(f, x) for x in xs], *xs)
+
+
 # each identity function and chart table, with how many identities it holds
 CASES = {
     **{f.__name__: (lambda f=f: f(*_symbols(f)), n)
        for f, n in zip(IDENTITIES, (5, 5, 6, 1, 2, 1, 2, 3, 10, 1, 1, 5, 3, 8, 2, 2))},
-    "graph_charts": (lambda: _charts(cg.graph_equation, cg.GRAPH_BLOCKS, cg.GRAPH_CHARTS), 8),
-    "f2_charts": (lambda: _charts(toric.f2_form, toric.F2_BLOCKS, toric.F2_CHARTS), 6),
+    "graph_charts": (lambda: _charts(cg.graph_equation, "x y z w r s", cg.GRAPH_CHARTS), 8),
+    "f2_charts": (lambda: _charts(toric.f2_form, "x0 x1 x2 y0 y1", toric.F2_CHARTS), 6),
+    "f2_euler": (_f2_euler, 2),
 }
 
 
@@ -74,15 +83,21 @@ def test_identities_hold_over_sympy(case):
 
 
 def test_every_identity_function_is_listed():
-    # all 71 identities behind the report: a new identity function joins the list
+    # all 73 identities behind the report: a new identity function joins the list
     src = Path(cg.__file__).parent
     defined = {name for path in src.glob("*.py")
                for name in re.findall(r"^def (\w+_identities)\(", path.read_text(), re.M)}
-    assert defined == {f.__name__ for f in IDENTITIES}
-    assert sum(count for _, count in CASES.values()) == 71
+    assert defined == {f.__name__ for f in (*IDENTITIES, toric.f2_euler_identities)}
+    assert sum(count for _, count in CASES.values()) == 73
 
 
 def test_the_unchanged_ring_certificate_fails_over_sympy():
     # the time-2 member minus its one possible scalar, 0, times the orbit residual
     (difference, terms), = cg.unchanged_ring_certificate(*_symbols(cg.unchanged_ring_certificate))
     assert sympy.expand(difference - sum(q * r for r, q in terms)) != 0
+
+
+def test_the_euler_identities_fail_over_sympy_off_bidegree():
+    # x0 y0 - x1 y1 has bidegree (1, 1): only the second identity fails
+    identities = _f2_euler(lambda x0, x1, y0, y1: x0 * y0 - x1 * y1)
+    assert [sympy.expand(difference) != 0 for difference, _ in identities] == [False, True]

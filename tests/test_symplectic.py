@@ -82,7 +82,7 @@ def test_pointwise_pairings_agree_with_the_identity():
     # the identity's pairings, at each rational point, are the oracle's
     # entry-by-entry pairings there, and each is real
     symbolic = _sphere_pairings(*variables("p q r"))
-    assert all(h == h.conjugate() and not h.is_zero() for h in symbolic)
+    assert all(h == h.conjugate() and h for h in symbolic)
     for p, q, r in RATIONAL_SPHERE_POINTS:
         pointwise = symplectic_oracle.sphere_pairings(exact_sphere_point(p, q, r))
         assert _sphere_pairings(p, q, r) == pointwise

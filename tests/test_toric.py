@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from lgorbit.errors import PreconditionError, StructureError
 from lgorbit.gaussian import GaussianRational
-from lgorbit.poly import MultiHomPoly
+from lgorbit.poly import certify, certify_charts, variables
 from lgorbit.toric import (
-    F2_BLOCKS,
     F2_CHARTS,
     HirzebruchFan,
     PicClass,
@@ -22,6 +21,8 @@ from lgorbit.toric import (
     ext_dims,
     euler_rr,
     f2_equation,
+    f2_euler_identities,
+    f2_form,
     f2_variables,
     intersection,
     pic_to_divisor,
@@ -213,8 +214,14 @@ def test_hypersurface_certificates():
     assert verify_f2_hypersurface(f2_equation())
 
 
+def _euler(f):
+    """Whether f2_euler_identities certify f, with its formal partials."""
+    partials = [f.partial(name) for name in f.variables]
+    return certify(f2_euler_identities(f, partials, *f2_variables())) is None
+
+
 def test_hypersurface_controls():
-    x0, x1, y0, y1 = f2_variables()
+    x0, x1, _, y0, y1 = f2_variables()
     monomial = x0 * y0 * y0
     assert not verify_f2_hypersurface(monomial)
     wrong_bidegree = x0 * y0 - x1 * y1
@@ -223,10 +230,28 @@ def test_hypersurface_controls():
     assert not verify_f2_hypersurface(shared_root)
 
 
+def test_the_euler_identities_decide_the_bidegree():
+    x0, x1, x2, y0, y1 = f2_variables()
+    assert _euler(f2_equation()) and _euler(x2 * y0 * y1 - x1 * y1 * y1)
+    # bidegrees (1, 1), (2, 2), (0, 2) and a sum of (1, 2) and (1, 1)
+    for f in (x0 * y0 - x1 * y1, x0 * x1 * y0 * y0, y0 * y1, f2_equation() + x2 * y1):
+        assert not _euler(f)
+    # only the bidegree stage rejects x0 y0 - x1 y1: every chart certificate holds
+    assert certify_charts(x0 * y0 - x1 * y1, F2_CHARTS) is None
+    # the zero form has every bidegree and fails the charts
+    zero = f2_equation() * 0
+    assert _euler(zero) and not verify_f2_hypersurface(zero)
+
+
+@pytest.mark.parametrize("names", ["x0 x1 y0 y1", "x0 x1 x2 y0 y1 t", "y0 y1 x0 x1 x2"])
+def test_the_hypersurface_needs_the_plane_and_line_variables(names):
+    v = dict(zip(names.split(), variables(names)))
+    with pytest.raises(PreconditionError, match="x0, x1, x2, y0, y1"):
+        verify_f2_hypersurface(f2_form(v["x0"], v["x1"], v["y0"], v["y1"]))
+
 
 def _sympy_factor_multiplicities(f):
-    names = [n for block in f.blocks for n in block]
-    symbols = sympy.symbols(names)
+    symbols = sympy.symbols(f.variables)
     expr = sympy.Integer(0)
     for exps, c in f.terms.items():
         term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
@@ -239,7 +264,7 @@ def _sympy_factor_multiplicities(f):
 
 def test_f2_equation_is_irreducible_by_the_sympy_oracle():
     assert _sympy_factor_multiplicities(f2_equation()) == [1]
-    x0, x1, y0, y1 = f2_variables()
+    x0, x1, _, y0, y1 = f2_variables()
     # the oracle does see the controls' factors
     assert len(_sympy_factor_multiplicities(x0 * y0 * y0 + x1 * y0 * y1)) == 2
     assert sorted(_sympy_factor_multiplicities(x0 * y0 * y0)) == [1, 2]
@@ -250,21 +275,21 @@ small_gaussian = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2,
 
 def _binary_forms(degree):
     """Monomials of the given degree in y0, y1."""
-    _, _, y0, y1 = f2_variables()
+    *_, y0, y1 = f2_variables()
     return [y0**k * y1**(degree - k) for k in range(degree + 1)]
 
 
 @st.composite
 def reducible_products(draw):
     """g*h with g of bidegree (1, b) and h of bidegree (0, 2 - b), b in {0, 1}."""
+    *xs, _, _ = f2_variables()
 
     def combination(monomials):
         n = len(monomials)
         coeffs = draw(st.lists(small_gaussian, min_size=n, max_size=n))
-        return sum((c * m for c, m in zip(coeffs, monomials)), MultiHomPoly(F2_BLOCKS))
+        return sum((c * m for c, m in zip(coeffs, monomials)), xs[0] * 0)
 
     b = draw(st.sampled_from([0, 1]))
-    xs = [MultiHomPoly.variable(F2_BLOCKS, name) for name in F2_BLOCKS[0]]
     g = combination([x * m for x in xs for m in _binary_forms(b)])
     h = combination(_binary_forms(2 - b))
     return g * h
@@ -274,6 +299,6 @@ def reducible_products(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_reducible_product_fails_the_smoothness_certificates(f):
     # a factor in y alone has a root, where f and all its partials vanish
-    assume(f != MultiHomPoly(F2_BLOCKS))
-    assert f.multidegree == (1, 2)
+    assume(f != f * 0)
+    assert _euler(f)
     assert not verify_f2_hypersurface(f)
