@@ -7,8 +7,8 @@ Three failure vocabularies are used across the library:
 * ``PreconditionError`` -- a documented operation precondition was violated
   (off-sphere input, non-critical point, out-of-range parameter).
 * ``DiagnosticError``  -- a computation could not certify its own consistency
-  (a quiver chase or path basis that does not close, a non-integral
-  Riemann-Roch value in toric).
+  (a path basis that does not close, thimble and F_2 tables that differ, a
+  non-integral Riemann-Roch value in toric).
 
 ``IndeterminatePointError`` narrows ``PreconditionError`` for evaluating a
 rational map at a point of its base locus.

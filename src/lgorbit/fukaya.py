@@ -280,6 +280,62 @@ def degree_forced_vanishing(
     return out
 
 
+# ------------------------------------------------------- twisted complexes
+
+# (distinct unshifted object indices, the degree-one generators of delta)
+Twisted = Tuple[Tuple[int, ...], Tuple[str, ...]]
+
+
+def twisted_hom_cohomology(
+    cat: DirectedAInfCategory, source: Twisted, target: Twisted
+) -> Dict[int, int]:
+    """Cohomology of Hom between two twisted complexes over a category with m_2 only.
+
+    Hom is the sum of hom(a, b) over the source's objects a and the target's
+    objects b, graded by generator degree, with the differential
+
+        d f = m_2(f, delta_target) - (-1)^|f| m_2(delta_source, f)
+
+    in ``apply``'s left-to-right chain order.  Under the operadic signs above
+    m_2 is strictly associative, so this is the Koszul sign of a graded
+    category, and d^2 = 0 follows from m_2(delta, delta) = 0 (Bondal-Kapranov
+    1990; Seidel, Part I, section 3).  Higher products would add terms
+    m_k(delta, ..., f, ..., delta), so a category with one is rejected; on
+    the two thimbles ``degree_forced_vanishing`` rules them out.
+    """
+    if any(len(chain) != 2 for chain in cat._table):
+        raise StructureError("the twisted Hom needs a category whose only product is m_2")
+    for objects, delta in (source, target):
+        if len(set(objects)) != len(objects) or not set(objects) <= set(range(len(cat.objects))):
+            raise StructureError("a twisted complex needs distinct objects of the category")
+        for g in delta:
+            i, j, degree = cat.gen_info(g)
+            if degree != 1 or not {i, j} <= set(objects):
+                raise StructureError(f"{g} is not a degree-one map between the objects")
+        square: Counter = Counter()
+        for g in delta:
+            for h in delta:
+                square.update(cat.apply((g, h)))
+        if any(square.values()):
+            raise StructureError("the twisted differential fails m_2(delta, delta) = 0")
+    graded: Dict[int, List[str]] = defaultdict(list)
+    for name, (i, j, degree) in cat._info.items():
+        if i in source[0] and j in target[0]:
+            graded[degree].append(name)
+    differentials = {}
+    for degree, columns in graded.items():
+        rows = {name: k for k, name in enumerate(graded.get(degree + 1, ()))}
+        matrix = [[0] * len(columns) for _ in rows]
+        for col, f in enumerate(columns):
+            terms = [((f, d), 1) for d in target[1]]
+            terms += [((d, f), (-1) ** (degree + 1)) for d in source[1]]
+            for chain, sign in terms:
+                for name, coeff in cat.apply(chain).items():
+                    matrix[rows[name]][col] += sign * coeff
+        differentials[degree] = matrix
+    return cohomology({d: len(names) for d, names in graded.items()}, differentials)
+
+
 # ---------------------------------------------------------------- instances
 
 

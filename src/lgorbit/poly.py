@@ -221,6 +221,8 @@ class MultiHomPoly:
 def variables(names: str) -> Tuple[MultiHomPoly, ...]:
     """One variable per space-separated name, all on the tuple of those names."""
     names = tuple(names.split())
+    if not names:
+        raise StructureError("at least one variable is required")
     return tuple(MultiHomPoly.variable(names, name) for name in names)
 
 

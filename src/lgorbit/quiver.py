@@ -1,6 +1,7 @@
 """Path algebras of small quivers with relations, DG structure, and the
-rank bookkeeping that identifies the endomorphism algebra of the rank-three
-tilting object with the five-dimensional path algebra.
+endomorphism algebra of the tilting object O + X, computed as twisted
+complexes over the two thimbles, whose dimensions match the five-dimensional
+path algebra.
 
 Composition is function-style throughout: the product b*a means "traverse a
 first, then b".  Paths are stored diagrammatically, as the tuple of arrow
@@ -17,8 +18,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DiagnosticError, PreconditionError, StructureError
+from .fukaya import lg2_category, twisted_hom_cohomology
 from .gaussian import ExactMatrix, cohomology
-from .toric import EXCEPTIONAL_PAIR, HirzebruchFan, PicClass, ext_dims
+from .toric import EXCEPTIONAL_PAIR, HirzebruchFan, PicClass, ext_dims, ext_hom_table
 
 ArrowWord = Tuple[str, ...]
 Combo = Dict["Path", Fraction]
@@ -292,63 +294,13 @@ def composition_pattern_check() -> bool:
     return not squared
 
 
-# ------------------------------------------------- exact-sequence chasing
-
-
-class ChaseResult(NamedTuple):
-    middle: Tuple[int, int, int]
-    ranks: Tuple[int, ...]
-    used_injective_connecting: bool
-
-
-def les_chase(
-    outer: Tuple[int, int, int, int, int, int],
-    first_connecting: Optional[str] = None,
-) -> ChaseResult:
-    """Solve a nine-term exact sequence for its three unknown middle terms.
-
-    The sequence is 0 -> A0 -> A1 -> A2 -> A3 -> A4 -> A5 -> A6 -> A7 ->
-    A8 -> 0 with A0, A2, A3, A5, A6, A8 given (positions 1, 4, 7 unknown).
-    The connecting ranks r2: A2 -> A3 and r5: A5 -> A6 are free parameters;
-    each is forced to zero when either endpoint vanishes, and r2 may instead
-    be pinned by first_connecting="injective" (rank = dim A2).  An
-    undetermined or inconsistent chase raises a diagnostic.
-    """
-    a0, a2, a3, a5, a6, a8 = outer
-    if min(outer) < 0:
-        raise PreconditionError("dimensions must be nonnegative")
-    if first_connecting not in (None, "injective"):
-        raise PreconditionError("first_connecting must be None or 'injective'")
-    used = False
-    if a2 == 0 or a3 == 0:
-        r2 = 0
-    elif first_connecting == "injective":
-        r2 = a2
-        used = True
-    else:
-        raise DiagnosticError("connecting rank A2 -> A3 is undetermined")
-    if a5 == 0 or a6 == 0:
-        r5 = 0
-    else:
-        raise DiagnosticError("connecting rank A5 -> A6 is undetermined")
-    r0 = a0
-    r1 = a2 - r2
-    r3 = a3 - r2
-    r4 = a5 - r5
-    r6 = a6 - r5
-    r7 = a8
-    ranks = (r0, r1, r2, r3, r4, r5, r6, r7)
-    if min(ranks) < 0:
-        raise DiagnosticError(f"inconsistent exact sequence: ranks {ranks}")
-    middle = (r0 + r1, r3 + r4, r6 + r7)
-    return ChaseResult(middle, ranks, used)
+# ------------------------------------------------------------- tilting
 
 
 class TiltingReport(NamedTuple):
     hom_dims: Tuple[int, int, int, int]
     ext1: Tuple[int, int, int, int]
     ext2: Tuple[int, int, int, int]
-    assumptions: Tuple[str, ...]
 
     @property
     def total(self) -> int:
@@ -359,44 +311,30 @@ class TiltingReport(NamedTuple):
         return not any(self.ext1) and not any(self.ext2)
 
 
-INJECTIVE_CONNECTING_ASSUMPTION = (
-    "the connecting map pairs with the nontrivial extension class and is "
-    "injective on its one-dimensional source"
-)
+# the summands of the tilting object as twisted complexes over the thimbles
+O_SUMMAND, X_SUMMAND = ((1,), ()), ((0, 1), ("x1",))
 
 
 def end_algebra_dims_tilting() -> TiltingReport:
-    """Hom and Ext dimensions of the rank-three bundle pair by rank chases.
+    """Hom and Ext dimensions of the four blocks of End(O + X).
 
-    The bundle sits in 0 -> O -> X -> N -> 0 where (N, O) = (O(-E), O) is
-    ``EXCEPTIONAL_PAIR`` and the extension is nontrivial.  All four Hom/Ext
-    blocks follow from the pair's computed Ext table by four chases; only
-    the chase against O consumes the named injectivity assumption.  A wrong
-    table gives wrong dimensions, which fail the report's rank-chase row, or
-    an undetermined connecting rank, which ``les_chase`` raises.
+    The bundle X sits in 0 -> O -> X -> N -> 0, where (N, O) = (O(-E), O)
+    is ``EXCEPTIONAL_PAIR`` and the extension is nontrivial.  The pair's Ext
+    table on F_2 must equal the hom table of the thimbles (L0, L1) = (N, O),
+    or a DiagnosticError is raised.  That comparison is the transport step:
+    it identifies x1 with the class in Ext^1(O(-E), O) that defines X, so X
+    is the twisted complex (L0 + L1, delta = x1) and O is L1.  Degrees 0, 1
+    and 2 of each twisted Hom give Hom, Ext^1 and Ext^2, in the block order
+    Hom(O, O), Hom(O, X), Hom(X, O), Hom(X, X).
     """
-    fan = HirzebruchFan(2)
-    classes = tuple(zip("no", EXCEPTIONAL_PAIR))
-    table = {(x, y): ext_dims(fan, cx, cy).triple for x, cx in classes for y, cy in classes}
-
-    def chase(left: Tuple[int, int, int], right: Tuple[int, int, int], pin=None):
-        outer = (left[0], right[0], left[1], right[1], left[2], right[2])
-        return les_chase(outer, pin)
-
-    # Hom(-, O): contravariant, N enters first
-    to_o = chase(table[("n", "o")], table[("o", "o")], "injective")
-    # Hom(-, N)
-    to_n = chase(table[("n", "n")], table[("o", "n")])
-    # Hom(O, -): covariant, the sub O enters first
-    from_o = chase(table[("o", "o")], table[("o", "n")])
-    # Hom(X, -): outer terms come from the two contravariant chases
-    from_x = chase(to_o.middle, to_n.middle)
-
-    hom = (table[("o", "o")][0], from_o.middle[0], to_o.middle[0], from_x.middle[0])
-    ext1 = (table[("o", "o")][1], from_o.middle[1], to_o.middle[1], from_x.middle[1])
-    ext2 = (table[("o", "o")][2], from_o.middle[2], to_o.middle[2], from_x.middle[2])
-    assumptions = (INJECTIVE_CONNECTING_ASSUMPTION,) if to_o.used_injective_connecting else ()
-    return TiltingReport(hom, ext1, ext2, assumptions)
+    cat = lg2_category()
+    ext = ext_hom_table(HirzebruchFan(2), EXCEPTIONAL_PAIR)
+    if ext != cat.hom_table():
+        raise DiagnosticError(f"the thimble hom table differs from the Ext table {ext} on F_2")
+    o, x = O_SUMMAND, X_SUMMAND
+    blocks = [twisted_hom_cohomology(cat, a, b) for a, b in ((o, o), (o, x), (x, o), (x, x))]
+    hom, ext1, ext2 = (tuple(block.get(d, 0) for block in blocks) for d in range(3))
+    return TiltingReport(hom, ext1, ext2)
 
 
 # --------------------------------------------------------------- K-theory

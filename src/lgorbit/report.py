@@ -7,9 +7,8 @@ names are the shared inputs.  A check is an id, an anchor and a verdict
 whose parameters name the shared inputs it reads; the verdict returns
 (ok, detail) or (ok, detail, residual).  ok is "assumption" for the
 enumerated statements that cannot be checked computationally (the
-symplectic patching step, the cited classification and K-theory
-propositions, and the injectivity of the connecting map against the
-nontrivial extension class), so a clean run never silently upgrades them.
+symplectic patching step, and the cited classification and K-theory
+propositions), so a clean run never silently upgrades them.
 
 A check that raises becomes a failing row whose detail is "raised <Type>:
 <message>", and the next check still runs; when the shared inputs raise,
@@ -521,14 +520,17 @@ suite_quiver = _suite(
               (tilting := quiver.end_algebra_dims_tilting()).hom_dims == (1, 1, 1, 2)
               and tilting.higher_ext_vanish
               and tilting.total == basis.dimension,
-              "six-term chases give Hom dimensions (1, 1, 1, 2) with all higher "
-              "Ext zero, total five, matching the path algebra",
+              "Hom between O = L1 and the twisted complex X = (L0 + L1, x1) gives "
+              "dimensions (1, 1, 1, 2) with all higher Ext zero, total five, "
+              "matching the path algebra",
           )),
     Check("quiver.connecting-map-injectivity", "claim:connecting-map-is-injective",
           lambda quiver: (
-              "assumption",
-              "one chase consumes the named assumption: "
-              + quiver.INJECTIVE_CONNECTING_ASSUMPTION,
+              quiver.twisted_hom_cohomology(
+                  quiver.lg2_category(), quiver.X_SUMMAND, quiver.O_SUMMAND
+              ) == {0: 1},
+              "H*(Hom(X, O)) = {0: 1}: d(id_L1) = m_2(x1, id_L1) = x1 by strict "
+              "unitality, so the connecting map is injective on the extension class",
           )),
     Check("quiver.dg-zero-cohomology", "claim:dg-quiver-reproduces-floer-table",
           lambda fukaya, quiver: (

@@ -183,15 +183,32 @@ def _backward_hom(fan, c1, c2, original=quiver.ext_dims):
     return toric.CohDims(1, dims.h1, dims.h2) if (c1, c2) == (TRIVIAL, MINUS_E) else dims
 
 
-def _undetermined_rank(fan, c1, c2):
-    # with the backward Hom, a self-Ext^1 on O(-E) leaves the chase
-    # Hom(-, O(-E)) with two nonzero ends and no pinned rank
+def _unexpected_self_ext(fan, c1, c2):
+    # the backward Hom, and a self-Ext^1 on O(-E) that no thimble has
     dims = _backward_hom(fan, c1, c2)
     return toric.CohDims(dims.h0, 1, dims.h2) if (c1, c2) == (MINUS_E, MINUS_E) else dims
 
 
-def _chase_stops():
-    raise DiagnosticError("connecting rank A2 -> A3 is undetermined")
+def _comparison_raises():
+    raise DiagnosticError("the thimble hom table differs from the Ext table on F_2")
+
+
+def _split_extension(cat, source, target, original=fukaya.twisted_hom_cohomology):
+    # delta = () for x1: X becomes the split sum O(-E) + O
+    return original(cat, (source[0], ()), (target[0], ()))
+
+
+def _no_unit_on_x1():
+    # the thimble category without the entry m_2(x1, id_L1) = x1
+    cat = fukaya.lg2_category()
+    entries = [ProductEntry(chain, out) for chain, outputs in cat._table.items()
+               for out in outputs if chain != ("x1", "id_L1")]
+    return DirectedAInfCategory(cat.objects, cat.homs, entries)
+
+
+def _every_pair_one_section(fan, c1, c2):
+    # chi = 1 for every pair: the Euler-form matrix [[1, 1], [1, 1]] has rank one
+    return toric.CohDims(1, 0, 0)
 
 
 # ----------------------------------------------------------------- sheaves
@@ -292,11 +309,14 @@ CONTROLS = {
     ],
     "mirror.exclusion-table": [(mirror, "ext_p1", _line_bundle_to_point_in_two_degrees)],
     "quiver.tilting-rank-chase": [
-        (quiver, "ext_dims", _degree_one_lost),
-        (quiver, "ext_dims", _backward_hom),
-        (quiver, "ext_dims", _undetermined_rank),
-        (quiver, "end_algebra_dims_tilting", _chase_stops),
+        (toric, "ext_dims", _degree_one_lost),
+        (toric, "ext_dims", _backward_hom),
+        (toric, "ext_dims", _unexpected_self_ext),
+        (quiver, "end_algebra_dims_tilting", _comparison_raises),
+        (quiver, "twisted_hom_cohomology", _split_extension),
     ],
+    "quiver.connecting-map-injectivity": [(quiver, "lg2_category", _no_unit_on_x1)],
+    "quiver.k-group-rank": [(quiver, "ext_dims", _every_pair_one_section)],
     "sheaves.box-stability": [(toric, "_box_sum", _box_one_character_short)],
     "sheaves.hypersurface-model": [(toric, "F2_CHARTS", _wrong_chart_cofactor(toric.F2_CHARTS))],
     "sheaves.hypersurface-controls": [(toric, "f2_euler_identities", _any_bidegree)],
@@ -337,7 +357,6 @@ PENDING = (
     "quiver.dg-zero-cohomology",
     "quiver.dg-literal-acyclic",
     "quiver.undirected-backward-hom",
-    "quiver.k-group-rank",
     "sheaves.divisor-conventions",
     "sheaves.section-class-cohomology",
     "sheaves.ext-table",

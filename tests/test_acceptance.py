@@ -185,7 +185,6 @@ def test_criterion_5_quiver_presentation():
         and relations_ok
         and tilt.hom_dims == (1, 1, 1, 2)
         and tilt.higher_ext_vanish
-        and len(tilt.assumptions) == 1
         and dg_zero == fukaya_ranks
         and dg_literal == {}
     )

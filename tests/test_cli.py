@@ -21,13 +21,12 @@ from negative_controls import (
     _degree_one_lost,
     _every_surface_degree_two,
     _flipped_commutator,
-    _undetermined_rank,
+    _unexpected_self_ext,
 )
 
 EXPECTED_ASSUMPTIONS = {
     "compactification.symplectic-patching",
     "mirror.cited-classification-inputs",
-    "quiver.connecting-map-injectivity",
 }
 
 
@@ -36,11 +35,11 @@ def test_full_run_passes(full_report):
     assert not rep.failed
     counts = rep.counts
     assert counts["fail"] == 0
-    assert counts["assumption"] == 3
+    assert counts["assumption"] == 2
     assert sum(counts.values()) >= 55
 
 
-def test_assumptions_are_exactly_the_named_three(full_report):
+def test_assumptions_are_exactly_the_named_ones(full_report):
     rep = full_report
     got = {r.id for r in rep.results if r.status == "assumption"}
     assert got == EXPECTED_ASSUMPTIONS
@@ -518,19 +517,17 @@ def test_wrong_ext_triple_fails_the_f2_row(monkeypatch):
     assert _f2_row(monkeypatch, _degree_one_lost) == "fail"
 
 
-@pytest.mark.parametrize("wrong", ["degree-one-lost", "backward-hom", "undetermined-rank"])
+@pytest.mark.parametrize("wrong", ["degree-one-lost", "backward-hom", "self-ext"])
 def test_wrong_ext_table_fails_the_rank_chase(monkeypatch, wrong):
-    # a wrong table reaches the row as wrong dimensions, or as an undetermined
-    # connecting rank that the chase raises and the row reports
-    from lgorbit import quiver
+    # a wrong table no longer matches the thimbles, so the transport step raises
+    from lgorbit import toric
 
     patched = {"degree-one-lost": _degree_one_lost, "backward-hom": _backward_hom,
-               "undetermined-rank": _undetermined_rank}[wrong]
-    monkeypatch.setattr(quiver, "ext_dims", patched)
+               "self-ext": _unexpected_self_ext}[wrong]
+    monkeypatch.setattr(toric, "ext_dims", patched)
     row = {r.id: r for r in run("quiver", Config()).results}["quiver.tilting-rank-chase"]
     assert row.status == "fail"
-    undetermined = "connecting rank A2 -> A3 is undetermined" in row.detail
-    assert undetermined == (wrong == "undetermined-rank")
+    assert row.detail.startswith("raised DiagnosticError: the thimble hom table differs")
 
 
 def test_box_one_character_short_fails_box_stability(monkeypatch):

@@ -19,6 +19,7 @@ from lgorbit.fukaya import (
     relation_arities,
     shift_table,
     tables_equal,
+    twisted_hom_cohomology,
 )
 from lgorbit import mirror
 from lgorbit.gaussian import cohomology
@@ -260,6 +261,67 @@ def test_lg2_hom_table():
     assert table[(0, 1)] == {0: 1, 1: 1}
     assert table[(1, 0)] == {}
     assert table[(1, 1)] == {0: 1}
+
+
+O_L1, X_SPLIT = ((1,), ()), ((0, 1), ())
+X_NONSPLIT = ((0, 1), ("x1",))
+
+
+def test_twisted_hom_gives_the_tilting_blocks():
+    cat = lg2_category()
+    pairs = ((O_L1, O_L1), (O_L1, X_NONSPLIT), (X_NONSPLIT, O_L1), (X_NONSPLIT, X_NONSPLIT))
+    assert [twisted_hom_cohomology(cat, a, b) for a, b in pairs] == [
+        {0: 1}, {0: 1}, {0: 1}, {0: 2}
+    ]
+
+
+def test_the_split_twisted_complex_keeps_every_class():
+    # with delta = () the Hom complexes have no differential at all
+    cat = lg2_category()
+    assert twisted_hom_cohomology(cat, X_SPLIT, O_L1) == {0: 2, 1: 1}
+    assert twisted_hom_cohomology(cat, X_SPLIT, X_SPLIT) == {0: 3, 1: 1}
+    assert twisted_hom_cohomology(cat, O_L1, X_SPLIT) == {0: 1}
+
+
+def maurer_cartan_failure():
+    """f: A -> B and g: B -> C in degree 1, with m_2(f, g) = h in degree 2."""
+    homs = {
+        (0, 0): GradedModule([("i0", 0)]),
+        (1, 1): GradedModule([("i1", 0)]),
+        (2, 2): GradedModule([("i2", 0)]),
+        (0, 1): GradedModule([("f", 1)]),
+        (1, 2): GradedModule([("g", 1)]),
+        (0, 2): GradedModule([("h", 2)]),
+    }
+    units = [(("i0", "i0"), "i0"), (("i1", "i1"), "i1"), (("i2", "i2"), "i2"),
+             (("i0", "f"), "f"), (("f", "i1"), "f"), (("i1", "g"), "g"),
+             (("g", "i2"), "g"), (("i0", "h"), "h"), (("h", "i2"), "h"), (("f", "g"), "h")]
+    return DirectedAInfCategory(("A", "B", "C"), homs,
+                                [ProductEntry(chain, out) for chain, out in units])
+
+
+def test_twisted_hom_over_a_three_object_chain():
+    # delta = f or delta = g alone satisfies m_2(delta, delta) = 0
+    cat = maurer_cartan_failure()
+    cone_ab, cone_bc = ((0, 1), ("f",)), ((1, 2), ("g",))
+    assert twisted_hom_cohomology(cat, cone_ab, cone_ab) == {0: 1}  # i0 + i1 survives
+    assert twisted_hom_cohomology(cat, cone_ab, ((2,), ())) == {}  # d g = m_2(f, g) = h
+    assert twisted_hom_cohomology(cat, ((0,), ()), cone_bc) == {}  # d f = m_2(f, g) = h
+    # d i1 = g - f, d f = d g = h
+    assert twisted_hom_cohomology(cat, cone_ab, cone_bc) == {}
+
+
+@pytest.mark.parametrize("cat, complex_, message", [
+    (chain_with_m3(), ((0,), ()), "only product is m_2"),
+    (maurer_cartan_failure(), ((0, 1, 2), ("f", "g")), "m_2\\(delta, delta\\) = 0"),
+    (lg2_category(), ((0, 1), ("x0",)), "not a degree-one map"),
+    (lg2_category(), ((1,), ("x1",)), "not a degree-one map"),
+    (lg2_category(), ((1, 1), ()), "distinct objects"),
+    (lg2_category(), ((2,), ()), "distinct objects"),
+], ids=["m3", "maurer-cartan", "degree-zero-delta", "delta-leaves", "repeated", "unknown"])
+def test_twisted_hom_rejects_what_its_formula_does_not_cover(cat, complex_, message):
+    with pytest.raises(StructureError, match=message):
+        twisted_hom_cohomology(cat, complex_, complex_)
 
 
 def test_morse_circle_model():

@@ -1,6 +1,7 @@
 """Source hygiene that a linter would check, written with the stdlib ast module."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -248,3 +249,16 @@ def test_readme_names_only_the_size_bounds_report_defines():
     assert set(re.findall(r"`(MAX_\w+)`", readme)) == bounds == {
         "MAX_SPHERE_SAMPLES", "MAX_T_RANGE"
     }
+
+
+def test_readme_counts_the_checks_and_assumptions_of_the_golden():
+    # a row that changes status must take the README's counts with it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"The full run emits (\d+) checks; (\d+) are recorded\s+assumptions", readme)
+    assert found, "the README no longer states the check and assumption counts"
+    rows = json.loads((ROOT / "tests" / "golden" / "verify_all.json").read_text(
+        encoding="utf-8"))["results"]
+    assumptions = [row["id"] for row in rows if row["status"] == "assumption"]
+    assert tuple(map(int, found.groups())) == (len(rows), len(assumptions))
+    paragraph = readme[found.start():readme.index("\n\n", found.start())]
+    assert all(f"`{row_id}`" in paragraph for row_id in assumptions)

@@ -148,6 +148,12 @@ def test_the_constructor_rejects_an_empty_or_repeated_tuple(names, message):
         MultiHomPoly(names)
 
 
+@pytest.mark.parametrize("names", ["", "   "])
+def test_variables_rejects_a_blank_string(names):
+    with pytest.raises(StructureError, match="at least one variable"):
+        variables(names)
+
+
 def test_arithmetic_needs_one_variable_tuple():
     x, _ = variables("x y")
     # a shorter tuple, and the same names in another order

@@ -1,11 +1,10 @@
-"""Path algebras, DG Hom complexes, and the tilting rank chases."""
+"""Path algebras, DG Hom complexes, and the tilting blocks against the chase oracle."""
 
 import pytest
 
 from lgorbit.errors import DiagnosticError, PreconditionError, StructureError
 from lgorbit.gaussian import ExactMatrix
 from lgorbit.quiver import (
-    INJECTIVE_CONNECTING_ASSUMPTION,
     Arrow,
     QuiverPresentation,
     composition_pattern_check,
@@ -13,11 +12,11 @@ from lgorbit.quiver import (
     end_algebra_dims_tilting,
     euler_form_matrix,
     hom_cohomology,
-    les_chase,
     ordinary_quiver,
     path_basis,
 )
 from lgorbit.toric import PicClass
+from quiver_oracle import end_algebra_dims_by_chases, les_chase
 
 
 def test_quiver_validation():
@@ -133,9 +132,10 @@ def test_les_chase_detects_inconsistency():
 
 
 def test_les_chase_zero_endpoint_is_not_inconsistent():
-    # a2 > a3 = 0 forces the connecting rank to zero, no pin needed
-    r = les_chase((5, 1, 1, 0, 0, 0), "injective")
-    assert r.middle == (5, 0, 0) or r.middle[0] == 5
+    # a2 > a3 = 0 forces the connecting rank to zero, so the pin goes unused
+    r = les_chase((5, 1, 0, 0, 0, 0), "injective")
+    assert r.middle == (6, 0, 0)
+    assert not r.used_injective_connecting
 
 
 def test_les_chase_input_validation():
@@ -150,7 +150,15 @@ def test_tilting_report():
     assert report.hom_dims == (1, 1, 1, 2)
     assert report.total == 5
     assert report.higher_ext_vanish
-    assert report.assumptions == (INJECTIVE_CONNECTING_ASSUMPTION,)
+
+
+def test_the_chase_oracle_pinned_injective_agrees_with_the_twisted_hom():
+    hom, ext1, ext2, used_pin = end_algebra_dims_by_chases("injective")
+    assert used_pin
+    assert tuple(end_algebra_dims_tilting()) == (hom, ext1, ext2)
+    # unpinned, the chase against O cannot see its connecting map
+    with pytest.raises(DiagnosticError, match="A2 -> A3 is undetermined"):
+        end_algebra_dims_by_chases(None)
 
 
 def test_tilting_total_matches_quiver_dimension():
