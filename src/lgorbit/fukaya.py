@@ -33,10 +33,11 @@ object shift by solving the shifts and comparing once.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
+from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import StructureError
-from .gaussian import cohomology
+from .gaussian import ExactMatrix, cohomology
 
 Chain = Tuple[str, ...]
 Table = Mapping[Tuple[int, int], Mapping[int, int]]
@@ -167,6 +168,11 @@ class DirectedAInfCategory:
                 f"{entry.output} needs degree {want}, found {out_deg}"
             )
 
+    def products(self) -> List[ProductEntry]:
+        """The nonzero structure constants, as entries that rebuild the category."""
+        return [ProductEntry(chain, out, coeff)
+                for chain, outputs in self._table.items() for out, coeff in outputs.items()]
+
     def apply(self, chain: Chain) -> Dict[str, int]:
         """m_k evaluated on a chain of k generators (empty dict when zero)."""
         return dict(self._table.get(chain, {}))
@@ -284,27 +290,35 @@ def degree_forced_vanishing(
 
 # (distinct unshifted object indices, the degree-one generators of delta)
 Twisted = Tuple[Tuple[int, ...], Tuple[str, ...]]
+# a morphism of twisted complexes: generator name -> coefficient
+Morphism = Dict[str, Fraction]
 
 
-def twisted_hom_cohomology(
+def _no_higher_products(cat: DirectedAInfCategory) -> None:
+    if any(len(chain) > 2 for chain in cat._table):
+        raise StructureError("twisted complexes here need a category with no m_k for k >= 3")
+
+
+def twisted_hom(
     cat: DirectedAInfCategory, source: Twisted, target: Twisted
-) -> Dict[int, int]:
-    """Cohomology of Hom between two twisted complexes over a category with m_2 only.
+) -> Tuple[Dict[int, List[str]], Dict[int, List[List[int]]]]:
+    """Hom between two twisted complexes: its generators and differential by degree.
 
     Hom is the sum of hom(a, b) over the source's objects a and the target's
     objects b, graded by generator degree, with the differential
 
-        d f = m_2(f, delta_target) - (-1)^|f| m_2(delta_source, f)
+        d f = m_1(f) + m_2(delta_source, f) - (-1)^|f| m_2(f, delta_target)
 
-    in ``apply``'s left-to-right chain order.  Under the operadic signs above
-    m_2 is strictly associative, so this is the Koszul sign of a graded
-    category, and d^2 = 0 follows from m_2(delta, delta) = 0 (Bondal-Kapranov
+    in ``apply``'s left-to-right chain order; differentials[k] maps degree k
+    to k + 1, one row per generator of degree k + 1.  Under the operadic
+    signs above m_1 is a derivation of m_2 and m_2 is strictly associative,
+    so d is m_1 + [delta, -] in a DG category, and d^2 = 0 follows from the
+    Maurer-Cartan equation m_1(delta) + m_2(delta, delta) = 0 (Bondal-Kapranov
     1990; Seidel, Part I, section 3).  Higher products would add terms
     m_k(delta, ..., f, ..., delta), so a category with one is rejected; on
     the two thimbles ``degree_forced_vanishing`` rules them out.
     """
-    if any(len(chain) != 2 for chain in cat._table):
-        raise StructureError("the twisted Hom needs a category whose only product is m_2")
+    _no_higher_products(cat)
     for objects, delta in (source, target):
         if len(set(objects)) != len(objects) or not set(objects) <= set(range(len(cat.objects))):
             raise StructureError("a twisted complex needs distinct objects of the category")
@@ -314,10 +328,11 @@ def twisted_hom_cohomology(
                 raise StructureError(f"{g} is not a degree-one map between the objects")
         square: Counter = Counter()
         for g in delta:
+            square.update(cat.apply((g,)))
             for h in delta:
                 square.update(cat.apply((g, h)))
         if any(square.values()):
-            raise StructureError("the twisted differential fails m_2(delta, delta) = 0")
+            raise StructureError("delta fails m_1(delta) + m_2(delta, delta) = 0")
     graded: Dict[int, List[str]] = defaultdict(list)
     for name, (i, j, degree) in cat._info.items():
         if i in source[0] and j in target[0]:
@@ -327,13 +342,59 @@ def twisted_hom_cohomology(
         rows = {name: k for k, name in enumerate(graded.get(degree + 1, ()))}
         matrix = [[0] * len(columns) for _ in rows]
         for col, f in enumerate(columns):
-            terms = [((f, d), 1) for d in target[1]]
-            terms += [((d, f), (-1) ** (degree + 1)) for d in source[1]]
+            terms = [((f,), 1)] + [((d, f), 1) for d in source[1]]
+            terms += [((f, d), (-1) ** (degree + 1)) for d in target[1]]
             for chain, sign in terms:
                 for name, coeff in cat.apply(chain).items():
                     matrix[rows[name]][col] += sign * coeff
         differentials[degree] = matrix
+    return graded, differentials
+
+
+def twisted_hom_cohomology(
+    cat: DirectedAInfCategory, source: Twisted, target: Twisted
+) -> Dict[int, int]:
+    """The cohomology ranks of ``twisted_hom``, degree by degree."""
+    graded, differentials = twisted_hom(cat, source, target)
     return cohomology({d: len(names) for d, names in graded.items()}, differentials)
+
+
+def twisted_cocycles(
+    cat: DirectedAInfCategory, source: Twisted, target: Twisted
+) -> Tuple[Morphism, ...]:
+    """A basis of the degree-0 cocycles of ``twisted_hom``, one per free
+    column of the reduced row echelon form of d.
+
+    With no generator of negative degree nothing in degree 0 is a
+    coboundary, so the basis is one of H^0; otherwise StructureError.
+    """
+    graded, differentials = twisted_hom(cat, source, target)
+    if any(degree < 0 for degree in graded):
+        raise StructureError("a generator has negative degree, so Z^0 is not H^0")
+    columns, matrix = graded.get(0, []), differentials.get(0)
+    reduced, rank, _ = ExactMatrix(matrix)._eliminated() if matrix else ((), 0, None)
+    pivots = [next(c for c, entry in enumerate(row) if entry) for row in reduced[:rank]]
+    return tuple(
+        {columns[free]: Fraction(1),
+         **{columns[p]: -row[free].re for p, row in zip(pivots, reduced) if row[free]}}
+        for free in range(len(columns)) if free not in pivots
+    )
+
+
+def twisted_compose(cat: DirectedAInfCategory, f: Morphism, g: Morphism) -> Morphism:
+    """f followed by g, for morphisms f: A -> B and g: B -> C of twisted complexes.
+
+    The composite adds terms m_k(.., f, .., delta, .., g, ..) with k >= 3 to
+    m_2(f, g), so over a category without those it is m_2 summed over the
+    components.
+    """
+    _no_higher_products(cat)
+    out: Dict[str, Fraction] = defaultdict(Fraction)
+    for a, x in f.items():
+        for b, y in g.items():
+            for name, coeff in cat.apply((a, b)).items():
+                out[name] += x * y * coeff
+    return {name: c for name, c in out.items() if c}
 
 
 # ---------------------------------------------------------------- instances

@@ -493,33 +493,33 @@ suite_sheaves = _suite(
 
 def _quiver(cfg: Config):
     from . import fukaya, quiver, toric
-    ordinary = quiver.ordinary_quiver()
-    basis = quiver.path_basis(ordinary)
+    blocks = quiver.end_algebra()
     return locals(), {}
 
 
 suite_quiver = _suite(
     _quiver,
     Check("quiver.path-basis", "claim:path-algebra-has-dimension-five",
-          lambda basis: (
-              basis.dimension == 5
-              and {(s, t): len(basis.by_endpoints(s, t))
-                   for s in ("v0", "v1") for t in ("v0", "v1")}
-              == {("v0", "v0"): 1, ("v0", "v1"): 1, ("v1", "v0"): 1, ("v1", "v1"): 2},
-              "two idempotents, one arrow each way, and one length-two loop "
-              "survive the single relation",
+          lambda quiver, blocks: (
+              {pair: len(basis) for pair, basis in blocks.items()}
+              == {("O", "O"): 1, ("O", "X"): 1, ("X", "O"): 1, ("X", "X"): 2}
+              and all(quiver.identity(s) in blocks[(s, s)] for s in quiver.SUMMANDS),
+              "H^0 of End(O + X) has blocks Hom(O, O), Hom(O, X), Hom(X, O), End X of "
+              "dimensions 1, 1, 1, 2: the identities of O and X, one morphism each way, "
+              "and one loop at X",
           )),
     Check("quiver.composition-pattern", "claim:one-composite-vanishes-the-other-does-not",
-          lambda quiver: (
-              quiver.composition_pattern_check(),
-              "the forward-then-back composite is zero, the back-then-forward "
-              "composite is a nonzero loop, and that loop squares to zero",
+          lambda quiver, blocks: (
+              len((trips := quiver.round_trips(blocks))[1]) == 1
+              and trips[1][0] in blocks[("X", "X")] and trips[0] == trips[2] == [{}],
+              "m_2 on twisted complexes makes O -> X -> O zero and X -> O -> X a "
+              "basis loop of H^0(End X), and that loop squares to zero",
           )),
     Check("quiver.tilting-rank-chase", "claim:endomorphism-dimensions-one-one-one-two",
-          lambda quiver, basis: (
+          lambda quiver, blocks: (
               (tilting := quiver.end_algebra_dims_tilting()).hom_dims == (1, 1, 1, 2)
               and tilting.higher_ext_vanish
-              and tilting.total == basis.dimension,
+              and tilting.total == sum(map(len, blocks.values())),
               "Hom between O = L1 and the twisted complex X = (L0 + L1, x1) gives "
               "dimensions (1, 1, 1, 2) with all higher Ext zero, total five, "
               "matching the path algebra",
@@ -527,35 +527,40 @@ suite_quiver = _suite(
     Check("quiver.connecting-map-injectivity", "claim:connecting-map-is-injective",
           lambda quiver: (
               quiver.twisted_hom_cohomology(
-                  quiver.lg2_category(), quiver.X_SUMMAND, quiver.O_SUMMAND
+                  quiver.lg2_category(), quiver.SUMMANDS["X"], quiver.SUMMANDS["O"]
               ) == {0: 1},
               "H*(Hom(X, O)) = {0: 1}: d(id_L1) = m_2(x1, id_L1) = x1 by strict "
               "unitality, so the connecting map is injective on the extension class",
           )),
     Check("quiver.dg-zero-cohomology", "claim:dg-quiver-reproduces-floer-table",
           lambda fukaya, quiver: (
-              quiver.hom_cohomology(quiver.dg_quiver("zero"), "v0", "v1")
-              == fukaya.lg2_category().hom_table()[(0, 1)],
-              "with the zero differential the degreewise Hom cohomology equals "
-              "the directed category's forward table",
+              quiver.twisted_hom_cohomology(quiver.lg2_category(), quiver.L0, quiver.L1)
+              == fukaya.morse_circle_floer().cohomology,
+              "with the zero differential, H*(Hom(L0, L1)) over the thimble category "
+              "equals the Morse cohomology of the circle, one class in each degree",
           )),
     Check("quiver.dg-literal-acyclic", "claim:literal-differential-is-acyclic",
           lambda quiver: (
-              quiver.hom_cohomology(quiver.dg_quiver("literal"), "v0", "v1") == {},
-              "reading the differential literally kills all cohomology, so that "
-              "variant is flagged as acyclic rather than matching the table",
+              quiver.twisted_hom_cohomology(
+                  quiver.literal_differential(quiver.lg2_category()), quiver.L0, quiver.L1
+              ) == {},
+              "filling the open slot literally, m_1(x0) = x1, kills H*(Hom(L0, L1)), so "
+              "that reading is flagged as acyclic rather than matching the table",
           )),
     Check("quiver.undirected-backward-hom", "claim:backward-hom-survives-only-undirected",
-          lambda quiver, ordinary: (
-              quiver.hom_cohomology(ordinary, "v1", "v0") == {0: 1},
-              "the ordinary algebra keeps a backward morphism, the directed "
-              "category does not, and only the DG table matches the fibration",
+          lambda quiver, blocks: (
+              len(blocks[("X", "O")]) == 1 and quiver.lg2_category().hom_table()[(1, 0)] == {},
+              "End(O + X) keeps one morphism X -> O in degree 0, while the directed "
+              "thimble category has none from L1 to L0: the backward arrow lives on "
+              "the tilting object, not between the thimbles",
           )),
     Check("quiver.k-group-rank", "claim:k-group-is-free-of-rank-two",
           lambda quiver, toric: (
-              quiver.euler_form_matrix(toric.EXCEPTIONAL_PAIR).rank() == 2,
+              (euler := quiver.euler_form_matrix(toric.EXCEPTIONAL_PAIR)).rank() == 2
+              and euler == quiver.thimble_euler_form(),
               "the Euler-form matrix of (O(-E), O), with entries chi from the "
-              "Ext dimensions on the degree-2 surface, has rank two",
+              "Ext dimensions on the degree-2 surface, has rank two and equals the "
+              "thimbles' Euler form, the alternating sum of their hom ranks",
           )),
 )
 

@@ -193,22 +193,37 @@ def _comparison_raises():
     raise DiagnosticError("the thimble hom table differs from the Ext table on F_2")
 
 
-def _split_extension(cat, source, target, original=fukaya.twisted_hom_cohomology):
-    # delta = () for x1: X becomes the split sum O(-E) + O
+def _split_extension(cat, source, target, original=fukaya.twisted_hom):
+    # delta = () for x1: X becomes the split sum O(-E) + O in every Hom that
+    # fukaya assembles, so its cohomology and its cocycles alike
     return original(cat, (source[0], ()), (target[0], ()))
 
 
 def _no_unit_on_x1():
     # the thimble category without the entry m_2(x1, id_L1) = x1
     cat = fukaya.lg2_category()
-    entries = [ProductEntry(chain, out) for chain, outputs in cat._table.items()
-               for out in outputs if chain != ("x1", "id_L1")]
+    entries = [entry for entry in cat.products() if entry.inputs != ("x1", "id_L1")]
     return DirectedAInfCategory(cat.objects, cat.homs, entries)
+
+
+def _literal_in_place_of_zero():
+    # m_1(x0) = x1 where the thimble category has the zero differential
+    return quiver.literal_differential(fukaya.lg2_category())
+
+
+def _zero_in_place_of_literal(cat):
+    # the open slot left empty where the literal reading fills it
+    return cat
 
 
 def _every_pair_one_section(fan, c1, c2):
     # chi = 1 for every pair: the Euler-form matrix [[1, 1], [1, 1]] has rank one
     return toric.CohDims(1, 0, 0)
+
+
+def _degree_three_surface(a):
+    # F_3 for F_2: (O(-E), O) is still exceptional, with Euler form [[1, -1], [0, 1]]
+    return toric.HirzebruchFan(3)
 
 
 # ----------------------------------------------------------------- sheaves
@@ -308,15 +323,23 @@ CONTROLS = {
         (mirror, "ext_p1", _line_bundle_to_point_in_two_degrees),
     ],
     "mirror.exclusion-table": [(mirror, "ext_p1", _line_bundle_to_point_in_two_degrees)],
+    "quiver.path-basis": [(fukaya, "twisted_hom", _split_extension)],
+    "quiver.composition-pattern": [(fukaya, "twisted_hom", _split_extension)],
     "quiver.tilting-rank-chase": [
         (toric, "ext_dims", _degree_one_lost),
         (toric, "ext_dims", _backward_hom),
         (toric, "ext_dims", _unexpected_self_ext),
         (quiver, "end_algebra_dims_tilting", _comparison_raises),
-        (quiver, "twisted_hom_cohomology", _split_extension),
+        (fukaya, "twisted_hom", _split_extension),
     ],
     "quiver.connecting-map-injectivity": [(quiver, "lg2_category", _no_unit_on_x1)],
-    "quiver.k-group-rank": [(quiver, "ext_dims", _every_pair_one_section)],
+    "quiver.dg-zero-cohomology": [(quiver, "lg2_category", _literal_in_place_of_zero)],
+    "quiver.dg-literal-acyclic": [(quiver, "literal_differential", _zero_in_place_of_literal)],
+    "quiver.undirected-backward-hom": [(fukaya, "twisted_hom", _split_extension)],
+    "quiver.k-group-rank": [
+        (quiver, "ext_dims", _every_pair_one_section),
+        (quiver, "HirzebruchFan", _degree_three_surface),
+    ],
     "sheaves.box-stability": [(toric, "_box_sum", _box_one_character_short)],
     "sheaves.hypersurface-model": [(toric, "F2_CHARTS", _wrong_chart_cofactor(toric.F2_CHARTS))],
     "sheaves.hypersurface-controls": [(toric, "f2_euler_identities", _any_bidegree)],
@@ -352,11 +375,6 @@ PENDING = (
     "mirror.control-self-pair",
     "mirror.stability",
     "mirror.dimension-bound",
-    "quiver.path-basis",
-    "quiver.composition-pattern",
-    "quiver.dg-zero-cohomology",
-    "quiver.dg-literal-acyclic",
-    "quiver.undirected-backward-hom",
     "sheaves.divisor-conventions",
     "sheaves.section-class-cohomology",
     "sheaves.ext-table",

@@ -32,11 +32,13 @@ from lgorbit.mirror import (
     search_mirror_pair,
 )
 from lgorbit.quiver import (
-    dg_quiver,
+    L0,
+    L1,
+    end_algebra,
     end_algebra_dims_tilting,
-    hom_cohomology,
-    ordinary_quiver,
-    path_basis,
+    literal_differential,
+    round_trips,
+    twisted_hom_cohomology,
 )
 from lgorbit.poly import certify, variables
 from lgorbit.report import Config, render_json, run
@@ -168,24 +170,20 @@ def test_criterion_4_sheaf_cohomology():
 
 
 def test_criterion_5_quiver_presentation():
-    q = ordinary_quiver()
-    basis = path_basis(q)
-    words = {p.arrows for p in basis.paths}
-    relations_ok = (
-        ("alpha", "beta") not in words
-        and ("beta", "alpha") in words
-        and ("beta", "alpha", "beta", "alpha") not in words
-    )
+    blocks = end_algebra()
+    there_and_back, loops, squares = round_trips(blocks)
+    # O -> X -> O vanishes, X -> O -> X is one nonzero loop, and it squares to zero
+    relations_ok = there_and_back == squares == [{}] != loops and len(loops) == 1
     tilt = end_algebra_dims_tilting()
     fukaya_ranks = lg2_category().hom_table()[(0, 1)]
-    dg_zero = hom_cohomology(dg_quiver("zero"), "v0", "v1")
-    dg_literal = hom_cohomology(dg_quiver("literal"), "v0", "v1")
+    dg_zero = twisted_hom_cohomology(lg2_category(), L0, L1)
+    dg_literal = twisted_hom_cohomology(literal_differential(lg2_category()), L0, L1)
     ok = (
-        basis.dimension == 5
+        sum(map(len, blocks.values())) == 5
         and relations_ok
-        and tilt.hom_dims == (1, 1, 1, 2)
+        and tilt.hom_dims == tuple(map(len, blocks.values())) == (1, 1, 1, 2)
         and tilt.higher_ext_vanish
-        and dg_zero == fukaya_ranks
+        and dg_zero == fukaya_ranks == morse_circle_floer().cohomology
         and dg_literal == {}
     )
     assert _verdict(5, "path algebra dimension, relations, tilting, DG readings", ok)

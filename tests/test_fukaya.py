@@ -19,6 +19,9 @@ from lgorbit.fukaya import (
     relation_arities,
     shift_table,
     tables_equal,
+    twisted_cocycles,
+    twisted_compose,
+    twisted_hom,
     twisted_hom_cohomology,
 )
 from lgorbit import mirror
@@ -115,6 +118,8 @@ def test_differential_control_checks_arities_up_to_three(coeff):
     assert relation_arities(cat) == [1, 2, 3]
     assert check_a_infinity(cat)
     assert fukaya_oracle.check_a_infinity(cat, k_max=6)
+    # and Hom(L0, L1), {0: 1, 1: 1} under the zero differential, is acyclic
+    assert twisted_hom_cohomology(cat, ((0,), ()), ((1,), ())) == {}
 
 
 def one_composite(dropped=()):
@@ -312,7 +317,7 @@ def test_twisted_hom_over_a_three_object_chain():
 
 
 @pytest.mark.parametrize("cat, complex_, message", [
-    (chain_with_m3(), ((0,), ()), "only product is m_2"),
+    (chain_with_m3(), ((0,), ()), "no m_k for k >= 3"),
     (maurer_cartan_failure(), ((0, 1, 2), ("f", "g")), "m_2\\(delta, delta\\) = 0"),
     (lg2_category(), ((0, 1), ("x0",)), "not a degree-one map"),
     (lg2_category(), ((1,), ("x1",)), "not a degree-one map"),
@@ -322,6 +327,83 @@ def test_twisted_hom_over_a_three_object_chain():
 def test_twisted_hom_rejects_what_its_formula_does_not_cover(cat, complex_, message):
     with pytest.raises(StructureError, match=message):
         twisted_hom_cohomology(cat, complex_, complex_)
+
+
+def test_products_rebuild_the_category():
+    cat = lg2_category()
+    rebuilt = DirectedAInfCategory(cat.objects, cat.homs, cat.products())
+    assert {chain: rebuilt.apply(chain) for chain in cat._table} == cat._table
+
+
+def differential_and_twist():
+    """f: A -> B in degree 1, g, g': B -> C in degrees 0, 1, h, h': A -> C in
+    degrees 1, 2, with m_1(g) = g', m_1(h) = h', m_2(f, g) = h and
+    m_2(f, g') = -h', so that m_1 is a derivation of m_2."""
+    homs = {
+        (0, 0): GradedModule([("i0", 0)]),
+        (1, 1): GradedModule([("i1", 0)]),
+        (2, 2): GradedModule([("i2", 0)]),
+        (0, 1): GradedModule([("f", 1)]),
+        (1, 2): GradedModule([("g", 0), ("g'", 1)]),
+        (0, 2): GradedModule([("h", 1), ("h'", 2)]),
+    }
+    units = [ProductEntry((i, i), i) for i in ("i0", "i1", "i2")]
+    units += [ProductEntry((i, x), x) for i, xs in (("i0", "f h h'"), ("i1", "g g'"))
+              for x in xs.split()]
+    units += [ProductEntry((x, i), x) for i, xs in (("i1", "f"), ("i2", "g g' h h'"))
+              for x in xs.split()]
+    return DirectedAInfCategory(("A", "B", "C"), homs, units + [
+        ProductEntry(("g",), "g'"), ProductEntry(("h",), "h'"),
+        ProductEntry(("f", "g"), "h"), ProductEntry(("f", "g'"), "h'", -1),
+    ])
+
+
+def test_the_twisted_differential_squares_to_zero_with_m1_and_delta():
+    cat = differential_and_twist()
+    assert check_a_infinity(cat)
+    everything = ((0, 1, 2), ("f",))
+    graded, d = twisted_hom(cat, everything, everything)
+    assert {k: len(names) for k, names in graded.items()} == {0: 4, 1: 3, 2: 1}
+    # d g = m_1(g) + m_2(f, g) = g' + h, and d(g' + h) = -h' + h'
+    g, g1, h = graded[0].index("g"), graded[1].index("g'"), graded[1].index("h")
+    assert [row[g] for row in d[0]] == [int(k in (g1, h)) for k in range(3)]
+    (h2,) = d[1]  # the one row, onto h'
+    assert [sum(h2[k] * d[0][k][c] for k in range(3)) for c in range(4)] == [0, 0, 0, 0]
+    # i0 + i1 and i2 survive; d f = 0 and d g = g' + h exhaust the degree-one cocycles
+    assert twisted_hom_cohomology(cat, everything, everything) == {0: 2}
+
+
+def test_maurer_cartan_counts_the_m1_term():
+    # m_2(h, h) = 0, but m_1(h) = h' is not
+    with pytest.raises(StructureError, match="m_1\\(delta\\)"):
+        twisted_hom_cohomology(differential_and_twist(), ((0, 2), ("h",)), ((0, 2), ("h",)))
+
+
+def test_cocycles_need_no_negative_degree():
+    homs = {(0, 0): GradedModule([("i0", 0)]), (1, 1): GradedModule([("i1", 0)]),
+            (0, 1): GradedModule([("y", -1), ("z", 0)])}
+    units = [ProductEntry(chain, out) for chain, out in (
+        (("i0", "i0"), "i0"), (("i1", "i1"), "i1"), (("i0", "y"), "y"), (("y", "i1"), "y"),
+        (("i0", "z"), "z"), (("z", "i1"), "z"))]
+    cat = DirectedAInfCategory(("A", "B"), homs, units)
+    with pytest.raises(StructureError, match="negative degree"):
+        twisted_cocycles(cat, ((0,), ()), ((1,), ()))
+    assert twisted_hom_cohomology(cat, ((0,), ()), ((1,), ())) == {-1: 1, 0: 1}
+
+
+def test_cocycles_and_composites_of_the_tilting_blocks():
+    cat, o, x = lg2_category(), O_L1, X_NONSPLIT
+    assert twisted_cocycles(cat, x, x) == ({"x0": 1}, {"id_L0": 1, "id_L1": 1})
+    assert twisted_cocycles(cat, x, o) == ({"x0": 1},)
+    # split, nothing is a coboundary or fails to close
+    assert len(twisted_cocycles(cat, X_SPLIT, X_SPLIT)) == 3
+    assert twisted_compose(cat, {"x0": 1}, {"id_L1": 1}) == {"x0": 1}
+    assert twisted_compose(cat, {"id_L1": 1}, {"x0": 1}) == {}
+    assert twisted_compose(cat, {"id_L0": 2, "x0": 3}, {"id_L0": 1, "id_L1": 1}) == {
+        "id_L0": 2, "x0": 3
+    }
+    with pytest.raises(StructureError, match="no m_k for k >= 3"):
+        twisted_compose(chain_with_m3(), {"f": 1}, {"g": 1})
 
 
 def test_morse_circle_model():

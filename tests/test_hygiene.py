@@ -262,3 +262,31 @@ def test_readme_counts_the_checks_and_assumptions_of_the_golden():
     assert tuple(map(int, found.groups())) == (len(rows), len(assumptions))
     paragraph = readme[found.start():readme.index("\n\n", found.start())]
     assert all(f"`{row_id}`" in paragraph for row_id in assumptions)
+
+
+def cohomology_readers(sources):
+    """Files in ``sources`` (file name -> text) that import ``gaussian.cohomology``
+    or read it as an attribute of the ``gaussian`` module."""
+    readers = set()
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gaussian"):
+                if any(alias.name == "cohomology" for alias in node.names):
+                    readers.add(file)
+            elif (isinstance(node, ast.Attribute) and node.attr == "cohomology"
+                  and isinstance(node.value, ast.Name) and node.value.id == "gaussian"):
+                readers.add(file)
+    return readers
+
+
+def test_only_fukaya_takes_cohomology_of_a_hom_complex():
+    # fukaya's twisted Hom is the one Hom-complex engine; a second one would
+    # need gaussian.cohomology, and this names the file that takes it
+    assert cohomology_readers({
+        "a.py": "from .gaussian import ExactMatrix, cohomology\n",
+        "b.py": "from . import gaussian\nh = gaussian.cohomology({}, {})\n",
+        "c.py": "from .fukaya import morse_circle_floer\nh = morse_circle_floer().cohomology\n",
+        "d.py": "from lgorbit.gaussian import ExactMatrix\n",
+    }) == {"a.py", "b.py"}
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert cohomology_readers(sources) == {"fukaya.py"}

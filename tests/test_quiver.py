@@ -1,22 +1,27 @@
-"""Path algebras, DG Hom complexes, and the tilting blocks against the chase oracle."""
+"""End(O + X) from twisted complexes against the two oracles: the path algebra
+with relations and the exact-sequence chases; the oracles' own behaviour."""
+
+from fractions import Fraction
 
 import pytest
 
+from lgorbit import quiver, toric
 from lgorbit.errors import DiagnosticError, PreconditionError, StructureError
+from lgorbit.fukaya import check_a_infinity, lg2_category, twisted_compose
 from lgorbit.gaussian import ExactMatrix
-from lgorbit.quiver import (
+from lgorbit.quiver import TiltingReport, end_algebra_dims_tilting, euler_form_matrix
+from lgorbit.toric import PicClass
+from quiver_oracle import (
     Arrow,
     QuiverPresentation,
     composition_pattern_check,
     dg_quiver,
-    end_algebra_dims_tilting,
-    euler_form_matrix,
+    end_algebra_dims_by_chases,
     hom_cohomology,
+    les_chase,
     ordinary_quiver,
     path_basis,
 )
-from lgorbit.toric import PicClass
-from quiver_oracle import end_algebra_dims_by_chases, les_chase
 
 
 def test_quiver_validation():
@@ -145,6 +150,13 @@ def test_les_chase_input_validation():
         les_chase((1, 0, 0, 0, 0, 0), "surjective")
 
 
+def test_higher_ext_vanish_needs_both_degrees():
+    hom = (1, 1, 1, 2)
+    assert not TiltingReport(hom, (0, 1, 0, 0), (0,) * 4).higher_ext_vanish
+    assert not TiltingReport(hom, (0,) * 4, (0, 0, 1, 0)).higher_ext_vanish
+    assert TiltingReport(hom, (0,) * 4, (0,) * 4).higher_ext_vanish
+
+
 def test_tilting_report():
     report = end_algebra_dims_tilting()
     assert report.hom_dims == (1, 1, 1, 2)
@@ -177,3 +189,57 @@ def test_binomial_relation_rejected():
     arrows = (Arrow("a", "v", "v"), Arrow("b", "v", "v"))
     with pytest.raises(StructureError, match="monomial"):
         QuiverPresentation(("v",), arrows, relations=(((1, ("a", "b")), (-1, ("b", "a"))),))
+
+
+def test_the_derived_algebra_is_the_oracle_path_algebra():
+    # O, X -> v0, v1: the identities go to the idempotents, the H^0 morphisms
+    # each way to the arrows, and X -> O -> X to the loop
+    cat, blocks, oracle = lg2_category(), quiver.end_algebra(), ordinary_quiver()
+    (forward,), (backward,) = blocks[("O", "X")], blocks[("X", "O")]
+    image = [  # (morphism, source, target, path)
+        (quiver.identity("O"), "O", "O", oracle.identity("v0")),
+        (quiver.identity("X"), "X", "X", oracle.identity("v1")),
+        (forward, "O", "X", oracle._path_of_word(("alpha",))),
+        (backward, "X", "O", oracle._path_of_word(("beta",))),
+        (twisted_compose(cat, backward, forward), "X", "X",
+         oracle._path_of_word(("beta", "alpha"))),
+    ]
+    vertex = {"O": "v0", "X": "v1"}
+    basis = path_basis(oracle)
+    assert {pair: len(b) for pair, b in blocks.items()} == {
+        (s, t): len(basis.by_endpoints(vertex[s], vertex[t])) for s in vertex for t in vertex
+    }
+    assert {path for *_, path in image} == set(basis.paths)
+    assert all(f in blocks[(s, t)] for f, s, t, _ in image)
+    for f, s, t, p in image:
+        for g, s2, u, q in image:
+            if t != s2:
+                continue
+            product = twisted_compose(cat, f, g)  # f, then g: the oracle's q*p
+            # forward and the identity of O are both id_L1, in different blocks
+            mapped = {path: Fraction(1) for h, *ends, path in image
+                      if product and (h, ends) == (product, [s, u])}
+            assert bool(mapped) == bool(product)
+            assert mapped == oracle.path_product(q, p)
+
+
+def test_the_literal_category_fills_the_open_slot():
+    literal = quiver.literal_differential(lg2_category())
+    assert literal.apply(("x0",)) == {"x1": 1}
+    assert check_a_infinity(literal)
+    assert quiver.twisted_hom_cohomology(literal, quiver.L0, quiver.L1) == {}
+
+
+@pytest.mark.parametrize("a, matrix", [
+    (2, [[1, 0], [0, 1]]), (3, [[1, -1], [0, 1]]), (0, [[1, 2], [0, 1]]),
+])
+def test_only_f2_gives_the_thimble_euler_form(monkeypatch, a, matrix):
+    monkeypatch.setattr(quiver, "HirzebruchFan", lambda _a: toric.HirzebruchFan(a))
+    toric._cohomology.cache_clear()
+    try:
+        euler = euler_form_matrix(toric.EXCEPTIONAL_PAIR)
+    finally:
+        toric._cohomology.cache_clear()
+    assert euler == ExactMatrix(matrix)
+    assert euler.rank() == 2
+    assert (euler == quiver.thimble_euler_form()) == (a == 2)
