@@ -149,20 +149,21 @@ def quadric_identities(x, y, z, t, lam):
 
 
 def gram_rank(q: MultiHomPoly) -> int:
-    """Rank of the symmetric Gram matrix of a homogeneous quadratic form."""
+    """Rank of the symmetric Gram matrix of a homogeneous quadratic form
+    with rational coefficients."""
     if not q.terms or any(sum(key) != 2 for key in q.terms):
         raise PreconditionError("gram_rank needs a nonzero quadratic form")
-    names = q.variables
-    n = len(names)
-    g = [[ZERO for _ in range(n)] for _ in range(n)]
+    n = len(q.variables)
+    g = [[0] * n for _ in range(n)]
     for key, coeff in q.terms.items():
+        if coeff.im:
+            raise PreconditionError(f"gram_rank needs rational coefficients, not {coeff}")
         support = [i for i, e in enumerate(key) if e]
         if len(support) == 1:
-            g[support[0]][support[0]] = coeff
+            g[support[0]][support[0]] = coeff.re
         else:
             i, j = support
-            g[i][j] = coeff * _HALF
-            g[j][i] = coeff * _HALF
+            g[i][j] = g[j][i] = coeff.re * _HALF
     return ExactMatrix(g).rank()
 
 

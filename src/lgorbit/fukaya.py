@@ -372,11 +372,10 @@ def twisted_cocycles(
     if any(degree < 0 for degree in graded):
         raise StructureError("a generator has negative degree, so Z^0 is not H^0")
     columns, matrix = graded.get(0, []), differentials.get(0)
-    reduced, rank, _ = ExactMatrix(matrix)._eliminated() if matrix else ((), 0, None)
-    pivots = [next(c for c, entry in enumerate(row) if entry) for row in reduced[:rank]]
+    reduced, pivots, _ = ExactMatrix(matrix).echelon() if matrix else ((), [], None)
     return tuple(
         {columns[free]: Fraction(1),
-         **{columns[p]: -row[free].re for p, row in zip(pivots, reduced) if row[free]}}
+         **{columns[p]: Fraction(-row[free]) for p, row in zip(pivots, reduced) if row[free]}}
         for free in range(len(columns)) if free not in pivots
     )
 

@@ -1,38 +1,39 @@
-"""Exact scalars: Gaussian rationals and small dense matrices over them.
+"""Exact scalars: Gaussian rationals for polynomial coefficients, and small
+dense matrices over the rationals.
 
-Everything in this module is exact.  A component is stored as a plain
-``int`` when it is integral and as a reduced ``fractions.Fraction`` only
-when it is not, so the integer shears and samples that most checks build
-run on machine integers.  Every constructor and operation normalises its
-result this way, so structural equality is mathematical equality.  The
-public ``re`` and ``im`` always return ``Fraction``.
+Everything in this module is exact.  A rational is stored as a plain ``int``
+when it is integral and as a reduced ``fractions.Fraction`` only when it is
+not, so the integer shears and samples that most checks build run on
+machine integers.  Every constructor and operation normalises its result
+this way, so structural equality is mathematical equality.
+
+``GaussianRational`` keeps what polynomials read: sums, products,
+conjugation, equality and printing; nothing divides one.  ``ExactMatrix``
+holds ``int`` and ``Fraction`` entries only, since every matrix the report
+eliminates (Euler forms, Gram matrices, chart Hessians, Hom differentials)
+is rational; ``echelon`` gives its rank, determinant and inverse.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import StructureError
 
+Rational = Union[int, Fraction]
 RatLike = Union[int, Fraction, "GaussianRational"]
 
 
-def _exact(value):
-    """An int when ``value`` is integral, otherwise a reduced Fraction."""
+def _exact(value) -> Rational:
+    """An int when ``value`` is integral, otherwise a reduced Fraction;
+    StructureError for anything that is neither an int nor a Fraction."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
-        value = Fraction(value)
+        raise StructureError(f"{value!r} is not an int or a Fraction")
     return value.numerator if value.denominator == 1 else value
-
-
-def _quotient(x, n):
-    """x / n for int or Fraction operands, exact even when both are ints."""
-    if type(x) is int and type(n) is int:
-        q, r = divmod(x, n)
-        return Fraction(x, n) if r else q
-    return x / n
 
 
 class GaussianRational:
@@ -40,7 +41,7 @@ class GaussianRational:
 
     __slots__ = ("_re", "_im")
 
-    def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
+    def __init__(self, re: Rational, im: Rational = 0):
         self._re = _exact(re)
         self._im = _exact(im)
 
@@ -90,12 +91,6 @@ class GaussianRational:
                 return NotImplemented
         return _gauss(self._re - other._re, self._im - other._im)
 
-    def __rsub__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return _gauss(other._re - self._re, other._im - self._im)
-
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = _lift(other)
@@ -105,36 +100,6 @@ class GaussianRational:
         return _gauss(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not GaussianRational:
-            other = _lift(other)
-            if other is None:
-                return NotImplemented
-        a, b, c, d = self._re, self._im, other._re, other._im
-        n = c * c + d * d
-        if not n:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return _gauss(_quotient(a * c + b * d, n), _quotient(b * c - a * d, n))
-
-    def __rtruediv__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise StructureError("exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:
@@ -164,7 +129,7 @@ class GaussianRational:
         return f"{re}{sign}{im_text}"
 
     def __repr__(self) -> str:
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({Fraction(self._re)!r}, {Fraction(self._im)!r})"
 
 
 _new = object.__new__
@@ -192,16 +157,12 @@ ONE = GaussianRational(1)
 
 
 class ExactMatrix:
-    """Dense matrix with GaussianRational entries and exact linear algebra."""
+    """Dense matrix with int and Fraction entries and exact linear algebra."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Sequence[RatLike]]):
-        coerce = GaussianRational.coerce
-        rows = tuple(
-            tuple([e if type(e) is GaussianRational else coerce(e) for e in row])
-            for row in entries
-        )
+    def __init__(self, entries: Iterable[Sequence[Rational]]):
+        rows = tuple(tuple([_exact(e) for e in row]) for row in entries)
         if not rows or not rows[0]:
             raise StructureError("matrix needs at least one row and one column")
         width = len(rows[0])
@@ -216,7 +177,7 @@ class ExactMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal(cls, values: Sequence[RatLike]) -> "ExactMatrix":
+    def diagonal(cls, values: Sequence[Rational]) -> "ExactMatrix":
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -229,32 +190,20 @@ class ExactMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def _same_shape(self, other: "ExactMatrix") -> None:
+    def _entrywise(self, other: "ExactMatrix", op) -> "ExactMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise StructureError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+        return ExactMatrix(
+            [[op(a, b) for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
+        )
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -263,91 +212,63 @@ class ExactMatrix:
             raise StructureError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # accumulate the int or Fraction components of each dot product and
-        # normalise once per entry
-        columns = [[(e._re, e._im) for e in col] for col in zip(*other.entries)]
-        product = []
-        for row in self.entries:
-            left = [(e._re, e._im) for e in row]
-            out = []
-            for col in columns:
-                re = im = 0
-                for (a, b), (c, d) in zip(left, col):
-                    re += a * c - b * d
-                    im += a * d + b * c
-                out.append(_gauss(re, im))
-            product.append(out)
-        return ExactMatrix(product)
+        columns = list(zip(*other.entries))
+        return ExactMatrix(
+            [[sum([a * b for a, b in zip(row, col)]) for col in columns] for row in self.entries]
+        )
 
-    def _eliminated(self):
-        # returns (row echelon entries, pivot count, determinant factor collected so far)
+    def echelon(self) -> Tuple[List[List[Rational]], List[int], Fraction]:
+        """The reduced row echelon form, its pivot columns, and the product of
+        the pivots with the sign of the row swaps: the determinant when the
+        matrix is square of full rank."""
         work = [list(row) for row in self.entries]
-        det = ONE
-        pivot_row = 0
+        pivots: List[int] = []
+        det = Fraction(1)
         for col in range(self.cols):
-            pivot = None
-            for r in range(pivot_row, self.rows):
-                if not work[r][col].is_zero():
-                    pivot = r
-                    break
+            top = len(pivots)
+            pivot = next((r for r in range(top, self.rows) if work[r][col]), None)
             if pivot is None:
                 continue
-            if pivot != pivot_row:
-                work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+            if pivot != top:
+                work[top], work[pivot] = work[pivot], work[top]
                 det = -det
-            lead = work[pivot_row][col]
-            det = det * lead
-            inv = ONE / lead
-            work[pivot_row] = [inv * e for e in work[pivot_row]]
+            lead = work[top][col]
+            det *= lead
+            work[top] = [_exact(Fraction(e, lead)) for e in work[top]]
             for r in range(self.rows):
-                if r != pivot_row and not work[r][col].is_zero():
-                    factor = work[r][col]
-                    work[r] = [
-                        work[r][j] - factor * work[pivot_row][j] for j in range(self.cols)
-                    ]
-            pivot_row += 1
-            if pivot_row == self.rows:
+                factor = work[r][col]
+                if r != top and factor:
+                    work[r] = [_exact(a - factor * b) for a, b in zip(work[r], work[top])]
+            pivots.append(col)
+            if len(pivots) == self.rows:
                 break
-        return work, pivot_row, det
+        return work, pivots, det
 
     def rank(self) -> int:
-        _, pivots, _ = self._eliminated()
-        return pivots
+        return len(self.echelon()[1])
 
-    def det(self) -> GaussianRational:
+    def det(self) -> Fraction:
         if self.rows != self.cols:
             raise StructureError("determinant of a non-square matrix")
-        _, pivots, det = self._eliminated()
-        return det if pivots == self.rows else ZERO
+        _, pivots, det = self.echelon()
+        return det if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise StructureError("inverse of a non-square matrix")
         n = self.rows
         augmented = ExactMatrix(
-            [
-                list(self.entries[i]) + [1 if i == j else 0 for j in range(n)]
-                for i in range(n)
-            ]
+            [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
         )
-        reduced, _, _ = augmented._eliminated()
-        # pivots can land in the right block when the left block is singular,
-        # so confirm the left block reduced to the identity
-        for i in range(n):
-            for j in range(n):
-                expected = ONE if i == j else ZERO
-                if reduced[i][j] != expected:
-                    raise StructureError("matrix is singular")
+        reduced, pivots, _ = augmented.echelon()
+        # a singular left block sends a pivot into the right block
+        if pivots != list(range(n)):
+            raise StructureError("matrix is singular")
         return ExactMatrix([row[n:] for row in reduced])
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
-
-    __repr__ = __str__
 
 
 def cohomology(
-    dims: Mapping[int, int], differentials: Mapping[int, Sequence[Sequence[RatLike]]]
+    dims: Mapping[int, int], differentials: Mapping[int, Sequence[Sequence[Rational]]]
 ) -> Dict[int, int]:
     """Nonzero dim H^d = dim C^d - rank d^d - rank d^(d-1) of a cochain complex.
 

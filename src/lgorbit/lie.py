@@ -3,9 +3,10 @@
 The orbit of a diagonal traceless matrix H0 under conjugation is studied
 through the height function A -> tr(H A) attached to a regular diagonal H.
 Critical points are the diagonal matrices with permuted H0 entries; their
-count, their heights and their chart Hessians are exact, all over the
-Gaussian rationals.  Orbit membership of the conjugates is certified as a
-cofactor identity in ``compactification``, not computed here.
+count is an integer, and their heights, chart Hessians and Hessian
+determinants are exact rationals (``int`` or ``Fraction``).  Orbit
+membership of the conjugates is certified as a cofactor identity in
+``compactification``, not computed here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import List, Sequence, Set, Tuple
 
 from .errors import PreconditionError, StructureError
-from .gaussian import ZERO, ExactMatrix, GaussianRational
+from .gaussian import ExactMatrix, Rational
 
 
 class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
@@ -42,19 +43,16 @@ class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
         return len(set(self.diag)) == len(self.diag)
 
     def as_exact_matrix(self) -> ExactMatrix:
-        return ExactMatrix.diagonal([GaussianRational(d) for d in self.diag])
+        return ExactMatrix.diagonal(self.diag)
 
 
-def height_exact(h: CartanDiagonal, a: ExactMatrix) -> GaussianRational:
+def height_exact(h: CartanDiagonal, a: ExactMatrix) -> Fraction:
     if a.rows != h.n or a.cols != h.n:
         raise StructureError("size mismatch between H and A")
-    total = ZERO
-    for i in range(h.n):
-        total = total + GaussianRational(h.diag[i]) * a[i, i]
-    return total
+    return sum((d * a[i, i] for i, d in enumerate(h.diag)), Fraction(0))
 
 
-def sl2_orbit_coordinates(a: ExactMatrix) -> Tuple[GaussianRational, ...]:
+def sl2_orbit_coordinates(a: ExactMatrix) -> Tuple[Rational, ...]:
     """Read (x, y, z) off a 2x2 traceless matrix [[x, y], [z, -x]]."""
     if a.rows != 2 or a.cols != 2:
         raise StructureError("expected a 2x2 matrix")
@@ -125,12 +123,12 @@ def hessian_matrix(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Ex
     if not directions:
         raise PreconditionError("critical point admits no moving directions")
     n = len(pt)
-    p = ExactMatrix.diagonal([GaussianRational(x) for x in pt])
+    p = ExactMatrix.diagonal(pt)
 
     def q(*support: Tuple[int, int]) -> Fraction:
         z = ExactMatrix([[1 if (r, s) in support else 0 for s in range(n)] for r in range(n)])
         zp = z * p - p * z
-        return height_exact(h, z * zp - zp * z).re
+        return height_exact(h, z * zp - zp * z)
 
     square = [q(d) for d in directions]
     entries = [[Fraction(0)] * len(directions) for _ in directions]
@@ -144,7 +142,7 @@ def hessian_matrix(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Ex
 
 def hessian_determinant(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Fraction:
     """Determinant of the exact chart Hessian; its entries are rational, so is it."""
-    return hessian_matrix(h0, h, point).det().re
+    return hessian_matrix(h0, h, point).det()
 
 
 # perfbench/tracer.py still looks up the sampler that the orbit-membership

@@ -8,7 +8,8 @@ twisted complex (L0 + L1, delta = x1).  H^0 of End T is the path algebra of
 two vertices O and X with one arrow each way, where O -> X -> O is zero and
 X -> O -> X is a loop of square zero: dimension five, and <O(-E), O> is
 D^b of its modules (Bondal 1989).  Composition is written in chain order:
-``twisted_compose(cat, f, g)`` is f followed by g.
+``twisted_compose(cat, f, g)`` is f followed by g.  The functions here take
+the thimble category ``cat`` as an argument, so a caller builds it once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .fukaya import (
     Morphism,
     ProductEntry,
     degree_forced_vanishing,
-    lg2_category,
     twisted_cocycles,
     twisted_compose,
     twisted_hom_cohomology,
@@ -53,8 +53,9 @@ L0, L1 = ((0,), ()), ((1,), ())
 SUMMANDS = {"O": L1, "X": ((0, 1), ("x1",))}
 
 
-def end_algebra_dims_tilting() -> TiltingReport:
-    """Hom and Ext dimensions of the four blocks of End(O + X).
+def end_algebra_dims_tilting(cat: DirectedAInfCategory) -> TiltingReport:
+    """Hom and Ext dimensions of the four blocks of End(O + X) over the
+    thimble category ``cat``.
 
     The bundle X sits in 0 -> O -> X -> N -> 0, where (N, O) = (O(-E), O)
     is ``EXCEPTIONAL_PAIR`` and the extension is nontrivial.  The pair's Ext
@@ -65,7 +66,6 @@ def end_algebra_dims_tilting() -> TiltingReport:
     and 2 of each twisted Hom give Hom, Ext^1 and Ext^2, in the block order
     Hom(O, O), Hom(O, X), Hom(X, O), Hom(X, X).
     """
-    cat = lg2_category()
     ext = ext_hom_table(HirzebruchFan(2), EXCEPTIONAL_PAIR)
     if ext != cat.hom_table():
         raise DiagnosticError(f"the thimble hom table differs from the Ext table {ext} on F_2")
@@ -75,24 +75,21 @@ def end_algebra_dims_tilting() -> TiltingReport:
     return TiltingReport(hom, ext1, ext2)
 
 
-def end_algebra() -> Dict[Tuple[str, str], Tuple[Morphism, ...]]:
+def end_algebra(cat: DirectedAInfCategory) -> Dict[Tuple[str, str], Tuple[Morphism, ...]]:
     """A basis of H^0 of each block Hom(S, T) of End(O + X), keyed (S, T)
     by summand name, in the block order above."""
-    cat = lg2_category()
     return {(s, t): twisted_cocycles(cat, SUMMANDS[s], SUMMANDS[t])
             for s in SUMMANDS for t in SUMMANDS}
 
 
-def identity(summand: str) -> Morphism:
+def identity(cat: DirectedAInfCategory, summand: str) -> Morphism:
     """The identity of O or X: the sum of the identities of its objects."""
-    cat = lg2_category()
     return {cat.identity_of(i): Fraction(1) for i in SUMMANDS[summand][0]}
 
 
-def round_trips(blocks: Dict[Tuple[str, str], Tuple[Morphism, ...]]):
+def round_trips(cat: DirectedAInfCategory, blocks: Dict[Tuple[str, str], Tuple[Morphism, ...]]):
     """The composites O -> X -> O and X -> O -> X of every pair of basis
     morphisms in ``blocks``, and the square of each X -> O -> X composite."""
-    cat = lg2_category()
     out, back = blocks[("O", "X")], blocks[("X", "O")]
     loops = [twisted_compose(cat, g, f) for g in back for f in out]
     return ([twisted_compose(cat, f, g) for f in out for g in back], loops,
@@ -128,9 +125,9 @@ def euler_form_matrix(classes: Sequence[PicClass]) -> ExactMatrix:
     return ExactMatrix([[ext_dims(fan, ci, cj).euler for cj in classes] for ci in classes])
 
 
-def thimble_euler_form() -> ExactMatrix:
-    """sum_d (-1)^d rank hom^d(L_i, L_j) over the thimbles, the Euler form
-    that the exceptional pair's must equal on F_2."""
-    table = lg2_category().hom_table()
+def thimble_euler_form(cat: DirectedAInfCategory) -> ExactMatrix:
+    """sum_d (-1)^d rank hom^d(L_i, L_j) over the thimbles of ``cat``, the
+    Euler form that the exceptional pair's must equal on F_2."""
+    table = cat.hom_table()
     return ExactMatrix([[sum((-1) ** d * rank for d, rank in table[(i, j)].items())
                          for j in (0, 1)] for i in (0, 1)])

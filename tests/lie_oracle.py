@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from lgorbit.errors import PreconditionError, StructureError
-from lgorbit.gaussian import ZERO, ExactMatrix, GaussianRational
+from lgorbit.gaussian import ExactMatrix
 from lgorbit.lie import CartanDiagonal, _chart_directions, _require_critical
 
 Chart = Tuple[Callable[[np.ndarray], complex], int]
@@ -129,8 +129,8 @@ def gradient_norm(
 # ------------------------------------------------------ seeded conjugates
 
 
-def trace(a: ExactMatrix) -> GaussianRational:
-    return sum((a[i, i] for i in range(a.rows)), ZERO)
+def trace(a: ExactMatrix) -> Fraction:
+    return sum((a[i, i] for i in range(a.rows)), Fraction(0))
 
 
 def random_sl_integer(n: int, rng: random.Random, length: int = 8) -> ExactMatrix:
@@ -167,7 +167,7 @@ def orbit_contains_exact(h0: CartanDiagonal, a: ExactMatrix) -> bool:
         raise StructureError("size mismatch between H0 and A")
     power = a
     for k in range(1, n + 1):
-        target = sum((GaussianRational(d) ** k for d in h0.diag), ZERO)
+        target = sum(d ** k for d in h0.diag)
         if trace(power) != target:
             return False
         if k < n:

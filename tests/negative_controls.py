@@ -151,6 +151,17 @@ def _divides_by_zero(*args):
     raise ZeroDivisionError("division by zero")
 
 
+def _x_and_y_swapped(a, original=lie.sl2_orbit_coordinates):
+    # (y, x, z) for (x, y, z): the diagonal critical points read as (0, 1, 0)
+    x, y, z = original(a)
+    return y, x, z
+
+
+def _height_plus_one(h, a, original=lie.height_exact):
+    # a sign flip would keep the set {2, -2}; a shift moves it to {3, -1}
+    return original(h, a) + 1
+
+
 def _swapped_adjugate(x, y, z, w):
     # off-diagonal entries exchanged: a diag(1, -1) adj(a) leaves the orbit
     return ((w, -y), (-z, x))
@@ -189,7 +200,7 @@ def _unexpected_self_ext(fan, c1, c2):
     return toric.CohDims(dims.h0, 1, dims.h2) if (c1, c2) == (MINUS_E, MINUS_E) else dims
 
 
-def _comparison_raises():
+def _comparison_raises(cat):
     raise DiagnosticError("the thimble hom table differs from the Ext table on F_2")
 
 
@@ -199,16 +210,16 @@ def _split_extension(cat, source, target, original=fukaya.twisted_hom):
     return original(cat, (source[0], ()), (target[0], ()))
 
 
-def _no_unit_on_x1():
+def _no_unit_on_x1(original=fukaya.lg2_category):
     # the thimble category without the entry m_2(x1, id_L1) = x1
-    cat = fukaya.lg2_category()
+    cat = original()
     entries = [entry for entry in cat.products() if entry.inputs != ("x1", "id_L1")]
     return DirectedAInfCategory(cat.objects, cat.homs, entries)
 
 
-def _literal_in_place_of_zero():
+def _literal_in_place_of_zero(original=fukaya.lg2_category):
     # m_1(x0) = x1 where the thimble category has the zero differential
-    return quiver.literal_differential(fukaya.lg2_category())
+    return quiver.literal_differential(original())
 
 
 def _zero_in_place_of_literal(cat):
@@ -315,6 +326,8 @@ CONTROLS = {
         (cg, "sphere_embedding", _conjugated_embedding),
         (cg, "base_locus", _off_diagonal_base_locus),
     ],
+    "lie.critical-set": [(lie, "sl2_orbit_coordinates", _x_and_y_swapped)],
+    "lie.critical-heights": [(lie, "height_exact", _height_plus_one)],
     "lie.hessian-nondegenerate": [(lie, "hessian_determinant", _divides_by_zero)],
     "lie.orbit-membership-exact": [(cg, "adjugate", _swapped_adjugate)],
     "mirror.control-witness": [(mirror, "ext_p1", _ext1_off_by_one)],
@@ -332,8 +345,8 @@ CONTROLS = {
         (quiver, "end_algebra_dims_tilting", _comparison_raises),
         (fukaya, "twisted_hom", _split_extension),
     ],
-    "quiver.connecting-map-injectivity": [(quiver, "lg2_category", _no_unit_on_x1)],
-    "quiver.dg-zero-cohomology": [(quiver, "lg2_category", _literal_in_place_of_zero)],
+    "quiver.connecting-map-injectivity": [(fukaya, "lg2_category", _no_unit_on_x1)],
+    "quiver.dg-zero-cohomology": [(fukaya, "lg2_category", _literal_in_place_of_zero)],
     "quiver.dg-literal-acyclic": [(quiver, "literal_differential", _zero_in_place_of_literal)],
     "quiver.undirected-backward-hom": [(fukaya, "twisted_hom", _split_extension)],
     "quiver.k-group-rank": [
@@ -366,8 +379,6 @@ PENDING = (
     "category.morse-circle-differential",
     "category.hom-table",
     "category.projective-line-mismatch",
-    "lie.critical-set",
-    "lie.critical-heights",
     "lie.count-sl3-regular",
     "lie.count-sl3-degenerate",
     "lie.count-sl4-paired",

@@ -91,7 +91,7 @@ def exact_sphere_point(p, q, r):
     p, q, r = Fraction(p), Fraction(q), Fraction(r)
     if p * p + q * q + r * r != 1:
         raise PreconditionError("point is not on the unit sphere")
-    return tuple(GaussianRational.coerce(c) for c in sphere_embedding(p, q, r, I))
+    return sphere_embedding(*map(GaussianRational, (p, q, r)), I)
 
 
 def trace_pairing(u, v):

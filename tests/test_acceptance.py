@@ -170,14 +170,15 @@ def test_criterion_4_sheaf_cohomology():
 
 
 def test_criterion_5_quiver_presentation():
-    blocks = end_algebra()
-    there_and_back, loops, squares = round_trips(blocks)
+    cat = lg2_category()
+    blocks = end_algebra(cat)
+    there_and_back, loops, squares = round_trips(cat, blocks)
     # O -> X -> O vanishes, X -> O -> X is one nonzero loop, and it squares to zero
     relations_ok = there_and_back == squares == [{}] != loops and len(loops) == 1
-    tilt = end_algebra_dims_tilting()
-    fukaya_ranks = lg2_category().hom_table()[(0, 1)]
-    dg_zero = twisted_hom_cohomology(lg2_category(), L0, L1)
-    dg_literal = twisted_hom_cohomology(literal_differential(lg2_category()), L0, L1)
+    tilt = end_algebra_dims_tilting(cat)
+    fukaya_ranks = cat.hom_table()[(0, 1)]
+    dg_zero = twisted_hom_cohomology(cat, L0, L1)
+    dg_literal = twisted_hom_cohomology(literal_differential(cat), L0, L1)
     ok = (
         sum(map(len, blocks.values())) == 5
         and relations_ok

@@ -74,6 +74,14 @@ def test_quadric_presentations():
         cg.gram_rank(cg.projective_closure(x, y, z, 1))
 
 
+def test_gram_rank_needs_rational_coefficients():
+    x, y = variables("x y")
+    # Gram matrix [[1, 1/6], [1/6, 0]]; with i xy in place of xy/3 it would be Gaussian
+    assert cg.gram_rank(x * x + x * y * Fraction(1, 3)) == 2
+    with pytest.raises(PreconditionError, match="rational coefficients"):
+        cg.gram_rank(x * x + x * y * GaussianRational(0, 1))
+
+
 def test_tensor_and_moment_on_identity():
     assert compact_oracle.tensor_fixed_vectors_check(IDENTITY)
     assert compact_oracle.moment_orbit_check(IDENTITY)

@@ -1,10 +1,13 @@
 """Directed A-infinity model of the two thimbles and comparison tables."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fukaya_oracle
+import gaussian_oracle
 from lgorbit import fukaya
 from lgorbit.errors import StructureError
 from lgorbit.fukaya import (
@@ -404,6 +407,41 @@ def test_cocycles_and_composites_of_the_tilting_blocks():
     }
     with pytest.raises(StructureError, match="no m_k for k >= 3"):
         twisted_compose(chain_with_m3(), {"f": 1}, {"g": 1})
+
+
+def _oracle_cocycles(cat, source, target):
+    # the degree-0 cocycle basis read off the oracle's Gaussian elimination,
+    # with each pivot found by scanning its reduced row
+    graded, differentials = twisted_hom(cat, source, target)
+    columns, matrix = graded.get(0, []), differentials.get(0)
+    reduced, rank, _ = (
+        gaussian_oracle.ExactMatrix(matrix)._eliminated() if matrix else ((), 0, None)
+    )
+    pivots = [next(c for c, entry in enumerate(row) if entry) for row in reduced[:rank]]
+    return tuple(
+        {columns[free]: Fraction(1),
+         **{columns[p]: -row[free].re for p, row in zip(pivots, reduced) if row[free]}}
+        for free in range(len(columns)) if free not in pivots
+    )
+
+
+def test_cocycles_of_the_four_tilting_blocks_match_the_gaussian_elimination():
+    cat = lg2_category()
+    expected = {
+        (O_L1, O_L1): ({"id_L1": 1},),
+        (O_L1, X_NONSPLIT): ({"id_L1": 1},),
+        (X_NONSPLIT, O_L1): ({"x0": 1},),
+        (X_NONSPLIT, X_NONSPLIT): ({"x0": 1}, {"id_L1": 1, "id_L0": 1}),
+    }
+    for (source, target), basis in expected.items():
+        cocycles = twisted_cocycles(cat, source, target)
+        assert cocycles == basis == _oracle_cocycles(cat, source, target)
+        # the same vectors in the same order, keys and coefficients alike
+        assert [list(f.items()) for f in cocycles] == [
+            list(f.items()) for f in _oracle_cocycles(cat, source, target)
+        ]
+        assert all(type(c) is Fraction for f in cocycles for c in f.values())
+    assert twisted_cocycles(cat, X_SPLIT, X_SPLIT) == _oracle_cocycles(cat, X_SPLIT, X_SPLIT)
 
 
 def test_morse_circle_model():

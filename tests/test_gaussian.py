@@ -1,9 +1,10 @@
-"""Exact Gaussian rational scalars and matrices."""
+"""Exact Gaussian rational scalars and rational matrices."""
 
 from fractions import Fraction
 
 import pytest
 
+import gaussian_oracle as oracle
 from lgorbit.errors import StructureError
 from lgorbit.gaussian import ONE, ZERO, ExactMatrix, GaussianRational
 
@@ -16,22 +17,25 @@ def test_basic_arithmetic():
     assert a + b == GaussianRational(Fraction(5, 2), Fraction(-1, 4))
     assert a - b == GaussianRational(Fraction(-3, 2), Fraction(7, 4))
     assert a * b == GaussianRational(Fraction(7, 4), 1)
-    assert (a * b) / b == a
     assert -a + a == ZERO
 
 
 def test_i_squares_to_minus_one():
     assert I * I == GaussianRational(-1)
-    assert I ** 4 == ONE
-    assert I ** 3 == -I
+    assert I * I * I * I == ONE
+    assert I * I * I == -I
 
 
 def test_mixed_scalar_coercion():
     a = GaussianRational(1, 1)
     assert 2 * a == GaussianRational(2, 2)
     assert a + Fraction(1, 3) == GaussianRational(Fraction(4, 3), 1)
-    assert 1 - a == GaussianRational(0, -1)
-    assert Fraction(1, 2) / GaussianRational(0, 1) == GaussianRational(0, Fraction(-1, 2))
+    assert a - 1 == GaussianRational(0, 1)
+    # no polynomial subtracts a scalar from a number, or divides
+    with pytest.raises(TypeError):
+        1 - a
+    with pytest.raises(TypeError):
+        Fraction(1, 2) / a
 
 
 def test_conjugate_and_norm():
@@ -41,15 +45,23 @@ def test_conjugate_and_norm():
 
 
 def test_division_by_zero():
+    # the library's scalars have no division, and its elimination divides
+    # only by a nonzero pivot; the oracle's scalars raise on zero
+    with pytest.raises(TypeError):
+        ONE / ONE
+    with pytest.raises(StructureError, match="matrix is singular"):
+        ExactMatrix([[0]]).inverse()
     with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
+        oracle.ONE / oracle.ZERO
 
 
 def test_pow_requires_nonnegative_integer_exponent():
+    with pytest.raises(TypeError):
+        I ** 2
     with pytest.raises(StructureError):
-        ONE ** 0.5
+        oracle.ONE ** 0.5
     with pytest.raises(StructureError):
-        I ** -1
+        oracle.GaussianRational(0, 1) ** -1
 
 
 def test_complex_conversion():
@@ -67,6 +79,12 @@ def test_matrix_ragged_rows_rejected():
         ExactMatrix([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("rows", [[], [[]]])
+def test_matrix_needs_a_row_and_a_column(rows):
+    with pytest.raises(StructureError, match="at least one row and one column"):
+        ExactMatrix(rows)
+
+
 def test_matrix_product_and_trace():
     a = ExactMatrix([[1, 1], [0, 1]])
     b = ExactMatrix([[1, 0], [1, 1]])
@@ -82,27 +100,35 @@ def test_matrix_shape_mismatch():
         a * ExactMatrix([[1, 2]])
     with pytest.raises(StructureError):
         a + ExactMatrix([[1], [2]])
+    with pytest.raises(StructureError):  # one dimension off is enough
+        a - ExactMatrix([[1, 2, 3]])
 
 
 def test_det_rank_inverse():
     m = ExactMatrix([[2, 1], [1, 1]])
-    assert m.det() == ONE
+    assert m.det() == 1 and type(m.det()) is Fraction
     assert m.rank() == 2
     assert m.inverse() * m == ExactMatrix.identity(2)
     assert m * m.inverse() == ExactMatrix.identity(2)
 
 
 def test_det_with_gaussian_entries():
-    m = ExactMatrix([[I, 1], [1, I]])
+    # the library's matrices are rational; the oracle's take Gaussian entries
+    with pytest.raises(StructureError):
+        ExactMatrix([[I, 1], [1, I]])
+    i = oracle.GaussianRational(0, 1)
+    m = oracle.ExactMatrix([[i, 1], [1, i]])
     # det = i*i - 1 = -2
-    assert m.det() == GaussianRational(-2)
-    assert ExactMatrix.diagonal([-2, -2]) * m.inverse() == ExactMatrix([[I, -ONE], [-ONE, I]])
+    assert m.det() == oracle.GaussianRational(-2)
+    assert oracle.ExactMatrix.diagonal([-2, -2]) * m.inverse() == oracle.ExactMatrix(
+        [[i, -1], [-1, i]]
+    )
 
 
 def test_singular_matrix():
     s = ExactMatrix([[1, 2], [2, 4]])
     assert s.rank() == 1
-    assert s.det() == ZERO
+    assert s.det() == 0 and type(s.det()) is Fraction
     with pytest.raises(StructureError, match="matrix is singular"):
         s.inverse()
 
@@ -122,21 +148,20 @@ def test_public_components_are_fractions():
 
 
 def test_integer_division_stays_exact():
-    assert GaussianRational(1) / 3 == GaussianRational(Fraction(1, 3))
-    assert GaussianRational(6, -4) / 2 == GaussianRational(3, -2)
-    assert 1 / GaussianRational(3) == GaussianRational(Fraction(1, 3))
-    assert GaussianRational(1) / GaussianRational(1, 1) == GaussianRational(
-        Fraction(1, 2), Fraction(-1, 2)
-    )
+    # the elimination divides ints by ints: Fractions, and ints where integral
+    inverse = ExactMatrix([[3, 0], [0, -1]]).inverse()
+    assert inverse.entries == ((Fraction(1, 3), 0), (0, -1))
+    assert [type(e) for row in inverse.entries for e in row] == [Fraction, int, int, int]
+    reduced, pivots, factor = ExactMatrix([[6, 4], [3, 2]]).echelon()
+    assert (reduced, pivots, factor) == ([[1, Fraction(2, 3)], [0, 0]], [0], 6)
+    assert [type(e) for row in reduced for e in row] == [int, Fraction, int, int]
 
 
 def test_inverse_of_an_integer_matrix_is_exact():
     inverse = ExactMatrix([[2, 1], [1, 2]]).inverse()
     third = Fraction(1, 3)
     assert inverse == ExactMatrix([[2 * third, -third], [-third, 2 * third]])
-    for row in inverse.entries:
-        for e in row:
-            assert type(e.re) is Fraction and type(e.im) is Fraction
+    assert all(type(e) is Fraction for row in inverse.entries for e in row)
 
 
 def test_integral_values_compare_and_hash_as_integers():
@@ -155,9 +180,10 @@ def test_integral_components_are_stored_as_int():
         GaussianRational(Fraction(1, 3), Fraction(2, 3)) + GaussianRational(
             Fraction(2, 3), Fraction(1, 3)
         ),
-        (ExactMatrix([[Fraction(1, 2)]]) * ExactMatrix([[4]]))[0, 0],
     ):
         assert type(value._re) is int and type(value._im) is int
+    assert type((ExactMatrix([[Fraction(1, 2)]]) * ExactMatrix([[4]]))[0, 0]) is int
+    assert type(ExactMatrix([[Fraction(4, 2)]])[0, 0]) is int
 
 
 def test_non_exact_operands_are_rejected():
@@ -168,3 +194,21 @@ def test_non_exact_operands_are_rejected():
     assert GaussianRational(1) != 1.0
     with pytest.raises(StructureError):
         ExactMatrix([[0.5]])
+
+
+@pytest.mark.parametrize("entry", [GaussianRational(0, 1), GaussianRational(1), True, 0.5])
+def test_matrix_entries_are_ints_or_fractions(entry):
+    # a Gaussian entry, even a real one, a bool and a float are all refused
+    with pytest.raises(StructureError):
+        ExactMatrix([[1, entry]])
+
+
+def test_echelon_reads_rank_det_and_pivot_columns():
+    m = ExactMatrix([[0, 2, 4], [1, 1, 1], [2, 4, 6]])
+    reduced, pivots, factor = m.echelon()
+    assert reduced == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+    assert pivots == [0, 1] and m.rank() == 2
+    # one row swap and pivots 1 and 2: the factor is -2, but the matrix is singular
+    assert factor == -2 and m.det() == 0
+    swapped = ExactMatrix([[0, 1], [1, 0]])
+    assert swapped.det() == -1 and swapped.echelon()[1] == [0, 1]

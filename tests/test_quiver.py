@@ -158,7 +158,7 @@ def test_higher_ext_vanish_needs_both_degrees():
 
 
 def test_tilting_report():
-    report = end_algebra_dims_tilting()
+    report = end_algebra_dims_tilting(lg2_category())
     assert report.hom_dims == (1, 1, 1, 2)
     assert report.total == 5
     assert report.higher_ext_vanish
@@ -167,14 +167,14 @@ def test_tilting_report():
 def test_the_chase_oracle_pinned_injective_agrees_with_the_twisted_hom():
     hom, ext1, ext2, used_pin = end_algebra_dims_by_chases("injective")
     assert used_pin
-    assert tuple(end_algebra_dims_tilting()) == (hom, ext1, ext2)
+    assert tuple(end_algebra_dims_tilting(lg2_category())) == (hom, ext1, ext2)
     # unpinned, the chase against O cannot see its connecting map
     with pytest.raises(DiagnosticError, match="A2 -> A3 is undetermined"):
         end_algebra_dims_by_chases(None)
 
 
 def test_tilting_total_matches_quiver_dimension():
-    assert end_algebra_dims_tilting().total == path_basis(ordinary_quiver()).dimension
+    assert end_algebra_dims_tilting(lg2_category()).total == path_basis(ordinary_quiver()).dimension
 
 
 def test_euler_form_rank_of_the_exceptional_pair():
@@ -194,11 +194,12 @@ def test_binomial_relation_rejected():
 def test_the_derived_algebra_is_the_oracle_path_algebra():
     # O, X -> v0, v1: the identities go to the idempotents, the H^0 morphisms
     # each way to the arrows, and X -> O -> X to the loop
-    cat, blocks, oracle = lg2_category(), quiver.end_algebra(), ordinary_quiver()
+    cat, oracle = lg2_category(), ordinary_quiver()
+    blocks = quiver.end_algebra(cat)
     (forward,), (backward,) = blocks[("O", "X")], blocks[("X", "O")]
     image = [  # (morphism, source, target, path)
-        (quiver.identity("O"), "O", "O", oracle.identity("v0")),
-        (quiver.identity("X"), "X", "X", oracle.identity("v1")),
+        (quiver.identity(cat, "O"), "O", "O", oracle.identity("v0")),
+        (quiver.identity(cat, "X"), "X", "X", oracle.identity("v1")),
         (forward, "O", "X", oracle._path_of_word(("alpha",))),
         (backward, "X", "O", oracle._path_of_word(("beta",))),
         (twisted_compose(cat, backward, forward), "X", "X",
@@ -242,4 +243,4 @@ def test_only_f2_gives_the_thimble_euler_form(monkeypatch, a, matrix):
         toric._cohomology.cache_clear()
     assert euler == ExactMatrix(matrix)
     assert euler.rank() == 2
-    assert (euler == quiver.thimble_euler_form()) == (a == 2)
+    assert (euler == quiver.thimble_euler_form(lg2_category())) == (a == 2)

@@ -33,7 +33,7 @@ def _records():
         fukaya.GradedModule([("x0", 0), ("x1", 1)]),
         fukaya.ProductEntry(("x0",), "x1"),
         fukaya.morse_circle_floer(),
-        quiver.end_algebra_dims_tilting(),
+        quiver.end_algebra_dims_tilting(fukaya.lg2_category()),
         compactification.critical_data(),
         lie.CartanDiagonal((1, -1)),
     ]
