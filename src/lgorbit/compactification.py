@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError, StructureError
 from .gaussian import ZERO, ExactMatrix, GaussianRational, RatLike
-from .poly import MultiHomPoly, certify, certify_charts, variables
+from .poly import MultiHomPoly, certify, certify_charts, product, variables
 from .symplectic import orbit_residual, sphere_embedding
 
 _HALF = Fraction(1, 2)
@@ -93,13 +93,8 @@ class MultiProjPoint:
 
 # -------------------------------------------------- ring-generic 2x2 algebra
 # Each construction on a = [[x, z], [y, w]] is written once, over any ring, on
-# the four entries and returns nested tuples; callers evaluate it on exact
-# entries, and the certificates call it on polynomial symbols.
-
-
-def product(a, b):
-    """Product of 2x2 nested-tuple matrices; b may be a column."""
-    return tuple(tuple(r[0] * b[0][j] + r[1] * b[1][j] for j in range(len(b[0]))) for r in a)
+# the four entries and returns nested tuples, which ``poly.product`` multiplies;
+# callers evaluate it on exact entries, the certificates on polynomial symbols.
 
 
 def trace(m):

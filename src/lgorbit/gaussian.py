@@ -10,13 +10,12 @@ this way, so structural equality is mathematical equality.
 ``GaussianRational`` keeps what polynomials read: sums, products,
 conjugation, equality and printing; nothing divides one.  ``ExactMatrix``
 holds ``int`` and ``Fraction`` entries only, since every matrix the report
-eliminates (Euler forms, Gram matrices, chart Hessians, Hom differentials)
-is rational; ``echelon`` gives its rank, determinant and inverse.
+eliminates (Euler forms, Gram matrices, Hom differentials) is rational; its
+ranks and cocycle bases come from ``echelon``, as do ``det`` and ``inverse``.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -176,11 +175,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, values: Sequence[Rational]) -> "ExactMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
@@ -190,20 +184,14 @@ class ExactMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def _entrywise(self, other: "ExactMatrix", op) -> "ExactMatrix":
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise StructureError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
         return ExactMatrix(
-            [[op(a, b) for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
+            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(other, operator.sub)
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):

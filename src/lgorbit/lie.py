@@ -2,11 +2,10 @@
 
 The orbit of a diagonal traceless matrix H0 under conjugation is studied
 through the height function A -> tr(H A) attached to a regular diagonal H.
-Critical points are the diagonal matrices with permuted H0 entries; their
-count is an integer, and their heights, chart Hessians and Hessian
-determinants are exact rationals (``int`` or ``Fraction``).  Orbit
-membership of the conjugates is certified as a cofactor identity in
-``compactification``, not computed here.
+Matrices are nested tuples over any ring (``poly.product``), and each
+polynomial claim is an identity function that ``poly.certify`` checks: the
+sl(2) critical locus and heights, and the chart Hessian at a diagonal point.
+Counts, Hessian entries and determinants are exact rationals.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 from typing import List, Sequence, Set, Tuple
 
 from .errors import PreconditionError, StructureError
-from .gaussian import ExactMatrix, Rational
+from .poly import product
 
 
 class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
@@ -42,107 +41,107 @@ class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
     def regular(self) -> bool:
         return len(set(self.diag)) == len(self.diag)
 
-    def as_exact_matrix(self) -> ExactMatrix:
-        return ExactMatrix.diagonal(self.diag)
+
+def diagonal(values: Sequence) -> tuple:
+    n = len(values)
+    return tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def height_exact(h: CartanDiagonal, a: ExactMatrix) -> Fraction:
-    if a.rows != h.n or a.cols != h.n:
-        raise StructureError("size mismatch between H and A")
-    return sum((d * a[i, i] for i, d in enumerate(h.diag)), Fraction(0))
+def bracket(a, b) -> tuple:
+    """The commutator [a, b] = ab - ba of two square nested-tuple matrices."""
+    return tuple(tuple(s - t for s, t in zip(r, q)) for r, q in zip(product(a, b), product(b, a)))
 
 
-def sl2_orbit_coordinates(a: ExactMatrix) -> Tuple[Rational, ...]:
-    """Read (x, y, z) off a 2x2 traceless matrix [[x, y], [z, -x]]."""
-    if a.rows != 2 or a.cols != 2:
-        raise StructureError("expected a 2x2 matrix")
-    if a[0, 0] != -a[1, 1]:
-        raise StructureError("matrix is not traceless")
-    return (a[0, 0], a[0, 1], a[1, 0])
+def height(h: CartanDiagonal, a):
+    """The height tr(H A) of a square matrix A."""
+    return sum(d * a[i][i] for i, d in enumerate(h.diag))
 
 
-# ----------------------------------------------------------- critical points
+def sl2_critical_identities(x, y, z):
+    """The critical locus of tr(H .) on the sl(2) orbit x^2 + yz = 1: at
+    X = [[x, y], [z, -x]] and H = diag(1, -1), [X, H] = [[0, -2y], [2z, 0]],
+    so a critical X has y = z = 0, and then x^2 - 1 = (x^2 + yz - 1) - y z
+    vanishes: x = 1 or -1, at the heights tr(H X) = 2x = 2 and -2.
 
-
-def critical_points(h0: CartanDiagonal, h: CartanDiagonal) -> Set[Tuple[Fraction, ...]]:
-    """Diagonals of the critical points of the height tr(H .) on the orbit of H0.
-
-    For regular H these are exactly the coordinate permutations of H0's
-    diagonal; repeated H0 entries collapse the set.
+    Lemma (every n; Gasparim, Grama and San Martin, Forum Math. 28, 2016):
+    X on the orbit is critical for tr(H .) iff [X, H] = 0.  For regular
+    diagonal H, [X, H] has entries (h_j - h_i) x_ij, so X is diagonal, and a
+    diagonal matrix has H0's characteristic polynomial iff its entries are a
+    permutation of H0's (Vieta).  ``critical_points`` lists those.
     """
+    h = CartanDiagonal((1, -1))
+    a = ((x, y), (z, -x))
+    c = bracket(a, diagonal(h.diag))
+    return [(c[0][0], ()), (c[0][1] + 2 * y, ()), (c[1][0] - 2 * z, ()), (c[1][1], ()),
+            (height(h, a) - 2 * x, ()), (x * x - 1, ((x * x + y * z - 1, 1), (y, -z)))]
+
+
+def _regular_height(h0: CartanDiagonal, h: CartanDiagonal) -> None:
     if h0.n != h.n:
         raise StructureError("H0 and H must have one size")
     if not h.regular:
         raise PreconditionError("height diagonal H must be regular")
+
+
+def critical_points(h0: CartanDiagonal, h: CartanDiagonal) -> Set[Tuple[Fraction, ...]]:
+    """Diagonals of the critical points of tr(H .) on the orbit of H0: for
+    regular H, the permutations of H0's diagonal (``sl2_critical_identities``
+    states the lemma); repeated H0 entries collapse the set."""
+    _regular_height(h0, h)
     return set(itertools.permutations(h0.diag))
 
 
 def critical_count(h0: CartanDiagonal, h: CartanDiagonal) -> int:
     """n! divided by the factorials of the multiplicities of H0's entries."""
-    if h0.n != h.n:
-        raise StructureError("H0 and H must have one size")
-    if not h.regular:
-        raise PreconditionError("height diagonal H must be regular")
+    _regular_height(h0, h)
     count = math.factorial(h0.n)
     for value in set(h0.diag):
         count //= math.factorial(h0.diag.count(value))
     return count
 
 
-def _chart_directions(point: Sequence[Fraction]) -> List[Tuple[int, int]]:
-    n = len(point)
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and point[i] != point[j]
-    ]
+def _chart_directions(point: Sequence) -> List[Tuple[int, int]]:
+    return [(i, j) for i, p in enumerate(point) for j, q in enumerate(point) if p != q]
 
 
-def _require_critical(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Tuple[Fraction, ...]:
-    pt = tuple(Fraction(p) for p in point)
-    if pt not in critical_points(h0, h):
-        raise PreconditionError(f"{pt} is not a critical point of this height")
-    return pt
+def hessian_matrix(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> tuple:
+    """Exact Hessian of the height at a diagonal point P of the orbit, which
+    commutes with H and so is critical for every diagonal H.
 
-
-def hessian_matrix(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> ExactMatrix:
-    """Exact Hessian of the height at a critical point P in the exp(ad) chart.
-
-    The chart is u -> exp(Z) P exp(-Z) with Z = sum u_ij E_ij over the root
-    directions (i, j) with p_i != p_j, in ``_chart_directions`` order.  The
-    quadratic term of tr(H .) is q(Z) / 2 with q(Z) = tr(H [Z, [Z, P]]); the
-    entries are q(E_a) on the diagonal and the polarization
-    (q(E_a + E_b) - q(E_a) - q(E_b)) / 2 off it, evaluated with exact
-    commutators.  In closed form the Hessian pairs each E_ij with E_ji by
-    (p_j - p_i)(h_j - h_i) and has no other entries (Gasparim, Grama and
-    San Martin, Forum Math. 2016).
+    The chart is u -> exp(Z) P exp(-Z), Z = sum u_ij E_ij over the directions
+    with p_i != p_j in ``_chart_directions`` order.  (p_j - p_i)(h_j - h_i)
+    pairs each E_ij with E_ji, and ``hessian_identities`` certifies that.
     """
-    pt = _require_critical(h0, h, point)
+    pt = tuple(Fraction(p) for p in point)
+    if h.n != h0.n or sorted(pt) != sorted(h0.diag):
+        raise PreconditionError(f"{pt} is not a diagonal point of the orbit of H0 for H")
     directions = _chart_directions(pt)
-    if not directions:
-        raise PreconditionError("critical point admits no moving directions")
-    n = len(pt)
-    p = ExactMatrix.diagonal(pt)
+    return tuple(tuple((pt[j] - pt[i]) * (h.diag[j] - h.diag[i]) if (k, l) == (j, i) else 0
+                       for k, l in directions) for i, j in directions)
 
-    def q(*support: Tuple[int, int]) -> Fraction:
-        z = ExactMatrix([[1 if (r, s) in support else 0 for s in range(n)] for r in range(n)])
-        zp = z * p - p * z
-        return height_exact(h, z * zp - zp * z)
 
-    square = [q(d) for d in directions]
-    entries = [[Fraction(0)] * len(directions) for _ in directions]
-    for a, da in enumerate(directions):
-        entries[a][a] = square[a]
-        for b in range(a + 1, len(directions)):
-            mixed = (q(da, directions[b]) - square[a] - square[b]) / 2
-            entries[a][b] = entries[b][a] = mixed
-    return ExactMatrix(entries)
+def hessian_identities(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence, *u):
+    """q(Z) = tr(H [Z, [Z, P]]) minus sum_ab M_ab u_a u_b is 0, at Z = sum u_a E_a
+    over the chart directions and M = ``hessian_matrix``.  The height in the
+    chart is tr(H P) + q(Z) / 2 + O(Z^3), as tr(H [Z, P]) = 0 for diagonal H
+    and P, so M is its Hessian."""
+    matrix = hessian_matrix(h0, h, point)
+    if len(u) != len(matrix):
+        raise StructureError(f"need one symbol per chart direction, {len(matrix)}")
+    coordinate = dict(zip(_chart_directions(point), u))
+    z = tuple(tuple(coordinate.get((i, j), 0) for j in range(h.n)) for i in range(h.n))
+    q = height(h, bracket(z, bracket(z, diagonal(point))))
+    quadratic = sum(e * u[a] * u[b] for a, row in enumerate(matrix) for b, e in enumerate(row) if e)
+    return [(q - quadratic, ())]
 
 
 def hessian_determinant(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Fraction:
-    """Determinant of the exact chart Hessian; its entries are rational, so is it."""
-    return hessian_matrix(h0, h, point).det()
+    """Determinant of ``hessian_matrix``: row E_ij has its one nonzero entry in
+    column E_ji, so it is that pairing's sign times the product of those entries."""
+    matrix = hessian_matrix(h0, h, point)
+    directions = _chart_directions(point)
+    pairing = [directions.index((j, i)) for i, j in directions]
+    return (-1) ** (len(directions) // 2) * math.prod(row[b] for row, b in zip(matrix, pairing))
 
 
 # perfbench/tracer.py still looks up the sampler that the orbit-membership

@@ -226,6 +226,13 @@ def variables(names: str) -> Tuple[MultiHomPoly, ...]:
     return tuple(MultiHomPoly.variable(names, name) for name in names)
 
 
+def product(a, b) -> tuple:
+    """Product of nested-tuple matrices over any ring; b may be a column."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(functools.reduce(operator.add, map(operator.mul, row, col))
+                       for col in columns) for row in a)
+
+
 def certify(identities: Iterable) -> Optional[int]:
     """The position of the first identity that fails, or None when all hold.
 

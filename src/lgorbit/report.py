@@ -145,6 +145,7 @@ def _lie(cfg: Config):
     from . import lie
     h = lie.CartanDiagonal((1, -1))
     points = lie.critical_points(h, h)
+    critical = _certified(lie.sl2_critical_identities, "x y z")
     return locals(), {}
 
 
@@ -163,30 +164,34 @@ def _critical_count(diag, regular_h, expected):
     return verdict
 
 
+def _hessian_nondegenerate(lie, h, points):
+    """Each sl(2) critical point's chart Hessian is certified and nondegenerate."""
+    dets = [abs(lie.hessian_determinant(h, h, d)) for d in points]
+    certified = all(_certified(lambda *u: lie.hessian_identities(h, h, d, *u), "u01 u10")
+                    for d in points)
+    return (certified and min(dets) != 0,
+            "exact chart Hessian determinant magnitude at both critical points: "
+            "tr(H [Z, [Z, P]]) = sum (p_j - p_i)(h_j - h_i) u_ij u_ji at Z = sum u_ij E_ij, "
+            "so the Hessian pairs each E_ij with E_ji by (p_j - p_i)(h_j - h_i)",
+            float(min(dets)))
+
+
 suite_lie = _suite(
     _lie,
     Check("lie.critical-set", "claim:height-critical-set-two-points",
-          lambda lie, points: (
-              points == {(1, -1), (-1, 1)}
-              and {lie.sl2_orbit_coordinates(lie.CartanDiagonal(d).as_exact_matrix())
-                   for d in points} == {(1, 0, 0), (-1, 0, 0)},
-              f"critical diagonals {sorted(points)} give orbit coordinates "
-              "(1,0,0) and (-1,0,0), exactly",
+          lambda points, critical: (
+              critical and points == {(1, -1), (-1, 1)},
+              "at X = [[x, y], [z, -x]] and H = diag(1, -1), [X, H] = [[0, -2y], [2z, 0]] and "
+              "x^2 - 1 = (x^2 + yz - 1) - y*z: the critical points on the orbit are (x, y, z) "
+              "= (1, 0, 0) and (-1, 0, 0), the diagonals diag(1, -1) and diag(-1, 1), exactly",
           )),
     Check("lie.critical-heights", "claim:critical-values-plus-minus-two",
-          lambda lie, h, points: (
-              {lie.height_exact(h, lie.CartanDiagonal(d).as_exact_matrix())
-               for d in points} == {2, -2},
-              "the two critical heights are 2 and -2 and are distinct",
+          lambda lie, h, points, critical: (
+              critical and {lie.height(h, lie.diagonal(d)) for d in points} == {2, -2},
+              "tr(H X) = 2x on the orbit: the two critical heights are 2 and -2 and "
+              "are distinct",
           )),
-    Check("lie.hessian-nondegenerate", "claim:morse-nondegeneracy",
-          lambda lie, h, points: (
-              min(dets := [abs(lie.hessian_determinant(h, h, d)) for d in points]) != 0,
-              "exact chart Hessian determinant magnitude at both critical points, "
-              "polarizing tr(H [Z, [Z, P]]) / 2 over the root directions; in closed "
-              "form (p_j - p_i)(h_j - h_i) pairs each E_ij with E_ji",
-              float(min(dets)),
-          )),
+    Check("lie.hessian-nondegenerate", "claim:morse-nondegeneracy", _hessian_nondegenerate),
     *(
         Check(check_id, "claim:critical-point-count-formula", _critical_count(*orbit))
         for check_id, *orbit in (

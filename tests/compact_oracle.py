@@ -32,8 +32,8 @@ from lgorbit.gaussian import ONE, ExactMatrix, GaussianRational
 from lie_oracle import random_sl_integer, trace
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 
-_HALF_DIAG = ExactMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])
-_HEIGHT_DIAG = ExactMatrix.diagonal([1, -1])
+_HALF_DIAG = ExactMatrix([[Fraction(1, 2), 0], [0, Fraction(-1, 2)]])
+_HEIGHT_DIAG = ExactMatrix([[1, 0], [0, -1]])
 
 # The entries (x, y, z, w) of a group element [[x, z], [y, w]]
 Entries = Tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]
@@ -81,7 +81,7 @@ def moment_orbit_check(a: Entries) -> bool:
     if m != g * _HALF_DIAG * g.inverse():
         return False
     col = ExactMatrix([[x], [y]])
-    return m * col == ExactMatrix.diagonal([Fraction(1, 2)] * 2) * col
+    return m * col == ExactMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]) * col
 
 
 def moment_orbit_scan(count: int = 100, seed: int = 0) -> bool:

@@ -2,7 +2,7 @@
 
 The float chart computations are those that ``lgorbit.lie`` replaced with
 the exact closed-form Hessian.  They share only the chart directions and
-the critical-point test with the library, and need numpy and scipy, which
+``critical_points`` with the library, and need numpy and scipy, which
 only the tests depend on.  The central-difference truncation error is
 O(step^2).
 
@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from lgorbit.errors import PreconditionError, StructureError
 from lgorbit.gaussian import ExactMatrix
-from lgorbit.lie import CartanDiagonal, _chart_directions, _require_critical
+from lgorbit.lie import CartanDiagonal, _chart_directions, critical_points
 
 Chart = Tuple[Callable[[np.ndarray], complex], int]
 
@@ -80,6 +80,13 @@ def _central_hessian(f: Callable[[np.ndarray], complex], dim: int, step: float) 
             hess[i, j] = value
             hess[j, i] = value
     return hess
+
+
+def _require_critical(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Tuple[Fraction, ...]:
+    pt = tuple(Fraction(p) for p in point)
+    if pt not in critical_points(h0, h):
+        raise PreconditionError(f"{pt} is not a critical point of this height")
+    return pt
 
 
 def hessian_matrix(

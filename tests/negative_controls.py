@@ -8,6 +8,9 @@ check that crashes still reports a failed row.  ``PENDING`` names the PASS
 rows that no control reaches yet.
 """
 
+import math
+from fractions import Fraction
+
 from lgorbit import compactification as cg
 from lgorbit import fukaya, lie, mirror, quiver, symplectic, toric
 from lgorbit.errors import DiagnosticError
@@ -151,15 +154,34 @@ def _divides_by_zero(*args):
     raise ZeroDivisionError("division by zero")
 
 
-def _x_and_y_swapped(a, original=lie.sl2_orbit_coordinates):
-    # (y, x, z) for (x, y, z): the diagonal critical points read as (0, 1, 0)
-    x, y, z = original(a)
-    return y, x, z
+def _bracket_sign_flipped(a, b, original=lie.bracket):
+    # [b, a] = -[a, b]: the entries of [X, H] read 2y and -2z
+    return original(b, a)
 
 
-def _height_plus_one(h, a, original=lie.height_exact):
+def _height_plus_one(h, a, original=lie.height):
     # a sign flip would keep the set {2, -2}; a shift moves it to {3, -1}
     return original(h, a) + 1
+
+
+def _hessian_over_three(h0, h, point, original=lie.hessian_matrix):
+    # the closed form scaled by 1/3 is no longer the height's quadratic term
+    return tuple(tuple(Fraction(e, 3) for e in row) for row in original(h0, h, point))
+
+
+def _non_regular_height(h0, h, point, original=lie.hessian_determinant):
+    # H = 0: every diagonal point is still critical, with a degenerate Hessian
+    return original(h0, lie.CartanDiagonal((0,) * h.n), point)
+
+
+def _multiplicity_blind_count(h0, h):
+    # n!, as if H0's entries were distinct
+    return math.factorial(h0.n)
+
+
+def _one_point_too_many(h0, h, original=lie.critical_points):
+    # the zero diagonal is on no orbit of a nonzero H0
+    return original(h0, h) | {(0,) * h0.n}
 
 
 def _swapped_adjugate(x, y, z, w):
@@ -326,9 +348,16 @@ CONTROLS = {
         (cg, "sphere_embedding", _conjugated_embedding),
         (cg, "base_locus", _off_diagonal_base_locus),
     ],
-    "lie.critical-set": [(lie, "sl2_orbit_coordinates", _x_and_y_swapped)],
-    "lie.critical-heights": [(lie, "height_exact", _height_plus_one)],
-    "lie.hessian-nondegenerate": [(lie, "hessian_determinant", _divides_by_zero)],
+    "lie.critical-set": [(lie, "bracket", _bracket_sign_flipped)],
+    "lie.critical-heights": [(lie, "height", _height_plus_one)],
+    "lie.hessian-nondegenerate": [
+        (lie, "hessian_determinant", _divides_by_zero),
+        (lie, "hessian_matrix", _hessian_over_three),
+        (lie, "hessian_determinant", _non_regular_height),
+    ],
+    "lie.count-sl3-regular": [(lie, "critical_points", _one_point_too_many)],
+    "lie.count-sl3-degenerate": [(lie, "critical_count", _multiplicity_blind_count)],
+    "lie.count-sl4-paired": [(lie, "critical_count", _multiplicity_blind_count)],
     "lie.orbit-membership-exact": [(cg, "adjugate", _swapped_adjugate)],
     "mirror.control-witness": [(mirror, "ext_p1", _ext1_off_by_one)],
     "mirror.euler-pairing": [(mirror, "ext_p1", _ext1_off_by_one)],
@@ -379,9 +408,6 @@ PENDING = (
     "category.morse-circle-differential",
     "category.hom-table",
     "category.projective-line-mismatch",
-    "lie.count-sl3-regular",
-    "lie.count-sl3-degenerate",
-    "lie.count-sl4-paired",
     "mirror.main-search",
     "mirror.control-self-pair",
     "mirror.stability",

@@ -23,9 +23,10 @@ from lgorbit.lie import (
     CartanDiagonal,
     critical_count,
     critical_points,
-    height_exact,
+    diagonal,
+    height,
     hessian_determinant,
-    sl2_orbit_coordinates,
+    sl2_critical_identities,
 )
 from lgorbit.mirror import (
     dimension_bound_verdict,
@@ -76,16 +77,8 @@ def _holds(identities, names: str, *i) -> bool:
 def test_criterion_1_critical_structure():
     h2 = CartanDiagonal((1, -1))
     pts = critical_points(h2, h2)
-    coords = {
-        tuple(sl2_orbit_coordinates(CartanDiagonal(d).as_exact_matrix()))
-        for d in pts
-    }
-    one, zero = GaussianRational(1), GaussianRational(0)
-    set_ok = coords == {(one, zero, zero), (-one, zero, zero)}
-    heights_ok = {height_exact(h2, CartanDiagonal(d).as_exact_matrix()) for d in pts} == {
-        Fraction(2),
-        Fraction(-2),
-    }
+    set_ok = _holds(sl2_critical_identities, "x y z") and pts == {(1, -1), (-1, 1)}
+    heights_ok = {height(h2, diagonal(d)) for d in pts} == {Fraction(2), Fraction(-2)}
     hessian_ok = all(
         abs(lie_oracle.hessian_determinant(h2, h2, d, step=HESSIAN_STEP)) >= HESSIAN_MIN
         and hessian_determinant(h2, h2, d) != 0
@@ -240,7 +233,7 @@ def test_criterion_8_deterministic_report(full_report):
 def test_exact_orbit_membership_support():
     # shared support for criteria 1 and 7: conjugation stays on the orbit
     rng = random.Random(1)
-    h0 = ExactMatrix.diagonal([1, -1])
+    h0 = ExactMatrix([[1, 0], [0, -1]])
     h = CartanDiagonal((1, -1))
     ok = all(
         lie_oracle.orbit_contains_exact(

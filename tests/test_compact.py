@@ -91,7 +91,7 @@ def test_moment_map_matches_conjugation():
     m = ExactMatrix(cg.moment_map(*SHEAR))
     a = compact_oracle.exact_matrix(SHEAR)
     half = Fraction(1, 2)
-    expected = a * ExactMatrix.diagonal([half, -half]) * a.inverse()
+    expected = a * ExactMatrix([[half, 0], [0, -half]]) * a.inverse()
     assert m == expected
 
 

@@ -71,7 +71,7 @@ def test_complex_conversion():
 def test_matrix_constructors_and_indexing():
     m = ExactMatrix([[1, 2], [3, 4]])
     assert m[0, 1] == GaussianRational(2)
-    assert ExactMatrix.identity(2) == ExactMatrix.diagonal([1, 1])
+    assert ExactMatrix.identity(2) == ExactMatrix([[1, 0], [0, 1]])
 
 
 def test_matrix_ragged_rows_rejected():
@@ -101,7 +101,15 @@ def test_matrix_shape_mismatch():
     with pytest.raises(StructureError):
         a + ExactMatrix([[1], [2]])
     with pytest.raises(StructureError):  # one dimension off is enough
-        a - ExactMatrix([[1, 2, 3]])
+        a + ExactMatrix([[1, 2, 3]])
+    with pytest.raises(StructureError):
+        ExactMatrix([[1], [2]]) + ExactMatrix([[1], [2], [3]])
+
+
+def test_matrix_sum_is_entrywise():
+    assert ExactMatrix([[1, 2]]) + ExactMatrix([[Fraction(1, 2), -2]]) == ExactMatrix(
+        [[Fraction(3, 2), 0]]
+    )
 
 
 def test_det_rank_inverse():

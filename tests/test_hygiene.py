@@ -146,6 +146,7 @@ BENCHMARK_ONLY = {
     "compactification.orbit_value_identity",
     "compactification.singular_scan",
     "lie.random_sl_integer",
+    "gaussian.ExactMatrix.det",
     "gaussian.ExactMatrix.inverse",
     "symplectic.check_thimble_lagrangian",
 }
@@ -290,3 +291,31 @@ def test_only_fukaya_takes_cohomology_of_a_hom_complex():
     }) == {"a.py", "b.py"}
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert cohomology_readers(sources) == {"fukaya.py"}
+
+
+def gaussian_importers(sources):
+    """Files in ``sources`` (file name -> text) that import the ``gaussian``
+    module or a name from it."""
+    importers = set()
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(module.split(".")[-1] == "gaussian" for module in modules):
+                importers.add(file)
+    return importers
+
+
+def test_lie_imports_nothing_from_gaussian():
+    # lie's claims are identity data for poly.certify, with no matrix algebra of its own
+    assert gaussian_importers({
+        "a.py": "from .gaussian import ExactMatrix\n",
+        "b.py": "from . import gaussian, poly\n",
+        "c.py": "import lgorbit.gaussian\n",
+        "d.py": "from .poly import product\nfrom .gaussian_oracle import check\n",
+    }) == {"a.py", "b.py", "c.py"}
+    assert gaussian_importers({"lie.py": (SRC / "lie.py").read_text(encoding="utf-8")}) == set()

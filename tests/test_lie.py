@@ -16,12 +16,15 @@ from lgorbit.errors import PreconditionError, StructureError
 from lgorbit.gaussian import ExactMatrix, GaussianRational
 from lgorbit.lie import (
     CartanDiagonal,
+    bracket,
     critical_count,
     critical_points,
-    height_exact,
+    diagonal,
+    height,
     hessian_determinant,
+    hessian_identities,
     hessian_matrix,
-    sl2_orbit_coordinates,
+    sl2_critical_identities,
 )
 from lgorbit.poly import certify, variables
 from lie_oracle import conjugate_exact, orbit_contains_exact, random_sl_integer
@@ -45,19 +48,22 @@ def test_cartan_must_be_traceless():
 def test_sl2_critical_set():
     pts = critical_points(H0_SL2, H_SL2)
     assert pts == {(Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1))}
-    coords = {
-        tuple(sl2_orbit_coordinates(CartanDiagonal(d).as_exact_matrix()))
-        for d in pts
-    }
-    one, zero = GaussianRational(1), GaussianRational(0)
-    assert coords == {(one, zero, zero), (-one, zero, zero)}
+    assert certify(sl2_critical_identities(*variables("x y z"))) is None
+    # at the orbit coordinates (x, 0, 0) of each critical diagonal every
+    # difference and every relation of the certificate vanishes
+    for d in pts:
+        for difference, terms in sl2_critical_identities(d[0], 0, 0):
+            assert difference == 0 and all(relation == 0 for relation, _ in terms)
+
+
+def test_sl2_bracket_moves_an_off_diagonal_orbit_point():
+    # (0, 1, 1) is on the orbit x^2 + yz = 1, and [X, H] = [[0, -2y], [2z, 0]] there
+    x = ((0, 1), (1, 0))
+    assert bracket(x, diagonal(H_SL2.diag)) == ((0, -2), (2, 0))
 
 
 def test_sl2_critical_heights():
-    heights = {
-        height_exact(H_SL2, CartanDiagonal(d).as_exact_matrix())
-        for d in critical_points(H0_SL2, H_SL2)
-    }
+    heights = {height(H_SL2, diagonal(d)) for d in critical_points(H0_SL2, H_SL2)}
     assert heights == {Fraction(2), Fraction(-2)}
 
 
@@ -103,7 +109,7 @@ def test_hessian_entries_and_determinant_are_fractions():
     for point in critical_points(h0, h):
         det = hessian_determinant(h0, h, point)
         assert type(det) is Fraction and det != 0
-        for row in hessian_matrix(h0, h, point).entries:
+        for row in hessian_matrix(h0, h, point):
             assert all(type(e) in (int, Fraction) for e in row)
 
 
@@ -138,9 +144,7 @@ def test_closed_form_hessian_matches_finite_differences(h0, h):
     for point in critical_points(h0, h):
         exact = hessian_matrix(h0, h, point)
         approx = lie_oracle.expm_hessian_matrix(h0, h, point, step=1e-4)
-        closed = np.array(
-            [[complex(exact[i, j]) for j in range(exact.cols)] for i in range(exact.rows)]
-        )
+        closed = np.array([[complex(e) for e in row] for row in exact])
         assert np.max(np.abs(closed - approx)) < 1e-6
 
 
@@ -158,7 +162,33 @@ def test_hessian_equals_the_closed_form(h0, h):
             ]
             for (i, j) in directions
         ]
-        assert hessian_matrix(h0, h, point) == ExactMatrix(closed)
+        assert hessian_matrix(h0, h, point) == tuple(map(tuple, closed))
+
+
+@pytest.mark.parametrize("h0, h", HESSIAN_CASES)
+def test_hessian_identity_certifies_the_matrix_and_elimination_agrees(h0, h):
+    for point in critical_points(h0, h):
+        u = variables(" ".join(f"u{a}" for a in range(len(hessian_matrix(h0, h, point)))))
+        assert certify(hessian_identities(h0, h, point, *u)) is None
+        assert ExactMatrix(hessian_matrix(h0, h, point)).det() == hessian_determinant(h0, h, point)
+
+
+def test_a_non_regular_height_leaves_a_degenerate_hessian():
+    # every diagonal point is critical for a diagonal H; H = diag(1, 1, -2) pairs
+    # E_01 with E_10 by 0, so the Hessian is certified and singular
+    h0, h = CartanDiagonal((2, 1, -3)), CartanDiagonal((1, 1, -2))
+    u = variables(" ".join(f"u{a}" for a in range(6)))
+    assert certify(hessian_identities(h0, h, (2, 1, -3), *u)) is None
+    assert hessian_determinant(h0, h, (2, 1, -3)) == 0
+
+
+def test_hessian_needs_a_diagonal_point_of_the_orbit():
+    with pytest.raises(PreconditionError):
+        hessian_matrix(H0_SL2, H_SL2, (2, -2))
+    with pytest.raises(PreconditionError):
+        hessian_matrix(H0_SL2, CartanDiagonal((1, 0, -1)), (1, -1))
+    with pytest.raises(StructureError):  # one symbol per chart direction
+        hessian_identities(H0_SL2, H_SL2, (1, -1), *variables("u"))
 
 
 def test_sl2_charts_differ_by_the_linear_change_of_coordinates():
@@ -183,14 +213,14 @@ def test_gradient_norm_rejects_sl2_chart_gap():
 
 def test_orbit_membership_exact_positive():
     rng = random.Random(7)
-    h0 = ExactMatrix.diagonal([1, -1])
+    h0 = ExactMatrix([[1, 0], [0, -1]])
     for _ in range(20):
         g = random_sl_integer(2, rng)
         assert orbit_contains_exact(H0_SL2, conjugate_exact(g, h0))
 
 
 def test_orbit_membership_exact_negative():
-    assert not orbit_contains_exact(H0_SL2, ExactMatrix.diagonal([2, -2]))
+    assert not orbit_contains_exact(H0_SL2, ExactMatrix([[2, 0], [0, -2]]))
     # nilpotent: right trace, wrong characteristic polynomial
     nil = ExactMatrix([[0, 1], [0, 0]])
     assert not orbit_contains_exact(H0_SL2, nil)
@@ -198,11 +228,11 @@ def test_orbit_membership_exact_negative():
 
 def test_sl2_orbit_coordinates_roundtrip():
     rng = random.Random(3)
-    h0 = ExactMatrix.diagonal([1, -1])
+    h0 = ExactMatrix([[1, 0], [0, -1]])
     for _ in range(10):
         a = conjugate_exact(random_sl_integer(2, rng), h0)
-        x, y, z = sl2_orbit_coordinates(a)
-        assert x * x + y * z == GaussianRational(1)
+        x, y, z = a[0, 0], a[0, 1], a[1, 0]
+        assert a[1, 1] == -x and x * x + y * z == 1
 
 
 def test_random_sl_integer_has_det_one():
@@ -217,7 +247,7 @@ def test_random_sl_integer_has_det_one():
 def test_seeded_conjugates_agree_with_the_membership_certificate(seed):
     g = random_sl_integer(2, random.Random(seed))
     x, y, z, w = g[0, 0], g[1, 0], g[0, 1], g[1, 1]
-    conjugate = conjugate_exact(g, ExactMatrix.diagonal([1, -1]))
+    conjugate = conjugate_exact(g, ExactMatrix([[1, 0], [0, -1]]))
     assert orbit_contains_exact(H0_SL2, conjugate)
     # the certificate's matrix is this conjugate, and on det = 1 (R = 0) each
     # of its differences vanishes with its cofactor times R

@@ -2,7 +2,9 @@
 
 An identity function is ring-generic: on its symbols, and sympy.I for its
 unit ``i``, it returns the (difference, ((relation, cofactor), ...)) pairs
-that ``poly.certify`` checks over ``MultiHomPoly``.  The chart certificates
+that ``poly.certify`` checks over ``MultiHomPoly``; the chart Hessian's
+identity also takes Cartan data, bound here to each case that the report and
+``tests/test_lie.py`` certify.  The chart certificates
 run on sympy too, with g and its partials built by ``sympy.diff``, and so
 do the Euler identities that certify the bidegree of ``toric.f2_form``.  A fault
 in ``MultiHomPoly`` that makes an identity hold vacuously then fails a test
@@ -17,7 +19,7 @@ import pytest
 import sympy
 
 from lgorbit import compactification as cg
-from lgorbit import symplectic, toric
+from lgorbit import lie, symplectic, toric
 
 IDENTITIES = (
     cg.quadric_identities,
@@ -36,6 +38,17 @@ IDENTITIES = (
     symplectic.thimble_identities,
     symplectic.taming_identities,
     symplectic.cylinder_chart_identities,
+    lie.sl2_critical_identities,
+)
+
+# (H0, H) of every chart Hessian certified by the report (the first) and tests/test_lie.py
+HESSIAN_CASES = (
+    ((1, -1), (1, -1)),
+    ((2, 1, -3), (3, -1, -2)),
+    ((1, 1, -2), (3, -1, -2)),
+    ((1, 0, -1), (1, 0, -1)),
+    ((1, 1, -1, -1), (5, 1, -2, -4)),
+    ((1, 1, -1, -1), (3, 1, -1, -3)),
 )
 
 
@@ -63,10 +76,20 @@ def _f2_euler(form=toric.f2_form):
     return toric.f2_euler_identities(f, [sympy.diff(f, x) for x in xs], *xs)
 
 
+def _hessian(h0, h):
+    """hessian_identities at each critical point, on a real symbol per chart direction."""
+    h0, h = lie.CartanDiagonal(h0), lie.CartanDiagonal(h)
+    for point in sorted(lie.critical_points(h0, h)):
+        u = sympy.symbols(f"u0:{len(lie.hessian_matrix(h0, h, point))}", real=True)
+        yield from lie.hessian_identities(h0, h, point, *u)
+
+
 # each identity function and chart table, with how many identities it holds
 CASES = {
     **{f.__name__: (lambda f=f: f(*_symbols(f)), n)
-       for f, n in zip(IDENTITIES, (5, 5, 6, 1, 2, 1, 2, 3, 10, 1, 1, 5, 3, 8, 2, 2))},
+       for f, n in zip(IDENTITIES, (5, 5, 6, 1, 2, 1, 2, 3, 10, 1, 1, 5, 3, 8, 2, 2, 6))},
+    **{f"hessian_identities{h0}{h}": (lambda h0=h0, h=h: _hessian(h0, h), n)
+       for (h0, h), n in zip(HESSIAN_CASES, (2, 6, 3, 6, 6, 6))},
     "graph_charts": (lambda: _charts(cg.graph_equation, "x y z w r s", cg.GRAPH_CHARTS), 8),
     "f2_charts": (lambda: _charts(toric.f2_form, "x0 x1 x2 y0 y1", toric.F2_CHARTS), 6),
     "f2_euler": (_f2_euler, 2),
@@ -83,12 +106,14 @@ def test_identities_hold_over_sympy(case):
 
 
 def test_every_identity_function_is_listed():
-    # all 73 identities behind the report: a new identity function joins the list
+    # the 81 identities behind the report, 2 of them the sl(2) chart Hessians, and
+    # 27 Hessians at tests/test_lie.py's other cases: a new identity function joins the list
     src = Path(cg.__file__).parent
     defined = {name for path in src.glob("*.py")
                for name in re.findall(r"^def (\w+_identities)\(", path.read_text(), re.M)}
-    assert defined == {f.__name__ for f in (*IDENTITIES, toric.f2_euler_identities)}
-    assert sum(count for _, count in CASES.values()) == 73
+    listed = (*IDENTITIES, toric.f2_euler_identities, lie.hessian_identities)
+    assert defined == {f.__name__ for f in listed}
+    assert sum(count for _, count in CASES.values()) == 108
 
 
 def test_the_unchanged_ring_certificate_fails_over_sympy():
