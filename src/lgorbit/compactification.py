@@ -14,9 +14,11 @@ a rational map on P1 x P1 with exactly two indeterminate points, closes its
 graph inside a triple product of lines, checks the closure is smooth chart
 by chart, and classifies which fibers of the extended map degenerate.
 Everything is exact, and every polynomial claim is data: an identity
-function written over any ring, which ``poly.certify`` checks.  Only the
-ranks of two quadrics, the base locus and the distinctness of the
-degenerate values are read off exact scalars instead.
+function written over any ring, which ``poly.certify`` checks.  A point
+of P1 or of P1 x P1 is a plain tuple of coordinates, or a pair of them,
+and two points are equal when each factor's coordinates are ``parallel``.
+Only the ranks of two quadrics and the distinctness of the degenerate
+values are read off exact scalars instead.
 """
 
 from __future__ import annotations
@@ -25,70 +27,27 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
-from .errors import IndeterminatePointError, PreconditionError, StructureError
-from .gaussian import ZERO, ExactMatrix, GaussianRational, RatLike
+from .errors import IndeterminatePointError, PreconditionError
+from .gaussian import ExactMatrix, RatLike
 from .poly import MultiHomPoly, certify, certify_charts, product, variables
 from .symplectic import orbit_residual, sphere_embedding
 
 _HALF = Fraction(1, 2)
 
 
-def _parallel(u: Sequence[RatLike], v: Sequence[RatLike]) -> bool:
+def parallel(u: Sequence[RatLike], v: Sequence[RatLike]) -> bool:
     """Whether two coordinate tuples of equal length are proportional.
 
     Intended for tuples that are not all zero, where vanishing of every
-    2x2 minor is the same as spanning the same line.
+    2x2 minor is the same as spanning the same line: the projective
+    equality of two points of one factor.
     """
     n = len(u)
     return all(
         u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n)
     )
-
-
-class MultiProjPoint:
-    """A point of a product of projective spaces with exact coordinates.
-
-    Equality is factor-wise proportionality; no affine normalization is
-    ever applied, so comparisons stay exact for arbitrary representatives.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Iterable[Iterable[RatLike]]):
-        coerced = tuple(
-            tuple(GaussianRational.coerce(c) for c in factor) for factor in factors
-        )
-        if not coerced:
-            raise StructureError("point needs at least one factor")
-        for factor in coerced:
-            if not factor:
-                raise StructureError("factor with no coordinates")
-            if all(c.is_zero() for c in factor):
-                raise StructureError("all-zero coordinate tuple in a factor")
-        self.factors = coerced
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiProjPoint):
-            return NotImplemented
-        if len(self.factors) != len(other.factors):
-            return False
-        for mine, theirs in zip(self.factors, other.factors):
-            if len(mine) != len(theirs) or not _parallel(mine, theirs):
-                return False
-        return True
-
-    # projective equality admits no cheap canonical hash; forbid dict use
-    __hash__ = None
-
-    def __str__(self) -> str:
-        rendered = ",".join(
-            "[" + ":".join(str(c) for c in factor) + "]" for factor in self.factors
-        )
-        return rendered if len(self.factors) == 1 else "(" + rendered + ")"
-
-    __repr__ = __str__
 
 
 # -------------------------------------------------- ring-generic 2x2 algebra
@@ -214,26 +173,30 @@ def moment_map(x, y, z, w):
 # ----------------------------------------------------- rational extension
 
 
+_UNITS = ((1, 0), (0, 1))
+
+
 def base_locus():
     """The two points ((x, y), (z, w)) where the extended height map is
     undefined, in plain ints that any ring reads."""
     return (((1, 0), (1, 0)), ((0, 1), (0, 1)))
 
 
-def rational_extension(pt: MultiProjPoint) -> MultiProjPoint:
+def rational_extension(p: Sequence[RatLike], q: Sequence[RatLike]) -> Tuple[RatLike, RatLike]:
     """Extend the height coordinate to P1 x P1 as [xw + yz : xw - yz].
 
-    On pairs of eigenlines of an actual orbit matrix this restricts to the
-    affine height; elsewhere it is still defined except at the two base
-    points, where both forms vanish.
+    ``p`` = (x, y) and ``q`` = (z, w) are the coordinates of the two
+    factors; the value is the pair ``height_forms(x, y, z, w)``.  On pairs
+    of eigenlines of an actual orbit matrix this restricts to the affine
+    height; elsewhere it is still defined except at the two base points,
+    where both forms vanish.
     """
-    if len(pt.factors) != 2 or any(len(f) != 2 for f in pt.factors):
+    if len(p) != 2 or len(q) != 2 or not any(p) or not any(q):
         raise PreconditionError("rational_extension expects a point of P1 x P1")
-    (x, y), (z, w) = pt.factors
-    numerator, denominator = height_forms(x, y, z, w)
-    if numerator.is_zero() and denominator.is_zero():
+    value = height_forms(*p, *q)
+    if not any(value):
         raise IndeterminatePointError("indeterminate point")
-    return MultiProjPoint(((numerator, denominator),))
+    return value
 
 
 # ------------------------------------------------------------ graph closure
@@ -362,42 +325,40 @@ def _bilinear() -> bool:
     return certify(scaling_identities(*variables("x y z w lam mu r s"))) is None
 
 
+def base_locus_identities(x, y, z, w):
+    """xw = (num + den)/2 and yz = (num - den)/2 for the two height forms:
+    the forms generate the ideal (xw, yz)."""
+    numerator, denominator = height_forms(x, y, z, w)
+    return [
+        (x * w - (numerator + denominator) * _HALF, ()),
+        (y * z - (numerator - denominator) * _HALF, ()),
+    ]
+
+
+def _indeterminate(p, q) -> bool:
+    try:
+        rational_extension(p, q)
+    except IndeterminatePointError:
+        return True
+    return False
+
+
 def base_locus_certificate() -> bool:
     """The extension is undefined exactly on ``base_locus()``.
 
-    An invertible coefficient matrix on their support makes the forms
-    generate its monomials, (xw, yz) as 1/2 is a unit.  Each choice of one
-    variable per monomial to vanish gives a point, nothing when it zeroes a
-    factor, or a curve when it leaves one free.  The points must be the
-    claimed ones, and at the torus-fixed points the extension raises exactly
-    there.
+    By ``base_locus_identities`` the two forms vanish together exactly where
+    xw and yz do.  A zero of xw and yz on P1 x P1 has one zero coordinate in
+    each factor: x = 0 forces y != 0, so z = 0 and w != 0, and x != 0 forces
+    w = 0, so z != 0 and y = 0.  So every such zero is one of the four
+    torus-fixed points, and of those the extension must raise exactly at
+    the points of ``base_locus()``, which are written on the same unit
+    vectors.
     """
-    forms = height_forms(*variables("x y z w"))
-    support = sorted({key for f in forms for key in f.terms})
-    matrix = [[f.terms.get(key, ZERO) for key in support] for f in forms]
-    if len(support) != len(forms) or determinant(matrix).is_zero():
-        return False
-    found = []
-    for choice in itertools.product(*([i for i, e in enumerate(k) if e] for k in support)):
-        zeroed = [(i in choice, i + 1 in choice) for i in (0, 2)]  # (x, y), (z, w)
-        if (True, True) in zeroed:
-            continue
-        if (False, False) in zeroed:
-            return False
-        found.append(MultiProjPoint([(int(not u), int(not v)) for u, v in zeroed]))
-    locus = [MultiProjPoint(pt) for pt in base_locus()]
-    if not all(any(p == q for q in b) for a, b in ((found, locus), (locus, found)) for p in a):
-        return False
-    fixed = ((1, 0), (0, 1))
-    for pt in (MultiProjPoint((f1, f2)) for f1 in fixed for f2 in fixed):
-        try:
-            rational_extension(pt)
-            raised = False
-        except IndeterminatePointError:
-            raised = True
-        if raised != any(pt == q for q in locus):
-            return False
-    return True
+    raised = sorted((p, q) for p in _UNITS for q in _UNITS if _indeterminate(p, q))
+    return (
+        certify(base_locus_identities(*variables("x y z w"))) is None
+        and raised == sorted(base_locus())
+    )
 
 
 def _replaced_scan(*args, **kwargs):
@@ -413,25 +374,11 @@ random_group_elements = moment_orbit_scan = orbit_value_identity = singular_scan
 # ------------------------------------------------------------------ fibers
 
 
-_UNITS = ((1, 0), (0, 1))
-
-
 def coefficient_matrix(form):
     """The (x, y) x (z, w) coefficient matrix of a form bilinear in the two
     points, given as a function of x, y, z, w: entry (u, v) is its value at
     the unit vectors e_u and e_v, over any ring."""
     return tuple(tuple(form(*p, *q) for q in _UNITS) for p in _UNITS)
-
-
-def is_singular_value(r0: RatLike, s0: RatLike) -> bool:
-    """Whether the fiber over [r0 : s0] degenerates.
-
-    A bidegree-(1, 1) curve in P1 x P1 is singular exactly when the 2x2
-    matrix of its coefficients is singular.
-    """
-    if not (r0 or s0):
-        raise PreconditionError("fiber needs a nonzero value pair")
-    return not determinant(coefficient_matrix(functools.partial(graph_equation, r=r0, s=s0)))
 
 
 # The values [r : s] over which the extended map has a singular fiber, and
@@ -453,23 +400,15 @@ def singular_point_identities(lam, mu):
     return identities
 
 
-class CriticalData(NamedTuple):
-    values: Tuple[MultiProjPoint, ...]
-    points: Tuple[MultiProjPoint, ...]
-    verified: bool
-
-
-def critical_data() -> CriticalData:
-    """The two degenerate values with their unique singular points.
+def singular_points_certificate() -> bool:
+    """Each fiber over ``DEGENERATE_VALUES`` is singular at its point of
+    ``SINGULAR_POINTS``.
 
     Once the graph is certified bilinear, ``singular_point_identities``
     certifies each point: it satisfies its fiber equation and annihilates
     all four bihomogeneous partials.
     """
-    values = tuple(MultiProjPoint((value,)) for value in DEGENERATE_VALUES)
-    points = tuple(MultiProjPoint(point) for point in SINGULAR_POINTS)
-    verified = _bilinear() and certify(singular_point_identities(*variables("lam mu"))) is None
-    return CriticalData(values, points, verified)
+    return _bilinear() and certify(singular_point_identities(*variables("lam mu"))) is None
 
 
 def degenerate_value_identities(r, s):
@@ -494,7 +433,7 @@ def degenerate_values_certificate() -> bool:
     """
     pairs = itertools.combinations(DEGENERATE_VALUES, 2)
     return (
-        not any(_parallel(u, v) for u, v in pairs)
+        not any(parallel(u, v) for u, v in pairs)
         and _bilinear()
         and certify(degenerate_value_identities(*variables("r s"))) is None
     )
@@ -539,13 +478,14 @@ def sphere_off_infinity_identities(p, q, r, x, y, z, i):
     ]
 
 
-def sphere_off_infinity_certificate() -> bool:
+def sphere_off_infinity_certificate(i) -> bool:
     """The embedded sphere stays in the affine orbit, off both base points.
 
     By ``sphere_off_infinity_identities`` the unit sphere lands on the orbit,
     and every orbit matrix is a trace-zero involution with two eigenlines,
     whose pair misses the diagonal; both points of ``base_locus()`` lie on it.
+    ``i`` is the imaginary unit of the coefficient ring.
     """
-    identities = sphere_off_infinity_identities(*variables("p q r x y z"), GaussianRational(0, 1))
+    identities = sphere_off_infinity_identities(*variables("p q r x y z"), i)
     diagonal = not any(determinant(pt) for pt in base_locus())
     return certify(identities) is None and diagonal

@@ -652,10 +652,17 @@ suite_mirror = _suite(
 def _compactification(cfg: Config):
     from fractions import Fraction
     from . import compactification as geo
+    from .gaussian import GaussianRational
     # entries (x, y, z, w) of the identity and of the shear [[1, 1], [0, 1]]
     ident, shear = (1, 0, 0, 1), (1, 0, 1, 1)
     half = Fraction(1, 2)
+    i = GaussianRational(0, 1)
     return locals(), {}
+
+
+def _brackets(coords) -> str:
+    """A point of P1 as [a:b]."""
+    return "[" + ":".join(map(str, coords)) + "]"
 
 
 suite_compactification = _suite(
@@ -696,10 +703,8 @@ suite_compactification = _suite(
     Check("compactification.extension-off-orbit",
           "claim:extension-sends-infinity-to-one-zero",
           lambda geo: (
-              geo.rational_extension(geo.MultiProjPoint(((1, 1), (1, 1))))
-              == geo.MultiProjPoint(((1, 0),))
-              and geo.rational_extension(geo.MultiProjPoint(((1, 0), (0, 1))))
-              == geo.MultiProjPoint(((1, 1),)),
+              geo.parallel(geo.rational_extension((1, 1), (1, 1)), (1, 0))
+              and geo.parallel(geo.rational_extension((1, 0), (0, 1)), (1, 1)),
               "the identity eigenline pair maps to [1:1] and a non-orbit point "
               "maps to [1:0], both exactly",
           )),
@@ -712,9 +717,10 @@ suite_compactification = _suite(
     Check("compactification.base-locus", "claim:two-indeterminate-points",
           lambda geo: (
               geo.base_locus_certificate(),
-              "the forms generate (xw, yz) (coefficient determinant -2), whose zeros "
-              "are exactly the two base points; of the torus-fixed points the map "
-              "fails there only, with the defined error",
+              "the forms generate (xw, yz), as xw = (num + den)/2 and yz = (num - den)/2, "
+              "so each common zero has a zero coordinate in each factor; of the four "
+              "torus-fixed points the map fails at the two base points only, with the "
+              "defined error",
           )),
     Check("compactification.graph-smooth", "claim:graph-closure-is-smooth",
           lambda geo: (
@@ -731,12 +737,10 @@ suite_compactification = _suite(
           )),
     Check("compactification.critical-classification", "claim:two-degenerate-values",
           lambda geo: (
-              (crit := geo.critical_data()).verified
-              and geo.is_singular_value(1, 1)
-              and not geo.is_singular_value(1, 0),
-              "values " + " and ".join(str(v) for v in crit.values)
+              geo.singular_points_certificate(),
+              "values " + " and ".join(map(_brackets, geo.DEGENERATE_VALUES))
               + " are degenerate with unique singular points "
-              + " and ".join(str(p) for p in crit.points)
+              + " and ".join("(" + ",".join(map(_brackets, pt)) + ")" for pt in geo.SINGULAR_POINTS)
               + ", certified by fiber and Jacobian vanishing",
           )),
     Check("compactification.singular-scan", "claim:no-other-degenerate-values",
@@ -755,8 +759,8 @@ suite_compactification = _suite(
           )),
     # the assumption stands on its supporting check; a failed one fails the row
     Check("compactification.symplectic-patching", "claim:compactified-category-unchanged",
-          lambda geo: (
-              "assumption" if (supported := geo.sphere_off_infinity_certificate()) else False,
+          lambda geo, i: (
+              "assumption" if (supported := geo.sphere_off_infinity_certificate(i)) else False,
               "the patching construction of a symplectic structure near infinity "
               "is not machine checked; supporting exact check "
               + ("passed" if supported else "FAILED")

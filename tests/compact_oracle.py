@@ -1,34 +1,41 @@
 """Seeded sample scans of the orbit identities, kept as the test oracle.
 
 These are the loops that ``lgorbit.compactification`` replaced with
-symbolic certificates modulo xw - yz - 1, and the value-by-value test of
-degenerate fibers that its determinant certificate replaced, and the
-eigenline pairs of twelve rational sphere points that its sphere certificate
-replaced.  The scans draw
-integer elements of SL(2), as entry tuples (x, y, z, w) of [[x, z], [y, w]],
-and integer points of P1 x P1 or of the value line, and test each identity
-at those points with ``ExactMatrix`` products and ``ExactMatrix.inverse``.
-They share with the certificates only the formulas under test
-(``tensor_entries``, ``moment_map``, ``rational_extension``,
-``graph_equation``, ``is_singular_value``), evaluated at exact entries.
+symbolic certificates modulo xw - yz - 1, the value-by-value test of
+degenerate fibers that its determinant certificate replaced, the
+monomial-choice enumeration of the base locus that its two identities
+replaced, and the eigenline pairs of twelve rational sphere points that its
+sphere certificate replaced.  The scans draw integer elements of SL(2), as
+entry tuples (x, y, z, w) of [[x, z], [y, w]], and integer points of
+P1 x P1 or of the value line, and test each identity at those points with
+``ExactMatrix`` products and ``ExactMatrix.inverse``.  A point is a pair of
+coordinate pairs, compared factor by factor with ``parallel``.  The scans
+share with the certificates only the formulas under test
+(``tensor_entries``, ``moment_map``, ``height_forms``,
+``rational_extension``, ``graph_equation``, ``coefficient_matrix``),
+evaluated at exact entries.
 """
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 from typing import Iterator, Tuple
 
+from lgorbit import compactification as cg
 from lgorbit.compactification import (
-    MultiProjPoint,
-    base_locus,
+    coefficient_matrix,
+    determinant,
     graph_equation,
-    is_singular_value,
     moment_map,
+    parallel,
     product,
     rational_extension,
     tensor_entries,
 )
-from lgorbit.errors import IndeterminatePointError, StructureError
-from lgorbit.gaussian import ONE, ExactMatrix, GaussianRational
+from lgorbit.errors import IndeterminatePointError, PreconditionError, StructureError
+from lgorbit.gaussian import ONE, ZERO, ExactMatrix, GaussianRational
+from lgorbit.poly import variables
 from lie_oracle import random_sl_integer, trace
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 
@@ -37,6 +44,13 @@ _HEIGHT_DIAG = ExactMatrix([[1, 0], [0, -1]])
 
 # The entries (x, y, z, w) of a group element [[x, z], [y, w]]
 Entries = Tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]
+# A point ((x, y), (z, w)) of P1 x P1
+Point = Tuple[Tuple[GaussianRational, GaussianRational], Tuple[GaussianRational, GaussianRational]]
+
+
+def same_point(a, b) -> bool:
+    """Projective equality of two points of a product of lines, factor by factor."""
+    return len(a) == len(b) and all(map(parallel, a, b))
 
 
 def exact_matrix(a: Entries) -> ExactMatrix:
@@ -54,12 +68,12 @@ def random_group_elements(count: int, seed: int = 0) -> Tuple[Entries, ...]:
     return tuple(out)
 
 
-def random_pairs(rng: random.Random) -> Iterator[MultiProjPoint]:
+def random_pairs(rng: random.Random) -> Iterator[Point]:
     """Endless seeded points of P1 x P1 with integer coordinates in [-5, 5]."""
     while True:
         coords = [rng.randint(-5, 5) for _ in range(4)]
         if any(coords[:2]) and any(coords[2:]):
-            yield MultiProjPoint((coords[:2], coords[2:]))
+            yield tuple(coords[:2]), tuple(coords[2:])
 
 
 def tensor_fixed_vectors_check(a: Entries) -> bool:
@@ -91,17 +105,55 @@ def moment_orbit_scan(count: int = 100, seed: int = 0) -> bool:
 def base_locus_scan(samples: int = 25, seed: int = 0) -> bool:
     """Over the torus-fixed and seeded points the map fails exactly on the base points."""
     fixed = ((1, 0), (0, 1))
-    candidates = [MultiProjPoint((f1, f2)) for f1 in fixed for f2 in fixed]
+    candidates = [(f1, f2) for f1 in fixed for f2 in fixed]
     points = random_pairs(random.Random(seed))
     candidates += [next(points) for _ in range(samples)]
-    locus = [MultiProjPoint(pt) for pt in base_locus()]
     for pt in candidates:
         try:
-            rational_extension(pt)
+            rational_extension(*pt)
             failed = False
         except IndeterminatePointError:
             failed = True
-        if failed != (pt == locus[0] or pt == locus[1]):
+        if failed != any(same_point(pt, q) for q in cg.base_locus()):
+            return False
+    return True
+
+
+def base_locus_enumeration() -> bool:
+    """The extension is undefined exactly on ``base_locus()``, by enumeration.
+
+    An invertible coefficient matrix on their support makes the forms
+    generate its monomials, (xw, yz) as 1/2 is a unit.  Each choice of one
+    variable per monomial to vanish gives a point, nothing when it zeroes a
+    factor, or a curve when it leaves one free.  The points must be the
+    claimed ones, and at the torus-fixed points the extension raises exactly
+    there.
+    """
+    forms = cg.height_forms(*variables("x y z w"))
+    support = sorted({key for f in forms for key in f.terms})
+    matrix = [[f.terms.get(key, ZERO) for key in support] for f in forms]
+    if len(support) != len(forms) or not determinant(matrix):
+        return False
+    found = []
+    for choice in itertools.product(*([i for i, e in enumerate(k) if e] for k in support)):
+        zeroed = [(i in choice, i + 1 in choice) for i in (0, 2)]  # (x, y), (z, w)
+        if (True, True) in zeroed:
+            continue
+        if (False, False) in zeroed:
+            return False
+        found.append(tuple((int(not u), int(not v)) for u, v in zeroed))
+    locus = cg.base_locus()
+    if not all(any(same_point(p, q) for q in b) for a, b in ((found, locus), (locus, found))
+               for p in a):
+        return False
+    fixed = ((1, 0), (0, 1))
+    for pt in ((f1, f2) for f1 in fixed for f2 in fixed):
+        try:
+            rational_extension(*pt)
+            raised = False
+        except IndeterminatePointError:
+            raised = True
+        if raised != any(same_point(pt, q) for q in locus):
             return False
     return True
 
@@ -114,7 +166,7 @@ def scaling_invariance_check(count: int = 25, seed: int = 1) -> bool:
     while done < count:
         pt = next(points)
         try:
-            value = rational_extension(pt)
+            value = rational_extension(*pt)
         except IndeterminatePointError:
             continue
         scalars = []
@@ -122,13 +174,8 @@ def scaling_invariance_check(count: int = 25, seed: int = 1) -> bool:
             candidate = GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
             if not candidate.is_zero():
                 scalars.append(candidate)
-        scaled = MultiProjPoint(
-            (
-                tuple(c * scalars[0] for c in pt.factors[0]),
-                tuple(c * scalars[1] for c in pt.factors[1]),
-            )
-        )
-        if rational_extension(scaled) != value:
+        scaled = tuple(tuple(c * scalar for c in factor) for factor, scalar in zip(pt, scalars))
+        if not parallel(rational_extension(*scaled), value):
             return False
         done += 1
     return True
@@ -138,7 +185,7 @@ def orbit_value_identity(count: int = 100, seed: int = 2) -> bool:
     """On eigenline pairs of orbit matrices the extension is [height : 1]."""
     for x, y, z, w in random_group_elements(count, seed):
         height = trace(_HEIGHT_DIAG * ExactMatrix(moment_map(x, y, z, w)))
-        if rational_extension(MultiProjPoint(((x, y), (z, w)))) != MultiProjPoint(((height, 1),)):
+        if not parallel(rational_extension((x, y), (z, w)), (height, 1)):
             return False
     return True
 
@@ -150,15 +197,25 @@ def graph_vanishing_check(samples: int = 20, seed: int = 3) -> bool:
     while done < samples:
         pt = next(points)
         try:
-            value = rational_extension(pt)
+            r, s = rational_extension(*pt)
         except IndeterminatePointError:
             continue
-        (x, y), (z, w) = pt.factors
-        (r, s) = value.factors[0]
+        (x, y), (z, w) = pt
         if graph_equation(x, y, z, w, r, s):
             return False
         done += 1
     return True
+
+
+def is_singular_value(r0, s0) -> bool:
+    """Whether the fiber over [r0 : s0] degenerates.
+
+    A bidegree-(1, 1) curve in P1 x P1 is singular exactly when the 2x2
+    matrix of its coefficients is singular.
+    """
+    if not (r0 or s0):
+        raise PreconditionError("fiber needs a nonzero value pair")
+    return not determinant(coefficient_matrix(functools.partial(graph_equation, r=r0, s=s0)))
 
 
 def singular_value_agrees(r: int, s: int, scalar: GaussianRational) -> bool:
@@ -171,7 +228,7 @@ def singular_value_agrees(r: int, s: int, scalar: GaussianRational) -> bool:
     return singular == (r * r == s * s) and is_singular_value(r * scalar, s * scalar) == singular
 
 
-def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjPoint:
+def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> Point:
     """Eigenline pair of the orbit matrix attached to a rational sphere point.
 
     The point maps to X = r, Y = -p + qi, Z = -p - qi, which satisfies
@@ -188,7 +245,7 @@ def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjP
         minus = (big_x - ONE, big_z)
     else:
         minus = (big_y, -(big_x + ONE))
-    pair = MultiProjPoint((plus, minus))
+    pair = (plus, minus)
     matrix = ((big_x, big_y), (big_z, -big_x))
     for line, eigenvalue in ((plus, ONE), (minus, -ONE)):
         if product(matrix, tuple((e,) for e in line)) != tuple((eigenvalue * e,) for e in line):
@@ -198,12 +255,10 @@ def sphere_point_orbit_pair(p: Fraction, q: Fraction, r: Fraction) -> MultiProjP
 
 def sphere_avoids_base_locus(points=RATIONAL_SPHERE_POINTS) -> bool:
     """Each point's eigenline pair is off the diagonal and is neither base point."""
-    locus = [MultiProjPoint(pt) for pt in base_locus()]
     for p, q, r in points:
         pair = sphere_point_orbit_pair(p, q, r)
-        (u1, u2), (v1, v2) = pair.factors
-        if (u1 * v2 - u2 * v1).is_zero():
+        if parallel(*pair):
             return False
-        if pair == locus[0] or pair == locus[1]:
+        if any(same_point(pair, b) for b in cg.base_locus()):
             return False
     return True

@@ -108,6 +108,13 @@ def _graph_plus_term(x, y, z, w, r, s, original=cg.graph_equation):
     return original(x, y, z, w, r, s) + x * w * r
 
 
+def _numerator_plus_xz(x, y, z, w, original=cg.height_forms):
+    # support {xw, yz, xz}: the forms no longer generate (xw, yz), and the base
+    # point ((1, 0), (1, 0)) moves off the torus-fixed points to ((2, -1), (2, -1))
+    numerator, denominator = original(x, y, z, w)
+    return numerator + x * z, denominator
+
+
 def _three_base_points(original=cg.base_locus):
     return original() + (((1, 1), (1, 1)),)
 
@@ -269,6 +276,16 @@ def _box_one_character_short(a, coeffs, half_width, original=toric._box_sum):
     return original(a, coeffs, half_width - base - 1)
 
 
+def _euler_plus_one(c, a, original=toric.euler_rr):
+    return original(c, a) + 1
+
+
+def _no_degree_twist(fan, d):
+    # D2 ~ D4 for D2 ~ a*D3 + D4: right on F_0 only
+    a1, a2, a3, a4 = d.coeffs
+    return toric.PicClass(a2 + a4, a1 + a3)
+
+
 def _any_bidegree(f, partials, x0, x1, x2, y0, y1):
     # the Euler identities hold for every form, so a wrong bidegree passes them
     return [(f - f, ()), (f - f, ())]
@@ -327,7 +344,10 @@ CONTROLS = {
     ],
     "compactification.extension-off-orbit": [(cg, "height_forms", _swapped_forms)],
     "compactification.extension-scaling": [(cg, "height_forms", _unbalanced_forms)],
-    "compactification.base-locus": [(cg, "base_locus", _three_base_points)],
+    "compactification.base-locus": [
+        (cg, "base_locus", _three_base_points),
+        (cg, "height_forms", _numerator_plus_xz),
+    ],
     "compactification.graph-smooth": [
         (cg, "GRAPH_CHARTS", _wrong_chart_cofactor(cg.GRAPH_CHARTS)),
     ],
@@ -382,7 +402,14 @@ CONTROLS = {
         (quiver, "ext_dims", _every_pair_one_section),
         (quiver, "HirzebruchFan", _degree_three_surface),
     ],
+    "sheaves.divisor-conventions": [(toric, "divisor_to_pic", _no_degree_twist)],
+    "sheaves.section-class-cohomology": [(toric, "_box_sum", _box_one_character_short)],
+    "sheaves.ext-table": [(toric, "ext_dims", _degree_one_lost)],
+    "sheaves.riemann-roch-sweep": [(toric, "_box_sum", _box_one_character_short)],
+    "sheaves.serre-duality": [(toric, "_box_sum", _box_one_character_short)],
+    "sheaves.fiber-class-sections": [(toric, "_box_sum", _box_one_character_short)],
     "sheaves.box-stability": [(toric, "_box_sum", _box_one_character_short)],
+    "sheaves.surface-invariants": [(toric, "euler_rr", _euler_plus_one)],
     "sheaves.hypersurface-model": [(toric, "F2_CHARTS", _wrong_chart_cofactor(toric.F2_CHARTS))],
     "sheaves.hypersurface-controls": [(toric, "f2_euler_identities", _any_bidegree)],
     "symplectic.sphere-lagrangian-sampled": [
@@ -412,13 +439,6 @@ PENDING = (
     "mirror.control-self-pair",
     "mirror.stability",
     "mirror.dimension-bound",
-    "sheaves.divisor-conventions",
-    "sheaves.section-class-cohomology",
-    "sheaves.ext-table",
-    "sheaves.riemann-roch-sweep",
-    "sheaves.serre-duality",
-    "sheaves.fiber-class-sections",
-    "sheaves.surface-invariants",
     # the 64-point float distance reads 0 on every correct thimble pair
     "symplectic.matching-circle-gluing",
 )

@@ -204,11 +204,7 @@ def test_criterion_6_mirror_search():
 
 def test_criterion_7_compactification():
     base = cg.base_locus()
-    data = cg.critical_data()
-    values_ok = data.verified and data.values == (
-        cg.MultiProjPoint(((1, 1),)),
-        cg.MultiProjPoint(((1, -1),)),
-    )
+    values_ok = cg.singular_points_certificate() and cg.DEGENERATE_VALUES == ((1, 1), (1, -1))
     ok = (
         cg.quadric_change_check()
         and _holds(cg.moment_conjugation_identities, "x y z w")

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 import compact_oracle
 import symplectic_oracle
 from lgorbit import compactification as cg
-from lgorbit.errors import (
-    IndeterminatePointError,
-    PreconditionError,
-    StructureError,
-)
+from lgorbit.errors import IndeterminatePointError, PreconditionError
 from lgorbit.gaussian import ExactMatrix, GaussianRational
 from lgorbit.poly import certify, certify_charts, variables
 from lgorbit.report import Config, run
@@ -32,22 +28,19 @@ I = GaussianRational(0, 1)
 
 
 def test_point_validation():
-    with pytest.raises(StructureError):
-        cg.MultiProjPoint(((0, 0),))
-    with pytest.raises(StructureError):
-        cg.MultiProjPoint(((1, 0), (0, 0)))
-    p = cg.MultiProjPoint(((1, 2), (3, 4)))
-    assert str(p) == "([1:2],[3:4])"
+    # an all-zero factor is no point of P1
+    for p, q in (((0, 0), (1, 0)), ((1, 0), (0, 0)), ((0, 0), (0, 0))):
+        with pytest.raises(PreconditionError, match="point of P1 x P1"):
+            cg.rational_extension(p, q)
 
 
 def test_projective_equality_factorwise():
-    p = cg.MultiProjPoint(((1, 2), (3, 4)))
-    q = cg.MultiProjPoint(((2, 4), (Fraction(3, 2), 2)))
-    assert p == q
-    assert p != cg.MultiProjPoint(((1, 2), (4, 3)))
+    p = ((1, 2), (3, 4))
+    assert compact_oracle.same_point(p, ((2, 4), (Fraction(3, 2), 2)))
+    assert not compact_oracle.same_point(p, ((1, 2), (4, 3)))
     # a common complex scale is still the same point
-    r = cg.MultiProjPoint(((I, 2 * I), (3, 4)))
-    assert p == r
+    assert compact_oracle.same_point(p, ((I, 2 * I), (3, 4)))
+    assert cg.parallel((1, 2), (I, 2 * I)) and not cg.parallel((1, 2), (2, 1))
 
 
 IDENTITY, SHEAR = (1, 0, 0, 1), (1, 0, 1, 1)  # entries (x, y, z, w) of [[x, z], [y, w]]
@@ -105,10 +98,10 @@ def test_tensor_scan():
 
 
 def test_extension_values():
-    ident = cg.rational_extension(cg.MultiProjPoint((IDENTITY[:2], IDENTITY[2:])))
-    assert ident == cg.MultiProjPoint(((1, 1),))
-    diag = cg.MultiProjPoint(((1, 1), (1, 1)))
-    assert cg.rational_extension(diag) == cg.MultiProjPoint(((1, 0),))
+    # the value is the pair of height forms itself, compared projectively
+    assert cg.rational_extension(IDENTITY[:2], IDENTITY[2:]) == (1, 1)
+    assert cg.rational_extension((1, 1), (1, 1)) == (2, 0)
+    assert cg.parallel(cg.rational_extension((2, 2), (I, I)), (1, 0))
 
 
 def test_extension_base_locus():
@@ -116,13 +109,15 @@ def test_extension_base_locus():
     assert len(base) == 2
     for pt in base:
         with pytest.raises(IndeterminatePointError, match="indeterminate point"):
-            cg.rational_extension(cg.MultiProjPoint(pt))
+            cg.rational_extension(*pt)
     assert compact_oracle.base_locus_scan(25, seed=5)
 
 
 def test_extension_rejects_wrong_shape():
     with pytest.raises(PreconditionError):
-        cg.rational_extension(cg.MultiProjPoint(((1, 1, 1),)))
+        cg.rational_extension((1, 1, 1), (1, 0))
+    with pytest.raises(PreconditionError):
+        cg.rational_extension((1, 0), (1,))
 
 
 def test_extension_scaling_invariance():
@@ -163,27 +158,22 @@ def test_graph_contains_extension_graph():
 
 
 def test_fiber_singularity_classification():
-    assert cg.is_singular_value(1, 1)
-    assert cg.is_singular_value(1, -1)
-    assert cg.is_singular_value(-3, 3)
-    assert not cg.is_singular_value(1, 0)
-    assert not cg.is_singular_value(0, 1)
-    assert not cg.is_singular_value(2, 1)
+    is_singular_value = compact_oracle.is_singular_value
+    assert is_singular_value(1, 1)
+    assert is_singular_value(1, -1)
+    assert is_singular_value(-3, 3)
+    assert not is_singular_value(1, 0)
+    assert not is_singular_value(0, 1)
+    assert not is_singular_value(2, 1)
     with pytest.raises(PreconditionError):
-        cg.is_singular_value(0, 0)
+        is_singular_value(0, 0)
 
 
 def test_critical_data():
-    data = cg.critical_data()
-    assert data.verified
-    assert data.values == (
-        cg.MultiProjPoint(((1, 1),)),
-        cg.MultiProjPoint(((1, -1),)),
-    )
-    assert data.points == (
-        cg.MultiProjPoint(((1, 0), (0, 1))),
-        cg.MultiProjPoint(((0, 1), (1, 0))),
-    )
+    assert cg.singular_points_certificate()
+    assert cg.DEGENERATE_VALUES == ((1, 1), (1, -1))
+    assert cg.SINGULAR_POINTS == (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    assert all(compact_oracle.is_singular_value(*value) for value in cg.DEGENERATE_VALUES)
     # the identities read partials as values at unit vectors; the formal
     # partials of each fiber vanish at its point too
     for (r, s), (p, q) in zip(cg.DEGENERATE_VALUES, cg.SINGULAR_POINTS):
@@ -230,16 +220,15 @@ def test_sphere_point_orbit_pair_poles():
     # the poles land exactly on the two critical points of the fibration
     north = compact_oracle.sphere_point_orbit_pair(Fraction(0), Fraction(0), Fraction(1))
     south = compact_oracle.sphere_point_orbit_pair(Fraction(0), Fraction(0), Fraction(-1))
-    critical = cg.critical_data()
-    assert critical.verified
-    assert north == critical.points[0] == cg.MultiProjPoint(((1, 0), (0, 1)))
-    assert south == critical.points[1] == cg.MultiProjPoint(((0, 1), (1, 0)))
+    assert cg.singular_points_certificate()
+    assert compact_oracle.same_point(north, cg.SINGULAR_POINTS[0])
+    assert compact_oracle.same_point(south, cg.SINGULAR_POINTS[1])
 
 
 def test_sphere_point_orbit_pair_generic():
     pt = compact_oracle.sphere_point_orbit_pair(Fraction(3, 5), Fraction(4, 5), Fraction(0))
-    plus, minus = pt.factors
-    assert cg.MultiProjPoint((plus,)) != cg.MultiProjPoint((minus,))
+    plus, minus = pt
+    assert not cg.parallel(plus, minus)
 
 
 def test_sphere_point_orbit_pair_rejects_off_sphere():
@@ -251,7 +240,7 @@ def test_sphere_avoids_base_locus():
     # the certificate's three facts, read at the oracle's rational points: the
     # point is on the orbit, its matrix squares to I, and its eigenline pair
     # is off the diagonal that holds both base points
-    assert cg.sphere_off_infinity_certificate()
+    assert cg.sphere_off_infinity_certificate(I)
     assert compact_oracle.sphere_avoids_base_locus()
     for p, q, r in symplectic_oracle.RATIONAL_SPHERE_POINTS:
         x, y, z = symplectic_oracle.exact_sphere_point(p, q, r)
@@ -266,9 +255,9 @@ def test_sphere_avoids_base_locus():
 ])
 def test_patching_support_negative_controls(monkeypatch, target, replacement):
     # tests/test_negative_controls.py fails the command with each of them
-    assert cg.sphere_off_infinity_certificate()
+    assert cg.sphere_off_infinity_certificate(I)
     monkeypatch.setattr(cg, target, replacement)
-    assert not cg.sphere_off_infinity_certificate()
+    assert not cg.sphere_off_infinity_certificate(I)
     rows = {r.id: r for r in run("compactification", Config()).results}
     row = rows["compactification.symplectic-patching"]
     assert row.status == "fail" and "supporting exact check FAILED" in row.detail
@@ -290,7 +279,7 @@ ROW_CERTIFICATES = {
     "graph-contains-extension": lambda: _holds(cg.graph_extension_identities)
     and _holds(cg.exceptional_fiber_identities, "r s"),
     "base-locus": cg.base_locus_certificate,
-    "critical-classification": lambda: cg.critical_data().verified,
+    "critical-classification": cg.singular_points_certificate,
     "singular-scan": cg.degenerate_values_certificate,
     "deformed-ring": lambda: _holds(cg.deformed_ring_identities, "x y z"),
 }
@@ -339,13 +328,28 @@ def test_wrong_cofactors_fail():
 
 
 def test_base_locus_certificate_rejects_forms_with_other_zeros(monkeypatch):
-    # (xw, xw + yz) generates (xw, yz) as well; (xw, 2xw) generates only (xw),
-    # which vanishes on two lines, and (xw, yw) vanishes on the line w = 0
+    # (xw, xw + yz) generates (xw, yz) as well, which the enumeration accepts; the
+    # certificate's identities name the combinations of the height forms, so it
+    # rejects them.  (xw, 2xw) generates only (xw), which vanishes on two lines,
+    # and (xw, yw) vanishes on the line w = 0: both reject those
     monkeypatch.setattr(cg, "height_forms", lambda x, y, z, w: (x * w, x * w + y * z))
-    assert cg.base_locus_certificate()
-    monkeypatch.setattr(cg, "height_forms", lambda x, y, z, w: (x * w, x * w * 2))
+    assert compact_oracle.base_locus_enumeration()
     assert not cg.base_locus_certificate()
-    monkeypatch.setattr(cg, "height_forms", lambda x, y, z, w: (x * w, y * w))
+    for forms in (lambda x, y, z, w: (x * w, x * w * 2), lambda x, y, z, w: (x * w, y * w)):
+        monkeypatch.setattr(cg, "height_forms", forms)
+        assert not compact_oracle.base_locus_enumeration()
+        assert not cg.base_locus_certificate()
+
+
+@pytest.mark.parametrize("target, replacement", [
+    (target, replacement) for _, target, replacement in CONTROLS["compactification.base-locus"]
+], ids=_control_id)
+def test_base_locus_enumeration_agrees_with_the_certificate(monkeypatch, target, replacement):
+    # the enumeration the two identities replaced accepts the height forms and
+    # rejects each of the row's controls, as the certificate does
+    assert compact_oracle.base_locus_enumeration() and cg.base_locus_certificate()
+    monkeypatch.setattr(cg, target, replacement)
+    assert not compact_oracle.base_locus_enumeration()
     assert not cg.base_locus_certificate()
 
 

@@ -319,3 +319,29 @@ def test_lie_imports_nothing_from_gaussian():
         "d.py": "from .poly import product\nfrom .gaussian_oracle import check\n",
     }) == {"a.py", "b.py", "c.py"}
     assert gaussian_importers({"lie.py": (SRC / "lie.py").read_text(encoding="utf-8")}) == set()
+
+
+def gaussian_names(source: str):
+    """What ``source`` takes from the ``gaussian`` module: each name it imports
+    from it, and "gaussian" when it imports the module itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "gaussian":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update("gaussian" for alias in node.names
+                         if alias.name.split(".")[-1] == "gaussian")
+    return names
+
+
+def test_compactification_imports_no_gaussian_rational():
+    # points are plain tuples and the imaginary unit is an argument, so
+    # compactification takes from gaussian only what its Gram ranks read
+    assert gaussian_names(
+        "from .gaussian import ExactMatrix, GaussianRational\n"
+        "from . import gaussian, poly\n"
+        "import lgorbit.gaussian\n"
+        "from .gaussian_oracle import check\n"
+    ) == {"ExactMatrix", "GaussianRational", "gaussian"}
+    source = (SRC / "compactification.py").read_text(encoding="utf-8")
+    assert gaussian_names(source) == {"ExactMatrix", "RatLike"}

@@ -44,22 +44,28 @@ def test_every_pass_row_has_a_control_or_is_pending():
     assert set(PENDING) <= set(passing)
     assert set(PENDING).isdisjoint(CONTROLS)  # a row leaves PENDING once it has a control
     assert set(passing) - set(CONTROLS) == set(PENDING)
-    assert len(PENDING) == len(set(PENDING)) <= 17  # the list may only shrink
-    assert (len(passing), len(set(passing) & set(CONTROLS))) == (61, 44)
+    assert len(PENDING) == len(set(PENDING)) <= 10  # the list may only shrink
+    assert (len(passing), len(set(passing) & set(CONTROLS))) == (61, 51)
 
 
-def test_every_lie_row_has_a_control_that_fails_its_verdict(monkeypatch):
-    # a control that raises shows only that a crash fails the row; each lie PASS
-    # row also has one that its verdict catches
+def test_every_pass_row_with_a_control_has_one_that_fails_its_verdict(monkeypatch):
+    # a control that raises shows only that a crash fails the row; each PASS row
+    # with a control also has one that its verdict catches
     by_verdict = set()
     for row, controls in CONTROLS.items():
-        for owner, name, replacement in controls if row.startswith("lie.") else ():
+        for owner, name, replacement in controls:
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, replacement)
-                result = {r.id: r for r in run("lie", Config()).results}[row]
+                toric._cohomology.cache_clear()
+                try:
+                    result = {r.id: r for r in run(row.split(".")[0], Config()).results}[row]
+                finally:
+                    toric._cohomology.cache_clear()
             if result.status == "fail" and not result.detail.startswith("raised "):
                 by_verdict.add(row)
-    assert by_verdict == {r.id for r in run("lie", Config()).results if r.status == "pass"}
+    passing = {row["id"] for row in json.loads(GOLDEN.read_text(encoding="utf-8"))["results"]
+               if row["status"] == "pass"}
+    assert passing & set(CONTROLS) <= by_verdict
 
 
 @pytest.mark.parametrize("row", ["compactification.graph-smooth", "sheaves.hypersurface-model"])

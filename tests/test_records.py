@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgorbit import compactification, fukaya, lie, mirror, quiver, report, symplectic, toric
+from lgorbit import fukaya, lie, mirror, quiver, report, symplectic, toric
 from lgorbit.errors import StructureError
 
 
@@ -34,7 +34,6 @@ def _records():
         fukaya.ProductEntry(("x0",), "x1"),
         fukaya.morse_circle_floer(),
         quiver.end_algebra_dims_tilting(fukaya.lg2_category()),
-        compactification.critical_data(),
         lie.CartanDiagonal((1, -1)),
     ]
 
@@ -43,7 +42,7 @@ RECORDS = _records()
 
 
 def test_every_record_type_is_listed():
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 19
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 18
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
