@@ -30,14 +30,14 @@ from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError
-from .gaussian import ExactMatrix, RatLike
+from .gaussian import ExactMatrix, Rational
 from .poly import MultiHomPoly, certify, certify_charts, product, variables
 from .symplectic import orbit_residual, sphere_embedding
 
 _HALF = Fraction(1, 2)
 
 
-def parallel(u: Sequence[RatLike], v: Sequence[RatLike]) -> bool:
+def parallel(u: Sequence[Rational], v: Sequence[Rational]) -> bool:
     """Whether two coordinate tuples of equal length are proportional.
 
     Intended for tuples that are not all zero, where vanishing of every
@@ -104,20 +104,20 @@ def quadric_identities(x, y, z, t, lam):
 
 def gram_rank(q: MultiHomPoly) -> int:
     """Rank of the symmetric Gram matrix of a homogeneous quadratic form
-    with rational coefficients."""
+    with rational coefficients, so with no term in i."""
+    if "i" in q.variables and any(key[q.var_index("i")] for key in q.terms):
+        raise PreconditionError("gram_rank needs rational coefficients, not a term in i")
     if not q.terms or any(sum(key) != 2 for key in q.terms):
         raise PreconditionError("gram_rank needs a nonzero quadratic form")
     n = len(q.variables)
     g = [[0] * n for _ in range(n)]
     for key, coeff in q.terms.items():
-        if coeff.im:
-            raise PreconditionError(f"gram_rank needs rational coefficients, not {coeff}")
         support = [i for i, e in enumerate(key) if e]
         if len(support) == 1:
-            g[support[0]][support[0]] = coeff.re
+            g[support[0]][support[0]] = coeff
         else:
             i, j = support
-            g[i][j] = g[j][i] = coeff.re * _HALF
+            g[i][j] = g[j][i] = coeff * _HALF
     return ExactMatrix(g).rank()
 
 
@@ -182,7 +182,7 @@ def base_locus():
     return (((1, 0), (1, 0)), ((0, 1), (0, 1)))
 
 
-def rational_extension(p: Sequence[RatLike], q: Sequence[RatLike]) -> Tuple[RatLike, RatLike]:
+def rational_extension(p: Sequence[Rational], q: Sequence[Rational]) -> Tuple[Rational, Rational]:
     """Extend the height coordinate to P1 x P1 as [xw + yz : xw - yz].
 
     ``p`` = (x, y) and ``q`` = (z, w) are the coordinates of the two
@@ -478,14 +478,15 @@ def sphere_off_infinity_identities(p, q, r, x, y, z, i):
     ]
 
 
-def sphere_off_infinity_certificate(i) -> bool:
+def sphere_off_infinity_certificate() -> bool:
     """The embedded sphere stays in the affine orbit, off both base points.
 
     By ``sphere_off_infinity_identities`` the unit sphere lands on the orbit,
     and every orbit matrix is a trace-zero involution with two eigenlines,
     whose pair misses the diagonal; both points of ``base_locus()`` lie on it.
-    ``i`` is the imaginary unit of the coefficient ring.
+    The imaginary unit is the symbol i, which ``certify`` reduces modulo
+    i^2 + 1.
     """
-    identities = sphere_off_infinity_identities(*variables("p q r x y z"), i)
+    identities = sphere_off_infinity_identities(*variables("p q r x y z i"))
     diagonal = not any(determinant(pt) for pt in base_locus())
     return certify(identities) is None and diagonal

@@ -1,17 +1,15 @@
-"""Exact scalars: Gaussian rationals for polynomial coefficients, and small
-dense matrices over the rationals.
+"""Exact rational linear algebra: small dense matrices over the rationals.
 
 Everything in this module is exact.  A rational is stored as a plain ``int``
 when it is integral and as a reduced ``fractions.Fraction`` only when it is
-not, so the integer shears and samples that most checks build run on
-machine integers.  Every constructor and operation normalises its result
-this way, so structural equality is mathematical equality.
+not, so the integer matrices that most checks build run on machine
+integers.  Every constructor and operation normalises its entries this way,
+so structural equality is mathematical equality.
 
-``GaussianRational`` keeps what polynomials read: sums, products,
-conjugation, equality and printing; nothing divides one.  ``ExactMatrix``
-holds ``int`` and ``Fraction`` entries only, since every matrix the report
-eliminates (Euler forms, Gram matrices, Hom differentials) is rational; its
-ranks and cocycle bases come from ``echelon``, as do ``det`` and ``inverse``.
+``ExactMatrix`` holds ``int`` and ``Fraction`` entries only, since every
+matrix the report eliminates (Euler forms, Gram matrices, Hom
+differentials) is rational; its ranks and cocycle bases come from
+``echelon``, as do ``det`` and ``inverse``.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 from .errors import StructureError
 
 Rational = Union[int, Fraction]
-RatLike = Union[int, Fraction, "GaussianRational"]
 
 
 def _exact(value) -> Rational:
@@ -33,126 +30,6 @@ def _exact(value) -> Rational:
     if type(value) is not Fraction:
         raise StructureError(f"{value!r} is not an int or a Fraction")
     return value.numerator if value.denominator == 1 else value
-
-
-class GaussianRational:
-    """A complex number re + im*i with rational real and imaginary parts."""
-
-    __slots__ = ("_re", "_im")
-
-    def __init__(self, re: Rational, im: Rational = 0):
-        self._re = _exact(re)
-        self._im = _exact(im)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._re)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._im)
-
-    @staticmethod
-    def coerce(value: RatLike) -> "GaussianRational":
-        lifted = _lift(value)
-        if lifted is None:
-            raise StructureError(f"cannot coerce {value!r} to GaussianRational")
-        return lifted
-
-    def is_zero(self) -> bool:
-        return not self._re and not self._im
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def conjugate(self) -> "GaussianRational":
-        return _gauss(self._re, -self._im)
-
-    # Each binary operator takes a GaussianRational operand directly and lifts
-    # an int or Fraction one; anything else is NotImplemented.
-
-    def __add__(self, other):
-        if type(other) is not GaussianRational:
-            other = _lift(other)
-            if other is None:
-                return NotImplemented
-        return _gauss(self._re + other._re, self._im + other._im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _gauss(-self._re, -self._im)
-
-    def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = _lift(other)
-            if other is None:
-                return NotImplemented
-        return _gauss(self._re - other._re, self._im - other._im)
-
-    def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            other = _lift(other)
-            if other is None:
-                return NotImplemented
-        a, b, c, d = self._re, self._im, other._re, other._im
-        return _gauss(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if type(other) is not GaussianRational:
-            other = _lift(other)
-            if other is None:
-                return NotImplemented
-        return self._re == other._re and self._im == other._im
-
-    def __hash__(self):
-        # an int hashes as the equal Fraction, so real values hash as their
-        # Fraction and 2 == GaussianRational(2) stays consistent
-        if not self._im:
-            return hash(self._re)
-        return hash((self._re, self._im))
-
-    def __complex__(self) -> complex:
-        return complex(float(self._re), float(self._im))
-
-    def __str__(self) -> str:
-        re, im = self._re, self._im
-        if not im:
-            return str(re)
-        im_text = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
-        if not re:
-            return im_text
-        sign = "+" if im > 0 else ""
-        return f"{re}{sign}{im_text}"
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({Fraction(self._re)!r}, {Fraction(self._im)!r})"
-
-
-_new = object.__new__
-
-
-def _gauss(re, im) -> GaussianRational:
-    """Build from int or Fraction components without a constructor call."""
-    z = _new(GaussianRational)
-    z._re = re if type(re) is int else _exact(re)
-    z._im = im if type(im) is int else _exact(im)
-    return z
-
-
-def _lift(value):
-    """The GaussianRational of an operand, or None when it is not exact."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return _gauss(value, 0)
-    return None
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 
 
 class ExactMatrix:
@@ -174,10 +51,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

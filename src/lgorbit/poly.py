@@ -1,4 +1,4 @@
-"""Polynomials over the Gaussian rationals on one tuple of variables.
+"""Polynomials with rational coefficients on one tuple of variables.
 
 A polynomial lives on a fixed tuple of distinct variable names, which
 ``variables`` builds, for example ``variables("x y z w")``.  Terms are
@@ -7,6 +7,11 @@ order.  The public constructor validates what it is given; arithmetic
 builds its results from operands already checked, with zero coefficients
 popped, and skips that work.  No degree is read off the terms: a claim
 such as bihomogeneity is an identity, Euler's relation, like any other.
+
+Coefficients are ``int`` or ``Fraction``.  The imaginary unit is the
+variable named ``i``: ``certify`` reads a difference on it modulo
+i^2 + 1, and ``conjugate`` substitutes -i for it, so the rational
+polynomials in i stand in for those with Gaussian rational coefficients.
 
 ``certify`` is the one checker of the library's polynomial claims: other
 modules write each claim as identity data over any ring and evaluate it on
@@ -21,9 +26,9 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DiagnosticError, StructureError
-from .gaussian import ONE, ZERO, GaussianRational, RatLike
 
 Exponents = Tuple[int, ...]
+Rational = Union[int, Fraction]
 
 
 class MultiHomPoly:
@@ -34,7 +39,7 @@ class MultiHomPoly:
     def __init__(
         self,
         names: Iterable[str],
-        terms: Mapping[Sequence[int], RatLike] = (),
+        terms: Mapping[Sequence[int], Rational] = (),
     ):
         self.variables = tuple(names)
         nvars = len(self.variables)
@@ -42,7 +47,7 @@ class MultiHomPoly:
             raise StructureError("at least one variable is required")
         if len(set(self.variables)) != nvars:
             raise StructureError("variable names must be distinct")
-        clean: Dict[Exponents, GaussianRational] = {}
+        clean: Dict[Exponents, Rational] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exponents, coeff in items:
             key = tuple(exponents)
@@ -52,14 +57,16 @@ class MultiHomPoly:
                 )
             if any(not isinstance(e, int) or e < 0 for e in key):
                 raise StructureError(f"exponents must be nonnegative integers: {key}")
-            value = clean.get(key, ZERO) + GaussianRational.coerce(coeff)
-            if value.is_zero():
+            if type(coeff) is not int and type(coeff) is not Fraction:
+                raise StructureError(f"{coeff!r} is not an int or a Fraction")
+            value = clean.get(key, 0) + coeff
+            if not value:
                 clean.pop(key, None)
             else:
                 clean[key] = value
         self.terms = clean
 
-    def _like(self, terms: Dict[Exponents, GaussianRational]) -> "MultiHomPoly":
+    def _like(self, terms: Dict[Exponents, Rational]) -> "MultiHomPoly":
         """A polynomial on this one's variables; ``terms`` must be clean already."""
         out = MultiHomPoly.__new__(MultiHomPoly)
         out.variables = self.variables
@@ -69,7 +76,7 @@ class MultiHomPoly:
     # ---------------------------------------------------------------- basics
 
     @classmethod
-    def constant(cls, names: Iterable[str], value: RatLike) -> "MultiHomPoly":
+    def constant(cls, names: Iterable[str], value: Rational) -> "MultiHomPoly":
         names = tuple(names)
         return cls(names, {(0,) * len(names): value})
 
@@ -99,15 +106,15 @@ class MultiHomPoly:
 
     def _combine(self, other, op):
         """The termwise sum (op add) or difference (op sub) with other."""
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = MultiHomPoly.constant(self.variables, other)
         if not isinstance(other, MultiHomPoly):
             return NotImplemented
         self._check_variables(other)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            value = op(merged.get(key, ZERO), coeff)
-            if value.is_zero():
+            value = op(merged.get(key, 0), coeff)
+            if not value:
                 merged.pop(key, None)
             else:
                 merged[key] = value
@@ -128,25 +135,29 @@ class MultiHomPoly:
         return (-self) + other
 
     def conjugate(self) -> "MultiHomPoly":
-        """Conjugate the coefficients, reading every variable as real."""
-        return self._like({key: coeff.conjugate() for key, coeff in self.terms.items()})
+        """Substitute -i for i, reading every other variable as real: each
+        term of odd degree in i changes sign.  Without i it is real."""
+        if "i" not in self.variables:
+            return self
+        k = self.variables.index("i")
+        return self._like({key: -coeff if key[k] % 2 else coeff
+                           for key, coeff in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            scalar = GaussianRational.coerce(other)
-            if scalar.is_zero():
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return self._like({})
-            # a product of nonzero Gaussian rationals is nonzero
-            return self._like({key: scalar * coeff for key, coeff in self.terms.items()})
+            # a product of nonzero rationals is nonzero
+            return self._like({key: other * coeff for key, coeff in self.terms.items()})
         if not isinstance(other, MultiHomPoly):
             return NotImplemented
         self._check_variables(other)
-        product: Dict[Exponents, GaussianRational] = {}
+        product: Dict[Exponents, Rational] = {}
         for key_a, coeff_a in self.terms.items():
             for key_b, coeff_b in other.terms.items():
                 key = tuple(map(operator.add, key_a, key_b))
-                value = product.get(key, ZERO) + coeff_a * coeff_b
-                if value.is_zero():
+                value = product.get(key, 0) + coeff_a * coeff_b
+                if not value:
                     product.pop(key, None)
                 else:
                     product[key] = value
@@ -157,7 +168,7 @@ class MultiHomPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise StructureError("exponent must be a nonnegative integer")
-        result = self._like({(0,) * len(self.variables): ONE})
+        result = self._like({(0,) * len(self.variables): 1})
         for _ in range(exponent):
             result = result * self
         return result
@@ -174,21 +185,21 @@ class MultiHomPoly:
     def partial(self, name: str) -> "MultiHomPoly":
         """Formal partial derivative in one variable."""
         idx = self.var_index(name)
-        out: Dict[Exponents, GaussianRational] = {}
+        out: Dict[Exponents, Rational] = {}
         for key, coeff in self.terms.items():
             e = key[idx]
             if e == 0:
                 continue
             new_key = key[:idx] + (e - 1,) + key[idx + 1 :]
-            value = out.get(new_key, ZERO) + coeff * e
-            if value.is_zero():
+            value = out.get(new_key, 0) + coeff * e
+            if not value:
                 out.pop(new_key, None)
             else:
                 out[new_key] = value
         return self._like(out)
 
     def substitute(
-        self, images: Mapping[str, Union["MultiHomPoly", RatLike]]
+        self, images: Mapping[str, Union["MultiHomPoly", Rational]]
     ) -> "MultiHomPoly":
         """Simultaneously replace variables by polynomials on the same tuple.
 
@@ -233,20 +244,40 @@ def product(a, b) -> tuple:
                        for col in columns) for row in a)
 
 
+def modulo_i(f):
+    """The remainder of f on division by the monic i^2 + 1 (Cox, Little and
+    O'Shea, ch. 2): each i^e becomes (-1)^(e // 2) i^(e % 2).  Anything that
+    is not a polynomial on a variable i is returned as it is."""
+    if not isinstance(f, MultiHomPoly) or "i" not in f.variables:
+        return f
+    k = f.variables.index("i")
+    out: Dict[Exponents, Rational] = {}
+    for key, coeff in f.terms.items():
+        e = key[k]
+        key = key[:k] + (e % 2,) + key[k + 1 :]
+        value = out.get(key, 0) + (-coeff if e // 2 % 2 else coeff)
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return f._like(out)
+
+
 def certify(identities: Iterable) -> Optional[int]:
     """The position of the first identity that fails, or None when all hold.
 
     An identity (difference, ((relation, cofactor), ...)) holds when the
     difference minus each cofactor times its relation is zero, putting the
     difference in the ideal of the relations (Cox, Little and O'Shea,
-    Ideals, Varieties, and Algorithms, ch. 1-2).  An empty sequence
-    certifies nothing and raises DiagnosticError.
+    Ideals, Varieties, and Algorithms, ch. 1-2).  On a variable i the
+    remainder is taken modulo i^2 + 1 as well, by ``modulo_i``.  An empty
+    sequence certifies nothing and raises DiagnosticError.
     """
     position = -1
     for position, (difference, terms) in enumerate(identities):
         for relation, cofactor in terms:
             difference = difference - relation * cofactor
-        if difference:
+        if modulo_i(difference):
             return position
     if position < 0:
         raise DiagnosticError("the certificate lists no identity")

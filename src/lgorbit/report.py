@@ -116,10 +116,10 @@ def _evaluate(
     return rows, tables
 
 
-def _certified(identities: Callable, names: str, *i) -> bool:
-    """Whether poly.certify passes identities(*symbols, *i), one symbol per name."""
+def _certified(identities: Callable, names: str) -> bool:
+    """Whether poly.certify passes identities(*symbols), one symbol per name."""
     from . import poly
-    return poly.certify(identities(*poly.variables(names), *i)) is None
+    return poly.certify(identities(*poly.variables(names))) is None
 
 
 # every suite's declared checks, in row order, keyed by suite name
@@ -215,11 +215,9 @@ suite_lie = _suite(
 
 def _symplectic(cfg: Config):
     from . import symplectic
-    from .gaussian import GaussianRational
-    i = GaussianRational(0, 1)
     sphere = symplectic.check_sphere_lagrangian(cfg.sphere_samples, cfg.seed)
-    tamed = _certified(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2", i)
-    thimble = _certified(symplectic.thimble_identities, "lam c a b", i)
+    tamed = _certified(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2 i")
+    thimble = _certified(symplectic.thimble_identities, "lam c a b i")
     return locals(), {}
 
 
@@ -234,8 +232,8 @@ suite_symplectic = _suite(
               max(sphere.max_omega, sphere.max_tangency_residual),
           )),
     Check("symplectic.sphere-lagrangian-exact", "claim:sphere-is-lagrangian",
-          lambda symplectic, i: (
-              _certified(symplectic.sphere_lagrangian_identities, "p q r", i),
+          lambda symplectic: (
+              _certified(symplectic.sphere_lagrangian_identities, "p q r i"),
               "over real symbols p, q, r, the pairing of each two su(2) tangents at "
               "(r, -p + iq, -p - iq) equals its own conjugate, so Omega is the zero "
               "polynomial on all of R^3",
@@ -652,11 +650,9 @@ suite_mirror = _suite(
 def _compactification(cfg: Config):
     from fractions import Fraction
     from . import compactification as geo
-    from .gaussian import GaussianRational
     # entries (x, y, z, w) of the identity and of the shear [[1, 1], [0, 1]]
     ident, shear = (1, 0, 0, 1), (1, 0, 1, 1)
     half = Fraction(1, 2)
-    i = GaussianRational(0, 1)
     return locals(), {}
 
 
@@ -759,8 +755,8 @@ suite_compactification = _suite(
           )),
     # the assumption stands on its supporting check; a failed one fails the row
     Check("compactification.symplectic-patching", "claim:compactified-category-unchanged",
-          lambda geo, i: (
-              "assumption" if (supported := geo.sphere_off_infinity_certificate(i)) else False,
+          lambda geo: (
+              "assumption" if (supported := geo.sphere_off_infinity_certificate()) else False,
               "the patching construction of a symplectic structure near infinity "
               "is not machine checked; supporting exact check "
               + ("passed" if supported else "FAILED")

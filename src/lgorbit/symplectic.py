@@ -11,11 +11,11 @@ sign makes Omega(u, iu) = tr(M_u M_u^dagger) > 0, so the complex structure
 is tamed.  The sampled checks run the formulas in floats.  The exact claims
 are identity functions: the same formulas, over any ring with unit i, give
 (difference, ((relation, cofactor), ...)) pairs that ``poly.certify`` checks
-on real symbols, with conjugation acting on coefficients only.  Omega
-vanishes on the sphere's su(2) tangents, the thimble chart lies in the
-sphere with Omega-null tangents of positive norm, omega(v, iv) = h(v, v) is
-a positive-weight sum of squares on C^3, and the cylinder chart inverts
-(x, y, z) -> y on a fiber.  The one float bound is a pinned constant, not an
+on real symbols and a symbol i, modulo i^2 + 1, with conjugation sending i
+to -i and fixing the real symbols.  Omega vanishes on the sphere's su(2)
+tangents, the thimble chart lies in the sphere with Omega-null tangents of
+positive norm, omega(v, iv) = h(v, v) is a positive-weight sum of squares
+on C^3, and the cylinder chart inverts (x, y, z) -> y on a fiber.  The one float bound is a pinned constant, not an
 option: FLOAT_TOL = 1e-9 bounds the residuals of sampled geometry (the
 pairing, tangency and gluing rows of the report) and the unit-norm, rank
 and nonzero tests.
@@ -26,13 +26,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import PreconditionError
-from .gaussian import GaussianRational
 
-Scalar = Union[complex, GaussianRational]
-Triple = Tuple[Scalar, Scalar, Scalar]
+# a complex number, or a polynomial over real symbols and i
+Triple = Tuple[object, object, object]
 
 FLOAT_TOL = 1e-9
 
@@ -49,10 +48,11 @@ def tangency_residual(point: Triple, vec: Triple):
     return 2 * x * u1 + z * u2 + y * u3
 
 
-def hermitian_pairing(u: Triple, v: Triple) -> Scalar:
+def hermitian_pairing(u: Triple, v: Triple):
     """tr(M_u . M_v^dagger) written out on triples of one scalar type.
 
-    On polynomial triples ``conjugate`` reads the variables as real.
+    On polynomial triples ``conjugate`` sends i to -i and reads the other
+    variables as real.
     """
     return 2 * (u[0] * v[0].conjugate()) + u[1] * v[1].conjugate() + u[2] * v[2].conjugate()
 
@@ -77,7 +77,7 @@ def sphere_point(p: float, q: float, r: float) -> Triple:
     return sphere_embedding(p, q, r, 1j)
 
 
-def su2_basis(i) -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
+def su2_basis(i) -> Tuple[Tuple[Tuple[object, ...], ...], ...]:
     """Three anti-Hermitian traceless 2x2 matrices spanning su(2), over any ring with unit ``i``."""
     return (((i, 0), (0, -i)), ((0, 1), (-1, 0)), ((0, i), (i, 0)))
 
@@ -131,8 +131,7 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
     import random
 
     rng = random.Random(seed)
-    # the samples are floats, so convert the exact basis once, not per sample
-    basis = [tuple(tuple(map(complex, r)) for r in a) for a in su2_basis(GaussianRational(0, 1))]
+    basis = su2_basis(1j)
     max_omega = 0.0
     min_taming = math.inf
     max_tangent = 0.0

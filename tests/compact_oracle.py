@@ -22,6 +22,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Tuple
 
+from gaussian_oracle import ONE, GaussianRational
 from lgorbit import compactification as cg
 from lgorbit.compactification import (
     coefficient_matrix,
@@ -34,7 +35,7 @@ from lgorbit.compactification import (
     tensor_entries,
 )
 from lgorbit.errors import IndeterminatePointError, PreconditionError, StructureError
-from lgorbit.gaussian import ONE, ZERO, ExactMatrix, GaussianRational
+from lgorbit.gaussian import ExactMatrix
 from lgorbit.poly import variables
 from lie_oracle import random_sl_integer, trace
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
@@ -64,7 +65,8 @@ def random_group_elements(count: int, seed: int = 0) -> Tuple[Entries, ...]:
     out = []
     for _ in range(count):
         m = random_sl_integer(2, rng)
-        out.append((m[0, 0], m[1, 0], m[0, 1], m[1, 1]))
+        (x, z), (y, w) = m.entries
+        out.append((x, y, z, w))
     return tuple(out)
 
 
@@ -80,7 +82,7 @@ def tensor_fixed_vectors_check(a: Entries) -> bool:
     """The projector has trace 1, fixes column one and annihilates column two."""
     x, y, z, w = a
     m = ExactMatrix(tensor_entries(*a))
-    if trace(m) != GaussianRational(1):
+    if trace(m) != 1:
         return False
     first = ExactMatrix([[x], [y]])
     second = ExactMatrix([[z], [w]])
@@ -131,7 +133,7 @@ def base_locus_enumeration() -> bool:
     """
     forms = cg.height_forms(*variables("x y z w"))
     support = sorted({key for f in forms for key in f.terms})
-    matrix = [[f.terms.get(key, ZERO) for key in support] for f in forms]
+    matrix = [[f.terms.get(key, 0) for key in support] for f in forms]
     if len(support) != len(forms) or not determinant(matrix):
         return False
     found = []

@@ -2,8 +2,10 @@
 
 This is the exact kernel that ``lgorbit.gaussian`` replaced: every component
 is a ``fractions.Fraction``, and the matrix product sums entry products with
-``sum()``.  It shares only ``StructureError`` with the library; the tests
-require both kernels to agree value for value.
+``sum()``.  Its ``GaussianRational`` is the scalar that the library now
+writes as a polynomial in the variable i modulo i^2 + 1, and the tests use
+it wherever they need Gaussian values.  It shares only ``StructureError``
+with the library; the tests require both to agree value for value.
 """
 
 from __future__ import annotations

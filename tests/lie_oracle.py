@@ -137,7 +137,7 @@ def gradient_norm(
 
 
 def trace(a: ExactMatrix) -> Fraction:
-    return sum((a[i, i] for i in range(a.rows)), Fraction(0))
+    return sum((a.entries[i][i] for i in range(a.rows)), Fraction(0))
 
 
 def random_sl_integer(n: int, rng: random.Random, length: int = 8) -> ExactMatrix:

@@ -24,8 +24,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
+from gaussian_oracle import GaussianRational
 from lgorbit.errors import PreconditionError
-from lgorbit.gaussian import GaussianRational
 from lgorbit.symplectic import (
     FLOAT_TOL,
     Triple,

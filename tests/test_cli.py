@@ -317,13 +317,13 @@ def bare_modules():
     (["import", "lgorbit"], {"lgorbit"}),
     (["import", "lgorbit.cli"], CLI_MODULES),
     (["mirror"], CLI_MODULES | {"lgorbit.mirror"}),
-    (["sheaves"], CLI_MODULES | {"lgorbit.toric", "lgorbit.poly", "lgorbit.gaussian"}),
+    (["sheaves"], CLI_MODULES | {"lgorbit.toric", "lgorbit.poly"}),
     (["category"], CLI_MODULES | {"lgorbit.fukaya", "lgorbit.mirror", "lgorbit.toric",
                                   "lgorbit.poly", "lgorbit.gaussian"}),
     (["all"], {"lgorbit"} | LIBRARY),
     (["lie"], CLI_MODULES | {"lgorbit.lie", "lgorbit.compactification", "lgorbit.symplectic",
                              "lgorbit.poly", "lgorbit.gaussian"}),
-    (["symplectic"], CLI_MODULES | {"lgorbit.symplectic", "lgorbit.poly", "lgorbit.gaussian"}),
+    (["symplectic"], CLI_MODULES | {"lgorbit.symplectic", "lgorbit.poly"}),
     (["quiver"], CLI_MODULES | {"lgorbit.quiver", "lgorbit.fukaya", "lgorbit.toric",
                                 "lgorbit.poly", "lgorbit.gaussian"}),
     (["compactification"], CLI_MODULES | {"lgorbit.compactification", "lgorbit.symplectic",

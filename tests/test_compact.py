@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import compact_oracle
 import symplectic_oracle
+from gaussian_oracle import GaussianRational
 from lgorbit import compactification as cg
 from lgorbit.errors import IndeterminatePointError, PreconditionError
-from lgorbit.gaussian import ExactMatrix, GaussianRational
+from lgorbit.gaussian import ExactMatrix
 from lgorbit.poly import certify, certify_charts, variables
 from lgorbit.report import Config, run
 from negative_controls import (
@@ -48,14 +49,14 @@ IDENTITY, SHEAR = (1, 0, 0, 1), (1, 0, 1, 1)  # entries (x, y, z, w) of [[x, z],
 
 def test_adjugate_inverts_the_shear():
     a = compact_oracle.exact_matrix(SHEAR)
-    assert a.det() == GaussianRational(1)
+    assert a.det() == 1
     assert ExactMatrix(cg.adjugate(*SHEAR)) * a == ExactMatrix.identity(2)
 
 
 def test_random_group_elements_determinant_one():
     for g in compact_oracle.random_group_elements(25, seed=11):
         a = compact_oracle.exact_matrix(g)
-        assert a.det() == GaussianRational(1)
+        assert a.det() == 1
         assert ExactMatrix(cg.adjugate(*g)) == a.inverse()
 
 
@@ -68,11 +69,20 @@ def test_quadric_presentations():
 
 
 def test_gram_rank_needs_rational_coefficients():
-    x, y = variables("x y")
+    x, y, i = variables("x y i")
     # Gram matrix [[1, 1/6], [1/6, 0]]; with i xy in place of xy/3 it would be Gaussian
     assert cg.gram_rank(x * x + x * y * Fraction(1, 3)) == 2
     with pytest.raises(PreconditionError, match="rational coefficients"):
-        cg.gram_rank(x * x + x * y * GaussianRational(0, 1))
+        cg.gram_rank(x * x + i * x * y)
+
+
+def test_gram_rank_refuses_a_quadratic_form_with_a_term_in_i():
+    x, y, i = variables("x y i")
+    # i among the variables is no term in i; a quadratic term in i is refused
+    assert cg.gram_rank(x * x - y * y) == 2
+    for form in (x * x + x * i, x * y - i * i, i * i):
+        with pytest.raises(PreconditionError, match="not a term in i"):
+            cg.gram_rank(form)
 
 
 def test_tensor_and_moment_on_identity():
@@ -240,7 +250,7 @@ def test_sphere_avoids_base_locus():
     # the certificate's three facts, read at the oracle's rational points: the
     # point is on the orbit, its matrix squares to I, and its eigenline pair
     # is off the diagonal that holds both base points
-    assert cg.sphere_off_infinity_certificate(I)
+    assert cg.sphere_off_infinity_certificate()
     assert compact_oracle.sphere_avoids_base_locus()
     for p, q, r in symplectic_oracle.RATIONAL_SPHERE_POINTS:
         x, y, z = symplectic_oracle.exact_sphere_point(p, q, r)
@@ -255,9 +265,9 @@ def test_sphere_avoids_base_locus():
 ])
 def test_patching_support_negative_controls(monkeypatch, target, replacement):
     # tests/test_negative_controls.py fails the command with each of them
-    assert cg.sphere_off_infinity_certificate(I)
+    assert cg.sphere_off_infinity_certificate()
     monkeypatch.setattr(cg, target, replacement)
-    assert not cg.sphere_off_infinity_certificate(I)
+    assert not cg.sphere_off_infinity_certificate()
     rows = {r.id: r for r in run("compactification", Config()).results}
     row = rows["compactification.symplectic-patching"]
     assert row.status == "fail" and "supporting exact check FAILED" in row.detail

@@ -1,4 +1,9 @@
-"""Exact Gaussian rational scalars and rational matrices."""
+"""Gaussian rationals as polynomials in i modulo i^2 + 1, and rational matrices.
+
+The library has one coefficient field: a Gaussian rational re + im i is the
+polynomial re + im * i on the variable i, read modulo i^2 + 1 by
+``poly.modulo_i``.  Matrices take int and Fraction entries only.
+"""
 
 from fractions import Fraction
 
@@ -6,49 +11,55 @@ import pytest
 
 import gaussian_oracle as oracle
 from lgorbit.errors import StructureError
-from lgorbit.gaussian import ONE, ZERO, ExactMatrix, GaussianRational
+from lgorbit.gaussian import ExactMatrix
+from lgorbit.poly import MultiHomPoly, modulo_i, variables
+from lgorbit.symplectic import su2_basis
 
-I = GaussianRational(0, 1)
+(I,) = variables("i")
+
+
+def gauss(re, im=0):
+    """re + im i on the variable i."""
+    return MultiHomPoly.constant(I.variables, re) + I * im
 
 
 def test_basic_arithmetic():
-    a = GaussianRational(Fraction(1, 2), Fraction(3, 4))
-    b = GaussianRational(2, -1)
-    assert a + b == GaussianRational(Fraction(5, 2), Fraction(-1, 4))
-    assert a - b == GaussianRational(Fraction(-3, 2), Fraction(7, 4))
-    assert a * b == GaussianRational(Fraction(7, 4), 1)
-    assert -a + a == ZERO
+    a = gauss(Fraction(1, 2), Fraction(3, 4))
+    b = gauss(2, -1)
+    assert a + b == gauss(Fraction(5, 2), Fraction(-1, 4))
+    assert a - b == gauss(Fraction(-3, 2), Fraction(7, 4))
+    assert modulo_i(a * b) == gauss(Fraction(7, 4), 1)
+    assert -a + a == gauss(0)
 
 
 def test_i_squares_to_minus_one():
-    assert I * I == GaussianRational(-1)
-    assert I * I * I * I == ONE
-    assert I * I * I == -I
+    assert modulo_i(I * I) == gauss(-1)
+    assert modulo_i(I * I * I * I) == gauss(1)
+    assert modulo_i(I * I * I) == -I
 
 
 def test_mixed_scalar_coercion():
-    a = GaussianRational(1, 1)
-    assert 2 * a == GaussianRational(2, 2)
-    assert a + Fraction(1, 3) == GaussianRational(Fraction(4, 3), 1)
-    assert a - 1 == GaussianRational(0, 1)
-    # no polynomial subtracts a scalar from a number, or divides
-    with pytest.raises(TypeError):
-        1 - a
+    a = gauss(1, 1)
+    assert 2 * a == gauss(2, 2)
+    assert a + Fraction(1, 3) == gauss(Fraction(4, 3), 1)
+    assert a - 1 == gauss(0, 1)
+    assert 1 - a == gauss(0, -1)
+    # no polynomial divides
     with pytest.raises(TypeError):
         Fraction(1, 2) / a
 
 
 def test_conjugate_and_norm():
-    a = GaussianRational(Fraction(3, 5), Fraction(-4, 5))
-    assert a.conjugate() == GaussianRational(Fraction(3, 5), Fraction(4, 5))
-    assert a * a.conjugate() == ONE
+    a = gauss(Fraction(3, 5), Fraction(-4, 5))
+    assert a.conjugate() == gauss(Fraction(3, 5), Fraction(4, 5))
+    assert modulo_i(a * a.conjugate()) == gauss(1)
 
 
 def test_division_by_zero():
-    # the library's scalars have no division, and its elimination divides
-    # only by a nonzero pivot; the oracle's scalars raise on zero
+    # polynomials have no division, and the elimination divides only by a
+    # nonzero pivot; the oracle's scalars raise on zero
     with pytest.raises(TypeError):
-        ONE / ONE
+        gauss(1) / gauss(1)
     with pytest.raises(StructureError, match="matrix is singular"):
         ExactMatrix([[0]]).inverse()
     with pytest.raises(ZeroDivisionError):
@@ -56,8 +67,10 @@ def test_division_by_zero():
 
 
 def test_pow_requires_nonnegative_integer_exponent():
-    with pytest.raises(TypeError):
-        I ** 2
+    assert modulo_i(I ** 2) == gauss(-1)
+    for exponent in (0.5, -1):
+        with pytest.raises(StructureError):
+            I ** exponent
     with pytest.raises(StructureError):
         oracle.ONE ** 0.5
     with pytest.raises(StructureError):
@@ -65,12 +78,16 @@ def test_pow_requires_nonnegative_integer_exponent():
 
 
 def test_complex_conversion():
-    assert complex(GaussianRational(Fraction(1, 2), 3)) == 0.5 + 3j
+    # the float sampler reads su(2) at 1j: the oracle's exact basis in floats
+    exact = su2_basis(oracle.GaussianRational(0, 1))
+    assert su2_basis(1j) == tuple(tuple(tuple(complex(e) for e in row) for row in a)
+                                  for a in exact)
+    assert complex(oracle.GaussianRational(Fraction(1, 2), 3)) == 0.5 + 3j
 
 
 def test_matrix_constructors_and_indexing():
     m = ExactMatrix([[1, 2], [3, 4]])
-    assert m[0, 1] == GaussianRational(2)
+    assert m.entries[0][1] == 2
     assert ExactMatrix.identity(2) == ExactMatrix([[1, 0], [0, 1]])
 
 
@@ -91,7 +108,7 @@ def test_matrix_product_and_trace():
     assert (a * b) == ExactMatrix([[2, 1], [1, 1]])
     assert (b * a) == ExactMatrix([[1, 1], [1, 2]])
     product = a * b
-    assert product[0, 0] + product[1, 1] == GaussianRational(3)
+    assert product.entries[0][0] + product.entries[1][1] == 3
 
 
 def test_matrix_shape_mismatch():
@@ -150,9 +167,10 @@ def test_rank_rectangular():
 
 
 def test_public_components_are_fractions():
-    for value in (GaussianRational(3, -2), GaussianRational(Fraction(1, 2), 0), ZERO, I):
-        assert type(value.re) is Fraction
-        assert type(value.im) is Fraction
+    # the components of re + im i are coefficients: ints, or Fractions when not integral
+    for value in (gauss(3, -2), gauss(Fraction(1, 2), 0), gauss(0), I):
+        assert all(type(c) in (int, Fraction) for c in value.terms.values())
+    assert type(gauss(Fraction(1, 2), 1).terms[(0,)]) is Fraction
 
 
 def test_integer_division_stays_exact():
@@ -173,38 +191,31 @@ def test_inverse_of_an_integer_matrix_is_exact():
 
 
 def test_integral_values_compare_and_hash_as_integers():
-    assert GaussianRational(Fraction(4, 2)) == 2
-    assert GaussianRational(Fraction(4, 2)) == GaussianRational(2)
-    assert hash(GaussianRational(2)) == hash(2) == hash(Fraction(2))
-    assert hash(GaussianRational(Fraction(4, 2))) == hash(2)
-    assert hash(GaussianRational(Fraction(1, 2), 3)) == hash((Fraction(1, 2), Fraction(3)))
+    # a Fraction coefficient with denominator 1 equals and hashes as its int
+    assert gauss(Fraction(4, 2)) == gauss(2)
+    assert gauss(Fraction(1, 2), 3) * 2 == gauss(1, 6)
+    assert gauss(Fraction(4, 2)).terms == {(0,): 2}
+    assert hash(Fraction(4, 2)) == hash(2)
 
 
 def test_integral_components_are_stored_as_int():
-    # the kernel's speed rests on integral parts staying machine integers
-    for value in (
-        GaussianRational(Fraction(4, 2), Fraction(-3, 1)),
-        GaussianRational(Fraction(1, 2)) * 2,
-        GaussianRational(Fraction(1, 3), Fraction(2, 3)) + GaussianRational(
-            Fraction(2, 3), Fraction(1, 3)
-        ),
-    ):
-        assert type(value._re) is int and type(value._im) is int
-    assert type((ExactMatrix([[Fraction(1, 2)]]) * ExactMatrix([[4]]))[0, 0]) is int
-    assert type(ExactMatrix([[Fraction(4, 2)]])[0, 0]) is int
+    # the kernel's speed rests on integral entries staying machine integers
+    assert type((ExactMatrix([[Fraction(1, 2)]]) * ExactMatrix([[4]])).entries[0][0]) is int
+    assert type(ExactMatrix([[Fraction(4, 2)]]).entries[0][0]) is int
 
 
 def test_non_exact_operands_are_rejected():
     with pytest.raises(TypeError):
-        GaussianRational(1) + 0.5
+        gauss(1) + 0.5
     with pytest.raises(TypeError):
-        GaussianRational(1) * 1j
-    assert GaussianRational(1) != 1.0
+        gauss(1) * 1j
+    assert gauss(1) != 1.0
     with pytest.raises(StructureError):
         ExactMatrix([[0.5]])
 
 
-@pytest.mark.parametrize("entry", [GaussianRational(0, 1), GaussianRational(1), True, 0.5])
+@pytest.mark.parametrize("entry", [oracle.GaussianRational(0, 1), oracle.GaussianRational(1),
+                                   True, 0.5])
 def test_matrix_entries_are_ints_or_fractions(entry):
     # a Gaussian entry, even a real one, a bool and a float are all refused
     with pytest.raises(StructureError):

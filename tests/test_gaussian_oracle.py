@@ -1,12 +1,12 @@
-"""The int-backed exact kernel agrees with the Fraction-pair oracle.
+"""Gaussian arithmetic in i modulo i^2 + 1, and the rational matrices, agree
+with the Fraction-pair oracle.
 
-The oracle keeps the operators the library deleted (division, powers, the
-reflected subtraction) and the Gaussian elimination the rational matrices
-replaced, so it stays the reference for both.
+The oracle keeps the Gaussian rational scalars that polynomials in the
+variable i replaced, with the division the library does not have, and the
+Gaussian elimination the rational matrices replaced, so it stays the
+reference for both.
 """
 
-import functools
-import operator
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 import gaussian_oracle as oracle
 from lgorbit.errors import StructureError
-from lgorbit.gaussian import ONE, ExactMatrix, GaussianRational
+from lgorbit.gaussian import ExactMatrix
+from lgorbit.poly import MultiHomPoly, modulo_i, variables
+
+(I,) = variables("i")
 
 # ints, integral and proper Fractions, and ints far beyond a float's precision
 components = st.one_of(
@@ -29,14 +32,20 @@ pairs = st.tuples(components, components)
 
 
 def both(re, im=0):
-    return GaussianRational(re, im), oracle.GaussianRational(re, im)
+    """re + im i on the variable i, and the oracle's scalar."""
+    return MultiHomPoly.constant(I.variables, re) + I * im, oracle.GaussianRational(re, im)
+
+
+def parts(f):
+    """The real and imaginary parts of f modulo i^2 + 1."""
+    terms = modulo_i(f).terms
+    assert set(terms) <= {(0,), (1,)}
+    assert all(type(c) in (int, Fraction) for c in terms.values())
+    return terms.get((0,), 0), terms.get((1,), 0)
 
 
 def assert_same(new, old):
-    assert type(new) is GaussianRational
-    assert type(new.re) is Fraction and type(new.im) is Fraction
-    assert (new.re, new.im) == (old.re, old.im)
-    assert str(new) == str(old)
+    assert parts(new) == (old.re, old.im)
 
 
 def outcome(fn, *args):
@@ -47,8 +56,7 @@ def outcome(fn, *args):
         return type(exc)
 
 
-OPERATORS = (operator.add, operator.sub, operator.mul)
-REFLECTED = (operator.add, operator.mul)
+OPERATORS = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -58,7 +66,7 @@ def test_binary_operators_match_the_oracle(x, y):
     ny, oy = both(*y)
     for op in OPERATORS:
         assert_same(op(nx, ny), op(ox, oy))
-    assert outcome(operator.truediv, nx, ny) is TypeError
+    assert outcome(lambda: nx / ny) is TypeError
 
 
 @settings(max_examples=300, deadline=None)
@@ -67,23 +75,20 @@ def test_mixed_int_and_fraction_operands_match_the_oracle(x, scalar):
     nx, ox = both(*x)
     for op in OPERATORS:
         assert_same(op(nx, scalar), op(ox, scalar))
-    for op in REFLECTED:
         assert_same(op(scalar, nx), op(scalar, ox))
-    for op in (operator.sub, operator.truediv):
-        assert outcome(op, scalar, nx) is TypeError
-    assert (nx == scalar) == (ox == scalar)
-    assert (scalar == nx) == (scalar == ox)
+    assert outcome(lambda: scalar / nx) is TypeError
+    assert outcome(lambda: nx / scalar) is TypeError
 
 
 @settings(max_examples=200, deadline=None)
 @given(x=st.tuples(small_components, small_components), exponent=st.integers(0, 6))
 def test_power_conjugate_and_norm_match_the_oracle(x, exponent):
     nx, ox = both(*x)
-    assert_same(functools.reduce(operator.mul, [nx] * exponent, ONE), ox ** exponent)
+    assert_same(nx ** exponent, ox ** exponent)
     assert_same(nx.conjugate(), ox.conjugate())
     assert_same(-nx, -ox)
     assert_same(nx * nx.conjugate(), ox * ox.conjugate())
-    assert nx.is_zero() == ox.is_zero() and bool(nx) == bool(ox)
+    assert bool(modulo_i(nx)) == bool(ox)
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,20 +96,13 @@ def test_power_conjugate_and_norm_match_the_oracle(x, exponent):
 def test_equality_and_hash_match_the_oracle(x, y):
     nx, ox = both(*x)
     ny, oy = both(*y)
-    assert (nx == ny) == (ox == oy)
-    assert (nx != ny) == (ox != oy)
-    assert hash(nx) == hash(ox)
+    assert (modulo_i(nx) == modulo_i(ny)) == (ox == oy)
+    assert (modulo_i(nx) != modulo_i(ny)) == (ox != oy)
+    # a coefficient hashes as the oracle's component, so real values hash alike
+    re, im = parts(nx)
+    assert (hash(re), hash(im)) == (hash(ox.re), hash(ox.im))
     if not x[1]:
-        assert nx == x[0] and hash(nx) == hash(x[0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(x=pairs)
-def test_str_parse_repr_and_complex_match_the_oracle(x):
-    nx, ox = both(*x)
-    assert str(nx) == str(ox)
-    assert repr(nx) == repr(ox)
-    assert outcome(complex, nx) == outcome(complex, ox)
+        assert hash(re) == hash(ox) == hash(x[0])
 
 
 def matrix_pair(rows):

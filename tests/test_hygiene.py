@@ -335,7 +335,7 @@ def gaussian_names(source: str):
 
 
 def test_compactification_imports_no_gaussian_rational():
-    # points are plain tuples and the imaginary unit is an argument, so
+    # points are plain tuples and the imaginary unit is the symbol i, so
     # compactification takes from gaussian only what its Gram ranks read
     assert gaussian_names(
         "from .gaussian import ExactMatrix, GaussianRational\n"
@@ -344,4 +344,34 @@ def test_compactification_imports_no_gaussian_rational():
         "from .gaussian_oracle import check\n"
     ) == {"ExactMatrix", "GaussianRational", "gaussian"}
     source = (SRC / "compactification.py").read_text(encoding="utf-8")
-    assert gaussian_names(source) == {"ExactMatrix", "RatLike"}
+    assert gaussian_names(source) == {"ExactMatrix", "Rational"}
+
+
+def top_level_names(source: str):
+    """The names a module binds at its top level: classes, functions and
+    assigned or annotated names."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+GAUSSIAN_SCALAR = {"GaussianRational", "ZERO", "ONE", "RatLike", "_gauss", "_lift"}
+
+
+def test_the_library_has_one_coefficient_field():
+    # i is a polynomial variable reduced modulo i^2 + 1, so no module defines a
+    # Gaussian scalar and poly takes nothing from gaussian
+    assert top_level_names(
+        "class GaussianRational:\n    ONE = 1\n"
+        "def _lift(v):\n    ZERO = 0\n"
+        "RatLike: object = int\nA = B = 1\n"
+    ) & GAUSSIAN_SCALAR == {"GaussianRational", "_lift", "RatLike"}
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, text in sources.items()
+            if (found := top_level_names(text) & GAUSSIAN_SCALAR)} == {}
+    assert gaussian_importers({"poly.py": sources["poly.py"]}) == set()

@@ -7,9 +7,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussian_oracle
+from lgorbit import compactification as cg
+from lgorbit import poly, symplectic
 from lgorbit.errors import DiagnosticError, StructureError
-from lgorbit.gaussian import GaussianRational
-from lgorbit.poly import MultiHomPoly, certify, certify_charts, variables
+from lgorbit.poly import MultiHomPoly, certify, certify_charts, modulo_i, variables
+from negative_controls import _hermitian_first_generator
 
 NAMES = ("x", "y", "z", "w")
 
@@ -57,8 +60,7 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=40, deadline=None)
 def test_evaluation_is_ring_map(p, q):
     # substituting a value for every variable leaves a constant
-    point = {"x": GaussianRational(2), "y": GaussianRational(-1, 1),
-             "z": GaussianRational(Fraction(1, 2)), "w": GaussianRational(3)}
+    point = {"x": 2, "y": Fraction(-1, 3), "z": Fraction(1, 2), "w": 3}
     assert (p + q).substitute(point) == p.substitute(point) + q.substitute(point)
     assert (p * q).substitute(point) == p.substitute(point) * q.substitute(point)
     assert all(not any(key) for key in (p * q).substitute(point).terms)
@@ -74,11 +76,12 @@ def test_partial_leibniz(p, q):
 
 
 def _to_sympy(p):
-    syms = {n: sympy.Symbol(n) for n in NAMES}
+    # the variable i is the imaginary unit
+    syms = {n: sympy.I if n == "i" else sympy.Symbol(n) for n in p.variables}
     total = sympy.Integer(0)
     for exps, c in p.terms.items():
-        term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
-        for name, e in zip(NAMES, exps):
+        term = sympy.Rational(c)
+        for name, e in zip(p.variables, exps):
             term *= syms[name] ** e
         total += term
     return sympy.expand(total)
@@ -106,7 +109,7 @@ def test_arithmetic_results_pass_the_public_constructor(p, q, c, name):
     for r in results:
         fresh = MultiHomPoly(r.variables, r.terms)
         assert r == fresh
-        assert not any(coeff.is_zero() for coeff in r.terms.values())
+        assert all(coeff and type(coeff) in (int, Fraction) for coeff in r.terms.values())
 
 
 def test_substitute_and_partial_commute_on_disjoint_names():
@@ -119,7 +122,7 @@ def test_substitute_scalar_coercion():
     p = v("x") * v("z")
     q = p.substitute({"x": 2})
     assert q == v("z") * 2
-    assert p.substitute({"x": Fraction(1, 2), "z": GaussianRational(4)}) == const(2)
+    assert p.substitute({"x": Fraction(1, 2), "z": 4}) == const(2)
 
 
 def test_substitute_rejects_an_unknown_variable():
@@ -180,3 +183,119 @@ def test_certify_rejects_a_certificate_with_no_identity():
         certify([])
     with pytest.raises(DiagnosticError, match="no identity"):
         certify_charts(v("x") * v("z"), {})
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1j, True, gaussian_oracle.GaussianRational(0, 1)])
+def test_coefficients_are_ints_or_fractions(coeff):
+    # a float, a complex, a bool and a Gaussian scalar are refused; i is a variable
+    with pytest.raises(StructureError, match="not an int or a Fraction"):
+        MultiHomPoly(NAMES, {(0, 0, 0, 0): coeff})
+    if not isinstance(coeff, bool):
+        with pytest.raises(TypeError):
+            v("x") * coeff
+        with pytest.raises(TypeError):
+            v("x") + coeff
+
+
+def test_integral_fractions_compare_as_their_ints():
+    # no normaliser: a Fraction with denominator 1 equals and hashes as its int
+    half = v("x") * Fraction(1, 2)
+    assert half * 2 == v("x") and half + half == v("x")
+    assert MultiHomPoly(NAMES, {(1, 0, 0, 0): Fraction(4, 2)}) == v("x") * 2
+    assert {hash(c) for c in (half * 2).terms.values()} == {hash(1)}
+
+
+def test_modulo_i_reduces_each_power_of_i():
+    x, i = variables("x i")
+    one = MultiHomPoly.constant(x.variables, 1)
+    assert [modulo_i(i ** e) for e in range(6)] == [one, i, -one, -i, one, i]
+    assert modulo_i(x * i * i * 3 + x * 3) == x * 0
+    # i need not be the last variable
+    j, y = variables("i y")
+    assert modulo_i(y * j ** 3 + j * j) == -(y * j) - 1
+    # a difference that is no polynomial, or one without i, is left as it is
+    for f in (-1, 0, v("x") * v("x") + 1):
+        assert modulo_i(f) is f
+
+
+small_exponent = st.integers(min_value=0, max_value=5)
+
+
+@st.composite
+def polys_in_i(draw):
+    """Sums of c x^a y^b i^e on the tuple (x, y, i), with e up to 5."""
+    x, y, i = variables("x y i")
+    p = x * 0
+    for c, a, b, e in draw(st.lists(st.tuples(small_coeff, small_exponent, small_exponent,
+                                              small_exponent), max_size=5)):
+        p = p + c * x ** a * y ** b * i ** e
+    return p
+
+
+@given(polys_in_i(), polys_in_i())
+@settings(max_examples=60, deadline=None)
+def test_modulo_i_is_the_value_at_the_imaginary_unit(p, q):
+    # sympy reads i as I: the normal form keeps the value, has degree at most 1
+    # in i, and is a ring map to the polynomials over the Gaussian rationals
+    for f in (p, q, p * q, p - q):
+        reduced = modulo_i(f)
+        assert _to_sympy(reduced) == _to_sympy(f)
+        assert all(key[2] < 2 for key in reduced.terms)
+        assert modulo_i(reduced) == reduced
+    assert modulo_i(p * q) == modulo_i(modulo_i(p) * modulo_i(q))
+
+
+@given(polys_in_i(), polys_in_i())
+@settings(max_examples=60, deadline=None)
+def test_conjugate_substitutes_minus_i(p, q):
+    i = variables("x y i")[2]
+    assert p.conjugate() == p.substitute({"i": -i})
+    assert p.conjugate().conjugate() == p
+    assert (p * q).conjugate() == p.conjugate() * q.conjugate()
+    # over sympy, with x and y real, it is complex conjugation
+    real = {sympy.Symbol(n): sympy.Symbol(n, real=True) for n in "xy"}
+    conjugated = sympy.conjugate(_to_sympy(p).subs(real))
+    assert sympy.expand(_to_sympy(p.conjugate()).subs(real) - conjugated) == 0
+
+
+def test_conjugate_without_i_reads_every_variable_as_real():
+    p = v("x") * v("y") - Fraction(1, 2)
+    assert p.conjugate() is p
+
+
+def test_certify_reduces_modulo_i_squared_plus_one():
+    x, i = variables("x i")
+    assert certify([(i * i + 1, ()), (i ** 3 + i, ()), (x * i ** 4 - x, ())]) is None
+    assert certify([(i * i + 1, ()), (i * i - 1, ())]) == 1
+    # only the variable named i is the imaginary unit
+    _, j = variables("x j")
+    assert certify([(j * j + 1, ())]) == 0
+
+
+# the identity functions in i, with their names, and where each fails when
+# certify keeps i^2 as it is
+IDENTITIES_IN_I = [
+    (symplectic.taming_identities, "p0 q0 p1 q1 p2 q2 i", 1),
+    (symplectic.thimble_identities, "lam c a b i", 0),
+    (cg.sphere_off_infinity_identities, "p q r x y z i", 0),
+    (symplectic.sphere_lagrangian_identities, "p q r i", None),
+]
+
+
+@pytest.mark.parametrize("identities, names, position", IDENTITIES_IN_I,
+                         ids=[f.__name__ for f, *_ in IDENTITIES_IN_I])
+def test_identities_in_i_need_the_reduction(monkeypatch, identities, names, position):
+    assert certify(identities(*variables(names))) is None
+    monkeypatch.setattr(poly, "modulo_i", lambda f: f)
+    assert certify(identities(*variables(names))) == position
+
+
+def test_sphere_identities_fail_for_a_hermitian_generator_with_or_without_the_reduction(
+        monkeypatch):
+    # h - conj(h) cancels in Z[p, q, r, i] without i^2 = -1, so the reduction
+    # does not carry these identities; a Hermitian generator still fails them
+    monkeypatch.setattr(symplectic, "su2_basis", _hermitian_first_generator)
+    symbols = variables("p q r i")
+    assert certify(symplectic.sphere_lagrangian_identities(*symbols)) == 0
+    monkeypatch.setattr(poly, "modulo_i", lambda f: f)
+    assert certify(symplectic.sphere_lagrangian_identities(*symbols)) == 0

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gaussian_oracle
 import symplectic_oracle
+from gaussian_oracle import GaussianRational
 from lgorbit import symplectic
 from lgorbit.errors import PreconditionError
-from lgorbit.gaussian import GaussianRational
 from lgorbit.poly import certify, variables
 from lgorbit.report import Config, run
 from lgorbit.symplectic import (
@@ -38,14 +37,14 @@ from negative_controls import (
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 
 I = GaussianRational(0, 1)
-# the samples are floats, so they read the exact basis in floats
-COMPLEX_BASIS = [tuple(tuple(complex(e) for e in row) for row in a) for a in su2_basis(I)]
+# the float samples read su(2) at 1j
+COMPLEX_BASIS = su2_basis(1j)
 
 
 def _holds(identities, names):
     # the call shape of the report: the identity function on one symbol per
-    # name, then the unit i
-    return certify(identities(*variables(names), I)) is None
+    # name, the last of them the unit i
+    return certify(identities(*variables(names))) is None
 
 
 def test_sphere_lagrangian_sampled():
@@ -66,33 +65,33 @@ def test_rank_two_test_rejects_other_ranks():
 
 
 def test_sphere_exact_residuals_vanish():
-    assert _holds(sphere_lagrangian_identities, "p q r")
+    assert _holds(sphere_lagrangian_identities, "p q r i")
     residuals = symplectic_oracle.exact_sphere_omega_residuals()
     assert len(residuals) == 3 * len(RATIONAL_SPHERE_POINTS)
     assert all(r == Fraction(0) for r in residuals)
 
 
-def _sphere_pairings(p, q, r):
-    # the certificate's pairings, over any ring: real symbols or exact values
-    point = sphere_embedding(p, q, r, I)
-    tangents = [commutator_triple(point, a) for a in su2_basis(I)]
+def _sphere_pairings(p, q, r, i):
+    # the certificate's pairings, over any ring: symbols or exact values
+    point = sphere_embedding(p, q, r, i)
+    tangents = [commutator_triple(point, a) for a in su2_basis(i)]
     return [hermitian_pairing(u, v) for u, v in itertools.combinations(tangents, 2)]
 
 
 def test_pointwise_pairings_agree_with_the_identity():
     # the identity's pairings, at each rational point, are the oracle's
     # entry-by-entry pairings there, and each is real
-    symbolic = _sphere_pairings(*variables("p q r"))
+    symbolic = _sphere_pairings(*variables("p q r i"))
     assert all(h == h.conjugate() and h for h in symbolic)
     for p, q, r in RATIONAL_SPHERE_POINTS:
         pointwise = symplectic_oracle.sphere_pairings(exact_sphere_point(p, q, r))
-        assert _sphere_pairings(*map(GaussianRational, (p, q, r))) == pointwise
+        assert _sphere_pairings(*map(GaussianRational, (p, q, r)), I) == pointwise
         assert all(h.im == 0 for h in pointwise)
 
 
 def test_hermitian_generator_fails_the_exact_sphere_row(monkeypatch):
     monkeypatch.setattr(symplectic, "su2_basis", _hermitian_first_generator)
-    assert not _holds(sphere_lagrangian_identities, "p q r")
+    assert not _holds(sphere_lagrangian_identities, "p q r i")
     rows = {r.id: r for r in run("symplectic", Config()).results}
     assert rows["symplectic.sphere-lagrangian-exact"].status == "fail"
 
@@ -197,12 +196,9 @@ def test_matching_circles_glue():
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
-# the chart's 1 - lam^2 and the test's 1 / y need the reflected subtraction
-# and the division that only the oracle's scalars have
-oracle_gaussians = st.builds(gaussian_oracle.GaussianRational, rationals, rationals)
 
 
-@given(lam=oracle_gaussians, y=oracle_gaussians.filter(lambda g: not g.is_zero()))
+@given(lam=gaussians, y=gaussians.filter(lambda g: not g.is_zero()))
 @settings(max_examples=80, deadline=None)
 def test_cylinder_chart_pointwise(lam, y):
     # at exact points the chart lands on the orbit, in the fiber x = lam,
@@ -214,11 +210,11 @@ def test_cylinder_chart_pointwise(lam, y):
 
 # the certificate behind each row the registry's controls fail
 def _tamed():
-    return _holds(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2")
+    return _holds(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2 i")
 
 
 def _thimble():
-    return _holds(symplectic.thimble_identities, "lam c a b")
+    return _holds(symplectic.thimble_identities, "lam c a b i")
 
 
 ROW_CERTIFICATES = {
