@@ -13,12 +13,12 @@ This module certifies both presentations, extends the height coordinate to
 a rational map on P1 x P1 with exactly two indeterminate points, closes its
 graph inside a triple product of lines, checks the closure is smooth chart
 by chart, and classifies which fibers of the extended map degenerate.
-Everything is exact, and every polynomial claim is data: an identity
-function written over any ring, which ``poly.certify`` checks.  A point
-of P1 or of P1 x P1 is a plain tuple of coordinates, or a pair of them,
-and two points are equal when each factor's coordinates are ``parallel``.
-Only the ranks of two quadrics and the distinctness of the degenerate
-values are read off exact scalars instead.
+Everything is exact, and every polynomial claim is data: an identity function
+written over any ring, which ``poly.certify`` checks.  The orbit equation and
+the 2x2 algebra of SL(2) come from ``lie``.  A point of P1 or of P1 x P1 is a
+plain tuple of coordinates, or a pair of them, and two points are equal when
+each factor's coordinates are ``parallel``.  Only the ranks of two quadrics and
+the distinctness of the degenerate values are read off exact scalars instead.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from typing import Callable, Dict, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError
 from .gaussian import ExactMatrix, Rational
+from .lie import (SL2_BASE, adjugate, determinant, diagonal, group_matrix, height,
+                  modulo_r, orbit_residual, trace)
 from .poly import MultiHomPoly, certify, certify_charts, product, variables
-from .symplectic import orbit_residual, sphere_embedding
+from .symplectic import sphere_embedding
 
 _HALF = Fraction(1, 2)
 
@@ -48,34 +50,6 @@ def parallel(u: Sequence[Rational], v: Sequence[Rational]) -> bool:
     return all(
         u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n)
     )
-
-
-# -------------------------------------------------- ring-generic 2x2 algebra
-# Each construction on a = [[x, z], [y, w]] is written once, over any ring, on
-# the four entries and returns nested tuples, which ``poly.product`` multiplies;
-# callers evaluate it on exact entries, the certificates on polynomial symbols.
-
-
-def trace(m):
-    return m[0][0] + m[1][1]
-
-
-def determinant(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def group_matrix(x, y, z, w):
-    return ((x, z), (y, w))
-
-
-def adjugate(x, y, z, w):
-    """Adjugate of [[x, z], [y, w]], its inverse when the determinant is 1."""
-    return ((w, -z), (-y, x))
-
-
-def height_forms(x, y, z, w):
-    """The two bilinear forms (xw + yz, xw - yz) of the extended height map."""
-    return (x * w + y * z, x * w - y * z)
 
 
 # --------------------------------------------------------------- quadric
@@ -176,6 +150,11 @@ def moment_map(x, y, z, w):
 _UNITS = ((1, 0), (0, 1))
 
 
+def height_forms(x, y, z, w):
+    """The two bilinear forms (xw + yz, xw - yz) of the extended height map."""
+    return (x * w + y * z, x * w - y * z)
+
+
 def base_locus():
     """The two points ((x, y), (z, w)) where the extended height map is
     undefined, in plain ints that any ring reads."""
@@ -259,15 +238,7 @@ def exceptional_fiber_identities(r, s):
 
 
 # ------------------------------------------------------- orbit certificates
-# A claim about the orbit is an identity in the generic entries x, y, z, w
-# modulo R = xw - yz - 1: each identity function pairs every difference with
-# its cofactor q against R, for poly.certify to check difference = q R.
-
-
-def _modulo_r(x, y, z, w, *pairs):
-    """Each (difference, q) as the identity difference = q R."""
-    relation = determinant(group_matrix(x, y, z, w)) - 1
-    return [(difference, ((relation, q),)) for difference, q in pairs]
+# A claim about the orbit is an identity in x, y, z, w modulo R = xw - yz - 1.
 
 
 def tensor_projector_identities(x, y, z, w):
@@ -275,37 +246,29 @@ def tensor_projector_identities(x, y, z, w):
     m = tensor_entries(x, y, z, w)
     (f1,), (f2,) = product(m, ((x,), (y,)))
     (k1,), (k2,) = product(m, ((z,), (w,)))
-    return _modulo_r(x, y, z, w, (trace(m) - 1, 1), (f1 - x, x), (f2 - y, y), (k1, 0), (k2, 0))
+    return modulo_r(x, y, z, w, (trace(m) - 1, 1), (f1 - x, x), (f2 - y, y), (k1, 0), (k2, 0))
 
 
 def moment_conjugation_identities(x, y, z, w):
     """M = a diag(1/2, -1/2) adj(a) exactly, and M col1 - col1/2 = (R/2) col1."""
     m = moment_map(x, y, z, w)
-    half_weights = ((_HALF, 0), (0, -_HALF))
-    conjugate = product(product(group_matrix(x, y, z, w), half_weights), adjugate(x, y, z, w))
+    weights = diagonal((_HALF, -_HALF))
+    conjugate = product(product(group_matrix(x, y, z, w), weights), adjugate(x, y, z, w))
     (e1,), (e2,) = product(m, ((x,), (y,)))
     pairs = [(m[i][j] - conjugate[i][j], 0) for i in range(2) for j in range(2)]
-    return _modulo_r(x, y, z, w, *pairs, (e1 - x * _HALF, x * _HALF), (e2 - y * _HALF, y * _HALF))
+    return modulo_r(x, y, z, w, *pairs, (e1 - x * _HALF, x * _HALF), (e2 - y * _HALF, y * _HALF))
 
 
 def extension_on_orbit_identities(x, y, z, w):
     """num - den * height = -(xw + yz) R, the height being tr(diag(1, -1) M)."""
     numerator, denominator = height_forms(x, y, z, w)
-    height = trace(product(((1, 0), (0, -1)), moment_map(x, y, z, w)))
-    return _modulo_r(x, y, z, w, (numerator - denominator * height, -numerator))
-
-
-def orbit_membership_identities(x, y, z, w):
-    """M = a diag(1, -1) adj(a), a conjugate on SL(2), has trace 0 and
-    x^2 + yz - 1 = R (R + 2) on its coordinates: every one is on the orbit."""
-    m = product(product(group_matrix(x, y, z, w), ((1, 0), (0, -1))), adjugate(x, y, z, w))
-    residual = orbit_residual((m[0][0], m[0][1], m[1][0]))
-    return _modulo_r(x, y, z, w, (trace(m), 0), (residual, x * w - y * z + 1))
+    value = height(SL2_BASE, moment_map(x, y, z, w))
+    return modulo_r(x, y, z, w, (numerator - denominator * value, -numerator))
 
 
 def graph_extension_identities(x, y, z, w):
     """The graph equation with r, s replaced by the two forms is 0 R."""
-    return _modulo_r(x, y, z, w, (graph_equation(x, y, z, w, *height_forms(x, y, z, w)), 0))
+    return modulo_r(x, y, z, w, (graph_equation(x, y, z, w, *height_forms(x, y, z, w)), 0))
 
 
 def scaling_identities(x, y, z, w, lam, mu, r, s):
@@ -488,5 +451,5 @@ def sphere_off_infinity_certificate() -> bool:
     i^2 + 1.
     """
     identities = sphere_off_infinity_identities(*variables("p q r x y z i"))
-    diagonal = not any(determinant(pt) for pt in base_locus())
-    return certify(identities) is None and diagonal
+    on_diagonal = not any(determinant(pt) for pt in base_locus())
+    return certify(identities) is None and on_diagonal

@@ -2,10 +2,11 @@
 
 The orbit of a diagonal traceless matrix H0 under conjugation is studied
 through the height function A -> tr(H A) attached to a regular diagonal H.
-Matrices are nested tuples over any ring (``poly.product``), and each
-polynomial claim is an identity function that ``poly.certify`` checks: the
-sl(2) critical locus and heights, and the chart Hessian at a diagonal point.
-Counts, Hessian entries and determinants are exact rationals.
+It owns the sl(2) orbit x^2 + yz = 1 of diag(1, -1) and the 2x2 algebra of
+SL(2).  Matrices are nested tuples over any ring (``poly.product``), and each
+polynomial claim is an identity function that ``poly.certify`` checks: orbit
+membership, the sl(2) critical locus and heights, and the chart Hessian at a
+diagonal point.  Counts, Hessian entries and determinants are exact rationals.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
         return len(set(self.diag)) == len(self.diag)
 
 
+SL2_BASE = CartanDiagonal((1, -1))  # the sl(2) orbit's base point, also its height direction
+
+
 def diagonal(values: Sequence) -> tuple:
     n = len(values)
     return tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n))
@@ -57,6 +61,45 @@ def height(h: CartanDiagonal, a):
     return sum(d * a[i][i] for i, d in enumerate(h.diag))
 
 
+def orbit_residual(point):
+    """x^2 + yz - 1 at (x, y, z) over any ring: zero exactly on the sl(2) orbit."""
+    x, y, z = point
+    return x * x + y * z - 1
+
+
+# The 2x2 algebra of a = [[x, z], [y, w]] in SL(2), written once over any ring
+# on the four entries: callers pass exact entries, certificates symbols.
+def trace(m):
+    return m[0][0] + m[1][1]
+
+
+def determinant(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def group_matrix(x, y, z, w):
+    return ((x, z), (y, w))
+
+
+def adjugate(x, y, z, w):
+    """Adjugate of [[x, z], [y, w]], its inverse when the determinant is 1."""
+    return ((w, -z), (-y, x))
+
+
+def modulo_r(x, y, z, w, *pairs):
+    """Each (difference, q) as the identity difference = q R, R = det(a) - 1."""
+    relation = determinant(group_matrix(x, y, z, w)) - 1
+    return [(difference, ((relation, q),)) for difference, q in pairs]
+
+
+def orbit_membership_identities(x, y, z, w):
+    """M = a diag(1, -1) adj(a), a conjugate on SL(2), has trace 0 and
+    x^2 + yz - 1 = R (R + 2) on its coordinates: every one is on the orbit."""
+    m = product(product(group_matrix(x, y, z, w), diagonal((1, -1))), adjugate(x, y, z, w))
+    residual = orbit_residual((m[0][0], m[0][1], m[1][0]))
+    return modulo_r(x, y, z, w, (trace(m), 0), (residual, x * w - y * z + 1))
+
+
 def sl2_critical_identities(x, y, z):
     """The critical locus of tr(H .) on the sl(2) orbit x^2 + yz = 1: at
     X = [[x, y], [z, -x]] and H = diag(1, -1), [X, H] = [[0, -2y], [2z, 0]],
@@ -69,11 +112,10 @@ def sl2_critical_identities(x, y, z):
     diagonal matrix has H0's characteristic polynomial iff its entries are a
     permutation of H0's (Vieta).  ``critical_points`` lists those.
     """
-    h = CartanDiagonal((1, -1))
-    a = ((x, y), (z, -x))
+    h, a = SL2_BASE, ((x, y), (z, -x))
     c = bracket(a, diagonal(h.diag))
     return [(c[0][0], ()), (c[0][1] + 2 * y, ()), (c[1][0] - 2 * z, ()), (c[1][1], ()),
-            (height(h, a) - 2 * x, ()), (x * x - 1, ((x * x + y * z - 1, 1), (y, -z)))]
+            (height(h, a) - 2 * x, ()), (x * x - 1, ((orbit_residual((x, y, z)), 1), (y, -z)))]
 
 
 def _regular_height(h0: CartanDiagonal, h: CartanDiagonal) -> None:

@@ -141,9 +141,8 @@ def _suite(inputs: Callable, *checks: Check) -> Callable:
 
 
 def _lie(cfg: Config):
-    from . import compactification as geo
     from . import lie
-    h = lie.CartanDiagonal((1, -1))
+    h = lie.SL2_BASE
     points = lie.critical_points(h, h)
     critical = _certified(lie.sl2_critical_identities, "x y z")
     return locals(), {}
@@ -201,8 +200,8 @@ suite_lie = _suite(
         )
     ),
     Check("lie.orbit-membership-exact", "claim:orbit-is-conjugation-invariant",
-          lambda geo: (
-              _certified(geo.orbit_membership_identities, "x y z w"),
+          lambda lie: (
+              _certified(lie.orbit_membership_identities, "x y z w"),
               "at a = [[x, z], [y, w]], with R = xw - yz - 1, M = a diag(1, -1) adj(a) "
               "has trace 0*R and x^2 + yz - 1 = (R + 2)*R on M's coordinates "
               "(cofactors 0, R + 2): every conjugate of the base diagonal is on the orbit",

@@ -1,7 +1,7 @@
 """Symplectic geometry of the affine quadric orbit x^2 + yz = 1.
 
-Points are triples (x, y, z), identified with traceless matrices
-[[x, y], [z, -x]].  The real two-form is
+Points are triples (x, y, z), the traceless matrices [[x, y], [z, -x]],
+on which ``lie.orbit_residual`` is the orbit equation.  The real two-form is
 
     Omega(u, v) = -Im tr(M_u . M_v^dagger)
                 = -Im (2 u1 conj(v1) + u2 conj(v2) + u3 conj(v3)),
@@ -15,10 +15,10 @@ on real symbols and a symbol i, modulo i^2 + 1, with conjugation sending i
 to -i and fixing the real symbols.  Omega vanishes on the sphere's su(2)
 tangents, the thimble chart lies in the sphere with Omega-null tangents of
 positive norm, omega(v, iv) = h(v, v) is a positive-weight sum of squares
-on C^3, and the cylinder chart inverts (x, y, z) -> y on a fiber.  The one float bound is a pinned constant, not an
-option: FLOAT_TOL = 1e-9 bounds the residuals of sampled geometry (the
-pairing, tangency and gluing rows of the report) and the unit-norm, rank
-and nonzero tests.
+on C^3, and the cylinder chart inverts (x, y, z) -> y on a fiber.  The
+one float bound is a pinned constant, not an option: FLOAT_TOL = 1e-9
+bounds the residuals of sampled geometry (the pairing, tangency and
+gluing rows of the report) and the unit-norm, rank and nonzero tests.
 """
 
 from __future__ import annotations
@@ -29,16 +29,12 @@ import math
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import PreconditionError
+from .lie import orbit_residual
 
 # a complex number, or a polynomial over real symbols and i
 Triple = Tuple[object, object, object]
 
 FLOAT_TOL = 1e-9
-
-
-def orbit_residual(point: Triple):
-    x, y, z = point
-    return x * x + y * z - 1
 
 
 def tangency_residual(point: Triple, vec: Triple):

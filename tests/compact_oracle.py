@@ -26,17 +26,16 @@ from gaussian_oracle import ONE, GaussianRational
 from lgorbit import compactification as cg
 from lgorbit.compactification import (
     coefficient_matrix,
-    determinant,
     graph_equation,
     moment_map,
     parallel,
-    product,
     rational_extension,
     tensor_entries,
 )
 from lgorbit.errors import IndeterminatePointError, PreconditionError, StructureError
 from lgorbit.gaussian import ExactMatrix
-from lgorbit.poly import variables
+from lgorbit.lie import determinant
+from lgorbit.poly import product, variables
 from lie_oracle import random_sl_integer, trace
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
 

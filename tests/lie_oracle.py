@@ -7,9 +7,9 @@ only the tests depend on.  The central-difference truncation error is
 O(step^2).
 
 The seeded integer conjugates and the power-sum membership test are the
-sample loop that ``compactification.orbit_membership_identities``
-replaced; they use ``ExactMatrix`` products and ``ExactMatrix.inverse``
-and share nothing with the certificate.
+sample loop that ``lie.orbit_membership_identities`` replaced; they use
+``ExactMatrix`` products and ``ExactMatrix.inverse`` and share nothing
+with the certificate.
 """
 
 import random

@@ -378,7 +378,7 @@ CONTROLS = {
     "lie.count-sl3-regular": [(lie, "critical_points", _one_point_too_many)],
     "lie.count-sl3-degenerate": [(lie, "critical_count", _multiplicity_blind_count)],
     "lie.count-sl4-paired": [(lie, "critical_count", _multiplicity_blind_count)],
-    "lie.orbit-membership-exact": [(cg, "adjugate", _swapped_adjugate)],
+    "lie.orbit-membership-exact": [(lie, "adjugate", _swapped_adjugate)],
     "mirror.control-witness": [(mirror, "ext_p1", _ext1_off_by_one)],
     "mirror.euler-pairing": [(mirror, "ext_p1", _ext1_off_by_one)],
     "mirror.control-relaxed-distinct": [

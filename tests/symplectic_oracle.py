@@ -26,11 +26,11 @@ from typing import NamedTuple, Sequence, Tuple
 
 from gaussian_oracle import GaussianRational
 from lgorbit.errors import PreconditionError
+from lgorbit.lie import orbit_residual
 from lgorbit.symplectic import (
     FLOAT_TOL,
     Triple,
     hermitian_pairing,
-    orbit_residual,
     sphere_embedding,
     su2_basis,
     tangency_residual,

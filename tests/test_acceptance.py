@@ -26,6 +26,7 @@ from lgorbit.lie import (
     diagonal,
     height,
     hessian_determinant,
+    orbit_membership_identities,
     sl2_critical_identities,
 )
 from lgorbit.mirror import (
@@ -237,4 +238,4 @@ def test_exact_orbit_membership_support():
         )
         for _ in range(10)
     )
-    assert ok and _holds(cg.orbit_membership_identities, "x y z w")
+    assert ok and _holds(orbit_membership_identities, "x y z w")

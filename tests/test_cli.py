@@ -23,6 +23,7 @@ from negative_controls import (
     _flipped_commutator,
     _unexpected_self_ext,
 )
+from test_hygiene import SUITE_LAYERS, closure
 
 EXPECTED_ASSUMPTIONS = {
     "compactification.symplectic-patching",
@@ -294,8 +295,13 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "lgorbit" o
 """
 
 CLI_MODULES = {"lgorbit", "lgorbit.cli", "lgorbit.report", "lgorbit.errors"}
-LIBRARY = {f"lgorbit.{p.stem}" for p in Path(cli.__file__).parent.glob("*.py")} - {
-    "lgorbit.__init__", "lgorbit.__main__"}
+
+
+def _suite_modules(*suites):
+    """What `verify` loads for these suites: the CLI's modules and the closure
+    of each suite's declared layers under the declared import table."""
+    return CLI_MODULES | {f"lgorbit.{module}" for suite in suites
+                          for module in closure(SUITE_LAYERS[suite])}
 
 
 def _loaded_modules(*argv):
@@ -313,23 +319,14 @@ def bare_modules():
     return _loaded_modules("bare")
 
 
+RUNS = ("mirror", "sheaves", "category", "all", "lie", "symplectic", "quiver", "compactification")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["import", "lgorbit"], {"lgorbit"}),
     (["import", "lgorbit.cli"], CLI_MODULES),
-    (["mirror"], CLI_MODULES | {"lgorbit.mirror"}),
-    (["sheaves"], CLI_MODULES | {"lgorbit.toric", "lgorbit.poly"}),
-    (["category"], CLI_MODULES | {"lgorbit.fukaya", "lgorbit.mirror", "lgorbit.toric",
-                                  "lgorbit.poly", "lgorbit.gaussian"}),
-    (["all"], {"lgorbit"} | LIBRARY),
-    (["lie"], CLI_MODULES | {"lgorbit.lie", "lgorbit.compactification", "lgorbit.symplectic",
-                             "lgorbit.poly", "lgorbit.gaussian"}),
-    (["symplectic"], CLI_MODULES | {"lgorbit.symplectic", "lgorbit.poly"}),
-    (["quiver"], CLI_MODULES | {"lgorbit.quiver", "lgorbit.fukaya", "lgorbit.toric",
-                                "lgorbit.poly", "lgorbit.gaussian"}),
-    (["compactification"], CLI_MODULES | {"lgorbit.compactification", "lgorbit.symplectic",
-                                          "lgorbit.poly", "lgorbit.gaussian"}),
-], ids=["import-lgorbit", "import-cli", "mirror", "sheaves", "category", "all", "lie",
-        "symplectic", "quiver", "compactification"])
+    *(([suite], _suite_modules(*(SUITE_LAYERS if suite == "all" else [suite]))) for suite in RUNS),
+], ids=["import-lgorbit", "import-cli", *RUNS])
 def test_a_run_loads_only_the_modules_its_suite_calls(argv, expected, bare_modules):
     assert _loaded_modules(*argv) == expected | bare_modules
 

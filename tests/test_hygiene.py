@@ -293,34 +293,6 @@ def test_only_fukaya_takes_cohomology_of_a_hom_complex():
     assert cohomology_readers(sources) == {"fukaya.py"}
 
 
-def gaussian_importers(sources):
-    """Files in ``sources`` (file name -> text) that import the ``gaussian``
-    module or a name from it."""
-    importers = set()
-    for file, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""] + [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            if any(module.split(".")[-1] == "gaussian" for module in modules):
-                importers.add(file)
-    return importers
-
-
-def test_lie_imports_nothing_from_gaussian():
-    # lie's claims are identity data for poly.certify, with no matrix algebra of its own
-    assert gaussian_importers({
-        "a.py": "from .gaussian import ExactMatrix\n",
-        "b.py": "from . import gaussian, poly\n",
-        "c.py": "import lgorbit.gaussian\n",
-        "d.py": "from .poly import product\nfrom .gaussian_oracle import check\n",
-    }) == {"a.py", "b.py", "c.py"}
-    assert gaussian_importers({"lie.py": (SRC / "lie.py").read_text(encoding="utf-8")}) == set()
-
-
 def gaussian_names(source: str):
     """What ``source`` takes from the ``gaussian`` module: each name it imports
     from it, and "gaussian" when it imports the module itself."""
@@ -365,7 +337,7 @@ GAUSSIAN_SCALAR = {"GaussianRational", "ZERO", "ONE", "RatLike", "_gauss", "_lif
 
 def test_the_library_has_one_coefficient_field():
     # i is a polynomial variable reduced modulo i^2 + 1, so no module defines a
-    # Gaussian scalar and poly takes nothing from gaussian
+    # Gaussian scalar (and IMPORTS keeps gaussian out of poly's row)
     assert top_level_names(
         "class GaussianRational:\n    ONE = 1\n"
         "def _lift(v):\n    ZERO = 0\n"
@@ -374,4 +346,143 @@ def test_the_library_has_one_coefficient_field():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, text in sources.items()
             if (found := top_level_names(text) & GAUSSIAN_SCALAR)} == {}
-    assert gaussian_importers({"poly.py": sources["poly.py"]}) == set()
+
+
+# Every lgorbit module and the lgorbit modules it imports, at its top level or
+# inside a function body.  A new edge is declared here first, so the layering
+# is read in one place: lie and poly take nothing from gaussian, symplectic
+# and compactification read the orbit from lie, and only report loads the
+# suites' layers, each inside its suite's functions (SUITE_LAYERS).
+IMPORTS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "cli": {"report"},
+    "compactification": {"errors", "gaussian", "lie", "poly", "symplectic"},
+    "errors": set(),
+    "fukaya": {"errors", "gaussian"},
+    "gaussian": {"errors"},
+    "lie": {"errors", "poly"},
+    "mirror": {"errors"},
+    "poly": {"errors"},
+    "quiver": {"errors", "fukaya", "gaussian", "toric"},
+    "report": {"compactification", "errors", "fukaya", "lie", "mirror", "poly", "quiver",
+               "symplectic", "toric"},
+    "symplectic": {"errors", "lie"},
+    "toric": {"errors", "poly"},
+}
+
+# The layers each report suite imports: in its inputs function and in every
+# report function its declaration reaches (``_certified`` imports poly).
+SUITE_LAYERS = {
+    "category": {"fukaya", "mirror", "toric"},
+    "compactification": {"compactification", "poly"},
+    "lie": {"lie", "poly"},
+    "mirror": {"mirror"},
+    "quiver": {"fukaya", "quiver", "toric"},
+    "sheaves": {"toric"},
+    "symplectic": {"poly", "symplectic"},
+}
+
+
+def lgorbit_imports(tree):
+    """The lgorbit modules imported anywhere under ``tree``, function bodies
+    included, whether spelled relative (``from .lie import x``, ``from .
+    import lie``) or absolute (``from lgorbit.lie import x``, ``import
+    lgorbit.lie``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("lgorbit."))
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            module = ("lgorbit." if node.level else "") + (node.module or "")
+            if module.strip(".") == "lgorbit":
+                found.update(alias.name for alias in node.names)
+            elif module.startswith("lgorbit."):
+                found.add(module.split(".")[1])
+    return found
+
+
+def import_graph(sources):
+    """Each module of ``sources`` (file name -> text) and what it imports."""
+    return {file[:-3]: lgorbit_imports(ast.parse(text)) for file, text in sources.items()}
+
+
+def undeclared_edges(graph, table):
+    """Per module, the edges ``graph`` has and ``table`` lacks ("+name") and
+    the declared edges that ``graph`` lacks ("-name")."""
+    diff = {}
+    for module in sorted(set(graph) | set(table)):
+        found, declared = graph.get(module, set()), table.get(module, set())
+        if found != declared:
+            diff[module] = sorted(f"+{m}" for m in found - declared) + sorted(
+                f"-{m}" for m in declared - found)
+    return diff
+
+
+def suite_imports(source: str):
+    """Each ``suite_<name> = _suite(...)`` declaration of a report source and
+    the lgorbit modules it imports: those of the top-level functions that the
+    declaration names, directly or through another such function."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def named(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in functions}
+
+    suites = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name) and node.value.func.id == "_suite"):
+            reached, todo = set(), named(node.value)
+            while todo:
+                reached.add(name := todo.pop())
+                todo |= named(functions[name]) - reached
+            suites[node.targets[0].id.removeprefix("suite_")] = set().union(
+                *(lgorbit_imports(functions[name]) for name in reached))
+    return suites
+
+
+def closure(layers):
+    """``layers`` and every module they import, through IMPORTS."""
+    seen, todo = set(), set(layers)
+    while todo:
+        seen.add(module := todo.pop())
+        todo |= IMPORTS[module] - seen
+    return seen
+
+
+def test_undeclared_import_detector():
+    graph = import_graph({
+        "a.py": "import os\nfrom .b import f\nfrom . import c as see\n",
+        "b.py": "from .errors import E\ndef g():\n    from lgorbit import c\n    return c\n",
+        "c.py": "import lgorbit.gaussian\nfrom lgorbit.toric import dims\n",
+    })
+    assert graph == {"a": {"b", "c"}, "b": {"errors", "c"}, "c": {"gaussian", "toric"}}
+    # b's edge to c is hidden in a function body, c's to toric is not declared,
+    # and a's declared edge to poly is not made
+    table = {"a": {"b", "c", "poly"}, "b": {"errors"}, "c": {"gaussian"}}
+    assert undeclared_edges(graph, table) == {"a": ["-poly"], "b": ["+c"], "c": ["+toric"]}
+    assert suite_imports(
+        "def _certified(f):\n    from . import poly\n"
+        "def _a(cfg):\n    from . import lie\n    return locals(), {}\n"
+        "def _b(cfg):\n    from . import compactification as geo\n    return locals(), {}\n"
+        "def _holds(lie):\n    return _certified(lie.identities), 'certified'\n"
+        "suite_a = _suite(_a, Check('a.x', 'claim:x', _holds))\n"
+        "suite_b = _suite(_b, Check('b.y', 'claim:y', lambda geo: (geo.ok, 'ok')))\n"
+    ) == {"a": {"lie", "poly"}, "b": {"compactification"}}
+
+
+def test_every_import_edge_is_declared():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    graph = import_graph(sources)
+    assert set(graph) == set(IMPORTS)
+    assert undeclared_edges(graph, IMPORTS) == {}
+
+
+def test_every_suite_imports_its_declared_layers():
+    # with the table, these fix what each `verify <suite>` loads (tests/test_cli.py)
+    suites = suite_imports((SRC / "report.py").read_text(encoding="utf-8"))
+    assert undeclared_edges(suites, SUITE_LAYERS) == {}
+    # the orbit and its 2x2 algebra live in lie, so its suite loads no other layer
+    assert closure(SUITE_LAYERS["lie"]) == {"errors", "lie", "poly"}

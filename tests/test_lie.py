@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lie_oracle
-from lgorbit import lie
 from lgorbit import compactification as cg
+from lgorbit import lie
 from lgorbit.errors import PreconditionError, StructureError
 from lgorbit.gaussian import ExactMatrix
 from lgorbit.lie import (
@@ -26,7 +26,7 @@ from lgorbit.lie import (
     hessian_matrix,
     sl2_critical_identities,
 )
-from lgorbit.poly import certify, variables
+from lgorbit.poly import certify, product, variables
 from lie_oracle import conjugate_exact, orbit_contains_exact, random_sl_integer
 from negative_controls import _swapped_adjugate
 
@@ -251,18 +251,31 @@ def test_seeded_conjugates_agree_with_the_membership_certificate(seed):
     assert orbit_contains_exact(H0_SL2, conjugate)
     # the certificate's matrix is this conjugate, and on det = 1 (R = 0) each
     # of its differences vanishes with its cofactor times R
-    m = cg.product(cg.product(cg.group_matrix(x, y, z, w), ((1, 0), (0, -1))),
-                   cg.adjugate(x, y, z, w))
+    m = product(product(lie.group_matrix(x, y, z, w), diagonal((1, -1))), lie.adjugate(x, y, z, w))
     assert ExactMatrix(m) == conjugate
-    for difference, ((relation, cofactor),) in cg.orbit_membership_identities(x, y, z, w):
+    for difference, ((relation, cofactor),) in lie.orbit_membership_identities(x, y, z, w):
         assert relation == 0
         assert difference == cofactor * relation == 0
 
 
 def test_orbit_membership_certificate_fails_for_a_wrong_adjugate(monkeypatch):
-    assert certify(cg.orbit_membership_identities(*variables("x y z w"))) is None
-    monkeypatch.setattr(cg, "adjugate", _swapped_adjugate)
-    assert certify(cg.orbit_membership_identities(*variables("x y z w"))) == 0
+    assert certify(lie.orbit_membership_identities(*variables("x y z w"))) is None
+    monkeypatch.setattr(lie, "adjugate", _swapped_adjugate)
+    assert certify(lie.orbit_membership_identities(*variables("x y z w"))) == 0
+
+
+def test_adjugate_inverts_the_shear():
+    shear = (1, 0, 1, 1)  # entries (x, y, z, w) of [[x, z], [y, w]] = [[1, 1], [0, 1]]
+    a = ExactMatrix([[1, 1], [0, 1]])
+    assert ExactMatrix(lie.group_matrix(*shear)) == a
+    assert lie.determinant(lie.group_matrix(*shear)) == a.det() == 1
+    assert ExactMatrix(lie.adjugate(*shear)) * a == ExactMatrix.identity(2)
+
+
+def test_the_base_points_have_singular_matrices():
+    # each base point pairs a line of P1 with itself, so as a 2x2 matrix of
+    # coordinate rows it has determinant 0: both lie on the diagonal
+    assert all(lie.determinant(pt) == 0 for pt in cg.base_locus())
 
 
 def test_replaced_sampler_name_is_a_stand_in():

@@ -26,7 +26,7 @@ IDENTITIES = (
     cg.tensor_projector_identities,
     cg.moment_conjugation_identities,
     cg.extension_on_orbit_identities,
-    cg.orbit_membership_identities,
+    lie.orbit_membership_identities,
     cg.graph_extension_identities,
     cg.exceptional_fiber_identities,
     cg.base_locus_identities,

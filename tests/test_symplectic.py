@@ -12,6 +12,7 @@ import symplectic_oracle
 from gaussian_oracle import GaussianRational
 from lgorbit import symplectic
 from lgorbit.errors import PreconditionError
+from lgorbit.lie import orbit_residual
 from lgorbit.poly import certify, variables
 from lgorbit.report import Config, run
 from lgorbit.symplectic import (
@@ -21,7 +22,6 @@ from lgorbit.symplectic import (
     cylinder_chart,
     hermitian_pairing,
     matching_circles_distance,
-    orbit_residual,
     sphere_embedding,
     sphere_lagrangian_identities,
     sphere_point,
