@@ -18,16 +18,22 @@ from fractions import Fraction
 from typing import List, Sequence, Set, Tuple
 
 from .errors import PreconditionError, StructureError
-from .poly import product
+from .poly import Rational, product
+
+
+def _exact(value) -> Rational:
+    """value as an exact rational: an int when it is integral, else a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
-    """Diagonal traceless data, kept exact as Fractions."""
+    """Diagonal traceless data, kept exact: ints where integral, else Fractions."""
 
     __slots__ = ()
 
     def __new__(cls, diag: Sequence):
-        entries = tuple(Fraction(d) for d in diag)
+        entries = tuple(_exact(d) for d in diag)
         if len(entries) < 2:
             raise StructureError("need at least a 2x2 diagonal")
         if sum(entries) != 0:
@@ -125,7 +131,7 @@ def _regular_height(h0: CartanDiagonal, h: CartanDiagonal) -> None:
         raise PreconditionError("height diagonal H must be regular")
 
 
-def critical_points(h0: CartanDiagonal, h: CartanDiagonal) -> Set[Tuple[Fraction, ...]]:
+def critical_points(h0: CartanDiagonal, h: CartanDiagonal) -> Set[Tuple[Rational, ...]]:
     """Diagonals of the critical points of tr(H .) on the orbit of H0: for
     regular H, the permutations of H0's diagonal (``sl2_critical_identities``
     states the lemma); repeated H0 entries collapse the set."""
@@ -154,7 +160,7 @@ def hessian_matrix(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> tu
     with p_i != p_j in ``_chart_directions`` order.  (p_j - p_i)(h_j - h_i)
     pairs each E_ij with E_ji, and ``hessian_identities`` certifies that.
     """
-    pt = tuple(Fraction(p) for p in point)
+    pt = tuple(_exact(p) for p in point)
     if h.n != h0.n or sorted(pt) != sorted(h0.diag):
         raise PreconditionError(f"{pt} is not a diagonal point of the orbit of H0 for H")
     directions = _chart_directions(pt)
@@ -177,7 +183,7 @@ def hessian_identities(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence, *
     return [(q - quadratic, ())]
 
 
-def hessian_determinant(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Fraction:
+def hessian_determinant(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> Rational:
     """Determinant of ``hessian_matrix``: row E_ij has its one nonzero entry in
     column E_ji, so it is that pairing's sign times the product of those entries."""
     matrix = hessian_matrix(h0, h, point)

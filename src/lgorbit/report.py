@@ -214,7 +214,7 @@ suite_lie = _suite(
 
 def _symplectic(cfg: Config):
     from . import symplectic
-    sphere = symplectic.check_sphere_lagrangian(cfg.sphere_samples, cfg.seed)
+    sampled_taming = symplectic.check_sphere_lagrangian(cfg.sphere_samples, cfg.seed)
     tamed = _certified(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2 i")
     thimble = _certified(symplectic.thimble_identities, "lam c a b i")
     return locals(), {}
@@ -222,13 +222,14 @@ def _symplectic(cfg: Config):
 
 suite_symplectic = _suite(
     _symplectic,
-    Check("symplectic.sphere-lagrangian-sampled", "claim:sphere-is-lagrangian",
-          lambda sphere: (
-              sphere.passed,
-              f"{sphere.samples} seeded samples, worst pairing residual "
-              f"{sphere.max_omega:.3e}, tangency residual "
-              f"{sphere.max_tangency_residual:.3e}, rank failures {sphere.rank_failures}",
-              max(sphere.max_omega, sphere.max_tangency_residual),
+    Check("symplectic.sphere-tangent-frame", "claim:sphere-is-lagrangian",
+          lambda symplectic: (
+              _certified(symplectic.sphere_frame_identities, "p q r i"),
+              "over real symbols p, q, r, each su(2) tangent u = [S, A_k] at "
+              "S = (r, -p + iq, -p - iq) has tangency residual 0, u0 = conj(u0) and "
+              "u2 = conj(u1); on the rows (Re u0, Re u1, Im u1) the determinant is 0 and "
+              "the nine 2x2 minors have squares summing to 16 (p^2 + q^2 + r^2)^2, so "
+              "the tangents are Hermitian and span exactly the tangent plane of the sphere",
           )),
     Check("symplectic.sphere-lagrangian-exact", "claim:sphere-is-lagrangian",
           lambda symplectic: (
@@ -238,13 +239,13 @@ suite_symplectic = _suite(
               "polynomial on all of R^3",
           )),
     Check("symplectic.taming", "claim:form-tames-complex-structure",
-          lambda tamed, sphere: (
-              tamed and sphere.min_taming > 0,
+          lambda tamed, sampled_taming: (
+              tamed and sampled_taming > 0,
               "over real symbols, h(v, iv) = -i h(v, v) for every v in C^3, so "
               "omega(v, Jv) = h(v, v) = 2(p0^2 + q0^2) + (p1^2 + q1^2) + (p2^2 + q2^2), "
               "a positive-weight sum of squares; float cross-check: the smallest "
               "pairing of a sampled nonzero sphere tangent against its complex rotation",
-              sphere.min_taming,
+              sampled_taming,
           )),
     Check("symplectic.thimble-grid", "claim:thimble-is-lagrangian-disk",
           lambda thimble: (

@@ -8,17 +8,18 @@ on which ``lie.orbit_residual`` is the orbit equation.  The real two-form is
 
 the imaginary part of the Hermitian extension of the trace pairing.  The
 sign makes Omega(u, iu) = tr(M_u M_u^dagger) > 0, so the complex structure
-is tamed.  The sampled checks run the formulas in floats.  The exact claims
-are identity functions: the same formulas, over any ring with unit i, give
-(difference, ((relation, cofactor), ...)) pairs that ``poly.certify`` checks
-on real symbols and a symbol i, modulo i^2 + 1, with conjugation sending i
-to -i and fixing the real symbols.  Omega vanishes on the sphere's su(2)
-tangents, the thimble chart lies in the sphere with Omega-null tangents of
-positive norm, omega(v, iv) = h(v, v) is a positive-weight sum of squares
-on C^3, and the cylinder chart inverts (x, y, z) -> y on a fiber.  The
-one float bound is a pinned constant, not an option: FLOAT_TOL = 1e-9
-bounds the residuals of sampled geometry (the pairing, tangency and
-gluing rows of the report) and the unit-norm, rank and nonzero tests.
+is tamed.  The exact claims are identity functions: the same formulas, over
+any ring with unit i, give (difference, ((relation, cofactor), ...)) pairs
+that ``poly.certify`` checks on real symbols and a symbol i, modulo i^2 + 1,
+with conjugation sending i to -i and fixing the real symbols.  The sphere's
+su(2) tangents are tangent, Hermitian and span exactly a plane, Omega
+vanishes on them, the thimble chart lies in the sphere with Omega-null
+tangents of positive norm, omega(v, iv) = h(v, v) is a positive-weight sum
+of squares on C^3, and the cylinder chart inverts (x, y, z) -> y on a fiber.
+Two checks run the formulas in floats: the seeded taming cross-check and
+the gluing distance.  Their one bound is a pinned constant, not an option:
+FLOAT_TOL = 1e-9 bounds the gluing row's residual and the unit-norm and
+nonzero tests of the sampled sphere points and tangents.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import NamedTuple, Sequence, Tuple
+from fractions import Fraction
+from typing import Tuple
 
 from .errors import PreconditionError
-from .lie import orbit_residual
+from .lie import determinant, orbit_residual
 
 # a complex number, or a polynomial over real symbols and i
 Triple = Tuple[object, object, object]
@@ -89,49 +91,19 @@ def commutator_triple(point: Triple, matrix) -> Triple:
     return (y * c - b * z, 2 * (x * b - a * y), 2 * (a * z - c * x))
 
 
-def _cross(u: Sequence[float], v: Sequence[float]) -> Tuple[float, float, float]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> float:
+    """The smallest pairing of a nonzero su(2) tangent [S, A_k] against its
+    complex rotation, over n_samples seeded points S of the sphere.
 
-
-def _rank_is_two(rows: Sequence[Sequence[float]]) -> bool:
-    """Whether three real 3-vectors span exactly a plane.
-
-    Rank at most two is a determinant within FLOAT_TOL of zero; rank at
-    least two is a pair of rows whose cross product is longer than FLOAT_TOL.
-    """
-    a, b, c = rows
-    det = sum(x * y for x, y in zip(a, _cross(b, c)))
-    return abs(det) <= FLOAT_TOL and any(
-        math.hypot(*_cross(u, v)) > FLOAT_TOL for u, v in ((a, b), (a, c), (b, c))
-    )
-
-
-class SphereReport(NamedTuple):
-    samples: int
-    max_omega: float
-    min_taming: float
-    max_tangency_residual: float
-    rank_failures: int
-    passed: bool
-
-
-def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereReport:
-    """Sample the sphere; the su(2) commutators must span an Omega-null plane.
-
-    At each sample S the three tangent vectors [S, A_k] must be tangent and
-    Hermitian, so the pairing is real and Omega vanishes; the report records
-    the worst float residual and tangency or Hermitian defect, the smallest
-    pairing of a nonzero tangent against its complex rotation, which must be
-    positive, and any rank-2 span failure.
+    It is the float cross-check of ``taming_identities``, and it must be
+    positive; ``sphere_frame_identities`` and ``sphere_lagrangian_identities``
+    certify the tangents themselves.
     """
     import random
 
     rng = random.Random(seed)
     basis = su2_basis(1j)
-    max_omega = 0.0
     min_taming = math.inf
-    max_tangent = 0.0
-    rank_failures = 0
     for _ in range(n_samples):
         while True:
             raw = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
@@ -139,25 +111,40 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
             norm = math.sqrt(raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2])
             if norm > 1e-6:
                 break
-        p, q, r = (c / norm for c in raw)
-        point = sphere_point(p, q, r)
-        tangents = [commutator_triple(point, a) for a in basis]
-        for u, v in itertools.combinations(tangents, 2):
-            max_omega = max(max_omega, abs(hermitian_pairing(u, v).imag))
-        for u in tangents:
-            u0, u1, u2 = u
-            hermitian = max(abs(u0.imag), abs(u2 - u1.conjugate()))  # x real, z = conj(y)
-            max_tangent = max(max_tangent, abs(tangency_residual(point, u)), hermitian)
-            if abs(u0) + abs(u1) + abs(u2) > FLOAT_TOL:
-                taming = -hermitian_pairing(u, (1j * u0, 1j * u1, 1j * u2)).imag
-                min_taming = min(min_taming, taming)
-        # a Hermitian traceless [[r, -p+iq], [-p-iq, -r]] has coordinates (p, q, r)
-        if not _rank_is_two([(-u1.real, u1.imag, u0.real) for u0, u1, _ in tangents]):
-            rank_failures += 1
-    passed = (
-        max(max_omega, max_tangent) < FLOAT_TOL and rank_failures == 0 and min_taming > 0
-    )
-    return SphereReport(n_samples, max_omega, min_taming, max_tangent, rank_failures, passed)
+        point = sphere_point(*(c / norm for c in raw))
+        for a in basis:
+            u = commutator_triple(point, a)
+            if abs(u[0]) + abs(u[1]) + abs(u[2]) > FLOAT_TOL:
+                min_taming = min(min_taming, -hermitian_pairing(u, tuple(1j * c for c in u)).imag)
+    return min_taming
+
+
+def sphere_frame_identities(p, q, r, i):
+    """The su(2) tangents frame the sphere's tangent plane, as identities.
+
+    Over real symbols p, q, r, each tangent u = [S, A_k] at
+    S = sphere_embedding(p, q, r, i) has tangency residual 0, u0 - conj(u0) = 0
+    and u2 - conj(u1) = 0: it is tangent to the orbit and Hermitian, with real
+    coordinates (Re u0, Re u1, Im u1).  On those three rows the determinant is
+    0, and the squares of the nine 2x2 minors sum to 16 (S + 1)^2, where
+    S = p^2 + q^2 + r^2 - 1; the identity states that sum minus 16 as
+    16 S (S + 2).  So the rank is at most 2 on all of R^3 and exactly 2 on
+    the sphere S = 0.
+    """
+    point = sphere_embedding(p, q, r, i)
+    tangents = [commutator_triple(point, a) for a in su2_basis(i)]
+    half = Fraction(1, 2)
+    frame = [((u0 + u0.conjugate()) * half, (u1 + u1.conjugate()) * half,
+              (u1.conjugate() - u1) * i * half) for u0, u1, _ in tangents]
+    # each pair of rows and its three minors, the components of their cross product
+    minors = [[determinant(((u[j], u[k]), (v[j], v[k]))) for j, k in ((1, 2), (2, 0), (0, 1))]
+              for u, v in itertools.combinations(frame, 2)]
+    differences = [d for u in tangents for d in (tangency_residual(point, u),
+                                                 u[0] - u[0].conjugate(), u[2] - u[1].conjugate())]
+    s = p * p + q * q + r * r - 1
+    differences += [sum(c * m for c, m in zip(frame[2], minors[0])),
+                    sum(m * m for pair in minors for m in pair) - 16 - 16 * s * (s + 2)]
+    return [(d, ()) for d in differences]
 
 
 def sphere_lagrangian_identities(p, q, r, i):

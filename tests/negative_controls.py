@@ -295,7 +295,7 @@ def _any_bidegree(f, partials, x0, x1, x2, y0, y1):
 
 
 def _flipped_commutator(point, matrix, original=symplectic.commutator_triple):
-    # 2(cx - az) for 2(az - cx) keeps every pairing real and the rank rows
+    # 2(cx - az) for 2(az - cx) keeps every pairing real and the rank
     # unchanged; only the tangency and Hermitian conditions see it
     u0, u1, u2 = original(point, matrix)
     return u0, u1, -u2
@@ -304,6 +304,11 @@ def _flipped_commutator(point, matrix, original=symplectic.commutator_triple):
 def _hermitian_first_generator(i, original=symplectic.su2_basis):
     # diag(1, -1) for diag(i, -i): the mixed pairings turn imaginary
     return (((1, 0), (0, -1)),) + original(i)[1:]
+
+
+def _one_generator_thrice(i, original=symplectic.su2_basis):
+    # three equal tangents: tangent, Hermitian and Omega-null, but of rank one
+    return original(i)[:1] * 3
 
 
 def _wrong_sign_chart(lam, y, u):
@@ -412,8 +417,9 @@ CONTROLS = {
     "sheaves.surface-invariants": [(toric, "euler_rr", _euler_plus_one)],
     "sheaves.hypersurface-model": [(toric, "F2_CHARTS", _wrong_chart_cofactor(toric.F2_CHARTS))],
     "sheaves.hypersurface-controls": [(toric, "f2_euler_identities", _any_bidegree)],
-    "symplectic.sphere-lagrangian-sampled": [
+    "symplectic.sphere-tangent-frame": [
         (symplectic, "commutator_triple", _flipped_commutator),
+        (symplectic, "su2_basis", _one_generator_thrice),
     ],
     "symplectic.sphere-lagrangian-exact": [
         (symplectic, "su2_basis", _hermitian_first_generator),

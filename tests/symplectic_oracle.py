@@ -11,6 +11,12 @@ pairings at the twelve rational sphere points below; those points and that
 pointwise evaluation live here, with the pairing written as a sum over the
 matrix entries rather than the library's closed form.
 
+``sphere_frame_identities`` proves that the su(2) tangents are tangent,
+Hermitian and of rank two, and ``check_sphere_lagrangian`` keeps only the
+taming minimum.  Before them, the report ran the seeded float sampler below
+(``check_sphere_lagrangian`` here): at each sample it also recorded the worst
+pairing, tangency and Hermitian residuals and the rank-2 span failures.
+
 ``thimble_identities`` and ``taming_identities`` prove the thimble and
 taming claims as identities.  Before them, the report ran the float grid at
 the end of this file: the thimble's points and analytic tangents at
@@ -25,6 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
 from gaussian_oracle import GaussianRational
+from lgorbit import symplectic
 from lgorbit.errors import PreconditionError
 from lgorbit.lie import orbit_residual
 from lgorbit.symplectic import (
@@ -32,6 +39,7 @@ from lgorbit.symplectic import (
     Triple,
     hermitian_pairing,
     sphere_embedding,
+    sphere_point,
     su2_basis,
     tangency_residual,
     thimble,
@@ -112,6 +120,79 @@ def sphere_pairings(point):
 def exact_sphere_omega_residuals(points=RATIONAL_SPHERE_POINTS):
     """Omega = -Im of each pairing, at each point; all zero on a Lagrangian sphere."""
     return [-h.im for pt in points for h in sphere_pairings(exact_sphere_point(*pt))]
+
+
+# ------------------------------------------------------------ sphere sampler
+
+
+def _cross(u: Sequence[float], v: Sequence[float]) -> Tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def rank_is_two(rows: Sequence[Sequence[float]]) -> bool:
+    """Whether three real 3-vectors span exactly a plane.
+
+    Rank at most two is a determinant within FLOAT_TOL of zero; rank at
+    least two is a pair of rows whose cross product is longer than FLOAT_TOL.
+    """
+    a, b, c = rows
+    det = sum(x * y for x, y in zip(a, _cross(b, c)))
+    return abs(det) <= FLOAT_TOL and any(
+        math.hypot(*_cross(u, v)) > FLOAT_TOL for u, v in ((a, b), (a, c), (b, c))
+    )
+
+
+class SphereReport(NamedTuple):
+    samples: int
+    max_omega: float
+    min_taming: float
+    max_tangency_residual: float
+    rank_failures: int
+    passed: bool
+
+
+def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereReport:
+    """Sample the sphere; the su(2) commutators must span an Omega-null plane.
+
+    The draws are the library's: the same seeded points and the library's
+    ``commutator_triple``.  At each sample S the three tangent vectors
+    [S, A_k] must be tangent and Hermitian, so the pairing is real and Omega
+    vanishes; the report records the worst float residual and tangency or
+    Hermitian defect, the smallest pairing of a nonzero tangent against its
+    complex rotation, which must be positive, and any rank-2 span failure.
+    """
+    import random
+
+    rng = random.Random(seed)
+    basis = su2_basis(1j)
+    max_omega = 0.0
+    min_taming = math.inf
+    max_tangent = 0.0
+    rank_failures = 0
+    for _ in range(n_samples):
+        while True:
+            raw = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+            norm = math.sqrt(raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2])
+            if norm > 1e-6:
+                break
+        point = sphere_point(*(c / norm for c in raw))
+        tangents = [symplectic.commutator_triple(point, a) for a in basis]
+        for u, v in itertools.combinations(tangents, 2):
+            max_omega = max(max_omega, abs(hermitian_pairing(u, v).imag))
+        for u in tangents:
+            u0, u1, u2 = u
+            hermitian = max(abs(u0.imag), abs(u2 - u1.conjugate()))  # x real, z = conj(y)
+            max_tangent = max(max_tangent, abs(tangency_residual(point, u)), hermitian)
+            if abs(u0) + abs(u1) + abs(u2) > FLOAT_TOL:
+                taming = -hermitian_pairing(u, (1j * u0, 1j * u1, 1j * u2)).imag
+                min_taming = min(min_taming, taming)
+        # a Hermitian traceless [[r, -p+iq], [-p-iq, -r]] has coordinates (p, q, r)
+        if not rank_is_two([(-u1.real, u1.imag, u0.real) for u0, u1, _ in tangents]):
+            rank_failures += 1
+    passed = (
+        max(max_omega, max_tangent) < FLOAT_TOL and rank_failures == 0 and min_taming > 0
+    )
+    return SphereReport(n_samples, max_omega, min_taming, max_tangent, rank_failures, passed)
 
 
 # ------------------------------------------------------------ thimble grid

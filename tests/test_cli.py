@@ -221,10 +221,7 @@ def test_report_matches_golden_bytes(tmp_path, capsys, argv, golden):
 
 
 # the rows whose checks still draw samples from the seed
-SEEDED_ROWS = {
-    "symplectic.sphere-lagrangian-sampled",
-    "symplectic.taming",
-}
+SEEDED_ROWS = {"symplectic.taming"}
 
 
 def test_goldens_at_two_seeds_differ_only_in_the_seeded_rows():
@@ -473,33 +470,32 @@ def test_failed_patching_support_fails_the_run(monkeypatch, capsys):
 
 
 def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch):
-    from lgorbit import symplectic
+    # the exact frame row fails at its first identity, while the pairing and
+    # taming rows still pass
+    from lgorbit import poly, symplectic
 
     monkeypatch.setattr(symplectic, "commutator_triple", _flipped_commutator)
-    sphere = symplectic.check_sphere_lagrangian(100)
-    assert sphere.max_omega < 1e-9 and sphere.rank_failures == 0
-    assert sphere.max_tangency_residual > 1e-9 and not sphere.passed
+    frame = symplectic.sphere_frame_identities(*poly.variables("p q r i"))
+    assert poly.certify(frame) == 0
     result = run("symplectic", Config())
-    row = {r.id: r for r in result.results}["symplectic.sphere-lagrangian-sampled"]
-    assert row.status == "fail"
-    assert row.residual > 0
-    # the detail names the failing number, not only the pairing and the ranks
-    tangency = float(re.search(r"tangency residual (\S+),", row.detail).group(1))
-    assert tangency == float(f"{row.residual:.3e}") > 0
+    status = {r.id: r.status for r in result.results}
+    assert status["symplectic.sphere-tangent-frame"] == "fail" and result.failed
+    assert status["symplectic.sphere-lagrangian-exact"] == status["symplectic.taming"] == "pass"
+    assert cli.main(["symplectic"]) == 1
 
 
 @given(seed=st.integers(-10**6, 10**9), samples=st.integers(1, 300))
 @settings(max_examples=25, deadline=None)
 def test_flipped_commutator_fails_the_sampled_sphere_row_at_every_config(seed, samples):
-    # no config key loosens the pinned float bound
+    # no config key reaches the exact row
     from lgorbit import symplectic
 
     cfg = load_config(overrides={"seed": seed, "sphere_samples": samples})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symplectic, "commutator_triple", _flipped_commutator)
         rows = {r.id: r for r in run("symplectic", cfg).results}
-    row = rows["symplectic.sphere-lagrangian-sampled"]
-    assert row.status == "fail" and row.residual >= symplectic.FLOAT_TOL
+    row = rows["symplectic.sphere-tangent-frame"]
+    assert row.status == "fail" and row.residual is None
 
 
 def _f2_row(monkeypatch, ext_dims):

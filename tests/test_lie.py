@@ -102,15 +102,16 @@ def test_hessian_nondegenerate_sl2():
 
 
 def test_hessian_entries_and_determinant_are_fractions():
-    # the polarization halves q(...) differences; with int entries this
-    # must stay rational, never a float
-    h0 = CartanDiagonal((2, 1, -3))
-    h = CartanDiagonal((3, -1, -2))
-    for point in critical_points(h0, h):
-        det = hessian_determinant(h0, h, point)
-        assert type(det) is Fraction and det != 0
-        for row in hessian_matrix(h0, h, point):
-            assert all(type(e) in (int, Fraction) for e in row)
+    # exact rationals, never floats: ints for integral diagonals, and a
+    # Fraction determinant once an entry is a half
+    for h0, h, kind in (((2, 1, -3), (3, -1, -2), int),
+                        ((Fraction(1, 2), Fraction(-1, 2)), (1, -1), Fraction)):
+        h0, h = CartanDiagonal(h0), CartanDiagonal(h)
+        for point in critical_points(h0, h):
+            det = hessian_determinant(h0, h, point)
+            assert type(det) is kind and det != 0
+            for row in hessian_matrix(h0, h, point):
+                assert all(type(e) in (int, Fraction) for e in row)
 
 
 def test_conjugate_exact_inverts_integer_matrices_exactly():

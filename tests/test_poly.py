@@ -279,6 +279,7 @@ IDENTITIES_IN_I = [
     (symplectic.thimble_identities, "lam c a b i", 0),
     (cg.sphere_off_infinity_identities, "p q r x y z i", 0),
     (symplectic.sphere_lagrangian_identities, "p q r i", None),
+    (symplectic.sphere_frame_identities, "p q r i", 10),
 ]
 
 

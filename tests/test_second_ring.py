@@ -36,6 +36,7 @@ IDENTITIES = (
     cg.deformed_ring_identities,
     cg.sphere_off_infinity_identities,
     symplectic.sphere_lagrangian_identities,
+    symplectic.sphere_frame_identities,
     symplectic.thimble_identities,
     symplectic.taming_identities,
     symplectic.cylinder_chart_identities,
@@ -88,7 +89,7 @@ def _hessian(h0, h):
 # each identity function and chart table, with how many identities it holds
 CASES = {
     **{f.__name__: (lambda f=f: f(*_symbols(f)), n)
-       for f, n in zip(IDENTITIES, (5, 5, 6, 1, 2, 1, 2, 2, 3, 10, 1, 1, 5, 3, 8, 2, 2, 6))},
+       for f, n in zip(IDENTITIES, (5, 5, 6, 1, 2, 1, 2, 2, 3, 10, 1, 1, 5, 3, 11, 8, 2, 2, 6))},
     **{f"hessian_identities{h0}{h}": (lambda h0=h0, h=h: _hessian(h0, h), n)
        for (h0, h), n in zip(HESSIAN_CASES, (2, 6, 3, 6, 6, 6))},
     "graph_charts": (lambda: _charts(cg.graph_equation, "x y z w r s", cg.GRAPH_CHARTS), 8),
@@ -107,14 +108,14 @@ def test_identities_hold_over_sympy(case):
 
 
 def test_every_identity_function_is_listed():
-    # the 83 identities behind the report, 2 of them the sl(2) chart Hessians, and
+    # the 94 identities behind the report, 2 of them the sl(2) chart Hessians, and
     # 27 Hessians at tests/test_lie.py's other cases: a new identity function joins the list
     src = Path(cg.__file__).parent
     defined = {name for path in src.glob("*.py")
                for name in re.findall(r"^def (\w+_identities)\(", path.read_text(), re.M)}
     listed = (*IDENTITIES, toric.f2_euler_identities, lie.hessian_identities)
     assert defined == {f.__name__ for f in listed}
-    assert sum(count for _, count in CASES.values()) == 110
+    assert sum(count for _, count in CASES.values()) == 121
 
 
 def test_the_unchanged_ring_certificate_fails_over_sympy():

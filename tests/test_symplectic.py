@@ -16,13 +16,13 @@ from lgorbit.lie import orbit_residual
 from lgorbit.poly import certify, variables
 from lgorbit.report import Config, run
 from lgorbit.symplectic import (
-    _rank_is_two,
     check_sphere_lagrangian,
     commutator_triple,
     cylinder_chart,
     hermitian_pairing,
     matching_circles_distance,
     sphere_embedding,
+    sphere_frame_identities,
     sphere_lagrangian_identities,
     sphere_point,
     su2_basis,
@@ -31,7 +31,9 @@ from lgorbit.symplectic import (
 )
 from negative_controls import (
     CONTROLS,
+    _flipped_commutator,
     _hermitian_first_generator,
+    _one_generator_thrice,
     _wrong_sign_chart,
 )
 from symplectic_oracle import RATIONAL_SPHERE_POINTS, exact_sphere_point
@@ -48,7 +50,7 @@ def _holds(identities, names):
 
 
 def test_sphere_lagrangian_sampled():
-    report = check_sphere_lagrangian(n_samples=1000, seed=0)
+    report = symplectic_oracle.check_sphere_lagrangian(n_samples=1000, seed=0)
     assert report.samples >= 1000
     assert report.max_omega < 1e-9
     assert report.rank_failures == 0
@@ -57,11 +59,47 @@ def test_sphere_lagrangian_sampled():
     assert report.passed
 
 
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_oracle_sampler_agrees_with_the_certificates_and_the_taming_minimum(seed):
+    # the goldens' two seeds: the full sampler sees no pairing, tangency or
+    # Hermitian defect and no rank failure, and its taming minimum is the
+    # library's, bit for bit
+    report = symplectic_oracle.check_sphere_lagrangian(1000, seed)
+    assert report.max_omega == 0.0 and report.max_tangency_residual == 0.0
+    assert report.rank_failures == 0 and report.passed
+    assert report.min_taming.hex() == check_sphere_lagrangian(1000, seed).hex()
+
+
 def test_rank_two_test_rejects_other_ranks():
-    assert _rank_is_two([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
-    assert not _rank_is_two([(1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (-1.0, -2.0, -3.0)])
-    assert not _rank_is_two([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    assert not _rank_is_two([(0.0, 0.0, 0.0)] * 3)
+    rank_is_two = symplectic_oracle.rank_is_two
+    assert rank_is_two([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
+    assert not rank_is_two([(1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (-1.0, -2.0, -3.0)])
+    assert not rank_is_two([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    assert not rank_is_two([(0.0, 0.0, 0.0)] * 3)
+
+
+def test_sphere_frame_holds_at_every_rational_sphere_point():
+    # over the Gaussian rationals every difference of the certificate is 0
+    assert _holds(sphere_frame_identities, "p q r i")
+    for p, q, r in RATIONAL_SPHERE_POINTS:
+        identities = sphere_frame_identities(*map(GaussianRational, (p, q, r)), I)
+        assert len(identities) == 11
+        assert all(difference == 0 for difference, _ in identities)
+
+
+@pytest.mark.parametrize("target, replacement, position", [
+    # the first tangent's tangency residual is -4i yz with z negated
+    ("commutator_triple", _flipped_commutator, 0),
+    # diag(1, -1) for diag(i, -i): the first tangent (0, -2y, 2z) has z = -conj(y)
+    ("su2_basis", _hermitian_first_generator, 2),
+    # three equal tangents: the minors vanish, so the rank-2 identity is the last to fail
+    ("su2_basis", _one_generator_thrice, 10),
+])
+def test_sphere_frame_fails_at_the_broken_identity(monkeypatch, target, replacement, position):
+    monkeypatch.setattr(symplectic, target, replacement)
+    assert certify(sphere_frame_identities(*variables("p q r i"))) == position
+    rows = {r.id: r for r in run("symplectic", Config()).results}
+    assert rows["symplectic.sphere-tangent-frame"].status == "fail"
 
 
 def test_sphere_exact_residuals_vanish():
@@ -141,9 +179,9 @@ def test_sampled_taming_fails_for_a_pairing_that_is_zero_on_the_sphere(monkeypat
     # u1 conj(v1) - u2 conj(v2) vanishes on every Hermitian tangent (z = conj(y)),
     # so every sampled pairing is 0, which tames nothing
     monkeypatch.setattr(symplectic, "hermitian_pairing", _indefinite_pairing)
-    report = check_sphere_lagrangian(100)
-    assert report.min_taming == 0.0
-    assert not report.passed
+    assert check_sphere_lagrangian(100) == 0.0
+    rows = {r.id: r for r in run("symplectic", Config()).results}
+    assert rows["symplectic.taming"].status == "fail"
 
 
 def test_thimble_lagrangian_grid():
