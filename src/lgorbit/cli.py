@@ -1,19 +1,22 @@
-"""Command line entry point: `verify <suite> [--config FILE] [--json PATH] [--KEY V]`.
+"""Command line entry point: `verify <suite> [--json PATH] [--KEY V]`.
 
-Each field of ``report.Config`` is a flag too, spelled with hyphens
-(``t_range`` is ``--t-range``), that overrides the config file.
+Each field of ``report.Config`` is a flag, spelled with hyphens
+(``t_range`` is ``--t-range``); a field left unset keeps its default.
 
 Exit codes: 0 when every check passes (assumptions do not fail a run),
-1 when any check fails, 2 for usage or configuration errors (one stderr line).
+1 when any check fails, 2 for usage or configuration errors and for output
+that cannot be written (one stderr line).
 ``main`` returns the code; only ``--help`` leaves through ``SystemExit`` (0).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
+from .errors import PreconditionError
 from .report import SUITES, Config, load_config, render_json, render_text, run
 
 
@@ -33,12 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("suite", choices=sorted(SUITES) + ["all"],
                         help="suite to run, or 'all'")
-    parser.add_argument("--config", metavar="FILE", help="JSON config file")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the JSON report to this file")
     for key in Config._fields:
         parser.add_argument(
-            "--" + key.replace("_", "-"), type=int, help=f"override the config key {key}"
+            "--" + key.replace("_", "-"), type=int, help=f"set the config key {key}"
         )
     return parser
 
@@ -49,11 +51,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"verify: usage error: {exc}", file=sys.stderr)
         return 2
-    overrides = {key: getattr(args, key) for key in Config._fields}
     try:
-        cfg = load_config(args.config, overrides)
-    except (OSError, ValueError) as exc:
-        # PreconditionError is a ValueError; malformed JSON also lands here
+        cfg = load_config({key: getattr(args, key) for key in Config._fields})
+    except PreconditionError as exc:
         print(f"verify: config error: {exc}", file=sys.stderr)
         return 2
     report = run(args.suite, cfg)
@@ -65,7 +65,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             print(f"verify: cannot write report: {exc}", file=sys.stderr)
             return 2
-    sys.stdout.write(render_text(report))
+    try:
+        sys.stdout.write(render_text(report))
+        sys.stdout.flush()
+    except OSError as exc:
+        # the reader is gone; point fd 1 at devnull so that the interpreter's
+        # flush at exit fails no more (Python's signal docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"verify: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 1 if report.failed else 0
 
 

@@ -30,10 +30,10 @@ from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
 
 from .errors import IndeterminatePointError, PreconditionError
-from .gaussian import ExactMatrix, Rational
+from .gaussian import ExactMatrix
 from .lie import (SL2_BASE, adjugate, determinant, diagonal, group_matrix, height,
                   modulo_r, orbit_residual, trace)
-from .poly import MultiHomPoly, certify, certify_charts, product, variables
+from .poly import MultiHomPoly, Rational, certify, certify_charts, product, variables
 from .symplectic import sphere_embedding
 
 _HALF = Fraction(1, 2)

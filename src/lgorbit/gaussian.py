@@ -15,21 +15,10 @@ differentials) is rational; its ranks and cocycle bases come from
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import StructureError
-
-Rational = Union[int, Fraction]
-
-
-def _exact(value) -> Rational:
-    """An int when ``value`` is integral, otherwise a reduced Fraction;
-    StructureError for anything that is neither an int nor a Fraction."""
-    if type(value) is int:
-        return value
-    if type(value) is not Fraction:
-        raise StructureError(f"{value!r} is not an int or a Fraction")
-    return value.numerator if value.denominator == 1 else value
+from .poly import Rational, exact
 
 
 class ExactMatrix:
@@ -38,7 +27,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Sequence[Rational]]):
-        rows = tuple(tuple([_exact(e) for e in row]) for row in entries)
+        rows = tuple(tuple([exact(e) for e in row]) for row in entries)
         if not rows or not rows[0]:
             raise StructureError("matrix needs at least one row and one column")
         width = len(rows[0])
@@ -95,11 +84,11 @@ class ExactMatrix:
                 det = -det
             lead = work[top][col]
             det *= lead
-            work[top] = [_exact(Fraction(e, lead)) for e in work[top]]
+            work[top] = [exact(Fraction(e, lead)) for e in work[top]]
             for r in range(self.rows):
                 factor = work[r][col]
                 if r != top and factor:
-                    work[r] = [_exact(a - factor * b) for a, b in zip(work[r], work[top])]
+                    work[r] = [exact(a - factor * b) for a, b in zip(work[r], work[top])]
             pivots.append(col)
             if len(pivots) == self.rows:
                 break

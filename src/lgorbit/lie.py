@@ -18,13 +18,7 @@ from fractions import Fraction
 from typing import List, Sequence, Set, Tuple
 
 from .errors import PreconditionError, StructureError
-from .poly import Rational, product
-
-
-def _exact(value) -> Rational:
-    """value as an exact rational: an int when it is integral, else a Fraction."""
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+from .poly import Rational, exact, product
 
 
 class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
@@ -33,7 +27,7 @@ class CartanDiagonal(namedtuple("CartanDiagonal", "diag")):
     __slots__ = ()
 
     def __new__(cls, diag: Sequence):
-        entries = tuple(_exact(d) for d in diag)
+        entries = tuple(exact(Fraction(d)) for d in diag)
         if len(entries) < 2:
             raise StructureError("need at least a 2x2 diagonal")
         if sum(entries) != 0:
@@ -160,7 +154,7 @@ def hessian_matrix(h0: CartanDiagonal, h: CartanDiagonal, point: Sequence) -> tu
     with p_i != p_j in ``_chart_directions`` order.  (p_j - p_i)(h_j - h_i)
     pairs each E_ij with E_ji, and ``hessian_identities`` certifies that.
     """
-    pt = tuple(_exact(p) for p in point)
+    pt = tuple(exact(Fraction(p)) for p in point)
     if h.n != h0.n or sorted(pt) != sorted(h0.diag):
         raise PreconditionError(f"{pt} is not a diagonal point of the orbit of H0 for H")
     directions = _chart_directions(pt)

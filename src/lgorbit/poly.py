@@ -8,7 +8,8 @@ builds its results from operands already checked, with zero coefficients
 popped, and skips that work.  No degree is read off the terms: a claim
 such as bihomogeneity is an identity, Euler's relation, like any other.
 
-Coefficients are ``int`` or ``Fraction``.  The imaginary unit is the
+Coefficients are ``int`` or ``Fraction``, normalised by ``exact``, the
+library's one spelling of an exact ``Rational``.  The imaginary unit is the
 variable named ``i``: ``certify`` reads a difference on it modulo
 i^2 + 1, and ``conjugate`` substitutes -i for it, so the rational
 polynomials in i stand in for those with Gaussian rational coefficients.
@@ -29,6 +30,16 @@ from .errors import DiagnosticError, StructureError
 
 Exponents = Tuple[int, ...]
 Rational = Union[int, Fraction]
+
+
+def exact(value) -> Rational:
+    """An int when ``value`` is integral, otherwise a reduced Fraction;
+    StructureError for anything that is neither an int nor a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        raise StructureError(f"{value!r} is not an int or a Fraction")
+    return value.numerator if value.denominator == 1 else value
 
 
 class MultiHomPoly:
@@ -57,9 +68,7 @@ class MultiHomPoly:
                 )
             if any(not isinstance(e, int) or e < 0 for e in key):
                 raise StructureError(f"exponents must be nonnegative integers: {key}")
-            if type(coeff) is not int and type(coeff) is not Fraction:
-                raise StructureError(f"{coeff!r} is not an int or a Fraction")
-            value = clean.get(key, 0) + coeff
+            value = clean.get(key, 0) + exact(coeff)
             if not value:
                 clean.pop(key, None)
             else:

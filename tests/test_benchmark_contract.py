@@ -46,8 +46,9 @@ def test_benchmarked_workload_passes_the_gate(name, tmp_path, capsys):
 # so each waits for one.  This list may only shrink: the second test fails
 # once a listed workload parses again.
 STALE_WORKLOADS = {
-    # --thimble-grid went with the float thimble grid; ROADMAP item 1 re-bases
-    # the workload on --sphere-samples
+    # --thimble-grid went with the float thimble grid, and --sphere-samples with
+    # the sample-count key; ROADMAP item 1 drops the workload or re-bases it on
+    # plain `verify symplectic`
     "sampling-dense",
 }
 
@@ -55,7 +56,7 @@ STALE_WORKLOADS = {
 @pytest.mark.parametrize("name", sorted(set(WORKLOADS) - STALE_WORKLOADS))
 def test_every_workload_parses_and_loads(name):
     args = cli.build_parser().parse_args([*WORKLOADS[name].argv, "--seed", "0"])
-    load_config(None, {key: getattr(args, key) for key in Config._fields})
+    load_config({key: getattr(args, key) for key in Config._fields})
 
 
 @pytest.mark.parametrize("name", sorted(STALE_WORKLOADS))

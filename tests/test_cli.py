@@ -84,27 +84,17 @@ def test_unknown_suite_rejected():
         run("algebra", Config())
 
 
-def test_load_config_overrides(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"seed": 5, "t_range": 4}')
-    cfg = load_config(str(path), {"seed": 9})
-    assert cfg.seed == 9
-    assert cfg.t_range == 4
-    assert cfg.sphere_samples == 1000
+def test_load_config_overrides():
+    # a flag left unset arrives as None and keeps the default
+    cfg = load_config({"seed": 9, "box_margin": None, "t_range": 4})
+    assert cfg == Config(seed=9, t_range=4)
+    assert cfg.box_margin == Config().box_margin
 
 
-def test_load_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"speed": 5}')
-    with pytest.raises(PreconditionError):
-        load_config(str(path), {})
-
-
-def test_load_config_rejects_wrong_type(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"seed": "fast"}')
-    with pytest.raises(PreconditionError):
-        load_config(str(path), {})
+def test_load_config_rejects_unknown_key():
+    # the parser offers only Config's fields, and load_config takes no other key
+    with pytest.raises(TypeError):
+        load_config({"speed": 5})
 
 
 def test_cli_exit_zero_and_output(capsys):
@@ -135,7 +125,6 @@ def test_cli_flag_overrides_reach_report(tmp_path, capsys):
 # one non-default command-line value per config key, and its JSON form
 FLAG_VALUES = {
     "seed": ("3", 3),
-    "sphere_samples": ("10", 10),
     "box_margin": ("2", 2),
     "t_range": ("4", 4),
 }
@@ -176,21 +165,40 @@ def test_cli_help_still_exits_zero(capsys):
     assert "usage: verify" in capsys.readouterr().out
 
 
-def test_cli_config_errors_exit_two(tmp_path, capsys):
-    missing = tmp_path / "absent.json"
-    assert cli.main(["lie", "--config", str(missing)]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"speed": 1}')
-    assert cli.main(["lie", "--config", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
+def test_cli_config_errors_exit_two(capsys):
+    # flags of the right type whose values load_config rejects
+    assert cli.main(["lie", "--t-range", "0"]) == 2
+    assert cli.main(["lie", "--box-margin", "-1", "--t-range", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verify: config error: t_range must be at least 1\n"
+        "verify: config error: box_margin must be at least 0\n"
+    )
 
 
-def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 200000 + "]" * 200000)
-    assert cli.main(["lie", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "verify: config error: config file is nested too deeply\n"
+@pytest.mark.parametrize("argv, rejected", [
+    (["--config", "x.json"], "--config x.json"),
+    (["--sphere-samples", "10"], "--sphere-samples 10"),
+])
+def test_config_file_and_sphere_samples_are_gone(argv, rejected, capsys):
+    # flags are the only input, and the sampler runs at the library default
+    assert cli.main(["symplectic", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verify: usage error: unrecognized arguments: {rejected}\n"
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    # the reader of the pipe is gone before the report is written, as in `verify lie | true`
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "lgorbit", "lie"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("verify: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_reports_failures_with_exit_one(monkeypatch, capsys):
@@ -355,24 +363,24 @@ def test_mirror_runs_at_the_largest_window(tmp_path):
     assert len(json.loads(out.read_text())["results"]) == 9
 
 
+# each a flag and a boolean spelling of its value
 @pytest.mark.parametrize("config", [
-    {"seed": True},
-    {"t_range": False},
-    {"sphere_samples": True},
-    {"box_margin": True},
+    ("--seed", "true"),
+    ("--t-range", "false"),
+    ("--box-margin", "True"),
+    ("--seed", "False"),
 ])
-def test_cli_rejects_bools_for_numbers(tmp_path, capsys, config):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert cli.main(["lie", "--config", str(path)]) == 2
+def test_cli_rejects_bools_for_numbers(capsys, config):
+    flag, text = config
+    assert cli.main(["lie", flag, text]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "config error" in captured.err
+    assert captured.err == f"verify: usage error: argument {flag}: invalid int value: '{text}'\n"
 
 
 # The float bound is pinned in the code (symplectic.FLOAT_TOL); an old config
-# or command line that still sets float_tolerance is rejected, whatever the value.
+# file or command line that still sets float_tolerance is rejected, whatever
+# the value.  No file is read: --config itself is an unknown flag.
 @pytest.mark.parametrize("text", ['{"float_tolerance": -1}', '{"float_tolerance": 0}',
                                   '{"float_tolerance": NaN}', '{"float_tolerance": Infinity}',
                                   '{"float_tolerance": 1e-09}'])
@@ -382,7 +390,7 @@ def test_cli_rejects_bad_float_tolerance_in_file(tmp_path, capsys, text):
     assert cli.main(["symplectic", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "verify: config error: unknown config keys: ['float_tolerance']\n"
+    assert captured.err == f"verify: usage error: unrecognized arguments: --config {path}\n"
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e3"])
@@ -395,18 +403,12 @@ def test_cli_rejects_bad_float_tolerance_flag(capsys, value):
     )
 
 
-def test_k_max_is_gone(tmp_path, capsys):
-    # every arity is certified, so no key or flag bounds the arity any more
+def test_k_max_is_gone(capsys):
+    # every arity is certified, so no flag bounds the arity any more
     assert cli.main(["category", "--k-max", "6"]) == 2
     assert capsys.readouterr().err == (
         "verify: usage error: unrecognized arguments: --k-max 6\n"
     )
-    path = tmp_path / "cfg.json"
-    path.write_text('{"k_max": 6}')
-    assert cli.main(["category", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "verify: config error: unknown config keys: ['k_max']\n"
 
 
 def test_sheaves_suite_computes_each_cohomology_once(monkeypatch):
@@ -428,23 +430,16 @@ def test_sheaves_suite_computes_each_cohomology_once(monkeypatch):
         assert toric._cohomology.cache_info().misses == len(arguments) == 387
 
 
-def test_shift_range_is_gone(tmp_path, capsys):
+def test_shift_range_is_gone(capsys):
     # the mirror search's shift window is the constant mirror.SHIFT_WINDOW
     assert cli.main(["mirror", "--shift-range", "3"]) == 2
     assert capsys.readouterr().err == (
         "verify: usage error: unrecognized arguments: --shift-range 3\n"
     )
-    path = tmp_path / "cfg.json"
-    path.write_text('{"shift_range": 3}')
-    assert cli.main(["mirror", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "verify: config error: unknown config keys: ['shift_range']\n"
 
 
 # each key's first value below its domain, and the one line that rejects it
 @pytest.mark.parametrize("flag, value, message", [
-    ("--sphere-samples", "0", "sphere_samples must be at least 1"),
     ("--box-margin", "-1", "box_margin must be at least 0"),
     ("--t-range", "0", "t_range must be at least 1"),
 ])
@@ -484,13 +479,13 @@ def test_flipped_commutator_fails_the_sampled_sphere_row(monkeypatch):
     assert cli.main(["symplectic"]) == 1
 
 
-@given(seed=st.integers(-10**6, 10**9), samples=st.integers(1, 300))
+@given(seed=st.integers(-10**6, 10**9))
 @settings(max_examples=25, deadline=None)
-def test_flipped_commutator_fails_the_sampled_sphere_row_at_every_config(seed, samples):
+def test_flipped_commutator_fails_the_sampled_sphere_row_at_every_config(seed):
     # no config key reaches the exact row
     from lgorbit import symplectic
 
-    cfg = load_config(overrides={"seed": seed, "sphere_samples": samples})
+    cfg = load_config({"seed": seed})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symplectic, "commutator_triple", _flipped_commutator)
         rows = {r.id: r for r in run("symplectic", cfg).results}
@@ -542,7 +537,6 @@ def test_f2_row_fails_when_a_control_matches(monkeypatch):
 # each size bound, spelled as a flag, with its largest admitted value; quiver
 # reads none of these sizes, so a run at the bound stays quick
 SIZE_BOUNDS = [
-    ("--sphere-samples", report.MAX_SPHERE_SAMPLES, "sphere_samples"),
     ("--t-range", report.MAX_T_RANGE, "t_range"),
 ]
 
@@ -555,25 +549,19 @@ def test_size_bound_admits_the_bound_and_rejects_one_more(flag, bound, key, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"verify: config error: {key} must be at most {bound}\n"
-    assert getattr(load_config(None, {key: bound}), key) == bound
+    assert getattr(load_config({key: bound}), key) == bound
     with pytest.raises(PreconditionError):
-        load_config(None, {key: bound + 1})
+        load_config({key: bound + 1})
 
 
-def test_thimble_grid_is_no_longer_a_key(tmp_path, capsys):
+def test_thimble_grid_is_no_longer_a_key(capsys):
     # the thimble rows are identities, so no grid size selects anything
     assert cli.main(["symplectic", "--thimble-grid", "9x64"]) == 2
     assert capsys.readouterr().err == (
         "verify: usage error: unrecognized arguments: --thimble-grid 9x64\n"
     )
-    path = tmp_path / "cfg.json"
-    path.write_text('{"thimble_grid": [9, 64]}')
-    assert cli.main(["symplectic", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "verify: config error: unknown config keys: ['thimble_grid']\n"
 
 
 def test_size_bounds_admit_the_benchmark_workloads():
-    cfg = load_config(None, {"sphere_samples": 20000, "t_range": 1000})
-    assert cfg.sphere_samples == 20000 and cfg.t_range == 1000
+    cfg = load_config({"t_range": 1000})
+    assert cfg.t_range == 1000

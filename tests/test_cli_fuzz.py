@@ -1,18 +1,13 @@
 """Property tests over the configuration space of `verify`.
 
-The cheap suites run in-process: lie, quiver, sheaves, category and mirror
-(t_range <= 20).  The sampling suites, symplectic and
-compactification, run in a child process that the test kills after
-``RUN_CAP_S`` seconds; their draws stay small (sphere_samples <= 2000), so a
-run takes well under a second.  No drawn value comes near a ``report.MAX_*``
-bound; the bounds themselves are tested in ``test_cli.py``.
+Every suite runs in-process: flags are the only input, and no flag sizes the
+symplectic or compactification suites, so each run takes well under a
+second (mirror with t_range <= 20).  No drawn value comes near a
+``report.MAX_*`` bound; the bounds themselves are tested in ``test_cli.py``.
 """
 
 import io
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,31 +18,18 @@ from hypothesis import strategies as st
 from lgorbit import cli
 from lgorbit.report import Config
 
-SUITES = ["category", "lie", "mirror", "quiver", "sheaves"]
-SAMPLING_SUITES = ["compactification", "symplectic"]
-RUN_CAP_S = 30.0
+SUITES = ["category", "compactification", "lie", "mirror", "quiver", "sheaves", "symplectic"]
 
 VALID = {
     "seed": st.integers(-10**6, 10**9),
-    "sphere_samples": st.integers(1, 2000),
     "box_margin": st.integers(0, 30),
     "t_range": st.integers(1, 20),
 }
 
 # values of the right type outside each key's domain (seed has no such value)
 OUT_OF_DOMAIN = {
-    "sphere_samples": st.integers(-10**6, 0),
     "box_margin": st.integers(-10**6, -1),
     "t_range": st.integers(-10**6, 0),
-}
-
-# JSON values of the wrong type for each key, as they may appear in --config
-WRONG_JSON = {
-    key: st.sampled_from([True, False, None, "7", [], {}] + extra)
-    for key, extra in (
-        ("seed", [1.5]), ("sphere_samples", [2.5]),
-        ("box_margin", [0.5]), ("t_range", [3.0, [2]]),
-    )
 }
 
 # flag text that the flag's type cannot parse
@@ -55,7 +37,6 @@ WRONG_FLAG = {
     key: st.sampled_from(["abc", "", "true", "[1]"] + extra)
     for key, extra in (
         ("seed", ["1.5", "0x10"]),
-        ("sphere_samples", ["2.5"]),
         ("box_margin", ["0.5"]), ("t_range", ["3.0", "1e1"]),
     )
 }
@@ -63,28 +44,19 @@ WRONG_FLAG = {
 
 def test_strategies_cover_every_config_key():
     keys = set(Config._fields)
-    assert set(VALID) == set(WRONG_JSON) == set(WRONG_FLAG) == keys
+    assert set(VALID) == set(WRONG_FLAG) == keys
     assert set(OUT_OF_DOMAIN) == keys - {"seed"}
 
 
 def _flag(key, value):
-    return f"--{key.replace('_', '-')}={value!r}"
+    return f"--{key.replace('_', '-')}={value}"
 
 
-def _argv(suite, flags, file_data, work):
-    """The `verify` arguments; a config file, if any, is written to ``work``."""
-    argv = [suite, *flags, "--json", str(work / "report.json")]
-    if file_data is not None:
-        (work / "cfg.json").write_text(json.dumps(file_data), encoding="utf-8")
-        argv += ["--config", str(work / "cfg.json")]
-    return argv
-
-
-def _invoke(suite, flags, file_data, work):
+def _invoke(suite, flags, work):
     """Run `verify` in-process: (exit code, stdout, stderr, report path)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(_argv(suite, flags, file_data, work))
+        code = cli.main([suite, *flags, "--json", str(work / "report.json")])
     return code, out.getvalue(), err.getvalue(), work / "report.json"
 
 
@@ -101,72 +73,43 @@ def _assert_valid_run(suite, values, code, out, err, path):
 
 
 @st.composite
-def placed_config(draw, skip=()):
-    """Valid values for some keys, each given as a flag or in the config file."""
-    flags, file_data, values = [], {}, {}
+def flagged_config(draw, skip=()):
+    """Valid values for some keys, each given as its flag."""
+    flags, values = [], {}
     for key, strategy in VALID.items():
-        where = draw(st.sampled_from(["absent", "flag", "file"]))
-        if key in skip or where == "absent":
+        if key in skip or not draw(st.booleans()):
             continue
         values[key] = draw(strategy)
-        if where == "flag":
-            flags.append(_flag(key, values[key]))
-        else:
-            file_data[key] = values[key]
-    use_file = bool(file_data) or draw(st.booleans())
-    return flags, file_data if use_file else None, values
+        flags.append(_flag(key, values[key]))
+    return flags, values
 
 
 @settings(max_examples=40, deadline=None)
-@given(suite=st.sampled_from(SUITES), config=placed_config())
+@given(suite=st.sampled_from(SUITES), config=flagged_config())
 def test_valid_config_runs_and_writes_a_report(suite, config):
-    flags, file_data, values = config
+    flags, values = config
     with tempfile.TemporaryDirectory() as tmp:
-        _assert_valid_run(suite, values, *_invoke(suite, flags, file_data, Path(tmp)))
-
-
-@settings(max_examples=6, deadline=None)
-@given(suite=st.sampled_from(SAMPLING_SUITES), config=placed_config())
-def test_sampling_suite_runs_in_a_child_under_a_time_cap(suite, config):
-    flags, file_data, values = config
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        argv = [sys.executable, "-m", "lgorbit", *_argv(suite, flags, file_data, work)]
-        # subprocess.run kills the child and raises TimeoutExpired past the cap
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=RUN_CAP_S)
-        _assert_valid_run(
-            suite, values, proc.returncode, proc.stdout, proc.stderr, work / "report.json"
-        )
+        _assert_valid_run(suite, values, *_invoke(suite, flags, Path(tmp)))
 
 
 @st.composite
 def invalid_value(draw):
-    """One bad (key, value): out of domain or wrongly typed, by flag or file."""
+    """One bad (key, flag): its value out of domain, or text its type cannot parse."""
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(OUT_OF_DOMAIN)))
-        value = draw(OUT_OF_DOMAIN[key])
-        by_flag = draw(st.booleans())
-        return key, (_flag(key, value) if by_flag else value), by_flag
+        return key, _flag(key, draw(OUT_OF_DOMAIN[key]))
     key = draw(st.sampled_from(sorted(VALID)))
-    by_flag = draw(st.booleans())
-    if by_flag:
-        return key, f"--{key.replace('_', '-')}={draw(WRONG_FLAG[key])}", True
-    return key, draw(WRONG_JSON[key]), False
+    return key, _flag(key, draw(WRONG_FLAG[key]))
 
 
 @settings(max_examples=60, deadline=None)
-# an invalid config exits before any suite runs, so the sampling suites are cheap here
-@given(suite=st.sampled_from(SUITES + SAMPLING_SUITES), bad=invalid_value(), data=st.data())
+# an invalid config exits before any suite runs
+@given(suite=st.sampled_from(SUITES), bad=invalid_value(), data=st.data())
 def test_invalid_value_exits_two_with_one_line(suite, bad, data):
-    key, value, by_flag = bad
-    flags, file_data, _ = data.draw(placed_config(skip={key}))
-    if by_flag:
-        flags.append(value)
-    else:
-        file_data = dict(file_data or {}, **{key: value})
+    key, flag = bad
+    flags, _ = data.draw(flagged_config(skip={key}))
     with tempfile.TemporaryDirectory() as tmp:
-        code, out, err, path = _invoke(suite, flags, file_data, Path(tmp))
+        code, out, err, path = _invoke(suite, [*flags, flag], Path(tmp))
         assert not path.exists()
     assert code == 2 and out == ""
     assert err.startswith("verify: ") and err.endswith("\n") and err.count("\n") == 1

@@ -80,7 +80,7 @@ def test_record_hash_is_the_hash_of_its_fields(record):
     (fukaya.morse_circle_floer(),
      "MorseCircleModel(module=GradedModule(basis=(('x0', 0), ('x1', 1))), "
      "flow_line_signs=(1, -1), differential=((0,),), cohomology={0: 1, 1: 1})"),
-    (report.Config(), "Config(seed=0, sphere_samples=1000, box_margin=1, t_range=10)"),
+    (report.Config(), "Config(seed=0, box_margin=1, t_range=10)"),
     (report.CheckResult("i", "a", "pass", "d"),
      "CheckResult(id='i', anchor='a', status='pass', detail='d', residual=None)"),
 ])
