@@ -8,7 +8,7 @@ Three failure vocabularies are used across the library:
   (off-sphere input, non-critical point, out-of-range parameter).
 * ``DiagnosticError``  -- a computation could not certify its own consistency
   (a path basis that does not close, thimble and F_2 tables that differ, a
-  non-integral Riemann-Roch value in toric).
+  certificate that lists no identity).
 
 ``IndeterminatePointError`` narrows ``PreconditionError`` for evaluating a
 rational map at a point of its base locus.

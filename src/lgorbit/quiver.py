@@ -1,6 +1,5 @@
 """The endomorphism algebra of the tilting object T = O + X on F_2, read
-off twisted complexes over the two thimbles, and the Euler form of the
-exceptional pair.
+off twisted complexes over the two thimbles.
 
 X is the nontrivial extension 0 -> O -> X -> O(-E) -> 0.  Over
 ``lg2_category()``, with (L0, L1) = (O(-E), O), O is L1 and X is the
@@ -15,7 +14,7 @@ the thimble category ``cat`` as an argument, so a caller builds it once.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .errors import DiagnosticError
 from .fukaya import (
@@ -27,8 +26,7 @@ from .fukaya import (
     twisted_compose,
     twisted_hom_cohomology,
 )
-from .gaussian import ExactMatrix
-from .toric import EXCEPTIONAL_PAIR, HirzebruchFan, PicClass, ext_dims, ext_hom_table
+from .toric import EXCEPTIONAL_PAIR, HirzebruchFan, ext_hom_table
 
 # ------------------------------------------------------------- tilting
 
@@ -109,25 +107,3 @@ def literal_differential(cat: DirectedAInfCategory) -> DirectedAInfCategory:
         cat.objects, cat.homs, cat.products() + [ProductEntry((source,), target)]
     )
 
-
-# --------------------------------------------------------------- K-theory
-
-
-def euler_form_matrix(classes: Sequence[PicClass]) -> ExactMatrix:
-    """Euler-form matrix chi(E_i, E_j) = sum_k (-1)^k dim Ext^k(E_i, E_j)
-    of line bundles on the Hirzebruch surface F_2.
-
-    An exceptional collection gives a unitriangular matrix, so the rank is
-    the number of free generators its objects contribute to the
-    Grothendieck group.
-    """
-    fan = HirzebruchFan(2)
-    return ExactMatrix([[ext_dims(fan, ci, cj).euler for cj in classes] for ci in classes])
-
-
-def thimble_euler_form(cat: DirectedAInfCategory) -> ExactMatrix:
-    """sum_d (-1)^d rank hom^d(L_i, L_j) over the thimbles of ``cat``, the
-    Euler form that the exceptional pair's must equal on F_2."""
-    table = cat.hom_table()
-    return ExactMatrix([[sum((-1) ** d * rank for d, rank in table[(i, j)].items())
-                         for j in (0, 1)] for i in (0, 1)])

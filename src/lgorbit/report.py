@@ -414,10 +414,10 @@ suite_sheaves = _suite(
           )),
     Check("sheaves.riemann-roch-sweep", "claim:euler-characteristic-formula",
           lambda toric, fans, coh: (
-              all(
-                  coh(c, fan).euler == toric.euler_rr(c, a)
+              _certified(toric.euler_characteristic_identities, "p q a")
+              and all(
+                  coh(toric.PicClass(p, q), fan).euler == toric.euler_characteristic(p, q, a)
                   for a, fan in fans.items() for p in range(-5, 6) for q in range(-5, 6)
-                  for c in [toric.PicClass(p, q)]
               ),
               "alternating sums match the intersection-number formula for all "
               "classes with |p|, |q| <= 5 on the degree 0, 1, 2 surfaces",
@@ -449,7 +449,7 @@ suite_sheaves = _suite(
           lambda toric, fans: (
               all(
                   toric.intersection(toric.canonical_class(a), toric.canonical_class(a), a) == 8
-                  and toric.euler_rr(toric.PicClass(0, 0), a) == 1
+                  and toric.euler_characteristic(0, 0, a) == 1
                   for a in fans
               ),
               "canonical self-intersection 8 and structure-sheaf Euler "
@@ -470,7 +470,7 @@ suite_sheaves = _suite(
 
 
 def _quiver(cfg: Config):
-    from . import fukaya, quiver, toric
+    from . import fukaya, gaussian, quiver, toric
     cat = fukaya.lg2_category()
     blocks = quiver.end_algebra(cat)
     return locals(), {}
@@ -532,9 +532,11 @@ suite_quiver = _suite(
               "the tilting object, not between the thimbles",
           )),
     Check("quiver.k-group-rank", "claim:k-group-is-free-of-rank-two",
-          lambda quiver, toric, cat: (
-              (euler := quiver.euler_form_matrix(toric.EXCEPTIONAL_PAIR)).rank() == 2
-              and euler == quiver.thimble_euler_form(cat),
+          lambda gaussian, toric, cat: (
+              gaussian.ExactMatrix(euler := toric.gram(toric.EXCEPTIONAL_PAIR, lambda x, y: (
+                  toric.ext_dims(toric.HirzebruchFan(2), x, y).euler))).rank() == 2
+              and euler == toric.gram(range(len(cat.objects)), lambda i, j: sum(
+                  (-1) ** d * rank for d, rank in cat.hom_table()[(i, j)].items())),
               "the Euler-form matrix of (O(-E), O), with entries chi from the "
               "Ext dimensions on the degree-2 surface, has rank two and equals the "
               "thimbles' Euler form, the alternating sum of their hom ranks",

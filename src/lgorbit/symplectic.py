@@ -101,6 +101,8 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> float:
     """
     import random
 
+    if n_samples < 1:  # the minimum over no sample would be inf
+        raise PreconditionError("n_samples must be at least 1")
     rng = random.Random(seed)
     basis = su2_basis(1j)
     min_taming = math.inf

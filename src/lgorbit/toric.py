@@ -34,10 +34,11 @@ O(|a2| + |a4| + 1) rows, whatever the box size.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DiagnosticError, PreconditionError, StructureError
+from .errors import PreconditionError, StructureError
 from .poly import MultiHomPoly, certify, certify_charts, variables
 
 Vec = Tuple[int, int]
@@ -171,13 +172,28 @@ def intersection(c1: PicClass, c2: PicClass, a: int) -> int:
     return -a * c1.p * c2.p + c1.p * c2.q + c1.q * c2.p
 
 
-def euler_rr(c: PicClass, a: int) -> int:
-    """Riemann-Roch: chi = 1 + (1/2) c.(c - K); always an integer."""
-    k = canonical_class(a)
-    twice = intersection(c, c - k, a)
-    if twice % 2 != 0:
-        raise DiagnosticError("Riemann-Roch value is not an integer")
-    return 1 + twice // 2
+def euler_characteristic(p, q, a):
+    """chi(pE + qF) = (p + 1)(q + 1) - a p (p + 1) / 2 on F_a, over any ring
+    holding 1/2.  On the integers p (p + 1) is even, so the value is an int;
+    ``euler_characteristic_identities`` certifies it as Riemann-Roch."""
+    triangle = p * (p + 1)
+    triangle = triangle // 2 if isinstance(triangle, int) else triangle * Fraction(1, 2)
+    return (p + 1) * (q + 1) - a * triangle
+
+
+def euler_characteristic_identities(p, q, a):
+    """Riemann-Roch over the symbols p, q, a: with D = pE + qF,
+    2 chi(D) = 2 + D.(D - K) under ``intersection`` and ``canonical_class``
+    (Hartshorne V.1.6 and V.2; Cox, Little and Schenck, Section 9.1)."""
+    d = PicClass(p, q)
+    return [(2 * euler_characteristic(p, q, a) - 2
+             - intersection(d, d - canonical_class(a), a), ())]
+
+
+def gram(objects: Sequence, pairing: Callable) -> Tuple[Tuple, ...]:
+    """The Gram matrix of ``pairing`` on ``objects``: row i, column j holds
+    pairing(objects[i], objects[j])."""
+    return tuple(tuple(pairing(x, y) for y in objects) for x in objects)
 
 
 def verify_divisor_convention(fan: HirzebruchFan) -> bool:

@@ -218,7 +218,7 @@ def _line_bundle_to_point_in_two_degrees(x, y, original=mirror.ext_p1):
 MINUS_E, TRIVIAL = toric.EXCEPTIONAL_PAIR
 
 
-def _backward_hom(fan, c1, c2, original=quiver.ext_dims):
+def _backward_hom(fan, c1, c2, original=toric.ext_dims):
     dims = original(fan, c1, c2)
     return toric.CohDims(1, dims.h1, dims.h2) if (c1, c2) == (TRIVIAL, MINUS_E) else dims
 
@@ -261,9 +261,9 @@ def _every_pair_one_section(fan, c1, c2):
     return toric.CohDims(1, 0, 0)
 
 
-def _degree_three_surface(a):
+def _degree_three_surface(a, original=toric.HirzebruchFan):
     # F_3 for F_2: (O(-E), O) is still exceptional, with Euler form [[1, -1], [0, 1]]
-    return toric.HirzebruchFan(3)
+    return original(3)
 
 
 # ----------------------------------------------------------------- sheaves
@@ -276,8 +276,18 @@ def _box_one_character_short(a, coeffs, half_width, original=toric._box_sum):
     return original(a, coeffs, half_width - base - 1)
 
 
-def _euler_plus_one(c, a, original=toric.euler_rr):
-    return original(c, a) + 1
+def _euler_plus_one(p, q, a, original=toric.euler_characteristic):
+    return original(p, q, a) + 1
+
+
+def _canonical_one_fiber_short(a):
+    # K = -2E - (a + 1)F for -2E - (a + 2)F: 1 + D.(D - K)/2 gains p/2
+    return toric.PicClass(-2, -(a + 1))
+
+
+def _positive_section_square(c1, c2, a):
+    # E.E = +a for -a: 1 + D.(D - K)/2 gains a p^2
+    return a * c1.p * c2.p + c1.p * c2.q + c1.q * c2.p
 
 
 def _no_degree_twist(fan, d):
@@ -404,17 +414,21 @@ CONTROLS = {
     "quiver.dg-literal-acyclic": [(quiver, "literal_differential", _zero_in_place_of_literal)],
     "quiver.undirected-backward-hom": [(fukaya, "twisted_hom", _split_extension)],
     "quiver.k-group-rank": [
-        (quiver, "ext_dims", _every_pair_one_section),
-        (quiver, "HirzebruchFan", _degree_three_surface),
+        (toric, "ext_dims", _every_pair_one_section),
+        (toric, "HirzebruchFan", _degree_three_surface),
     ],
     "sheaves.divisor-conventions": [(toric, "divisor_to_pic", _no_degree_twist)],
     "sheaves.section-class-cohomology": [(toric, "_box_sum", _box_one_character_short)],
     "sheaves.ext-table": [(toric, "ext_dims", _degree_one_lost)],
-    "sheaves.riemann-roch-sweep": [(toric, "_box_sum", _box_one_character_short)],
+    "sheaves.riemann-roch-sweep": [
+        (toric, "_box_sum", _box_one_character_short),
+        (toric, "canonical_class", _canonical_one_fiber_short),
+        (toric, "intersection", _positive_section_square),
+    ],
     "sheaves.serre-duality": [(toric, "_box_sum", _box_one_character_short)],
     "sheaves.fiber-class-sections": [(toric, "_box_sum", _box_one_character_short)],
     "sheaves.box-stability": [(toric, "_box_sum", _box_one_character_short)],
-    "sheaves.surface-invariants": [(toric, "euler_rr", _euler_plus_one)],
+    "sheaves.surface-invariants": [(toric, "euler_characteristic", _euler_plus_one)],
     "sheaves.hypersurface-model": [(toric, "F2_CHARTS", _wrong_chart_cofactor(toric.F2_CHARTS))],
     "sheaves.hypersurface-controls": [(toric, "f2_euler_identities", _any_bidegree)],
     "symplectic.sphere-tangent-frame": [

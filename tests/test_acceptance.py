@@ -57,7 +57,7 @@ from lgorbit.toric import (
     PicClass,
     canonical_class,
     cohomology_dims,
-    euler_rr,
+    euler_characteristic,
     ext_hom_table,
     pic_to_divisor,
 )
@@ -144,7 +144,7 @@ def test_criterion_4_sheaf_cohomology():
     me_ok = cohomology_dims(f2, pic_to_divisor(f2, -e)).triple == (0, 0, 0)
     rr_ok = all(
         cohomology_dims(fan, pic_to_divisor(fan, PicClass(p, q))).euler
-        == euler_rr(PicClass(p, q), fan.a)
+        == euler_characteristic(p, q, fan.a)
         for fan in (HirzebruchFan(0), HirzebruchFan(1), f2)
         for p in range(-5, 6)
         for q in range(-5, 6)

@@ -383,9 +383,9 @@ IMPORTS = {
     "lie": {"errors", "poly"},
     "mirror": {"errors"},
     "poly": {"errors"},
-    "quiver": {"errors", "fukaya", "gaussian", "toric"},
-    "report": {"compactification", "errors", "fukaya", "lie", "mirror", "poly", "quiver",
-               "symplectic", "toric"},
+    "quiver": {"errors", "fukaya", "toric"},
+    "report": {"compactification", "errors", "fukaya", "gaussian", "lie", "mirror", "poly",
+               "quiver", "symplectic", "toric"},
     "symplectic": {"errors", "lie"},
     "toric": {"errors", "poly"},
 }
@@ -397,8 +397,8 @@ SUITE_LAYERS = {
     "compactification": {"compactification", "poly"},
     "lie": {"lie", "poly"},
     "mirror": {"mirror"},
-    "quiver": {"fukaya", "quiver", "toric"},
-    "sheaves": {"toric"},
+    "quiver": {"fukaya", "gaussian", "quiver", "toric"},
+    "sheaves": {"poly", "toric"},
     "symplectic": {"poly", "symplectic"},
 }
 

@@ -97,3 +97,21 @@ def test_a_certificate_with_no_identity_fails_its_row(monkeypatch, capsys):
     assert row.detail == "raised DiagnosticError: the certificate lists no identity"
     assert cli.main(["compactification"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("row", [
+    "sheaves.riemann-roch-sweep", "sheaves.surface-invariants", "quiver.k-group-rank",
+])
+def test_every_euler_form_control_fails_by_its_verdict(monkeypatch, row):
+    # the rows that read chi on F_a or a Gram matrix: each of their controls,
+    # not only one, is caught by the verdict rather than by a raise
+    for owner, name, replacement in CONTROLS[row]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, replacement)
+            toric._cohomology.cache_clear()
+            try:
+                result = {r.id: r for r in run(row.split(".")[0], Config()).results}[row]
+            finally:
+                toric._cohomology.cache_clear()
+        assert result.status == "fail", name
+        assert not result.detail.startswith("raised "), name

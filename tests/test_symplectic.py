@@ -184,6 +184,15 @@ def test_sampled_taming_fails_for_a_pairing_that_is_zero_on_the_sphere(monkeypat
     assert rows["symplectic.taming"].status == "fail"
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_sampled_taming_needs_a_sample(n_samples):
+    # with no sample the minimum would be inf: taming would pass as inf > 0,
+    # and json.dumps would write the token Infinity
+    with pytest.raises(PreconditionError, match="n_samples must be at least 1"):
+        check_sphere_lagrangian(n_samples)
+    assert 0 < check_sphere_lagrangian(1) < math.inf
+
+
 def test_thimble_lagrangian_grid():
     report = symplectic_oracle.check_thimble_lagrangian(n_t=64)
     assert report.grid == (9, 64)

@@ -18,11 +18,13 @@ from lgorbit.toric import (
     cohomology_dims,
     divisor_to_pic,
     ext_dims,
-    euler_rr,
+    euler_characteristic,
+    euler_characteristic_identities,
     f2_equation,
     f2_euler_identities,
     f2_form,
     f2_variables,
+    gram,
     intersection,
     pic_to_divisor,
     verify_divisor_convention,
@@ -88,7 +90,24 @@ def test_intersection_numbers():
 
 def test_euler_rr_structure_sheaf():
     for a in range(4):
-        assert euler_rr(O, a) == 1
+        assert euler_characteristic(O.p, O.q, a) == 1
+
+
+def test_euler_characteristic_is_riemann_roch_over_symbols():
+    assert certify(euler_characteristic_identities(*variables("p q a"))) is None
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 20))
+def test_euler_characteristic_stays_an_integer(p, q, a):
+    chi = euler_characteristic(p, q, a)
+    d = PicClass(p, q)
+    assert type(chi) is int
+    assert 2 * chi == 2 + intersection(d, d - canonical_class(a), a)
+
+
+def test_gram_rows_follow_the_first_argument():
+    assert gram("xy", lambda s, t: s + t) == (("xx", "xy"), ("yx", "yy"))
+    assert gram((), lambda s, t: 1) == ()
 
 
 def test_structure_sheaf_cohomology():
@@ -129,7 +148,7 @@ def test_riemann_roch_sweep():
             for q in range(-4, 5):
                 c = PicClass(p, q)
                 got = cohomology_dims(fan, pic_to_divisor(fan, c))
-                assert got.euler == euler_rr(c, fan.a)
+                assert got.euler == euler_characteristic(p, q, fan.a)
 
 
 def test_serre_duality_sweep():
@@ -152,7 +171,7 @@ def test_wide_riemann_roch_and_serre_sweep():
                 c = PicClass(p, q)
                 d = cohomology_dims(fan, pic_to_divisor(fan, c))
                 s = cohomology_dims(fan, pic_to_divisor(fan, k - c))
-                assert d.euler == euler_rr(c, a)
+                assert d.euler == euler_characteristic(p, q, a)
                 assert d.triple == (s.h2, s.h1, s.h0)
 
 
