@@ -40,16 +40,13 @@ _HALF = Fraction(1, 2)
 
 
 def parallel(u: Sequence[Rational], v: Sequence[Rational]) -> bool:
-    """Whether two coordinate tuples of equal length are proportional.
+    """Whether two coordinate pairs are proportional.
 
-    Intended for tuples that are not all zero, where vanishing of every
-    2x2 minor is the same as spanning the same line: the projective
-    equality of two points of one factor.
+    Intended for pairs that are not all zero, where vanishing of their 2x2
+    minor is the same as spanning the same line: the projective equality
+    of two points of one factor.
     """
-    n = len(u)
-    return all(
-        u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n)
-    )
+    return not determinant((u, v))
 
 
 # --------------------------------------------------------------- quadric
@@ -112,9 +109,9 @@ def quadric_change_check() -> bool:
     sheared closure and rank 3 (an irreducible conic) to the divisor at
     infinity t = 0.
     """
-    x, y, z, t, lam = variables("x y z t lam")
+    x, y, z, t = variables("x y z t")
     return (
-        certify(quadric_identities(x, y, z, t, lam)) is None
+        certify(quadric_identities) is None
         and gram_rank(projective_closure(x - t, y, z, x + t)) == 4
         and gram_rank(projective_closure(x, y, z, 0)) == 3
     )
@@ -282,12 +279,6 @@ def scaling_identities(x, y, z, w, lam, mu, r, s):
     return [(f - lam * mu * g, ()) for f, g in pairs]
 
 
-def _bilinear() -> bool:
-    """Whether ``scaling_identities`` holds, so that the graph equation's
-    coefficients and partials are its values at unit vectors."""
-    return certify(scaling_identities(*variables("x y z w lam mu r s"))) is None
-
-
 def base_locus_identities(x, y, z, w):
     """xw = (num + den)/2 and yz = (num - den)/2 for the two height forms:
     the forms generate the ideal (xw, yz)."""
@@ -319,7 +310,7 @@ def base_locus_certificate() -> bool:
     """
     raised = sorted((p, q) for p in _UNITS for q in _UNITS if _indeterminate(p, q))
     return (
-        certify(base_locus_identities(*variables("x y z w"))) is None
+        certify(base_locus_identities) is None
         and raised == sorted(base_locus())
     )
 
@@ -367,11 +358,12 @@ def singular_points_certificate() -> bool:
     """Each fiber over ``DEGENERATE_VALUES`` is singular at its point of
     ``SINGULAR_POINTS``.
 
-    Once the graph is certified bilinear, ``singular_point_identities``
+    Once ``scaling_identities`` certifies the graph bilinear, so that its
+    partials are its values at unit vectors, ``singular_point_identities``
     certifies each point: it satisfies its fiber equation and annihilates
     all four bihomogeneous partials.
     """
-    return _bilinear() and certify(singular_point_identities(*variables("lam mu"))) is None
+    return certify(scaling_identities) is None and certify(singular_point_identities) is None
 
 
 def degenerate_value_identities(r, s):
@@ -387,9 +379,9 @@ def degenerate_values_certificate() -> bool:
     """The fibers degenerate over ``DEGENERATE_VALUES`` and nowhere else.
 
     The graph equation is the whole family of fibers with symbolic r, s, so
-    once it is certified bilinear, the determinant of its coefficient
-    matrix is the degeneracy test over every value at once.  By
-    ``degenerate_value_identities`` it is a nonzero constant times the
+    once ``scaling_identities`` certifies it bilinear, the determinant of
+    its coefficient matrix is the degeneracy test over every value at once.
+    By ``degenerate_value_identities`` it is a nonzero constant times the
     product of the forms b r - a s over the values [a : b], which are
     pairwise not proportional; so its zeros are exactly those values, each
     a simple root.
@@ -397,8 +389,8 @@ def degenerate_values_certificate() -> bool:
     pairs = itertools.combinations(DEGENERATE_VALUES, 2)
     return (
         not any(parallel(u, v) for u, v in pairs)
-        and _bilinear()
-        and certify(degenerate_value_identities(*variables("r s"))) is None
+        and certify(scaling_identities) is None
+        and certify(degenerate_value_identities) is None
     )
 
 
@@ -450,6 +442,5 @@ def sphere_off_infinity_certificate() -> bool:
     The imaginary unit is the symbol i, which ``certify`` reduces modulo
     i^2 + 1.
     """
-    identities = sphere_off_infinity_identities(*variables("p q r x y z i"))
     on_diagonal = not any(determinant(pt) for pt in base_locus())
-    return certify(identities) is None and on_diagonal
+    return certify(sphere_off_infinity_identities) is None and on_diagonal

@@ -15,8 +15,8 @@ i^2 + 1, and ``conjugate`` substitutes -i for it, so the rational
 polynomials in i stand in for those with Gaussian rational coefficients.
 
 ``certify`` is the one checker of the library's polynomial claims: other
-modules write each claim as identity data over any ring and evaluate it on
-``variables``, and none compares two polynomials itself.
+modules write each claim as an identity function over any ring, whose
+parameters name its symbols, and none compares two polynomials itself.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def modulo_i(f):
     return f._like(out)
 
 
-def certify(identities: Iterable) -> Optional[int]:
+def certify(identities: Union[Callable[..., Iterable], Iterable]) -> Optional[int]:
     """The position of the first identity that fails, or None when all hold.
 
     An identity (difference, ((relation, cofactor), ...)) holds when the
@@ -280,8 +280,13 @@ def certify(identities: Iterable) -> Optional[int]:
     difference in the ideal of the relations (Cox, Little and O'Shea,
     Ideals, Varieties, and Algorithms, ch. 1-2).  On a variable i the
     remainder is taken modulo i^2 + 1 as well, by ``modulo_i``.  An empty
-    sequence certifies nothing and raises DiagnosticError.
+    sequence certifies nothing and raises DiagnosticError.  An identity
+    function in place of the sequence is called on one ``variables`` symbol
+    per positional parameter, named like it (read through ``__wrapped__``).
     """
+    if callable(identities):
+        code = getattr(identities, "__wrapped__", identities).__code__
+        identities = identities(*variables(" ".join(code.co_varnames[: code.co_argcount])))
     position = -1
     for position, (difference, terms) in enumerate(identities):
         for relation, cofactor in terms:

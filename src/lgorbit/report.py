@@ -15,7 +15,7 @@ A check that raises becomes a failing row whose detail is "raised <Type>:
 every row of that suite fails that way.
 
 Reports are deterministic: the same configuration and seed produce byte
-identical JSON, which the determinism suite relies on.
+identical JSON, which the golden tests in ``tests/test_cli.py`` pin.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ def _evaluate(
     return rows, tables
 
 
-def _certified(identities: Callable, names: str) -> bool:
-    """Whether poly.certify passes identities(*symbols), one symbol per name."""
+def _certified(identities: Callable) -> bool:
+    """Whether poly.certify passes the identity function on its own symbols."""
     from . import poly
-    return poly.certify(identities(*poly.variables(names))) is None
+    return poly.certify(identities) is None
 
 
 # every suite's declared checks, in row order, and its runner, keyed by suite name
@@ -123,7 +123,7 @@ def _lie(cfg: Config):
     from . import lie
     h = lie.SL2_BASE
     points = lie.critical_points(h, h)
-    critical = _certified(lie.sl2_critical_identities, "x y z")
+    critical = _certified(lie.sl2_critical_identities)
     return locals(), {}
 
 
@@ -145,7 +145,7 @@ def _critical_count(diag, regular_h, expected):
 def _hessian_nondegenerate(lie, h, points):
     """Each sl(2) critical point's chart Hessian is certified and nondegenerate."""
     dets = [abs(lie.hessian_determinant(h, h, d)) for d in points]
-    certified = all(_certified(lambda *u: lie.hessian_identities(h, h, d, *u), "u01 u10")
+    certified = all(_certified(lambda u01, u10: lie.hessian_identities(h, h, d, u01, u10))
                     for d in points)
     return (certified and min(dets) != 0,
             "exact chart Hessian determinant magnitude at both critical points: "
@@ -180,7 +180,7 @@ suite_lie = _suite(
     ),
     Check("lie.orbit-membership-exact", "claim:orbit-is-conjugation-invariant",
           lambda lie: (
-              _certified(lie.orbit_membership_identities, "x y z w"),
+              _certified(lie.orbit_membership_identities),
               "at a = [[x, z], [y, w]], with R = xw - yz - 1, M = a diag(1, -1) adj(a) "
               "has trace 0*R and x^2 + yz - 1 = (R + 2)*R on M's coordinates "
               "(cofactors 0, R + 2): every conjugate of the base diagonal is on the orbit",
@@ -194,8 +194,8 @@ suite_lie = _suite(
 def _symplectic(cfg: Config):
     from . import symplectic
     sampled_taming = symplectic.check_sphere_lagrangian(seed=cfg.seed)
-    tamed = _certified(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2 i")
-    thimble = _certified(symplectic.thimble_identities, "lam c a b i")
+    tamed = _certified(symplectic.taming_identities)
+    thimble = _certified(symplectic.thimble_identities)
     return locals(), {}
 
 
@@ -203,7 +203,7 @@ suite_symplectic = _suite(
     _symplectic,
     Check("symplectic.sphere-tangent-frame", "claim:sphere-is-lagrangian",
           lambda symplectic: (
-              _certified(symplectic.sphere_frame_identities, "p q r i"),
+              _certified(symplectic.sphere_frame_identities),
               "over real symbols p, q, r, each su(2) tangent u = [S, A_k] at "
               "S = (r, -p + iq, -p - iq) has tangency residual 0, u0 = conj(u0) and "
               "u2 = conj(u1); on the rows (Re u0, Re u1, Im u1) the determinant is 0 and "
@@ -212,7 +212,7 @@ suite_symplectic = _suite(
           )),
     Check("symplectic.sphere-lagrangian-exact", "claim:sphere-is-lagrangian",
           lambda symplectic: (
-              _certified(symplectic.sphere_lagrangian_identities, "p q r i"),
+              _certified(symplectic.sphere_lagrangian_identities),
               "over real symbols p, q, r, the pairing of each two su(2) tangents at "
               "(r, -p + iq, -p - iq) equals its own conjugate, so Omega is the zero "
               "polynomial on all of R^3",
@@ -250,7 +250,7 @@ suite_symplectic = _suite(
           )),
     Check("symplectic.cylinder-chart", "claim:fiber-is-a-cylinder",
           lambda symplectic: (
-              _certified(symplectic.cylinder_chart_identities, "lam x y z u"),
+              _certified(symplectic.cylinder_chart_identities),
               "for lambda^2 != 1, y -> (lambda, y, (1 - lambda^2)/y) and (x, y, z) -> y "
               "are inverse maps between C* and the fiber x = lambda: with u = 1/y, the "
               "chart's orbit residual is (1 - lambda^2)(yu - 1), and z minus the chart's "
@@ -414,7 +414,7 @@ suite_sheaves = _suite(
           )),
     Check("sheaves.riemann-roch-sweep", "claim:euler-characteristic-formula",
           lambda toric, fans, coh: (
-              _certified(toric.euler_characteristic_identities, "p q a")
+              _certified(toric.euler_characteristic_identities)
               and all(
                   coh(toric.PicClass(p, q), fan).euler == toric.euler_characteristic(p, q, a)
                   for a, fan in fans.items() for p in range(-5, 6) for q in range(-5, 6)
@@ -657,7 +657,7 @@ suite_compactification = _suite(
           lambda geo, ident, shear: (
               geo.tensor_entries(*ident) == ((1, 0), (0, 0))
               and geo.tensor_entries(*shear) == ((1, -1), (0, 0))
-              and _certified(geo.tensor_projector_identities, "x y z w"),
+              and _certified(geo.tensor_projector_identities),
               "identity and shear examples match; at a = [[x, z], [y, w]], with "
               "R = xw - yz - 1, trace - 1 = 1*R, M col1 - col1 = R*col1, M col2 = 0*R "
               "(cofactors 1, col1, 0): a trace-one projector on all of SL(2)",
@@ -666,14 +666,14 @@ suite_compactification = _suite(
           lambda geo, ident, shear, half: (
               geo.moment_map(*ident) == ((half, 0), (0, -half))
               and geo.moment_map(*shear) == ((half, -1), (0, -half))
-              and _certified(geo.moment_conjugation_identities, "x y z w"),
+              and _certified(geo.moment_conjugation_identities),
               "identity and shear examples match; the generic moment matrix is "
               "a diag(1/2, -1/2) adj(a) (cofactor 0) and M col1 - col1/2 = "
               "(R/2)*col1 (cofactor col1/2): column one is an eigenvector",
           )),
     Check("compactification.extension-on-orbit", "claim:extension-restricts-to-the-height",
           lambda geo: (
-              _certified(geo.extension_on_orbit_identities, "x y z w"),
+              _certified(geo.extension_on_orbit_identities),
               "num*1 - den*height = -(xw + yz)*R at the generic eigenline pair "
               "(cofactor -(xw + yz)): the value is [height : 1] on all of SL(2)",
           )),
@@ -687,7 +687,7 @@ suite_compactification = _suite(
           )),
     Check("compactification.extension-scaling", "claim:extension-is-projectively-defined",
           lambda geo: (
-              _certified(geo.scaling_identities, "x y z w lam mu r s"),
+              _certified(geo.scaling_identities),
               "both forms xw + yz and xw - yz have bidegree (1, 1), so rescaling "
               "the factors by l and m multiplies both by l*m",
           )),
@@ -707,8 +707,8 @@ suite_compactification = _suite(
           )),
     Check("compactification.graph-contains-extension", "claim:closure-extends-the-graph",
           lambda geo: (
-              _certified(geo.graph_extension_identities, "x y z w")
-              and _certified(geo.exceptional_fiber_identities, "r s"),
+              _certified(geo.graph_extension_identities)
+              and _certified(geo.exceptional_fiber_identities),
               "with r, s replaced by xw + yz, xw - yz the trilinear equation is the "
               "zero polynomial (cofactor 0); over both base points it vanishes too",
           )),
@@ -729,8 +729,8 @@ suite_compactification = _suite(
           )),
     Check("compactification.deformed-ring", "claim:deformation-at-time-two-is-the-orbit",
           lambda geo: (
-              _certified(geo.deformed_ring_identities, "x y z")
-              and not _certified(geo.unchanged_ring_certificate, "x y z"),
+              _certified(geo.deformed_ring_identities)
+              and not _certified(geo.unchanged_ring_certificate),
               "the affine change of coordinates carries one equation to a scalar "
               "multiple of the other, and the identity substitution does not",
           )),

@@ -8,6 +8,7 @@ check that crashes still reports a failed row.  ``PENDING`` names the PASS
 rows that no control reaches yet.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -72,10 +73,12 @@ def _off_diagonal_base_locus():
 
 
 def _wrong_cofactor(identities):
-    # every cofactor one more, so each identity with a relation fails
-    return lambda *symbols: [
+    # every cofactor one more, so each identity with a relation fails; the
+    # control keeps the wrapped signature, which names the symbols that
+    # poly.certify builds, and its own name, which names the test case
+    return functools.update_wrapper(lambda *symbols: [
         (d, tuple((r, q + 1) for r, q in terms)) for d, terms in identities(*symbols)
-    ]
+    ], identities, assigned=())
 
 
 # the chart whose certificate the two chart controls corrupt

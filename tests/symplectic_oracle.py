@@ -163,6 +163,8 @@ def check_sphere_lagrangian(n_samples: int = 1000, seed: int = 0) -> SphereRepor
     """
     import random
 
+    if n_samples < 1:  # with no sample the report would pass with min_taming inf
+        raise PreconditionError("n_samples must be at least 1")
     rng = random.Random(seed)
     basis = su2_basis(1j)
     max_omega = 0.0

@@ -159,7 +159,7 @@ def test_graph_smoothness_controls():
 
 def test_graph_contains_extension_graph():
     assert compact_oracle.graph_vanishing_check(20, seed=7)
-    assert _holds(cg.exceptional_fiber_identities, "r s")
+    assert _holds(cg.exceptional_fiber_identities)
 
 
 def test_fiber_singularity_classification():
@@ -210,9 +210,9 @@ def test_singular_values_match_the_closed_form(pair, scalar):
 
 
 def test_deformed_ring_isomorphism():
-    assert _holds(cg.deformed_ring_identities, "x y z")
+    assert _holds(cg.deformed_ring_identities)
     # the one scalar the unchanged equation could take is 0, which fails
-    assert certify(cg.unchanged_ring_certificate(*variables("x y z"))) == 0
+    assert certify(cg.unchanged_ring_certificate) == 0
 
 
 def test_sphere_embedding_agrees_with_fiber_chart():
@@ -270,8 +270,8 @@ def test_patching_support_negative_controls(monkeypatch, target, replacement):
 # ------------------------------------------------ certificates of the orbit
 
 
-def _holds(identities, names="x y z w"):
-    return certify(identities(*variables(names))) is None
+def _holds(identities):
+    return certify(identities) is None
 
 
 ROW_CERTIFICATES = {
@@ -279,13 +279,13 @@ ROW_CERTIFICATES = {
     "tensor-projector": lambda: _holds(cg.tensor_projector_identities),
     "moment-conjugation": lambda: _holds(cg.moment_conjugation_identities),
     "extension-on-orbit": lambda: _holds(cg.extension_on_orbit_identities),
-    "extension-scaling": lambda: _holds(cg.scaling_identities, "x y z w lam mu r s"),
+    "extension-scaling": lambda: _holds(cg.scaling_identities),
     "graph-contains-extension": lambda: _holds(cg.graph_extension_identities)
-    and _holds(cg.exceptional_fiber_identities, "r s"),
+    and _holds(cg.exceptional_fiber_identities),
     "base-locus": cg.base_locus_certificate,
     "critical-classification": cg.singular_points_certificate,
     "singular-scan": cg.degenerate_values_certificate,
-    "deformed-ring": lambda: _holds(cg.deformed_ring_identities, "x y z"),
+    "deformed-ring": lambda: _holds(cg.deformed_ring_identities),
 }
 
 
@@ -328,7 +328,7 @@ def test_wrong_cofactors_fail():
         cg.extension_on_orbit_identities,
         cg.graph_extension_identities,
     ):
-        assert certify(_wrong_cofactor(identities)(*variables("x y z w"))) == 0
+        assert certify(_wrong_cofactor(identities)) == 0
 
 
 def test_base_locus_certificate_rejects_forms_with_other_zeros(monkeypatch):

@@ -366,6 +366,47 @@ def test_the_library_has_one_coefficient_field():
             if (found := top_level_names(text) & GAUSSIAN_SCALAR)} == {}
 
 
+def _called(node):
+    """The name a call's function is spelled by: ``f`` for f(...), ``f`` for m.f(...)."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def restated_symbols(source: str):
+    """The lines of calls that name an identity function's symbols a second
+    time: a ``*_identities`` function called on ``*variables(...)``, or
+    ``_certified`` given more than the function."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called(node)
+        splats = any(isinstance(arg, ast.Starred) and isinstance(arg.value, ast.Call)
+                     and _called(arg.value) == "variables" for arg in node.args)
+        if (name.endswith("_identities") and splats) or (
+                name == "_certified" and len(node.args) + len(node.keywords) > 1):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_call_restates_an_identity_functions_symbols():
+    # poly.certify names the symbols from the signature, so the parameter
+    # list is the one place they are spelled
+    assert restated_symbols(
+        "certify(geo.scaling_identities(*variables('x y z w lam mu r s')))\n"
+        "certify(lie.sl2_critical_identities(*poly.variables('x y z')))\n"
+        "_certified(lie.taming_identities, 'p0 q0 p1 q1 p2 q2 i')\n"
+        "_certified(lie.taming_identities, names='p q')\n"
+        "certify(toric.f2_euler_identities(f, partials, *f2_variables()))\n"
+        "certify(geo.scaling_identities)\n"
+        "_certified(lambda u01, u10: lie.hessian_identities(h, h, d, u01, u10))\n"
+        "gram_rank(projective_closure(*variables('x y z t')))\n"
+    ) == [1, 2, 3, 4]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, text in sources.items()
+            if (lines := restated_symbols(text))} == {}
+
+
 # Every lgorbit module and the lgorbit modules it imports, at its top level or
 # inside a function body.  A new edge is declared here first, so the layering
 # is read in one place: gaussian takes poly's Rational and exact, lie and
@@ -391,7 +432,8 @@ IMPORTS = {
 }
 
 # The layers each report suite imports: in its inputs function and in every
-# report function its declaration reaches (``_certified`` imports poly).
+# report function its declaration reaches (``_certified``, which hands an
+# identity function to poly.certify, imports poly).
 SUITE_LAYERS = {
     "category": {"fukaya", "mirror", "toric"},
     "compactification": {"compactification", "poly"},

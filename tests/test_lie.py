@@ -48,7 +48,7 @@ def test_cartan_must_be_traceless():
 def test_sl2_critical_set():
     pts = critical_points(H0_SL2, H_SL2)
     assert pts == {(Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1))}
-    assert certify(sl2_critical_identities(*variables("x y z"))) is None
+    assert certify(sl2_critical_identities) is None
     # at the orbit coordinates (x, 0, 0) of each critical diagonal every
     # difference and every relation of the certificate vanishes
     for d in pts:
@@ -260,9 +260,9 @@ def test_seeded_conjugates_agree_with_the_membership_certificate(seed):
 
 
 def test_orbit_membership_certificate_fails_for_a_wrong_adjugate(monkeypatch):
-    assert certify(lie.orbit_membership_identities(*variables("x y z w"))) is None
+    assert certify(lie.orbit_membership_identities) is None
     monkeypatch.setattr(lie, "adjugate", _swapped_adjugate)
-    assert certify(lie.orbit_membership_identities(*variables("x y z w"))) == 0
+    assert certify(lie.orbit_membership_identities) == 0
 
 
 def test_adjugate_inverts_the_shear():

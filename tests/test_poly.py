@@ -272,23 +272,23 @@ def test_certify_reduces_modulo_i_squared_plus_one():
     assert certify([(j * j + 1, ())]) == 0
 
 
-# the identity functions in i, with their names, and where each fails when
-# certify keeps i^2 as it is
+# the identity functions in i, and where each fails when certify keeps i^2
+# as it is
 IDENTITIES_IN_I = [
-    (symplectic.taming_identities, "p0 q0 p1 q1 p2 q2 i", 1),
-    (symplectic.thimble_identities, "lam c a b i", 0),
-    (cg.sphere_off_infinity_identities, "p q r x y z i", 0),
-    (symplectic.sphere_lagrangian_identities, "p q r i", None),
-    (symplectic.sphere_frame_identities, "p q r i", 10),
+    (symplectic.taming_identities, 1),
+    (symplectic.thimble_identities, 0),
+    (cg.sphere_off_infinity_identities, 0),
+    (symplectic.sphere_lagrangian_identities, None),
+    (symplectic.sphere_frame_identities, 10),
 ]
 
 
-@pytest.mark.parametrize("identities, names, position", IDENTITIES_IN_I,
-                         ids=[f.__name__ for f, *_ in IDENTITIES_IN_I])
-def test_identities_in_i_need_the_reduction(monkeypatch, identities, names, position):
-    assert certify(identities(*variables(names))) is None
+@pytest.mark.parametrize("identities, position", IDENTITIES_IN_I,
+                         ids=[f.__name__ for f, _ in IDENTITIES_IN_I])
+def test_identities_in_i_need_the_reduction(monkeypatch, identities, position):
+    assert certify(identities) is None
     monkeypatch.setattr(poly, "modulo_i", lambda f: f)
-    assert certify(identities(*variables(names))) == position
+    assert certify(identities) == position
 
 
 def test_sphere_identities_fail_for_a_hermitian_generator_with_or_without_the_reduction(
@@ -296,7 +296,6 @@ def test_sphere_identities_fail_for_a_hermitian_generator_with_or_without_the_re
     # h - conj(h) cancels in Z[p, q, r, i] without i^2 = -1, so the reduction
     # does not carry these identities; a Hermitian generator still fails them
     monkeypatch.setattr(symplectic, "su2_basis", _hermitian_first_generator)
-    symbols = variables("p q r i")
-    assert certify(symplectic.sphere_lagrangian_identities(*symbols)) == 0
+    assert certify(symplectic.sphere_lagrangian_identities) == 0
     monkeypatch.setattr(poly, "modulo_i", lambda f: f)
-    assert certify(symplectic.sphere_lagrangian_identities(*symbols)) == 0
+    assert certify(symplectic.sphere_lagrangian_identities) == 0

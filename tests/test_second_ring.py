@@ -2,11 +2,12 @@
 
 An identity function is ring-generic: on its symbols, and sympy.I for its
 unit ``i``, it returns the (difference, ((relation, cofactor), ...)) pairs
-that ``poly.certify`` checks over ``MultiHomPoly``; the chart Hessian's
-identity also takes Cartan data, bound here to each case that the report and
-``tests/test_lie.py`` certify.  The chart certificates
-run on sympy too, with g and its partials built by ``sympy.diff``, and so
-do the Euler identities that certify the bidegree of ``toric.f2_form``.  A fault
+that ``poly.certify`` checks over ``MultiHomPoly``.  Both rings read the
+symbols from the signature, one per parameter and named like it.  The chart
+Hessian's identity also takes Cartan data, bound here to each case that the
+report and ``tests/test_lie.py`` certify.  The chart certificates run on
+sympy too, with g and its partials built by ``sympy.diff``, and so do the
+Euler identities that certify the bidegree of ``toric.f2_form``.  A fault
 in ``MultiHomPoly`` that makes an identity hold vacuously then fails a test
 here, not only a report row.
 """
@@ -19,7 +20,7 @@ import pytest
 import sympy
 
 from lgorbit import compactification as cg
-from lgorbit import lie, symplectic, toric
+from lgorbit import lie, poly, symplectic, toric
 
 IDENTITIES = (
     cg.quadric_identities,
@@ -106,6 +107,18 @@ def test_identities_hold_over_sympy(case):
     assert len(identities) == count
     for difference, terms in identities:
         assert sympy.expand(difference - sum(q * r for r, q in terms)) == 0
+
+
+# poly.certify on each function: the identity functions hold, and the
+# unchanged ring fails at its one identity
+FIRST_RING = (*((f, None) for f in IDENTITIES), (cg.unchanged_ring_certificate, 0))
+
+
+@pytest.mark.parametrize("identities, position", FIRST_RING,
+                         ids=[f.__name__ for f, _ in FIRST_RING])
+def test_the_first_ring_reads_the_same_signature(identities, position):
+    # poly.certify names the symbols from the signature, as _symbols does for sympy
+    assert poly.certify(identities) == position
 
 
 def test_every_identity_function_is_listed():

@@ -43,10 +43,10 @@ I = GaussianRational(0, 1)
 COMPLEX_BASIS = su2_basis(1j)
 
 
-def _holds(identities, names):
+def _holds(identities):
     # the call shape of the report: the identity function on one symbol per
-    # name, the last of them the unit i
-    return certify(identities(*variables(names))) is None
+    # parameter, the unit among them named i
+    return certify(identities) is None
 
 
 def test_sphere_lagrangian_sampled():
@@ -80,7 +80,7 @@ def test_rank_two_test_rejects_other_ranks():
 
 def test_sphere_frame_holds_at_every_rational_sphere_point():
     # over the Gaussian rationals every difference of the certificate is 0
-    assert _holds(sphere_frame_identities, "p q r i")
+    assert _holds(sphere_frame_identities)
     for p, q, r in RATIONAL_SPHERE_POINTS:
         identities = sphere_frame_identities(*map(GaussianRational, (p, q, r)), I)
         assert len(identities) == 11
@@ -97,13 +97,13 @@ def test_sphere_frame_holds_at_every_rational_sphere_point():
 ])
 def test_sphere_frame_fails_at_the_broken_identity(monkeypatch, target, replacement, position):
     monkeypatch.setattr(symplectic, target, replacement)
-    assert certify(sphere_frame_identities(*variables("p q r i"))) == position
+    assert certify(sphere_frame_identities) == position
     rows = {r.id: r for r in run("symplectic", Config()).results}
     assert rows["symplectic.sphere-tangent-frame"].status == "fail"
 
 
 def test_sphere_exact_residuals_vanish():
-    assert _holds(sphere_lagrangian_identities, "p q r i")
+    assert _holds(sphere_lagrangian_identities)
     residuals = symplectic_oracle.exact_sphere_omega_residuals()
     assert len(residuals) == 3 * len(RATIONAL_SPHERE_POINTS)
     assert all(r == Fraction(0) for r in residuals)
@@ -129,7 +129,7 @@ def test_pointwise_pairings_agree_with_the_identity():
 
 def test_hermitian_generator_fails_the_exact_sphere_row(monkeypatch):
     monkeypatch.setattr(symplectic, "su2_basis", _hermitian_first_generator)
-    assert not _holds(sphere_lagrangian_identities, "p q r i")
+    assert not _holds(sphere_lagrangian_identities)
     rows = {r.id: r for r in run("symplectic", Config()).results}
     assert rows["symplectic.sphere-lagrangian-exact"].status == "fail"
 
@@ -191,6 +191,16 @@ def test_sampled_taming_needs_a_sample(n_samples):
     with pytest.raises(PreconditionError, match="n_samples must be at least 1"):
         check_sphere_lagrangian(n_samples)
     assert 0 < check_sphere_lagrangian(1) < math.inf
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_oracle_sampler_needs_a_sample(n_samples):
+    # the oracle refuses no sample as the library does, rather than report a
+    # pass with an infinite taming minimum
+    with pytest.raises(PreconditionError, match="n_samples must be at least 1"):
+        symplectic_oracle.check_sphere_lagrangian(n_samples)
+    report = symplectic_oracle.check_sphere_lagrangian(1)
+    assert report.passed and 0 < report.min_taming < math.inf
 
 
 def test_thimble_lagrangian_grid():
@@ -257,11 +267,11 @@ def test_cylinder_chart_pointwise(lam, y):
 
 # the certificate behind each row the registry's controls fail
 def _tamed():
-    return _holds(symplectic.taming_identities, "p0 q0 p1 q1 p2 q2 i")
+    return _holds(symplectic.taming_identities)
 
 
 def _thimble():
-    return _holds(symplectic.thimble_identities, "lam c a b i")
+    return _holds(symplectic.thimble_identities)
 
 
 ROW_CERTIFICATES = {
@@ -289,10 +299,9 @@ def test_symplectic_negative_controls(monkeypatch, row, target, replacement):
 
 
 def test_cylinder_chart_certificate_fails_for_a_wrong_chart(monkeypatch):
-    names = "lam x y z u"
-    assert certify(symplectic.cylinder_chart_identities(*variables(names))) is None
+    assert certify(symplectic.cylinder_chart_identities) is None
     monkeypatch.setattr(symplectic, "cylinder_chart", _wrong_sign_chart)
-    assert certify(symplectic.cylinder_chart_identities(*variables(names))) == 0
+    assert certify(symplectic.cylinder_chart_identities) == 0
 
 
 exact_points = st.tuples(gaussians, gaussians, gaussians) | st.sampled_from(
